@@ -124,13 +124,13 @@ func kindName(k wal.Kind) string {
 }
 
 // decodeDetail renders the kinds the CLI can decode; undecodable payloads
-// (future kinds, gob drift) degrade to the envelope alone rather than
-// aborting the dump.
+// (future kinds, a damaged record) degrade to the envelope alone rather
+// than aborting the dump.
 func decodeDetail(e wal.Entry) any {
 	switch e.Kind {
 	case wal.KindSession:
 		var rec checkpoint.SessionRecord
-		if gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&rec) != nil {
+		if checkpoint.DecodeSessionRecord(e.Data, &rec) != nil {
 			return nil
 		}
 		return map[string]any{

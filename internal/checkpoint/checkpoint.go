@@ -243,9 +243,8 @@ type SessionRecord struct {
 
 // PendingSample is one buffered-but-unconsumed sample. It mirrors
 // stream.Sample in plain persisted fields: stream.Sample itself implements
-// encoding.BinaryUnmarshaler for its UDP wire format (but not the matching
-// BinaryMarshaler), which would make gob encode it as a struct and refuse to
-// decode it — so the checkpoint layer keeps its own symmetric type.
+// encoding.BinaryUnmarshaler for its UDP wire format, which is not the
+// persisted layout — so the checkpoint layer keeps its own plain type.
 type PendingSample struct {
 	Seq       uint64
 	Timestamp float64
@@ -341,22 +340,23 @@ func save(root string, state *FleetState) (string, error) {
 			return "", fmt.Errorf("checkpoint: model %q: %w", key, err)
 		}
 		name := fmt.Sprintf("model-%d.bin", i)
-		if err := writeRecordFile(filepath.Join(tmp, name), KindModel, RecModel, [][]byte{payload.Bytes()}); err != nil {
+		if err := writeRecordFile(filepath.Join(tmp, name), KindModel, func(fw *fileWriter) error {
+			return fw.writeRecord(RecModel, payload.Bytes())
+		}); err != nil {
 			return "", err
 		}
 		man.Models = append(man.Models, ModelEntry{Key: key, File: name, MACs: state.ModelMACs[key]})
 	}
 
 	// Session records.
-	sessPayloads := make([][]byte, len(state.Sessions))
-	for i := range state.Sessions {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&state.Sessions[i]); err != nil {
-			return "", fmt.Errorf("checkpoint: session %d: %w", state.Sessions[i].ID, err)
+	if err := writeRecordFile(filepath.Join(tmp, sessionsFile), KindSessions, func(fw *fileWriter) error {
+		for i := range state.Sessions {
+			if _, err := fw.writeSession(&state.Sessions[i]); err != nil {
+				return err
+			}
 		}
-		sessPayloads[i] = buf.Bytes()
-	}
-	if err := writeRecordFile(filepath.Join(tmp, sessionsFile), KindSessions, RecSession, sessPayloads); err != nil {
+		return nil
+	}); err != nil {
 		return "", err
 	}
 
@@ -376,7 +376,9 @@ func save(root string, state *FleetState) (string, error) {
 		if err := gob.NewEncoder(&mbuf).Encode(&man); err != nil {
 			return "", fmt.Errorf("checkpoint: manifest: %w", err)
 		}
-		if err := writeRecordFile(filepath.Join(tmp, manifestFile), KindManifest, RecManifest, [][]byte{mbuf.Bytes()}); err != nil {
+		if err := writeRecordFile(filepath.Join(tmp, manifestFile), KindManifest, func(fw *fileWriter) error {
+			return fw.writeRecord(RecManifest, mbuf.Bytes())
+		}); err != nil {
 			return "", err
 		}
 		final = filepath.Join(root, dirName(seq))
@@ -537,13 +539,11 @@ func readSessionRecords(path string) ([]SessionRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]SessionRecord, 0, len(payloads))
+	recs := make([]SessionRecord, len(payloads))
 	for i, p := range payloads {
-		var rec SessionRecord
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: session record %d: %v", ErrCorrupt, i, err)
+		if err := DecodeSessionRecord(p, &recs[i]); err != nil {
+			return nil, fmt.Errorf("%s: session record %d: %w", filepath.Base(path), i, err)
 		}
-		recs = append(recs, rec)
 	}
 	return recs, nil
 }
@@ -696,19 +696,16 @@ func prune(root string, keep int) {
 // debris from a crashed Save rather than a concurrent in-flight one.
 const staleTmpAge = 10 * time.Minute
 
-// writeRecordFile writes one framed file and fsyncs it.
-func writeRecordFile(path string, kind uint16, typ byte, payloads [][]byte) error {
+// writeRecordFile writes one framed file — header, then whatever records
+// write frames — and fsyncs it.
+func writeRecordFile(path string, kind uint16, write func(*fileWriter) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	fw, err := newFileWriter(f, kind)
 	if err == nil {
-		for _, p := range payloads {
-			if err = fw.writeRecord(typ, p); err != nil {
-				break
-			}
-		}
+		err = write(fw)
 	}
 	if err == nil {
 		err = f.Sync()

@@ -18,7 +18,7 @@ import (
 //
 // The CRC is CRC-32C (Castagnoli) over type, length and payload, so a flipped
 // bit anywhere in a record — including its framing — is detected before the
-// payload reaches a gob decoder. Files end at a record boundary; trailing
+// payload reaches a decoder. Files end at a record boundary; trailing
 // bytes that do not form a complete record mean a torn write and fail the
 // whole file. All integers are little-endian.
 
@@ -28,8 +28,9 @@ const Magic = "CACK"
 // FormatVersion is the current on-disk format version. Readers reject files
 // from other versions outright: the format is small enough that migration is
 // "take a fresh checkpoint", and silently misparsing a future layout is far
-// worse than retraining once.
-const FormatVersion = 1
+// worse than retraining once. Version 2 replaced the gob session-record
+// payload with the fixed layout of codec.go.
+const FormatVersion = 2
 
 // File kinds.
 const (
@@ -59,7 +60,7 @@ const (
 	RecManifest = byte(1)
 	// RecModel is a models.Save payload.
 	RecModel = byte(2)
-	// RecSession is a gob-encoded SessionRecord.
+	// RecSession is one SessionRecord in the fixed layout of codec.go.
 	RecSession = byte(3)
 	// RecSeal closes one replication-tail batch with a Merkle root over the
 	// batch's record payloads: count uint32 LE | root [32]byte (see
@@ -90,6 +91,9 @@ const headerLen = 4 + 2 + 2
 // fileWriter frames records into w.
 type fileWriter struct {
 	w io.Writer
+	// frame is the assembly buffer session records are encoded and framed
+	// in, reused across records: one Write and no allocation per session.
+	frame []byte
 }
 
 // newFileWriter writes the header for the given file kind.
@@ -122,6 +126,25 @@ func (fw *fileWriter) writeRecord(typ byte, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// writeSession encodes rec straight into the frame buffer and writes the
+// framed record with a single Write. It returns the encoded payload, valid
+// until the next writeSession, for callers that hash what they shipped.
+func (fw *fileWriter) writeSession(rec *SessionRecord) ([]byte, error) {
+	const pre = 5 // type + length, as in writeRecord
+	b := append(fw.frame[:0], RecSession, 0, 0, 0, 0)
+	b = AppendSessionRecord(b, rec)
+	if len(b)-pre > maxRecordLen {
+		return nil, fmt.Errorf("session %d: record of %d bytes exceeds limit", rec.ID, len(b)-pre)
+	}
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(b)-pre))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	fw.frame = b
+	if _, err := fw.w.Write(b); err != nil {
+		return nil, fmt.Errorf("session %d: %w", rec.ID, err)
+	}
+	return b[pre : len(b)-4], nil
 }
 
 // fileReader validates the header and iterates records.

@@ -81,12 +81,8 @@ func WriteStream(w io.Writer, state *FleetState) error {
 		}
 	}
 	for i := range state.Sessions {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&state.Sessions[i]); err != nil {
-			return fmt.Errorf("checkpoint: stream session %d: %w", state.Sessions[i].ID, err)
-		}
-		if err := fw.writeRecord(RecSession, buf.Bytes()); err != nil {
-			return fmt.Errorf("checkpoint: stream session %d: %w", state.Sessions[i].ID, err)
+		if _, err := fw.writeSession(&state.Sessions[i]); err != nil {
+			return fmt.Errorf("checkpoint: stream: %w", err)
 		}
 	}
 	return nil
@@ -151,8 +147,8 @@ func ReadStream(r io.Reader) (*FleetState, error) {
 			return nil, err
 		}
 		var rec SessionRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: stream session record %d: %v", ErrCorrupt, i, err)
+		if err := DecodeSessionRecord(payload, &rec); err != nil {
+			return nil, fmt.Errorf("stream session record %d: %w", i, err)
 		}
 		if _, ok := state.Models[rec.ModelKey]; !ok {
 			return nil, fmt.Errorf("%w: stream session %d references unknown model %q", ErrCorrupt, rec.ID, rec.ModelKey)

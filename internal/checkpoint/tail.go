@@ -115,14 +115,11 @@ func (tw *TailWriter) WriteBatch(state *FleetState) (modelsSent, sessionsSent in
 		leaves = append(leaves, wal.HashLeaf(payload.Bytes()))
 	}
 	for i := range state.Sessions {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&state.Sessions[i]); err != nil {
-			return 0, 0, root, fmt.Errorf("checkpoint: tail session %d: %w", state.Sessions[i].ID, err)
+		payload, err := tw.fw.writeSession(&state.Sessions[i])
+		if err != nil {
+			return 0, 0, root, fmt.Errorf("checkpoint: tail: %w", err)
 		}
-		if err := tw.fw.writeRecord(RecSession, buf.Bytes()); err != nil {
-			return 0, 0, root, fmt.Errorf("checkpoint: tail session %d: %w", state.Sessions[i].ID, err)
-		}
-		leaves = append(leaves, wal.HashLeaf(buf.Bytes()))
+		leaves = append(leaves, wal.HashLeaf(payload))
 	}
 	root = wal.Root(leaves)
 	seal := make([]byte, 4+wal.HashSize)
@@ -232,8 +229,8 @@ func (tr *TailReader) ReadBatch() (*FleetState, error) {
 		}
 		leaves = append(leaves, wal.HashLeaf(payload))
 		var rec SessionRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: tail session record %d: %v", ErrCorrupt, i, err)
+		if err := DecodeSessionRecord(payload, &rec); err != nil {
+			return nil, fmt.Errorf("tail session record %d: %w", i, err)
 		}
 		state.Sessions = append(state.Sessions, rec)
 	}

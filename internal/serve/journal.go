@@ -50,6 +50,7 @@ type Journal struct {
 	sent      map[string]struct{} // models already journaled this process
 	lastAudit uint64              // last event-ring seq drained
 	events    []obs.Event         // reusable snapshot buffer
+	enc       []byte              // reusable entry-encoding buffer
 }
 
 // NewJournal opens (and, after a crash, recovers) the WAL in opts.Dir and
@@ -130,20 +131,16 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		}
 		j.sent[key] = struct{}{}
 	}
-	var scratch []byte
 	for i := range delta.Sessions {
 		rec := &delta.Sessions[i]
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-			return root, 0, fmt.Errorf("serve: journal session %d: %w", rec.ID, err)
-		}
-		if _, err := j.log.Append(wal.KindSession, buf.Bytes()); err != nil {
+		j.enc = checkpoint.AppendSessionRecord(j.enc[:0], rec)
+		if _, err := j.log.Append(wal.KindSession, j.enc); err != nil {
 			return root, 0, err
 		}
-		scratch = wal.EncodeDecision(scratch[:0], wal.Decision{
+		j.enc = wal.EncodeDecision(j.enc[:0], wal.Decision{
 			Session: rec.ID, Ver: rec.Ver, Decoded: rec.Decoded, Agreed: rec.Agreed,
 		})
-		if _, err := j.log.Append(wal.KindDecision, scratch); err != nil {
+		if _, err := j.log.Append(wal.KindDecision, j.enc); err != nil {
 			return root, 0, err
 		}
 	}
@@ -161,8 +158,8 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		if ev.Seq <= j.lastAudit {
 			continue
 		}
-		scratch = wal.EncodeEvent(scratch[:0], ev)
-		if _, err := j.log.Append(wal.KindAudit, scratch); err != nil {
+		j.enc = wal.EncodeEvent(j.enc[:0], ev)
+		if _, err := j.log.Append(wal.KindAudit, j.enc); err != nil {
 			return root, 0, err
 		}
 		if ev.Seq > maxEv {
@@ -243,51 +240,73 @@ func (j *Journal) Close() error {
 // (which it does for any WAL written by this process structure, since the
 // first flush after daemon start is a full capture). Returns the replayed
 // state (base itself when the WAL adds nothing), and how many entries were
-// applied.
+// applied: those past the fence up to and including the last refs entry.
 //
 // The folded state is exactly what the crashed hub's next checkpoint would
-// have contained as of the last sealed flush: latest record per session,
+// have contained as of the last complete flush: latest record per session,
 // departures pruned by the final refs view, volatile scheduler fields
 // overlaid from it. Audit and decision entries are durable history, not
 // state — replay skips them.
+//
+// A flush is committed by its KindRefs entry, not by a seal: the log seals
+// inline whenever a batch outgrows its size bound, so a crash mid-flush can
+// leave sealed session records newer than any refs view. Session and model
+// entries are therefore staged and enter the fold only when the refs entry
+// that closes their flush is seen; what follows the last refs entry is an
+// incomplete flush and is dropped, uncounted. Session payloads are staged
+// raw, keyed by the ID at their fixed offset, and only the surviving record
+// per live session is decoded.
 func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState, int, error) {
 	var fence uint64
 	if base != nil {
 		fence = base.Manifest.WalSeq
 	}
-	recs := make(map[uint64]checkpoint.SessionRecord)
+	type rawRec struct {
+		seq  uint64
+		data []byte
+	}
+	staged := make(map[uint64]rawRec) // the open flush's session payloads
+	recs := make(map[uint64]rawRec)   // committed: latest per session
+	stagedModels := make(map[string]walModel)
 	newModels := make(map[string]walModel)
-	var lastMan *checkpoint.Manifest
-	applied := 0
+	var lastRefs rawRec      // the newest refs entry; only it is ever decoded
+	applied, pending := 0, 0 // pending: entries since the last refs entry
 	err := wal.Dump(dir, func(e wal.Entry) error {
 		if !e.Sealed || e.Seq <= fence {
 			return nil
 		}
 		switch e.Kind {
 		case wal.KindSession:
-			var rec checkpoint.SessionRecord
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&rec); err != nil {
-				return fmt.Errorf("%w: wal entry %d: session record: %v", checkpoint.ErrCorrupt, e.Seq, err)
+			head, err := checkpoint.PeekSessionRecord(e.Data)
+			if err != nil {
+				return fmt.Errorf("wal entry %d: %w", e.Seq, err)
 			}
-			recs[rec.ID] = rec
-		case wal.KindRefs:
-			var man checkpoint.Manifest
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&man); err != nil {
-				return fmt.Errorf("%w: wal entry %d: refs manifest: %v", checkpoint.ErrCorrupt, e.Seq, err)
-			}
-			lastMan = &man
+			staged[head.ID] = rawRec{e.Seq, e.Data}
 		case wal.KindModel:
 			var wm walModel
 			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&wm); err != nil {
 				return fmt.Errorf("%w: wal entry %d: model: %v", checkpoint.ErrCorrupt, e.Seq, err)
 			}
-			newModels[wm.Key] = wm
+			stagedModels[wm.Key] = wm
+		case wal.KindRefs:
+			lastRefs = rawRec{e.Seq, e.Data}
+			for id, raw := range staged {
+				recs[id] = raw
+			}
+			for key, wm := range stagedModels {
+				newModels[key] = wm
+			}
+			clear(staged)
+			clear(stagedModels)
+			applied += pending + 1
+			pending = 0
+			return nil
 		case wal.KindAudit, wal.KindDecision:
 			// History, not state.
 		default:
 			return fmt.Errorf("%w: wal entry %d: unknown kind %d", checkpoint.ErrCorrupt, e.Seq, e.Kind)
 		}
-		applied++
+		pending++
 		return nil
 	})
 	if err != nil {
@@ -296,15 +315,16 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 		}
 		return nil, 0, err
 	}
-	if applied == 0 {
-		return base, 0, nil
+	if lastRefs.seq == 0 {
+		return base, 0, nil // no complete flush past the fence: nothing to fold
+	}
+	var lastMan checkpoint.Manifest
+	if err := gob.NewDecoder(bytes.NewReader(lastRefs.data)).Decode(&lastMan); err != nil {
+		return nil, 0, fmt.Errorf("%w: wal entry %d: refs manifest: %v", checkpoint.ErrCorrupt, lastRefs.seq, err)
 	}
 	if base == nil {
-		if lastMan == nil {
-			return nil, 0, fmt.Errorf("%w: wal replay without a checkpoint base needs a refs entry", checkpoint.ErrCorrupt)
-		}
 		base = &checkpoint.FleetState{
-			Manifest:  *lastMan,
+			Manifest:  lastMan,
 			Models:    make(map[string]models.Classifier),
 			ModelMACs: make(map[string]int64),
 		}
@@ -320,49 +340,38 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 		base.Models[key] = clf
 		base.ModelMACs[key] = wm.MACs
 	}
-	byID := make(map[uint64]*checkpoint.SessionRecord, len(base.Sessions)+len(recs))
+	// The final refs view is authoritative: sessions it does not name have
+	// departed, and every session it names must resolve — from the WAL if the
+	// WAL holds a record, else from the base — at exactly its journaled
+	// version. Anything else means the WAL and the checkpoint disagree about
+	// history, which replay must not paper over.
+	fromBase := make(map[uint64]*checkpoint.SessionRecord, len(base.Sessions))
 	for i := range base.Sessions {
-		byID[base.Sessions[i].ID] = &base.Sessions[i]
+		fromBase[base.Sessions[i].ID] = &base.Sessions[i]
 	}
-	for id := range recs {
-		rec := recs[id]
-		byID[id] = &rec
-	}
-	if lastMan != nil {
-		// The final refs view is authoritative: prune departures, overlay the
-		// volatile scheduler fields, and insist every live ref resolves at
-		// exactly its journaled version — anything else means the WAL and the
-		// checkpoint disagree about history, which replay must not paper over.
-		keep := make(map[uint64]checkpoint.SessionRef, len(lastMan.Refs))
-		for _, ref := range lastMan.Refs {
-			keep[ref.ID] = ref
-		}
-		for id := range byID {
-			if _, live := keep[id]; !live {
-				delete(byID, id)
+	out := make([]checkpoint.SessionRecord, len(lastMan.Refs))
+	for i, ref := range lastMan.Refs {
+		rec := &out[i]
+		if raw, ok := recs[ref.ID]; ok {
+			if err := checkpoint.DecodeSessionRecord(raw.data, rec); err != nil {
+				return nil, 0, fmt.Errorf("wal entry %d: %w", raw.seq, err)
 			}
+		} else if b, ok := fromBase[ref.ID]; ok {
+			*rec = *b
+		} else {
+			return nil, 0, fmt.Errorf("%w: wal refs name live session %d with no record in checkpoint or wal", checkpoint.ErrCorrupt, ref.ID)
 		}
-		for id, ref := range keep {
-			rec, ok := byID[id]
-			if !ok {
-				return nil, 0, fmt.Errorf("%w: wal refs name live session %d with no record in checkpoint or wal", checkpoint.ErrCorrupt, id)
-			}
-			if rec.Ver != ref.Ver {
-				return nil, 0, fmt.Errorf("%w: wal session %d at ver %d, refs expect %d", checkpoint.ErrCorrupt, id, rec.Ver, ref.Ver)
-			}
-			rec.SampleAcc = ref.SampleAcc
-			rec.IdleTicks = ref.IdleTicks
+		if rec.Ver != ref.Ver {
+			return nil, 0, fmt.Errorf("%w: wal session %d at ver %d, refs expect %d", checkpoint.ErrCorrupt, ref.ID, rec.Ver, ref.Ver)
 		}
-		base.Manifest.Refs = lastMan.Refs
-		if lastMan.NextID > base.Manifest.NextID {
-			base.Manifest.NextID = lastMan.NextID
-		}
-	}
-	out := make([]checkpoint.SessionRecord, 0, len(byID))
-	for _, rec := range byID {
-		out = append(out, *rec)
+		rec.SampleAcc = ref.SampleAcc
+		rec.IdleTicks = ref.IdleTicks
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	base.Manifest.Refs = lastMan.Refs
+	if lastMan.NextID > base.Manifest.NextID {
+		base.Manifest.NextID = lastMan.NextID
+	}
 	base.Sessions = out
 	base.Manifest.Sessions = len(out)
 	return base, applied, nil

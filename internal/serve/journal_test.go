@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/stream"
 	"cognitivearm/internal/wal"
 )
@@ -426,5 +428,167 @@ func TestJournalEmptyFlushAppendsNothing(t *testing.T) {
 	// No ticks, and the first flush drained the ring: nothing to journal.
 	if _, last, err := j.Flush(); err != nil || last != before {
 		t.Fatalf("idle flush moved the sealed frontier %d -> %d (err %v)", before, last, err)
+	}
+}
+
+// TestJournalCrashMidFlushRecoversToPreviousFlush is the regression test for
+// the mid-flush crash: the log seals inline whenever a batch outgrows
+// BatchBytes, so a process killed part-way through a flush leaves sealed
+// session records of that flush with no refs entry behind them. Replay must
+// treat the refs entry — not the seal — as the commit point, drop the
+// orphaned records, and restore the fleet bitwise at the previous flush.
+func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
+	reg, _ := testFleet(t)
+	cfg := Config{Shards: 2, MaxSessionsPerShard: 2, TickHz: 15, LatencyWindow: 32}
+	const (
+		totalSamples = 700
+		totalTicks   = 60
+		flushTick    = 20
+		killTick     = 25
+	)
+	streamA := scriptedEEG(0, 41, totalSamples)
+	streamB := scriptedEEG(0, 97, totalSamples)
+
+	ref, err := NewHub(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	refIDs, _ := journalFleet(t, ref, streamA, streamB)
+	var want []SessionStats
+	for i := 0; i < totalTicks; i++ {
+		want = append(want, tickStats(t, ref, refIDs)...)
+	}
+
+	victim, err := NewHub(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, script := journalFleet(t, victim, streamA, streamB)
+	walDir := t.TempDir()
+	// A batch bound below one session record: every session append seals
+	// inline, as a 100-session flush does against the 1 MiB default.
+	j, _, err := NewJournal(victim, wal.Options{Dir: walDir, BatchBytes: 512, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < flushTick; i++ {
+		victim.TickAll()
+	}
+	if _, _, err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	consumed := script.pos
+	flushed, flushedApplied, err := ReplayWAL(walDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := flushTick; i < killTick; i++ {
+		victim.TickAll()
+	}
+	// The next flush gets as far as its first session record, then the
+	// process dies: no decision entry, no refs, no final seal.
+	delta := victim.CaptureDelta(j.lastRefs)
+	if len(delta.Sessions) == 0 {
+		t.Fatal("no dirty session to journal after the post-flush ticks")
+	}
+	sealedBefore := j.log.LastSealed()
+	if _, err := j.log.Append(wal.KindSession, checkpoint.AppendSessionRecord(nil, &delta.Sessions[0])); err != nil {
+		t.Fatal(err)
+	}
+	if j.log.LastSealed() == sealedBefore {
+		t.Fatal("the orphaned session record was not sealed inline; the test no longer reproduces the crash")
+	}
+	victim.Stop()
+
+	state, applied, err := ReplayWAL(walDir, nil)
+	if err != nil {
+		t.Fatalf("replay over an incomplete flush: %v", err)
+	}
+	if applied != flushedApplied {
+		t.Fatalf("replay counted %d applied entries, want the %d of the complete flush", applied, flushedApplied)
+	}
+	if !reflect.DeepEqual(state.Sessions, flushed.Sessions) {
+		t.Fatalf("replay state moved past the last complete flush:\n got %+v\nwant %+v", state.Sessions, flushed.Sessions)
+	}
+	restored, _, _, err := RestoreHubWal(t.TempDir(), walDir, journalSource(t, streamA, consumed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Stop()
+	var got []SessionStats
+	for i := flushTick; i < totalTicks; i++ {
+		got = append(got, tickStats(t, restored, ids)...)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[flushTick*len(ids)+i]) {
+			t.Fatalf("tick %d session %d diverged after mid-flush-crash restore:\n got %+v\nwant %+v",
+				flushTick+i/len(ids), i%len(ids), got[i], want[flushTick*len(ids)+i])
+		}
+	}
+}
+
+// TestPreCodecFilesAreRefused: checkpoint files and WAL segments written
+// before the session-record codec carry format version 1 in their headers and
+// must be refused outright — their session payloads are gob, which the new
+// decoder would otherwise be asked to parse.
+func TestPreCodecFilesAreRefused(t *testing.T) {
+	reg, _ := testFleet(t)
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 2, TickHz: 15, LatencyWindow: 16}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	journalFleet(t, hub, scriptedEEG(0, 41, 200), scriptedEEG(0, 97, 200))
+	walDir, ckptRoot := t.TempDir(), t.TempDir()
+	j, _, err := NewJournal(hub, wal.Options{Dir: walDir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		hub.TickAll()
+	}
+	if _, err := j.Checkpoint(ckptRoot); err != nil {
+		t.Fatal(err)
+	}
+	hub.TickAll()
+	if _, _, err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := RestoreHubWal(ckptRoot, walDir, journalSource(t, nil, 0)); err != nil {
+		t.Fatalf("current-version files do not restore: %v", err)
+	}
+
+	// Both headers are magic[4] | version u16 LE | kind u16 LE.
+	setV1 := func(pattern string) {
+		t.Helper()
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("glob %s: %v, err %v", pattern, paths, err)
+		}
+		for _, p := range paths {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[4], raw[5] = 1, 0
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setV1(filepath.Join(walDir, "wal-*.seg"))
+	if _, _, err := ReplayWAL(walDir, nil); !errors.Is(err, wal.ErrVersion) {
+		t.Fatalf("replay of a v1 WAL segment: %v, want wal.ErrVersion", err)
+	}
+	if _, _, err := wal.Open(wal.Options{Dir: walDir, NoSync: true}); !errors.Is(err, wal.ErrVersion) {
+		t.Fatalf("open of a v1 WAL segment: %v, want wal.ErrVersion", err)
+	}
+	setV1(filepath.Join(ckptRoot, "ckpt-*", "*"))
+	if _, _, err := checkpoint.LoadLatest(ckptRoot); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("load of a v1 checkpoint: %v, want checkpoint.ErrVersion", err)
 	}
 }

@@ -146,10 +146,10 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 			}
 			pendLeaves = append(pendLeaves, HashLeaf(payload))
 			if keep {
-				data := make([]byte, len(payload)-entryHdrLen)
-				copy(data, payload[entryHdrLen:])
+				// payload is this frame's own allocation, so the entry can
+				// keep a view of it.
 				sc.entries = append(sc.entries, Entry{
-					Seq: seq, Kind: Kind(payload[0]), Data: data, Segment: name,
+					Seq: seq, Kind: Kind(payload[0]), Data: payload[entryHdrLen:], Segment: name,
 				})
 			}
 		case recSeal:

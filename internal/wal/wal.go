@@ -87,7 +87,8 @@ type Kind uint8
 // Entry kinds journaled by the serve layer. The WAL itself treats payloads
 // as opaque; these constants just keep writer and reader in one place.
 const (
-	// KindSession: gob-encoded checkpoint.SessionRecord for one dirty session.
+	// KindSession: one dirty session's checkpoint.SessionRecord in the fixed
+	// binary layout of checkpoint.AppendSessionRecord.
 	KindSession Kind = 1
 	// KindRefs: gob-encoded serve journal manifest — the authoritative live
 	// view (session refs + volatile overlay + NextID) as of the seal that
@@ -108,7 +109,7 @@ const (
 
 const (
 	walMagic   = "CAWL"
-	walVersion = 1
+	walVersion = 2 // 2: KindSession payloads moved from gob to the fixed layout
 	kindSeg    = 1
 	headerLen  = 8
 
@@ -390,19 +391,33 @@ func (l *Log) openSegment(seq uint64) error {
 	return nil
 }
 
-// buildFrame assembles one framed record into l.frame and returns it.
-func (l *Log) buildFrame(typ byte, payload []byte) []byte {
-	need := frameOverhead + len(payload)
+// frameBuf returns l.frame sized for a record of payLen payload bytes, with
+// type and length filled in; the caller lays the payload into b[5:5+payLen]
+// and finishes the frame with finishFrame.
+func (l *Log) frameBuf(typ byte, payLen int) []byte {
+	need := frameOverhead + payLen
 	if cap(l.frame) < need {
 		l.frame = make([]byte, need)
 	}
 	b := l.frame[:need]
 	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(payload)))
-	copy(b[5:], payload)
-	crc := crc32.Checksum(b[:5+len(payload)], castagnoli)
-	binary.LittleEndian.PutUint32(b[5+len(payload):], crc)
+	binary.LittleEndian.PutUint32(b[1:5], uint32(payLen))
 	return b
+}
+
+// finishFrame writes the CRC-32C of type, length and payload into the frame's
+// last four bytes and returns the frame.
+func finishFrame(b []byte) []byte {
+	n := len(b) - 4
+	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli))
+	return b
+}
+
+// buildFrame assembles one framed record around a copy of payload.
+func (l *Log) buildFrame(typ byte, payload []byte) []byte {
+	b := l.frameBuf(typ, len(payload))
+	copy(b[5:], payload)
+	return finishFrame(b)
 }
 
 // Append journals one entry and returns its sequence number. The entry is
@@ -419,20 +434,22 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	if err := l.usable(); err != nil {
 		return 0, err
 	}
-	payload := make([]byte, entryHdrLen+len(data))
-	payload[0] = byte(kind)
 	seq := l.nextSeq
-	binary.LittleEndian.PutUint64(payload[1:9], seq)
-	copy(payload[entryHdrLen:], data)
-
-	frameLen := int64(frameOverhead + len(payload))
+	payLen := entryHdrLen + len(data)
+	frameLen := int64(frameOverhead + payLen)
 	if l.segSize+frameLen > l.opts.SegmentBytes && l.segLast != 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	frame := l.buildFrame(recEntry, payload)
-	if err := l.writeAll(frame); err != nil {
+	// Kind, seq and data go straight into the frame buffer: the entry
+	// payload exists only as a sub-slice of the frame it is written in.
+	frame := l.frameBuf(recEntry, payLen)
+	payload := frame[5 : 5+payLen]
+	payload[0] = byte(kind)
+	binary.LittleEndian.PutUint64(payload[1:9], seq)
+	copy(payload[entryHdrLen:], data)
+	if err := l.writeAll(finishFrame(frame)); err != nil {
 		return 0, err
 	}
 	l.segSize += frameLen

@@ -94,6 +94,33 @@ func TestAppendSealReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendDoesNotAllocate: an entry is laid straight into the log's frame
+// buffer, so between seals an append costs one copy and no allocation.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	l, _, err := Open(Options{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	data := bytes.Repeat([]byte{0xa5}, 4<<10)
+	for i := 0; i < 300; i++ { // warm the frame buffer and the leaf slice
+		if _, err := l.Append(KindSession, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	// 200 × 4 KiB stays below both batch bounds: no inline seal in the window.
+	if allocs := testing.AllocsPerRun(199, func() {
+		if _, err := l.Append(KindSession, data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Append allocates %.0f times per entry, want 0", allocs)
+	}
+}
+
 func TestBatchBoundsForceSeal(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir, BatchEntries: 3, NoSync: true})
