@@ -28,8 +28,6 @@ func main() {
 	fig := flag.Int("fig", 0, "regenerate figure N (4,5,7,8,9,10,11,12)")
 	headline := flag.Bool("headline", false, "reproduce the §V headline numbers")
 	validate := flag.Bool("validate", false, "run the §IV-A5 real-world validation protocol")
-	serveBench := flag.Bool("serve", false, "run the 100-session serving benchmark and write -serve-out")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "output path for the -serve report")
 	all := flag.Bool("all", false, "everything")
 	scale := flag.String("scale", "quick", "quick|full experiment scale")
 	flag.Parse()
@@ -80,10 +78,6 @@ func main() {
 	}
 	if *all || *validate {
 		runValidation()
-		ran = true
-	}
-	if *all || *serveBench {
-		runServeBench(*serveOut)
 		ran = true
 	}
 	if !ran {

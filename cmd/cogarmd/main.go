@@ -35,7 +35,7 @@
 // Inspect a log offline with `cogarm wal verify|dump`.
 //
 // With -cluster the daemon is one node of a multi-node fleet: it binds an
-// inter-node endpoint (the migration endpoint peers stream checkpoint
+// inter-node endpoint (the migration endpoint peers stream session
 // records to), joins the members named by -peers, and takes over the
 // sessions the consistent-hash ring routes to it — live, mid-window, with
 // bitwise-identical subsequent predictions. Each node replicates its dirty
@@ -164,7 +164,7 @@ func main() {
 	}
 
 	// Cluster mode: bind the inter-node endpoint (the migration endpoint
-	// peers stream checkpoint records to) and join any named members. The
+	// peers stream session records to) and join any named members. The
 	// ring immediately starts routing: joining hands this node the sessions
 	// it now owns, live.
 	var node *cluster.Node

@@ -49,7 +49,6 @@ import (
 	"cognitivearm/internal/control"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
-	"cognitivearm/internal/wal"
 
 	// Register the ensemble codec so checkpoints holding ensembles load.
 	_ "cognitivearm/internal/ensemble"
@@ -271,11 +270,6 @@ type FleetState struct {
 	// the whole fleet for a full checkpoint, the dirty subset for an
 	// incremental one (Manifest.Refs then carries the full fleet view).
 	Sessions []SessionRecord
-	// TailRoot is the verified Merkle root of the replication batch this
-	// state was decoded from (TailReader.ReadBatch only; zero elsewhere).
-	// A follower records it per-epoch so divergence from the primary is
-	// attributable to a specific batch at promotion time.
-	TailRoot [wal.HashSize]byte
 }
 
 const (
@@ -351,7 +345,7 @@ func save(root string, state *FleetState) (string, error) {
 	// Session records.
 	if err := writeRecordFile(filepath.Join(tmp, sessionsFile), KindSessions, func(fw *fileWriter) error {
 		for i := range state.Sessions {
-			if _, err := fw.writeSession(&state.Sessions[i]); err != nil {
+			if err := fw.writeSession(&state.Sessions[i]); err != nil {
 				return err
 			}
 		}

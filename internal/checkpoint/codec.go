@@ -7,9 +7,9 @@ import (
 )
 
 // The session-record codec: the one byte layout every SessionRecord travels
-// in — sessions.bin (kind 3), migration streams (kind 4), replication tails
-// (kind 5) and WAL KindSession entries. The normative table is in
-// ARCHITECTURE.md ("Session record layout"). Summary, all little-endian:
+// in — sessions.bin (kind 3) and WAL KindSession entries, in a segment or on
+// a socket stream between nodes. The normative table is in ARCHITECTURE.md
+// ("Session record layout"). Summary, all little-endian:
 //
 //	off  0  ID u64 | Ver u64 | SampleAcc f64 | IdleTicks i64      ← peekable
 //	off 32  version u8 (=1) | Fed u8 (0|1)

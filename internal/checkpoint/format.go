@@ -40,18 +40,6 @@ const (
 	KindModel = uint16(2)
 	// KindSessions files hold one record per persisted session.
 	KindSessions = uint16(3)
-	// KindStream frames a whole FleetState as one self-delimiting byte
-	// stream — the wire variant of a checkpoint directory, written by
-	// WriteStream and consumed by ReadStream (live session migration,
-	// replication). Record order: manifest, models (manifest order),
-	// sessions.
-	KindStream = uint16(4)
-	// KindReplica frames a replication tail: one header followed by an
-	// unbounded sequence of batches, each a manifest record (epoch in Seq,
-	// full live-session reference view in Refs) + the models not yet shipped
-	// on this tail + the session records dirty since the previous batch.
-	// Written by TailWriter, consumed batch-by-batch by TailReader.
-	KindReplica = uint16(5)
 )
 
 // Record types.
@@ -62,13 +50,6 @@ const (
 	RecModel = byte(2)
 	// RecSession is one SessionRecord in the fixed layout of codec.go.
 	RecSession = byte(3)
-	// RecSeal closes one replication-tail batch with a Merkle root over the
-	// batch's record payloads: count uint32 LE | root [32]byte (see
-	// internal/wal for the tree shape). The receiver recomputes the root
-	// from what it decoded and refuses the batch on mismatch, so a follower
-	// detects stream divergence at apply time — before promotion could ever
-	// serve silently corrupt state.
-	RecSeal = byte(4)
 )
 
 // maxRecordLen bounds a single record so a corrupted length field cannot ask
@@ -129,22 +110,21 @@ func (fw *fileWriter) writeRecord(typ byte, payload []byte) error {
 }
 
 // writeSession encodes rec straight into the frame buffer and writes the
-// framed record with a single Write. It returns the encoded payload, valid
-// until the next writeSession, for callers that hash what they shipped.
-func (fw *fileWriter) writeSession(rec *SessionRecord) ([]byte, error) {
+// framed record with a single Write.
+func (fw *fileWriter) writeSession(rec *SessionRecord) error {
 	const pre = 5 // type + length, as in writeRecord
 	b := append(fw.frame[:0], RecSession, 0, 0, 0, 0)
 	b = AppendSessionRecord(b, rec)
 	if len(b)-pre > maxRecordLen {
-		return nil, fmt.Errorf("session %d: record of %d bytes exceeds limit", rec.ID, len(b)-pre)
+		return fmt.Errorf("session %d: record of %d bytes exceeds limit", rec.ID, len(b)-pre)
 	}
 	binary.LittleEndian.PutUint32(b[1:], uint32(len(b)-pre))
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	fw.frame = b
 	if _, err := fw.w.Write(b); err != nil {
-		return nil, fmt.Errorf("session %d: %w", rec.ID, err)
+		return fmt.Errorf("session %d: %w", rec.ID, err)
 	}
-	return b[pre : len(b)-4], nil
+	return nil
 }
 
 // fileReader validates the header and iterates records.

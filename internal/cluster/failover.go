@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/serve"
 )
@@ -134,23 +133,13 @@ func (n *Node) promote(dead string) int {
 	set, ok := n.replicas.take(dead)
 	t := clusterTel()
 	t.replicaSessions.Set(float64(n.replicas.total()))
-	if !ok || len(set.sessions) == 0 {
+	if !ok || len(set.image.Sessions) == 0 {
 		return 0
 	}
-	reg := n.hub.Registry()
-	keys := make([]string, 0, len(set.models))
-	for key := range set.models {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		clf, macs := set.models[key], set.macs[key]
-		if _, _, err := reg.GetOrBuild(key, func() (models.Classifier, int64, error) {
-			return clf, macs, nil
-		}); err != nil {
-			n.logf("cluster: failover of %s: model %q: %v", dead, key, err)
-			return 0
-		}
+	image := set.image
+	if err := n.registerModels(image); err != nil {
+		n.logf("cluster: failover of %s: %v", dead, err)
+		return 0
 	}
 	live := map[string]struct{}{}
 	for _, tag := range n.hub.SessionKeys() {
@@ -158,14 +147,10 @@ func (n *Node) promote(dead string) int {
 			live[tag] = struct{}{}
 		}
 	}
-	ids := make([]uint64, 0, len(set.sessions))
-	for id := range set.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	promoted := 0
-	for _, id := range ids {
-		rec := set.sessions[id]
+	for i := range image.Sessions { // the fold keeps them in ID order
+		rec := &image.Sessions[i]
+		id := rec.ID
 		if _, dup := live[rec.Tag]; dup && rec.Tag != "" {
 			n.logf("cluster: failover of %s: session %d (%s) already live here, replica skipped", dead, id, rec.Tag)
 			continue
@@ -181,7 +166,7 @@ func (n *Node) promote(dead string) int {
 			n.logf("cluster: failover of %s: session %d lost (rebind: %v)", dead, id, err)
 			continue
 		}
-		if _, err := n.hub.PromoteSession(&rec, src); err != nil {
+		if _, err := n.hub.PromoteSession(rec, src); err != nil {
 			n.logf("cluster: failover of %s: session %d lost (promote: %v)", dead, id, err)
 			continue
 		}

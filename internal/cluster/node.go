@@ -13,20 +13,21 @@ import (
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/serve"
+	"cognitivearm/internal/wal"
 )
 
 // Protocol verbs. Every inter-node connection carries exactly one request:
 // a verb byte, a body, and one framed ack back. Control bodies (join,
 // announce, leave) are gob-encoded memberMsg values framed by
-// stream.WriteMsg; a migrate body is a raw checkpoint stream
-// (checkpoint.WriteStream), self-delimiting via its manifest.
+// stream.WriteMsg; a migrate body is one sealed batch of WAL entries on a
+// wal socket stream, self-delimiting via its seal.
 const (
 	verbJoin      = byte(1) // memberMsg → ack with full membership
 	verbAnnounce  = byte(2) // memberMsg → ack (add member + rebalance)
 	verbLeave     = byte(3) // memberMsg → ack (remove member)
-	verbMigrate   = byte(4) // checkpoint stream → ack with restored count
+	verbMigrate   = byte(4) // one sealed wal-stream batch → ack with restored count
 	verbPing      = byte(5) // memberMsg → ack (heartbeat; also beats the detector)
-	verbReplicate = byte(6) // memberMsg handshake, then a replication tail with one ack per batch
+	verbReplicate = byte(6) // memberMsg handshake, then a wal stream with one ack per batch
 	verbLocate    = byte(7) // locateMsg → ack with owner, owner addr, ingest addr
 )
 
@@ -52,8 +53,8 @@ type ackMsg struct {
 	Err string
 	// Members is the full membership (id → addr) on a join ack.
 	Members map[string]string
-	// Handled is how many of a migrate stream's sessions the receiver fully
-	// consumed (restored or deliberately dropped), in stream order. On a
+	// Handled is how many of a migrate batch's sessions the receiver fully
+	// consumed (restored or deliberately dropped), in session-ID order. On a
 	// failed migration the sender restores only the remainder locally, so a
 	// partial failure never leaves one session live on both nodes. On a
 	// replication batch ack it is the standby's live replica count.
@@ -128,8 +129,7 @@ type Config struct {
 }
 
 // Node wraps one serving hub with a cluster endpoint: consistent-hash
-// routing, membership control messages, and checkpoint-streamed live session
-// migration. Create the hub first (cold start or checkpoint restore), then
+// routing, membership control messages, and live session migration. Create the hub first (cold start or checkpoint restore), then
 // the node, then Join an existing member.
 type Node struct {
 	id     string
@@ -522,6 +522,8 @@ func (n *Node) rebalance() error {
 	}
 	sort.Strings(owners)
 	for _, owner := range owners {
+		// ID order is also the order the receiver's fold hands sessions back
+		// in, which is what makes its Handled count index this list.
 		ids := byOwner[owner]
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		if err := n.migrateTo(owner, ids); err != nil {
@@ -532,7 +534,7 @@ func (n *Node) rebalance() error {
 }
 
 // migrateTo extracts the given sessions and streams them to owner as one
-// checkpoint stream. Extraction is atomic per session (capture-and-remove
+// sealed batch of WAL entries. Extraction is atomic per session (capture-and-remove
 // under the shard lock), so the receiving node resumes each session exactly
 // at the tick boundary it left this one. On failure the extracted sessions
 // are restored locally so none is lost.
@@ -579,8 +581,8 @@ func (n *Node) migrateTo(owner string, ids []serve.SessionID) error {
 	return nil
 }
 
-// migrationState wraps session records and the models they reference into a
-// streamable FleetState.
+// migrationState wraps session records and the models they reference into a delta: the shape Hub.CaptureDelta gives a replication
+// batch, with the records' own refs as the live view.
 func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.FleetState, error) {
 	cfg := n.hub.Config()
 	clfs, macs := n.hub.Registry().Resolved()
@@ -593,16 +595,17 @@ func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.Flee
 				MaxIdleTicks:        cfg.MaxIdleTicks,
 				LatencyWindow:       cfg.LatencyWindow,
 			},
-			// Counter baselines stay home: they are this node's serving
-			// history, not the sessions'.
-			Shards: make([]checkpoint.ShardCounters, cfg.Shards),
 		},
 		Models:    map[string]models.Classifier{},
 		ModelMACs: map[string]int64{},
 		Sessions:  recs,
 	}
 	for i := range recs {
-		key := recs[i].ModelKey
+		rec := &recs[i]
+		state.Manifest.Refs = append(state.Manifest.Refs, checkpoint.SessionRef{
+			ID: rec.ID, Ver: rec.Ver, SampleAcc: rec.SampleAcc, IdleTicks: rec.IdleTicks,
+		})
+		key := rec.ModelKey
 		if _, done := state.Models[key]; done {
 			continue
 		}
@@ -616,7 +619,7 @@ func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.Flee
 	return state, nil
 }
 
-// sendMigration performs one migrate exchange: verb, checkpoint stream, ack.
+// sendMigration performs one migrate exchange: verb, one sealed batch, ack.
 // It returns how many of the streamed sessions the receiver consumed, which
 // on failure (ack carrying an error) tells the caller where to resume local
 // restoration; without an ack at all it returns 0.
@@ -630,7 +633,11 @@ func (n *Node) sendMigration(addr string, state *checkpoint.FleetState) (int, er
 	if _, err := conn.Write([]byte{verbMigrate}); err != nil {
 		return 0, err
 	}
-	if err := checkpoint.WriteStream(conn, state); err != nil {
+	sw := wal.NewStreamWriter(conn)
+	if err := new(serve.DeltaEncoder).Append(sw, state); err != nil {
+		return 0, err
+	}
+	if _, err := sw.Seal(); err != nil {
 		return 0, err
 	}
 	ack, _, err := readAck(conn, nil)
@@ -792,28 +799,39 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-// receiveMigration decodes one checkpoint stream and resumes its sessions on
-// the local hub. Models the registry has not resolved yet are registered
-// from the stream; a key the registry already holds keeps the local
+// receiveMigration reads one sealed batch, folds it from nothing (serve.Fold,
+// as WAL replay would) and resumes its sessions on the local hub. Models the
+// registry has not resolved yet are registered from the batch; a key the registry already holds keeps the local
 // instance — in a fleet, one model key names identical weights everywhere
 // (the registry trains deterministically or loads the same artifact), so the
 // shared local copy serves migrated sessions bitwise-identically.
 //
 // The returned count is how many sessions were fully consumed (restored or
-// deliberately dropped by the rebind factory), in stream order — valid even
+// deliberately dropped by the rebind factory), in session-ID order — valid even
 // alongside an error, so the sender can restore exactly the remainder.
 func (n *Node) receiveMigration(conn net.Conn) (int, error) {
-	state, err := checkpoint.ReadStream(conn)
+	sr, err := wal.NewStreamReader(conn)
 	if err != nil {
 		return 0, err
 	}
+	entries, _, err := sr.ReadBatch()
+	if err != nil {
+		return 0, err
+	}
+	state, err := foldBatch(entries, nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := n.registerModels(state); err != nil {
+		return 0, err
+	}
 	reg := n.hub.Registry()
-	for key := range state.Models {
-		clf, macs := state.Models[key], state.ModelMACs[key]
-		if _, _, err := reg.GetOrBuild(key, func() (models.Classifier, int64, error) {
-			return clf, macs, nil
-		}); err != nil {
-			return 0, err
+	// Refuse the whole batch up front if any session's model is unknown, as a
+	// checkpoint load would: nothing is restored from a batch that cannot be.
+	for i := range state.Sessions {
+		if _, _, ok := reg.Get(state.Sessions[i].ModelKey); !ok {
+			return 0, fmt.Errorf("%w: session %d references unknown model %q",
+				checkpoint.ErrCorrupt, state.Sessions[i].ID, state.Sessions[i].ModelKey)
 		}
 	}
 	restored, handled := 0, 0
@@ -850,6 +868,21 @@ func (n *Node) receiveMigration(conn net.Conn) (int, error) {
 	t.events.Record(obs.EvMigrateIn, -1, 0, int64(restored), 0)
 	n.logf("cluster: %s accepted %d migrated sessions", n.id, restored)
 	return handled, nil
+}
+
+// registerModels adds a folded state's models to the hub's registry. A key
+// the registry already resolves keeps the local instance.
+func (n *Node) registerModels(state *checkpoint.FleetState) error {
+	reg := n.hub.Registry()
+	for key, clf := range state.Models {
+		macs := state.ModelMACs[key]
+		if _, _, err := reg.GetOrBuild(key, func() (models.Classifier, int64, error) {
+			return clf, macs, nil
+		}); err != nil {
+			return fmt.Errorf("model %q: %w", key, err)
+		}
+	}
+	return nil
 }
 
 // call performs one control exchange with a peer. buf is an optional reuse

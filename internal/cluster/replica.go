@@ -10,50 +10,37 @@ import (
 
 	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/models"
+	"cognitivearm/internal/serve"
 	"cognitivearm/internal/wal"
 )
 
 // Warm-standby replication. The sender half (Node.ReplicateOnce) captures
-// the hub's dirty-session delta — the same records an incremental checkpoint
-// writes — and tails it to this node's ring successors over long-lived
-// verbReplicate connections, one checkpoint.TailWriter per standby. The
-// receiver half (Node.handleReplicate) folds each batch into a replicaStore:
-// an in-memory, always-promotable image of the primary's sessions, at most
-// one replication interval stale. Promotion (failover.go) turns that image
-// into live serving sessions via serve.Hub.PromoteSession.
+// the hub's dirty-session delta — the same capture a journal flush writes —
+// and ships it to this node's ring successors as sealed batches of WAL
+// entries (wal.StreamWriter) over long-lived verbReplicate connections. The
+// receiver half (Node.handleReplicate) folds each verified batch into a
+// replicaStore: an in-memory, always-promotable image of the primary's
+// sessions, at most one replication interval stale. Promotion (failover.go)
+// turns that image into live serving sessions via serve.Hub.PromoteSession.
 
-// replicaSet is the accumulated replica image of one primary.
+// replicaSet is the replica image of one primary, as built by one tail.
 type replicaSet struct {
-	// hub is the primary's serving configuration, kept for diagnostics; the
-	// standby promotes into its own hub, not a reconstruction of the
-	// primary's.
-	hub checkpoint.HubConfig
-	// epoch is the last applied batch's per-connection sequence number.
-	// Batches must arrive gap-free (epoch+1); anything else means a batch
-	// was lost or a stale connection is still writing, and the tail is torn
-	// down so the next connection full-resyncs.
-	epoch uint64
-	// models and macs accumulate across tails: model weights are immutable
-	// once resolved, so an image from an earlier connection stays valid.
-	models map[string]models.Classifier
-	macs   map[string]int64
-	// sessions is the promotable image: every live session's latest
-	// replicated record, volatile scheduler fields already overlaid.
-	sessions map[uint64]checkpoint.SessionRecord
-	batches  uint64
-	lastAt   time.Time
+	// image is the promotable state: what serve.Fold resolved from every
+	// batch applied so far — each live session's latest record, volatile
+	// scheduler fields overlaid, in ID order — plus every model shipped.
+	image *checkpoint.FleetState
 	// lastRoot is the Merkle root of the last applied batch, as verified by
-	// checkpoint.TailReader against the sender's seal. It makes the image's
+	// wal.StreamReader against the sender's seal. It makes the image's
 	// provenance auditable at promotion time: the promoting node can state
 	// exactly which verified batch its serving state descends from.
 	lastRoot [wal.HashSize]byte
 }
 
 // replicaStore holds one replicaSet per primary replicating to this node.
-// Its mutex is a leaf lock guarding pure map bookkeeping: batches are
-// decoded from the network and sessions are promoted strictly outside it
-// (take removes the whole set first), so no network, disk, or hub call ever
-// runs under it.
+// Its mutex guards map bookkeeping and the in-memory fold of a batch into an
+// image: batches are read from the network and sessions are promoted strictly
+// outside it (take removes the whole set first), so no network, disk, or hub
+// call ever runs under it.
 type replicaStore struct {
 	mu  sync.Mutex
 	set map[string]*replicaSet
@@ -63,78 +50,57 @@ func newReplicaStore() *replicaStore {
 	return &replicaStore{set: map[string]*replicaSet{}}
 }
 
-// beginTail resets the session image for a primary opening a fresh
-// replication connection. Models survive the reset (immutable), the session
-// image does not: the new tail's first batch is a full resync, and stale
-// records must not outlive the connection that shipped them.
-func (s *replicaStore) beginTail(src string) {
+// beginTail opens a fresh image for a primary opening a fresh replication
+// connection and returns it as the tail's identity. Models carry over
+// (immutable), sessions do not: the new tail's first batch is a full resync,
+// and stale records must not outlive the connection that shipped them.
+func (s *replicaStore) beginTail(src string) *replicaSet {
+	rs := &replicaSet{image: &checkpoint.FleetState{
+		Models:    map[string]models.Classifier{},
+		ModelMACs: map[string]int64{},
+	}}
 	s.mu.Lock()
-	rs, ok := s.set[src]
-	if !ok {
-		rs = &replicaSet{
-			models: map[string]models.Classifier{},
-			macs:   map[string]int64{},
-		}
-		s.set[src] = rs
+	if old, ok := s.set[src]; ok {
+		rs.image.Models, rs.image.ModelMACs = old.image.Models, old.image.ModelMACs
 	}
-	rs.sessions = map[uint64]checkpoint.SessionRecord{}
-	rs.epoch = 0
+	s.set[src] = rs
 	s.mu.Unlock()
+	return rs
 }
 
-// apply folds one decoded batch into src's image and returns the live
-// session count afterwards. Any error means the image can no longer be
-// trusted — the caller tears the connection down and the next one resyncs
-// from scratch.
-func (s *replicaStore) apply(src string, batch *checkpoint.FleetState, now time.Time) (int, error) {
+// foldBatch folds one verified batch of WAL entries over base through
+// serve.Fold — the same fold WAL replay runs — and returns the resolved
+// state. A batch enters base only at its refs commit and only when every ref
+// resolves at its version; on error base is exactly as it was.
+func foldBatch(entries []wal.Entry, base *checkpoint.FleetState) (*checkpoint.FleetState, error) {
+	fold := serve.NewFold()
+	for _, e := range entries {
+		if err := fold.Add(e); err != nil {
+			return nil, err
+		}
+	}
+	if fold.Applied() == 0 {
+		return nil, fmt.Errorf("cluster: batch of %d entries carries no refs entry", len(entries))
+	}
+	return fold.Resolve(base)
+}
+
+// apply folds one verified batch into the image rs — which must still be
+// src's open tail: a connection superseded by a newer one (or by a promotion)
+// may not write over its successor's image — and returns the live session
+// count. On error the image keeps its last good batch and the caller tears
+// the connection down, so the next one resyncs from scratch.
+func (s *replicaStore) apply(src string, rs *replicaSet, entries []wal.Entry, root [wal.HashSize]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs, ok := s.set[src]
-	if !ok {
-		return 0, fmt.Errorf("cluster: replication batch from %s without an open tail", src)
+	if s.set[src] != rs {
+		return 0, fmt.Errorf("cluster: replication batch from %s on a superseded tail", src)
 	}
-	if batch.Manifest.Seq != rs.epoch+1 {
-		return 0, fmt.Errorf("cluster: replication batch epoch %d from %s, want %d (stale connection?)", batch.Manifest.Seq, src, rs.epoch+1)
+	if _, err := foldBatch(entries, rs.image); err != nil {
+		return 0, fmt.Errorf("cluster: replica of %s out of sync: %w", src, err)
 	}
-	rs.epoch = batch.Manifest.Seq
-	rs.hub = batch.Manifest.Hub
-	for key, clf := range batch.Models {
-		rs.models[key] = clf
-		rs.macs[key] = batch.ModelMACs[key]
-	}
-	for i := range batch.Sessions {
-		rec := batch.Sessions[i]
-		rs.sessions[rec.ID] = rec
-	}
-	// The manifest's Refs are the primary's complete live view: prune
-	// departures, overlay the volatile scheduler fields onto clean records,
-	// and verify every ref resolves to a record at the right version — a
-	// mismatch means this tail missed state and must resync.
-	keep := make(map[uint64]checkpoint.SessionRef, len(batch.Manifest.Refs))
-	for _, ref := range batch.Manifest.Refs {
-		keep[ref.ID] = ref
-	}
-	for id := range rs.sessions {
-		if _, live := keep[id]; !live {
-			delete(rs.sessions, id)
-		}
-	}
-	for id, ref := range keep {
-		rec, ok := rs.sessions[id]
-		if !ok {
-			return 0, fmt.Errorf("cluster: replica of %s out of sync: no record for live session %d", src, id)
-		}
-		if rec.Ver != ref.Ver {
-			return 0, fmt.Errorf("cluster: replica of %s out of sync: session %d at ver %d, primary at %d", src, id, rec.Ver, ref.Ver)
-		}
-		rec.SampleAcc = ref.SampleAcc
-		rec.IdleTicks = ref.IdleTicks
-		rs.sessions[id] = rec
-	}
-	rs.batches++
-	rs.lastAt = now
-	rs.lastRoot = batch.TailRoot
-	return len(rs.sessions), nil
+	rs.lastRoot = root
+	return len(rs.image.Sessions), nil
 }
 
 // take removes and returns src's image — the promotion handoff. Promotion
@@ -159,7 +125,7 @@ func (s *replicaStore) total() int {
 	s.mu.Lock()
 	n := 0
 	for _, rs := range s.set {
-		n += len(rs.sessions)
+		n += len(rs.image.Sessions)
 	}
 	s.mu.Unlock()
 	return n
@@ -181,7 +147,8 @@ func (s *replicaStore) sources() []string {
 type replLink struct {
 	target   string
 	conn     net.Conn
-	tw       *checkpoint.TailWriter
+	sw       *wal.StreamWriter
+	enc      serve.DeltaEncoder // models shipped on this connection
 	lastRefs map[uint64]checkpoint.SessionRef
 	ackBuf   []byte
 }
@@ -289,8 +256,8 @@ func (n *Node) ReplicateAt(now time.Time) error {
 }
 
 // linkTo opens a replication tail to a standby: dial, verb, identity
-// handshake, tail header. The handshake ack proves the standby recognises
-// this node as a ring member before any state is shipped.
+// handshake. The handshake ack proves the standby recognises this node as a
+// ring member before any state is shipped.
 func (n *Node) linkTo(target string) (*replLink, error) {
 	n.mu.Lock()
 	addr, ok := n.peers[target]
@@ -320,22 +287,21 @@ func (n *Node) linkTo(target string) (*replLink, error) {
 	if ack.Err != "" {
 		return fail(fmt.Errorf("remote: %s", ack.Err))
 	}
-	tw, err := checkpoint.NewTailWriter(conn)
-	if err != nil {
-		return fail(err)
-	}
-	return &replLink{target: target, conn: conn, tw: tw}, nil
+	return &replLink{target: target, conn: conn, sw: wal.NewStreamWriter(conn)}, nil
 }
 
 // shipBatch captures the dirty delta since the link's last acknowledged
-// batch and writes it down the tail, waiting for the standby's ack. Only an
-// acknowledged batch advances lastRefs, so a batch the standby never
-// applied is recaptured (as still-dirty sessions) by the next connection.
+// batch and writes it down the tail as one sealed batch, waiting for the
+// standby's ack. Only an acknowledged batch advances lastRefs, so a batch the
+// standby never applied is recaptured (as still-dirty sessions) by the next
+// connection.
 func (n *Node) shipBatch(link *replLink) error {
 	delta := n.hub.CaptureDelta(link.lastRefs)
 	link.conn.SetDeadline(time.Now().Add(ioTimeout))
-	_, sessions, _, err := link.tw.WriteBatch(delta)
-	if err != nil {
+	if err := link.enc.Append(link.sw, delta); err != nil {
+		return err
+	}
+	if _, err := link.sw.Seal(); err != nil {
 		return err
 	}
 	ack, buf, err := readAck(link.conn, link.ackBuf)
@@ -349,7 +315,7 @@ func (n *Node) shipBatch(link *replLink) error {
 	link.lastRefs = delta.Manifest.RefIndex()
 	t := clusterTel()
 	t.replBatchesOut.Inc()
-	t.replRecords.Add(uint64(sessions))
+	t.replRecords.Add(uint64(len(delta.Sessions)))
 	return nil
 }
 
@@ -371,8 +337,8 @@ func (n *Node) handleReplicate(conn net.Conn) {
 	if err := writeAck(conn, ackMsg{}); err != nil {
 		return
 	}
-	n.replicas.beginTail(msg.ID)
-	tr, err := checkpoint.NewTailReader(conn)
+	rs := n.replicas.beginTail(msg.ID)
+	sr, err := wal.NewStreamReader(conn)
 	if err != nil {
 		n.logf("cluster: replication tail from %s: %v", msg.ID, err)
 		return
@@ -380,14 +346,14 @@ func (n *Node) handleReplicate(conn net.Conn) {
 	t := clusterTel()
 	for {
 		conn.SetDeadline(time.Now().Add(ioTimeout))
-		batch, err := tr.ReadBatch()
+		entries, root, err := sr.ReadBatch()
 		if err != nil {
 			if err != io.EOF {
 				n.logf("cluster: replication tail from %s: %v", msg.ID, err)
 			}
 			return
 		}
-		live, err := n.replicas.apply(msg.ID, batch, time.Now())
+		live, err := n.replicas.apply(msg.ID, rs, entries, root)
 		if err != nil {
 			n.logf("cluster: replication tail from %s: %v", msg.ID, err)
 			writeAck(conn, ackMsg{Err: err.Error()})

@@ -1,0 +1,173 @@
+package cluster
+
+import (
+	"bytes"
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"cognitivearm/internal/checkpoint"
+	"cognitivearm/internal/serve"
+	"cognitivearm/internal/wal"
+)
+
+// replicaFleet is a primary's hub with two ticking sessions.
+func replicaFleet(t *testing.T) *serve.Hub {
+	t.Helper()
+	clf, norm := sharedModel(t)
+	hub := newHub(t, registryWith(clf))
+	t.Cleanup(hub.Stop)
+	for i, tag := range []string{"s-0", "s-1"} {
+		src := &scriptSource{samples: scriptedEEG(0, uint64(11+i), 400)}
+		if _, err := hub.Admit(serve.SessionConfig{ModelKey: "rf", Source: src, Norm: norm, Tag: tag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		hub.TickAll()
+	}
+	return hub
+}
+
+// batchOf ships delta as one sealed batch over a fresh in-memory stream and
+// returns what a standby's reader hands to the store.
+func batchOf(t *testing.T, delta *checkpoint.FleetState) ([]wal.Entry, [wal.HashSize]byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := wal.NewStreamWriter(&buf)
+	if err := new(serve.DeltaEncoder).Append(sw, delta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := wal.NewStreamReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, root, err := sr.ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries, root
+}
+
+// TestReplicaRefusedBatchLeavesImage: after one good batch, a batch whose refs
+// name a session at a version no record carries is refused at apply time, and
+// the promotable image — records, live count, last verified root — is exactly
+// the pre-batch image. A primary that dies right after must fail over to
+// batch N, never to a mix of N and the refused N+1.
+func TestReplicaRefusedBatchLeavesImage(t *testing.T) {
+	hub := replicaFleet(t)
+	store := newReplicaStore()
+	rs := store.beginTail("primary")
+
+	delta1 := hub.CaptureDelta(nil)
+	entries, root1 := batchOf(t, delta1)
+	if live, err := store.apply("primary", rs, entries, root1); err != nil || live != 2 {
+		t.Fatalf("good batch: live=%d err=%v", live, err)
+	}
+	want := hub.CaptureDelta(nil).Sessions // an independent copy of the applied state
+
+	for i := 0; i < 3; i++ {
+		hub.TickAll()
+	}
+	bad := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	if len(bad.Sessions) != 2 {
+		t.Fatalf("setup: %d dirty sessions, want 2", len(bad.Sessions))
+	}
+	bad.Sessions = bad.Sessions[:1] // the first session's newer record rides along
+	bad.Manifest.Refs[1].Ver += 1000
+	entries, root2 := batchOf(t, bad)
+	_, err := store.apply("primary", rs, entries, root2)
+	if err == nil || !strings.Contains(err.Error(), "out of sync") {
+		t.Fatalf("unresolvable batch: %v, want an out-of-sync refusal", err)
+	}
+
+	if got := store.total(); got != 2 {
+		t.Fatalf("live replica count %d after a refused batch, want 2", got)
+	}
+	set, ok := store.take("primary")
+	if !ok {
+		t.Fatal("image gone after a refused batch")
+	}
+	if !reflect.DeepEqual(set.image.Sessions, want) {
+		t.Fatalf("refused batch left a half-applied image:\n got %+v\nwant %+v", set.image.Sessions, want)
+	}
+	if set.lastRoot != root1 {
+		t.Fatalf("image claims root %x, last applied batch sealed %x", set.lastRoot, root1)
+	}
+}
+
+// TestReplicaSupersededTailRefused: once a primary opens a fresh tail, a
+// batch still arriving on the previous connection must not write over the
+// new image, however plausible its own sequence numbers are.
+func TestReplicaSupersededTailRefused(t *testing.T) {
+	hub := replicaFleet(t)
+	store := newReplicaStore()
+	stale := store.beginTail("primary")
+	entries, root := batchOf(t, hub.CaptureDelta(nil))
+	if _, err := store.apply("primary", stale, entries, root); err != nil {
+		t.Fatal(err)
+	}
+	fresh := store.beginTail("primary")
+	if len(fresh.image.Models) != 1 || len(fresh.image.Sessions) != 0 {
+		t.Fatalf("fresh tail starts with %d models / %d sessions, want the shipped model and no sessions",
+			len(fresh.image.Models), len(fresh.image.Sessions))
+	}
+	if _, err := store.apply("primary", stale, entries, root); err == nil || !strings.Contains(err.Error(), "superseded") {
+		t.Fatalf("batch on the superseded tail: %v, want a refusal", err)
+	}
+	if _, err := store.apply("primary", fresh, entries, root); err != nil {
+		t.Fatalf("batch on the fresh tail: %v", err)
+	}
+}
+
+// TestMigrationRefusesUnknownModel: a migration batch holding a session whose
+// ModelKey neither a model entry of the batch nor the receiver's registry
+// resolves is refused whole — nothing restored, Handled 0 — like a checkpoint
+// whose session references a missing model.
+func TestMigrationRefusesUnknownModel(t *testing.T) {
+	delta := replicaFleet(t).CaptureDelta(nil)
+	delta.Sessions[1].ModelKey = "ghost"
+
+	clf, _ := sharedModel(t)
+	hubB := newHub(t, registryWith(clf))
+	defer hubB.Stop()
+	nodeB, err := NewNode(Config{ID: "node-b", Logf: t.Logf,
+		Rebind: func(serve.RestoredSession) (serve.Source, error) { return &scriptSource{}, nil },
+	}, hubB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+
+	conn, err := net.DialTimeout("tcp", nodeB.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte{verbMigrate}); err != nil {
+		t.Fatal(err)
+	}
+	sw := wal.NewStreamWriter(conn)
+	if err := new(serve.DeltaEncoder).Append(sw, delta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	ack, _, err := readAck(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ack.Err, `unknown model "ghost"`) || ack.Handled != 0 {
+		t.Fatalf("ack = %+v, want an unknown-model refusal with nothing handled", ack)
+	}
+	if n := hubB.Sessions(); n != 0 {
+		t.Fatalf("receiver restored %d sessions from a refused batch, want 0", n)
+	}
+}

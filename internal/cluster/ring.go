@@ -1,8 +1,8 @@
 // Package cluster scales the serving fleet past one process: a
 // consistent-hash ring routes sessions across N cogarmd nodes, a framed TCP
 // transport (internal/stream message framing) carries membership changes and
-// migrations between them, and live session migration streams
-// internal/checkpoint's CRC-framed session records node-to-node — a drained
+// migrations between them, and live session migration streams session
+// records node-to-node as sealed batches of internal/wal entries — a drained
 // or joining node hands off sessions without retraining and with
 // bitwise-identical subsequent predictions.
 //

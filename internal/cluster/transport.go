@@ -12,8 +12,8 @@ import (
 // Control-plane serialization: gob bodies inside internal/stream's
 // length-prefixed message frames. The data plane of a migration — the
 // session records and models themselves — is NOT re-framed here: it rides
-// as a raw checkpoint stream whose records carry their own CRCs and whose
-// manifest self-delimits it on the connection.
+// as a wal socket stream whose frames carry their own CRCs and whose seal
+// self-delimits each batch on the connection.
 //
 // The read helpers thread a reusable payload buffer (stream.ReadMsgBuf):
 // loops that exchange messages with many peers — announce on join, leave

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
 	"cognitivearm/internal/checkpoint"
-	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/wal"
 )
@@ -30,14 +26,6 @@ import (
 // of the log. The one shared artifact is Manifest.WalSeq — the fence that
 // keeps replay from applying entries a newer checkpoint already contains.
 
-// walModel is the KindModel payload: one resolved model, frozen at journal
-// time, so a WAL-only replay can rebuild sessions with no checkpoint at all.
-type walModel struct {
-	Key     string
-	MACs    int64
-	Payload []byte // models.Save bytes
-}
-
 // Journal couples a Hub to a wal.Log. All methods are safe for concurrent
 // use; Flush and Checkpoint serialize on the journal's own mutex, never on a
 // tick-path lock.
@@ -47,10 +35,10 @@ type Journal struct {
 
 	mu        sync.Mutex
 	lastRefs  map[uint64]checkpoint.SessionRef
-	sent      map[string]struct{} // models already journaled this process
-	lastAudit uint64              // last event-ring seq drained
-	events    []obs.Event         // reusable snapshot buffer
-	enc       []byte              // reusable entry-encoding buffer
+	enc       DeltaEncoder // remembers the models journaled this process
+	lastAudit uint64       // last event-ring seq drained
+	events    []obs.Event  // reusable snapshot buffer
+	buf       []byte       // reusable decision/audit encoding buffer
 }
 
 // NewJournal opens (and, after a crash, recovers) the WAL in opts.Dir and
@@ -69,11 +57,7 @@ func NewJournal(hub *Hub, opts wal.Options) (*Journal, wal.RecoveryInfo, error) 
 	if err != nil {
 		return nil, info, err
 	}
-	return &Journal{
-		hub:  hub,
-		log:  log,
-		sent: make(map[string]struct{}),
-	}, info, nil
+	return &Journal{hub: hub, log: log}, info, nil
 }
 
 // Log exposes the underlying WAL for status reporting and admin tooling.
@@ -109,48 +93,24 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		return root, j.log.LastSealed(), nil
 	}
 
-	keys := make([]string, 0, len(delta.Models))
-	for key := range delta.Models {
-		if _, done := j.sent[key]; !done {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		var payload bytes.Buffer
-		if err := models.Save(&payload, delta.Models[key]); err != nil {
-			return root, 0, fmt.Errorf("serve: journal model %q: %w", key, err)
-		}
-		var buf bytes.Buffer
-		wm := walModel{Key: key, MACs: delta.ModelMACs[key], Payload: payload.Bytes()}
-		if err := gob.NewEncoder(&buf).Encode(&wm); err != nil {
-			return root, 0, fmt.Errorf("serve: journal model %q: %w", key, err)
-		}
-		if _, err := j.log.Append(wal.KindModel, buf.Bytes()); err != nil {
-			return root, 0, err
-		}
-		j.sent[key] = struct{}{}
+	// The delta's own entries (DeltaEncoder.Append's sequence), with a
+	// decision summary behind each session record.
+	if err := j.enc.models(j.log, delta); err != nil {
+		return root, 0, err
 	}
 	for i := range delta.Sessions {
 		rec := &delta.Sessions[i]
-		j.enc = checkpoint.AppendSessionRecord(j.enc[:0], rec)
-		if _, err := j.log.Append(wal.KindSession, j.enc); err != nil {
+		if err := j.enc.session(j.log, rec); err != nil {
 			return root, 0, err
 		}
-		j.enc = wal.EncodeDecision(j.enc[:0], wal.Decision{
+		j.buf = wal.EncodeDecision(j.buf[:0], wal.Decision{
 			Session: rec.ID, Ver: rec.Ver, Decoded: rec.Decoded, Agreed: rec.Agreed,
 		})
-		if _, err := j.log.Append(wal.KindDecision, j.enc); err != nil {
+		if _, err := j.log.Append(wal.KindDecision, j.buf); err != nil {
 			return root, 0, err
 		}
 	}
-	man := delta.Manifest
-	man.Sessions = len(delta.Sessions)
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&man); err != nil {
-		return root, 0, fmt.Errorf("serve: journal refs: %w", err)
-	}
-	if _, err := j.log.Append(wal.KindRefs, mbuf.Bytes()); err != nil {
+	if err := j.enc.refs(j.log, delta); err != nil {
 		return root, 0, err
 	}
 	maxEv := j.lastAudit
@@ -158,8 +118,8 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		if ev.Seq <= j.lastAudit {
 			continue
 		}
-		j.enc = wal.EncodeEvent(j.enc[:0], ev)
-		if _, err := j.log.Append(wal.KindAudit, j.enc); err != nil {
+		j.buf = wal.EncodeEvent(j.buf[:0], ev)
+		if _, err := j.log.Append(wal.KindAudit, j.buf); err != nil {
 			return root, 0, err
 		}
 		if ev.Seq > maxEv {
@@ -241,73 +201,20 @@ func (j *Journal) Close() error {
 // first flush after daemon start is a full capture). Returns the replayed
 // state (base itself when the WAL adds nothing), and how many entries were
 // applied: those past the fence up to and including the last refs entry.
-//
-// The folded state is exactly what the crashed hub's next checkpoint would
-// have contained as of the last complete flush: latest record per session,
-// departures pruned by the final refs view, volatile scheduler fields
-// overlaid from it. Audit and decision entries are durable history, not
-// state — replay skips them.
-//
-// A flush is committed by its KindRefs entry, not by a seal: the log seals
-// inline whenever a batch outgrows its size bound, so a crash mid-flush can
-// leave sealed session records newer than any refs view. Session and model
-// entries are therefore staged and enter the fold only when the refs entry
-// that closes their flush is seen; what follows the last refs entry is an
-// incomplete flush and is dropped, uncounted. Session payloads are staged
-// raw, keyed by the ID at their fixed offset, and only the surviving record
-// per live session is decoded.
+// The fold itself — which entries commit, what the final refs view prunes,
+// checks and overlays — is Fold's, shared with the standby image and the
+// migration receiver.
 func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState, int, error) {
 	var fence uint64
 	if base != nil {
 		fence = base.Manifest.WalSeq
 	}
-	type rawRec struct {
-		seq  uint64
-		data []byte
-	}
-	staged := make(map[uint64]rawRec) // the open flush's session payloads
-	recs := make(map[uint64]rawRec)   // committed: latest per session
-	stagedModels := make(map[string]walModel)
-	newModels := make(map[string]walModel)
-	var lastRefs rawRec      // the newest refs entry; only it is ever decoded
-	applied, pending := 0, 0 // pending: entries since the last refs entry
+	fold := NewFold()
 	err := wal.Dump(dir, func(e wal.Entry) error {
 		if !e.Sealed || e.Seq <= fence {
 			return nil
 		}
-		switch e.Kind {
-		case wal.KindSession:
-			head, err := checkpoint.PeekSessionRecord(e.Data)
-			if err != nil {
-				return fmt.Errorf("wal entry %d: %w", e.Seq, err)
-			}
-			staged[head.ID] = rawRec{e.Seq, e.Data}
-		case wal.KindModel:
-			var wm walModel
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&wm); err != nil {
-				return fmt.Errorf("%w: wal entry %d: model: %v", checkpoint.ErrCorrupt, e.Seq, err)
-			}
-			stagedModels[wm.Key] = wm
-		case wal.KindRefs:
-			lastRefs = rawRec{e.Seq, e.Data}
-			for id, raw := range staged {
-				recs[id] = raw
-			}
-			for key, wm := range stagedModels {
-				newModels[key] = wm
-			}
-			clear(staged)
-			clear(stagedModels)
-			applied += pending + 1
-			pending = 0
-			return nil
-		case wal.KindAudit, wal.KindDecision:
-			// History, not state.
-		default:
-			return fmt.Errorf("%w: wal entry %d: unknown kind %d", checkpoint.ErrCorrupt, e.Seq, e.Kind)
-		}
-		pending++
-		return nil
+		return fold.Add(e)
 	})
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -315,66 +222,11 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 		}
 		return nil, 0, err
 	}
-	if lastRefs.seq == 0 {
-		return base, 0, nil // no complete flush past the fence: nothing to fold
+	state, err := fold.Resolve(base)
+	if err != nil {
+		return nil, 0, err
 	}
-	var lastMan checkpoint.Manifest
-	if err := gob.NewDecoder(bytes.NewReader(lastRefs.data)).Decode(&lastMan); err != nil {
-		return nil, 0, fmt.Errorf("%w: wal entry %d: refs manifest: %v", checkpoint.ErrCorrupt, lastRefs.seq, err)
-	}
-	if base == nil {
-		base = &checkpoint.FleetState{
-			Manifest:  lastMan,
-			Models:    make(map[string]models.Classifier),
-			ModelMACs: make(map[string]int64),
-		}
-	}
-	for key, wm := range newModels {
-		if _, ok := base.Models[key]; ok {
-			continue
-		}
-		clf, err := models.Load(bytes.NewReader(wm.Payload))
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: wal model %q: %v", checkpoint.ErrCorrupt, key, err)
-		}
-		base.Models[key] = clf
-		base.ModelMACs[key] = wm.MACs
-	}
-	// The final refs view is authoritative: sessions it does not name have
-	// departed, and every session it names must resolve — from the WAL if the
-	// WAL holds a record, else from the base — at exactly its journaled
-	// version. Anything else means the WAL and the checkpoint disagree about
-	// history, which replay must not paper over.
-	fromBase := make(map[uint64]*checkpoint.SessionRecord, len(base.Sessions))
-	for i := range base.Sessions {
-		fromBase[base.Sessions[i].ID] = &base.Sessions[i]
-	}
-	out := make([]checkpoint.SessionRecord, len(lastMan.Refs))
-	for i, ref := range lastMan.Refs {
-		rec := &out[i]
-		if raw, ok := recs[ref.ID]; ok {
-			if err := checkpoint.DecodeSessionRecord(raw.data, rec); err != nil {
-				return nil, 0, fmt.Errorf("wal entry %d: %w", raw.seq, err)
-			}
-		} else if b, ok := fromBase[ref.ID]; ok {
-			*rec = *b
-		} else {
-			return nil, 0, fmt.Errorf("%w: wal refs name live session %d with no record in checkpoint or wal", checkpoint.ErrCorrupt, ref.ID)
-		}
-		if rec.Ver != ref.Ver {
-			return nil, 0, fmt.Errorf("%w: wal session %d at ver %d, refs expect %d", checkpoint.ErrCorrupt, ref.ID, rec.Ver, ref.Ver)
-		}
-		rec.SampleAcc = ref.SampleAcc
-		rec.IdleTicks = ref.IdleTicks
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	base.Manifest.Refs = lastMan.Refs
-	if lastMan.NextID > base.Manifest.NextID {
-		base.Manifest.NextID = lastMan.NextID
-	}
-	base.Sessions = out
-	base.Manifest.Sessions = len(out)
-	return base, applied, nil
+	return state, fold.Applied(), nil
 }
 
 // RestoreHubWal is the WAL-aware resume path: load the newest valid

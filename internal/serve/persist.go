@@ -41,15 +41,7 @@ import (
 // The lock covers manifest read through prune, so each save sees — and
 // protects — its predecessor.
 func (h *Hub) Checkpoint(root string) (string, error) {
-	h.ckptMu.Lock()
-	defer h.ckptMu.Unlock()
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	prev, err := checkpoint.LatestManifest(root)
-	if err != nil {
-		prev = nil // no (readable) previous checkpoint: write a full one
-	}
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	return checkpoint.Save(root, h.captureState(prev))
+	return h.CheckpointWithWal(root, 0)
 }
 
 // CheckpointWithWal is Checkpoint with the manifest fenced against a
@@ -76,10 +68,28 @@ func (h *Hub) CheckpointWithWal(root string, walSeq uint64) (string, error) {
 
 // CaptureState snapshots the hub's complete state into a self-contained
 // checkpoint.FleetState without touching disk — the in-memory half of a full
-// Checkpoint, exposed for tests and for callers that ship state elsewhere
-// (streamed migration, a replication stream).
+// Checkpoint, exposed for tests and for callers that inspect state in place.
 func (h *Hub) CaptureState() *checkpoint.FleetState {
 	return h.captureState(nil)
+}
+
+// captureHeader starts a capture: the manifest's hub configuration and ID
+// allocator, and the shard list to sweep, read together under the hub lock.
+func (h *Hub) captureHeader() (*checkpoint.FleetState, []*shard) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return &checkpoint.FleetState{
+		Manifest: checkpoint.Manifest{
+			Hub: checkpoint.HubConfig{
+				Shards:              h.cfg.Shards,
+				MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
+				TickHz:              h.cfg.TickHz,
+				MaxIdleTicks:        h.cfg.MaxIdleTicks,
+				LatencyWindow:       h.cfg.LatencyWindow,
+			},
+			NextID: uint64(h.nextID),
+		},
+	}, h.shards
 }
 
 // captureState snapshots the hub. With a nil prev manifest the capture is
@@ -90,22 +100,8 @@ func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
 	if prev != nil && (prev.Format < checkpoint.DirFormatV2 || prev.Increments+1 >= checkpoint.DefaultCompactEvery) {
 		prev = nil // pre-v2 base or chain at its bound: compact with a full rewrite
 	}
-	h.mu.Lock()
-	state := &checkpoint.FleetState{
-		Manifest: checkpoint.Manifest{
-			Hub: checkpoint.HubConfig{
-				Shards:              h.cfg.Shards,
-				MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
-				TickHz:              h.cfg.TickHz,
-				MaxIdleTicks:        h.cfg.MaxIdleTicks,
-				LatencyWindow:       h.cfg.LatencyWindow,
-			},
-			NextID: uint64(h.nextID),
-			Format: checkpoint.DirFormatV2,
-		},
-	}
-	shards := h.shards
-	h.mu.Unlock()
+	state, shards := h.captureHeader()
+	state.Manifest.Format = checkpoint.DirFormatV2
 
 	var prevRefs map[uint64]checkpoint.SessionRef
 	if prev != nil {
@@ -150,34 +146,20 @@ func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
 }
 
 // CaptureDelta snapshots the hub's dirty state since prev — the same
-// dirty-record sweep an incremental checkpoint performs, aimed at a
-// replication tail instead of a directory. The returned state carries full
-// records only for sessions whose signal path advanced since prev (or that
-// prev does not know), the complete live view in Manifest.Refs (so the
-// receiver prunes departures and overlays the volatile scheduler fields),
-// and every resolved model in Models — checkpoint.TailWriter deduplicates
-// models per connection, so resending the map costs nothing after the first
-// batch. A nil prev marks everything dirty: the full-resync first batch of a
-// fresh replication connection.
+// dirty-record sweep an incremental checkpoint performs, aimed at the WAL
+// entry stream (a journal flush or a replication batch) instead of a
+// directory. The returned state carries full records only for sessions whose
+// signal path advanced since prev (or that prev does not know), the complete
+// live view in Manifest.Refs (so the reader prunes departures and overlays
+// the volatile scheduler fields), and every resolved model in Models — a
+// DeltaEncoder ships each model once per sink, so resending the map costs
+// nothing after the first delta. A nil prev marks everything dirty: the
+// full-capture first flush of a journal or a fresh replication connection.
 //
 // Shard counter baselines deliberately stay home, exactly as in migration:
 // a promoted replica is a new serving fleet, not a metrics continuation.
 func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
-	h.mu.Lock()
-	state := &checkpoint.FleetState{
-		Manifest: checkpoint.Manifest{
-			Hub: checkpoint.HubConfig{
-				Shards:              h.cfg.Shards,
-				MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
-				TickHz:              h.cfg.TickHz,
-				MaxIdleTicks:        h.cfg.MaxIdleTicks,
-				LatencyWindow:       h.cfg.LatencyWindow,
-			},
-			NextID: uint64(h.nextID),
-		},
-	}
-	shards := h.shards
-	h.mu.Unlock()
+	state, shards := h.captureHeader()
 	for _, s := range shards {
 		recs, refs := s.captureSessions(prev)
 		state.Sessions = append(state.Sessions, recs...)
@@ -487,14 +469,29 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 	return &rec, true
 }
 
-// RestoreSession admits a migrated-in session from its streamed checkpoint
-// record: every piece of signal-path state resumes exactly (rolling window,
-// IIR delay state, debounce ring, counters, pending samples), but the hub
-// assigns a fresh local ID and places the session with its own Placement
-// policy — session IDs and shard assignment are node-local bookkeeping, not
-// migrated identity. The record's ModelKey must already resolve in this hub's
-// registry (the cluster layer registers streamed models first).
+// RestoreSession admits a migrated-in session from its shipped record: every
+// piece of signal-path state resumes exactly (rolling window, IIR delay
+// state, debounce ring, counters, pending samples), but the hub assigns a
+// fresh local ID and places the session with its own Placement policy —
+// session IDs and shard assignment are node-local bookkeeping, not migrated
+// identity. The record's ModelKey must already resolve in this hub's registry
+// (the cluster layer registers shipped models first).
 func (h *Hub) RestoreSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
+	return h.restoreSession(rec, src, h.place)
+}
+
+// PromoteSession admits a replica session during failover. It is
+// RestoreSession with the placement policy's latency backpressure disabled:
+// a promotion refused for a transiently hot p99 would lose the session
+// outright, which is strictly worse than serving it on a busy shard — so
+// only the hard per-shard capacity bound can refuse a promotion. Everything
+// else matches migration-in exactly: fresh local ID, local placement,
+// bitwise signal-path resume from the record.
+func (h *Hub) PromoteSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
+	return h.restoreSession(rec, src, LeastLoaded{MaxP99Frac: -1})
+}
+
+func (h *Hub) restoreSession(rec *checkpoint.SessionRecord, src Source, place Placement) (SessionID, error) {
 	if src == nil {
 		return 0, fmt.Errorf("serve: restore session %d: nil source", rec.ID)
 	}
@@ -507,35 +504,7 @@ func (h *Hub) RestoreSession(rec *checkpoint.SessionRecord, src Source) (Session
 	if err != nil {
 		return 0, err
 	}
-	id, err := h.admitSession(sess)
-	if err != nil {
-		closeSource(sess.cfg.Source)
-		return 0, err
-	}
-	return id, nil
-}
-
-// PromoteSession admits a replica session during failover. It is
-// RestoreSession with the placement policy's latency backpressure disabled:
-// a promotion refused for a transiently hot p99 would lose the session
-// outright, which is strictly worse than serving it on a busy shard — so
-// only the hard per-shard capacity bound can refuse a promotion. Everything
-// else matches migration-in exactly: fresh local ID, local placement,
-// bitwise signal-path resume from the record.
-func (h *Hub) PromoteSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
-	if src == nil {
-		return 0, fmt.Errorf("serve: promote session %d: nil source", rec.ID)
-	}
-	clf, _, ok := h.reg.Get(rec.ModelKey)
-	if !ok {
-		closeSource(src)
-		return 0, fmt.Errorf("serve: promote session %d: model %q not in registry", rec.ID, rec.ModelKey)
-	}
-	sess, err := sessionFromRecord(rec, clf, src)
-	if err != nil {
-		return 0, err
-	}
-	id, err := h.admitSessionWith(sess, LeastLoaded{MaxP99Frac: -1})
+	id, err := h.admitSessionWith(sess, place)
 	if err != nil {
 		closeSource(sess.cfg.Source)
 		return 0, err

@@ -54,9 +54,9 @@ func scanSegment(path string) (*segScan, error) {
 	return scanSegmentFull(path, false)
 }
 
-// scanSegmentFull reads one segment front to back, checking framing, CRCs,
-// entry-sequence continuity, seal counts and Merkle roots, and footer
-// consistency. With keep it also retains decoded entries. On errTorn the
+// scanSegmentFull reads one segment front to back: framing and CRCs by
+// frameReader, entry-sequence continuity, seal counts and Merkle roots by
+// batchScan (the checks a socket stream runs too), footer consistency here. With keep it also retains decoded entries. On errTorn the
 // returned scan is still valid up to the tear.
 func scanSegmentFull(path string, keep bool) (*segScan, error) {
 	f, err := os.Open(path)
@@ -69,122 +69,63 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 		sc.size = fi.Size()
 	}
 	name := filepath.Base(path)
-	br := bufio.NewReaderSize(f, 64<<10)
+	fr := frameReader{r: bufio.NewReaderSize(f, 64<<10)}
 
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return sc, fmt.Errorf("%w: %s: short header", errTorn, name)
 	}
-	if string(hdr[:4]) != walMagic {
-		return sc, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, name)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != walVersion {
-		return sc, fmt.Errorf("%w: %s: version %d", ErrVersion, name, v)
-	}
-	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != kindSeg {
-		return sc, fmt.Errorf("%w: %s: kind %d", ErrCorrupt, name, k)
+	if err := checkHeader(hdr[:], kindSeg); err != nil {
+		return sc, fmt.Errorf("%s: %w", name, err)
 	}
 	sc.headerOK = true
 	off := int64(headerLen)
 	sc.sealedEnd = off
 
-	var (
-		pendLeaves [][HashSize]byte
-		pendFirst  uint64
-		lastEntry  uint64 // last entry seq seen in this segment
-	)
-	// torn finalizes the scan at a recoverable tear: the pending entry
-	// count must ride along so recovery can report exactly what it drops.
-	torn := func(format string, args ...any) (*segScan, error) {
-		sc.unsealedEntries = len(pendLeaves)
-		return sc, fmt.Errorf("%w: "+format, append([]any{errTorn}, args...)...)
-	}
+	var bs batchScan
 	for {
-		var pre [5]byte
-		b0, err := br.ReadByte()
+		// Each frame gets its own payload allocation, so a kept entry can
+		// hold a view of it.
+		typ, payload, err := fr.next(nil)
 		if err == io.EOF {
 			break // clean end at a frame boundary
-		} else if err != nil {
-			return torn("%s at %d: %v", name, off, err)
 		}
-		pre[0] = b0
-		if _, err := io.ReadFull(br, pre[1:]); err != nil {
-			return torn("%s at %d: short length", name, off)
+		if err != nil {
+			// A recoverable tear: the pending entry count rides along so
+			// recovery can report exactly what it drops.
+			sc.unsealedEntries = len(bs.leaves)
+			return sc, fmt.Errorf("%s at %d: %w", name, off, err)
 		}
-		typ := pre[0]
-		plen := binary.LittleEndian.Uint32(pre[1:5])
-		if plen > maxRecordLen {
-			return torn("%s at %d: implausible record length %d", name, off, plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return torn("%s at %d: short payload", name, off)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return torn("%s at %d: short crc", name, off)
-		}
-		crc := crc32.Checksum(pre[:], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return torn("%s at %d: crc mismatch", name, off)
-		}
-		frameEnd := off + frameOverhead + int64(plen)
+		frameEnd := off + frameOverhead + int64(len(payload))
 
 		switch typ {
 		case recEntry:
-			if len(payload) < entryHdrLen {
-				return sc, fmt.Errorf("%w: %s at %d: entry too short", ErrCorrupt, name, off)
+			seq, err := bs.entry(payload)
+			if err != nil {
+				return sc, fmt.Errorf("%s at %d: %w", name, off, err)
 			}
-			seq := binary.LittleEndian.Uint64(payload[1:9])
-			if lastEntry != 0 && seq != lastEntry+1 {
-				return sc, fmt.Errorf("%w: %s at %d: entry seq %d after %d", ErrCorrupt, name, off, seq, lastEntry)
-			}
-			lastEntry = seq
-			if len(pendLeaves) == 0 {
-				pendFirst = seq
-			}
-			pendLeaves = append(pendLeaves, HashLeaf(payload))
 			if keep {
-				// payload is this frame's own allocation, so the entry can
-				// keep a view of it.
 				sc.entries = append(sc.entries, Entry{
 					Seq: seq, Kind: Kind(payload[0]), Data: payload[entryHdrLen:], Segment: name,
 				})
 			}
 		case recSeal:
-			if len(payload) != sealPayLen {
-				return sc, fmt.Errorf("%w: %s at %d: seal size %d", ErrCorrupt, name, off, len(payload))
+			first, last, root, err := bs.seal(payload)
+			if err != nil {
+				return sc, fmt.Errorf("%s at %d: %w", name, off, err)
 			}
-			first := binary.LittleEndian.Uint64(payload[0:8])
-			last := binary.LittleEndian.Uint64(payload[8:16])
-			count := binary.LittleEndian.Uint32(payload[16:20])
-			if int(count) != len(pendLeaves) || len(pendLeaves) == 0 ||
-				first != pendFirst || last != lastEntry {
-				return sc, fmt.Errorf("%w: %s at %d: seal [%d,%d]x%d does not match pending entries [%d,%d]x%d",
-					ErrCorrupt, name, off, first, last, count, pendFirst, lastEntry, len(pendLeaves))
-			}
-			want := Root(pendLeaves)
-			var got [HashSize]byte
-			copy(got[:], payload[20:])
-			if got != want {
-				return sc, fmt.Errorf("%w: %s at %d: merkle root mismatch for batch [%d,%d] (stored %s, computed %s)",
-					ErrCorrupt, name, off, first, last, hexRoot(got), hexRoot(want))
-			}
-			sc.roots = append(sc.roots, got)
+			sc.roots = append(sc.roots, root)
 			if sc.firstSealed == 0 {
 				sc.firstSealed = first
 			}
 			sc.sealedLast = last
-			sc.sealedEntries += int(count)
+			sc.sealedEntries += int(last - first + 1)
 			sc.sealedEnd = frameEnd
-			pendLeaves = pendLeaves[:0]
-			pendFirst = 0
 		case recFooter:
 			if len(payload) != footerPayLen {
 				return sc, fmt.Errorf("%w: %s at %d: footer size %d", ErrCorrupt, name, off, len(payload))
 			}
-			if len(pendLeaves) != 0 {
+			if len(bs.leaves) != 0 {
 				return sc, fmt.Errorf("%w: %s at %d: footer over unsealed entries", ErrCorrupt, name, off)
 			}
 			batches := binary.LittleEndian.Uint32(payload[0:4])
@@ -202,7 +143,7 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 			}
 			sc.footer = true
 			sc.sealedEnd = frameEnd
-			if _, err := br.ReadByte(); err != io.EOF {
+			if _, _, err := fr.next(nil); err != io.EOF {
 				return sc, fmt.Errorf("%w: %s: data after footer", ErrCorrupt, name)
 			}
 			return sc, nil
@@ -211,7 +152,7 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 		}
 		off = frameEnd
 	}
-	sc.unsealedEntries = len(pendLeaves)
+	sc.unsealedEntries = len(bs.leaves)
 	return sc, nil
 }
 

@@ -37,6 +37,9 @@
 // byte-budgeted cut) tears at most one frame and recovery can classify the
 // tear by the byte it lands on.
 //
+// The same entry and seal frames also travel between nodes as a socket
+// stream (header kind 2, no footer, read by the same checks; see stream.go).
+//
 // # Durability and recovery
 //
 // Append buffers nothing in user space but does not fsync; Seal writes the
@@ -55,6 +58,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -110,7 +114,8 @@ const (
 const (
 	walMagic   = "CAWL"
 	walVersion = 2 // 2: KindSession payloads moved from gob to the fixed layout
-	kindSeg    = 1
+	kindSeg    = 1 // a segment file in a WAL directory
+	kindStream = 2 // the same frames over a connection (stream.go)
 	headerLen  = 8
 
 	recEntry  = byte(1)
@@ -217,9 +222,7 @@ type Log struct {
 	segFirst, segLast uint64           // entry seqs in the active segment
 	roots             [][HashSize]byte // sealed batch roots of the active segment
 
-	leaves    [][HashSize]byte // pending (unsealed) leaf hashes
-	pendFirst uint64
-	pendBytes int64
+	pend      batch     // pending (unsealed) entries
 	nextSeq   uint64    // next entry sequence number
 	sealedSeq uint64    // last sealed entry sequence number
 	sealed    []segMeta // finalized (footered) segments, oldest first
@@ -369,15 +372,11 @@ func (l *Log) openSegment(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [headerLen]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], kindSeg)
 	w := io.Writer(f)
 	if l.opts.wrap != nil {
 		w = l.opts.wrap(f)
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(nil, kindSeg)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: segment header: %w", err)
 	}
@@ -389,35 +388,6 @@ func (l *Log) openSegment(seq uint64) error {
 	l.segFirst, l.segLast = 0, 0
 	l.roots = l.roots[:0]
 	return nil
-}
-
-// frameBuf returns l.frame sized for a record of payLen payload bytes, with
-// type and length filled in; the caller lays the payload into b[5:5+payLen]
-// and finishes the frame with finishFrame.
-func (l *Log) frameBuf(typ byte, payLen int) []byte {
-	need := frameOverhead + payLen
-	if cap(l.frame) < need {
-		l.frame = make([]byte, need)
-	}
-	b := l.frame[:need]
-	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], uint32(payLen))
-	return b
-}
-
-// finishFrame writes the CRC-32C of type, length and payload into the frame's
-// last four bytes and returns the frame.
-func finishFrame(b []byte) []byte {
-	n := len(b) - 4
-	binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli))
-	return b
-}
-
-// buildFrame assembles one framed record around a copy of payload.
-func (l *Log) buildFrame(typ byte, payload []byte) []byte {
-	b := l.frameBuf(typ, len(payload))
-	copy(b[5:], payload)
-	return finishFrame(b)
 }
 
 // Append journals one entry and returns its sequence number. The entry is
@@ -435,21 +405,14 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 		return 0, err
 	}
 	seq := l.nextSeq
-	payLen := entryHdrLen + len(data)
-	frameLen := int64(frameOverhead + payLen)
+	frameLen := int64(frameOverhead + entryHdrLen + len(data))
 	if l.segSize+frameLen > l.opts.SegmentBytes && l.segLast != 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	// Kind, seq and data go straight into the frame buffer: the entry
-	// payload exists only as a sub-slice of the frame it is written in.
-	frame := l.frameBuf(recEntry, payLen)
-	payload := frame[5 : 5+payLen]
-	payload[0] = byte(kind)
-	binary.LittleEndian.PutUint64(payload[1:9], seq)
-	copy(payload[entryHdrLen:], data)
-	if err := l.writeAll(finishFrame(frame)); err != nil {
+	l.frame = l.pend.appendEntry(l.frame[:0], kind, seq, data)
+	if err := l.writeAll(l.frame); err != nil {
 		return 0, err
 	}
 	l.segSize += frameLen
@@ -457,11 +420,6 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 		l.segFirst = seq
 	}
 	l.segLast = seq
-	if len(l.leaves) == 0 {
-		l.pendFirst = seq
-	}
-	l.leaves = append(l.leaves, HashLeaf(payload))
-	l.pendBytes += int64(len(payload))
 	l.nextSeq = seq + 1
 
 	t := walTel()
@@ -469,7 +427,7 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	t.bytes.Add(uint64(frameLen))
 	t.activeBytes.Set(float64(l.activeBytesLocked()))
 
-	if len(l.leaves) >= l.opts.BatchEntries || l.pendBytes >= l.opts.BatchBytes {
+	if len(l.pend.leaves) >= l.opts.BatchEntries || l.pend.bytes >= l.opts.BatchBytes {
 		if _, _, _, err := l.sealLocked(); err != nil {
 			return 0, err
 		}
@@ -513,30 +471,22 @@ func (l *Log) Seal() (root [HashSize]byte, first, last uint64, err error) {
 }
 
 func (l *Log) sealLocked() (root [HashSize]byte, first, last uint64, err error) {
-	if len(l.leaves) == 0 {
+	if len(l.pend.leaves) == 0 {
 		return root, 0, 0, nil
 	}
 	start := time.Now()
-	root = Root(l.leaves)
-	first, last = l.pendFirst, l.segLast
-	var pay [sealPayLen]byte
-	binary.LittleEndian.PutUint64(pay[0:8], first)
-	binary.LittleEndian.PutUint64(pay[8:16], last)
-	binary.LittleEndian.PutUint32(pay[16:20], uint32(len(l.leaves)))
-	copy(pay[20:], root[:])
-	frame := l.buildFrame(recSeal, pay[:])
-	if err := l.writeAll(frame); err != nil {
+	// The batch empties before its seal is written: a failed write or fsync
+	// is sticky (l.err), so nothing can append to the half-sealed batch.
+	l.frame, root, first, last = l.pend.appendSeal(l.frame[:0])
+	if err := l.writeAll(l.frame); err != nil {
 		return root, 0, 0, err
 	}
-	l.segSize += int64(len(frame))
+	l.segSize += int64(len(l.frame))
 	if err := l.syncLocked(); err != nil {
 		return root, 0, 0, err
 	}
 	l.roots = append(l.roots, root)
 	l.sealedSeq = last
-	l.leaves = l.leaves[:0]
-	l.pendBytes = 0
-	l.pendFirst = 0
 
 	t := walTel()
 	t.seals.Inc()
@@ -572,6 +522,23 @@ func (l *Log) Rotate() error {
 	return l.rotateLocked()
 }
 
+// footerLocked finalizes the active segment: its footer frame (Merkle root
+// over the batch roots), written and fsynced.
+func (l *Log) footerLocked() error {
+	segRoot := Root(l.roots)
+	var pay [footerPayLen]byte
+	binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
+	binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
+	binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
+	copy(pay[20:], segRoot[:])
+	l.frame = appendFrame(l.frame[:0], recFooter, pay[:])
+	if err := l.writeAll(l.frame); err != nil {
+		return err
+	}
+	l.segSize += int64(len(l.frame))
+	return l.syncLocked()
+}
+
 func (l *Log) rotateLocked() error {
 	if _, _, _, err := l.sealLocked(); err != nil {
 		return err
@@ -579,18 +546,7 @@ func (l *Log) rotateLocked() error {
 	if l.segLast == 0 && len(l.roots) == 0 {
 		return nil // empty segment: nothing to finalize
 	}
-	segRoot := Root(l.roots)
-	var pay [footerPayLen]byte
-	binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
-	binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
-	binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
-	copy(pay[20:], segRoot[:])
-	frame := l.buildFrame(recFooter, pay[:])
-	if err := l.writeAll(frame); err != nil {
-		return err
-	}
-	l.segSize += int64(len(frame))
-	if err := l.syncLocked(); err != nil {
+	if err := l.footerLocked(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -674,17 +630,7 @@ func (l *Log) closeLocked() error {
 		return err
 	}
 	if l.segLast != 0 || len(l.roots) > 0 {
-		segRoot := Root(l.roots)
-		var pay [footerPayLen]byte
-		binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
-		binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
-		binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
-		copy(pay[20:], segRoot[:])
-		if err := l.writeAll(l.buildFrame(recFooter, pay[:])); err != nil {
-			l.f.Close()
-			return err
-		}
-		if err := l.syncLocked(); err != nil {
+		if err := l.footerLocked(); err != nil {
 			l.f.Close()
 			return err
 		}
@@ -716,7 +662,7 @@ func (l *Log) Status() Status {
 		ActiveBytes:    l.activeBytesLocked(),
 		NextSeq:        l.nextSeq,
 		SealedSeq:      l.sealedSeq,
-		PendingEntries: len(l.leaves),
+		PendingEntries: len(l.pend.leaves),
 		Batches:        len(l.roots),
 		TruncatedBytes: l.recovered.TruncatedBytes,
 		DroppedEntries: l.recovered.DroppedEntries,
@@ -741,13 +687,4 @@ func (l *Log) updateGauges() {
 	t.activeBytes.Set(float64(l.activeBytesLocked()))
 }
 
-const hexDigits = "0123456789abcdef"
-
-func hexRoot(r [HashSize]byte) string {
-	out := make([]byte, 2*HashSize)
-	for i, b := range r {
-		out[2*i] = hexDigits[b>>4]
-		out[2*i+1] = hexDigits[b&0x0f]
-	}
-	return string(out)
-}
+func hexRoot(r [HashSize]byte) string { return hex.EncodeToString(r[:]) }
