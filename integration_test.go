@@ -78,7 +78,10 @@ func TestEEGOverLSLPipeline(t *testing.T) {
 	for _, s := range b.Read(n) {
 		out.Push(s.Values)
 	}
-	deadline := time.Now().Add(3 * time.Second)
+	// The outlet sleeps ~1 ms per frame; beside a cold `go test ./...` build
+	// on two cores each sleep can overrun to 10–25 ms, so allow for that. The
+	// loop ends as soon as all n samples have arrived.
+	deadline := time.Now().Add(15 * time.Second)
 	for in.Ring.Len() < n && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}

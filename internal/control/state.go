@@ -17,46 +17,48 @@ type WindowerState struct {
 	// Window is the row-major contents of the rolling buffer
 	// (WindowSize × Channels values, only the first Filled rows meaningful).
 	Window []float64
-	// Filter holds each channel's preprocessor delay state
-	// (signal.EEGPreprocessor.State, one slice per channel).
+	// Filter holds each channel's filter delay state: [z1, z2] per biquad
+	// section, band-pass sections first, then the notch (signal.Bank.State,
+	// one slice per channel).
 	Filter [][]float64
 }
 
-// State exports the Windower's resumable state. The returned slices are
-// copies; mutating them does not affect the Windower.
+// State exports the Windower's resumable state: the window in logical order
+// (oldest row first, whatever the write position), the filter state per
+// channel. The returned slices are copies; mutating them does not affect
+// the Windower.
 func (w *Windower) State() WindowerState {
-	st := WindowerState{
+	return WindowerState{
 		Filled: w.filled,
-		Window: append([]float64(nil), w.window.Data...),
-		Filter: make([][]float64, len(w.pre)),
+		Window: append([]float64(nil), w.view.Data...),
+		Filter: w.bank.State(),
 	}
-	for ch, p := range w.pre {
-		st.Filter[ch] = p.State()
-	}
-	return st
 }
 
 // SetState restores a snapshot taken by State into a Windower built with the
 // same construction parameters. It rejects snapshots whose dimensions do not
 // match the receiver — a mismatched window length, channel count or filter
-// order means the checkpoint was taken from a differently configured session.
+// order means the checkpoint was taken from a differently configured session
+// — and checks all of them before it writes anything: a refused snapshot
+// leaves the Windower exactly as it was.
 func (w *Windower) SetState(st WindowerState) error {
-	if st.Filled < 0 || st.Filled > w.window.Rows {
-		return fmt.Errorf("control: windower state filled=%d, window holds %d rows", st.Filled, w.window.Rows)
+	rows := w.view.Rows
+	if st.Filled < 0 || st.Filled > rows {
+		return fmt.Errorf("control: windower state filled=%d, window holds %d rows", st.Filled, rows)
 	}
-	if len(st.Window) != len(w.window.Data) {
-		return fmt.Errorf("control: windower state has %d window values, want %d", len(st.Window), len(w.window.Data))
+	if len(st.Window) != len(w.view.Data) {
+		return fmt.Errorf("control: windower state has %d window values, want %d", len(st.Window), len(w.view.Data))
 	}
-	if len(st.Filter) != len(w.pre) {
-		return fmt.Errorf("control: windower state has %d filter channels, want %d", len(st.Filter), len(w.pre))
+	if err := w.bank.SetState(st.Filter); err != nil { // validates before it writes
+		return fmt.Errorf("control: windower state: %w", err)
 	}
-	for ch, p := range w.pre {
-		if err := p.SetState(st.Filter[ch]); err != nil {
-			return fmt.Errorf("control: channel %d: %w", ch, err)
-		}
-	}
-	copy(w.window.Data, st.Window)
+	// The snapshot is in logical order, so it lands at row 0 of both halves
+	// and the next write goes to row Filled (row 0 of a full window).
+	copy(w.buf, st.Window)
+	copy(w.buf[len(st.Window):], st.Window)
 	w.filled = st.Filled
+	w.pos = st.Filled % rows
+	w.setView()
 	return nil
 }
 

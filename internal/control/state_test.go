@@ -49,28 +49,6 @@ func TestWindowerStateResumesBitwise(t *testing.T) {
 	}
 }
 
-func TestWindowerSetStateRejectsMismatch(t *testing.T) {
-	w, err := NewWindower(125, 3, 10, dataset.Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := w.State()
-	for name, st := range map[string]WindowerState{
-		"negative filled": {Filled: -1, Window: good.Window, Filter: good.Filter},
-		"overfull":        {Filled: 11, Window: good.Window, Filter: good.Filter},
-		"short window":    {Filled: 2, Window: good.Window[:5], Filter: good.Filter},
-		"missing channel": {Filled: 2, Window: good.Window, Filter: good.Filter[:2]},
-		"short filter":    {Filled: 2, Window: good.Window, Filter: [][]float64{{1}, {2}, {3}}},
-	} {
-		if err := w.SetState(st); err == nil {
-			t.Fatalf("%s: invalid state accepted", name)
-		}
-	}
-	if err := w.SetState(good); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
-	}
-}
-
 func TestDebouncerStateRoundTrip(t *testing.T) {
 	var d Debouncer
 	labels := []eeg.Action{eeg.Left, eeg.Left, eeg.Right, eeg.Left, eeg.Left, eeg.Left, eeg.Left}

@@ -9,17 +9,28 @@ import (
 	"cognitivearm/internal/tensor"
 )
 
-// Windower is the ingest stage of a closed loop: per-channel causal
-// filtering, training-stats normalisation, and a WindowSize×Channels rolling
+// Windower is the ingest stage of a closed loop: causal filtering of every
+// channel, training-stats normalisation, and a WindowSize×Channels rolling
 // buffer of the most recent samples. It was extracted from Controller so the
 // fleet sessions of internal/serve can run the identical signal path without
 // carrying a Controller's actuator and latency accounting. A Windower is
 // single-session state and must not be shared across goroutines.
+//
+// The rolling buffer never shifts: buf holds 2·rows rows and every filtered
+// row is written twice, at pos and at pos+rows, so the latest rows samples
+// are always one contiguous row-major run — rows [pos, pos+rows) once the
+// window has wrapped, rows [0, rows) while it is still filling. view is the
+// Windower-owned matrix header Window returns, re-sliced onto that run by
+// every Push.
 type Windower struct {
-	pre    []*signal.EEGPreprocessor
-	norm   dataset.Stats
-	window *tensor.Matrix
-	filled int
+	bank *signal.Bank
+	// mean and std are the normalisation constants resolved at construction
+	// (std through Stats.StdFor); channels beyond len(mean) pass through.
+	mean, std []float64
+	buf       []float64
+	view      tensor.Matrix
+	pos       int // next write row, in [0, rows)
+	filled    int
 }
 
 // NewWindower builds the ingest stage for one session. norm holds the
@@ -30,15 +41,25 @@ func NewWindower(sampleRateHz float64, channels, windowSize int, norm dataset.St
 	if channels < 1 || windowSize < 1 {
 		return nil, fmt.Errorf("control: windower needs positive channels (%d) and window (%d)", channels, windowSize)
 	}
-	pre := make([]*signal.EEGPreprocessor, channels)
-	for i := range pre {
-		p, err := signal.NewEEGPreprocessor(sampleRateHz)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
-		}
-		pre[i] = p
+	pre, err := signal.NewEEGPreprocessor(sampleRateHz)
+	if err != nil {
+		return nil, fmt.Errorf("control: %w", err)
 	}
-	return &Windower{pre: pre, norm: norm, window: tensor.New(windowSize, channels)}, nil
+	// StdFor guards the divisor: a Stats with len(Std) < len(Mean) or a flat
+	// training channel (zero std) must neither panic the serving shard nor
+	// feed ±Inf/NaN to every classifier downstream.
+	mean := append([]float64(nil), norm.Mean[:min(len(norm.Mean), channels)]...)
+	std := make([]float64, len(mean))
+	for ch := range std {
+		std[ch] = norm.StdFor(ch)
+	}
+	buf := make([]float64, 2*windowSize*channels)
+	return &Windower{
+		bank: signal.NewBank(channels, pre.Bandpass, pre.Notch),
+		mean: mean, std: std,
+		buf:  buf,
+		view: tensor.Matrix{Rows: windowSize, Cols: channels, Data: buf[:windowSize*channels]},
+	}, nil
 }
 
 // Push filters one raw sample and appends it to the rolling window. Samples
@@ -48,59 +69,73 @@ func NewWindower(sampleRateHz float64, channels, windowSize int, norm dataset.St
 //
 //cogarm:zeroalloc
 func (w *Windower) Push(values []float64) bool {
-	if len(values) < w.window.Cols {
+	rows, cols := w.view.Rows, w.view.Cols
+	if len(values) < cols {
 		return false
 	}
-	// Shift up (cheap for the window sizes in play; avoids reindexing).
-	if w.filled == w.window.Rows {
-		copy(w.window.Data, w.window.Data[w.window.Cols:])
-		w.filled--
+	row := w.buf[w.pos*cols:][:cols]
+	copy(row, values)
+	w.bank.Process(row)
+	std := w.std
+	for ch, m := range w.mean {
+		row[ch] = (row[ch] - m) / std[ch]
 	}
-	row := w.window.Row(w.filled)
-	for ch := range row {
-		v := values[ch]
-		v = w.pre[ch].Process(v)
-		if ch < len(w.norm.Mean) {
-			// StdFor guards the divisor: a Stats with len(Std) < len(Mean)
-			// or a flat training channel (zero std) must neither panic the
-			// serving shard nor feed ±Inf/NaN to every classifier downstream.
-			v = (v - w.norm.Mean[ch]) / w.norm.StdFor(ch)
-		}
-		row[ch] = v
+	copy(w.buf[(w.pos+rows)*cols:], row)
+	if w.pos++; w.pos == rows {
+		w.pos = 0
 	}
-	w.filled++
+	if w.filled < rows {
+		w.filled++
+	}
+	w.setView()
 	return true
+}
+
+// setView points the window header at the latest rows: from row 0 while the
+// window fills (and when a full window's next write is row 0), from pos once
+// it has wrapped.
+//
+//cogarm:zeroalloc
+func (w *Windower) setView() {
+	first := 0
+	if w.filled == w.view.Rows {
+		first = w.pos
+	}
+	n := w.view.Rows * w.view.Cols
+	w.view.Data = w.buf[first*w.view.Cols:][:n:n]
 }
 
 // Ready reports whether enough samples have accumulated to classify.
 //
 //cogarm:zeroalloc
-func (w *Windower) Ready() bool { return w.filled == w.window.Rows }
+func (w *Windower) Ready() bool { return w.filled == w.view.Rows }
 
-// Window exposes the rolling buffer for classification without copying. The
-// matrix is owned by the Windower and overwritten by subsequent Push calls;
-// classify before pushing more samples, or use WindowInto for a stable copy.
-// The serving shard reads it zero-copy: within one tick, every ready window
-// is classified before any session receives further pushes, so the aliasing
-// is safe (see ARCHITECTURE.md "Memory model").
+// Window exposes the rolling buffer for classification without copying: one
+// contiguous row-major matrix, oldest row first. The header is owned by the
+// Windower — the same pointer on every call — and every Push re-slices it
+// and overwrites the rows behind it; classify before pushing more samples,
+// or use WindowInto for a stable copy. The serving shard reads it zero-copy:
+// within one tick, every ready window is classified before any session
+// receives further pushes, so the aliasing is safe (see ARCHITECTURE.md
+// "Memory model").
 //
 //cogarm:zeroalloc
-func (w *Windower) Window() *tensor.Matrix { return w.window }
+func (w *Windower) Window() *tensor.Matrix { return &w.view }
 
 // WindowInto copies the rolling buffer into dst and returns it, allocating
 // only when dst is nil or mis-shaped. Callers that must hold a window across
 // subsequent Push calls (deferred classification, cross-tick buffering) use
 // this with a reused dst instead of cloning Window() every tick.
 func (w *Windower) WindowInto(dst *tensor.Matrix) *tensor.Matrix {
-	if dst == nil || dst.Rows != w.window.Rows || dst.Cols != w.window.Cols {
-		dst = tensor.New(w.window.Rows, w.window.Cols)
+	if dst == nil || dst.Rows != w.view.Rows || dst.Cols != w.view.Cols {
+		dst = tensor.New(w.view.Rows, w.view.Cols)
 	}
-	copy(dst.Data, w.window.Data)
+	copy(dst.Data, w.view.Data)
 	return dst
 }
 
 // Size returns the window length in samples.
-func (w *Windower) Size() int { return w.window.Rows }
+func (w *Windower) Size() int { return w.view.Rows }
 
 // Debouncer is the actuation debounce shared by the single-subject
 // Controller and the serving fleet's sessions: a label only counts as agreed

@@ -377,6 +377,10 @@ func FeatureVector(w Window) []float64 {
 // allocation-free call on the serving hot path. The result is identical to
 // FeatureVector.
 //
+// Channels are taken four at a time, one pass over the rows per group (see
+// featureBlock); each channel still accumulates its own column in ascending
+// t, so grouping changes no bit of any feature.
+//
 //cogarm:zeroalloc
 func FeatureVectorInto(dst []float64, w Window) []float64 {
 	nch := w.Data.Cols
@@ -385,29 +389,145 @@ func FeatureVectorInto(dst []float64, w Window) []float64 {
 		//cogarm:allow zeroalloc -- feature-buffer warm-up when dst lacks capacity; steady state reuses it
 		out = make([]float64, 0, 5*nch)
 	}
-	for c := 0; c < nch; c++ {
+	data := w.Data.Data[:w.Data.Rows*nch]
+	n := float64(w.Data.Rows)
+	c := 0
+	var b featureBlock
+	for ; c+4 <= nch; c += 4 {
+		b.accumulate(data, c, nch)
+		for k := 0; k < 4; k++ {
+			lo, hi := keyFloat(b.lo[k]), keyFloat(b.hi[k])
+			if lo == 0 || hi == 0 || lo != lo || hi != hi {
+				// The keys rank −0 below +0 and NaNs beyond ±Inf; < does
+				// neither. Only a zero or NaN extreme can show the difference.
+				lo, hi = columnMinMax(data, c+k, nch)
+			}
+			out = appendFeatures(out, b.sum[k], b.sq[k], n, lo, hi)
+		}
+	}
+	for ; c < nch; c++ {
 		var sum, sq float64
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for t := 0; t < w.Data.Rows; t++ {
-			v := w.Data.At(t, c)
+		for i := c; i < len(data); i += nch {
+			v := data[i]
 			sum += v
 			sq += v * v
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
 		}
-		n := float64(w.Data.Rows)
-		mean := sum / n
-		variance := sq/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		out = append(out, mean, math.Sqrt(variance), lo, hi, variance)
+		lo, hi := columnMinMax(data, c, nch)
+		out = appendFeatures(out, sum, sq, n, lo, hi)
 	}
 	return out
+}
+
+// appendFeatures appends one channel's five features, derived from its sum,
+// sum of squares and extremes over n rows.
+//
+//cogarm:zeroalloc
+func appendFeatures(out []float64, sum, sq, n, lo, hi float64) []float64 {
+	mean := sum / n
+	variance := sq/n - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return append(out, mean, math.Sqrt(variance), lo, hi, variance)
+}
+
+// columnMinMax defines the min and max features of channel c of a row-major
+// window: the first smallest and first largest value under <, starting from
+// ±Inf — so a NaN is never selected and of −0 and +0 the earlier one stays.
+//
+//cogarm:zeroalloc
+func columnMinMax(data []float64, c, cols int) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i := c; i < len(data); i += cols {
+		v := data[i]
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// orderKey maps a float64 to an int64 that sorts as the float does: the bits
+// as they are for a positive value, the low 63 bits flipped for a negative
+// one. Integer compares of keys compile to conditional moves where float
+// compares compile to branches — and a running minimum over a fresh window
+// mispredicts on every new extreme. keyFloat is the inverse.
+//
+//cogarm:zeroalloc
+func orderKey(v float64) int64 {
+	b := int64(math.Float64bits(v))
+	return b ^ int64(uint64(b>>63)>>1)
+}
+
+//cogarm:zeroalloc
+func keyFloat(k int64) float64 {
+	return math.Float64frombits(uint64(k ^ int64(uint64(k>>63)>>1)))
+}
+
+var keyPosInf, keyNegInf = orderKey(math.Inf(1)), orderKey(math.Inf(-1))
+
+// featureBlock holds one group of four adjacent channels' accumulators: sum
+// and sum of squares, and the order keys of the column's extremes.
+type featureBlock struct {
+	sum, sq [4]float64
+	lo, hi  [4]int64
+}
+
+// accumulate walks the rows once for channels c..c+3 with every accumulator
+// in a register: a row's four values are contiguous, so the pass reads whole
+// cache lines where a per-channel loop reads one value per stride, and four
+// independent add chains overlap where one waits on itself. It is its own
+// function so the loop has the register file to itself.
+//
+//cogarm:zeroalloc
+func (b *featureBlock) accumulate(data []float64, c, cols int) {
+	var sum0, sum1, sum2, sum3, sq0, sq1, sq2, sq3 float64
+	lo0, lo1, lo2, lo3 := keyPosInf, keyPosInf, keyPosInf, keyPosInf
+	hi0, hi1, hi2, hi3 := keyNegInf, keyNegInf, keyNegInf, keyNegInf
+	for i := c; i+4 <= len(data); i += cols {
+		r := data[i : i+4 : i+4]
+		v0, v1, v2, v3 := r[0], r[1], r[2], r[3]
+		sum0 += v0
+		sum1 += v1
+		sum2 += v2
+		sum3 += v3
+		sq0 += v0 * v0
+		sq1 += v1 * v1
+		sq2 += v2 * v2
+		sq3 += v3 * v3
+		k0, k1, k2, k3 := orderKey(v0), orderKey(v1), orderKey(v2), orderKey(v3)
+		if k0 < lo0 {
+			lo0 = k0
+		}
+		if k1 < lo1 {
+			lo1 = k1
+		}
+		if k2 < lo2 {
+			lo2 = k2
+		}
+		if k3 < lo3 {
+			lo3 = k3
+		}
+		if k0 > hi0 {
+			hi0 = k0
+		}
+		if k1 > hi1 {
+			hi1 = k1
+		}
+		if k2 > hi2 {
+			hi2 = k2
+		}
+		if k3 > hi3 {
+			hi3 = k3
+		}
+	}
+	b.sum = [4]float64{sum0, sum1, sum2, sum3}
+	b.sq = [4]float64{sq0, sq1, sq2, sq3}
+	b.lo = [4]int64{lo0, lo1, lo2, lo3}
+	b.hi = [4]int64{hi0, hi1, hi2, hi3}
 }
 
 // Build runs the full pipeline for a set of subjects: collect sessions,

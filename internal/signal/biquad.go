@@ -67,31 +67,6 @@ func (c *Cascade) Reset() {
 	}
 }
 
-// State exports the internal DF2T delay state of every section as a flat
-// [z1, z2, z1, z2, ...] slice. Together with the (immutable) coefficients it
-// fully determines the cascade's future output, which is what a streaming
-// checkpoint needs to resume a causal filter mid-signal.
-func (c *Cascade) State() []float64 {
-	out := make([]float64, 0, 2*len(c.Sections))
-	for i := range c.Sections {
-		out = append(out, c.Sections[i].z1, c.Sections[i].z2)
-	}
-	return out
-}
-
-// SetState restores delay state previously exported by State. The slice
-// length must be exactly 2 per section.
-func (c *Cascade) SetState(state []float64) error {
-	if len(state) != 2*len(c.Sections) {
-		return fmt.Errorf("signal: cascade state has %d values, want %d", len(state), 2*len(c.Sections))
-	}
-	for i := range c.Sections {
-		c.Sections[i].z1 = state[2*i]
-		c.Sections[i].z2 = state[2*i+1]
-	}
-	return nil
-}
-
 // Stable reports whether every section is stable.
 func (c *Cascade) Stable() bool {
 	for i := range c.Sections {

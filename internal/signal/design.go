@@ -151,8 +151,10 @@ func (c *Cascade) GainAt(freqHz, fsHz float64) float64 {
 }
 
 // EEGPreprocessor bundles the paper's preprocessing chain: Butterworth
-// band-pass (order, low, high) followed by a notch. It processes one channel;
-// use one instance per channel for streaming multichannel data.
+// band-pass (order, low, high) followed by a notch. It holds one channel's
+// state: the offline zero-phase path (FilterOffline) and single-channel
+// streaming use it directly; multichannel streaming builds one Bank from its
+// two cascades (NewBank) rather than one instance per channel.
 type EEGPreprocessor struct {
 	Bandpass *Cascade
 	Notch    *Cascade
@@ -190,23 +192,4 @@ func (p *EEGPreprocessor) Reset() {
 // during dataset preparation where future samples are available.
 func (p *EEGPreprocessor) FilterOffline(src []float64) []float64 {
 	return p.Notch.FiltFilt(p.Bandpass.FiltFilt(src))
-}
-
-// State exports the delay state of the whole chain (band-pass sections first,
-// then notch) so a resumed stream continues bit-for-bit where it left off.
-func (p *EEGPreprocessor) State() []float64 {
-	return append(p.Bandpass.State(), p.Notch.State()...)
-}
-
-// SetState restores delay state previously exported by State.
-func (p *EEGPreprocessor) SetState(state []float64) error {
-	nb := 2 * len(p.Bandpass.Sections)
-	if len(state) != nb+2*len(p.Notch.Sections) {
-		return fmt.Errorf("preprocessor state has %d values, want %d",
-			len(state), nb+2*len(p.Notch.Sections))
-	}
-	if err := p.Bandpass.SetState(state[:nb]); err != nil {
-		return err
-	}
-	return p.Notch.SetState(state[nb:])
 }
