@@ -10,10 +10,10 @@
 // A checkpoint root holds numbered checkpoint directories:
 //
 //	<root>/
-//	  ckpt-00000041/          ← one complete, immutable checkpoint
+//	  ckpt-00000041/          ← one complete, immutable, self-contained checkpoint
 //	    MANIFEST              ← file kind 1: hub config, model index, counters
 //	    model-0.bin           ← file kind 2: models.Save payload per registry key
-//	    sessions.bin          ← file kind 3: one record per live session
+//	    sessions.bin          ← file kind 3: one record per live session — the fleet
 //	  ckpt-00000042/
 //	  .tmp-00000043/          ← in-progress write; never read
 //
@@ -21,9 +21,13 @@
 // version, per-record CRC-32C). A checkpoint becomes visible only by the
 // atomic rename of its temp directory, so readers never observe a partial
 // write; a crash mid-save leaves a .tmp-* directory that the next Save
-// sweeps. Save prunes old checkpoints, keeping the newest DefaultKeep, and
-// Load falls back to the previous checkpoint when the newest is damaged —
-// corruption costs one checkpoint interval, never the fleet.
+// sweeps. Every checkpoint is a full snapshot: Load reads the files of the
+// one directory it is given and nothing else, so any ckpt-* directory can be
+// copied, loaded or deleted on its own (the write-ahead log is the system's
+// only incremental format). Save prunes old checkpoints, keeping the newest
+// DefaultKeep, and LoadLatest falls back to the previous checkpoint when the
+// newest is damaged — corruption costs one checkpoint interval, never the
+// fleet.
 //
 // The full normative format specification is in ARCHITECTURE.md.
 //
@@ -75,17 +79,11 @@ type HubConfig struct {
 type ModelEntry struct {
 	// Key is the registry key sessions resolve the model by.
 	Key string
-	// File is the payload filename within the checkpoint directory that
-	// holds the model — or, when Seq is non-zero, within checkpoint Seq's
-	// directory under the same root. Models are immutable once resolved in
-	// the registry, so incremental checkpoints reference them instead of
-	// rewriting megabytes of identical weights every interval.
+	// File is the payload filename within the checkpoint directory; a
+	// manifest naming anything but a plain file name is refused.
 	File string
 	// MACs is the per-inference MAC estimate stored alongside the model.
 	MACs int64
-	// Seq is the sequence number of the checkpoint directory holding File;
-	// 0 means this checkpoint's own directory.
-	Seq uint64
 }
 
 // ShardCounters is one shard's monotonic metrics baseline, restored so
@@ -94,45 +92,36 @@ type ShardCounters struct {
 	Ticks, Inferences, Batches, Evictions, SamplesIn uint64
 }
 
-// DirFormatV2 is the current checkpoint-directory format generation: a v2
-// manifest may reference session records and model payloads stored by
-// earlier checkpoints under the same root (incremental, dirty-only saves).
-// Directories without a Format field (the original layout) are read as
-// fully self-contained. The record framing (format.go) is unchanged.
-const DirFormatV2 = 2
+// dirFormat is the checkpoint-directory format generation Save stamps into
+// Manifest.Format and the only one readManifest accepts. Formats 0 to 2 let a
+// directory reference session records and model payloads held by sibling
+// directories; gob would silently drop those references on decode and load
+// such a directory as a partial fleet, so it is refused with ErrVersion
+// instead. The record framing (format.go) is unchanged.
+const dirFormat = 3
 
-// DefaultCompactEvery bounds an incremental chain: after this many
-// consecutive incremental checkpoints, the next Hub.Checkpoint performs a
-// full rewrite, so a restore never resolves records across more than
-// DefaultCompactEvery directories and pruning can eventually reclaim old
-// ones.
-const DefaultCompactEvery = 8
-
-// SessionRef is one session's entry in a v2 manifest: where its full record
-// lives, which version of the session it captures, and the fast-drifting
-// scheduler fields that change every tick even when the signal path does not.
-// An idle session's heavy state (rolling window, IIR delay lines, debounce
-// ring, counters, pending samples) is immutable between checkpoints, so the
-// manifest carries only this ~40-byte entry for it and the record bytes are
-// referenced from the checkpoint that last wrote them.
+// SessionRef is one session's entry in a WAL refs view (wal.KindRefs, see
+// serve.Fold): which version of the session the view captures, and the
+// fast-drifting scheduler fields that change every tick even when the signal
+// path does not. An idle session's heavy state (rolling window, IIR delay
+// lines, debounce ring, counters, pending samples) is immutable between
+// flushes, so a delta carries only this entry for it and the fold takes the
+// record from an earlier flush or the checkpoint base.
 type SessionRef struct {
 	// ID identifies the session; Ver is its mutation counter at capture time
-	// and must match the referenced record's Ver on load.
+	// and must match the resolved record's Ver.
 	ID, Ver uint64
-	// Seq is the checkpoint whose sessions.bin holds the full record; 0
-	// means this checkpoint's own.
-	Seq uint64
 	// SampleAcc and IdleTicks are the volatile overlay: they advance every
-	// tick regardless of traffic, so they live here (rewritten each
-	// checkpoint) and overwrite the referenced record's values on load —
-	// which is what makes an incremental restore bitwise-identical to a
-	// full one.
+	// tick regardless of traffic, so they ride in every refs view and
+	// overwrite the resolved record's values — which is what makes a folded
+	// delta bitwise-identical to a full capture.
 	SampleAcc float64
 	IdleTicks int
 }
 
 // Manifest describes one checkpoint: everything needed to rebuild the hub
-// shell before session records are replayed into it.
+// shell before session records are replayed into it. The same struct, gob
+// encoded, is the payload of a WAL refs entry, which is what Refs is for.
 type Manifest struct {
 	// Seq is the checkpoint sequence number (monotonic per root directory).
 	Seq uint64
@@ -140,62 +129,40 @@ type Manifest struct {
 	Hub HubConfig
 	// NextID seeds the hub's session-ID allocator past every persisted ID.
 	NextID uint64
-	// Models indexes the model payload files (local or, for Seq != 0
-	// entries of a v2 manifest, in an earlier checkpoint's directory).
+	// Models indexes the directory's model payload files.
 	Models []ModelEntry
-	// Sessions is the expected record count of this directory's
-	// sessions.bin; a mismatch means a torn sessions file even when each
-	// present record's CRC holds. In a v2 manifest this counts only the
-	// dirty records written here, not the whole fleet.
+	// Sessions is the record count of the directory's sessions.bin — the
+	// fleet size; a mismatch means a torn sessions file even when each
+	// present record's CRC holds. It is compared after the file is read,
+	// never used to size an allocation.
 	Sessions int
 	// Shards holds per-shard counter baselines, indexed by shard.
 	Shards []ShardCounters
-	// Format is the directory-format generation (0 or 1 = self-contained
-	// original layout; DirFormatV2 = may reference earlier checkpoints).
+	// Format is the directory-format generation; Save stamps dirFormat and
+	// readManifest refuses anything else.
 	Format int
-	// Base is the Seq of the checkpoint this one increments on (0 = full
-	// rewrite). Informational: refs carry absolute seqs, so resolution
-	// never walks the Base chain.
-	Base uint64
-	// Increments counts consecutive incremental checkpoints since the last
-	// full one; Hub.Checkpoint compacts (full rewrite) when it reaches
-	// DefaultCompactEvery.
+	// Increments is always zero: every checkpoint is a full snapshot. The
+	// field remains only because the frozen benchmark rig reads it (ROADMAP
+	// item 5 removes it).
 	Increments int
 	// WalSeq is the last sealed write-ahead-log entry sequence this
-	// checkpoint covers (0 = no WAL in play, or a pre-WAL manifest). WAL
-	// replay applies only entries with seq > WalSeq, and WAL compaction may
-	// truncate segments whose entries are all <= WalSeq.
+	// checkpoint covers (0 = no WAL in play). WAL replay applies only
+	// entries with seq > WalSeq, and WAL compaction may truncate segments
+	// whose entries are all <= WalSeq.
 	WalSeq uint64
-	// Refs lists every live session (v2 only): the complete fleet view,
-	// in ID order, with Seq pointing at the directory holding each full
-	// record and the volatile overlay fields.
+	// Refs is the live view of a WAL refs entry: every live session, in ID
+	// order (Hub.CaptureDelta fills it, Fold.Resolve reads it). A directory
+	// manifest never carries it — sessions.bin is the fleet — so Save drops
+	// it.
 	Refs []SessionRef
 }
 
-// RefIndex returns the manifest's session references keyed by ID, with Seq
-// resolved to an absolute sequence number (entries written by this
-// checkpoint get its own Seq) — the view the next incremental capture
-// compares live sessions against.
+// RefIndex returns the manifest's session references keyed by ID — the view
+// the next delta capture compares live sessions against.
 func (m *Manifest) RefIndex() map[uint64]SessionRef {
 	out := make(map[uint64]SessionRef, len(m.Refs))
 	for _, r := range m.Refs {
-		if r.Seq == 0 {
-			r.Seq = m.Seq
-		}
 		out[r.ID] = r
-	}
-	return out
-}
-
-// ModelIndex returns the manifest's model entries keyed by registry key,
-// with Seq resolved to an absolute sequence number.
-func (m *Manifest) ModelIndex() map[string]ModelEntry {
-	out := make(map[string]ModelEntry, len(m.Models))
-	for _, e := range m.Models {
-		if e.Seq == 0 {
-			e.Seq = m.Seq
-		}
-		out[e.Key] = e
 	}
 	return out
 }
@@ -207,9 +174,9 @@ type SessionRecord struct {
 	ID    uint64
 	Shard int
 	// Ver is the session's mutation counter (serve bumps it whenever a tick
-	// ingests samples). The incremental checkpoint path rewrites a record
-	// only when Ver moved; restore resumes the counter so dirtiness stays
-	// comparable across daemon restarts.
+	// ingests samples). A WAL delta carries a record only when Ver moved;
+	// restore resumes the counter so dirtiness stays comparable across
+	// daemon restarts.
 	Ver uint64
 	// ModelKey resolves the shared classifier; Tag is the caller's opaque
 	// rebind hint (e.g. cogarmd marks sessions "demo:…" or "inlet" and uses
@@ -251,24 +218,16 @@ type PendingSample struct {
 }
 
 // FleetState is the in-memory image of one checkpoint: what serve.Hub
-// captures on Checkpoint and what RestoreHub rebuilds from. Load always
-// returns a fully resolved state (every session record and model present,
-// volatile overlays applied), whatever mix of local and referenced pieces
-// the directory held.
+// captures on Checkpoint, what Load returns and what RestoreHub rebuilds
+// from. A WAL delta (Hub.CaptureDelta) reuses the type with Sessions holding
+// only the dirty records and Manifest.Refs the live view.
 type FleetState struct {
 	Manifest Manifest
-	// Models maps registry keys to live classifiers (decoded on Load). On
-	// save, only the models to be written into this directory.
+	// Models maps registry keys to live classifiers (decoded on Load).
 	Models map[string]models.Classifier
 	// ModelMACs carries each model's per-inference MAC estimate.
 	ModelMACs map[string]int64
-	// ModelRefs lists models this (incremental) checkpoint references from
-	// earlier directories instead of rewriting. Save copies them into the
-	// manifest verbatim; a self-contained state leaves this nil.
-	ModelRefs []ModelEntry
-	// Sessions holds the session records to write into this directory —
-	// the whole fleet for a full checkpoint, the dirty subset for an
-	// incremental one (Manifest.Refs then carries the full fleet view).
+	// Sessions holds one record per live session: the whole fleet.
 	Sessions []SessionRecord
 }
 
@@ -294,7 +253,7 @@ func Save(root string, state *FleetState) (string, error) {
 		ckptTel().saveErrs.Inc()
 		return "", err
 	}
-	recordSave(&state.Manifest, dir, start)
+	recordSave(dir, start)
 	return dir, nil
 }
 
@@ -304,9 +263,9 @@ func save(root string, state *FleetState) (string, error) {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	man := state.Manifest
+	man.Format = dirFormat
 	man.Sessions = len(state.Sessions)
-	// Referenced (unchanged) models first, then the locally written ones.
-	man.Models = append([]ModelEntry(nil), state.ModelRefs...)
+	man.Models, man.Refs = nil, nil
 
 	// A unique temp dir per call keeps concurrent Saves into one root (e.g.
 	// a periodic checkpoint racing a shutdown checkpoint) from trampling
@@ -397,12 +356,9 @@ func isDirNotEmpty(err error) bool {
 }
 
 // Load reads one checkpoint directory strictly: every file must parse, every
-// CRC must hold, and the session count must match the manifest. For a v2
-// (possibly incremental) checkpoint it additionally resolves every session
-// and model reference against sibling directories under the same root,
-// verifies each referenced record's version against the manifest, and applies
-// the volatile overlay — the returned state is always fully self-contained.
-// Errors wrap ErrCorrupt or ErrVersion where applicable.
+// CRC must hold, and the session count must match the manifest. It opens
+// MANIFEST, the model files the manifest names and sessions.bin inside dir,
+// and no other path. Errors wrap ErrCorrupt or ErrVersion where applicable.
 func Load(dir string) (*FleetState, error) {
 	state, err := load(dir)
 	if err != nil {
@@ -420,21 +376,13 @@ func load(dir string) (*FleetState, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := filepath.Dir(dir)
 	state := &FleetState{
 		Manifest:  *man,
 		Models:    make(map[string]models.Classifier, len(man.Models)),
 		ModelMACs: make(map[string]int64, len(man.Models)),
 	}
 	for _, me := range man.Models {
-		if me.File != filepath.Base(me.File) || me.File == "" {
-			return nil, fmt.Errorf("%w: manifest references path %q", ErrCorrupt, me.File)
-		}
-		mdir := dir
-		if me.Seq != 0 && me.Seq != man.Seq {
-			mdir = filepath.Join(root, dirName(me.Seq))
-		}
-		payloads, err := readRecordFile(filepath.Join(mdir, me.File), KindModel, RecModel)
+		payloads, err := readRecordFile(filepath.Join(dir, me.File), KindModel, RecModel)
 		if err != nil {
 			return nil, fmt.Errorf("model %q: %w", me.Key, err)
 		}
@@ -448,80 +396,18 @@ func load(dir string) (*FleetState, error) {
 		state.Models[me.Key] = clf
 		state.ModelMACs[me.Key] = me.MACs
 	}
-	local, err := readSessionRecords(filepath.Join(dir, sessionsFile))
+	state.Sessions, err = readSessionRecords(filepath.Join(dir, sessionsFile))
 	if err != nil {
 		return nil, err
 	}
-	if len(local) != man.Sessions {
-		return nil, fmt.Errorf("%w: %d session records, manifest promises %d", ErrCorrupt, len(local), man.Sessions)
+	if len(state.Sessions) != man.Sessions {
+		return nil, fmt.Errorf("%w: %d session records, manifest promises %d", ErrCorrupt, len(state.Sessions), man.Sessions)
 	}
-	checkModel := func(rec *SessionRecord) error {
+	for i := range state.Sessions {
+		rec := &state.Sessions[i]
 		if _, ok := state.Models[rec.ModelKey]; !ok {
-			return fmt.Errorf("%w: session %d references unknown model %q", ErrCorrupt, rec.ID, rec.ModelKey)
+			return nil, fmt.Errorf("%w: session %d references unknown model %q", ErrCorrupt, rec.ID, rec.ModelKey)
 		}
-		return nil
-	}
-	if man.Format < DirFormatV2 {
-		// Self-contained original layout: the local records are the fleet.
-		for i := range local {
-			if err := checkModel(&local[i]); err != nil {
-				return nil, err
-			}
-			state.Sessions = append(state.Sessions, local[i])
-		}
-		return state, nil
-	}
-
-	// v2: the manifest's refs are the fleet view; each resolves to a local
-	// record or one stored by an earlier checkpoint, version-checked and
-	// with the volatile scheduler fields overlaid.
-	localByID := make(map[uint64]*SessionRecord, len(local))
-	for i := range local {
-		localByID[local[i].ID] = &local[i]
-	}
-	remote := map[uint64]map[uint64]*SessionRecord{}
-	localUsed := 0
-	for _, ref := range man.Refs {
-		var rec *SessionRecord
-		if ref.Seq == 0 || ref.Seq == man.Seq {
-			rec = localByID[ref.ID]
-			if rec == nil {
-				return nil, fmt.Errorf("%w: manifest references local session %d not in sessions.bin", ErrCorrupt, ref.ID)
-			}
-			localUsed++
-		} else {
-			byID, ok := remote[ref.Seq]
-			if !ok {
-				recs, err := readSessionRecords(filepath.Join(root, dirName(ref.Seq), sessionsFile))
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint %d (referenced): %w", ref.Seq, err)
-				}
-				byID = make(map[uint64]*SessionRecord, len(recs))
-				for i := range recs {
-					byID[recs[i].ID] = &recs[i]
-				}
-				remote[ref.Seq] = byID
-			}
-			rec = byID[ref.ID]
-			if rec == nil {
-				return nil, fmt.Errorf("%w: session %d not found in referenced checkpoint %d", ErrCorrupt, ref.ID, ref.Seq)
-			}
-		}
-		if rec.Ver != ref.Ver {
-			return nil, fmt.Errorf("%w: session %d version %d, manifest expects %d", ErrCorrupt, ref.ID, rec.Ver, ref.Ver)
-		}
-		if err := checkModel(rec); err != nil {
-			return nil, err
-		}
-		// Volatile overlay: the manifest's scheduler fields are current even
-		// when the record predates this checkpoint.
-		out := *rec
-		out.SampleAcc = ref.SampleAcc
-		out.IdleTicks = ref.IdleTicks
-		state.Sessions = append(state.Sessions, out)
-	}
-	if localUsed != len(local) {
-		return nil, fmt.Errorf("%w: sessions.bin holds %d records but refs use %d", ErrCorrupt, len(local), localUsed)
 	}
 	return state, nil
 }
@@ -582,10 +468,9 @@ func Latest(root string) (string, bool) {
 }
 
 // LatestManifest reads the newest valid manifest under root without loading
-// models or session records — the cheap fleet view an incremental save
-// compares live sessions against. Like LoadLatest it walks backward past
-// checkpoints whose manifest is damaged; it returns ErrNoCheckpoint when
-// none is readable (callers then write a full checkpoint).
+// models or session records — the cheap view /statusz reports. Like
+// LoadLatest it walks backward past checkpoints whose manifest is damaged; it
+// returns ErrNoCheckpoint when root holds no checkpoint.
 func LatestManifest(root string) (*Manifest, error) {
 	entries, err := listCheckpoints(root)
 	if err != nil || len(entries) == 0 {
@@ -630,44 +515,14 @@ func listCheckpoints(root string) ([]ckptEntry, error) {
 	return out, nil
 }
 
-// prune removes checkpoints beyond the newest keep — except directories that
-// a kept checkpoint's manifest still references for session records or model
-// payloads (incremental chains) — plus abandoned temp directories from
-// crashed saves. Referenced directories are reclaimed once every manifest
-// referencing them rotates out, which compaction guarantees happens within
-// DefaultCompactEvery + keep checkpoints.
+// prune removes every checkpoint but the newest keep, plus abandoned temp
+// directories from crashed saves.
 func prune(root string, keep int) {
 	entries, err := listCheckpoints(root)
 	if err != nil {
 		return
 	}
-	referenced := map[uint64]bool{}
-	for i := len(entries) - keep; i < len(entries); i++ {
-		if i < 0 {
-			continue
-		}
-		man, err := readManifest(filepath.Join(root, entries[i].name, manifestFile))
-		if err != nil {
-			continue // unreadable manifest: nothing provable to protect
-		}
-		for _, r := range man.Refs {
-			if r.Seq != 0 && r.Seq != man.Seq {
-				referenced[r.Seq] = true
-			}
-		}
-		for _, e := range man.Models {
-			if e.Seq != 0 && e.Seq != man.Seq {
-				referenced[e.Seq] = true
-			}
-		}
-		if man.Base != 0 {
-			referenced[man.Base] = true
-		}
-	}
 	for i := 0; i+keep < len(entries); i++ {
-		if referenced[entries[i].seq] {
-			continue
-		}
 		os.RemoveAll(filepath.Join(root, entries[i].name))
 	}
 	des, err := os.ReadDir(root)
@@ -754,14 +609,19 @@ func readManifest(path string) (*Manifest, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payloads[0])).Decode(&man); err != nil {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
+	if man.Format != dirFormat {
+		return nil, fmt.Errorf("%w: directory format %d, reader supports %d", ErrVersion, man.Format, dirFormat)
+	}
 	if man.Hub.Shards < 1 || man.Hub.MaxSessionsPerShard < 1 || man.Hub.TickHz <= 0 {
 		return nil, fmt.Errorf("%w: manifest hub config %+v", ErrCorrupt, man.Hub)
 	}
 	if len(man.Shards) != man.Hub.Shards {
 		return nil, fmt.Errorf("%w: manifest has %d shard baselines for %d shards", ErrCorrupt, len(man.Shards), man.Hub.Shards)
 	}
-	if man.Format > DirFormatV2 {
-		return nil, fmt.Errorf("%w: directory format %d, reader supports <= %d", ErrVersion, man.Format, DirFormatV2)
+	for _, me := range man.Models {
+		if me.File == "" || me.File == "." || me.File == ".." || me.File != filepath.Base(me.File) {
+			return nil, fmt.Errorf("%w: manifest references path %q", ErrCorrupt, me.File)
+		}
 	}
 	return &man, nil
 }

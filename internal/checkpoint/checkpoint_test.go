@@ -83,6 +83,9 @@ func testState(t *testing.T) *FleetState {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	state := testState(t)
+	// A state that came out of a WAL fold carries the refs view; the
+	// directory manifest must not (sessions.bin is the fleet).
+	state.Manifest.Refs = []SessionRef{{ID: 3, Ver: 1}, {ID: 7}}
 	dir, err := Save(root, state)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +96,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if loaded.Manifest.Seq != 1 {
 		t.Fatalf("seq = %d, want 1", loaded.Manifest.Seq)
+	}
+	if m := loaded.Manifest; m.Format != dirFormat || m.Refs != nil || m.Sessions != len(state.Sessions) {
+		t.Fatalf("manifest format %d, %d refs, %d sessions; want format %d, no refs, %d sessions",
+			m.Format, len(m.Refs), m.Sessions, dirFormat, len(state.Sessions))
 	}
 	if loaded.Manifest.Hub != state.Manifest.Hub {
 		t.Fatalf("hub config mangled: %+v vs %+v", loaded.Manifest.Hub, state.Manifest.Hub)
@@ -218,7 +225,11 @@ func TestVersionMismatchIsRejected(t *testing.T) {
 	}
 }
 
-func TestSavePrunesOldCheckpoints(t *testing.T) {
+// TestCheckpointSelfContained: every directory is a full snapshot, so
+// retention is a plain count. After more saves than the bound the root holds
+// exactly the newest DefaultKeep directories, sequence numbers keep rising
+// across pruning, and with every sibling removed the newest loads whole.
+func TestCheckpointSelfContained(t *testing.T) {
 	root := t.TempDir()
 	state := testState(t)
 	var last string
@@ -233,17 +244,75 @@ func TestSavePrunesOldCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != DefaultKeep {
-		t.Fatalf("%d checkpoints retained, want %d", len(entries), DefaultKeep)
+		t.Fatalf("%d checkpoints retained, want exactly %d", len(entries), DefaultKeep)
 	}
 	if filepath.Base(last) != entries[len(entries)-1].name {
 		t.Fatalf("newest retained is %s, want %s", entries[len(entries)-1].name, filepath.Base(last))
 	}
-	// Sequence numbers keep rising across pruning.
+	if last, err = Save(root, state); err != nil {
+		t.Fatal(err)
+	}
+	if dir, ok := Latest(root); !ok || dir != last || filepath.Base(dir) != "ckpt-00000007" {
+		t.Fatalf("latest = %q, want ckpt-00000007", dir)
+	}
+	for _, e := range entries {
+		if err := os.RemoveAll(filepath.Join(root, e.name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, err := Load(last)
+	if err != nil {
+		t.Fatalf("newest checkpoint does not load on its own: %v", err)
+	}
+	if !reflect.DeepEqual(loaded.Sessions, state.Sessions) || len(loaded.Models) != len(state.Models) {
+		t.Fatalf("lone checkpoint loaded %d sessions / %d models, want %d / %d",
+			len(loaded.Sessions), len(loaded.Models), len(state.Sessions), len(state.Models))
+	}
+}
+
+// TestParentChainRefused: testdata/parent_chain is a root the commit before
+// directory format 3 wrote — one full and one incremental checkpoint, the
+// second referencing two of its three sessions and its model from the first
+// (see testdata/README.md). gob would decode either manifest without the
+// fields this reader no longer declares, so the format number is the only
+// thing standing between an old root and a partial fleet: both must be
+// refused, and LoadLatest must report that, not fall back to a fleet.
+func TestParentChainRefused(t *testing.T) {
+	const root = "testdata/parent_chain"
+	for _, name := range []string{"ckpt-00000001", "ckpt-00000002"} {
+		if state, err := Load(filepath.Join(root, name)); !errors.Is(err, ErrVersion) || state != nil {
+			t.Fatalf("%s: Load returned (%v, %v), want ErrVersion and no state", name, state, err)
+		}
+	}
+	if state, dir, err := LoadLatest(root); !errors.Is(err, ErrVersion) || state != nil || dir != "" {
+		t.Fatalf("LoadLatest returned (%v, %q, %v), want ErrVersion and no state", state, dir, err)
+	}
+	if man, err := LatestManifest(root); !errors.Is(err, ErrVersion) || man != nil {
+		t.Fatalf("LatestManifest returned (%v, %v), want ErrVersion", man, err)
+	}
+}
+
+// TestLatestManifestSkipsDamaged: LatestManifest must fall back past a
+// checkpoint whose manifest is unreadable, mirroring LoadLatest.
+func TestLatestManifestSkipsDamaged(t *testing.T) {
+	root := t.TempDir()
+	state := testState(t)
 	if _, err := Save(root, state); err != nil {
 		t.Fatal(err)
 	}
-	if dir, ok := Latest(root); !ok || filepath.Base(dir) != "ckpt-00000007" {
-		t.Fatalf("latest = %q, want ckpt-00000007", dir)
+	dir2, err := Save(root, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir2, manifestFile), 3); err != nil {
+		t.Fatal(err)
+	}
+	man, err := LatestManifest(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Seq != 1 {
+		t.Fatalf("LatestManifest picked seq %d, want fallback to 1", man.Seq)
 	}
 }
 
@@ -318,4 +387,45 @@ func truncateLastRecord(t *testing.T, path string) {
 	if err := os.Truncate(path, int64(last)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzReadManifest fuzzes the manifest's gob payload — framed here with a
+// valid CRC, which a mutated file would almost never carry — through
+// readManifest and load: no input panics, every refusal is ErrCorrupt or
+// ErrVersion, an accepted manifest is the current format and names only plain
+// files inside its own directory, and its session count is compared against
+// what sessions.bin held, never allocated from.
+func FuzzReadManifest(f *testing.F) {
+	dir := f.TempDir()
+	if err := writeRecordFile(filepath.Join(dir, sessionsFile), KindSessions, func(*fileWriter) error { return nil }); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := filepath.Join(dir, manifestFile)
+		if err := writeRecordFile(path, KindManifest, func(fw *fileWriter) error {
+			return fw.writeRecord(RecManifest, payload)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		man, err := readManifest(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("refusal %v wraps neither ErrCorrupt nor ErrVersion", err)
+			}
+			return
+		}
+		if man.Format != dirFormat {
+			t.Fatalf("accepted directory format %d", man.Format)
+		}
+		for _, me := range man.Models {
+			if filepath.Dir(filepath.Join(dir, me.File)) != dir || filepath.Join(dir, me.File) == dir {
+				t.Fatalf("accepted model file %q outside its directory", me.File)
+			}
+		}
+		// sessions.bin here is empty, so only a manifest promising no
+		// sessions (and naming no model file, none exist) may load.
+		if state, err := load(dir); err == nil && (man.Sessions != 0 || len(state.Sessions) != 0) {
+			t.Fatalf("loaded %d sessions from an empty sessions.bin, manifest promised %d", len(state.Sessions), man.Sessions)
+		}
+	})
 }

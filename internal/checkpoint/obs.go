@@ -10,26 +10,20 @@ import (
 )
 
 // Checkpoint telemetry: every Save and Load reports to the process-global
-// obs registry and event ring, labelled by kind (full vs incremental), so an
-// operator can see from /metrics whether the incremental chain is actually
-// saving bytes and from /events when each checkpoint landed and how big it
-// was. Checkpoints are rare, off the tick path, and already dominated by
-// disk I/O, so this is unconditional — there is no DisableTelemetry knob
-// here.
+// obs registry and event ring, so an operator can see from /metrics what
+// checkpoints cost and from /events when each landed and how big it was.
+// Checkpoints are rare, off the tick path, and already dominated by disk
+// I/O, so this is unconditional — there is no DisableTelemetry knob here.
 
 type ckptObs struct {
-	savesFull *obs.Counter
-	savesInc  *obs.Counter
-	saveErrs  *obs.Counter
-	loads     *obs.Counter
-	loadErrs  *obs.Counter
-	bytesFull *obs.Counter
-	bytesInc  *obs.Counter
-	durFull   *obs.Histogram
-	durInc    *obs.Histogram
-	sizeFull  *obs.Histogram
-	sizeInc   *obs.Histogram
-	events    *obs.EventRing
+	saves    *obs.Counter
+	saveErrs *obs.Counter
+	loads    *obs.Counter
+	loadErrs *obs.Counter
+	bytes    *obs.Counter
+	dur      *obs.Histogram
+	size     *obs.Histogram
+	events   *obs.EventRing
 }
 
 var (
@@ -45,45 +39,26 @@ var (
 func ckptTel() *ckptObs {
 	ckptTelOnce.Do(func() {
 		reg := obs.Default()
-		// Checkpoint directories run hundreds of bytes (incremental, quiet
-		// fleet) to hundreds of megabytes (full, dense fleet with NN models).
-		sizeBounds := obs.ExponentialBounds(256, 4, 14)
-		saves := func(kind string) *obs.Counter {
-			return reg.Counter("cogarm_checkpoint_saves_total",
-				"Checkpoints written, by kind (full = self-contained compaction, incremental = dirty sessions only).",
-				obs.L("kind", kind))
-		}
-		bytes := func(kind string) *obs.Counter {
-			return reg.Counter("cogarm_checkpoint_bytes_written_total",
-				"Bytes written to published checkpoint directories, by kind.",
-				obs.L("kind", kind))
-		}
-		dur := func(kind string) *obs.Histogram {
-			return reg.Histogram("cogarm_checkpoint_save_seconds",
-				"Wall time of checkpoint.Save (capture excluded), by kind.",
-				obs.DurationBounds(), obs.L("kind", kind))
-		}
-		size := func(kind string) *obs.Histogram {
-			return reg.Histogram("cogarm_checkpoint_size_bytes",
-				"On-disk size of each published checkpoint directory, by kind.",
-				sizeBounds, obs.L("kind", kind))
-		}
 		ckptTelVal = &ckptObs{
-			savesFull: saves("full"),
-			savesInc:  saves("incremental"),
+			saves: reg.Counter("cogarm_checkpoint_saves_total",
+				"Checkpoints written."),
 			saveErrs: reg.Counter("cogarm_checkpoint_save_errors_total",
 				"Checkpoint saves that failed before publishing."),
 			loads: reg.Counter("cogarm_checkpoint_loads_total",
-				"Checkpoint directories loaded successfully (including reference resolution)."),
+				"Checkpoint directories loaded successfully."),
 			loadErrs: reg.Counter("cogarm_checkpoint_load_errors_total",
-				"Checkpoint loads that failed (corruption, version mismatch, missing references)."),
-			bytesFull: bytes("full"),
-			bytesInc:  bytes("incremental"),
-			durFull:   dur("full"),
-			durInc:    dur("incremental"),
-			sizeFull:  size("full"),
-			sizeInc:   size("incremental"),
-			events:    obs.DefaultEvents(),
+				"Checkpoint loads that failed (corruption, version mismatch)."),
+			bytes: reg.Counter("cogarm_checkpoint_bytes_written_total",
+				"Bytes written to published checkpoint directories."),
+			dur: reg.Histogram("cogarm_checkpoint_save_seconds",
+				"Wall time of checkpoint.Save (capture excluded).",
+				obs.DurationBounds()),
+			// Checkpoint directories run kilobytes (a handful of sessions on
+			// a forest) to hundreds of megabytes (dense fleet with NN models).
+			size: reg.Histogram("cogarm_checkpoint_size_bytes",
+				"On-disk size of each published checkpoint directory.",
+				obs.ExponentialBounds(256, 4, 14)),
+			events: obs.DefaultEvents(),
 		}
 	})
 	return ckptTelVal
@@ -91,22 +66,14 @@ func ckptTel() *ckptObs {
 
 // recordSave reports one published checkpoint: counters, size and duration
 // histograms, and a lifecycle event carrying bytes + duration.
-func recordSave(man *Manifest, dir string, start time.Time) {
+func recordSave(dir string, start time.Time) {
 	t := ckptTel()
 	bytes := dirSize(dir)
 	durNs := time.Since(start).Nanoseconds()
-	if man.Base != 0 {
-		t.savesInc.Inc()
-		t.bytesInc.Add(uint64(bytes))
-		t.durInc.ObserveDuration(durNs)
-		t.sizeInc.Observe(float64(bytes))
-		t.events.Record(obs.EvCheckpointIncremental, -1, 0, bytes, durNs)
-		return
-	}
-	t.savesFull.Inc()
-	t.bytesFull.Add(uint64(bytes))
-	t.durFull.ObserveDuration(durNs)
-	t.sizeFull.Observe(float64(bytes))
+	t.saves.Inc()
+	t.bytes.Add(uint64(bytes))
+	t.dur.ObserveDuration(durNs)
+	t.size.Observe(float64(bytes))
 	t.events.Record(obs.EvCheckpointFull, -1, 0, bytes, durNs)
 }
 

@@ -26,8 +26,8 @@
 //
 //   - High availability (detector.go, replica.go, failover.go) keeps the
 //     fleet serving through node death: each node tails its dirty-session
-//     records to ring-successor standbys (the same records incremental
-//     checkpoints compute), heartbeats feed a phi/deadline failure detector,
+//     records to ring-successor standbys (the same records a journal flush
+//     captures), heartbeats feed a phi/deadline failure detector,
 //     and a member that stops answering is reaped from the ring with its
 //     replica sessions promoted in place on the standby — bitwise-exact
 //     continuation from the last replicated record.

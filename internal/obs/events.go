@@ -22,11 +22,12 @@ const (
 	EvRefuseOverload
 	// EvEvict: a session left the fleet (Session, Shard).
 	EvEvict
-	// EvCheckpointFull: a full checkpoint was written (bytes, dur_ns).
+	// EvCheckpointFull: a checkpoint was written (bytes, dur_ns).
 	EvCheckpointFull
-	// EvCheckpointIncremental: an incremental checkpoint was written
-	// (bytes, dur_ns).
-	EvCheckpointIncremental
+	// evCheckpointIncremental is retired (every checkpoint is full) but keeps
+	// its value and name: WAL audit entries persist EventType, and logs
+	// written before the retirement still hold it.
+	evCheckpointIncremental
 	// EvCheckpointLoad: a checkpoint was loaded (sessions, 0).
 	EvCheckpointLoad
 	// EvMigrateIn: sessions arrived from a peer (sessions, 0).
@@ -58,7 +59,7 @@ var eventNames = [...]string{
 	EvRefuseOverload:        "refuse_overload",
 	EvEvict:                 "evict",
 	EvCheckpointFull:        "checkpoint_full",
-	EvCheckpointIncremental: "checkpoint_incremental",
+	evCheckpointIncremental: "checkpoint_incremental",
 	EvCheckpointLoad:        "checkpoint_load",
 	EvMigrateIn:             "migrate_in",
 	EvMigrateOut:            "migrate_out",
@@ -75,7 +76,7 @@ var eventNames = [...]string{
 // omits the argument from rendered events.
 var argNames = [...][2]string{
 	EvCheckpointFull:        {"bytes", "dur_ns"},
-	EvCheckpointIncremental: {"bytes", "dur_ns"},
+	evCheckpointIncremental: {"bytes", "dur_ns"},
 	EvCheckpointLoad:        {"sessions", ""},
 	EvMigrateIn:             {"sessions", ""},
 	EvMigrateOut:            {"sessions", ""},

@@ -56,24 +56,27 @@ func TestEventRingBoundedLoss(t *testing.T) {
 
 func TestEventTypeNames(t *testing.T) {
 	cases := map[EventType]string{
-		EvAdmit:                 "admit",
-		EvRefuseFull:            "refuse_full",
-		EvRefuseOverload:        "refuse_overload",
-		EvEvict:                 "evict",
-		EvCheckpointFull:        "checkpoint_full",
-		EvCheckpointIncremental: "checkpoint_incremental",
-		EvCheckpointLoad:        "checkpoint_load",
-		EvMigrateIn:             "migrate_in",
-		EvMigrateOut:            "migrate_out",
-		EvJoin:                  "join",
-		EvLeave:                 "leave",
-		EvDrain:                 "drain",
-		EvInletDrop:             "inlet_drop",
+		EvAdmit:          "admit",
+		EvRefuseFull:     "refuse_full",
+		EvRefuseOverload: "refuse_overload",
+		EvEvict:          "evict",
+		EvCheckpointFull: "checkpoint_full",
+		6:                "checkpoint_incremental", // retired; WAL audit entries persist the value
+		EvCheckpointLoad: "checkpoint_load",
+		EvMigrateIn:      "migrate_in",
+		EvMigrateOut:     "migrate_out",
+		EvJoin:           "join",
+		EvLeave:          "leave",
+		EvDrain:          "drain",
+		EvInletDrop:      "inlet_drop",
 	}
 	for typ, want := range cases {
 		if got := typ.String(); got != want {
 			t.Fatalf("%d.String() = %q, want %q", typ, got, want)
 		}
+	}
+	if EvCheckpointLoad != 7 {
+		t.Fatalf("EvCheckpointLoad = %d: the retired value 6 was reused", EvCheckpointLoad)
 	}
 	if a, b := EvCheckpointFull.ArgNames(); a != "bytes" || b != "dur_ns" {
 		t.Fatalf("checkpoint args named %q,%q", a, b)

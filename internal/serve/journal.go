@@ -12,8 +12,8 @@ import (
 )
 
 // The serve journal: the hub's write-ahead log. Between checkpoints, every
-// flush captures the dirty-session delta (the same sweep incremental
-// checkpoints and replication tails run), appends it to the WAL as one
+// flush captures the dirty-session delta (the same sweep replication tails
+// run), appends it to the WAL as one
 // Merkle-sealed batch, and drains the process event ring into the same batch
 // as the durable audit trail. Recovery is checkpoint base + WAL replay:
 // ReplayWAL folds every sealed entry past the checkpoint's WalSeq over the

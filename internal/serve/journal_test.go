@@ -592,3 +592,63 @@ func TestPreCodecFilesAreRefused(t *testing.T) {
 		t.Fatalf("load of a v1 checkpoint: %v, want checkpoint.ErrVersion", err)
 	}
 }
+
+// TestParentChainRootIsRefused: ../checkpoint/testdata/parent_chain is a root
+// the commit before directory format 3 wrote, its newest checkpoint an
+// incremental one holding one of the fleet's three session records. A restore
+// over it must come back with the format error, or with the fleet of a WAL
+// that is complete on its own — never with a hub built from that root.
+func TestParentChainRootIsRefused(t *testing.T) {
+	const oldRoot = "../checkpoint/testdata/parent_chain"
+	factory := func(RestoredSession) (Source, error) { return &scriptSource{}, nil }
+	if hub, _, err := RestoreHubDir(oldRoot, factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
+		t.Fatalf("RestoreHubDir over a format-2 root: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
+	}
+	if hub, _, _, err := RestoreHubWal(oldRoot, t.TempDir(), factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
+		t.Fatalf("RestoreHubWal over a format-2 root and an empty WAL: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
+	}
+
+	reg, p := testFleet(t)
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 4, TickHz: 15, LatencyWindow: 16}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	journalFleet(t, hub, scriptedEEG(0, 41, 400), scriptedEEG(0, 97, 400))
+	// A never-fed session: clean in every flush after the first, so a WAL
+	// tail names it in its refs view without carrying its record.
+	if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: &scriptSource{}, Norm: p.NormFor(0)}); err != nil {
+		t.Fatal(err)
+	}
+	walDir := t.TempDir()
+	j, _, err := NewJournal(hub, wal.Options{Dir: walDir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	hub.TickAll()
+	if _, _, err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The WAL holds this process's full first flush: WAL-only recovery.
+	restored, dir, _, err := RestoreHubWal(oldRoot, walDir, factory)
+	if err != nil {
+		t.Fatalf("a complete WAL beside a refused root must still recover: %v", err)
+	}
+	if got := restored.Sessions(); dir != "" || got != hub.Sessions() {
+		t.Fatalf("restored %d sessions from %q, want the WAL's %d and no checkpoint directory", got, dir, hub.Sessions())
+	}
+	restored.Stop()
+	// After a checkpoint truncated it, the WAL is a tail that needs its
+	// base — the upgrade case. Without a loadable base there is no fleet.
+	if _, err := j.Checkpoint(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	hub.TickAll()
+	if _, _, err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _, err := RestoreHubWal(oldRoot, walDir, factory); err == nil || got != nil {
+		t.Fatalf("a WAL tail over a refused root restored a hub (%v, err %v)", got, err)
+	}
+}

@@ -27,19 +27,13 @@ import (
 // session's tick and its capture are serialized by the shard lock, so every
 // persisted session is at a tick boundary.
 //
-// Checkpoints are incremental by default: the previous checkpoint's manifest
-// is consulted, and only sessions whose signal path advanced since (and
-// models not yet on disk) are captured and written — unchanged sessions cost
-// one ~40-byte manifest reference, so checkpoint cost scales with churn, not
-// fleet size. Every checkpoint.DefaultCompactEvery increments (and whenever
-// no usable previous manifest exists) a full rewrite compacts the chain.
-// Incremental and full checkpoints restore bitwise-identically.
+// Every checkpoint is a full, self-contained snapshot of the fleet; the
+// dirty-only path is the journal's (CaptureDelta), which ships the real
+// deltas far more often than a checkpoint comes round.
 //
-// Concurrent Checkpoint calls on one hub are serialized: Save ends with a
-// retention prune, and a prune racing another in-flight save can delete a
-// directory whose payloads the new incremental manifest still references.
-// The lock covers manifest read through prune, so each save sees — and
-// protects — its predecessor.
+// Concurrent Checkpoint calls on one hub are serialized from capture through
+// publish, so checkpoint sequence order is capture order and the newest
+// directory always holds the newest state.
 func (h *Hub) Checkpoint(root string) (string, error) {
 	return h.CheckpointWithWal(root, 0)
 }
@@ -55,22 +49,29 @@ func (h *Hub) Checkpoint(root string) (string, error) {
 func (h *Hub) CheckpointWithWal(root string, walSeq uint64) (string, error) {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	prev, err := checkpoint.LatestManifest(root)
-	if err != nil {
-		prev = nil // no (readable) previous checkpoint: write a full one
-	}
-	state := h.captureState(prev)
+	state := h.CaptureState()
 	state.Manifest.WalSeq = walSeq
 	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
 	return checkpoint.Save(root, state)
 }
 
 // CaptureState snapshots the hub's complete state into a self-contained
-// checkpoint.FleetState without touching disk — the in-memory half of a full
+// checkpoint.FleetState without touching disk — the in-memory half of
 // Checkpoint, exposed for tests and for callers that inspect state in place.
 func (h *Hub) CaptureState() *checkpoint.FleetState {
-	return h.captureState(nil)
+	state, shards := h.captureHeader()
+	for _, s := range shards {
+		state.Manifest.Shards = append(state.Manifest.Shards, s.captureCounters())
+		recs, _ := s.captureSessions(nil)
+		state.Sessions = append(state.Sessions, recs...)
+	}
+	// Resolve models after the session sweep: Admit only places a session
+	// once its model has resolved in the registry, so every model a captured
+	// session references is guaranteed present here — the reverse order
+	// would let a concurrently admitted session reference a model missing
+	// from the snapshot, producing a checkpoint Load rejects whole.
+	state.Models, state.ModelMACs = h.reg.Resolved()
+	return state
 }
 
 // captureHeader starts a capture: the manifest's hub configuration and ID
@@ -92,64 +93,10 @@ func (h *Hub) captureHeader() (*checkpoint.FleetState, []*shard) {
 	}, h.shards
 }
 
-// captureState snapshots the hub. With a nil prev manifest the capture is
-// full and self-contained; otherwise sessions and models unchanged since
-// prev become references into the directories that already hold them, and
-// only dirty state is deep-copied under the shard locks.
-func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
-	if prev != nil && (prev.Format < checkpoint.DirFormatV2 || prev.Increments+1 >= checkpoint.DefaultCompactEvery) {
-		prev = nil // pre-v2 base or chain at its bound: compact with a full rewrite
-	}
-	state, shards := h.captureHeader()
-	state.Manifest.Format = checkpoint.DirFormatV2
-
-	var prevRefs map[uint64]checkpoint.SessionRef
-	if prev != nil {
-		state.Manifest.Base = prev.Seq
-		state.Manifest.Increments = prev.Increments + 1
-		prevRefs = prev.RefIndex()
-	}
-	for _, s := range shards {
-		state.Manifest.Shards = append(state.Manifest.Shards, s.captureCounters())
-		recs, refs := s.captureSessions(prevRefs)
-		state.Sessions = append(state.Sessions, recs...)
-		state.Manifest.Refs = append(state.Manifest.Refs, refs...)
-	}
-	// Resolve models after the session sweep: Admit only places a session
-	// once its model has resolved in the registry, so every model a captured
-	// session references is guaranteed present here — the reverse order
-	// would let a concurrently admitted session reference a model missing
-	// from the snapshot, producing a checkpoint Load rejects whole.
-	clfs, macs := h.reg.Resolved()
-	if prev == nil {
-		state.Models, state.ModelMACs = clfs, macs
-		return state
-	}
-	// Registry models are immutable once resolved (train/deserialize-once),
-	// so any key the previous checkpoint indexed is referenced, not
-	// rewritten; only newly resolved models cost bytes.
-	prevModels := prev.ModelIndex()
-	state.Models = make(map[string]models.Classifier)
-	state.ModelMACs = make(map[string]int64)
-	for key, clf := range clfs {
-		if e, ok := prevModels[key]; ok {
-			state.ModelRefs = append(state.ModelRefs, checkpoint.ModelEntry{
-				Key: key, File: e.File, MACs: macs[key], Seq: e.Seq,
-			})
-			continue
-		}
-		state.Models[key] = clf
-		state.ModelMACs[key] = macs[key]
-	}
-	sort.Slice(state.ModelRefs, func(i, j int) bool { return state.ModelRefs[i].Key < state.ModelRefs[j].Key })
-	return state
-}
-
-// CaptureDelta snapshots the hub's dirty state since prev — the same
-// dirty-record sweep an incremental checkpoint performs, aimed at the WAL
-// entry stream (a journal flush or a replication batch) instead of a
-// directory. The returned state carries full records only for sessions whose
-// signal path advanced since prev (or that prev does not know), the complete
+// CaptureDelta snapshots the hub's dirty state since prev for the WAL entry
+// stream (a journal flush, a replication batch, a migration) — the system's
+// one incremental path. The returned state carries full records only for
+// sessions whose signal path advanced since prev (or that prev does not know), the complete
 // live view in Manifest.Refs (so the reader prunes departures and overlays
 // the volatile scheduler fields), and every resolved model in Models — a
 // DeltaEncoder ships each model once per sink, so resending the map costs
@@ -172,9 +119,9 @@ func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.Fl
 // captureSessions sweeps the shard under its lock (the brief pause a running
 // tick loop sees), returning full records for dirty sessions — ver moved
 // since prevRefs, pending samples buffered, or no previous record at all —
-// and manifest references for clean ones. Both slices come back sorted by
-// session ID for deterministic checkpoint bytes. A nil prevRefs marks every
-// session dirty (full capture).
+// and a ref for every session, dirty or clean. Both slices come back sorted
+// by session ID for deterministic bytes. A nil prevRefs marks every session
+// dirty (full capture).
 func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]checkpoint.SessionRecord, []checkpoint.SessionRef) {
 	s.mu.Lock()
 	recs := make([]checkpoint.SessionRecord, 0, len(s.sessions))
@@ -186,17 +133,15 @@ func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]ch
 			SampleAcc: sess.sampleAcc,
 			IdleTicks: sess.idleTicks,
 		}
+		refs = append(refs, ref)
 		if pr, ok := prevRefs[ref.ID]; ok && pr.Ver == sess.ver && sessionPending(sess) == 0 {
-			// Clean: the record written at pr.Seq is bitwise this session's
-			// heavy state (same ver ⇒ no ingest ⇒ window/filters/debounce/
-			// counters unchanged and no pending was drained); only the
-			// volatile scheduler fields moved, and those ride in the ref.
-			ref.Seq = pr.Seq
-			refs = append(refs, ref)
+			// Clean: the record the reader already holds is bitwise this
+			// session's heavy state (same ver ⇒ no ingest ⇒ window/filters/
+			// debounce/counters unchanged and no pending was drained); only
+			// the volatile scheduler fields moved, and those ride in the ref.
 			continue
 		}
 		recs = append(recs, captureSessionLocked(s.id, sess))
-		refs = append(refs, ref) // Seq 0: record written by this checkpoint
 	}
 	s.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })

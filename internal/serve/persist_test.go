@@ -167,6 +167,109 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoresIdleClock pins the scheduler half of a session record:
+// a fleet holding a streaming session, one that streamed and fell silent, and
+// one admitted ahead of its client (never fed, as cogarmd -listen does) is
+// killed while the silent session's idle clock is running. The restored fleet
+// must hold exactly the killed fleet's records — IdleTicks, SampleAcc and Fed
+// included — and then evict the silent session on the tick the uninterrupted
+// fleet does, while the never-fed session keeps waiting.
+func TestCheckpointRestoresIdleClock(t *testing.T) {
+	reg, p := testFleet(t)
+	const (
+		totalTicks = 60
+		killTick   = 30 // the silent session is ~10 ticks into a 25-tick idle budget
+	)
+	cfg := Config{Shards: 2, MaxSessionsPerShard: 2, TickHz: 15, MaxIdleTicks: 25, LatencyWindow: 32}
+	streams := [][]stream.Sample{scriptedEEG(0, 11, 700), scriptedEEG(0, 23, 160), nil}
+	build := func() (*Hub, []SessionID, []*scriptSource) {
+		hub, err := NewHub(cfg, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []SessionID
+		var srcs []*scriptSource
+		for _, s := range streams {
+			src := &scriptSource{samples: s}
+			id, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, srcs = append(ids, id), append(srcs, src)
+		}
+		return hub, ids, srcs
+	}
+	type seen struct {
+		live bool
+		st   SessionStats
+	}
+	tick := func(hub *Hub, ids []SessionID) []seen {
+		hub.TickAll()
+		out := make([]seen, len(ids))
+		for i, id := range ids {
+			out[i].st, out[i].live = hub.Session(id)
+		}
+		return out
+	}
+
+	ref, refIDs, _ := build()
+	defer ref.Stop()
+	var want [][]seen
+	evictTick := -1
+	for i := 0; i < totalTicks; i++ {
+		want = append(want, tick(ref, refIDs))
+		if evictTick < 0 && !want[i][1].live {
+			evictTick = i
+		}
+	}
+	if evictTick <= killTick || !want[totalTicks-1][0].live || !want[totalTicks-1][2].live {
+		t.Fatalf("reference fleet: silent session evicted at tick %d (kill at %d), streaming live %v, never-fed live %v",
+			evictTick, killTick, want[totalTicks-1][0].live, want[totalTicks-1][2].live)
+	}
+
+	victim, ids, srcs := build()
+	for i := 0; i < killTick; i++ {
+		if got := tick(victim, ids); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("victim diverged from the reference before the kill, tick %d", i)
+		}
+	}
+	root := t.TempDir()
+	if _, err := victim.Checkpoint(root); err != nil {
+		t.Fatal(err)
+	}
+	killed := victim.CaptureState().Sessions
+	victim.Stop()
+	byID := map[SessionID]checkpoint.SessionRecord{}
+	for _, rec := range killed {
+		byID[SessionID(rec.ID)] = rec
+	}
+	if silent, unfed := byID[ids[1]], byID[ids[2]]; !silent.Fed || silent.IdleTicks == 0 || unfed.Fed || unfed.IdleTicks != killTick {
+		t.Fatalf("kill point is not mid-idle: silent fed %v idle %d, never-fed fed %v idle %d",
+			silent.Fed, silent.IdleTicks, unfed.Fed, unfed.IdleTicks)
+	}
+
+	restored, _, err := RestoreHubDir(root, func(rec RestoredSession) (Source, error) {
+		for i, id := range ids {
+			if id == rec.ID {
+				return &scriptSource{samples: streams[i][srcs[i].pos:]}, nil
+			}
+		}
+		return nil, errors.New("unknown session")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Stop()
+	if got := restored.CaptureState().Sessions; !reflect.DeepEqual(got, killed) {
+		t.Fatalf("restored records differ from the killed fleet's:\n got %+v\nwant %+v", got, killed)
+	}
+	for i := killTick; i < totalTicks; i++ {
+		if got := tick(restored, ids); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("tick %d after restore (reference evicts at %d):\n got %+v\nwant %+v", i, evictTick, got, want[i])
+		}
+	}
+}
+
 // TestRestorePreservesFleetShape pins the bookkeeping half of restore: shard
 // assignment, session IDs, metric counter baselines, tags and the admission
 // index all survive, and new admissions do not collide with restored IDs.

@@ -53,13 +53,12 @@
 // daemon resumes without retraining and emits bitwise-identical labels for
 // the same subsequent input. Capture is copy-on-snapshot: shard locks are
 // held only to deep-copy in-memory state, never across serialization or disk
-// I/O, so paced tick loops do not stall. Checkpoints are incremental by
-// default: sessions carry a mutation counter, and only sessions that
-// ingested samples since the previous checkpoint (plus newly resolved
-// models) are deep-copied and written — the rest cost one manifest
-// reference each, so checkpoint cost scales with churn, not fleet size,
-// with a full-rewrite compaction every DefaultCompactEvery increments. See
-// ARCHITECTURE.md for the on-disk format specification.
+// I/O, so paced tick loops do not stall. Every checkpoint is a full,
+// self-contained snapshot. The incremental path is the journal's
+// (journal.go): sessions carry a mutation counter, and a flush captures only
+// the sessions that ingested samples since the previous one, so what is
+// written between checkpoints scales with churn, not fleet size. See
+// ARCHITECTURE.md for the on-disk format specifications.
 package serve
 
 import (
@@ -196,8 +195,8 @@ type Hub struct {
 	// closes it; Start recreates it, so a stopped hub ticks serially.
 	pool *tensor.Pool
 
-	// ckptMu serialises Checkpoint (see its doc comment): the save-then-prune
-	// sequence must not interleave between concurrent callers.
+	// ckptMu serialises Checkpoint from capture through publish, so that
+	// checkpoint sequence order is capture order (see its doc comment).
 	ckptMu sync.Mutex
 
 	// idxMu guards index alone. It is a leaf lock (never held while taking

@@ -75,7 +75,7 @@ func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 func (r RingSource) SnapshotPending() []stream.Sample { return r.Ring.Snapshot() }
 
 // PendingLen reports buffered-but-unread samples without copying them — the
-// cheap dirtiness probe of the incremental checkpoint path.
+// cheap dirtiness probe of the delta capture (Hub.CaptureDelta).
 func (r RingSource) PendingLen() int { return r.Ring.Len() }
 
 // SourceAddr implements AddrSource when the attached Closer is an inlet that
@@ -146,12 +146,12 @@ type session struct {
 	debounce  control.Debouncer
 	// ver counts signal-path mutations: it increments exactly when a tick
 	// ingests samples for this session (which is also the only way windows,
-	// filter delay lines, debounce state or decode counters change). The
-	// incremental checkpoint path persists it and rewrites a session record
-	// only when ver moved — same ID + same ver ⇒ bitwise-identical heavy
-	// state. Scheduler-only fields that drift every tick regardless
-	// (sampleAcc, idleTicks) ride in the manifest instead, so an idle session
-	// stays checkpoint-clean.
+	// filter delay lines, debounce state or decode counters change). Every
+	// record persists it, and a WAL delta (CaptureDelta) carries a session's
+	// record only when ver moved — same ID + same ver ⇒ bitwise-identical
+	// heavy state. Scheduler-only fields that drift every tick regardless
+	// (sampleAcc, idleTicks) ride in the delta's refs view instead, so an
+	// idle session stays clean.
 	ver uint64
 	// fed flips once the source delivers its first sample; idle eviction
 	// only applies afterwards, so a freshly admitted network session gets

@@ -348,7 +348,7 @@ func (s *shard) tick() {
 		}
 		sess.fed = true
 		sess.idleTicks = 0
-		sess.ver++ // signal-path state advances: session is checkpoint-dirty
+		sess.ver++ // signal-path state advances: the next delta carries this session
 		samplesIn += uint64(len(samples))
 		for _, smp := range samples {
 			sess.win.Push(smp.Values)

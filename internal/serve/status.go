@@ -10,7 +10,7 @@ import (
 
 // StatusDoc is the /statusz document: one JSON object answering "what is
 // this daemon doing right now" — fleet and per-shard serving state, health,
-// checkpoint chain position, process runtime stats, and (in cluster mode)
+// newest checkpoint, process runtime stats, and (in cluster mode)
 // the ring view. Machines get /metrics; humans hitting /statusz get this.
 type StatusDoc struct {
 	Now        string  `json:"now"`
@@ -23,8 +23,8 @@ type StatusDoc struct {
 
 	Fleet FleetSnapshot `json:"fleet"`
 
-	// Checkpoint reports the newest on-disk checkpoint chain state; nil when
-	// the daemon runs without persistence.
+	// Checkpoint reports the newest on-disk checkpoint; nil when the daemon
+	// runs without persistence.
 	Checkpoint *CheckpointStatus `json:"checkpoint,omitempty"`
 
 	// Wal is the write-ahead-log status (wal.Log.Status); nil when the
@@ -35,15 +35,11 @@ type StatusDoc struct {
 	Cluster any `json:"cluster,omitempty"`
 }
 
-// CheckpointStatus summarises the newest checkpoint chain under a root.
+// CheckpointStatus summarises the newest checkpoint under a root.
 type CheckpointStatus struct {
 	Root string `json:"root"`
-	// Seq is the newest checkpoint's sequence number; Base is the full
-	// checkpoint it chains from (0 = it is itself full); Increments is the
-	// chain length since that base.
-	Seq        uint64 `json:"seq"`
-	Base       uint64 `json:"base"`
-	Increments int    `json:"increments"`
+	// Seq is the newest checkpoint's sequence number.
+	Seq uint64 `json:"seq"`
 	// Sessions is the fleet size the newest manifest records.
 	Sessions int    `json:"sessions"`
 	Error    string `json:"error,omitempty"` // manifest read failure, if any
@@ -92,11 +88,6 @@ func checkpointStatus(root string) *CheckpointStatus {
 		return cs
 	}
 	cs.Seq = man.Seq
-	cs.Base = man.Base
-	cs.Increments = man.Increments
-	cs.Sessions = len(man.Refs)
-	if cs.Sessions == 0 {
-		cs.Sessions = man.Sessions
-	}
+	cs.Sessions = man.Sessions
 	return cs
 }

@@ -2,8 +2,8 @@
 // segmented, CRC-32C-framed write-ahead log with Merkle-batched integrity
 // proofs. Shard ticks journal dirty session records (and the audit stream of
 // admissions, refusals, migrations, reaps, failovers, and prediction
-// decisions) into it; incremental checkpoints become WAL snapshot +
-// truncation; warm standbys tail it carrying batch roots so a follower can
+// decisions) into it; a checkpoint is a full snapshot that fences and
+// truncates it; warm standbys tail it carrying batch roots so a follower can
 // detect divergence before promotion.
 //
 // # On-disk format (normative; mirrored in ARCHITECTURE.md)
