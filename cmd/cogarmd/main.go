@@ -111,7 +111,7 @@ func main() {
 		heartbeat     = flag.Duration("heartbeat", cluster.DefaultHeartbeatEvery, "peer heartbeat interval (0 = no failure detection)")
 		suspect       = flag.Duration("suspect", cluster.DefaultSuspectAfter, "silence floor before a peer may be declared dead")
 		phi           = flag.Float64("phi", cluster.DefaultPhiThreshold, "suspicion threshold: silence as a multiple of a peer's mean heartbeat interval")
-		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from GOMAXPROCS, 1 = serial kernels")
+		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from the cores the shards leave idle, 1 = serial kernels")
 		quantize      = flag.Bool("quantize", false, "serve int8/int16 quantized model twins where the calibration agreement gate passes")
 		quantGate     = flag.Float64("quantize-min-agreement", 0, "calibration gate: minimum label agreement vs the exact model (0 = default 0.995)")
 	)

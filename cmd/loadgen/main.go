@@ -70,7 +70,7 @@ func main() {
 		seed          = flag.Uint64("seed", 1, "simulation seed")
 		admin         = flag.String("admin", "", "host the admin plane in-process at this address (inproc/cluster; \":0\" picks a port)")
 		scrape        = flag.Bool("scrape", false, "poll own /metrics at 1 Hz during the run and report the tick-stage breakdown (implies -admin 127.0.0.1:0)")
-		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from GOMAXPROCS, 1 = serial kernels")
+		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from the cores the shards leave idle, 1 = serial kernels")
 		quantize      = flag.Bool("quantize", false, "serve int8/int16 quantized model twins where the calibration agreement gate passes")
 	)
 	flag.Parse()

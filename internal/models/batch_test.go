@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 
 	"cognitivearm/internal/eeg"
@@ -8,16 +9,25 @@ import (
 )
 
 // batchTestSpecs returns one small spec per NN family so the equivalence
-// test exercises the conv, recurrent and attention batch kernels end to end.
-func batchTestSpecs() []Spec {
-	return []Spec{
-		{Family: FamilyCNN, WindowSize: 64, Optimizer: "adam", LR: 1e-3, Dropout: 0.2,
-			ConvLayers: 2, Filters: 8, Kernel: 5, Stride: 2, Pool: "max"},
-		{Family: FamilyLSTM, WindowSize: 32, Optimizer: "adam", LR: 1e-3, Dropout: 0.3,
-			LSTMLayers: 2, Hidden: 12},
-		{Family: FamilyTransformer, WindowSize: 24, Optimizer: "adamw", LR: 1e-3, Dropout: 0.1,
-			TFLayers: 2, Heads: 2, DModel: 16, FFDim: 32},
+// test exercises the conv, recurrent and attention batch kernels end to end,
+// plus the serving CNN's layer shape on a 101-sample window: its conv emits
+// 49 steps per window, so the GEMM's 4-row tiles straddle windows.
+func batchTestSpecs() []namedSpec {
+	return []namedSpec{
+		{"cnn", Spec{Family: FamilyCNN, WindowSize: 64, Optimizer: "adam", LR: 1e-3, Dropout: 0.2,
+			ConvLayers: 2, Filters: 8, Kernel: 5, Stride: 2, Pool: "max"}},
+		{"cnn-w101", Spec{Family: FamilyCNN, WindowSize: 101, Optimizer: "adam", LR: 1e-3, Dropout: 0.2,
+			ConvLayers: 1, Filters: 32, Kernel: 5, Stride: 2, Pool: "none"}},
+		{"lstm", Spec{Family: FamilyLSTM, WindowSize: 32, Optimizer: "adam", LR: 1e-3, Dropout: 0.3,
+			LSTMLayers: 2, Hidden: 12}},
+		{"transformer", Spec{Family: FamilyTransformer, WindowSize: 24, Optimizer: "adamw", LR: 1e-3, Dropout: 0.1,
+			TFLayers: 2, Heads: 2, DModel: 16, FFDim: 32}},
 	}
+}
+
+type namedSpec struct {
+	name string
+	spec Spec
 }
 
 func randBatch(b, rows int, rng *tensor.RNG) []*tensor.Matrix {
@@ -32,47 +42,91 @@ func randBatch(b, rows int, rng *tensor.RNG) []*tensor.Matrix {
 	return xs
 }
 
+// batchSizes leave every row tail a 4-row tile can see (B·T mod 4) and reach
+// the serving batch, which is past the kernel pool's crossover for the CNNs.
+var batchSizes = []int{1, 3, 4, 5, 50}
+
+// batchWorkspaces are the three ways a caller runs a batch: no workspace, a
+// workspace reused (with Reset) across every batch size as a serving shard
+// does across ticks — stale-scratch leaks between cycles would surface as
+// mismatches — and one with a kernel pool attached.
+func batchWorkspaces(t *testing.T) []namedWorkspace {
+	pool := tensor.NewPool(3)
+	t.Cleanup(pool.Close)
+	pooled := tensor.NewWorkspace()
+	pooled.SetPool(pool)
+	return []namedWorkspace{{"unpooled", nil}, {"workspace", tensor.NewWorkspace()}, {"kernel-pool", pooled}}
+}
+
+type namedWorkspace struct {
+	path string
+	ws   *tensor.Workspace
+}
+
 // TestNNPredictBatchMatchesPredict is the serving-path equivalence guarantee:
 // for every NN family, the fused batched forward returns bitwise-identical
-// logits — and therefore identical labels — to per-window Predict.
+// logits — compared by bit pattern, so not even a zero's sign may differ —
+// and therefore identical labels to per-window Predict.
 func TestNNPredictBatchMatchesPredict(t *testing.T) {
 	rng := tensor.NewRNG(17)
-	for _, spec := range batchTestSpecs() {
-		t.Run(spec.Family.String(), func(t *testing.T) {
+	for _, tc := range batchTestSpecs() {
+		spec := tc.spec
+		t.Run(tc.name, func(t *testing.T) {
 			net, err := BuildNet(spec, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			clf := &NNClassifier{Net: net, Spec: spec}
-			// One workspace reused (with Reset) across every batch size, as a
-			// serving shard would across ticks: stale-scratch leaks between
-			// cycles would surface as logit mismatches here.
-			ws := tensor.NewWorkspace()
-			labelBuf := make([]int, 0, 32)
-			for _, B := range []int{1, 3, 8, 32} {
-				xs := randBatch(B, spec.WindowSize, rng)
-				labels := clf.PredictBatch(xs)
-				ws.Reset()
-				wsLabels := clf.PredictBatchWS(ws, xs, labelBuf)
-				outs := net.ForwardBatch(nil, xs, false)
-				for i, x := range xs {
-					if want := clf.Predict(x); labels[i] != want {
-						t.Fatalf("B=%d window %d: batched label %d != sequential %d", B, i, labels[i], want)
-					}
-					if wsLabels[i] != labels[i] {
-						t.Fatalf("B=%d window %d: workspace label %d != unpooled %d", B, i, wsLabels[i], labels[i])
-					}
-					want := net.Logits(x)
-					got := outs[i].Row(0)
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("B=%d window %d logit %d: batched %v != sequential %v (must be bitwise identical)",
-								B, i, j, got[j], want[j])
+			labelBuf := make([]int, 0, 64)
+			for _, w := range batchWorkspaces(t) {
+				path, ws := w.path, w.ws
+				for _, B := range batchSizes {
+					xs := randBatch(B, spec.WindowSize, rng)
+					ws.Reset()
+					labels := clf.PredictBatchWS(ws, xs, labelBuf)
+					outs := net.ForwardBatch(ws, xs, false)
+					for i, x := range xs {
+						if want := clf.Predict(x); labels[i] != want {
+							t.Fatalf("%s B=%d window %d: batched label %d != sequential %d", path, B, i, labels[i], want)
+						}
+						want := net.Logits(x)
+						got := outs[i].Row(0)
+						for j := range want {
+							if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+								t.Fatalf("%s B=%d window %d logit %d: batched %v != sequential %v (must be bitwise identical)",
+									path, B, i, j, got[j], want[j])
+							}
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestRFPredictBatchWSMatchesPredict completes the four families: the forest
+// has no logits, so its batched labels are compared, over the same batch
+// sizes and workspaces.
+func TestRFPredictBatchWSMatchesPredict(t *testing.T) {
+	train, val := smallData(t, 50)
+	clf, _, err := Train(Spec{Family: FamilyRF, WindowSize: 50, Trees: 15, MaxDepth: 8}, train, val, TrainOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range batchWorkspaces(t) {
+		path, ws := w.path, w.ws
+		for _, B := range batchSizes {
+			xs := make([]*tensor.Matrix, B)
+			for i := range xs {
+				xs[i] = val[i%len(val)].Data
+			}
+			ws.Reset()
+			for i, got := range PredictBatchWS(clf, ws, xs, nil) {
+				if want := clf.Predict(xs[i]); got != want {
+					t.Fatalf("%s B=%d window %d: batched label %d != sequential %d", path, B, i, got, want)
+				}
+			}
+		}
 	}
 }
 

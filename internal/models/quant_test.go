@@ -180,8 +180,7 @@ type linearClassifier struct {
 }
 
 func (c *linearClassifier) Predict(x *tensor.Matrix) int {
-	y := tensor.MatMulBatched(nil, x, c.w)
-	tensor.AddRowVector(y, c.bias)
+	y := tensor.GEMM(nil, nil, x, c.w, tensor.Epilogue{Bias: c.bias})
 	return tensor.Argmax(y.Data)
 }
 func (c *linearClassifier) Probs(*tensor.Matrix) []float64 { return nil }

@@ -299,9 +299,9 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 }
 
 // ForwardBatch implements BatchForwarder: the Q/K/V input projections and the
-// output projection each run as one (B·T)×D GEMM over the stacked batch —
-// 4 GEMMs total instead of 4·B — while the T×T attention itself stays
-// per-window (scores never mix windows).
+// output projection each run as one (B·T)×D GEMM over the whole batch — the
+// inputs read from the windows in place, 4 GEMMs total instead of 4·B — while
+// the T×T attention itself stays per-window (scores never mix windows).
 //
 //cogarm:zeroalloc
 func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
@@ -313,13 +313,14 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 	if xs[0].Cols != m.Dim {
 		panic(fmt.Sprintf("nn: attention expects dim %d, got %d", m.Dim, xs[0].Cols))
 	}
+	sameShape(xs)
 	T := xs[0].Rows
-	x := tensor.StackWS(ws, xs)
+	x := tensor.RowBlocks{Blocks: xs, Rows: T, Cols: m.Dim, Stride: m.Dim}
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	//cogarm:allow zeroalloc -- proj never escapes: defined and called three times in this frame, so it stays on the stack (AllocsPerRun bench holds this path at zero)
 	proj := func(w *Param) []*tensor.Matrix {
-		return tensor.SplitRowsWS(ws, tensor.MatMulBatchedWS(ws, ws.Uninit(x.Rows, m.Dim), x, w.W), T)
+		return tensor.SplitRowsWS(ws, tensor.GEMMBlocks(ws, ws.Uninit(B*T, m.Dim), x, w.W, tensor.Epilogue{}), T)
 	}
 	//cogarm:allow zeroalloc -- calls to the non-escaping proj closure above; the body is verified through its tensor callees
 	qs, ks, vs := proj(m.Wq), proj(m.Wk), proj(m.Wv)
@@ -344,7 +345,7 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 			}
 		}
 	}
-	return tensor.SplitRowsWS(ws, tensor.MatMulBatchedWS(ws, ws.Uninit(B*T, m.Dim), concat, m.Wo.W), T)
+	return tensor.SplitRowsWS(ws, tensor.GEMM(ws, ws.Uninit(B*T, m.Dim), concat, m.Wo.W, tensor.Epilogue{}), T)
 }
 
 // Backward implements Layer.

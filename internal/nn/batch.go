@@ -9,7 +9,7 @@ import (
 // BatchForwarder is the optional fused batched-inference extension of Layer.
 // ForwardBatch consumes B same-shape windows and returns B outputs, exactly
 // matching B independent Forward(x, false) calls element-for-element. Every
-// temporary — stacked inputs, GEMM destinations, output views — is drawn from
+// temporary — GEMM destinations, stacked activations, output views — is drawn from
 // ws, so a caller that resets one workspace per tick runs the whole forward
 // pass without heap allocations at steady state. ws may be nil, selecting
 // plain heap allocation (the unpooled path, bitwise-identical by contract).
@@ -27,8 +27,9 @@ import (
 //     (tensor.SplitRowsWS) and, with a non-nil ws, are valid only until the
 //     workspace's next Reset; callers must copy anything that outlives the
 //     cycle.
-//   - All windows in one call must share the same shape. Mixed shapes are the
-//     caller's problem (see Network.ForwardBatch, which enforces this).
+//   - All windows in one call must share the same shape. Network.ForwardBatch
+//     and the GEMM-backed layers (Dense, Conv1D, attention) panic on a mixed
+//     batch; the other layers leave mixed shapes as the caller's problem.
 type BatchForwarder interface {
 	//cogarm:zeroalloc
 	ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix
@@ -38,6 +39,19 @@ type BatchForwarder interface {
 func batchInferenceOnly(train bool) {
 	if train {
 		panic("nn: ForwardBatch is inference-only (train must be false)")
+	}
+}
+
+// sameShape panics unless every window of a batch has the shape of the first.
+// The GEMM-backed kernels read all B windows in place through one
+// tensor.RowBlocks view sized from xs[0], so a longer window would be silently
+// truncated and a shorter one refused with a less useful message.
+func sameShape(xs []*tensor.Matrix) {
+	r, c := xs[0].Rows, xs[0].Cols
+	for i, x := range xs[1:] {
+		if x.Rows != r || x.Cols != c {
+			panic(fmt.Sprintf("nn: ForwardBatch window %d shape mismatch %dx%d vs %dx%d", i+1, x.Rows, x.Cols, r, c))
+		}
 	}
 }
 
@@ -83,12 +97,7 @@ func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train 
 	if len(xs) == 0 {
 		return nil
 	}
-	r, c := xs[0].Rows, xs[0].Cols
-	for _, x := range xs[1:] {
-		if x.Rows != r || x.Cols != c {
-			panic(fmt.Sprintf("nn: ForwardBatch window shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, r, c))
-		}
-	}
+	sameShape(xs)
 	for li := 0; li < len(n.Layers); li++ {
 		l := n.Layers[li]
 		// Dense→ReLU and Conv1D→ReLU sequences collapse into one GEMM with a

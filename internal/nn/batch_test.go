@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"cognitivearm/internal/tensor"
@@ -46,12 +49,22 @@ func assertBatchMatchesForward(t *testing.T, name string, l Layer, xs []*tensor.
 			if g.Rows != want.Rows || g.Cols != want.Cols {
 				t.Fatalf("%s[%s] window %d: shape %dx%d, want %dx%d", name, tc.path, i, g.Rows, g.Cols, want.Rows, want.Cols)
 			}
-			for j := range want.Data {
-				if g.Data[j] != want.Data[j] {
-					t.Fatalf("%s[%s] window %d element %d: batched %v != sequential %v (must be bitwise identical)",
-						name, tc.path, i, j, g.Data[j], want.Data[j])
-				}
-			}
+			assertSameBits(t, fmt.Sprintf("%s[%s] window %d", name, tc.path, i), g.Data, want.Data)
+		}
+	}
+}
+
+// assertSameBits compares by bit pattern, so a −0 where the sequential path
+// has +0 fails: bitwise identical means identical bits.
+func assertSameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s element %d: batched %v (%#x) != sequential %v (%#x) (must be bitwise identical)",
+				label, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 		}
 	}
 }
@@ -108,10 +121,45 @@ func TestNetworkForwardBatchMatchesPredict(t *testing.T) {
 		if want := net.Predict(x); labels[i] != want {
 			t.Fatalf("window %d: batched label %d != sequential %d", i, labels[i], want)
 		}
-		want := net.Forward(x, false)
-		for j := range want.Data {
-			if outs[i].Data[j] != want.Data[j] {
-				t.Fatalf("window %d logit %d: batched %v != sequential %v", i, j, outs[i].Data[j], want.Data[j])
+		assertSameBits(t, fmt.Sprintf("window %d logits", i), outs[i].Data, net.Forward(x, false).Data)
+	}
+}
+
+// TestForwardBatchQuadsStraddleWindows runs the serving CNN's shape on a
+// 101-sample window, where the conv emits 49 steps per window: the GEMM's
+// 4-row tiles then take rows from two windows at once, every batch size
+// leaves a different row tail, and B=50 is large enough for a kernel pool to
+// split. Logits must equal per-window Forward bit for bit without a
+// workspace, with one, and with a pool attached — inputs include exact zeros,
+// which Forward's MatMul skips and the GEMM does not.
+func TestForwardBatchQuadsStraddleWindows(t *testing.T) {
+	rng := tensor.NewRNG(6)
+	net := NewNetwork(
+		NewConv1D(16, 32, 5, 2, rng),
+		NewReLU(),
+		NewMeanPool(),
+		NewDropout(0.2, rng.Fork()),
+		NewDense(32, 4, rng),
+	)
+	pool := tensor.NewPool(3)
+	defer pool.Close()
+	pooled := tensor.NewWorkspace()
+	pooled.SetPool(pool)
+	for _, B := range []int{1, 3, 4, 5, 50} {
+		xs := randWindows(B, 101, 16, rng)
+		for _, x := range xs {
+			for j := 0; j < len(x.Data); j += 7 {
+				x.Data[j] = 0
+			}
+		}
+		for _, tc := range []struct {
+			path string
+			ws   *tensor.Workspace
+		}{{"unpooled", nil}, {"workspace", tensor.NewWorkspace()}, {"kernel-pool", pooled}} {
+			tc.ws.Reset()
+			outs := net.ForwardBatch(tc.ws, xs, false)
+			for i, x := range xs {
+				assertSameBits(t, fmt.Sprintf("B=%d[%s] window %d logits", B, tc.path, i), outs[i].Data, net.Forward(x, false).Data)
 			}
 		}
 	}
@@ -140,6 +188,37 @@ func TestForwardBatchShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	net.ForwardBatch(nil, xs, false)
+}
+
+// TestForwardBatchLayerShapeMismatchPanics: the GEMM-backed layers read every
+// window in place through a view sized from the first, so a direct
+// ForwardBatch call (which bypasses Network.ForwardBatch's check) must refuse
+// a window of another shape — longer ones used to be silently truncated — and
+// name both shapes.
+func TestForwardBatchLayerShapeMismatchPanics(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	layers := []struct {
+		name  string
+		layer BatchForwarder
+	}{
+		{"Conv1D", NewConv1D(8, 4, 3, 1, rng)},
+		{"Dense", NewDense(8, 4, rng)},
+		{"MHA", NewMultiHeadAttention(8, 2, rng)},
+	}
+	for _, l := range layers {
+		for _, rows := range []int{9, 11} { // shorter and longer than the first window
+			t.Run(fmt.Sprintf("%s/%d-rows", l.name, rows), func(t *testing.T) {
+				xs := []*tensor.Matrix{tensor.New(10, 8), tensor.New(10, 8), tensor.New(rows, 8)}
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "10x8") || !strings.Contains(msg, fmt.Sprintf("%dx8", rows)) {
+						t.Fatalf("mixed window shapes must panic naming both shapes, got %q", msg)
+					}
+				}()
+				l.layer.ForwardBatch(nil, xs, false)
+			})
+		}
+	}
 }
 
 // TestForwardBatchEmpty: an empty batch is a no-op, not a panic.

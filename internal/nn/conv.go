@@ -72,10 +72,10 @@ func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: the B per-window im2col matrices
-// concatenate into one (B·T')×(K·Cin) matrix so the whole batch convolves in
-// a single GEMM against the kernel weight — the batched analogue of Forward's
-// im2col + matmul, with the weight streamed once instead of B times.
+// ForwardBatch implements BatchForwarder: the whole batch convolves in a
+// single (B·T')×(K·Cin) GEMM against the kernel weight — the batched analogue
+// of Forward's im2col + matmul, with the weight streamed once instead of B
+// times and no im2col matrix at all (see forwardBatchFused).
 //
 //cogarm:zeroalloc
 func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
@@ -83,9 +83,12 @@ func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train b
 	return c.forwardBatchFused(ws, xs, false)
 }
 
-// forwardBatchFused implements epilogueFuser: the im2col GEMM applies bias
-// (and the following ReLU, when fused) in its epilogue while each row panel
-// is still cache-hot, instead of a separate pass over the (B·T')×Cout output.
+// forwardBatchFused implements epilogueFuser. Output step t of a window reads
+// input rows t·S .. t·S+K−1, which in a row-major T×Cin window are already
+// one contiguous run of K·Cin values starting at t·S·Cin — the im2col row —
+// so the GEMM reads the B windows themselves as T' overlapping rows each and
+// nothing is unfolded or copied. Bias (and the following ReLU, when fused)
+// apply in the GEMM's epilogue.
 //
 //cogarm:zeroalloc
 func (c *Conv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix {
@@ -100,27 +103,11 @@ func (c *Conv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, re
 	if outT <= 0 {
 		panic(fmt.Sprintf("nn: Conv1D input length %d shorter than kernel %d", x0.Rows, c.Kernel))
 	}
-	col := c.im2colWS(ws, xs, outT)
-	y := tensor.GEMM(ws, ws.Uninit(col.Rows, c.OutChannels), col, c.Weight.W,
-		tensor.Epilogue{Bias: c.Bias.W.Data, ReLU: relu})
+	sameShape(xs)
+	y := tensor.GEMMBlocks(ws, ws.Uninit(len(xs)*outT, c.OutChannels),
+		tensor.RowBlocks{Blocks: xs, Rows: outT, Cols: c.Kernel * c.InChannels, Stride: c.Stride * c.InChannels},
+		c.Weight.W, tensor.Epilogue{Bias: c.Bias.W.Data, ReLU: relu})
 	return tensor.SplitRowsWS(ws, y, outT)
-}
-
-// im2colWS unfolds the batch into one (B·T')×(K·Cin) matrix drawn from ws.
-//
-//cogarm:zeroalloc
-func (c *Conv1D) im2colWS(ws *tensor.Workspace, xs []*tensor.Matrix, outT int) *tensor.Matrix {
-	col := ws.Uninit(len(xs)*outT, c.Kernel*c.InChannels)
-	for i, x := range xs {
-		for t := 0; t < outT; t++ {
-			dst := col.Row(i*outT + t)
-			src := t * c.Stride
-			for k := 0; k < c.Kernel; k++ {
-				copy(dst[k*c.InChannels:(k+1)*c.InChannels], x.Row(src+k))
-			}
-		}
-	}
-	return col
 }
 
 // Backward implements Layer.

@@ -35,9 +35,9 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: B T×In windows stack into one
-// (B·T)×In matrix, fusing the B small matmuls into a single batch×feature
-// GEMM with the bias add folded into its epilogue.
+// ForwardBatch implements BatchForwarder: the B small matmuls fuse into a
+// single (B·T)×In batch×feature GEMM, read from the windows in place, with
+// the bias add folded into its epilogue.
 //
 //cogarm:zeroalloc
 func (d *Dense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
@@ -58,10 +58,12 @@ func (d *Dense) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, rel
 	if xs[0].Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", d.In, xs[0].Cols))
 	}
-	x := tensor.StackWS(ws, xs)
-	y := tensor.GEMM(ws, ws.Uninit(x.Rows, d.Out), x, d.Weight.W,
-		tensor.Epilogue{Bias: d.Bias.W.Data, ReLU: relu})
-	return tensor.SplitRowsWS(ws, y, xs[0].Rows)
+	sameShape(xs)
+	T := xs[0].Rows
+	y := tensor.GEMMBlocks(ws, ws.Uninit(len(xs)*T, d.Out),
+		tensor.RowBlocks{Blocks: xs, Rows: T, Cols: d.In, Stride: d.In},
+		d.Weight.W, tensor.Epilogue{Bias: d.Bias.W.Data, ReLU: relu})
+	return tensor.SplitRowsWS(ws, y, T)
 }
 
 // Backward implements Layer.

@@ -126,9 +126,10 @@ func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 	gates := ws.Uninit(B, 4*H) // fully overwritten from the bias each step
 	out := ws.Uninit(B*T, H)
 	// accumulate adds in[i]·wrow into window i's gate row for the whole
-	// batch, four windows per pass so wrow loads and loop overhead amortise
-	// (the same micro-kernel shape as tensor.MatMulBatched). Per-element
-	// accumulation order stays k-ascending, matching Forward bitwise.
+	// batch, four windows per pass so wrow loads and loop overhead amortise.
+	// Per-element accumulation order stays bias-first and k-ascending,
+	// matching Forward bitwise — which is why this is not a tensor.GEMM,
+	// whose sums start at +0 and take the bias last.
 	//cogarm:allow zeroalloc -- accumulate never escapes this frame; its tensor reads go through the annotated At/Row kernels
 	accumulate := func(wrow []float64, in func(i int) float64) {
 		i := 0

@@ -121,6 +121,25 @@ func (q *QConv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, r
 	return tensor.SplitRowsWS(ws, y, outT)
 }
 
+// im2colWS unfolds the batch into one (B·T')×(K·Cin) matrix drawn from ws.
+// Only the int8 kernel still needs it: tensor.MatMulQ takes a matrix, while
+// the f64 GEMM reads the windows in place.
+//
+//cogarm:zeroalloc
+func (c *Conv1D) im2colWS(ws *tensor.Workspace, xs []*tensor.Matrix, outT int) *tensor.Matrix {
+	col := ws.Uninit(len(xs)*outT, c.Kernel*c.InChannels)
+	for i, x := range xs {
+		for t := 0; t < outT; t++ {
+			dst := col.Row(i*outT + t)
+			src := t * c.Stride
+			for k := 0; k < c.Kernel; k++ {
+				copy(dst[k*c.InChannels:(k+1)*c.InChannels], x.Row(src+k))
+			}
+		}
+	}
+	return col
+}
+
 // Backward implements Layer: quantized layers are inference-only.
 func (q *QConv1D) Backward(*tensor.Matrix) *tensor.Matrix {
 	panic("nn: QConv1D is inference-only")

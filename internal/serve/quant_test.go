@@ -22,6 +22,22 @@ func TestHubShardsAutoDerived(t *testing.T) {
 	}
 }
 
+// TestKernelThreadsAutoDerived pins the auto pool to the cores the shard loops
+// leave idle: none when they fill the machine, never past the cap.
+func TestKernelThreadsAutoDerived(t *testing.T) {
+	for _, tc := range []struct{ procs, shards, want int }{
+		{2, 2, 1}, {4, 1, 4}, {8, 4, 4}, {1, 1, 1}, {2, 8, 1}, {3, 2, 2},
+	} {
+		if got := autoKernelThreads(tc.procs, tc.shards); got != tc.want {
+			t.Errorf("GOMAXPROCS %d, %d shards: %d kernel threads, want %d", tc.procs, tc.shards, got, tc.want)
+		}
+	}
+	// An explicit setting is honoured whatever the shard count.
+	if got := kernelThreadCount(Config{Shards: 8, KernelThreads: 3}); got != 3 {
+		t.Fatalf("explicit KernelThreads 3 resolved to %d", got)
+	}
+}
+
 // quantFleet builds a registry with quantization enabled before any model
 // resolves: a trained RF, an untrained CNN, and an LSTM with no int8 form.
 func quantFleet(t *testing.T) (*Registry, *core.Pipeline) {
@@ -146,8 +162,10 @@ func TestHubQuantizedEndToEnd(t *testing.T) {
 // thread count can never change decodes.
 func TestHubParallelEquivalence(t *testing.T) {
 	reg, p := testFleet(t)
+	// 64 filters: eight 48-step windows make a 2 M-MAC conv product, past the
+	// kernel pool's crossover even on a tick where only five are due.
 	cnnSpec := models.Spec{Family: models.FamilyCNN, WindowSize: p.Config.WindowSize,
-		Optimizer: "adam", LR: 1e-3, ConvLayers: 1, Filters: 16, Kernel: 5, Stride: 2, Pool: "none"}
+		Optimizer: "adam", LR: 1e-3, ConvLayers: 1, Filters: 64, Kernel: 5, Stride: 2, Pool: "none"}
 	if _, _, err := reg.GetOrBuild("cnn", func() (models.Classifier, int64, error) {
 		net, err := models.BuildNet(cnnSpec, 1)
 		if err != nil {

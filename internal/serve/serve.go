@@ -85,9 +85,10 @@ type Config struct {
 	Shards int
 	// KernelThreads sizes the hub's shared tensor kernel pool — the workers
 	// large batched GEMMs split row panels across (internal/tensor.Pool).
-	// 0 derives min(GOMAXPROCS, MaxAutoKernelThreads); 1 forces the serial
-	// kernels. Labels are bitwise-identical at any setting, so this is purely
-	// a throughput knob.
+	// 0 derives it from the cores the shard loops leave idle —
+	// GOMAXPROCS − Shards + 1, at least 1 (no pool) and at most
+	// MaxAutoKernelThreads; 1 forces the serial kernels. Labels are
+	// bitwise-identical at any setting, so this is purely a throughput knob.
 	KernelThreads int
 	// Quantize opts the registry into quantized inference: models built or
 	// loaded after the hub is constructed are swapped for int8 (NN) or int16
@@ -141,9 +142,9 @@ func DefaultConfig() Config {
 // extra tick loops add scheduling churn without batching benefit.
 const MaxAutoShards = 8
 
-// MaxAutoKernelThreads caps the KernelThreads==0 GOMAXPROCS derivation. The
-// serving GEMMs saturate memory bandwidth before they run out of cores, so
-// the auto pool stays small and leaves cores for shard tick loops.
+// MaxAutoKernelThreads caps the KernelThreads==0 derivation. The serving
+// GEMMs saturate memory bandwidth before they run out of cores, so the auto
+// pool stays small.
 const MaxAutoKernelThreads = 4
 
 // autoSize derives a worker count from GOMAXPROCS, capped.
@@ -158,12 +159,22 @@ func autoSize(cap int) int {
 	return n
 }
 
-// kernelThreadCount resolves Config.KernelThreads (0 = auto).
-func kernelThreadCount(configured int) int {
-	if configured > 0 {
-		return configured
+// kernelThreadCount resolves cfg.KernelThreads (0 = auto) once cfg.Shards is
+// resolved.
+func kernelThreadCount(cfg Config) int {
+	if cfg.KernelThreads > 0 {
+		return cfg.KernelThreads
 	}
-	return autoSize(MaxAutoKernelThreads)
+	return autoKernelThreads(runtime.GOMAXPROCS(0), cfg.Shards)
+}
+
+// autoKernelThreads sizes the kernel pool for a hub whose shards tick loops
+// run on procs cores: a GEMM's caller always computes a panel itself, so the
+// parallelism on offer is that caller plus the cores no shard loop occupies.
+// When the shard loops already fill the machine that is 1 — no pool, because
+// a rendezvous with workers that have no core to run on only costs.
+func autoKernelThreads(procs, shards int) int {
+	return max(1, min(procs-shards+1, MaxAutoKernelThreads))
 }
 
 // ErrFleetFull is returned by Admit when every shard is at capacity.
@@ -240,7 +251,7 @@ func NewHub(cfg Config, reg *Registry) (*Hub, error) {
 	// The kernel pool exists from construction (TickAll-paced hubs never call
 	// Start). tensor.NewPool returns nil for a single thread, which every
 	// consumer treats as "serial".
-	h.pool = tensor.NewPool(kernelThreadCount(cfg.KernelThreads))
+	h.pool = tensor.NewPool(kernelThreadCount(cfg))
 	for i := 0; i < cfg.Shards; i++ {
 		s := newShard(i, cfg)
 		s.tel = h.tel
@@ -449,7 +460,7 @@ func (h *Hub) Start() {
 	}
 	h.running = true
 	if h.pool == nil {
-		h.pool = tensor.NewPool(kernelThreadCount(h.cfg.KernelThreads))
+		h.pool = tensor.NewPool(kernelThreadCount(h.cfg))
 		for _, s := range h.shards {
 			s.setPool(h.pool)
 		}

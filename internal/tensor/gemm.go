@@ -2,51 +2,52 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the batched-GEMM fast path behind nn's fused inference: a
-// cache-blocked (Mc×Kc×Nc) kernel over a packed B panel, split row-panel-wise
-// across a persistent worker pool for large batch×feature products, with an
-// optional fused epilogue (bias add + ReLU) applied while each row panel is
-// still cache-hot.
+// This file is the GEMM behind nn's fused inference. Every product is computed
+// by one tile contract, implemented twice:
 //
-// Bitwise contract: every path here produces output bitwise-identical to
-// MatMulBatched followed by AddRowVector(bias) followed by a ReLU clamp.
-// Three properties guarantee it regardless of blocking or thread count:
-//   - per-output-element accumulation order stays k-ascending (Kc blocks are
-//     visited in ascending order and packing B only relocates values),
-//   - row panels split on 4-row quad boundaries, so the 4-row micro-kernel
-//     grouping — including its whole-quad zero skip — matches the serial
-//     kernel exactly, and
-//   - the epilogue applies per element after that element's accumulation is
-//     complete, exactly as the separate bias/ReLU passes would.
-// Serial, blocked and parallel results are therefore interchangeable, which
-// keeps checkpoints, replication and migration bitwise-exact no matter how
-// many kernel threads a node runs.
+//	dst[r][j] = Σₖ a_r[k]·b[k][j]   for a 4-row × 8-column tile, the whole sum
+//	held in registers, k ascending, multiply and add each rounded on its own;
+//	then += bias[j]; then v <= 0 → +0 (NaN kept).
+//
+// tile4x8 (gemm_amd64.s, AVX2) computes full tiles where the build and the CPU
+// allow it; tile2 below, the portable Go tile, computes everything else: other
+// architectures, purego builds, CPUs without AVX2, and the m%4 row and n%8
+// column tails. There is no packing and no Kc/Nc blocking: the serving shapes
+// keep an 80×32 weight and one 12.8 KB window L1-resident as they are.
+//
+// Bitwise contract: per output element both tiles perform exactly the
+// operations of the naive loop `s += a*b` (s starting at +0), in the same
+// order, so they agree with each other, with MatMul + AddRowVector + a ReLU
+// clamp, and with per-window Forward, bit for bit. That is why the assembly
+// issues separate VMULPD and VADDPD: gc does not fuse `s += a*b` on amd64, and
+// an FMA (one rounding instead of two) or a split-k accumulator would round
+// differently and eventually flip an argmax. Inputs equal to zero are not
+// skipped, unlike MatMul: with finite weights a skipped term is ±0, and adding
+// ±0 to an accumulator that started at +0 (and so can never be −0) changes no
+// bit. Row panels split on global 4-row boundaries, so which tile computes an
+// element never depends on the thread count — and would not matter if it did.
 
-// Blocking parameters. Kc×Nc float64s is the packed-B working set streamed by
-// the inner kernel (256×64×8 = 128 KiB, L2-resident on everything we target);
-// the M dimension is blocked implicitly by the per-thread row panels.
-const (
-	gemmKc = 256
-	gemmNc = 64
-)
-
-// gemmParallelMinOps is the crossover below which GEMM stays on the serial
-// micro-kernel: M·K·N multiply-accumulates must amortise one pool rendezvous
+// gemmParallelMinOps is the crossover below which GEMM stays on the calling
+// goroutine: M·K·N multiply-accumulates must amortise one pool rendezvous
 // (two atomics, up to threads−1 buffered channel sends and a WaitGroup wait —
-// measured at ~1–2 µs end to end). At 1<<18 MACs the serial kernel already
-// spends ≥~60 µs, so dispatch overhead is <5% even in the worst case, while
-// per-window latency for small products never regresses. The CNN fleet's
-// im2col product (B·T' ≈ 2300 rows × K·Cin ≈ 40 × 32 filters ≈ 3M MACs)
-// clears the bar comfortably.
-const gemmParallelMinOps = 1 << 18
+// measured at ~1–2 µs end to end) to under 5 % of the serial time. Measured:
+// the AVX2 tile runs the serving product, 2400×80 · 80×32 = 6.1 M MACs, in
+// 290–510 µs across the 2-vCPU microVM's speed modes (BenchmarkGEMMSerial and
+// BenchmarkGEMMBlocksServing: 12–21 MACs/ns), so 1<<20 MACs take 50–87 µs and
+// a 2 µs dispatch is 2.3–4 % of them; 1<<19 would let it reach 8 %. The
+// portable tile is ~5× slower, which only lowers that share. The serving
+// product clears the bar; a 50-window 32→4 classifier head (6 400 MACs) never
+// does.
+const gemmParallelMinOps = 1 << 20
 
-// Epilogue is the fused post-op a GEMM applies to each output row panel while
-// it is still cache-hot: dst[i][j] += Bias[j] (when Bias is non-nil), then a
-// ReLU clamp (v <= 0 → 0) when ReLU is set. Element-wise it is exactly
+// Epilogue is the fused post-op a GEMM applies to each output element as its
+// tile leaves the registers: v += Bias[j] (when Bias is non-nil), then a ReLU
+// clamp (v <= 0 → +0, NaN kept) when ReLU is set. Element-wise it is exactly
 // AddRowVector followed by nn's inference ReLU, so fused and unfused paths
 // are bitwise-identical.
 type Epilogue struct {
@@ -54,55 +55,122 @@ type Epilogue struct {
 	ReLU bool
 }
 
-// none reports whether the epilogue is a no-op.
-func (ep Epilogue) none() bool { return ep.Bias == nil && !ep.ReLU }
+// apply finishes one accumulated element of column j. The clamp selects on
+// the bit pattern so it compiles to a conditional move: about half of a conv
+// layer's activations are negative, which a branch would mispredict.
+func (ep Epilogue) apply(s float64, j int) float64 {
+	if ep.Bias != nil {
+		s += ep.Bias[j]
+	}
+	if ep.ReLU {
+		u := math.Float64bits(s)
+		if s <= 0 {
+			u = 0
+		}
+		s = math.Float64frombits(u)
+	}
+	return s
+}
+
+// RowBlocks describes a GEMM's left operand where it already lies instead of
+// copying it into a matrix: len(Blocks)·Rows rows of Cols values each, global
+// row r being Blocks[r/Rows].Data[t·Stride : t·Stride+Cols] with t = r%Rows.
+// A plain matrix is one block with Stride = Cols. A batch of windows fed to a
+// Dense layer is one block per window; fed to a Conv1D it is the same blocks
+// with Stride = conv stride·Cin and Cols = kernel·Cin, because an im2col row
+// is already contiguous in a row-major window. Rows may overlap (Stride <
+// Cols) or skip data (Stride > Cols); only each block's Data is read, not its
+// Rows/Cols.
+type RowBlocks struct {
+	Blocks []*Matrix
+	Rows   int // rows per block
+	Cols   int // values per row: the product's inner dimension
+	Stride int // distance between the starts of consecutive rows of a block
+}
+
+// check panics unless every block holds Rows strided rows of Cols values.
+func (a RowBlocks) check() {
+	if a.Rows < 0 || a.Cols < 0 || a.Stride < 0 {
+		panic(fmt.Sprintf("tensor: gemm row blocks %d rows × %d cols, stride %d", a.Rows, a.Cols, a.Stride))
+	}
+	if a.Rows == 0 {
+		return
+	}
+	need := (a.Rows-1)*a.Stride + a.Cols
+	for i, blk := range a.Blocks {
+		if len(blk.Data) < need {
+			panic(fmt.Sprintf("tensor: gemm row block %d holds %d values, %d rows × %d cols at stride %d need %d",
+				i, len(blk.Data), a.Rows, a.Cols, a.Stride, need))
+		}
+	}
+}
+
+// rowCursor walks a RowBlocks' global rows in order without dividing per row.
+type rowCursor struct {
+	a      RowBlocks
+	blk, t int
+}
+
+func (a RowBlocks) cursor(r int) rowCursor {
+	return rowCursor{a: a, blk: r / a.Rows, t: r % a.Rows}
+}
+
+func (c *rowCursor) next() []float64 {
+	off := c.t * c.a.Stride
+	row := c.a.Blocks[c.blk].Data[off : off+c.a.Cols]
+	if c.t++; c.t == c.a.Rows {
+		c.blk, c.t = c.blk+1, 0
+	}
+	return row
+}
 
 // GEMM computes dst = a·b, then applies ep. dst may be nil (heap-allocated)
-// and must not alias a or b. Small products run the serial 4-row micro-kernel
-// (MatMulBatched) plus an epilogue pass; products past the crossover run the
-// cache-blocked packed-B kernel, split across ws's kernel pool when one is
-// attached (see Workspace.SetPool). Output is bitwise-identical on every
-// path.
+// and must not alias a or b. Products past the crossover split across ws's
+// kernel pool when one is attached (see Workspace.SetPool); output is
+// bitwise-identical either way.
 //
 //cogarm:zeroalloc
 func GEMM(ws *Workspace, dst, a, b *Matrix, ep Epilogue) *Matrix {
+	blocks := ws.Matrices(1)
+	blocks[0] = a
+	return GEMMBlocks(ws, dst, RowBlocks{Blocks: blocks, Rows: a.Rows, Cols: a.Cols, Stride: a.Cols}, b, ep)
+}
+
+// GEMMBlocks is GEMM with the left operand read in place through a (see
+// RowBlocks): dst is (len(a.Blocks)·a.Rows)×b.Cols.
+//
+//cogarm:zeroalloc
+func GEMMBlocks(ws *Workspace, dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue) *Matrix {
+	a.check()
+	m := len(a.Blocks) * a.Rows
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: gemm shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("tensor: gemm shape mismatch %dx%d · %dx%d", m, a.Cols, b.Rows, b.Cols))
 	}
 	if dst == nil {
 		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
-		dst = New(a.Rows, b.Cols)
-	} else if dst.Rows != a.Rows || dst.Cols != b.Cols {
+		dst = New(m, b.Cols)
+	} else if dst.Rows != m || dst.Cols != b.Cols {
 		panic("tensor: gemm dst shape mismatch")
 	}
 	if ep.Bias != nil && len(ep.Bias) != dst.Cols {
 		panic(fmt.Sprintf("tensor: gemm epilogue bias length %d != cols %d", len(ep.Bias), dst.Cols))
 	}
-	pool := ws.Pool()
-	panels := gemmPanelCount(a.Rows, a.Cols, b.Cols, pool.Threads())
-	if panels <= 1 {
-		MatMulBatched(dst, a, b)
-		applyEpilogue(dst, 0, dst.Rows, ep)
+	if m == 0 {
 		return dst
 	}
-	packed := packB(ws, b)
-	pool.gemm(dst, a, packed, ep, panels)
+	pool := ws.Pool()
+	if panels := panelCount(m, a.Cols, b.Cols, pool.Threads()); panels > 1 {
+		pool.gemm(dst, a, b, ep, panels)
+	} else {
+		gemmRows(dst, a, b, ep, 0, m)
+	}
 	return dst
 }
 
-// MatMulBatchedWS is MatMulBatched with workspace-aware dispatch: products
-// past the crossover run the blocked kernel on ws's kernel pool, everything
-// else stays serial. Results are bitwise-identical to MatMulBatched.
-//
-//cogarm:zeroalloc
-func MatMulBatchedWS(ws *Workspace, dst, a, b *Matrix) *Matrix {
-	return GEMM(ws, dst, a, b, Epilogue{})
-}
-
-// gemmPanelCount picks how many row panels to split m rows into: 1 (serial)
+// panelCount picks how many row panels to split m rows into: 1 (serial)
 // below the crossover, else up to threads panels with at least one 4-row quad
 // each.
-func gemmPanelCount(m, k, n, threads int) int {
+func panelCount(m, k, n, threads int) int {
 	if threads < 2 {
 		return 1
 	}
@@ -119,117 +187,68 @@ func gemmPanelCount(m, k, n, threads int) int {
 	return threads
 }
 
-// packB lays b out in the block-panel order the blocked kernel streams it:
-// for each Nc column block, the Kc×nc sub-panels stacked row-major. When b
-// has at most Nc columns that layout coincides with b's own row-major
-// storage, so the hot serving shapes (Cout ≤ 64) skip the copy entirely and
-// the kernel reads b.Data in place.
+// gemmRows computes dst rows [i0, i1): 4-row quads first — tiles4x8 takes the
+// leading full 8-column tiles when it can, tile2 the columns it leaves — then
+// the <4-row tail in pairs, a last odd row paired with itself. i0 is always
+// quad-aligned; only the last panel owns the tail.
 //
 //cogarm:zeroalloc
-func packB(ws *Workspace, b *Matrix) []float64 {
-	if b.Cols <= gemmNc {
-		return b.Data
+func gemmRows(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, i0, i1 int) {
+	n := b.Cols
+	cur := a.cursor(i0)
+	i := i0
+	for ; i+4 <= i1; i += 4 {
+		r0, r1, r2, r3 := cur.next(), cur.next(), cur.next(), cur.next()
+		d := dst.Data[i*n : (i+4)*n]
+		j := tiles4x8(r0, r1, r2, r3, b.Data, n, d, ep)
+		tile2(r0, r1, b.Data, n, j, d[:n], d[n:2*n], ep)
+		tile2(r2, r3, b.Data, n, j, d[2*n:3*n], d[3*n:], ep)
 	}
-	var packed []float64
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		packed = make([]float64, b.Rows*b.Cols)
-	} else {
-		packed = ws.f64.get(b.Rows * b.Cols)
-	}
-	off := 0
-	for jc := 0; jc < b.Cols; jc += gemmNc {
-		nc := min(gemmNc, b.Cols-jc)
-		for k := 0; k < b.Rows; k++ {
-			row := b.Row(k)
-			copy(packed[off:off+nc], row[jc:jc+nc])
-			off += nc
+	for ; i < i1; i += 2 {
+		r0, d0 := cur.next(), dst.Row(i)
+		r1, d1 := r0, d0
+		if i+1 < i1 {
+			r1, d1 = cur.next(), dst.Row(i+1)
 		}
+		tile2(r0, r1, b.Data, n, 0, d0, d1, ep)
 	}
-	return packed
 }
 
-// gemmPanel runs the blocked kernel over dst rows [i0, i1): zero the panel,
-// accumulate jc/kc blocks from the packed B panel with the same 4-row quad
-// micro-kernel (and whole-quad zero skip) as MatMulBatched, then apply the
-// epilogue while the panel is hot. i0 is always quad-aligned; only the last
-// panel owns the <4-row tail, which runs the same single-row loop as the
-// serial kernel.
+// tile2 is the portable tile: columns [j0, n) of the two output rows d0, d1
+// (rows a0, a1 of the left operand against the k×n row-major b), 2×4 blocks
+// with the eight sums in registers, then single columns. gc keeps 15 XMM
+// registers, which is what bounds the block: 4×4 spills.
 //
 //cogarm:zeroalloc
-func gemmPanel(dst, a *Matrix, packed []float64, ep Epilogue, i0, i1 int) {
-	k, n := a.Cols, dst.Cols
-	for i := i0; i < i1; i++ {
-		clear(dst.Row(i))
-	}
-	for jc := 0; jc < n; jc += gemmNc {
-		nc := min(gemmNc, n-jc)
-		base := jc * k
-		for kc := 0; kc < k; kc += gemmKc {
-			kr := min(gemmKc, k-kc)
-			pb := packed[base+kc*nc:]
-			i := i0
-			for ; i+4 <= i1; i += 4 {
-				a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-				d0 := dst.Row(i)[jc : jc+nc]
-				d1 := dst.Row(i + 1)[jc : jc+nc]
-				d2 := dst.Row(i + 2)[jc : jc+nc]
-				d3 := dst.Row(i + 3)[jc : jc+nc]
-				for kk := 0; kk < kr; kk++ {
-					c0, c1, c2, c3 := a0[kc+kk], a1[kc+kk], a2[kc+kk], a3[kc+kk]
-					if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
-						continue
-					}
-					brow := pb[kk*nc : kk*nc+nc]
-					for j, bv := range brow {
-						d0[j] += c0 * bv
-						d1[j] += c1 * bv
-						d2[j] += c2 * bv
-						d3[j] += c3 * bv
-					}
-				}
-			}
-			for ; i < i1; i++ {
-				arow := a.Row(i)
-				drow := dst.Row(i)[jc : jc+nc]
-				for kk := 0; kk < kr; kk++ {
-					aik := arow[kc+kk]
-					if aik == 0 {
-						continue
-					}
-					brow := pb[kk*nc : kk*nc+nc]
-					for j, bv := range brow {
-						drow[j] += aik * bv
-					}
-				}
-			}
+func tile2(a0, a1, b []float64, n, j0 int, d0, d1 []float64, ep Epilogue) {
+	a1 = a1[:len(a0)]
+	j := j0
+	for ; j+4 <= n; j += 4 {
+		var s00, s01, s02, s03, s10, s11, s12, s13 float64
+		for k, x0 := range a0 {
+			x1 := a1[k]
+			bq := b[k*n+j:][:4]
+			s00 += x0 * bq[0]
+			s01 += x0 * bq[1]
+			s02 += x0 * bq[2]
+			s03 += x0 * bq[3]
+			s10 += x1 * bq[0]
+			s11 += x1 * bq[1]
+			s12 += x1 * bq[2]
+			s13 += x1 * bq[3]
 		}
+		e0, e1 := d0[j:j+4], d1[j:j+4]
+		e0[0], e0[1], e0[2], e0[3] = ep.apply(s00, j), ep.apply(s01, j+1), ep.apply(s02, j+2), ep.apply(s03, j+3)
+		e1[0], e1[1], e1[2], e1[3] = ep.apply(s10, j), ep.apply(s11, j+1), ep.apply(s12, j+2), ep.apply(s13, j+3)
 	}
-	applyEpilogue(dst, i0, i1, ep)
-}
-
-// applyEpilogue applies ep to dst rows [i0, i1) in place: bias add, then ReLU
-// clamp. Element order matches AddRowVector + a separate clamp pass exactly.
-//
-//cogarm:zeroalloc
-func applyEpilogue(dst *Matrix, i0, i1 int, ep Epilogue) {
-	if ep.none() {
-		return
-	}
-	for i := i0; i < i1; i++ {
-		row := dst.Row(i)
-		if ep.Bias != nil {
-			for j := range row {
-				row[j] += ep.Bias[j]
-			}
+	for ; j < n; j++ {
+		var s0, s1 float64
+		for k, x0 := range a0 {
+			bv := b[k*n+j]
+			s0 += x0 * bv
+			s1 += a1[k] * bv
 		}
-		if ep.ReLU {
-			for j, v := range row {
-				if v <= 0 {
-					row[j] = 0
-				}
-			}
-		}
+		d0[j], d1[j] = ep.apply(s0, j), ep.apply(s1, j)
 	}
 }
 
@@ -262,8 +281,8 @@ type gemmTask struct {
 // caller's own included); wg counts only the queued ones the caller must wait
 // out after the queue drains.
 type gemmCall struct {
-	dst, a  *Matrix
-	packed  []float64
+	dst, b  *Matrix
+	a       RowBlocks
 	ep      Epilogue
 	nPanels int32
 	pending atomic.Int32
@@ -310,14 +329,14 @@ func (p *Pool) worker() {
 	}
 }
 
-// gemm dispatches one blocked product across panels row panels (panels >= 2).
+// gemm dispatches one product across panels row panels (panels >= 2).
 // The caller runs panel 0, helps drain the queue, then waits out whatever is
 // still in flight.
 //
 //cogarm:zeroalloc
-func (p *Pool) gemm(dst, a *Matrix, packed []float64, ep Epilogue, panels int) {
+func (p *Pool) gemm(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, panels int) {
 	c := p.getCall()
-	c.dst, c.a, c.packed, c.ep = dst, a, packed, ep
+	c.dst, c.a, c.b, c.ep = dst, a, b, ep
 	c.nPanels = int32(panels)
 	c.pending.Store(int32(panels))
 	c.wg.Add(panels - 1)
@@ -346,7 +365,7 @@ help:
 //cogarm:zeroalloc
 func (c *gemmCall) run(panel int32) {
 	i0, i1 := c.panelRange(panel)
-	gemmPanel(c.dst, c.a, c.packed, c.ep, i0, i1)
+	gemmRows(c.dst, c.a, c.b, c.ep, i0, i1)
 	c.pending.Add(-1)
 }
 
@@ -393,7 +412,7 @@ func (p *Pool) getCall() *gemmCall {
 //
 //cogarm:zeroalloc
 func (p *Pool) putCall(c *gemmCall) {
-	c.dst, c.a, c.packed, c.ep = nil, nil, nil, Epilogue{}
+	c.dst, c.a, c.b, c.ep = nil, RowBlocks{}, nil, Epilogue{}
 	p.mu.Lock()
 	//cogarm:allow zeroalloc -- free-list growth is retained at its high-water mark; steady state appends into existing capacity
 	p.free = append(p.free, c)

@@ -119,63 +119,6 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MatMulBatched computes dst = a·b with a four-row micro-kernel: each row of
-// b is streamed once per four rows of a, so index arithmetic, bounds checks
-// and b-row loads amortise across four accumulator rows. This is the GEMM
-// behind nn's fused batched inference, where a stacks many windows and the
-// per-row kernel of MatMul leaves that reuse on the table. Accumulation
-// order per output element is identical to MatMul (k-ascending); the only
-// representable difference is the sign of exact zeros, because zero inputs
-// are only skipped when a whole column block is zero.
-//
-//cogarm:zeroalloc
-func MatMulBatched(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
-		dst = New(a.Rows, b.Cols)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Cols {
-			panic("tensor: matmul dst shape mismatch")
-		}
-		dst.Zero()
-	}
-	i := 0
-	for ; i+4 <= a.Rows; i += 4 {
-		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		for k := 0; k < a.Cols; k++ {
-			c0, c1, c2, c3 := a0[k], a1[k], a2[k], a3[k]
-			if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				d0[j] += c0 * bv
-				d1[j] += c1 * bv
-				d2[j] += c2 * bv
-				d3[j] += c3 * bv
-			}
-		}
-	}
-	for ; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += aik * bv
-			}
-		}
-	}
-	return dst
-}
-
 // MatMulTransB computes dst = a·bᵀ without materialising the transpose.
 //
 //cogarm:zeroalloc
@@ -239,8 +182,8 @@ func MatMulTransA(dst, a, b *Matrix) *Matrix {
 }
 
 // Stack concatenates same-shape matrices row-wise into one (len(xs)·Rows)×Cols
-// matrix — the batch-major layout the nn batched-inference kernels feed to a
-// single fused GEMM instead of one small matmul per window.
+// matrix — the batch-major layout nn's row-wise batched kernels process in one
+// pass (GEMM operands are not stacked: see RowBlocks).
 func Stack(xs []*Matrix) *Matrix {
 	if len(xs) == 0 {
 		panic("tensor: Stack of empty batch")
