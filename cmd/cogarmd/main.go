@@ -76,6 +76,7 @@ import (
 	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/cluster"
 	"cognitivearm/internal/core"
+	"cognitivearm/internal/cpu"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
@@ -141,7 +142,7 @@ func main() {
 	// Read topology back from the hub: a checkpoint restore serves under the
 	// manifest's shards/tick rate, not this invocation's flags.
 	hcfg := hub.Config()
-	log.Printf("cogarmd: serving %d sessions on %d shards at %.0f Hz", hub.Sessions(), hcfg.Shards, hcfg.TickHz)
+	log.Printf("cogarmd: serving %d sessions on %d shards at %.0f Hz, %s kernels", hub.Sessions(), hcfg.Shards, hcfg.TickHz, cpu.Kernels())
 
 	// Journal: every mutation the fleet makes between checkpoints lands in
 	// the WAL at -wal-every granularity, sealed under a Merkle root, so a

@@ -12,7 +12,9 @@ import (
 //	//cogarm:zeroalloc
 //	    On a function, method, or interface method declaration: the
 //	    function must perform no steady-state heap allocation, checked by
-//	    the zeroalloc analyzer (transitively through its callees).
+//	    the zeroalloc analyzer (transitively through its callees). On a
+//	    declaration without a Go body (an assembly routine) it is the
+//	    author's claim, accepted only together with //go:noescape.
 //
 //	//cogarm:obsnonnil
 //	    On a function: it never returns a nil telemetry holder, so

@@ -98,3 +98,23 @@ func viaInterface(f fused, r raw) int {
 	}
 	return 0
 }
+
+// asmLeaf stands for an assembly routine: nothing to walk, so the two
+// annotations together are what makes it a verified leaf.
+//
+//go:noescape
+//cogarm:zeroalloc
+func asmLeaf(p *int)
+
+//cogarm:zeroalloc
+func asmRetains(p *int) // want `zeroalloc: zero-alloc function asmRetains has no Go body to verify and is not //go:noescape`
+
+//go:noescape
+func asmUnannotated(p *int)
+
+//cogarm:zeroalloc
+func callsAssembly(n int) {
+	asmLeaf(&n)
+	asmRetains(&n)     // reported once, at the declaration
+	asmUnannotated(&n) // want `zeroalloc: call to asmUnannotated, which has no Go body to verify`
+}

@@ -27,6 +27,13 @@
 //     cross-package: carrying the verified fact), nor on the allowlist of
 //     known-clean runtime/stdlib operations
 //
+// A declaration without a Go body (an assembly routine) cannot be checked; it
+// is accepted as a verified leaf when it carries both //cogarm:zeroalloc and
+// //go:noescape — the author's claim that the routine allocates nothing, and
+// the compiler's guarantee that its pointer arguments stay where they are.
+// Annotated without the pragma, or called without the annotation, it is a
+// diagnostic.
+//
 // panic's argument subtree is exempt: a panicking tick is fatal, not steady
 // state, so the message (typically fmt.Sprintf) may allocate on its way out.
 //
@@ -144,8 +151,16 @@ func run(pass *analysis.Pass) error {
 
 	for fn := range c.annotated {
 		pass.ExportObjectFact(fn, &VerifiedFact{})
-		if d := c.decls[fn]; d != nil && d.Body != nil {
+		d := c.decls[fn]
+		switch {
+		case d == nil: // interface method
+		case d.Body != nil:
 			c.enqueue(fn, "")
+		case !hasNoescape(d.Doc):
+			// An assembly routine is a verified leaf only with //go:noescape:
+			// without it the compiler must assume the routine retains its
+			// pointer arguments, and moves what they point at to the heap.
+			pass.Reportf(fn.Pos(), "zero-alloc function %s has no Go body to verify and is not //go:noescape", funcKey(fn))
 		}
 	}
 	// The queue grows as checking discovers same-package callees.
@@ -180,6 +195,19 @@ func (c *checker) collectInterfaceAnnotations(d *ast.GenDecl) {
 			}
 		}
 	}
+}
+
+// hasNoescape reports whether doc carries the compiler's //go:noescape pragma.
+func hasNoescape(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if c.Text == "//go:noescape" {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *checker) enqueue(fn *types.Func, via string) {
@@ -221,11 +249,7 @@ func recvString(t types.Type) string {
 }
 
 func (c *checker) check(fn *types.Func) {
-	decl := c.decls[fn]
-	if decl == nil || decl.Body == nil {
-		c.pass.Reportf(fn.Pos(), "zero-alloc function %s has no Go body to verify", c.describe(fn))
-		return
-	}
+	decl := c.decls[fn] // enqueue is only ever handed a declaration with a body
 	where := c.describe(fn)
 	info := c.pass.TypesInfo
 	c.cur = decl

@@ -377,9 +377,12 @@ func FeatureVector(w Window) []float64 {
 // allocation-free call on the serving hot path. The result is identical to
 // FeatureVector.
 //
-// Channels are taken four at a time, one pass over the rows per group (see
-// featureBlock); each channel still accumulates its own column in ascending
-// t, so grouping changes no bit of any feature.
+// Where the cpu gate allows, an AVX2 routine takes the leading channels eight
+// at a time (features_amd64.s); featuresPortable takes the rest — every
+// channel on other architectures, under -tags purego and on CPUs without
+// AVX2. Each channel accumulates its own column in ascending t with the same
+// unfused operations either way, so which one ran changes no bit of any
+// feature.
 //
 //cogarm:zeroalloc
 func FeatureVectorInto(dst []float64, w Window) []float64 {
@@ -390,8 +393,17 @@ func FeatureVectorInto(dst []float64, w Window) []float64 {
 		out = make([]float64, 0, 5*nch)
 	}
 	data := w.Data.Data[:w.Data.Rows*nch]
-	n := float64(w.Data.Rows)
-	c := 0
+	out, from := features8(out, data, w.Data.Rows, nch)
+	return featuresPortable(out, data, w.Data.Rows, nch, from)
+}
+
+// featuresPortable appends the features of channels c..nch-1. Channels are
+// taken four at a time, one pass over the rows per group (see featureBlock),
+// then singly.
+//
+//cogarm:zeroalloc
+func featuresPortable(out, data []float64, rows, nch, c int) []float64 {
+	n := float64(rows)
 	var b featureBlock
 	for ; c+4 <= nch; c += 4 {
 		b.accumulate(data, c, nch)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cognitivearm/internal/cpu"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/stream"
@@ -161,6 +162,9 @@ func TestStatusDocRoundTrip(t *testing.T) {
 	}
 	if doc.Goroutines <= 0 || doc.HeapBytes == 0 {
 		t.Fatalf("runtime stats missing: %+v", doc)
+	}
+	if doc.Kernels != cpu.Kernels() || !strings.Contains(string(body), `"kernels": "`+cpu.Kernels()+`"`) {
+		t.Fatalf("kernels = %q, want %q from the cpu gate\n%s", doc.Kernels, cpu.Kernels(), body)
 	}
 	if doc.Checkpoint == nil || doc.Checkpoint.Root != root || doc.Checkpoint.Seq != 0 {
 		t.Fatalf("checkpoint section = %+v, want empty chain under %q", doc.Checkpoint, root)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cognitivearm/internal/checkpoint"
+	"cognitivearm/internal/cpu"
 )
 
 // StatusDoc is the /statusz document: one JSON object answering "what is
@@ -17,6 +18,11 @@ type StatusDoc struct {
 	UptimeSec  float64 `json:"uptime_sec"`
 	Goroutines int     `json:"goroutines"`
 	HeapBytes  uint64  `json:"heap_bytes"`
+
+	// Kernels names the kernel set serving: "avx2" (the assembly kernels
+	// under the filter bank, the feature accumulator and the GEMM) or
+	// "portable" (their Go twins; identical output).
+	Kernels string `json:"kernels"`
 
 	Healthy bool   `json:"healthy"`
 	Health  string `json:"health,omitempty"` // the failing probe's error text
@@ -59,6 +65,7 @@ func (h *Hub) Status(ckptRoot string, cluster func() any) StatusDoc {
 		UptimeSec:  time.Since(statusStart).Seconds(),
 		Goroutines: runtime.NumGoroutine(),
 		HeapBytes:  ms.HeapAlloc,
+		Kernels:    cpu.Kernels(),
 		Healthy:    true,
 		Fleet:      h.Snapshot(),
 	}

@@ -37,16 +37,32 @@ func NewBank(channels int, chain ...*Cascade) *Bank {
 // Process filters one multichannel sample in place: x[ch] advances channel
 // ch's chain by one step. len(x) must equal the bank's width.
 //
+// Where the cpu gate allows, an AVX2 routine takes the leading channels&^3
+// columns, four per register (bank_amd64.s); processPortable takes the rest —
+// every column on other architectures, under -tags purego and on CPUs without
+// AVX2. Both compute Biquad.Process's expressions in its order, unfused, so
+// which one ran changes no bit.
+//
 //cogarm:zeroalloc
 func (b *Bank) Process(x []float64) {
+	x = x[:b.channels]
+	if from := b.processAVX2(x); from < len(x) {
+		b.processPortable(x, from)
+	}
+}
+
+// processPortable advances channels from..channels-1 by one sample.
+//
+//cogarm:zeroalloc
+func (b *Bank) processPortable(x []float64, from int) {
 	n := b.channels
-	x = x[:n]
+	x = x[from:n]
 	for s, q := range b.coef {
 		// Coefficients in locals: stores to z1/z2 could alias b.coef as far
 		// as the compiler knows, and would force a reload per element.
 		b0, b1, b2, a1, a2 := q.B0, q.B1, q.B2, q.A1, q.A2
-		z1 := b.z1[s*n:][:n]
-		z2 := b.z2[s*n:][:n]
+		z1 := b.z1[s*n+from:][:len(x)]
+		z2 := b.z2[s*n+from:][:len(x)]
 		for ch, v := range x {
 			y := b0*v + z1[ch]
 			z1[ch] = b1*v - a1*y + z2[ch]

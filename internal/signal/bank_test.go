@@ -145,16 +145,127 @@ func TestBankAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkBankProcess(b *testing.B) {
-	bank := eegBank(b, 16)
-	in, x := make([]float64, 16), make([]float64, 16)
-	for i := range in {
-		in[i] = float64(i) - 7.5
+// specials are the values a kernel most easily treats differently from the
+// scalar code: both zeros, the smallest denormals, the largest finite values
+// (their products overflow), the infinities and two NaNs.
+var specials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+}
+
+// sameBits compares bit patterns, NaN payloads included: the assembly routine
+// gives every operation its operands in the order gc's scalar code does, so
+// even the NaN that survives when two meet is the same one.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestBankKernelDifferential runs three implementations of one filter step
+// over the same salted stream and compares every output and the delay state by
+// bits: Bank.Process (the assembly routine plus the portable remainder, where
+// the build and the CPU have one), processPortable called directly on every
+// column, and one Cascade per channel stepped sample by sample. Widths cover
+// no full group, exact groups and each remainder; sections cover the empty
+// chain, one biquad and the serving chain. Every 128 steps all three restart
+// from the same random state (an ±Inf or NaN in a recursive filter is
+// otherwise the end of that channel's test).
+func TestBankKernelDifferential(t *testing.T) {
+	pre, err := NewEEGPreprocessor(125)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x, in)
-		bank.Process(x)
+	chains := map[int][]*Cascade{0: nil, 1: {pre.Notch}, 10: {pre.Bandpass, pre.Notch}}
+	for _, sections := range []int{0, 1, 10} {
+		for _, channels := range []int{1, 3, 4, 5, 8, 15, 16, 17, 20} {
+			chain := chains[sections]
+			asm, portable := NewBank(channels, chain...), NewBank(channels, chain...)
+			if len(asm.coef) != sections {
+				t.Fatalf("chain has %d sections, want %d", len(asm.coef), sections)
+			}
+			ref := make([]*Cascade, channels)
+			for ch := range ref {
+				ref[ch] = NewCascade(asm.coef...)
+			}
+			rng := rand.New(rand.NewSource(int64(100*sections + channels)))
+			value := func() float64 {
+				switch rng.Intn(64) {
+				case 0:
+					return specials[rng.Intn(len(specials))]
+				case 1:
+					return math.Float64frombits(uint64(rng.Int63n(1 << 40))) // denormal
+				}
+				return 40 * rng.NormFloat64()
+			}
+			xa, xp, want := make([]float64, channels), make([]float64, channels), make([]float64, channels)
+			for step := 0; step < 5120; step++ {
+				if step%128 == 0 {
+					state := make([][]float64, channels)
+					for ch := range state {
+						state[ch] = make([]float64, 2*sections)
+						for k := range state[ch] {
+							state[ch][k] = value()
+						}
+						for s := range ref[ch].Sections {
+							ref[ch].Sections[s].z1, ref[ch].Sections[s].z2 = state[ch][2*s], state[ch][2*s+1]
+						}
+					}
+					if err := asm.SetState(state); err != nil {
+						t.Fatal(err)
+					}
+					if err := portable.SetState(state); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for ch := range xa {
+					v := value()
+					xa[ch], xp[ch], want[ch] = v, v, ref[ch].Process(v)
+				}
+				asm.Process(xa)
+				portable.processPortable(xp, 0)
+				for ch := range want {
+					if !sameBits(xa[ch], want[ch]) || !sameBits(xp[ch], want[ch]) {
+						t.Fatalf("%d sections × %d channels, step %d, channel %d: Process %v (%#x), processPortable %v (%#x), cascade %v (%#x)",
+							sections, channels, step, ch, xa[ch], math.Float64bits(xa[ch]), xp[ch], math.Float64bits(xp[ch]), want[ch], math.Float64bits(want[ch]))
+					}
+				}
+				if step%128 != 127 {
+					continue
+				}
+				sa, sp := asm.State(), portable.State()
+				for ch := range ref {
+					for s, q := range ref[ch].Sections {
+						for k, z := range []float64{q.z1, q.z2} {
+							if !sameBits(sa[ch][2*s+k], z) || !sameBits(sp[ch][2*s+k], z) {
+								t.Fatalf("%d sections × %d channels, step %d, channel %d, section %d: state z%d is %v (Process), %v (processPortable), cascade has %v",
+									sections, channels, step, ch, s, k+1, sa[ch][2*s+k], sp[ch][2*s+k], z)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBankProcess is one 16-channel sample through the serving chain.
+func BenchmarkBankProcess(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		step func(*Bank, []float64)
+	}{
+		{"asm", (*Bank).Process}, // the portable twin too, where there is no assembly
+		{"portable", func(b *Bank, x []float64) { b.processPortable(x, 0) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			bank := eegBank(b, 16)
+			in, x := make([]float64, 16), make([]float64, 16)
+			for i := range in {
+				in[i] = float64(i) - 7.5
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(x, in)
+				k.step(bank, x)
+			}
+		})
 	}
 }
