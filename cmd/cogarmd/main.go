@@ -51,7 +51,9 @@
 //
 // The daemon prints a fleet snapshot (per-shard and fleet-wide p50/p99 tick
 // latency, throughput, batching factor, evictions) every -report interval
-// and a final one on shutdown (SIGINT/SIGTERM or -duration).
+// and a final one on shutdown (SIGINT/SIGTERM or -duration). Every flag has
+// one row in OPERATIONS.md's cogarmd table; TestFlagTableMatches keeps the
+// two in step.
 //
 // Example:
 //
@@ -86,55 +88,50 @@ import (
 	"cognitivearm/internal/wal"
 )
 
+var (
+	shards      = flag.Int("shards", 0, "worker shards (tick loops); 0 = derive from GOMAXPROCS")
+	maxSessions = flag.Int("max-sessions", 256, "admission cap per shard")
+	tickHz      = flag.Float64("tick", 15, "classification rate per session (Hz)")
+	subjects    = flag.Int("subjects", 8, "in-process demo subjects streamed over loopback")
+	listen      = flag.Int("listen", 0, "extra UDP inlets for external streamers (addresses printed)")
+	transport   = flag.String("transport", "udp", "demo-subject transport: udp | lsl")
+	idleEvict   = flag.Int("idle-evict", 300, "evict a session after this many silent ticks (0 = never)")
+	duration    = flag.Duration("duration", 0, "run time (0 = until SIGINT)")
+	report      = flag.Duration("report", 5*time.Second, "fleet snapshot interval")
+	seed        = flag.Uint64("seed", 1, "simulation seed")
+	ckptDir     = flag.String("checkpoint-dir", "", "fleet checkpoint directory (empty = no persistence)")
+	ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (needs -checkpoint-dir)")
+	walDir      = flag.String("wal-dir", "", "write-ahead-log directory (empty = no journaling); with -checkpoint-dir, checkpoints fence and truncate the log")
+	walEvery    = flag.Duration("wal-every", 2*time.Second, "journal flush interval — the durability bound a kill -9 can lose (needs -wal-dir)")
+	adminAddr   = flag.String("admin", "", "admin-plane HTTP endpoint (/metrics /statusz /healthz /events /debug/pprof); empty = disabled")
+	clusterAddr = flag.String("cluster", "", "inter-node endpoint to bind (e.g. 127.0.0.1:7946); empty = single-node")
+	nodeID      = flag.String("node-id", "", "ring identity of this node (defaults to the bound cluster address)")
+	peers       = flag.String("peers", "", "comma-separated cluster endpoints of existing members to join")
+	drain       = flag.Bool("drain", false, "on shutdown, migrate live sessions to surviving peers before exiting")
+	replicas    = flag.Int("replicas", 1, "warm-standby count: ring successors this node replicates its sessions to (0 = no HA)")
+	replEvery   = flag.Duration("replicate-every", cluster.DefaultReplicateEvery, "replication interval — the staleness bound a failover can lose")
+	heartbeat   = flag.Duration("heartbeat", cluster.DefaultHeartbeatEvery, "peer heartbeat interval (0 = no failure detection)")
+	suspect     = flag.Duration("suspect", cluster.DefaultSuspectAfter, "silence floor before a peer may be declared dead")
+	phi         = flag.Float64("phi", cluster.DefaultPhiThreshold, "suspicion threshold: silence as a multiple of a peer's mean heartbeat interval")
+)
+
 func main() {
-	var (
-		shards        = flag.Int("shards", 0, "worker shards (tick loops); 0 = derive from GOMAXPROCS")
-		maxSessions   = flag.Int("max-sessions", 256, "admission cap per shard")
-		tickHz        = flag.Float64("tick", 15, "classification rate per session (Hz)")
-		subjects      = flag.Int("subjects", 8, "in-process demo subjects streamed over loopback")
-		listen        = flag.Int("listen", 0, "extra UDP inlets for external streamers (addresses printed)")
-		transport     = flag.String("transport", "udp", "demo-subject transport: udp | lsl")
-		idleEvict     = flag.Int("idle-evict", 300, "evict a session after this many silent ticks (0 = never)")
-		duration      = flag.Duration("duration", 0, "run time (0 = until SIGINT)")
-		report        = flag.Duration("report", 5*time.Second, "fleet snapshot interval")
-		seed          = flag.Uint64("seed", 1, "simulation seed")
-		ckptDir       = flag.String("checkpoint-dir", "", "fleet checkpoint directory (empty = no persistence)")
-		ckptEvery     = flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (needs -checkpoint-dir)")
-		walDir        = flag.String("wal-dir", "", "write-ahead-log directory (empty = no journaling); with -checkpoint-dir, checkpoints fence and truncate the log")
-		walEvery      = flag.Duration("wal-every", 2*time.Second, "journal flush interval — the durability bound a kill -9 can lose (needs -wal-dir)")
-		adminAddr     = flag.String("admin", "", "admin-plane HTTP endpoint (/metrics /statusz /healthz /events /debug/pprof); empty = disabled")
-		clusterAddr   = flag.String("cluster", "", "inter-node endpoint to bind (e.g. 127.0.0.1:7946); empty = single-node")
-		nodeID        = flag.String("node-id", "", "ring identity of this node (defaults to the bound cluster address)")
-		peers         = flag.String("peers", "", "comma-separated cluster endpoints of existing members to join")
-		drain         = flag.Bool("drain", false, "on shutdown, migrate live sessions to surviving peers before exiting")
-		replicas      = flag.Int("replicas", 1, "warm-standby count: ring successors this node replicates its sessions to (0 = no HA)")
-		replEvery     = flag.Duration("replicate-every", cluster.DefaultReplicateEvery, "replication interval — the staleness bound a failover can lose")
-		heartbeat     = flag.Duration("heartbeat", cluster.DefaultHeartbeatEvery, "peer heartbeat interval (0 = no failure detection)")
-		suspect       = flag.Duration("suspect", cluster.DefaultSuspectAfter, "silence floor before a peer may be declared dead")
-		phi           = flag.Float64("phi", cluster.DefaultPhiThreshold, "suspicion threshold: silence as a multiple of a peer's mean heartbeat interval")
-		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from the cores the shards leave idle, 1 = serial kernels")
-		quantize      = flag.Bool("quantize", false, "serve int8/int16 quantized model twins where the calibration agreement gate passes")
-		quantGate     = flag.Float64("quantize-min-agreement", 0, "calibration gate: minimum label agreement vs the exact model (0 = default 0.995)")
-	)
 	flag.Parse()
 
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	stopStreaming := make(chan struct{})
 
 	rcfg := resumeConfig{
-		shards:        *shards,
-		maxSessions:   *maxSessions,
-		tickHz:        *tickHz,
-		subjects:      *subjects,
-		listen:        *listen,
-		transport:     *transport,
-		idleEvict:     *idleEvict,
-		seed:          *seed,
-		ckptDir:       *ckptDir,
-		walDir:        *walDir,
-		kernelThreads: *kernelThreads,
-		quantize:      *quantize,
-		quantGate:     *quantGate,
+		shards:      *shards,
+		maxSessions: *maxSessions,
+		tickHz:      *tickHz,
+		subjects:    *subjects,
+		listen:      *listen,
+		transport:   *transport,
+		idleEvict:   *idleEvict,
+		seed:        *seed,
+		ckptDir:     *ckptDir,
+		walDir:      *walDir,
 	}
 	hub := resumeOrColdStart(rcfg, stopStreaming)
 
@@ -331,9 +328,6 @@ type resumeConfig struct {
 	seed                uint64
 	ckptDir             string
 	walDir              string
-	kernelThreads       int
-	quantize            bool
-	quantGate           float64
 }
 
 // resumeOrColdStart restores the fleet from the newest valid checkpoint
@@ -341,36 +335,26 @@ type resumeConfig struct {
 // when one exists, and otherwise trains the shared decoder and admits the
 // configured sessions from scratch.
 func resumeOrColdStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.Hub {
-	rebind := func(rec serve.RestoredSession) (serve.Source, error) {
-		return rebindSource(rec, cfg, stopStreaming)
+	if cfg.ckptDir == "" && cfg.walDir == "" {
+		return coldStart(cfg, stopStreaming)
 	}
+	hub, dir, applied, err := serve.RestoreHubWal(cfg.ckptDir, cfg.walDir, func(rec serve.RestoredSession) (serve.Source, error) {
+		return rebindSource(rec, cfg, stopStreaming)
+	})
 	switch {
-	case cfg.walDir != "":
-		hub, dir, applied, err := serve.RestoreHubWal(cfg.ckptDir, cfg.walDir, rebind)
-		switch {
-		case err == nil:
-			if dir == "" {
-				dir = "WAL only"
-			}
-			log.Printf("cogarmd: resumed %d sessions from %s + %d WAL entries (no retraining)",
-				hub.Sessions(), dir, applied)
-			return hub
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			log.Printf("cogarmd: no checkpoint or WAL state, cold start")
-		default:
-			log.Printf("cogarmd: restore failed (%v), cold start", err)
+	case err == nil:
+		if dir == "" {
+			dir = "WAL only"
 		}
-	case cfg.ckptDir != "":
-		hub, dir, err := serve.RestoreHubDir(cfg.ckptDir, rebind)
-		switch {
-		case err == nil:
-			log.Printf("cogarmd: resumed %d sessions from %s (no retraining)", hub.Sessions(), dir)
-			return hub
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			log.Printf("cogarmd: no checkpoint in %s, cold start", cfg.ckptDir)
-		default:
-			log.Printf("cogarmd: restore failed (%v), cold start", err)
+		if cfg.walDir != "" {
+			dir = fmt.Sprintf("%s + %d WAL entries", dir, applied)
 		}
+		log.Printf("cogarmd: resumed %d sessions from %s (no retraining)", hub.Sessions(), dir)
+		return hub
+	case errors.Is(err, checkpoint.ErrNoCheckpoint):
+		log.Printf("cogarmd: no checkpoint or WAL state, cold start")
+	default:
+		log.Printf("cogarmd: restore failed (%v), cold start", err)
 	}
 	return coldStart(cfg, stopStreaming)
 }
@@ -419,11 +403,6 @@ func coldStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.Hub {
 		log.Fatal(err)
 	}
 	reg := serve.NewRegistry()
-	if cfg.quantize {
-		// Enable before the decoder resolves: the registry quantizes (and
-		// gates) models at build time, never retroactively.
-		reg.EnableQuantization(serve.QuantPolicy{MinAgreement: cfg.quantGate})
-	}
 	spec := models.Spec{Family: models.FamilyRF, WindowSize: pcfg.WindowSize, Trees: 50, MaxDepth: 12}
 	// Sessions resolve the classifier from the registry by key at Admit.
 	if _, _, err := reg.GetOrBuild("rf-shared", func() (models.Classifier, int64, error) {
@@ -437,14 +416,11 @@ func coldStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.Hub {
 	}
 
 	hub, err := serve.NewHub(serve.Config{
-		Shards:               cfg.shards,
-		MaxSessionsPerShard:  cfg.maxSessions,
-		TickHz:               cfg.tickHz,
-		MaxIdleTicks:         cfg.idleEvict,
-		LatencyWindow:        1024,
-		KernelThreads:        cfg.kernelThreads,
-		Quantize:             cfg.quantize,
-		QuantizeMinAgreement: cfg.quantGate,
+		Shards:              cfg.shards,
+		MaxSessionsPerShard: cfg.maxSessions,
+		TickHz:              cfg.tickHz,
+		MaxIdleTicks:        cfg.idleEvict,
+		LatencyWindow:       1024,
 	}, reg)
 	if err != nil {
 		log.Fatal(err)

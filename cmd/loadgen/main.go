@@ -1,39 +1,29 @@
-// loadgen benchmarks the CognitiveArm serving hub with M synthetic
-// subjects. It answers the capacity question directly: how many concurrent
-// closed-loop sessions does one machine sustain, and at what per-inference
-// cost?
+// loadgen drives synthetic closed-loop EEG sessions through the CognitiveArm
+// serving stack, to drill what operators rely on under load: ingest and idle
+// eviction on a running daemon, and automatic failover in a cluster. It is a
+// load driver, not a benchmark — most of what it could time is its own
+// sample generator; `go run ./bench` is the measurement.
 //
-// Three modes:
-//
-//   - -mode inproc (default): builds its own hub, trains the shared decoder
-//     once, admits -sessions board-backed synthetic subjects, and drives
-//     shards caller-paced (TickAll) as fast as they will go for -duration —
-//     maximum-throughput numbers. With -paced it instead runs the real
-//     15 Hz shard loops, which measures headroom rather than ceiling.
+// Two modes:
 //
 //   - -mode udp: streams -sessions synthetic subjects at -rate Hz to a
 //     running cogarmd (-targets is the comma-separated inlet address list
 //     cogarmd printed at startup with -listen).
 //
-//   - -mode cluster: builds -nodes in-process cluster nodes joined over real
-//     loopback TCP, routes -sessions subjects across them by consistent
-//     hash, and drives every node's hub flat out for -duration — the
-//     multi-node scaling answer. Compare aggregate inferences/s at -nodes 1
-//     and -nodes 2 on an otherwise idle machine to see the near-linear
-//     scale-out (the model trains once and is shared, so only serving work
-//     multiplies). With -kill it becomes a chaos drill: the HA stack runs
-//     (warm-standby replication, heartbeats, failure detection), one node is
-//     killed mid-drive without drain, and the report shows how long the
-//     survivors took to reap it and promote its sessions.
+//   - -mode cluster (default): builds -nodes in-process cluster nodes joined
+//     over real loopback TCP, routes -sessions subjects across them by
+//     consistent hash, and drives every node's hub flat out for -duration.
+//     With -kill it becomes a chaos drill: the HA stack runs (warm-standby
+//     replication, heartbeats, failure detection), one node is killed
+//     mid-drive without drain, and the report shows how long the survivors
+//     took to reap it and promote its sessions.
 //
-// The report includes fleet and per-shard snapshots: sessions, ticks,
-// inference throughput, realised batch size, and p50/p99 tick latency.
+// Every flag has one row in OPERATIONS.md's loadgen table;
+// TestFlagTableMatches keeps the two in step.
 //
 // Example:
 //
-//	loadgen -sessions 100 -shards 4 -duration 10s
 //	loadgen -mode udp -targets 127.0.0.1:40001,127.0.0.1:40002 -duration 30s
-//	loadgen -mode cluster -nodes 2 -sessions 200 -duration 10s
 //	loadgen -mode cluster -nodes 3 -sessions 90 -duration 20s -kill 5s
 package main
 
@@ -50,160 +40,34 @@ import (
 	"cognitivearm/internal/core"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
-	"cognitivearm/internal/obs"
 	"cognitivearm/internal/serve"
 	"cognitivearm/internal/stream"
 )
 
+var (
+	mode     = flag.String("mode", "cluster", "udp | cluster")
+	sessions = flag.Int("sessions", 100, "concurrent synthetic subjects")
+	shards   = flag.Int("shards", 4, "cluster: worker shards per node")
+	tickHz   = flag.Float64("tick", 15, "session classification rate (Hz)")
+	duration = flag.Duration("duration", 10*time.Second, "drive time")
+	targets  = flag.String("targets", "", "udp: comma-separated inlet addresses from cogarmd -listen")
+	rate     = flag.Float64("rate", eeg.SampleRate, "udp: per-subject sample rate (Hz)")
+	nodes    = flag.Int("nodes", 2, "cluster: in-process nodes joined over loopback TCP")
+	kill     = flag.Duration("kill", 0, "cluster: kill the last node this long into the drive and measure automatic failover (needs -nodes >= 2)")
+	seed     = flag.Uint64("seed", 1, "simulation seed")
+)
+
 func main() {
-	var (
-		mode          = flag.String("mode", "inproc", "inproc | udp | cluster")
-		sessions      = flag.Int("sessions", 100, "concurrent synthetic subjects")
-		shards        = flag.Int("shards", 4, "worker shards (inproc)")
-		tickHz        = flag.Float64("tick", 15, "session classification rate (Hz)")
-		duration      = flag.Duration("duration", 10*time.Second, "drive time")
-		paced         = flag.Bool("paced", false, "inproc: run real paced shard loops instead of max-rate TickAll")
-		targets       = flag.String("targets", "", "udp: comma-separated inlet addresses from cogarmd -listen")
-		rate          = flag.Float64("rate", eeg.SampleRate, "udp: per-subject sample rate (Hz)")
-		nodes         = flag.Int("nodes", 2, "cluster: in-process nodes joined over loopback TCP")
-		kill          = flag.Duration("kill", 0, "cluster: kill the last node this long into the drive and measure automatic failover (needs -nodes >= 2)")
-		seed          = flag.Uint64("seed", 1, "simulation seed")
-		admin         = flag.String("admin", "", "host the admin plane in-process at this address (inproc/cluster; \":0\" picks a port)")
-		scrape        = flag.Bool("scrape", false, "poll own /metrics at 1 Hz during the run and report the tick-stage breakdown (implies -admin 127.0.0.1:0)")
-		kernelThreads = flag.Int("kernel-threads", 0, "workers for parallel batched GEMMs; 0 = derive from the cores the shards leave idle, 1 = serial kernels")
-		quantize      = flag.Bool("quantize", false, "serve int8/int16 quantized model twins where the calibration agreement gate passes")
-	)
 	flag.Parse()
 	log.SetFlags(log.Ltime)
 
-	adminAddr := *admin
-	if *scrape && adminAddr == "" {
-		adminAddr = "127.0.0.1:0"
-	}
 	switch *mode {
-	case "inproc":
-		runInproc(*sessions, *shards, *kernelThreads, *quantize, *tickHz, *duration, *paced, *seed, adminAddr, *scrape)
 	case "udp":
-		if adminAddr != "" {
-			log.Printf("loadgen: -admin/-scrape apply to inproc and cluster modes (udp mode has no local hub; scrape cogarmd's -admin instead)")
-		}
 		runUDP(strings.Split(*targets, ","), *sessions, *rate, *duration, *seed)
 	case "cluster":
-		runCluster(*sessions, *nodes, *shards, *kernelThreads, *tickHz, *duration, *kill, *seed, adminAddr, *scrape)
+		runCluster(*sessions, *nodes, *shards, *tickHz, *duration, *kill, *seed)
 	default:
-		log.Fatalf("loadgen: unknown mode %q", *mode)
-	}
-}
-
-// startAdmin hosts the admin plane in-process (empty addr = disabled) and,
-// when scrape is set, starts the 1 Hz self-scraper against it. The returned
-// stop func tears both down (taking the scraper's final sample); the
-// returned scraper is nil when scraping is off.
-func startAdmin(adminAddr string, scrape bool, hub *serve.Hub, clusterStatus func() any) (*scraper, func()) {
-	if adminAddr == "" {
-		return nil, func() {}
-	}
-	srv, bound, err := obs.StartAdmin(adminAddr, obs.AdminOptions{
-		Health: hub.Health,
-		Status: func() any { return hub.Status("", clusterStatus) },
-	})
-	if err != nil {
-		log.Fatalf("loadgen: %v", err)
-	}
-	log.Printf("loadgen: admin plane on http://%s", bound)
-	var sc *scraper
-	if scrape {
-		sc = startScraper(fmt.Sprintf("http://%s/metrics", bound), time.Second)
-	}
-	return sc, func() {
-		if sc != nil {
-			sc.close()
-		}
-		srv.Close()
-	}
-}
-
-func runInproc(sessions, shards, kernelThreads int, quantize bool, tickHz float64, duration time.Duration, paced bool, seed uint64, adminAddr string, scrape bool) {
-	log.Printf("loadgen: training shared decoder")
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	pipeline, err := core.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg := serve.NewRegistry()
-	if quantize {
-		// Enable before the decoder resolves: quantization applies at build
-		// time, never retroactively.
-		reg.EnableQuantization(serve.QuantPolicy{})
-	}
-	spec := models.Spec{Family: models.FamilyRF, WindowSize: cfg.WindowSize, Trees: 50, MaxDepth: 12}
-	if _, _, err := reg.GetOrBuild("rf-shared", func() (models.Classifier, int64, error) {
-		c, _, err := pipeline.TrainModel(spec)
-		return c, models.OpsPerInference(spec), err
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	perShard := (sessions + shards - 1) / shards
-	hub, err := serve.NewHub(serve.Config{
-		Shards:              shards,
-		MaxSessionsPerShard: perShard,
-		TickHz:              tickHz,
-		LatencyWindow:       2048,
-		KernelThreads:       kernelThreads,
-		Quantize:            quantize,
-	}, reg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < sessions; i++ {
-		subject := i % len(cfg.SubjectIDs)
-		b := board.NewSyntheticCyton(eeg.NewSubject(subject), seed+uint64(i)*13+7, false)
-		if err := b.Start(); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := hub.Admit(serve.SessionConfig{
-			ModelKey: "rf-shared",
-			Source:   b,
-			Norm:     pipeline.NormFor(subject),
-		}); err != nil {
-			log.Fatalf("loadgen: admit session %d: %v", i, err)
-		}
-	}
-	log.Printf("loadgen: %d sessions on %d shards, driving for %v (paced=%v)", sessions, shards, duration, paced)
-	sc, stopAdmin := startAdmin(adminAddr, scrape, hub, nil)
-
-	start := time.Now()
-	if paced {
-		hub.Start()
-		time.Sleep(duration)
-	} else {
-		deadline := start.Add(duration)
-		for time.Now().Before(deadline) {
-			hub.TickAll()
-		}
-	}
-	elapsed := time.Since(start)
-	// Snapshot before Stop so the report shows the live fleet, not the
-	// drained one.
-	snap := hub.Snapshot()
-	stopAdmin() // final scrape while the counters still cover the run
-	hub.Stop()
-
-	fmt.Printf("\n%s\n", snap)
-	for _, s := range snap.Shards {
-		fmt.Printf("%s\n", s)
-	}
-	secs := elapsed.Seconds()
-	fmt.Printf("\nwall %.2fs  ticks/s %.0f  inferences/s %.0f  samples/s %.0f\n",
-		secs, float64(snap.Ticks)/secs, float64(snap.Inferences)/secs, float64(snap.SamplesIn)/secs)
-	if snap.Inferences > 0 {
-		fmt.Printf("per-inference wall %.2fµs (fleet-wide, incl. ingest+filtering)\n",
-			1e6*secs/float64(snap.Inferences))
-	}
-	if sc != nil {
-		sc.report()
+		log.Fatalf("loadgen: unknown mode %q (udp | cluster)", *mode)
 	}
 }
 
@@ -215,7 +79,7 @@ func runInproc(sessions, shards, kernelThreads int, quantize bool, tickHz float6
 // the only cross-node traffic is membership and (on join) migration, so
 // aggregate throughput scales with nodes until the machine runs out of
 // cores.
-func runCluster(sessions, nodes, shards, kernelThreads int, tickHz float64, duration, kill time.Duration, seed uint64, adminAddr string, scrape bool) {
+func runCluster(sessions, nodes, shards int, tickHz float64, duration, kill time.Duration, seed uint64) {
 	if nodes < 1 {
 		log.Fatal("loadgen: -nodes must be >= 1")
 	}
@@ -259,7 +123,6 @@ func runCluster(sessions, nodes, shards, kernelThreads int, tickHz float64, dura
 			MaxSessionsPerShard: perShard,
 			TickHz:              tickHz,
 			LatencyWindow:       2048,
-			KernelThreads:       kernelThreads,
 		}, reg)
 		if err != nil {
 			log.Fatal(err)
@@ -311,9 +174,6 @@ func runCluster(sessions, nodes, shards, kernelThreads int, tickHz float64, dura
 		log.Printf("loadgen: %s", n.Snapshot())
 	}
 	log.Printf("loadgen: %d sessions across %d nodes, driving for %v", sessions, nodes, duration)
-	// The registry and event ring are process-global, so one admin plane
-	// covers all in-process nodes; health and cluster status report node 0.
-	sc, stopAdmin := startAdmin(adminAddr, scrape, hubs[0], ns[0].Status)
 
 	start := time.Now()
 	deadline := start.Add(duration)
@@ -382,7 +242,6 @@ func runCluster(sessions, nodes, shards, kernelThreads int, tickHz float64, dura
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	stopAdmin() // final scrape while the counters still cover the run
 
 	var totalInf, totalTicks, totalSamples uint64
 	for i, hub := range hubs {
@@ -400,9 +259,6 @@ func runCluster(sessions, nodes, shards, kernelThreads int, tickHz float64, dura
 		secs, float64(totalTicks)/secs, float64(totalInf)/secs, float64(totalSamples)/secs)
 	if totalInf > 0 {
 		fmt.Printf("per-inference wall %.2fµs (aggregate across %d nodes)\n", 1e6*secs/float64(totalInf), nodes)
-	}
-	if sc != nil {
-		sc.report()
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Example persists a minimal fleet state and loads it back, demonstrating
-// the Save → LoadLatest cycle serve.Hub.Checkpoint / serve.RestoreHubDir
+// the Save → LoadLatest cycle serve.Hub.Checkpoint / serve.RestoreHubWal
 // wrap. Real fleets are captured from a live hub; here the state is built by
 // hand to show the shape of what lands on disk.
 func Example() {

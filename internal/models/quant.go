@@ -12,8 +12,7 @@ import (
 )
 
 // ErrQuantUnsupported marks a classifier with no quantized inference form
-// (LSTM/Transformer networks and ensembles keep their f64 kernels). Serving
-// treats it as "keep the exact model", not a failure.
+// (LSTM/Transformer networks and ensembles keep their f64 kernels).
 var ErrQuantUnsupported = errors.New("models: classifier has no quantized form")
 
 // DefaultMinAgreement is the calibration gate's default: the quantized twin
@@ -54,10 +53,11 @@ func CalibrationWindows(n, rows, cols int, seed uint64) []*tensor.Matrix {
 	return out
 }
 
-// QuantizedClassifier serves inference through a quantized twin while keeping
-// the exact f64 classifier for everything that must stay bitwise-stable:
-// checkpoints serialise Base (see toSaved), NumParams/WindowSize/Name report
-// Base, and replication/migration therefore never see quantized state.
+// QuantizedClassifier runs inference through a quantized twin while keeping
+// the exact f64 classifier it was built from; NumParams/WindowSize/Name
+// report Base. It is a measurement probe, not a serving mode: Save refuses
+// it, so a hub whose registry held one could not checkpoint, journal or
+// migrate.
 type QuantizedClassifier struct {
 	// Base is the exact f64 classifier quantization started from.
 	Base Classifier

@@ -78,10 +78,6 @@ func toSaved(c Classifier) (*savedClassifier, error) {
 		return sc, nil
 	case *RFClassifier:
 		return &savedClassifier{Kind: savedKindRF, Spec: v.Spec, Forest: v.Forest.Export()}, nil
-	case *QuantizedClassifier:
-		// Quantization is a serving-time view: checkpoints always persist the
-		// exact f64 model, and a restored hub re-quantizes (and re-gates) it.
-		return toSaved(v.Base)
 	}
 	if ensembleCodec != nil {
 		if members, ok := ensembleCodec.Members(c); ok {

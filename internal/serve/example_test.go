@@ -105,7 +105,7 @@ func ExampleHub_Checkpoint() {
 	hub.Stop() // the crash
 
 	// Restart: the factory rebinds a live source per session by its tag.
-	restored, _, err := serve.RestoreHubDir(root,
+	restored, _, _, err := serve.RestoreHubWal(root, "",
 		func(rec serve.RestoredSession) (serve.Source, error) {
 			return serve.RingSource{Ring: stream.NewRing(512)}, nil
 		})

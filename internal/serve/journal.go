@@ -229,20 +229,25 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 	return state, fold.Applied(), nil
 }
 
-// RestoreHubWal is the WAL-aware resume path: load the newest valid
+// RestoreHubWal is the one resume path for daemons: load the newest valid
 // checkpoint under ckptRoot (tolerating its absence), replay the WAL tail in
-// walDir over it, and restore a hub from the result. It returns the hub, the
-// checkpoint directory used ("" when the restore was WAL-only), and the
-// number of WAL entries applied. checkpoint.ErrNoCheckpoint (wrapped) comes
-// back only when neither a checkpoint nor a replayable WAL exists.
+// walDir over it, and restore a hub from the result. An empty walDir means
+// no log — the checkpoint alone. It returns the hub, the checkpoint
+// directory used ("" when the restore was WAL-only), and the number of WAL
+// entries applied. When neither a checkpoint nor a replayable WAL exists,
+// the checkpoint load error comes back: checkpoint.ErrNoCheckpoint for an
+// empty root, else why the newest checkpoint was refused.
 func RestoreHubWal(ckptRoot, walDir string, newSource SourceFactory) (*Hub, string, int, error) {
 	base, dir, err := checkpoint.LoadLatest(ckptRoot)
 	if err != nil {
 		base, dir = nil, ""
 	}
-	state, applied, rerr := ReplayWAL(walDir, base)
-	if rerr != nil {
-		return nil, "", 0, rerr
+	state, applied := base, 0
+	if walDir != "" {
+		var rerr error
+		if state, applied, rerr = ReplayWAL(walDir, base); rerr != nil {
+			return nil, "", 0, rerr
+		}
 	}
 	if state == nil {
 		if err != nil {

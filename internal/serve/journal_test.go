@@ -601,8 +601,8 @@ func TestPreCodecFilesAreRefused(t *testing.T) {
 func TestParentChainRootIsRefused(t *testing.T) {
 	const oldRoot = "../checkpoint/testdata/parent_chain"
 	factory := func(RestoredSession) (Source, error) { return &scriptSource{}, nil }
-	if hub, _, err := RestoreHubDir(oldRoot, factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
-		t.Fatalf("RestoreHubDir over a format-2 root: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
+	if hub, _, _, err := RestoreHubWal(oldRoot, "", factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
+		t.Fatalf("RestoreHubWal over a format-2 root and no WAL: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
 	}
 	if hub, _, _, err := RestoreHubWal(oldRoot, t.TempDir(), factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
 		t.Fatalf("RestoreHubWal over a format-2 root and an empty WAL: hub %v, err %v; want checkpoint.ErrVersion", hub, err)

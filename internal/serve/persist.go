@@ -417,26 +417,26 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 // RestoreSession admits a migrated-in session from its shipped record: every
 // piece of signal-path state resumes exactly (rolling window, IIR delay
 // state, debounce ring, counters, pending samples), but the hub assigns a
-// fresh local ID and places the session with its own Placement policy —
-// session IDs and shard assignment are node-local bookkeeping, not migrated
-// identity. The record's ModelKey must already resolve in this hub's registry
-// (the cluster layer registers shipped models first).
+// fresh local ID and places the session as Admit does — session IDs and
+// shard assignment are node-local bookkeeping, not migrated identity. The
+// record's ModelKey must already resolve in this hub's registry (the cluster
+// layer registers shipped models first).
 func (h *Hub) RestoreSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
-	return h.restoreSession(rec, src, h.place)
+	return h.restoreSession(rec, src, true)
 }
 
 // PromoteSession admits a replica session during failover. It is
-// RestoreSession with the placement policy's latency backpressure disabled:
+// RestoreSession with latency backpressure disabled:
 // a promotion refused for a transiently hot p99 would lose the session
 // outright, which is strictly worse than serving it on a busy shard — so
 // only the hard per-shard capacity bound can refuse a promotion. Everything
 // else matches migration-in exactly: fresh local ID, local placement,
 // bitwise signal-path resume from the record.
 func (h *Hub) PromoteSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
-	return h.restoreSession(rec, src, LeastLoaded{MaxP99Frac: -1})
+	return h.restoreSession(rec, src, false)
 }
 
-func (h *Hub) restoreSession(rec *checkpoint.SessionRecord, src Source, place Placement) (SessionID, error) {
+func (h *Hub) restoreSession(rec *checkpoint.SessionRecord, src Source, backpressure bool) (SessionID, error) {
 	if src == nil {
 		return 0, fmt.Errorf("serve: restore session %d: nil source", rec.ID)
 	}
@@ -449,27 +449,12 @@ func (h *Hub) restoreSession(rec *checkpoint.SessionRecord, src Source, place Pl
 	if err != nil {
 		return 0, err
 	}
-	id, err := h.admitSessionWith(sess, place)
+	id, err := h.admitSession(sess, backpressure)
 	if err != nil {
 		closeSource(sess.cfg.Source)
 		return 0, err
 	}
 	return id, nil
-}
-
-// RestoreHubDir loads the newest valid checkpoint under root and restores a
-// hub from it — the one-call resume path for daemons. It returns
-// checkpoint.ErrNoCheckpoint (wrapped) when root holds no checkpoint yet.
-func RestoreHubDir(root string, newSource SourceFactory) (*Hub, string, error) {
-	state, dir, err := checkpoint.LoadLatest(root)
-	if err != nil {
-		return nil, "", err
-	}
-	hub, err := RestoreHub(state, newSource)
-	if err != nil {
-		return nil, "", err
-	}
-	return hub, dir, nil
 }
 
 // pendingSource replays samples that were buffered but unconsumed at

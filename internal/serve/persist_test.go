@@ -131,7 +131,7 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	// Restore into a fresh hub. The script session resumes from the exact
 	// sample the dead hub stopped at; the ring session's buffered remainder
 	// rides in as pending samples, so its new source is empty.
-	restored, rdir, err := RestoreHubDir(dir, func(rec RestoredSession) (Source, error) {
+	restored, rdir, _, err := RestoreHubWal(dir, "", func(rec RestoredSession) (Source, error) {
 		switch rec.Tag {
 		case "script":
 			return &scriptSource{samples: streamA[consumed:]}, nil
@@ -248,7 +248,7 @@ func TestCheckpointRestoresIdleClock(t *testing.T) {
 			silent.Fed, silent.IdleTicks, unfed.Fed, unfed.IdleTicks)
 	}
 
-	restored, _, err := RestoreHubDir(root, func(rec RestoredSession) (Source, error) {
+	restored, _, _, err := RestoreHubWal(root, "", func(rec RestoredSession) (Source, error) {
 		for i, id := range ids {
 			if id == rec.ID {
 				return &scriptSource{samples: streams[i][srcs[i].pos:]}, nil
@@ -396,12 +396,12 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(ckpt, "sessions.bin"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RestoreHubDir(dir, func(RestoredSession) (Source, error) {
+	if _, _, _, err := RestoreHubWal(dir, "", func(RestoredSession) (Source, error) {
 		return &scriptSource{}, nil
 	}); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("corrupted restore returned %v, want ErrCorrupt", err)
 	}
-	if _, _, err := RestoreHubDir(t.TempDir(), func(RestoredSession) (Source, error) {
+	if _, _, _, err := RestoreHubWal(t.TempDir(), "", func(RestoredSession) (Source, error) {
 		return &scriptSource{}, nil
 	}); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		t.Fatalf("empty dir returned %v, want ErrNoCheckpoint", err)
@@ -458,7 +458,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	hub.Stop()
 
 	// The last published checkpoint must be loadable and restorable.
-	if _, _, err := RestoreHubDir(dir, func(RestoredSession) (Source, error) {
+	if _, _, _, err := RestoreHubWal(dir, "", func(RestoredSession) (Source, error) {
 		return &scriptSource{}, nil
 	}); err != nil {
 		t.Fatalf("checkpoint taken under load does not restore: %v", err)

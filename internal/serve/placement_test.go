@@ -18,7 +18,8 @@ func TestBackpressureRefusesOverloadedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Stop()
-	if _, err := hub.Admit(boardSession(t, p, 0, 1)); err != nil {
+	first, err := hub.Admit(boardSession(t, p, 0, 1))
+	if err != nil {
 		t.Fatalf("admission into an idle fleet refused: %v", err)
 	}
 	for i := 0; i < 8; i++ {
@@ -32,21 +33,17 @@ func TestBackpressureRefusesOverloadedShards(t *testing.T) {
 	if snap.RefusedOverload != 1 || snap.RefusedFull != 0 {
 		t.Fatalf("refusals not surfaced: %+v", snap)
 	}
-	// Disabling the latency gate readmits: capacity is the only limit again.
-	hub2, err := NewHub(Config{Shards: 2, MaxSessionsPerShard: 8, TickHz: 1e7, LatencyWindow: 16,
-		Placement: LeastLoaded{MaxP99Frac: -1}}, reg)
-	if err != nil {
-		t.Fatal(err)
+	// Failover promotion is the one caller without backpressure: on the same
+	// overloaded hub, emptied, Admit still refuses but a promotion lands.
+	rec, ok := hub.ExtractSession(first)
+	if !ok {
+		t.Fatal("extract failed")
 	}
-	defer hub2.Stop()
-	if _, err := hub2.Admit(boardSession(t, p, 0, 3)); err != nil {
-		t.Fatal(err)
+	if _, err := hub.Admit(boardSession(t, p, 0, 3)); !errors.Is(err, ErrFleetOverloaded) {
+		t.Fatalf("overloaded fleet admitted a session (err=%v)", err)
 	}
-	for i := 0; i < 8; i++ {
-		hub2.TickAll()
-	}
-	if _, err := hub2.Admit(boardSession(t, p, 0, 4)); err != nil {
-		t.Fatalf("latency-gate-disabled fleet refused: %v", err)
+	if _, err := hub.PromoteSession(rec, &scriptSource{}); err != nil {
+		t.Fatalf("promotion refused on an overloaded fleet: %v", err)
 	}
 }
 
@@ -67,37 +64,6 @@ func TestFleetFullRefusalCounted(t *testing.T) {
 	}
 	if snap := hub.Snapshot(); snap.RefusedFull != 1 || snap.RefusedOverload != 0 {
 		t.Fatalf("refusals not surfaced: RefusedFull=%d RefusedOverload=%d", snap.RefusedFull, snap.RefusedOverload)
-	}
-}
-
-// pinnedPlacement always places on one shard — the minimal custom policy.
-type pinnedPlacement struct{ shard int }
-
-func (p pinnedPlacement) Place(shards []ShardInfo) (int, error) { return p.shard, nil }
-
-// TestCustomPlacementPlugs verifies the hub honours an injected Placement.
-func TestCustomPlacementPlugs(t *testing.T) {
-	reg, p := testFleet(t)
-	hub, err := NewHub(Config{Shards: 3, MaxSessionsPerShard: 8, TickHz: 15, LatencyWindow: 16,
-		Placement: pinnedPlacement{shard: 2}}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Stop()
-	for i := 0; i < 4; i++ {
-		if _, err := hub.Admit(boardSession(t, p, 0, uint64(i)+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := hub.Snapshot()
-	for _, s := range snap.Shards {
-		want := 0
-		if s.Shard == 2 {
-			want = 4
-		}
-		if s.Sessions != want {
-			t.Fatalf("shard %d has %d sessions, want %d (placement ignored): %+v", s.Shard, s.Sessions, want, snap.Shards)
-		}
 	}
 }
 

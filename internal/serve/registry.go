@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
-	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
-	"cognitivearm/internal/tensor"
 )
 
 // Registry holds the fleet's shared classifiers. Each key is built exactly
@@ -20,21 +16,6 @@ import (
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*regEntry
-	// quant, when set, swaps every subsequently built or loaded model for its
-	// quantized twin after the calibration gate passes (see EnableQuantization).
-	quant *QuantPolicy
-}
-
-// QuantPolicy configures registry-wide quantized inference.
-type QuantPolicy struct {
-	// MinAgreement is the calibration gate threshold
-	// (0 = models.DefaultMinAgreement).
-	MinAgreement float64
-	// Calibration builds the gate's window set for a model expecting
-	// window×channels input. nil uses models.CalibrationWindows —
-	// deterministic synthetic windows; supply recorded traffic for a
-	// sharper gate.
-	Calibration func(window, channels int) []*tensor.Matrix
 }
 
 // regEntry resolves exactly once: the goroutine that creates the entry runs
@@ -69,12 +50,6 @@ func (r *Registry) GetOrBuild(key string, build func() (models.Classifier, int64
 			// Leave the failed entry in place: retrying a deterministic
 			// build would fail identically, and callers see the cause.
 			e.err = fmt.Errorf("serve: build model %q: %w", key, e.err)
-		} else if qc, qerr := r.maybeQuantize(e.clf); qerr != nil {
-			// A twin that fails the agreement gate is a hard build error:
-			// silently serving degraded labels is worse than not serving.
-			e.clf, e.err = nil, fmt.Errorf("serve: quantize model %q: %w", key, qerr)
-		} else {
-			e.clf = qc
 		}
 		close(e.done)
 		return e.clf, e.macs, e.err
@@ -82,89 +57,6 @@ func (r *Registry) GetOrBuild(key string, build func() (models.Classifier, int64
 	r.mu.Unlock()
 	<-e.done
 	return e.clf, e.macs, e.err
-}
-
-// LoadFile deserialises any saved classifier (models.Save format — NN
-// families, random forests, or registered ensembles) under key, once. MACs
-// are derived from the stored spec where one exists.
-func (r *Registry) LoadFile(key, path string) (models.Classifier, error) {
-	clf, _, err := r.GetOrBuild(key, func() (models.Classifier, int64, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		c, err := models.Load(f)
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, macsFor(c), nil
-	})
-	return clf, err
-}
-
-// EnableQuantization turns on quantized inference for every model built or
-// loaded from this point on: after a successful build the registry quantizes
-// the classifier (models.Quantize), gates it on calibration agreement, and
-// hands out the quantized twin. Models with no quantized form (LSTM,
-// Transformer, ensembles) are served exact; a twin that fails the gate fails
-// the build. Already-resolved entries are unaffected — enable before loading
-// models (NewHub with Config.Quantize does this at construction).
-func (r *Registry) EnableQuantization(p QuantPolicy) {
-	r.mu.Lock()
-	r.quant = &p
-	r.mu.Unlock()
-}
-
-// maybeQuantize applies the registry's quantization policy to a freshly
-// built classifier, returning it unchanged when quantization is disabled or
-// the model has no quantized form.
-func (r *Registry) maybeQuantize(clf models.Classifier) (models.Classifier, error) {
-	r.mu.Lock()
-	p := r.quant
-	r.mu.Unlock()
-	if p == nil {
-		return clf, nil
-	}
-	opt := models.QuantOptions{MinAgreement: p.MinAgreement}
-	if p.Calibration != nil {
-		opt.Calibration = p.Calibration(clf.WindowSize(), eeg.NumChannels)
-	}
-	qc, err := models.Quantize(clf, opt)
-	if errors.Is(err, models.ErrQuantUnsupported) {
-		return clf, nil // no quantized form: serve the exact f64 model
-	}
-	if err != nil {
-		return nil, err
-	}
-	return qc, nil
-}
-
-// macsFor estimates per-inference MACs for classifiers that carry a spec.
-func macsFor(c models.Classifier) int64 {
-	switch v := c.(type) {
-	case *models.NNClassifier:
-		return models.OpsPerInference(v.Spec)
-	case *models.RFClassifier:
-		return models.OpsPerInference(v.Spec)
-	case *models.QuantizedClassifier:
-		return macsFor(v.Base)
-	default:
-		return 0
-	}
-}
-
-// LoadNNFile deserialises a saved NN classifier under key, once — LoadFile
-// narrowed to the NN-typed contract existing callers rely on.
-func (r *Registry) LoadNNFile(key, path string) (models.Classifier, error) {
-	clf, err := r.LoadFile(key, path)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := clf.(*models.NNClassifier); !ok {
-		return nil, fmt.Errorf("serve: %s holds a %T, not an NN classifier", path, clf)
-	}
-	return clf, nil
 }
 
 // Resolved returns the successfully built classifiers and their MAC

@@ -36,8 +36,9 @@
 //     snapshot.
 //
 // Sessions ingest from any Source: a board.Board (synthetic subjects, used
-// by cmd/loadgen), or a RingSource over an internal/stream UDP/LSL inlet
-// ring (networked subjects, used by cmd/cogarmd).
+// by tests and cmd/loadgen's cluster drill), or a RingSource over an
+// internal/stream UDP/LSL inlet ring (networked subjects, used by
+// cmd/cogarmd).
 //
 // Hubs run in two modes: Start launches paced shard loops for daemons, and
 // TickAll advances every shard once for caller-paced benchmarks and tests.
@@ -90,16 +91,6 @@ type Config struct {
 	// MaxAutoKernelThreads; 1 forces the serial kernels. Labels are
 	// bitwise-identical at any setting, so this is purely a throughput knob.
 	KernelThreads int
-	// Quantize opts the registry into quantized inference: models built or
-	// loaded after the hub is constructed are swapped for int8 (NN) or int16
-	// (RF) twins when they pass the calibration agreement gate; models with
-	// no quantized form (LSTM, Transformer, ensembles) serve exact f64.
-	// Checkpoints always persist the exact f64 weights either way.
-	Quantize bool
-	// QuantizeMinAgreement overrides the calibration gate threshold
-	// (0 = models.DefaultMinAgreement). A build whose quantized twin scores
-	// below the gate fails hard rather than silently serving degraded labels.
-	QuantizeMinAgreement float64
 	// MaxSessionsPerShard bounds admission; the fleet capacity is
 	// Shards × MaxSessionsPerShard.
 	MaxSessionsPerShard int
@@ -112,12 +103,6 @@ type Config struct {
 	// LatencyWindow is how many recent tick latencies each shard retains for
 	// the percentile snapshot.
 	LatencyWindow int
-	// Placement chooses the shard each admitted session lands on. nil means
-	// LeastLoaded{} — emptiest shard first, refusing shards whose p99 tick
-	// latency crowds the tick budget. Placement is serving policy, not fleet
-	// state: it is not persisted in checkpoints, and a hub built by
-	// RestoreHub uses the default policy.
-	Placement Placement
 	// DisableTelemetry turns off the hub's process-global instrumentation
 	// (internal/obs counters, tick-stage histograms, lifecycle events) —
 	// including the stage clock reads — so benchmarks can measure the
@@ -180,14 +165,24 @@ func autoKernelThreads(procs, shards int) int {
 // ErrFleetFull is returned by Admit when every shard is at capacity.
 var ErrFleetFull = fmt.Errorf("serve: fleet at capacity")
 
+// ErrFleetOverloaded is returned by Admit when shards have session capacity
+// left but their tick latency already crowds the tick budget — admitting more
+// load would make every session on the shard miss its classification rate.
+var ErrFleetOverloaded = errors.New("serve: fleet overloaded (tick latency budget exhausted)")
+
+// maxP99Frac is the fraction of the tick budget a shard's p99 tick latency
+// may reach before admission stops placing new sessions on it. At the
+// paper's 15 Hz the budget is ~66.7 ms, so a shard refuses beyond a ~60 ms
+// p99 — before it overruns, not after.
+const maxP99Frac = 0.9
+
 // SessionID identifies an admitted session for eviction and stats lookups.
 type SessionID uint64
 
 // Hub owns the fleet: a model registry, N shards, and the admission index.
 type Hub struct {
-	cfg   Config
-	reg   *Registry
-	place Placement
+	cfg Config
+	reg *Registry
 	// tel is the hub's process-global telemetry handle set (nil when
 	// Config.DisableTelemetry); shards share it for the tick-path series.
 	tel *serveObs
@@ -237,16 +232,9 @@ func NewHub(cfg Config, reg *Registry) (*Hub, error) {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	place := cfg.Placement
-	if place == nil {
-		place = LeastLoaded{}
-	}
-	h := &Hub{cfg: cfg, reg: reg, place: place, index: map[SessionID]*shard{}}
+	h := &Hub{cfg: cfg, reg: reg, index: map[SessionID]*shard{}}
 	if !cfg.DisableTelemetry {
 		h.tel = newServeObs()
-	}
-	if cfg.Quantize {
-		reg.EnableQuantization(QuantPolicy{MinAgreement: cfg.QuantizeMinAgreement})
 	}
 	// The kernel pool exists from construction (TickAll-paced hubs never call
 	// Start). tensor.NewPool returns nil for a single thread, which every
@@ -280,11 +268,11 @@ func (h *Hub) Registry() *Registry { return h.reg }
 func (h *Hub) Config() Config { return h.cfg }
 
 // Admit validates the session config, resolves its shared classifier from
-// the registry, and hands the session to the hub's Placement policy. Under
-// the default LeastLoaded policy it returns ErrFleetFull when every shard is
-// at its static cap and ErrFleetOverloaded when capacity exists but every
-// candidate shard's p99 tick latency already crowds the tick budget —
-// refusals of both kinds are counted in FleetSnapshot.
+// the registry, and places the session on the least-loaded shard. It returns
+// ErrFleetFull when every shard is at its static cap and ErrFleetOverloaded
+// when capacity exists but every candidate shard's p99 tick latency already
+// crowds the tick budget — refusals of both kinds are counted in
+// FleetSnapshot.
 func (h *Hub) Admit(sc SessionConfig) (SessionID, error) {
 	clf, _, ok := h.reg.Get(sc.ModelKey)
 	if !ok {
@@ -303,53 +291,31 @@ func (h *Hub) Admit(sc SessionConfig) (SessionID, error) {
 	if err != nil {
 		return 0, err
 	}
-	return h.admitSession(&session{cfg: sc, clf: clf, win: win})
+	return h.admitSession(&session{cfg: sc, clf: clf, win: win}, true)
 }
 
 // admitSession assigns a fresh ID to a fully built session and registers it
-// on the shard chosen by the hub's placement policy. It is the shared tail
-// of Admit and RestoreSession (migration-in).
-func (h *Hub) admitSession(sess *session) (SessionID, error) {
-	return h.admitSessionWith(sess, h.place)
-}
-
-// admitSessionWith is admitSession under an explicit placement policy —
-// PromoteSession substitutes one that ignores latency backpressure, because
-// refusing a failover promotion loses the session outright.
-func (h *Hub) admitSessionWith(sess *session, place Placement) (SessionID, error) {
+// on the least-loaded shard (pickShard). It is the shared tail of Admit,
+// RestoreSession (migration-in) and PromoteSession (failover).
+func (h *Hub) admitSession(sess *session, backpressure bool) (SessionID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	infos := make([]ShardInfo, len(h.shards))
-	budget := 1 / h.cfg.TickHz
-	for i, s := range h.shards {
-		infos[i] = ShardInfo{
-			Index:      i,
-			Sessions:   s.len(),
-			Capacity:   h.cfg.MaxSessionsPerShard,
-			TickP99:    s.met.p99(),
-			TickBudget: budget,
-		}
-	}
-	idx, err := place.Place(infos)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrFleetFull):
-			h.refusedFull.Add(1)
-			if h.tel != nil {
-				h.tel.refusedFull.Inc()
-				h.tel.events.Record(obs.EvRefuseFull, -1, 0, 0, 0)
-			}
-		case errors.Is(err, ErrFleetOverloaded):
-			h.refusedOverload.Add(1)
-			if h.tel != nil {
-				h.tel.refusedOverload.Inc()
-				h.tel.events.Record(obs.EvRefuseOverload, -1, 0, 0, 0)
-			}
+	idx, err := h.pickShard(backpressure)
+	switch err {
+	case ErrFleetFull:
+		h.refusedFull.Add(1)
+		if h.tel != nil {
+			h.tel.refusedFull.Inc()
+			h.tel.events.Record(obs.EvRefuseFull, -1, 0, 0, 0)
 		}
 		return 0, err
-	}
-	if idx < 0 || idx >= len(h.shards) {
-		return 0, fmt.Errorf("serve: placement chose shard %d of %d", idx, len(h.shards))
+	case ErrFleetOverloaded:
+		h.refusedOverload.Add(1)
+		if h.tel != nil {
+			h.tel.refusedOverload.Inc()
+			h.tel.events.Record(obs.EvRefuseOverload, -1, 0, 0, 0)
+		}
+		return 0, err
 	}
 	h.nextID++
 	sess.id = h.nextID
@@ -365,6 +331,37 @@ func (h *Hub) admitSessionWith(sess *session, place Placement) (SessionID, error
 		h.tel.events.Record(obs.EvAdmit, idx, uint64(sess.id), 0, 0)
 	}
 	return sess.id, nil
+}
+
+// pickShard returns the shard with the fewest sessions among those under
+// their static cap and, with backpressure, whose recent p99 tick latency is
+// within maxP99Frac of the tick budget: shards that crowd the budget refuse
+// before they overrun. It returns ErrFleetOverloaded when capacity exists
+// only on such shards, else ErrFleetFull. Callers hold h.mu.
+func (h *Hub) pickShard(backpressure bool) (int, error) {
+	limit := maxP99Frac * (1 / h.cfg.TickHz)
+	best, bestSessions, overloaded := -1, 0, false
+	for i, s := range h.shards {
+		n := s.len()
+		if n >= h.cfg.MaxSessionsPerShard {
+			continue
+		}
+		if backpressure && s.met.p99() > limit {
+			overloaded = true
+			continue
+		}
+		if best < 0 || n < bestSessions {
+			best, bestSessions = i, n
+		}
+	}
+	switch {
+	case best >= 0:
+		return best, nil
+	case overloaded:
+		return 0, ErrFleetOverloaded
+	default:
+		return 0, ErrFleetFull
+	}
 }
 
 // SourceAddrByTag reports the local ingest address (e.g. a UDP inlet's bound

@@ -388,3 +388,103 @@ func TestPacedHubRace(t *testing.T) {
 	hub.Start()
 	hub.Stop()
 }
+
+func TestHubShardsAutoDerived(t *testing.T) {
+	hub, err := NewHub(Config{Shards: 0, MaxSessionsPerShard: 4, TickHz: 15}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	if n := hub.Config().Shards; n < 1 || n > MaxAutoShards {
+		t.Fatalf("derived shards = %d, want 1..%d", n, MaxAutoShards)
+	}
+	if _, err := NewHub(Config{Shards: -1, MaxSessionsPerShard: 4, TickHz: 15}, nil); err == nil {
+		t.Fatal("negative shard count must be rejected")
+	}
+}
+
+// TestKernelThreadsAutoDerived pins the auto pool to the cores the shard loops
+// leave idle: none when they fill the machine, never past the cap.
+func TestKernelThreadsAutoDerived(t *testing.T) {
+	for _, tc := range []struct{ procs, shards, want int }{
+		{2, 2, 1}, {4, 1, 4}, {8, 4, 4}, {1, 1, 1}, {2, 8, 1}, {3, 2, 2},
+	} {
+		if got := autoKernelThreads(tc.procs, tc.shards); got != tc.want {
+			t.Errorf("GOMAXPROCS %d, %d shards: %d kernel threads, want %d", tc.procs, tc.shards, got, tc.want)
+		}
+	}
+	// An explicit setting is honoured whatever the shard count.
+	if got := kernelThreadCount(Config{Shards: 8, KernelThreads: 3}); got != 3 {
+		t.Fatalf("explicit KernelThreads 3 resolved to %d", got)
+	}
+}
+
+// TestHubParallelEquivalence runs the same fleet through a serial hub and a
+// pooled hub and requires identical per-session label counts: the parallel
+// blocked GEMM path must be bitwise-equivalent to the serial kernels, so
+// thread count can never change decodes.
+func TestHubParallelEquivalence(t *testing.T) {
+	reg, p := testFleet(t)
+	// 64 filters: eight 48-step windows make a 2 M-MAC conv product, past the
+	// kernel pool's crossover even on a tick where only five are due.
+	cnnSpec := models.Spec{Family: models.FamilyCNN, WindowSize: p.Config.WindowSize,
+		Optimizer: "adam", LR: 1e-3, ConvLayers: 1, Filters: 64, Kernel: 5, Stride: 2, Pool: "none"}
+	if _, _, err := reg.GetOrBuild("cnn", func() (models.Classifier, int64, error) {
+		net, err := models.BuildNet(cnnSpec, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		return &models.NNClassifier{Net: net, Spec: cnnSpec}, 0, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(threads int) map[int]SessionStats {
+		hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 16, TickHz: 15,
+			LatencyWindow: 16, KernelThreads: threads}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Stop()
+		ids := make([]SessionID, 0, 8)
+		for i := 0; i < 8; i++ {
+			sc := boardSession(t, p, 0, uint64(i)*7+5)
+			sc.ModelKey = "cnn" // big enough GEMM to cross the parallel threshold
+			id, err := hub.Admit(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for i := 0; i < 30; i++ {
+			hub.TickAll()
+		}
+		out := map[int]SessionStats{}
+		for i, id := range ids {
+			st, ok := hub.Session(id)
+			if !ok {
+				t.Fatalf("session %d vanished", id)
+			}
+			out[i] = st
+		}
+		return out
+	}
+
+	serial := run(1)
+	parallel := run(4)
+	for i, want := range serial {
+		got := parallel[i]
+		if want.Decoded == 0 {
+			t.Fatalf("session %d decoded nothing", i)
+		}
+		if got.Decoded != want.Decoded || got.Agreed != want.Agreed {
+			t.Fatalf("session %d: parallel decodes (%d,%d) != serial (%d,%d)",
+				i, got.Decoded, got.Agreed, want.Decoded, want.Agreed)
+		}
+		for a, n := range want.Actions {
+			if got.Actions[a] != n {
+				t.Fatalf("session %d action %v: parallel %d != serial %d", i, a, got.Actions[a], n)
+			}
+		}
+	}
+}

@@ -98,7 +98,7 @@ func (r RingSource) Close() error {
 // SessionConfig describes one closed-loop session joining the fleet.
 type SessionConfig struct {
 	// ModelKey selects the shared classifier from the hub's registry. The
-	// model must already be resolved (GetOrBuild/LoadNNFile) at Admit time.
+	// model must already be resolved (GetOrBuild) at Admit time.
 	ModelKey string
 	// Source feeds raw samples; ownership passes to the hub, which closes
 	// it on eviction if it implements io.Closer.
@@ -112,7 +112,8 @@ type SessionConfig struct {
 	// Tag is an opaque caller label persisted with the session in fleet
 	// checkpoints. The hub never interprets it; daemons use it to decide how
 	// to rebind a live Source on restore (cmd/cogarmd tags sessions
-	// "demo:<subject>:<idx>" or "inlet").
+	// "demo:<subject>:<idx>" or "inlet:<i>"), and the cluster layer routes by
+	// it, so it should be unique per session.
 	Tag string
 }
 
