@@ -160,11 +160,20 @@ type Manifest struct {
 // RefIndex returns the manifest's session references keyed by ID — the view
 // the next delta capture compares live sessions against.
 func (m *Manifest) RefIndex() map[uint64]SessionRef {
-	out := make(map[uint64]SessionRef, len(m.Refs))
-	for _, r := range m.Refs {
-		out[r.ID] = r
+	return m.RefIndexInto(nil)
+}
+
+// RefIndexInto is RefIndex into dst, which is cleared first and allocated
+// only when nil, so a capture loop can keep one index for its lifetime.
+func (m *Manifest) RefIndexInto(dst map[uint64]SessionRef) map[uint64]SessionRef {
+	if dst == nil {
+		dst = make(map[uint64]SessionRef, len(m.Refs))
 	}
-	return out
+	clear(dst)
+	for _, r := range m.Refs {
+		dst[r.ID] = r
+	}
+	return dst
 }
 
 // SessionRecord is the complete resumable state of one serving session.
@@ -247,8 +256,23 @@ func Save(root string, state *FleetState) (string, error) {
 	if state == nil {
 		return "", fmt.Errorf("checkpoint: nil state")
 	}
+	var recs Records
+	for i := range state.Sessions {
+		recs.Append(&state.Sessions[i])
+	}
+	return SaveRecords(root, state, &recs)
+}
+
+// SaveRecords is Save with the fleet's session records already encoded, in
+// the order sessions.bin lists them: recs stands in for state.Sessions, which
+// is not read. A live capture encodes straight into such an arena, so its
+// records reach disk without ever being materialised as SessionRecords.
+func SaveRecords(root string, state *FleetState, recs *Records) (string, error) {
+	if state == nil {
+		return "", fmt.Errorf("checkpoint: nil state")
+	}
 	start := time.Now()
-	dir, err := save(root, state)
+	dir, err := save(root, state, recs)
 	if err != nil {
 		ckptTel().saveErrs.Inc()
 		return "", err
@@ -257,14 +281,14 @@ func Save(root string, state *FleetState) (string, error) {
 	return dir, nil
 }
 
-// save is Save minus telemetry.
-func save(root string, state *FleetState) (string, error) {
+// save is SaveRecords minus telemetry.
+func save(root string, state *FleetState, recs *Records) (string, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	man := state.Manifest
 	man.Format = dirFormat
-	man.Sessions = len(state.Sessions)
+	man.Sessions = recs.Len()
 	man.Models, man.Refs = nil, nil
 
 	// A unique temp dir per call keeps concurrent Saves into one root (e.g.
@@ -303,8 +327,8 @@ func save(root string, state *FleetState) (string, error) {
 
 	// Session records.
 	if err := writeRecordFile(filepath.Join(tmp, sessionsFile), KindSessions, func(fw *fileWriter) error {
-		for i := range state.Sessions {
-			if err := fw.writeSession(&state.Sessions[i]); err != nil {
+		for i := 0; i < recs.Len(); i++ {
+			if err := fw.writeSession(i, recs.At(i)); err != nil {
 				return err
 			}
 		}

@@ -102,6 +102,37 @@ func appendFloats(dst []byte, v []float64) []byte {
 	return dst
 }
 
+// Records is an arena of encoded session records, back to back in one
+// buffer: what a live capture produces, and what the WAL, a socket stream and
+// sessions.bin take as they are. An arena reused capture after capture stops
+// allocating once it has held its largest fleet. The zero value is empty.
+type Records struct {
+	buf  []byte
+	ends []int // end offset in buf of each record
+}
+
+// Reset empties the arena, keeping its capacity. Slices At returned before
+// are overwritten by the next Append.
+func (r *Records) Reset() { r.buf, r.ends = r.buf[:0], r.ends[:0] }
+
+// Append encodes rec onto the end of the arena.
+func (r *Records) Append(rec *SessionRecord) {
+	r.buf = AppendSessionRecord(r.buf, rec)
+	r.ends = append(r.ends, len(r.buf))
+}
+
+// Len returns how many records the arena holds.
+func (r *Records) Len() int { return len(r.ends) }
+
+// At returns record i's encoding, aliasing the arena until its next Reset.
+func (r *Records) At(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1]
+	}
+	return r.buf[start:r.ends[i]:r.ends[i]]
+}
+
 // PeekSessionRecord reads the fixed 32-byte head of an encoded record — the
 // fields every ref overlay and replay fold needs — without decoding the rest.
 // The returned ref's Seq is zero.
@@ -193,6 +224,60 @@ func DecodeSessionRecord(b []byte, rec *SessionRecord) error {
 	return nil
 }
 
+// PeekSessionCounters reads Decoded and Agreed from the fixed block of an
+// encoded record — what a journal's decision row carries — without decoding
+// the rest.
+func PeekSessionCounters(b []byte) (decoded, agreed uint64, err error) {
+	if _, err := PeekSessionRecord(b); err != nil {
+		return 0, 0, err
+	}
+	return binary.LittleEndian.Uint64(b[58:]), binary.LittleEndian.Uint64(b[66:]), nil
+}
+
+// CheckSessionRecord returns the error DecodeSessionRecord would return for
+// b, without decoding it: the same walk over the same counts and bounds, with
+// every field skipped instead of copied out, so an accepted record costs no
+// allocation. A holder that keeps records as bytes verifies them with it and
+// decodes only when it needs the values.
+func CheckSessionRecord(b []byte) error {
+	if _, err := PeekSessionRecord(b); err != nil {
+		return err
+	}
+	if b[33] > 1 {
+		return fmt.Errorf("%w: session record fed byte %d", ErrCorrupt, b[33])
+	}
+	d := decoder{b: b[34:]}
+	d.int()   // Shard
+	d.int()   // Channels
+	d.u64()   // SampleRateHz
+	d.u64()   // Decoded
+	d.u64()   // Agreed
+	d.int()   // Windower.Filled
+	d.int()   // Debounce.Head
+	d.int()   // Debounce.N
+	d.skip(1) // ModelKey
+	d.skip(1) // Tag
+	d.skip(8) // NormMean
+	d.skip(8) // NormStd
+	d.skip(8) // Actions
+	d.skip(8) // Windower.Window
+	for n := d.count(4); n > 0; n-- {
+		d.skip(8) // one Windower.Filter channel
+	}
+	for n := d.count(8); n > 0; n-- {
+		d.int() // one Debounce.Recent label
+	}
+	for n := d.count(8 + 8 + 4); n > 0; n-- {
+		d.u64()   // Seq
+		d.u64()   // Timestamp
+		d.skip(8) // Values
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("%w: session record has %d trailing bytes", ErrCorrupt, len(d.b))
+	}
+	return d.err
+}
+
 // decoder consumes a byte slice front to back. The first failure sticks:
 // later reads return zero values and allocate nothing, so DecodeSessionRecord
 // checks err once at the end.
@@ -242,6 +327,12 @@ func (d *decoder) count(elemMin int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// skip passes over one counted field of elemSize-byte elements.
+func (d *decoder) skip(elemSize int) {
+	n := d.count(elemSize)
+	d.b = d.b[n*elemSize:]
 }
 
 func (d *decoder) str() string {

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -309,4 +312,97 @@ func FuzzDecodeSessionRecord(f *testing.F) {
 			t.Fatalf("accepted a non-canonical encoding: %d bytes in, %d bytes re-encoded", len(b), len(again))
 		}
 	})
+}
+
+// TestCheckSessionRecordAgreesWithDecode: the walk that verifies a record
+// without decoding it returns exactly the decoder's verdict — every cut of a
+// record, a trailing byte, every length prefix overclaiming, damaged layout
+// and fed bytes — and accepts a good record without allocating.
+func TestCheckSessionRecordAgreesWithDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 20; i++ {
+		rec := randRecord(rng)
+		good := AppendSessionRecord(nil, &rec)
+		inputs := [][]byte{good, append(good[:len(good):len(good)], 0)}
+		for cut := 0; cut < len(good); cut++ {
+			inputs = append(inputs, good[:cut])
+		}
+		for _, off := range prefixOffsets(&rec) {
+			for _, n := range []uint32{1, uint32(len(good)), math.MaxUint32} {
+				b := append([]byte(nil), good...)
+				binary.LittleEndian.PutUint32(b[off:], binary.LittleEndian.Uint32(b[off:])+n)
+				inputs = append(inputs, b)
+			}
+		}
+		for off, v := range map[int]byte{32: sessionRecordVersion + 1, 33: 2} {
+			b := append([]byte(nil), good...)
+			b[off] = v
+			inputs = append(inputs, b)
+		}
+		for _, b := range inputs {
+			checkAgrees(t, b)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := CheckSessionRecord(good); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("record %d: CheckSessionRecord allocates %.0f times on a good record, want 0", i, allocs)
+		}
+	}
+}
+
+// checkAgrees fails t unless CheckSessionRecord and DecodeSessionRecord give
+// b the same verdict, down to the error text.
+func checkAgrees(t *testing.T, b []byte) {
+	t.Helper()
+	var rec SessionRecord
+	derr, cerr := DecodeSessionRecord(b, &rec), CheckSessionRecord(b)
+	if (derr == nil) != (cerr == nil) || derr != nil && derr.Error() != cerr.Error() {
+		t.Fatalf("%d-byte input: decode says %v, check says %v", len(b), derr, cerr)
+	}
+}
+
+// FuzzCheckSessionRecord: CheckSessionRecord accepts an input if and only if
+// DecodeSessionRecord does, with the same error. Seeded from the decoder's
+// committed corpus as well as its in-code seeds.
+func FuzzCheckSessionRecord(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		rec := randRecord(rng)
+		f.Add(AppendSessionRecord(nil, &rec))
+	}
+	for _, seed := range corpusOf(f, "FuzzDecodeSessionRecord") {
+		f.Add(seed)
+	}
+	f.Fuzz(checkAgrees)
+}
+
+// corpusOf reads the single []byte argument of every committed seed of the
+// named fuzz target (testdata/fuzz/<name>, "go test fuzz v1" files).
+func corpusOf(tb testing.TB, name string) [][]byte {
+	tb.Helper()
+	dir := filepath.Join("testdata", "fuzz", name)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		head, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		inner, ok := strings.CutPrefix(strings.TrimSpace(arg), "[]byte(")
+		if !ok || head != "go test fuzz v1" || !strings.HasSuffix(inner, ")") {
+			tb.Fatalf("%s: not a one-[]byte corpus file", e.Name())
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(inner, ")"))
+		if err != nil {
+			tb.Fatalf("%s: %v", e.Name(), err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
 }

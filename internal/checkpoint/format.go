@@ -72,7 +72,7 @@ const headerLen = 4 + 2 + 2
 // fileWriter frames records into w.
 type fileWriter struct {
 	w io.Writer
-	// frame is the assembly buffer session records are encoded and framed
+	// frame is the assembly buffer each encoded session record is framed
 	// in, reused across records: one Write and no allocation per session.
 	frame []byte
 }
@@ -109,20 +109,19 @@ func (fw *fileWriter) writeRecord(typ byte, payload []byte) error {
 	return nil
 }
 
-// writeSession encodes rec straight into the frame buffer and writes the
-// framed record with a single Write.
-func (fw *fileWriter) writeSession(rec *SessionRecord) error {
-	const pre = 5 // type + length, as in writeRecord
-	b := append(fw.frame[:0], RecSession, 0, 0, 0, 0)
-	b = AppendSessionRecord(b, rec)
-	if len(b)-pre > maxRecordLen {
-		return fmt.Errorf("session %d: record of %d bytes exceeds limit", rec.ID, len(b)-pre)
+// writeSession frames the i-th encoded session record in the frame buffer and
+// writes it with a single Write.
+func (fw *fileWriter) writeSession(i int, rec []byte) error {
+	if len(rec) > maxRecordLen {
+		return fmt.Errorf("session record %d: %d bytes exceeds limit", i, len(rec))
 	}
-	binary.LittleEndian.PutUint32(b[1:], uint32(len(b)-pre))
+	b := append(fw.frame[:0], RecSession, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(rec)))
+	b = append(b, rec...)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	fw.frame = b
 	if _, err := fw.w.Write(b); err != nil {
-		return fmt.Errorf("session %d: %w", rec.ID, err)
+		return fmt.Errorf("session record %d: %w", i, err)
 	}
 	return nil
 }

@@ -133,10 +133,14 @@ func (n *Node) promote(dead string) int {
 	set, ok := n.replicas.take(dead)
 	t := clusterTel()
 	t.replicaSessions.Set(float64(n.replicas.total()))
-	if !ok || len(set.image.Sessions) == 0 {
+	if !ok || set.live == 0 {
 		return 0
 	}
-	image := set.image
+	image, err := set.resolve()
+	if err != nil {
+		n.logf("cluster: failover of %s: %v", dead, err)
+		return 0
+	}
 	if err := n.registerModels(image); err != nil {
 		n.logf("cluster: failover of %s: %v", dead, err)
 		return 0

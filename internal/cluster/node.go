@@ -818,7 +818,16 @@ func (n *Node) receiveMigration(conn net.Conn) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	state, err := foldBatch(entries, nil)
+	fold := serve.NewFold()
+	for _, e := range entries {
+		if err := fold.Add(e); err != nil {
+			return 0, err
+		}
+	}
+	if fold.Applied() == 0 {
+		return 0, fmt.Errorf("cluster: batch of %d entries carries no refs entry", len(entries))
+	}
+	state, err := fold.Resolve(nil)
 	if err != nil {
 		return 0, err
 	}

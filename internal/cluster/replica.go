@@ -16,24 +16,36 @@ import (
 
 // Warm-standby replication. The sender half (Node.ReplicateOnce) captures
 // the hub's dirty-session delta — the same capture a journal flush writes —
-// and ships it to this node's ring successors as sealed batches of WAL
-// entries (wal.StreamWriter) over long-lived verbReplicate connections. The
-// receiver half (Node.handleReplicate) folds each verified batch into a
-// replicaStore: an in-memory, always-promotable image of the primary's
-// sessions, at most one replication interval stale. Promotion (failover.go)
-// turns that image into live serving sessions via serve.Hub.PromoteSession.
+// into the link's reused arena and ships it to this node's ring successors as
+// sealed batches of WAL entries (wal.StreamWriter) over long-lived
+// verbReplicate connections. The receiver half (Node.handleReplicate) folds
+// each verified batch into a replicaStore: an in-memory, always-promotable
+// image of the primary's sessions, at most one replication interval stale,
+// kept as the verified record bytes and decoded only at promotion. Promotion
+// (failover.go) turns that image into live serving sessions via
+// serve.Hub.PromoteSession.
 
 // replicaSet is the replica image of one primary, as built by one tail.
 type replicaSet struct {
-	// image is the promotable state: what serve.Fold resolved from every
-	// batch applied so far — each live session's latest record, volatile
-	// scheduler fields overlaid, in ID order — plus every model shipped.
-	image *checkpoint.FleetState
+	// fold holds the promotable sessions: every live session's latest
+	// record as the bytes the primary shipped, verified as each batch was
+	// applied, and the newest refs view. resolve decodes them.
+	fold *serve.Fold
+	// base holds every model shipped so far, loaded (Fold.Apply adds them).
+	base *checkpoint.FleetState
+	// live is how many sessions the last applied view names.
+	live int
 	// lastRoot is the Merkle root of the last applied batch, as verified by
 	// wal.StreamReader against the sender's seal. It makes the image's
 	// provenance auditable at promotion time: the promoting node can state
 	// exactly which verified batch its serving state descends from.
 	lastRoot [wal.HashSize]byte
+}
+
+// resolve decodes the image for promotion: each live session's latest
+// record, volatile scheduler fields overlaid, in ID order, plus every model.
+func (rs *replicaSet) resolve() (*checkpoint.FleetState, error) {
+	return rs.fold.Resolve(rs.base)
 }
 
 // replicaStore holds one replicaSet per primary replicating to this node.
@@ -55,52 +67,39 @@ func newReplicaStore() *replicaStore {
 // (immutable), sessions do not: the new tail's first batch is a full resync,
 // and stale records must not outlive the connection that shipped them.
 func (s *replicaStore) beginTail(src string) *replicaSet {
-	rs := &replicaSet{image: &checkpoint.FleetState{
+	rs := &replicaSet{fold: serve.NewFold(), base: &checkpoint.FleetState{
 		Models:    map[string]models.Classifier{},
 		ModelMACs: map[string]int64{},
 	}}
 	s.mu.Lock()
 	if old, ok := s.set[src]; ok {
-		rs.image.Models, rs.image.ModelMACs = old.image.Models, old.image.ModelMACs
+		rs.base.Models, rs.base.ModelMACs = old.base.Models, old.base.ModelMACs
 	}
 	s.set[src] = rs
 	s.mu.Unlock()
 	return rs
 }
 
-// foldBatch folds one verified batch of WAL entries over base through
-// serve.Fold — the same fold WAL replay runs — and returns the resolved
-// state. A batch enters base only at its refs commit and only when every ref
-// resolves at its version; on error base is exactly as it was.
-func foldBatch(entries []wal.Entry, base *checkpoint.FleetState) (*checkpoint.FleetState, error) {
-	fold := serve.NewFold()
-	for _, e := range entries {
-		if err := fold.Add(e); err != nil {
-			return nil, err
-		}
-	}
-	if fold.Applied() == 0 {
-		return nil, fmt.Errorf("cluster: batch of %d entries carries no refs entry", len(entries))
-	}
-	return fold.Resolve(base)
-}
-
 // apply folds one verified batch into the image rs — which must still be
 // src's open tail: a connection superseded by a newer one (or by a promotion)
 // may not write over its successor's image — and returns the live session
-// count. On error the image keeps its last good batch and the caller tears
-// the connection down, so the next one resyncs from scratch.
+// count. Fold.Apply runs every check a promotion's decode would, so a batch
+// the image acks is one it can serve. On error the image keeps its last good
+// batch and the caller tears the connection down, so the next one resyncs
+// from scratch.
 func (s *replicaStore) apply(src string, rs *replicaSet, entries []wal.Entry, root [wal.HashSize]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.set[src] != rs {
 		return 0, fmt.Errorf("cluster: replication batch from %s on a superseded tail", src)
 	}
-	if _, err := foldBatch(entries, rs.image); err != nil {
+	live, err := rs.fold.Apply(entries, rs.base)
+	if err != nil {
 		return 0, fmt.Errorf("cluster: replica of %s out of sync: %w", src, err)
 	}
+	rs.live = live
 	rs.lastRoot = root
-	return len(rs.image.Sessions), nil
+	return live, nil
 }
 
 // take removes and returns src's image — the promotion handoff. Promotion
@@ -125,7 +124,7 @@ func (s *replicaStore) total() int {
 	s.mu.Lock()
 	n := 0
 	for _, rs := range s.set {
-		n += len(rs.image.Sessions)
+		n += rs.live
 	}
 	s.mu.Unlock()
 	return n
@@ -149,6 +148,7 @@ type replLink struct {
 	conn     net.Conn
 	sw       *wal.StreamWriter
 	enc      serve.DeltaEncoder // models shipped on this connection
+	delta    serve.Delta        // the capture arena, reused batch after batch
 	lastRefs map[uint64]checkpoint.SessionRef
 	ackBuf   []byte
 }
@@ -296,9 +296,10 @@ func (n *Node) linkTo(target string) (*replLink, error) {
 // standby never applied is recaptured (as still-dirty sessions) by the next
 // connection.
 func (n *Node) shipBatch(link *replLink) error {
-	delta := n.hub.CaptureDelta(link.lastRefs)
+	delta := &link.delta
+	n.hub.CaptureDeltaInto(link.lastRefs, delta)
 	link.conn.SetDeadline(time.Now().Add(ioTimeout))
-	if err := link.enc.Append(link.sw, delta); err != nil {
+	if err := link.enc.AppendDelta(link.sw, delta); err != nil {
 		return err
 	}
 	if _, err := link.sw.Seal(); err != nil {
@@ -312,10 +313,10 @@ func (n *Node) shipBatch(link *replLink) error {
 	if ack.Err != "" {
 		return fmt.Errorf("remote: %s", ack.Err)
 	}
-	link.lastRefs = delta.Manifest.RefIndex()
+	link.lastRefs = delta.Manifest.RefIndexInto(link.lastRefs)
 	t := clusterTel()
 	t.replBatchesOut.Inc()
-	t.replRecords.Add(uint64(len(delta.Sessions)))
+	t.replRecords.Add(uint64(delta.Records.Len()))
 	return nil
 }
 

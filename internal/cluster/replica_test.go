@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/gob"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"cognitivearm/internal/board"
 	"cognitivearm/internal/checkpoint"
+	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/serve"
 	"cognitivearm/internal/wal"
 )
@@ -93,8 +96,12 @@ func TestReplicaRefusedBatchLeavesImage(t *testing.T) {
 	if !ok {
 		t.Fatal("image gone after a refused batch")
 	}
-	if !reflect.DeepEqual(set.image.Sessions, want) {
-		t.Fatalf("refused batch left a half-applied image:\n got %+v\nwant %+v", set.image.Sessions, want)
+	image, err := set.resolve()
+	if err != nil {
+		t.Fatalf("image does not resolve after a refused batch: %v", err)
+	}
+	if !reflect.DeepEqual(image.Sessions, want) {
+		t.Fatalf("refused batch left a half-applied image:\n got %+v\nwant %+v", image.Sessions, want)
 	}
 	if set.lastRoot != root1 {
 		t.Fatalf("image claims root %x, last applied batch sealed %x", set.lastRoot, root1)
@@ -113,9 +120,9 @@ func TestReplicaSupersededTailRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := store.beginTail("primary")
-	if len(fresh.image.Models) != 1 || len(fresh.image.Sessions) != 0 {
+	if len(fresh.base.Models) != 1 || fresh.live != 0 {
 		t.Fatalf("fresh tail starts with %d models / %d sessions, want the shipped model and no sessions",
-			len(fresh.image.Models), len(fresh.image.Sessions))
+			len(fresh.base.Models), fresh.live)
 	}
 	if _, err := store.apply("primary", stale, entries, root); err == nil || !strings.Contains(err.Error(), "superseded") {
 		t.Fatalf("batch on the superseded tail: %v, want a refusal", err)
@@ -169,5 +176,108 @@ func TestMigrationRefusesUnknownModel(t *testing.T) {
 	}
 	if n := hubB.Sessions(); n != 0 {
 		t.Fatalf("receiver restored %d sessions from a refused batch, want 0", n)
+	}
+}
+
+// TestReplicaApplyAllocs gates the standby's ack path: once a tail's image
+// holds the fleet, applying a steady-state batch — a newer record for every
+// session and the refs entry, the model long shipped — allocates no more than
+// decoding that refs entry's gob manifest alone. Records are verified in place
+// and copied into buffers the image reuses; nothing is decoded.
+func TestReplicaApplyAllocs(t *testing.T) {
+	hub := replicaFleet(t)
+	store := newReplicaStore()
+	rs := store.beginTail("primary")
+	entries, root := batchOf(t, hub.CaptureDelta(nil))
+	if _, err := store.apply("primary", rs, entries, root); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		hub.TickAll()
+	}
+	entries, root = batchOf(t, hub.CaptureDelta(nil))
+	var steady []wal.Entry
+	for _, e := range entries {
+		if e.Kind != wal.KindModel {
+			steady = append(steady, e)
+		}
+	}
+	refs := steady[len(steady)-1]
+	if refs.Kind != wal.KindRefs || len(steady) != 3 {
+		t.Fatalf("steady batch is %d entries ending in kind %d, want two records and the refs", len(steady), refs.Kind)
+	}
+	apply := func() {
+		if live, err := store.apply("primary", rs, steady, root); err != nil || live != 2 {
+			t.Fatalf("steady batch: live=%d err=%v", live, err)
+		}
+	}
+	apply()
+	gobAllocs := testing.AllocsPerRun(20, func() {
+		var man checkpoint.Manifest
+		if err := gob.NewDecoder(bytes.NewReader(refs.Data)).Decode(&man); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs := testing.AllocsPerRun(20, apply); allocs > gobAllocs {
+		t.Fatalf("applying a steady batch allocates %.0f times, above the %.0f of its refs gob", allocs, gobAllocs)
+	}
+}
+
+// BenchmarkReplicateAt times one replication sweep of a 100-session primary
+// to one standby over loopback TCP after the 30 ticks (cogarmd's 2 s cadence)
+// that dirty every session; allocs/op counts both nodes, which share the
+// process: the primary's capture and send, the standby's apply.
+func BenchmarkReplicateAt(b *testing.B) {
+	clf, norm := sharedModel(b)
+	cfg := serve.Config{Shards: 2, MaxSessionsPerShard: 50, TickHz: 15, LatencyWindow: 32}
+	hub, err := serve.NewHub(cfg, registryWith(clf))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer hub.Stop()
+	standbyHub, err := serve.NewHub(cfg, serve.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer standbyHub.Stop()
+	primary, err := NewNode(Config{ID: "primary", Replicas: 1, Rebind: dropRebind}, hub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer primary.Close()
+	standby, err := NewNode(Config{ID: "standby", Replicas: 1, Rebind: dropRebind}, standbyHub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer standby.Close()
+	if err := standby.Join(primary.Addr()); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		src := board.NewSyntheticCyton(eeg.NewSubject(0), uint64(i)*7+3, false)
+		if err := src.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := hub.Admit(serve.SessionConfig{ModelKey: "rf", Source: src, Norm: norm}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep := func() {
+		for i := 0; i < 30; i++ {
+			hub.TickAll()
+		}
+		b.StartTimer()
+		if err := primary.ReplicateAt(time.Now()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+	}
+	b.StopTimer()
+	sweep() // the full base
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		sweep()
+		b.StartTimer()
 	}
 }

@@ -35,6 +35,17 @@ func (w *Windower) State() WindowerState {
 	}
 }
 
+// StateView fills st with the Windower's state without copying the window:
+// st.Window aliases the rolling buffer and is valid only until the next Push,
+// and st.Filter reuses st's own slices (Bank.StateInto). It is State for a
+// caller that serialises the state before the session can tick again — the
+// capture does, under the shard lock — and then allocates nothing.
+func (w *Windower) StateView(st *WindowerState) {
+	st.Filled = w.filled
+	st.Window = w.view.Data
+	st.Filter = w.bank.StateInto(st.Filter)
+}
+
 // SetState restores a snapshot taken by State into a Windower built with the
 // same construction parameters. It rejects snapshots whose dimensions do not
 // match the receiver — a mismatched window length, channel count or filter
@@ -72,11 +83,21 @@ type DebouncerState struct {
 
 // State exports the debounce history.
 func (d *Debouncer) State() DebouncerState {
-	st := DebouncerState{Recent: make([]int, SmoothingWindow), Head: d.head, N: d.n}
+	var st DebouncerState
+	d.StateInto(&st)
+	return st
+}
+
+// StateInto is State into st, reusing st.Recent when it is large enough.
+func (d *Debouncer) StateInto(st *DebouncerState) {
+	if cap(st.Recent) < SmoothingWindow {
+		st.Recent = make([]int, SmoothingWindow)
+	}
+	st.Recent = st.Recent[:SmoothingWindow]
 	for i, a := range d.recent {
 		st.Recent[i] = int(a)
 	}
-	return st
+	st.Head, st.N = d.head, d.n
 }
 
 // SetState restores a snapshot taken by State, validating ranges so a

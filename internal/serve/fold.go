@@ -13,7 +13,7 @@ import (
 
 // The delta format: one writer (DeltaEncoder: journal segments, replication
 // tails, migrations) and one reader (Fold: WAL replay, the standby image, the
-// migration receiver) of a captured delta (Hub.CaptureDelta) as WAL entries:
+// migration receiver) of a captured delta (Hub.CaptureDeltaInto) as WAL entries:
 //
 //	KindModel*   models its sink has not seen yet (walModel, gob)
 //	KindSession* dirty session records (checkpoint.AppendSessionRecord)
@@ -40,24 +40,34 @@ type EntrySink interface {
 // connection whose write failed. The zero value is ready.
 type DeltaEncoder struct {
 	sent map[string]struct{} // models already shipped to this sink
-	buf  []byte              // reusable entry-encoding buffer
 }
 
-// Append writes delta to sink as one flush: its unsent models, its session
-// records, and the refs entry that commits them. Sealing is the caller's.
-func (d *DeltaEncoder) Append(sink EntrySink, delta *checkpoint.FleetState) error {
+// AppendDelta writes delta to sink as one flush: its unsent models, its
+// session records as they were encoded, and the refs entry that commits
+// them. Sealing is the caller's.
+func (d *DeltaEncoder) AppendDelta(sink EntrySink, delta *Delta) error {
 	if err := d.models(sink, delta); err != nil {
 		return err
 	}
-	for i := range delta.Sessions {
-		if err := d.session(sink, &delta.Sessions[i]); err != nil {
+	for i := 0; i < delta.Records.Len(); i++ {
+		if _, err := sink.Append(wal.KindSession, delta.Records.At(i)); err != nil {
 			return err
 		}
 	}
 	return d.refs(sink, delta)
 }
 
-func (d *DeltaEncoder) models(sink EntrySink, delta *checkpoint.FleetState) error {
+// Append is AppendDelta for a delta in record form, such as a migration
+// assembles from extracted sessions.
+func (d *DeltaEncoder) Append(sink EntrySink, state *checkpoint.FleetState) error {
+	delta := Delta{Manifest: state.Manifest, Models: state.Models, ModelMACs: state.ModelMACs}
+	for i := range state.Sessions {
+		delta.Records.Append(&state.Sessions[i])
+	}
+	return d.AppendDelta(sink, &delta)
+}
+
+func (d *DeltaEncoder) models(sink EntrySink, delta *Delta) error {
 	keys := make([]string, 0, len(delta.Models))
 	for key := range delta.Models {
 		if _, done := d.sent[key]; !done {
@@ -86,15 +96,9 @@ func (d *DeltaEncoder) models(sink EntrySink, delta *checkpoint.FleetState) erro
 	return nil
 }
 
-func (d *DeltaEncoder) session(sink EntrySink, rec *checkpoint.SessionRecord) error {
-	d.buf = checkpoint.AppendSessionRecord(d.buf[:0], rec)
-	_, err := sink.Append(wal.KindSession, d.buf)
-	return err
-}
-
-func (d *DeltaEncoder) refs(sink EntrySink, delta *checkpoint.FleetState) error {
+func (d *DeltaEncoder) refs(sink EntrySink, delta *Delta) error {
 	man := delta.Manifest
-	man.Sessions = len(delta.Sessions)
+	man.Sessions = delta.Records.Len()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&man); err != nil {
 		return fmt.Errorf("serve: encode refs: %w", err)
@@ -104,7 +108,8 @@ func (d *DeltaEncoder) refs(sink EntrySink, delta *checkpoint.FleetState) error 
 }
 
 // Fold turns a run of WAL entries back into fleet state. Add stages entries;
-// Resolve folds what was committed over an optional base.
+// Resolve folds what was committed over an optional base. Apply is the
+// long-lived form a standby keeps its image in.
 //
 // A flush is committed by its KindRefs entry, not by a seal: a log seals
 // inline whenever a batch outgrows its size bound, so a crash mid-flush can
@@ -119,6 +124,9 @@ type Fold struct {
 	stagedModels, models map[string]walModel // likewise
 	refs                 []byte              // the newest refs entry
 	applied, pending     int                 // pending: entries since the last refs entry
+
+	batch *Fold               // Apply's staging of one batch, reused
+	named map[uint64]struct{} // Apply's scratch: the sessions the batch's view names
 }
 
 // NewFold returns an empty fold.
@@ -171,6 +179,35 @@ func (f *Fold) Add(e wal.Entry) error {
 // including the last refs entry.
 func (f *Fold) Applied() int { return f.applied }
 
+// decodeRefs decodes a refs entry's manifest.
+func decodeRefs(b []byte) (checkpoint.Manifest, error) {
+	var man checkpoint.Manifest
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&man); err != nil {
+		return man, fmt.Errorf("%w: wal refs manifest: %v", checkpoint.ErrCorrupt, err)
+	}
+	return man, nil
+}
+
+// loadModels loads every model of ms that have does not hold already; nil
+// when there are none.
+func loadModels(ms map[string]walModel, have map[string]models.Classifier) (map[string]models.Classifier, error) {
+	var loaded map[string]models.Classifier
+	for key, wm := range ms {
+		if _, ok := have[key]; ok {
+			continue
+		}
+		clf, err := models.Load(bytes.NewReader(wm.Payload))
+		if err != nil {
+			return nil, fmt.Errorf("%w: wal model %q: %v", checkpoint.ErrCorrupt, key, err)
+		}
+		if loaded == nil {
+			loaded = map[string]models.Classifier{}
+		}
+		loaded[key] = clf
+	}
+	return loaded, nil
+}
+
 // Resolve folds the committed entries over base and returns the result: base
 // itself, updated in place, or base untouched when no refs entry was added.
 // A nil base folds from nothing, which is legal whenever the entries hold a
@@ -186,9 +223,9 @@ func (f *Fold) Resolve(base *checkpoint.FleetState) (*checkpoint.FleetState, err
 	if f.refs == nil {
 		return base, nil
 	}
-	var man checkpoint.Manifest
-	if err := gob.NewDecoder(bytes.NewReader(f.refs)).Decode(&man); err != nil {
-		return nil, fmt.Errorf("%w: wal refs manifest: %v", checkpoint.ErrCorrupt, err)
+	man, err := decodeRefs(f.refs)
+	if err != nil {
+		return nil, err
 	}
 	if base == nil {
 		// The manifest becomes the configuration a hub is rebuilt under.
@@ -201,16 +238,9 @@ func (f *Fold) Resolve(base *checkpoint.FleetState) (*checkpoint.FleetState, err
 			ModelMACs: make(map[string]int64),
 		}
 	}
-	loaded := make(map[string]models.Classifier)
-	for key, wm := range f.models {
-		if _, ok := base.Models[key]; ok {
-			continue
-		}
-		clf, err := models.Load(bytes.NewReader(wm.Payload))
-		if err != nil {
-			return nil, fmt.Errorf("%w: wal model %q: %v", checkpoint.ErrCorrupt, key, err)
-		}
-		loaded[key] = clf
+	loaded, err := loadModels(f.models, base.Models)
+	if err != nil {
+		return nil, err
 	}
 	fromBase := make(map[uint64]*checkpoint.SessionRecord, len(base.Sessions))
 	for i := range base.Sessions {
@@ -247,4 +277,84 @@ func (f *Fold) Resolve(base *checkpoint.FleetState) (*checkpoint.FleetState, err
 	base.Sessions = out
 	base.Manifest.Sessions = len(out)
 	return base, nil
+}
+
+// Apply folds one batch of entries into a long-lived fold — a standby's
+// image, kept as verified bytes — all or nothing, and returns how many
+// sessions the batch's view names. The batch is staged as Add stages it, then
+// checked as Resolve would check it before anything commits: its newest refs
+// manifest decodes, every model it ships that base does not hold yet loads,
+// and every session the view names resolves — from the batch, else from what
+// earlier batches committed — at exactly the view's version, as a record
+// DecodeSessionRecord accepts (checkpoint.CheckSessionRecord, which decodes
+// nothing). Only then are the batch's records copied into the fold's own
+// per-session buffers, reused batch after batch, sessions the view no longer
+// names dropped, and the new models added to base. On error the fold and
+// base are as they were. The entries may be overwritten once Apply returns.
+//
+// A fold is fed by Add or by Apply, never both. Resolve(base) decodes an
+// applied fold, once, when its records are needed as values: the promotion
+// of a standby.
+func (f *Fold) Apply(entries []wal.Entry, base *checkpoint.FleetState) (int, error) {
+	if f.batch == nil {
+		f.batch, f.named = NewFold(), map[uint64]struct{}{}
+	}
+	b := f.batch
+	defer func() { // b aliases the entries, which the caller reuses
+		clear(b.staged)
+		clear(b.recs)
+		clear(b.stagedModels)
+		clear(b.models)
+		b.refs, b.applied, b.pending = nil, 0, 0
+	}()
+	for _, e := range entries {
+		if err := b.Add(e); err != nil {
+			return 0, err
+		}
+	}
+	if b.refs == nil {
+		return 0, fmt.Errorf("%w: batch of %d entries carries no refs entry", checkpoint.ErrCorrupt, len(entries))
+	}
+	man, err := decodeRefs(b.refs)
+	if err != nil {
+		return 0, err
+	}
+	loaded, err := loadModels(b.models, base.Models)
+	if err != nil {
+		return 0, err
+	}
+	clear(f.named)
+	for _, ref := range man.Refs {
+		raw, ok := b.recs[ref.ID]
+		if ok {
+			if err := checkpoint.CheckSessionRecord(raw); err != nil {
+				return 0, fmt.Errorf("wal session %d: %w", ref.ID, err)
+			}
+		} else if raw, ok = f.recs[ref.ID]; !ok {
+			return 0, fmt.Errorf("%w: wal refs name live session %d with no record in base or wal", checkpoint.ErrCorrupt, ref.ID)
+		}
+		head, _ := checkpoint.PeekSessionRecord(raw) // checked just now, or when it was committed
+		if head.Ver != ref.Ver {
+			return 0, fmt.Errorf("%w: wal session %d at ver %d, refs expect %d", checkpoint.ErrCorrupt, ref.ID, head.Ver, ref.Ver)
+		}
+		f.named[ref.ID] = struct{}{}
+	}
+
+	for id := range f.named {
+		if raw, ok := b.recs[id]; ok {
+			f.recs[id] = append(f.recs[id][:0], raw...)
+		}
+	}
+	for id := range f.recs {
+		if _, ok := f.named[id]; !ok {
+			delete(f.recs, id)
+		}
+	}
+	for key, clf := range loaded {
+		base.Models[key] = clf
+		base.ModelMACs[key] = b.models[key].MACs
+	}
+	f.refs = append(f.refs[:0], b.refs...)
+	f.applied += b.applied
+	return len(man.Refs), nil
 }

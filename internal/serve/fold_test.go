@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cognitivearm/internal/checkpoint"
+	"cognitivearm/internal/models"
 	"cognitivearm/internal/wal"
 )
 
@@ -202,6 +203,80 @@ func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 			t.Fatalf("%s: refused fold left a half-applied image:\n got %+v\nwant %+v", name, image.Sessions, before.Sessions)
 		}
 	}
+}
+
+// TestFoldApplyKeepsVerifiedBytes: a long-lived fold fed batch by batch with
+// Apply resolves, after every batch, to exactly the records a full capture
+// of the hub holds, keeping records only for the sessions the newest view
+// names, in buffers of its own (the batches' entries are overwritten by the
+// next ship). A batch it refuses — a record the decoder would reject behind a
+// valid fixed block, or a view naming a version no record carries — leaves it
+// resolving exactly as before.
+func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
+	hub := foldFleet(t)
+	var wire deltaWire
+	fold := NewFold()
+	base := &checkpoint.FleetState{Models: map[string]models.Classifier{}, ModelMACs: map[string]int64{}}
+	resolve := func() []checkpoint.SessionRecord {
+		t.Helper()
+		image, err := fold.Resolve(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image.Sessions
+	}
+	applyGood := func(stage string, delta *checkpoint.FleetState) {
+		t.Helper()
+		live, err := fold.Apply(wire.ship(t, delta), base)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		want := hub.CaptureDelta(nil).Sessions
+		if got := resolve(); live != len(want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d live, image diverged from a full capture:\n got %+v\nwant %+v", stage, live, got, want)
+		}
+		if len(fold.recs) != len(want) {
+			t.Fatalf("%s: fold keeps %d records for %d live sessions", stage, len(fold.recs), len(want))
+		}
+	}
+
+	delta1 := hub.CaptureDelta(nil)
+	applyGood("full base", delta1)
+	if len(base.Models) != 1 {
+		t.Fatalf("base holds %d models after the full base, want 1", len(base.Models))
+	}
+	before := resolve()
+
+	hub.TickAll()
+	entries := wire.ship(t, hub.CaptureDelta(delta1.Manifest.RefIndex()))
+	for i, e := range entries {
+		if e.Kind == wal.KindSession {
+			entries[i].Data = append(append([]byte(nil), e.Data...), 0) // one trailing byte
+			break
+		}
+	}
+	if _, err := fold.Apply(entries, base); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("record with a trailing byte: %v, want ErrCorrupt", err)
+	}
+	bad := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	bad.Manifest.Refs[1].Ver += 1000
+	if _, err := fold.Apply(wire.ship(t, bad), base); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("view naming a version no record carries: %v, want ErrCorrupt", err)
+	}
+	if got := resolve(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("refused batches moved the image:\n got %+v\nwant %+v", got, before)
+	}
+
+	hub.TickAll()
+	if _, ok := hub.ExtractSession(SessionID(delta1.Sessions[0].ID)); !ok {
+		t.Fatal("extract failed")
+	}
+	delta2 := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	applyGood("departure", delta2)
+	for i := 0; i < 3; i++ {
+		hub.TickAll()
+	}
+	applyGood("idle overlay", hub.CaptureDelta(delta2.Manifest.RefIndex()))
 }
 
 // entryLog is an EntrySink that keeps what it is given.

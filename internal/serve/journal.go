@@ -35,6 +35,7 @@ type Journal struct {
 
 	mu        sync.Mutex
 	lastRefs  map[uint64]checkpoint.SessionRef
+	delta     Delta        // the flush's capture arena, reused flush after flush
 	enc       DeltaEncoder // remembers the models journaled this process
 	lastAudit uint64       // last event-ring seq drained
 	events    []obs.Event  // reusable snapshot buffer
@@ -81,7 +82,8 @@ func (j *Journal) Flush() (root [wal.HashSize]byte, last uint64, err error) {
 }
 
 func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error) {
-	delta := j.hub.CaptureDelta(j.lastRefs)
+	delta := &j.delta
+	j.hub.CaptureDeltaInto(j.lastRefs, delta)
 	j.events = obs.DefaultEvents().Snapshot(j.events[:0])
 	pendingEvents := 0
 	for _, ev := range j.events {
@@ -89,22 +91,25 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 			pendingEvents++
 		}
 	}
-	if len(delta.Sessions) == 0 && pendingEvents == 0 && j.refsUnchanged(delta) {
+	if delta.Records.Len() == 0 && pendingEvents == 0 && j.refsUnchanged(delta) {
 		return root, j.log.LastSealed(), nil
 	}
 
-	// The delta's own entries (DeltaEncoder.Append's sequence), with a
+	// The delta's own entries (DeltaEncoder.AppendDelta's sequence), with a
 	// decision summary behind each session record.
 	if err := j.enc.models(j.log, delta); err != nil {
 		return root, 0, err
 	}
-	for i := range delta.Sessions {
-		rec := &delta.Sessions[i]
-		if err := j.enc.session(j.log, rec); err != nil {
+	for i := 0; i < delta.Records.Len(); i++ {
+		rec := delta.Records.At(i)
+		if _, err := j.log.Append(wal.KindSession, rec); err != nil {
 			return root, 0, err
 		}
+		// The capture just encoded rec, so its fixed block is there to peek.
+		head, _ := checkpoint.PeekSessionRecord(rec)
+		decoded, agreed, _ := checkpoint.PeekSessionCounters(rec)
 		j.buf = wal.EncodeDecision(j.buf[:0], wal.Decision{
-			Session: rec.ID, Ver: rec.Ver, Decoded: rec.Decoded, Agreed: rec.Agreed,
+			Session: head.ID, Ver: head.Ver, Decoded: decoded, Agreed: agreed,
 		})
 		if _, err := j.log.Append(wal.KindDecision, j.buf); err != nil {
 			return root, 0, err
@@ -133,7 +138,7 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 	// Only a sealed batch advances the dirty fence and the audit cursor: an
 	// unsealed append is exactly what crash recovery drops, so it must be
 	// recaptured (still dirty, still undrained) by the next flush.
-	j.lastRefs = delta.Manifest.RefIndex()
+	j.lastRefs = delta.Manifest.RefIndexInto(j.lastRefs)
 	j.lastAudit = maxEv
 	return root, last, nil
 }
@@ -142,7 +147,7 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 // one — if a session departed (or appeared with no dirty record, e.g. via
 // promotion), the refs manifest must still be journaled even when no session
 // record is.
-func (j *Journal) refsUnchanged(delta *checkpoint.FleetState) bool {
+func (j *Journal) refsUnchanged(delta *Delta) bool {
 	if len(delta.Manifest.Refs) != len(j.lastRefs) {
 		return false
 	}

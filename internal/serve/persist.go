@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/control"
@@ -15,11 +16,11 @@ import (
 // Fleet checkpointing: Hub.Checkpoint snapshots the entire hub — registry
 // models, every session's signal-path state, shard assignment and metrics
 // baselines — into a checkpoint directory via internal/checkpoint, and
-// RestoreHub rebuilds a serving hub from one. The capture is copy-on-
-// snapshot: each shard's lock is held only long enough to deep-copy its
-// sessions' in-memory state (microseconds per shard, one shard at a time),
-// and all serialization and disk I/O happen afterwards on the caller's
-// goroutine, so paced tick loops never stall behind a checkpoint.
+// RestoreHub rebuilds a serving hub from one. The capture encodes under each
+// shard's lock, one shard at a time: every session's state goes straight from
+// live memory into the caller's reused record arena (Delta), with no
+// intermediate SessionRecord copy, and all disk I/O happens afterwards on the
+// caller's goroutine, so paced tick loops never stall behind a checkpoint.
 
 // Checkpoint atomically persists the hub's serving state as the next
 // checkpoint under root, returning the new checkpoint directory. It is
@@ -49,104 +50,161 @@ func (h *Hub) Checkpoint(root string) (string, error) {
 func (h *Hub) CheckpointWithWal(root string, walSeq uint64) (string, error) {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
-	state := h.CaptureState()
+	d := &h.ckpt
+	h.capture(nil, d, true)
+	state := &checkpoint.FleetState{Manifest: d.Manifest, Models: d.Models, ModelMACs: d.ModelMACs}
 	state.Manifest.WalSeq = walSeq
 	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	return checkpoint.Save(root, state)
+	return checkpoint.SaveRecords(root, state, &d.Records)
 }
 
 // CaptureState snapshots the hub's complete state into a self-contained
 // checkpoint.FleetState without touching disk — the in-memory half of
 // Checkpoint, exposed for tests and for callers that inspect state in place.
 func (h *Hub) CaptureState() *checkpoint.FleetState {
-	state, shards := h.captureHeader()
-	for _, s := range shards {
-		state.Manifest.Shards = append(state.Manifest.Shards, s.captureCounters())
-		recs, _ := s.captureSessions(nil)
-		state.Sessions = append(state.Sessions, recs...)
-	}
-	// Resolve models after the session sweep: Admit only places a session
-	// once its model has resolved in the registry, so every model a captured
-	// session references is guaranteed present here — the reverse order
-	// would let a concurrently admitted session reference a model missing
-	// from the snapshot, producing a checkpoint Load rejects whole.
-	state.Models, state.ModelMACs = h.reg.Resolved()
+	var d Delta
+	h.capture(nil, &d, true)
+	state := d.decode()
+	state.Manifest.Refs = nil // the fleet is Sessions; a live view is a delta's
 	return state
 }
 
-// captureHeader starts a capture: the manifest's hub configuration and ID
-// allocator, and the shard list to sweep, read together under the hub lock.
-func (h *Hub) captureHeader() (*checkpoint.FleetState, []*shard) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return &checkpoint.FleetState{
-		Manifest: checkpoint.Manifest{
-			Hub: checkpoint.HubConfig{
-				Shards:              h.cfg.Shards,
-				MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
-				TickHz:              h.cfg.TickHz,
-				MaxIdleTicks:        h.cfg.MaxIdleTicks,
-				LatencyWindow:       h.cfg.LatencyWindow,
-			},
-			NextID: uint64(h.nextID),
-		},
-	}, h.shards
+// Delta is one capture in encoded form: the hub's manifest header with the
+// complete live view in Manifest.Refs, every resolved model, and the records
+// of the captured sessions — encoded straight from live state, shard by
+// shard and in ID order within a shard — in Records. Its owner (a journal, a
+// replication link, the checkpoint path) reuses it capture after capture, so
+// its buffers stop growing once they have held the fleet; Records and Refs
+// are overwritten by the next capture. The zero value is ready.
+type Delta struct {
+	Manifest  checkpoint.Manifest
+	Models    map[string]models.Classifier
+	ModelMACs map[string]int64
+	Records   checkpoint.Records
+
+	order []*session               // one shard's sessions in ID order
+	view  checkpoint.SessionRecord // the record being encoded, aliasing a live session
 }
 
-// CaptureDelta snapshots the hub's dirty state since prev for the WAL entry
-// stream (a journal flush, a replication batch, a migration) — the system's
-// one incremental path. The returned state carries full records only for
-// sessions whose signal path advanced since prev (or that prev does not know), the complete
-// live view in Manifest.Refs (so the reader prunes departures and overlays
-// the volatile scheduler fields), and every resolved model in Models — a
+// CaptureDeltaInto captures the hub's dirty state since prev into d for the
+// WAL entry stream (a journal flush, a replication batch) — the system's one
+// incremental path. d receives encoded records only for sessions whose signal
+// path advanced since prev (or that prev does not know), the complete live
+// view in Manifest.Refs (so the reader prunes departures and overlays the
+// volatile scheduler fields), and every resolved model in Models — a
 // DeltaEncoder ships each model once per sink, so resending the map costs
 // nothing after the first delta. A nil prev marks everything dirty: the
 // full-capture first flush of a journal or a fresh replication connection.
 //
 // Shard counter baselines deliberately stay home, exactly as in migration:
 // a promoted replica is a new serving fleet, not a metrics continuation.
-func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
-	state, shards := h.captureHeader()
-	for _, s := range shards {
-		recs, refs := s.captureSessions(prev)
-		state.Sessions = append(state.Sessions, recs...)
-		state.Manifest.Refs = append(state.Manifest.Refs, refs...)
-	}
-	state.Models, state.ModelMACs = h.reg.Resolved()
-	return state
+func (h *Hub) CaptureDeltaInto(prev map[uint64]checkpoint.SessionRef, d *Delta) {
+	h.capture(prev, d, false)
 }
 
-// captureSessions sweeps the shard under its lock (the brief pause a running
-// tick loop sees), returning full records for dirty sessions — ver moved
-// since prevRefs, pending samples buffered, or no previous record at all —
-// and a ref for every session, dirty or clean. Both slices come back sorted
-// by session ID for deterministic bytes. A nil prevRefs marks every session
-// dirty (full capture).
-func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]checkpoint.SessionRecord, []checkpoint.SessionRef) {
+// CaptureDelta is CaptureDeltaInto a fresh Delta, decoded: the same capture
+// with its dirty records as SessionRecords that share no memory with the hub,
+// for callers that inspect a delta rather than ship it.
+func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
+	var d Delta
+	h.capture(prev, &d, false)
+	return d.decode()
+}
+
+// capture sweeps every shard into d (see CaptureDeltaInto); counters adds
+// each shard's counter baseline to the manifest, as a checkpoint needs.
+func (h *Hub) capture(prev map[uint64]checkpoint.SessionRef, d *Delta, counters bool) {
+	h.mu.Lock()
+	d.Manifest = checkpoint.Manifest{
+		Hub: checkpoint.HubConfig{
+			Shards:              h.cfg.Shards,
+			MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
+			TickHz:              h.cfg.TickHz,
+			MaxIdleTicks:        h.cfg.MaxIdleTicks,
+			LatencyWindow:       h.cfg.LatencyWindow,
+		},
+		NextID: uint64(h.nextID),
+		Shards: d.Manifest.Shards[:0],
+		Refs:   d.Manifest.Refs[:0],
+	}
+	shards := h.shards
+	h.mu.Unlock()
+	d.Records.Reset()
+	for _, s := range shards {
+		if counters {
+			d.Manifest.Shards = append(d.Manifest.Shards, s.captureCounters())
+		}
+		s.captureInto(prev, d)
+	}
+	// Drop the last view's references into live sessions.
+	d.view = checkpoint.SessionRecord{
+		Windower: control.WindowerState{Filter: d.view.Windower.Filter},
+		Debounce: d.view.Debounce,
+		Pending:  d.view.Pending[:0],
+	}
+	// Resolve models after the session sweep: Admit only places a session
+	// once its model has resolved in the registry, so every model a captured
+	// session references is guaranteed present here — the reverse order
+	// would let a concurrently admitted session reference a model missing
+	// from the snapshot, producing a checkpoint Load rejects whole.
+	d.Models, d.ModelMACs = h.reg.Resolved()
+}
+
+// captureInto sweeps the shard under its lock (the brief pause a running
+// tick loop sees), appending to d a ref for every session, dirty or clean,
+// and the encoded record of every dirty one — ver moved since prev, pending
+// samples buffered, or no previous record at all. Both go in session-ID
+// order for deterministic bytes. A nil prev marks every session dirty.
+func (s *shard) captureInto(prev map[uint64]checkpoint.SessionRef, d *Delta) {
 	s.mu.Lock()
-	recs := make([]checkpoint.SessionRecord, 0, len(s.sessions))
-	refs := make([]checkpoint.SessionRef, 0, len(s.sessions))
+	defer s.mu.Unlock()
+	d.order = d.order[:0]
 	for _, sess := range s.sessions {
+		d.order = append(d.order, sess)
+	}
+	slices.SortFunc(d.order, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
+	for _, sess := range d.order {
 		ref := checkpoint.SessionRef{
 			ID:        uint64(sess.id),
 			Ver:       sess.ver,
 			SampleAcc: sess.sampleAcc,
 			IdleTicks: sess.idleTicks,
 		}
-		refs = append(refs, ref)
-		if pr, ok := prevRefs[ref.ID]; ok && pr.Ver == sess.ver && sessionPending(sess) == 0 {
+		d.Manifest.Refs = append(d.Manifest.Refs, ref)
+		if pr, ok := prev[ref.ID]; ok && pr.Ver == sess.ver && sessionPending(sess) == 0 {
 			// Clean: the record the reader already holds is bitwise this
 			// session's heavy state (same ver ⇒ no ingest ⇒ window/filters/
 			// debounce/counters unchanged and no pending was drained); only
 			// the volatile scheduler fields moved, and those ride in the ref.
 			continue
 		}
-		recs = append(recs, captureSessionLocked(s.id, sess))
+		viewSessionLocked(s.id, sess, &d.view)
+		d.Records.Append(&d.view)
 	}
-	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ID < refs[j].ID })
-	return recs, refs
+	clear(d.order)
+}
+
+// decode returns d in record form: the manifest and model maps shared, each
+// record decoded into memory of its own.
+func (d *Delta) decode() *checkpoint.FleetState {
+	state := &checkpoint.FleetState{Manifest: d.Manifest, Models: d.Models, ModelMACs: d.ModelMACs}
+	if n := d.Records.Len(); n > 0 {
+		state.Sessions = make([]checkpoint.SessionRecord, n)
+		for i := range state.Sessions {
+			decodeCaptured(d.Records.At(i), &state.Sessions[i])
+		}
+	}
+	return state
+}
+
+// decodeCaptured decodes a record this process encoded from a live session.
+// Every encoding decodes back to the record it came from (the codec's round
+// trip is pinned by TestSessionRecordRoundTrip and FuzzDecodeSessionRecord),
+// so a failure here is a bug, not bad input.
+func decodeCaptured(raw []byte, rec *checkpoint.SessionRecord) {
+	if err := checkpoint.DecodeSessionRecord(raw, rec); err != nil {
+		panic(fmt.Sprintf("serve: captured session record does not decode: %v", err))
+	}
 }
 
 // sessionPending cheaply counts samples buffered in the session's source
@@ -161,36 +219,39 @@ func sessionPending(sess *session) int {
 	return 0
 }
 
-// captureSessionLocked deep-copies one session's complete resumable state.
-// Callers hold the owning shard's lock.
-func captureSessionLocked(shardID int, sess *session) checkpoint.SessionRecord {
-	rec := checkpoint.SessionRecord{
-		ID:           uint64(sess.id),
-		Shard:        shardID,
-		Ver:          sess.ver,
-		ModelKey:     sess.cfg.ModelKey,
-		Tag:          sess.cfg.Tag,
-		Channels:     sess.cfg.Channels,
-		SampleRateHz: sess.cfg.SampleRateHz,
-		NormMean:     append([]float64(nil), sess.cfg.Norm.Mean...),
-		NormStd:      append([]float64(nil), sess.cfg.Norm.Std...),
-		SampleAcc:    sess.sampleAcc,
-		Fed:          sess.fed,
-		IdleTicks:    sess.idleTicks,
-		Decoded:      sess.decoded,
-		Agreed:       sess.agreed,
-		Actions:      append([]uint64(nil), sess.actions[:]...),
-		Windower:     sess.win.State(),
-		Debounce:     sess.debounce.State(),
-	}
+// viewSessionLocked points v at one session's complete resumable state
+// without copying it: v's slices alias the live session (window, norm
+// constants, action counts) or reuse v's own storage (filter and debounce
+// state, the pending list), so encoding a session with no pending samples
+// allocates nothing. v is valid only while the caller holds the owning
+// shard's lock. Its encoding is byte for byte that of the deep copy
+// captureSessionLocked takes in the tests (TestCaptureEncodesDeepCopy).
+func viewSessionLocked(shardID int, sess *session, v *checkpoint.SessionRecord) {
+	v.ID = uint64(sess.id)
+	v.Shard = shardID
+	v.Ver = sess.ver
+	v.ModelKey = sess.cfg.ModelKey
+	v.Tag = sess.cfg.Tag
+	v.Channels = sess.cfg.Channels
+	v.SampleRateHz = sess.cfg.SampleRateHz
+	v.NormMean = sess.cfg.Norm.Mean
+	v.NormStd = sess.cfg.Norm.Std
+	v.SampleAcc = sess.sampleAcc
+	v.Fed = sess.fed
+	v.IdleTicks = sess.idleTicks
+	v.Decoded = sess.decoded
+	v.Agreed = sess.agreed
+	v.Actions = sess.actions[:]
+	sess.win.StateView(&v.Windower)
+	sess.debounce.StateInto(&v.Debounce)
+	v.Pending = v.Pending[:0]
 	if snap, ok := sess.cfg.Source.(PendingSnapshotter); ok {
 		for _, smp := range snap.SnapshotPending() {
-			rec.Pending = append(rec.Pending, checkpoint.PendingSample{
+			v.Pending = append(v.Pending, checkpoint.PendingSample{
 				Seq: smp.Seq, Timestamp: smp.Timestamp, Values: smp.Values,
 			})
 		}
 	}
-	return rec
 }
 
 // captureCounters snapshots the shard's monotonic metric counters.
@@ -400,7 +461,9 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	rec := captureSessionLocked(s.id, sess)
+	var view checkpoint.SessionRecord
+	viewSessionLocked(s.id, sess, &view)
+	raw := checkpoint.AppendSessionRecord(nil, &view)
 	delete(s.sessions, id)
 	if s.onEvict != nil {
 		s.onEvict(id)
@@ -411,6 +474,8 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 	s.mu.Unlock()
 	// Source teardown can block on network close; do it off the lock.
 	closeSource(sess.cfg.Source)
+	var rec checkpoint.SessionRecord
+	decodeCaptured(raw, &rec)
 	return &rec, true
 }
 

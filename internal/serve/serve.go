@@ -52,10 +52,10 @@
 // rings — into a versioned, CRC-checked checkpoint directory via
 // internal/checkpoint, and RestoreHub rebuilds a hub from one so a restarted
 // daemon resumes without retraining and emits bitwise-identical labels for
-// the same subsequent input. Capture is copy-on-snapshot: shard locks are
-// held only to deep-copy in-memory state, never across serialization or disk
-// I/O, so paced tick loops do not stall. Every checkpoint is a full,
-// self-contained snapshot. The incremental path is the journal's
+// the same subsequent input. Capture encodes each session's state straight
+// into the caller's reused arena under its shard lock, and never holds one
+// across disk or network I/O, so paced tick loops do not stall. Every
+// checkpoint is a full, self-contained snapshot. The incremental path is the journal's
 // (journal.go): sessions carry a mutation counter, and a flush captures only
 // the sessions that ingested samples since the previous one, so what is
 // written between checkpoints scales with churn, not fleet size. See
@@ -204,6 +204,8 @@ type Hub struct {
 	// ckptMu serialises Checkpoint from capture through publish, so that
 	// checkpoint sequence order is capture order (see its doc comment).
 	ckptMu sync.Mutex
+	// ckpt is the checkpoint path's capture arena, guarded by ckptMu.
+	ckpt Delta
 
 	// idxMu guards index alone. It is a leaf lock (never held while taking
 	// another), so shards can remove idle-evicted sessions from the index

@@ -82,13 +82,33 @@ func (b *Bank) State() [][]float64 {
 	out := make([][]float64, n)
 	slab := make([]float64, n*per)
 	for ch := range out {
-		st := slab[ch*per : (ch+1)*per : (ch+1)*per]
+		out[ch] = slab[ch*per : (ch+1)*per : (ch+1)*per]
+	}
+	return b.StateInto(out)
+}
+
+// StateInto is State into dst's storage: dst and each of its channel slices
+// are reused when they are large enough and allocated only when not, so a
+// caller exporting the state of many banks of one shape allocates nothing
+// after the first.
+func (b *Bank) StateInto(dst [][]float64) [][]float64 {
+	n, per := b.channels, 2*len(b.coef)
+	if cap(dst) < n {
+		dst = make([][]float64, n)
+	}
+	dst = dst[:n]
+	for ch := range dst {
+		st := dst[ch]
+		if cap(st) < per {
+			st = make([]float64, per)
+		}
+		st = st[:per]
 		for s := range b.coef {
 			st[2*s], st[2*s+1] = b.z1[s*n+ch], b.z2[s*n+ch]
 		}
-		out[ch] = st
+		dst[ch] = st
 	}
-	return out
+	return dst
 }
 
 // SetState restores delay state previously exported by State. Every length

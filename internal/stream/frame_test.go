@@ -76,6 +76,10 @@ func TestUDPInletDropsMalformed(t *testing.T) {
 	padded := append(append([]byte(nil), frame...), 0xDE, 0xAD)
 	// Truncated payload: claims 3 channels, carries 1.
 	short := append([]byte(nil), frame[:headerSize+8]...)
+	// Far longer than any sample: the read buffer holds one byte past the
+	// largest valid datagram, so the read truncates it and the size check
+	// drops it.
+	huge := append(append([]byte(nil), frame...), make([]byte, 60000)...)
 
 	garbage := [][]byte{
 		[]byte("not a sample"),   // wrong tag, undersized
@@ -83,6 +87,7 @@ func TestUDPInletDropsMalformed(t *testing.T) {
 		overClaim,                // channel bound
 		padded,                   // size mismatch (trailing bytes)
 		short,                    // size mismatch (truncated)
+		huge,                     // larger than the read buffer
 	}
 	for _, g := range garbage {
 		if _, err := conn.Write(g); err != nil {
@@ -92,17 +97,27 @@ func TestUDPInletDropsMalformed(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
+	// The largest valid datagram still fits the read buffer whole.
+	widest := Sample{Seq: 8, Values: make([]float64, MaxChannels)}
+	widest.Values[MaxChannels-1] = 4
+	wideFrame, _ := widest.MarshalBinary()
+	if _, err := conn.Write(wideFrame); err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && (in.Ring.Len() < 1 || in.DroppedFrames() < uint64(len(garbage))) {
+	for time.Now().Before(deadline) && (in.Ring.Len() < 2 || in.DroppedFrames() < uint64(len(garbage))) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := in.DroppedFrames(); got != uint64(len(garbage)) {
 		t.Fatalf("dropped %d frames, want %d", got, len(garbage))
 	}
 	got := in.Ring.Drain()
-	if len(got) != 1 || got[0].Seq != 7 || len(got[0].Values) != 3 ||
+	if len(got) != 2 || got[0].Seq != 7 || len(got[0].Values) != 3 ||
 		math.Abs(got[0].Values[2]-3) > 0 {
 		t.Fatalf("valid sample mangled or lost: %+v", got)
+	}
+	if got[1].Seq != 8 || len(got[1].Values) != MaxChannels || got[1].Values[MaxChannels-1] != 4 {
+		t.Fatalf("widest valid sample mangled or lost: seq %d, %d values", got[1].Seq, len(got[1].Values))
 	}
 }

@@ -201,9 +201,9 @@ type LSLInlet struct {
 	Ring  *Ring
 
 	mu          sync.Mutex
-	offsets     []float64          // recent clock-offset estimates (outlet − inlet)
-	arrivals    map[uint64]float64 // seq → inlet-clock arrival time
-	syncPending chan float64       // t0 of in-flight probe (capacity 1)
+	offsets     []float64    // recent clock-offset estimates (outlet − inlet)
+	arrivals    *arrivalRing // seq → inlet-clock arrival time, for recent seqs
+	syncPending chan float64 // t0 of in-flight probe (capacity 1)
 	closed      chan struct{}
 	closeOnce   sync.Once
 
@@ -224,7 +224,7 @@ func NewLSLInlet(addr string, clock *VirtualClock, bufCap int, syncEvery time.Du
 		conn:        conn,
 		clock:       clock,
 		Ring:        NewRing(bufCap),
-		arrivals:    make(map[uint64]float64),
+		arrivals:    newArrivalRing(bufCap),
 		syncPending: make(chan float64, 1),
 		closed:      make(chan struct{}),
 	}
@@ -254,10 +254,7 @@ func (in *LSLInlet) reader() {
 				in.drop()
 				continue
 			}
-			now := in.clock.Now()
-			in.mu.Lock()
-			in.arrivals[s.Seq] = now
-			in.mu.Unlock()
+			in.arrivals.record(s.Seq, in.clock.Now())
 			in.Ring.Push(s)
 		case msgSyncResp:
 			if len(frame) < 17 {
@@ -352,12 +349,11 @@ func (in *LSLInlet) Corrected(s Sample) float64 {
 	return s.Timestamp - off
 }
 
-// ArrivalTime returns the inlet-clock arrival time recorded for seq.
+// ArrivalTime returns the inlet-clock arrival time recorded for seq. Stamps
+// are kept for as many recent samples as the inlet's ring holds; an older
+// seq reports false.
 func (in *LSLInlet) ArrivalTime(seq uint64) (float64, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	t, ok := in.arrivals[seq]
-	return t, ok
+	return in.arrivals.lookup(seq)
 }
 
 // BytesReceived reports total payload bytes received.

@@ -54,6 +54,7 @@ func (r *Ring) Pop() (s Sample, ok bool) {
 		return Sample{}, false
 	}
 	s = r.buf[r.head]
+	r.buf[r.head] = Sample{} // a consumed slot must not keep its Values alive
 	r.head = (r.head + 1) % len(r.buf)
 	r.size--
 	return s, true
@@ -87,6 +88,7 @@ func (r *Ring) PopNInto(dst []Sample, max int) []Sample {
 	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, r.buf[r.head])
+		r.buf[r.head] = Sample{}
 		r.head = (r.head + 1) % len(r.buf)
 		r.size--
 	}
@@ -136,8 +138,42 @@ func (r *Ring) Drain() []Sample {
 	out := make([]Sample, 0, r.size)
 	for r.size > 0 {
 		out = append(out, r.buf[r.head])
+		r.buf[r.head] = Sample{}
 		r.head = (r.head + 1) % len(r.buf)
 		r.size--
 	}
 	return out
+}
+
+// arrivalRing records when recent samples arrived (inlet-clock seconds), one
+// slot per sequence number modulo its capacity. An inlet sizes it to its
+// sample ring, so it keeps a stamp for every sample the ring can still hold
+// while its memory stays fixed however long the inlet runs. A seq whose slot
+// a later one has taken reports no stamp.
+type arrivalRing struct {
+	mu    sync.Mutex
+	slots []arrival
+}
+
+type arrival struct {
+	seq uint64
+	at  float64
+	set bool
+}
+
+func newArrivalRing(capacity int) *arrivalRing {
+	return &arrivalRing{slots: make([]arrival, capacity)}
+}
+
+func (r *arrivalRing) record(seq uint64, at float64) {
+	r.mu.Lock()
+	r.slots[seq%uint64(len(r.slots))] = arrival{seq: seq, at: at, set: true}
+	r.mu.Unlock()
+}
+
+func (r *arrivalRing) lookup(seq uint64) (float64, bool) {
+	r.mu.Lock()
+	a := r.slots[seq%uint64(len(r.slots))]
+	r.mu.Unlock()
+	return a.at, a.set && a.seq == seq
 }

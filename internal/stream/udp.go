@@ -110,12 +110,11 @@ type UDPInlet struct {
 	clock *VirtualClock
 	Ring  *Ring
 
-	mu       sync.Mutex
-	arrivals map[uint64]float64
+	arrivals *arrivalRing
 
 	// Lock-free receive accounting: the reader goroutine bumps these on every
 	// datagram while scrapers and tests read them concurrently, so they are
-	// atomics rather than riding the arrivals mutex.
+	// atomics.
 	bytesRecv     atomic.Uint64
 	droppedFrames atomic.Uint64
 }
@@ -130,7 +129,7 @@ func NewUDPInlet(clock *VirtualClock, bufCap int) (*UDPInlet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: udp listen: %w", err)
 	}
-	in := &UDPInlet{conn: conn, clock: clock, Ring: NewRing(bufCap), arrivals: make(map[uint64]float64)}
+	in := &UDPInlet{conn: conn, clock: clock, Ring: NewRing(bufCap), arrivals: newArrivalRing(bufCap)}
 	go in.reader()
 	return in, nil
 }
@@ -139,7 +138,9 @@ func NewUDPInlet(clock *VirtualClock, bufCap int) (*UDPInlet, error) {
 func (in *UDPInlet) Addr() string { return in.conn.LocalAddr().String() }
 
 func (in *UDPInlet) reader() {
-	buf := make([]byte, 65536)
+	// One byte past the largest valid datagram: a longer one is truncated to
+	// this length by the read, and parseDatagram's exact-size check drops it.
+	buf := make([]byte, WireSize(MaxChannels)+1)
 	for {
 		n, err := in.conn.Read(buf)
 		if err != nil {
@@ -153,10 +154,7 @@ func (in *UDPInlet) reader() {
 			t.events.Record(obs.EvInletDrop, -1, 0, 1, 0)
 			continue
 		}
-		now := in.clock.Now()
-		in.mu.Lock()
-		in.arrivals[s.Seq] = now
-		in.mu.Unlock()
+		in.arrivals.record(s.Seq, in.clock.Now())
 		in.bytesRecv.Add(uint64(n))
 		streamTel().udpBytes.Add(uint64(n))
 		in.Ring.Push(s)
@@ -187,12 +185,11 @@ func (in *UDPInlet) DroppedFrames() uint64 {
 	return in.droppedFrames.Load()
 }
 
-// ArrivalTime returns the inlet-clock arrival time recorded for seq.
+// ArrivalTime returns the inlet-clock arrival time recorded for seq. Stamps
+// are kept for as many recent samples as the inlet's ring holds; an older
+// seq reports false.
 func (in *UDPInlet) ArrivalTime(seq uint64) (float64, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	t, ok := in.arrivals[seq]
-	return t, ok
+	return in.arrivals.lookup(seq)
 }
 
 // BytesReceived reports total payload bytes received.

@@ -33,18 +33,21 @@
 //	               (rotation or clean close); segroot is the Merkle root
 //	               over the segment's batch roots.
 //
-// Every frame is issued as a single Write call, so a crash (or a faultnet
-// byte-budgeted cut) tears at most one frame and recovery can classify the
-// tear by the byte it lands on.
+// Every batch is issued as a single Write at seal — its entry frames and the
+// seal that closes them — and so is every header and footer. A crash (or a
+// faultnet byte-budgeted cut) therefore leaves a prefix of the frame
+// sequence that tears at most the batch being written, and recovery can
+// classify the tear by the byte it lands on.
 //
 // The same entry and seal frames also travel between nodes as a socket
 // stream (header kind 2, no footer, read by the same checks; see stream.go).
 //
 // # Durability and recovery
 //
-// Append buffers nothing in user space but does not fsync; Seal writes the
-// seal record and fsyncs the segment. On Open, the last segment's tail is
-// scanned: a torn frame, or valid entries past the last seal, are truncated
+// Append adds the entry's frame to the pending batch in memory; Seal writes
+// the batch with its seal record and fsyncs the segment. On Open, the last
+// segment's tail is scanned: a torn frame, or valid entries past the last
+// seal (which only a cut inside a batch's Write leaves), are truncated
 // back to the last sealed batch boundary and reported precisely
 // (RecoveryInfo, the cogarm_wal_recovery_truncated_bytes_total counter, and
 // an EvWalTruncate event). Damage anywhere except the active tail is not
@@ -160,8 +163,8 @@ type Options struct {
 	NoSync bool
 
 	// wrap, when set, wraps the active segment's writer — the faultnet
-	// test seam for byte-budgeted torn writes. Frames still go down as
-	// single Write calls.
+	// test seam for byte-budgeted torn writes. Each batch still goes down
+	// as a single Write call.
 	wrap func(io.Writer) io.Writer
 }
 
@@ -226,7 +229,10 @@ type Log struct {
 	nextSeq   uint64    // next entry sequence number
 	sealedSeq uint64    // last sealed entry sequence number
 	sealed    []segMeta // finalized (footered) segments, oldest first
-	frame     []byte    // frame assembly buffer, reused across appends
+	// frame holds the pending batch's entry frames, written with their seal
+	// in one Write. Its capacity is reused, and BatchBytes/BatchEntries bound
+	// what it holds.
+	frame     []byte
 	recovered RecoveryInfo
 	closed    bool
 	err       error // sticky write-path error; the log refuses further use
@@ -390,13 +396,14 @@ func (l *Log) openSegment(seq uint64) error {
 	return nil
 }
 
-// Append journals one entry and returns its sequence number. The entry is
-// on disk (single Write) but not durable until the next Seal; size bounds
-// may trigger that seal (and a segment rotation) inline.
+// Append journals one entry and returns its sequence number. The entry's
+// frame joins the pending batch in memory; it reaches the segment with the
+// batch's seal, in the same single Write, and is durable from then on. Size
+// bounds may trigger that seal (and a segment rotation) inline.
 func (l *Log) Append(kind Kind, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//cogarm:allow nolockblock -- the WAL segment lock serializes file appends by design; each is one bounded frame write
+	//cogarm:allow nolockblock -- the WAL segment lock serializes file appends by design; a bound-triggered seal writes one bounded batch
 	return l.appendLocked(kind, data)
 }
 
@@ -406,15 +413,14 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	}
 	seq := l.nextSeq
 	frameLen := int64(frameOverhead + entryHdrLen + len(data))
+	// segSize counts the pending frames too, so rotation falls exactly where
+	// it would if every frame had been written as it was appended.
 	if l.segSize+frameLen > l.opts.SegmentBytes && l.segLast != 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	l.frame = l.pend.appendEntry(l.frame[:0], kind, seq, data)
-	if err := l.writeAll(l.frame); err != nil {
-		return 0, err
-	}
+	l.frame = l.pend.appendEntry(l.frame, kind, seq, data)
 	l.segSize += frameLen
 	if l.segFirst == 0 {
 		l.segFirst = seq
@@ -435,8 +441,8 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	return seq, nil
 }
 
-// writeAll pushes one frame down as a single Write and makes any error
-// sticky: a torn in-flight segment is unrecoverable without a reopen.
+// writeAll pushes b down as a single Write and makes any error sticky: a
+// torn in-flight segment is unrecoverable without a reopen.
 func (l *Log) writeAll(b []byte) error {
 	n, err := l.w.Write(b)
 	if err == nil && n != len(b) {
@@ -456,10 +462,10 @@ func (l *Log) usable() error {
 	return l.err
 }
 
-// Seal closes the pending batch: writes its seal record (Merkle root over
-// the batch's entry payloads) and fsyncs the segment, making everything up
-// to and including the batch durable. With nothing pending it is a no-op
-// returning the zero root.
+// Seal closes the pending batch: writes its entry frames and its seal record
+// (Merkle root over the batch's entry payloads) in one Write and fsyncs the
+// segment, making everything up to and including the batch durable. With
+// nothing pending it is a no-op returning the zero root.
 func (l *Log) Seal() (root [HashSize]byte, first, last uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -475,13 +481,15 @@ func (l *Log) sealLocked() (root [HashSize]byte, first, last uint64, err error) 
 		return root, 0, 0, nil
 	}
 	start := time.Now()
-	// The batch empties before its seal is written: a failed write or fsync
-	// is sticky (l.err), so nothing can append to the half-sealed batch.
-	l.frame, root, first, last = l.pend.appendSeal(l.frame[:0])
-	if err := l.writeAll(l.frame); err != nil {
+	// The batch empties before it is written: a failed write or fsync is
+	// sticky (l.err), so nothing can append to the half-sealed batch.
+	l.frame, root, first, last = l.pend.appendSeal(l.frame)
+	err = l.writeAll(l.frame)
+	l.frame = l.frame[:0]
+	if err != nil {
 		return root, 0, 0, err
 	}
-	l.segSize += int64(len(l.frame))
+	l.segSize += frameOverhead + sealPayLen // the entries were counted as they were appended
 	if err := l.syncLocked(); err != nil {
 		return root, 0, 0, err
 	}
@@ -531,11 +539,11 @@ func (l *Log) footerLocked() error {
 	binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
 	binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
 	copy(pay[20:], segRoot[:])
-	l.frame = appendFrame(l.frame[:0], recFooter, pay[:])
-	if err := l.writeAll(l.frame); err != nil {
+	frame := appendFrame(nil, recFooter, pay[:])
+	if err := l.writeAll(frame); err != nil {
 		return err
 	}
-	l.segSize += int64(len(l.frame))
+	l.segSize += int64(len(frame))
 	return l.syncLocked()
 }
 

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -118,6 +120,60 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Append allocates %.0f times per entry, want 0", allocs)
+	}
+}
+
+// writeSizes records the size of every Write that reaches a segment.
+type writeSizes struct {
+	w     io.Writer
+	sizes *[]int
+}
+
+func (ws writeSizes) Write(b []byte) (int, error) {
+	*ws.sizes = append(*ws.sizes, len(b))
+	return ws.w.Write(b)
+}
+
+// TestBatchIsOneWrite: appended frames stay in memory until their batch
+// seals, then go down with the seal in a single Write — for an explicit Seal
+// and a bound-forced one alike — and the segment reads back every entry.
+func TestBatchIsOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	var sizes []int
+	l, _, err := Open(Options{Dir: dir, NoSync: true, BatchEntries: 3,
+		wrap: func(w io.Writer) io.Writer { return writeSizes{w, &sizes} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryFrame := func(data string) int { return frameOverhead + entryHdrLen + len(data) }
+	const sealFrame = frameOverhead + sealPayLen
+	for _, data := range []string{"a", "bb"} {
+		if _, err := l.Append(KindSession, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sizes) != 1 { // the segment header alone
+		t.Fatalf("appends issued writes %v before their seal", sizes[1:])
+	}
+	if _, _, _, err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range []string{"ccc", "dddd", "eeeee"} { // the third forces a seal
+		if _, err := l.Append(KindAudit, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []int{headerLen,
+		entryFrame("a") + entryFrame("bb") + sealFrame,
+		entryFrame("ccc") + entryFrame("dddd") + entryFrame("eeeee") + sealFrame}
+	if !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("writes %v, want %v: one per batch", sizes, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, dir); len(got) != 5 || string(got[4].Data) != "eeeee" {
+		t.Fatalf("segment holds %d entries", len(got))
 	}
 }
 
