@@ -2,5 +2,8 @@
 
 package cpu
 
-// HasAVX2 is false in a build without the assembly kernels.
-const HasAVX2 = false
+// HasAVX2 and HasAVX512 are false in a build without the assembly kernels.
+const (
+	HasAVX2   = false
+	HasAVX512 = false
+)

@@ -19,9 +19,10 @@ type StatusDoc struct {
 	Goroutines int     `json:"goroutines"`
 	HeapBytes  uint64  `json:"heap_bytes"`
 
-	// Kernels names the kernel set serving: "avx2" (the assembly kernels
-	// under the filter bank, the feature accumulator and the GEMM) or
-	// "portable" (their Go twins; identical output).
+	// Kernels names the kernel set serving (cpu.Kernels): "avx512" (the
+	// GEMM's AVX-512F tile, AVX2 under the filter bank and the feature
+	// accumulator), "avx2" (the AVX2 assembly under all three) or
+	// "portable" (their Go twins). All three give identical output.
 	Kernels string `json:"kernels"`
 
 	Healthy bool   `json:"healthy"`

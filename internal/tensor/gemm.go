@@ -8,19 +8,21 @@ import (
 )
 
 // This file is the GEMM behind nn's fused inference. Every product is computed
-// by one tile contract, implemented twice:
+// by one tile contract, implemented three times:
 //
-//	dst[r][j] = Σₖ a_r[k]·b[k][j]   for a 4-row × 8-column tile, the whole sum
-//	held in registers, k ascending, multiply and add each rounded on its own;
+//	dst[r][j] = Σₖ a_r[k]·b[k][j]   for a 4-row tile, the whole sum held in
+//	registers, k ascending, multiply and add each rounded on its own;
 //	then += bias[j]; then v <= 0 → +0 (NaN kept).
 //
-// tile4x8 (gemm_amd64.s, AVX2) computes full tiles where the build and the CPU
-// allow it; tile2 below, the portable Go tile, computes everything else: other
-// architectures, purego builds, CPUs without AVX2, and the m%4 row and n%8
-// column tails. There is no packing and no Kc/Nc blocking: the serving shapes
-// keep an 80×32 weight and one 12.8 KB window L1-resident as they are.
+// Where the build and the CPU allow it, tile4x16 (gemm_amd64.s, AVX-512F)
+// computes full 16-column tiles and tile4x8 (AVX2) full 8-column ones — all of
+// them without AVX-512, the one 8-column remainder with it; tile2 below, the
+// portable Go tile, computes everything else: other architectures, purego
+// builds, CPUs without AVX2, and the m%4 row and n%8 column tails. There is no
+// packing and no Kc/Nc blocking: the serving shapes keep an 80×32 weight and
+// one 12.8 KB window L1-resident as they are.
 //
-// Bitwise contract: per output element both tiles perform exactly the
+// Bitwise contract: per output element every tile performs exactly the
 // operations of the naive loop `s += a*b` (s starting at +0), in the same
 // order, so they agree with each other, with MatMul + AddRowVector + a ReLU
 // clamp, and with per-window Forward, bit for bit. That is why the assembly
@@ -44,6 +46,18 @@ import (
 // product clears the bar; a 50-window 32→4 classifier head (6 400 MACs) never
 // does.
 const gemmParallelMinOps = 1 << 20
+
+// The tile tiers, narrowest first; each wider one adds a tile in front of the
+// narrower ones.
+const (
+	tierPortable = iota // tile2 alone
+	tierAVX2            // tile4x8, then tile2
+	tierAVX512          // tile4x16, then tile4x8, then tile2
+)
+
+// tier is the widest tier gemmRows runs: the host's, from the cpu gate. Only
+// tests lower it, to run every tier the host has; it is not a setting.
+var tier = hostTier()
 
 // Epilogue is the fused post-op a GEMM applies to each output element as its
 // tile leaves the registers: v += Bias[j] (when Bias is non-nil), then a ReLU
@@ -187,8 +201,8 @@ func panelCount(m, k, n, threads int) int {
 	return threads
 }
 
-// gemmRows computes dst rows [i0, i1): 4-row quads first — tiles4x8 takes the
-// leading full 8-column tiles when it can, tile2 the columns it leaves — then
+// gemmRows computes dst rows [i0, i1): 4-row quads first — quadTiles takes the
+// leading full assembly tiles when it can, tile2 the columns it leaves — then
 // the <4-row tail in pairs, a last odd row paired with itself. i0 is always
 // quad-aligned; only the last panel owns the tail.
 //
@@ -200,7 +214,7 @@ func gemmRows(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, i0, i1 int) {
 	for ; i+4 <= i1; i += 4 {
 		r0, r1, r2, r3 := cur.next(), cur.next(), cur.next(), cur.next()
 		d := dst.Data[i*n : (i+4)*n]
-		j := tiles4x8(r0, r1, r2, r3, b.Data, n, d, ep)
+		j := quadTiles(r0, r1, r2, r3, b.Data, n, d, ep)
 		tile2(r0, r1, b.Data, n, j, d[:n], d[n:2*n], ep)
 		tile2(r2, r3, b.Data, n, j, d[2*n:3*n], d[3*n:], ep)
 	}

@@ -32,6 +32,101 @@
 	VMOVUPD hi, 32(DI); \
 	ADDQ    BX, DI
 
+// The same macros for tile4x16, in ZMM registers: b's row in Z8, Z9.
+#define ZROWSTEP(arow, lo, hi) \
+	VBROADCASTSD (arow)(AX*8), Z10; \
+	VMULPD       Z8, Z10, Z11; \
+	VMULPD       Z9, Z10, Z12; \
+	VADDPD       Z11, lo, lo; \
+	VADDPD       Z12, hi, hi
+
+#define ZROWBIAS(lo, hi) \
+	VADDPD Z8, lo, lo; \
+	VADDPD Z9, hi, hi
+
+// ReLU in AVX-512F, which has no VANDNPD on ZMM (that is AVX512DQ): the same
+// mask = (v <= 0) into an opmask register, then a move of +0 (Z8) into the
+// lanes it selects. NaN compares false and keeps its bits, −0 becomes +0.
+#define ZROWRELU(lo, hi) \
+	VCMPPD  $0x12, Z8, lo, K1; \
+	VCMPPD  $0x12, Z8, hi, K2; \
+	VMOVAPD Z8, K1, lo; \
+	VMOVAPD Z8, K2, hi
+
+#define ZROWSTORE(lo, hi) \
+	VMOVUPD lo, (DI); \
+	VMOVUPD hi, 64(DI); \
+	ADDQ    BX, DI
+
+// func tile4x16(a0, a1, a2, a3, b *float64, k, ldb int, d *float64, ldd int, bias *float64, relu bool)
+//
+// tile4x8 below, twice as wide: row r in Z(2r), Z(2r+1). The zeroing is
+// VPXORQ, the AVX-512F form (VXORPD on ZMM is AVX512DQ).
+TEXT ·tile4x16(SB), NOSPLIT, $0-81
+	MOVQ    a0+0(FP), R8
+	MOVQ    a1+8(FP), R9
+	MOVQ    a2+16(FP), R10
+	MOVQ    a3+24(FP), R11
+	MOVQ    b+32(FP), SI
+	MOVQ    k+40(FP), CX
+	MOVQ    ldb+48(FP), DX
+	MOVQ    d+56(FP), DI
+	MOVQ    ldd+64(FP), BX
+	MOVQ    bias+72(FP), R12
+	MOVBLZX relu+80(FP), R13
+	SHLQ    $3, DX
+	SHLQ    $3, BX
+	VPXORQ  Z0, Z0, Z0
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	VPXORQ  Z3, Z3, Z3
+	VPXORQ  Z4, Z4, Z4
+	VPXORQ  Z5, Z5, Z5
+	VPXORQ  Z6, Z6, Z6
+	VPXORQ  Z7, Z7, Z7
+	XORQ    AX, AX
+	TESTQ   CX, CX
+	JLE     zbias
+
+zkloop:
+	VMOVUPD (SI), Z8
+	VMOVUPD 64(SI), Z9
+	ZROWSTEP(R8, Z0, Z1)
+	ZROWSTEP(R9, Z2, Z3)
+	ZROWSTEP(R10, Z4, Z5)
+	ZROWSTEP(R11, Z6, Z7)
+	ADDQ    DX, SI
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     zkloop
+
+zbias:
+	TESTQ   R12, R12
+	JZ      zrelu
+	VMOVUPD (R12), Z8
+	VMOVUPD 64(R12), Z9
+	ZROWBIAS(Z0, Z1)
+	ZROWBIAS(Z2, Z3)
+	ZROWBIAS(Z4, Z5)
+	ZROWBIAS(Z6, Z7)
+
+zrelu:
+	TESTQ  R13, R13
+	JZ     zstore
+	VPXORQ Z8, Z8, Z8
+	ZROWRELU(Z0, Z1)
+	ZROWRELU(Z2, Z3)
+	ZROWRELU(Z4, Z5)
+	ZROWRELU(Z6, Z7)
+
+zstore:
+	ZROWSTORE(Z0, Z1)
+	ZROWSTORE(Z2, Z3)
+	ZROWSTORE(Z4, Z5)
+	ZROWSTORE(Z6, Z7)
+	VZEROUPPER
+	RET
+
 // func tile4x8(a0, a1, a2, a3, b *float64, k, ldb int, d *float64, ldd int, bias *float64, relu bool)
 //
 // Accumulators: row r in Y(2r), Y(2r+1), zeroed, held for the whole of k.

@@ -2,6 +2,8 @@
 
 package tensor
 
-// tiles4x8 is the build without an assembly tile: it computes nothing and
+func hostTier() int { return tierPortable }
+
+// quadTiles is the build without an assembly tile: it computes nothing and
 // leaves every column to the portable tile.
-func tiles4x8(r0, r1, r2, r3, b []float64, n int, d []float64, ep Epilogue) int { return 0 }
+func quadTiles(r0, r1, r2, r3, b []float64, n int, d []float64, ep Epilogue) int { return 0 }

@@ -125,6 +125,20 @@ func portableGEMM(rows [][]float64, b *Matrix, ep Epilogue) *Matrix {
 	return dst
 }
 
+var tierNames = [...]string{tierPortable: "portable", tierAVX2: "avx2", tierAVX512: "avx512"}
+
+// hostTiers lists the tiers this build and host run, widest first, for a test
+// to set tier to in turn; the host's tier is back when the test ends.
+func hostTiers(t *testing.T) []int {
+	host := tier
+	t.Cleanup(func() { tier = host })
+	var tiers []int
+	for tr := host; tr >= tierPortable; tr-- {
+		tiers = append(tiers, tr)
+	}
+	return tiers
+}
+
 func epilogues(bias []float64) []Epilogue {
 	return []Epilogue{{}, {Bias: bias}, {Bias: bias, ReLU: true}, {ReLU: true}}
 }
@@ -146,21 +160,23 @@ func testPools(t *testing.T) []*Pool {
 }
 
 // TestGEMMBitwiseEquivalence is the differential suite over plain matrices:
-// GEMM as built (the assembly tile plus portable tails on an AVX2 amd64, the
-// portable tile alone under -tags purego or elsewhere), the portable tile
-// alone, and GEMM on a kernel pool must all equal the naive loop bit for bit,
-// on every shape of the grid — row tails 0..3, column tails 0..7, empty and
-// single-step sums, the serving K and the long im2col K — with salted inputs
-// and all four epilogues. Pools rotate across shapes; -short thins the long
-// sums so the race run stays quick.
+// GEMM at every tier the host has (the assembly tiles plus portable tails on
+// amd64, the portable tile alone under -tags purego or elsewhere), the
+// portable tile alone, and GEMM on a kernel pool must all equal the naive loop
+// bit for bit, on every shape of the grid — row tails 0..3, column tails past
+// 16- and 8-wide tiles, a 16-wide tile followed by an 8-wide one (n 24), empty
+// and single-step sums, the serving K and the long im2col K —
+// with salted inputs and all four epilogues. Pools rotate across shapes and
+// tiers; -short thins the long sums so the race run stays quick.
 func TestGEMMBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pools := testPools(t)
+	tiers := hostTiers(t)
 	ws := NewWorkspace()
 	turn := 0
 	for _, m := range []int{0, 1, 3, 4, 5, 7, 48, 49, 257} {
 		for _, k := range []int{0, 1, 5, 80, 300, 2325} {
-			for _, n := range []int{1, 3, 7, 8, 9, 16, 17, 32, 65, 150} {
+			for _, n := range []int{1, 3, 7, 8, 9, 16, 17, 24, 32, 65, 150} {
 				if testing.Short() && m*k*n > 1<<21 {
 					continue
 				}
@@ -170,15 +186,19 @@ func TestGEMMBitwiseEquivalence(t *testing.T) {
 				for _, ep := range epilogues(randBias(rng, n)) {
 					want := reference(a, b, ep)
 					label := fmt.Sprintf("%dx%dx%d %s", m, k, n, epLabel(ep))
-					assertBitwise(t, want, GEMM(nil, nil, a, b, ep), label+" serial")
-					assertBitwise(t, want, portableGEMM(matrixRows(a), b, ep), label+" portable")
+					assertBitwise(t, want, portableGEMM(matrixRows(a), b, ep), label+" portable tile")
+					for _, tr := range tiers {
+						tier = tr
+						tl := label + " tier " + tierNames[tr]
+						assertBitwise(t, want, GEMM(nil, nil, a, b, ep), tl+" serial")
 
-					turn++
-					pool := pools[turn%len(pools)]
-					ws.Reset()
-					ws.SetPool(pool)
-					assertBitwise(t, want, GEMM(ws, ws.Uninit(m, n), a, b, ep),
-						fmt.Sprintf("%s pool=%d", label, pool.Threads()))
+						turn++
+						pool := pools[turn%len(pools)]
+						ws.Reset()
+						ws.SetPool(pool)
+						assertBitwise(t, want, GEMM(ws, ws.Uninit(m, n), a, b, ep),
+							fmt.Sprintf("%s pool=%d", tl, pool.Threads()))
+					}
 				}
 			}
 		}
@@ -188,11 +208,12 @@ func TestGEMMBitwiseEquivalence(t *testing.T) {
 // TestGEMMBlocksBitwiseEquivalence covers the in-place left operand: blocks
 // of 48 rows (quads never straddle blocks) and 49 rows (they do), with rows
 // that overlap (stride < cols: the conv view), abut (stride = cols: the dense
-// view) and skip data (stride > cols), on every pool size. The 50-block cases
-// are past the crossover, so pooled runs really split.
+// view) and skip data (stride > cols), at every tier on every pool size. The
+// 50-block cases are past the crossover, so pooled runs really split.
 func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pools := testPools(t)
+	tiers := hostTiers(t)
 	ws := NewWorkspace()
 	for _, tc := range []struct{ blocks, rows, cols, stride, n int }{
 		{50, 48, 80, 32, 32}, // the serving conv: 100×16 windows, k5 s2
@@ -214,14 +235,17 @@ func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 		rows := blockRows(a)
 		for _, ep := range epilogues(randBias(rng, tc.n)) {
 			want := naive(rows, b, ep)
-			label := fmt.Sprintf("%d blocks × %d rows × %d cols, stride %d, n %d, %s",
-				tc.blocks, tc.rows, tc.cols, tc.stride, tc.n, epLabel(ep))
-			assertBitwise(t, want, GEMMBlocks(nil, nil, a, b, ep), label+" serial")
-			for _, pool := range pools {
-				ws.Reset()
-				ws.SetPool(pool)
-				assertBitwise(t, want, GEMMBlocks(ws, ws.Uninit(len(rows), tc.n), a, b, ep),
-					fmt.Sprintf("%s pool=%d", label, pool.Threads()))
+			for _, tr := range tiers {
+				tier = tr
+				label := fmt.Sprintf("%d blocks × %d rows × %d cols, stride %d, n %d, %s, tier %s",
+					tc.blocks, tc.rows, tc.cols, tc.stride, tc.n, epLabel(ep), tierNames[tr])
+				assertBitwise(t, want, GEMMBlocks(nil, nil, a, b, ep), label+" serial")
+				for _, pool := range pools {
+					ws.Reset()
+					ws.SetPool(pool)
+					assertBitwise(t, want, GEMMBlocks(ws, ws.Uninit(len(rows), tc.n), a, b, ep),
+						fmt.Sprintf("%s pool=%d", label, pool.Threads()))
+				}
 			}
 		}
 	}
