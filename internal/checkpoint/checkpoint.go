@@ -1,9 +1,10 @@
 // Package checkpoint is the crash-safe persistence subsystem of the serving
-// fleet: it snapshots a whole serve.Hub — every registry model, each
-// session's ingest and debounce state, and the hub manifest — into a
-// versioned, CRC-checked, atomically-renamed checkpoint directory, and loads
-// it back so a restarted daemon resumes serving without retraining and with
-// bitwise-identical subsequent predictions.
+// fleet and the owner of the one format fleet state travels in: it snapshots
+// a whole serve.Hub — every registry model, each session's ingest and
+// debounce state, and the hub manifest — into an atomically-renamed
+// checkpoint directory, and loads it back so a restarted daemon resumes
+// serving without retraining and with bitwise-identical subsequent
+// predictions.
 //
 // # On-disk layout
 //
@@ -11,17 +12,19 @@
 //
 //	<root>/
 //	  ckpt-00000041/          ← one complete, immutable, self-contained checkpoint
-//	    MANIFEST              ← file kind 1: hub config, model index, counters
-//	    model-0.bin           ← file kind 2: models.Save payload per registry key
-//	    sessions.bin          ← file kind 3: one record per live session — the fleet
+//	    fleet                 ← the fleet payload: view batch, then body batch
 //	  ckpt-00000042/
 //	  .tmp-00000043/          ← in-progress write; never read
 //
-// Every file is framed by the record layer in format.go (magic, format
-// version, per-record CRC-32C). A checkpoint becomes visible only by the
+// The fleet file is exactly what a live migration sends over a connection
+// (WriteFleet, ReadFleet): a wal socket stream of two sealed, Merkle-rooted
+// batches, the view (the manifest: hub configuration, shard counters, WAL
+// fence and every session's ref) and then the body (every model and every
+// session record), ending at the body's seal. The entries are the ones the
+// write-ahead log journals (fold.go). A checkpoint becomes visible only by the
 // atomic rename of its temp directory, so readers never observe a partial
 // write; a crash mid-save leaves a .tmp-* directory that the next Save
-// sweeps. Every checkpoint is a full snapshot: Load reads the files of the
+// sweeps. Every checkpoint is a full snapshot: Load reads the one file of the
 // one directory it is given and nothing else, so any ckpt-* directory can be
 // copied, loaded or deleted on its own (the write-ahead log is the system's
 // only incremental format). Save prunes old checkpoints, keeping the newest
@@ -32,16 +35,16 @@
 // The full normative format specification is in ARCHITECTURE.md.
 //
 // The package deliberately knows nothing about serve.Hub: it moves FleetState
-// values to and from disk. internal/serve owns the conversion between a live
-// hub and a FleetState (Hub.Checkpoint / RestoreHub), keeping the dependency
-// one-directional.
+// values to and from disk and the wire. internal/serve owns the conversion
+// between a live hub and a FleetState (Hub.Checkpoint / RestoreHub), keeping
+// the dependency one-directional.
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -63,8 +66,18 @@ import (
 // letting the directory grow without bound.
 const DefaultKeep = 3
 
-// ErrNoCheckpoint reports an empty (or missing) checkpoint root.
-var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
+var (
+	// ErrNoCheckpoint reports an empty (or missing) checkpoint root.
+	ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
+	// ErrCorrupt reports structurally invalid or integrity-failing fleet
+	// state. All corruption errors wrap it, so callers can distinguish "bad
+	// data" (errors.Is(err, ErrCorrupt)) from I/O failures.
+	ErrCorrupt = errors.New("checkpoint: corrupt")
+	// ErrVersion reports fleet state in a format this reader does not
+	// support: a checkpoint directory from an older release, or a stream
+	// from another wal version. Such state is refused whole, never migrated.
+	ErrVersion = errors.New("checkpoint: unsupported format version")
+)
 
 // HubConfig mirrors serve.Config in plain persisted fields.
 type HubConfig struct {
@@ -75,33 +88,14 @@ type HubConfig struct {
 	LatencyWindow       int
 }
 
-// ModelEntry indexes one serialized registry model.
-type ModelEntry struct {
-	// Key is the registry key sessions resolve the model by.
-	Key string
-	// File is the payload filename within the checkpoint directory; a
-	// manifest naming anything but a plain file name is refused.
-	File string
-	// MACs is the per-inference MAC estimate stored alongside the model.
-	MACs int64
-}
-
 // ShardCounters is one shard's monotonic metrics baseline, restored so
 // fleet-wide throughput counters survive a restart.
 type ShardCounters struct {
 	Ticks, Inferences, Batches, Evictions, SamplesIn uint64
 }
 
-// dirFormat is the checkpoint-directory format generation Save stamps into
-// Manifest.Format and the only one readManifest accepts. Formats 0 to 2 let a
-// directory reference session records and model payloads held by sibling
-// directories; gob would silently drop those references on decode and load
-// such a directory as a partial fleet, so it is refused with ErrVersion
-// instead. The record framing (format.go) is unchanged.
-const dirFormat = 3
-
-// SessionRef is one session's entry in a WAL refs view (wal.KindRefs, see
-// serve.Fold): which version of the session the view captures, and the
+// SessionRef is one session's entry in a refs view (wal.KindRefs, see Fold):
+// which version of the session the view captures, and the
 // fast-drifting scheduler fields that change every tick even when the signal
 // path does not. An idle session's heavy state (rolling window, IIR delay
 // lines, debounce ring, counters, pending samples) is immutable between
@@ -119,9 +113,9 @@ type SessionRef struct {
 	IdleTicks int
 }
 
-// Manifest describes one checkpoint: everything needed to rebuild the hub
-// shell before session records are replayed into it. The same struct, gob
-// encoded, is the payload of a WAL refs entry, which is what Refs is for.
+// Manifest describes one capture: everything needed to rebuild the hub shell
+// before session records are replayed into it. Gob encoded, it is the payload
+// of a refs entry: a checkpoint's view, a migration's, a WAL flush's.
 type Manifest struct {
 	// Seq is the checkpoint sequence number (monotonic per root directory).
 	Seq uint64
@@ -129,18 +123,12 @@ type Manifest struct {
 	Hub HubConfig
 	// NextID seeds the hub's session-ID allocator past every persisted ID.
 	NextID uint64
-	// Models indexes the directory's model payload files.
-	Models []ModelEntry
-	// Sessions is the record count of the directory's sessions.bin — the
-	// fleet size; a mismatch means a torn sessions file even when each
-	// present record's CRC holds. It is compared after the file is read,
-	// never used to size an allocation.
+	// Sessions counts the session records the refs entry commits: the
+	// fleet size of a checkpoint, the dirty records of a WAL flush.
 	Sessions int
-	// Shards holds per-shard counter baselines, indexed by shard.
+	// Shards holds per-shard counter baselines, indexed by shard (a
+	// checkpoint's; deltas and migrations leave them home).
 	Shards []ShardCounters
-	// Format is the directory-format generation; Save stamps dirFormat and
-	// readManifest refuses anything else.
-	Format int
 	// Increments is always zero: every checkpoint is a full snapshot. The
 	// field remains only because the frozen benchmark rig reads it (ROADMAP
 	// item 5 removes it).
@@ -150,10 +138,9 @@ type Manifest struct {
 	// entries with seq > WalSeq, and WAL compaction may truncate segments
 	// whose entries are all <= WalSeq.
 	WalSeq uint64
-	// Refs is the live view of a WAL refs entry: every live session, in ID
-	// order (Hub.CaptureDelta fills it, Fold.Resolve reads it). A directory
-	// manifest never carries it — sessions.bin is the fleet — so Save drops
-	// it.
+	// Refs is the live view: every live session (Hub.CaptureDelta fills it
+	// in ID order per shard, Fold.Resolve reads it). A fleet payload's view
+	// names exactly the records of its body.
 	Refs []SessionRef
 }
 
@@ -227,9 +214,9 @@ type PendingSample struct {
 }
 
 // FleetState is the in-memory image of one checkpoint: what serve.Hub
-// captures on Checkpoint, what Load returns and what RestoreHub rebuilds
-// from. A WAL delta (Hub.CaptureDelta) reuses the type with Sessions holding
-// only the dirty records and Manifest.Refs the live view.
+// captures on Checkpoint, what Load and ReadFleet return and what RestoreHub
+// rebuilds from. A WAL delta (Hub.CaptureDelta) reuses the type with Sessions
+// holding only the dirty records and Manifest.Refs the live view.
 type FleetState struct {
 	Manifest Manifest
 	// Models maps registry keys to live classifiers (decoded on Load).
@@ -241,10 +228,9 @@ type FleetState struct {
 }
 
 const (
-	manifestFile = "MANIFEST"
-	sessionsFile = "sessions.bin"
-	ckptPrefix   = "ckpt-"
-	tmpPrefix    = ".tmp-"
+	fleetFile  = "fleet"
+	ckptPrefix = "ckpt-"
+	tmpPrefix  = ".tmp-"
 )
 
 // Save writes state as the next checkpoint under root, creating root if
@@ -256,23 +242,19 @@ func Save(root string, state *FleetState) (string, error) {
 	if state == nil {
 		return "", fmt.Errorf("checkpoint: nil state")
 	}
-	var recs Records
-	for i := range state.Sessions {
-		recs.Append(&state.Sessions[i])
-	}
-	return SaveRecords(root, state, &recs)
+	return SaveRecords(root, state, &state.encode().Records)
 }
 
-// SaveRecords is Save with the fleet's session records already encoded, in
-// the order sessions.bin lists them: recs stands in for state.Sessions, which
-// is not read. A live capture encodes straight into such an arena, so its
-// records reach disk without ever being materialised as SessionRecords.
+// SaveRecords is Save with the fleet's session records already encoded: recs
+// stands in for state.Sessions, which is not read. A live capture encodes
+// straight into such an arena, so its records reach disk without ever being
+// materialised as SessionRecords.
 func SaveRecords(root string, state *FleetState, recs *Records) (string, error) {
 	if state == nil {
 		return "", fmt.Errorf("checkpoint: nil state")
 	}
 	start := time.Now()
-	dir, err := save(root, state, recs)
+	dir, err := save(root, &Delta{Manifest: state.Manifest, Models: state.Models, ModelMACs: state.ModelMACs, Records: *recs})
 	if err != nil {
 		ckptTel().saveErrs.Inc()
 		return "", err
@@ -282,15 +264,10 @@ func SaveRecords(root string, state *FleetState, recs *Records) (string, error) 
 }
 
 // save is SaveRecords minus telemetry.
-func save(root string, state *FleetState, recs *Records) (string, error) {
+func save(root string, d *Delta) (string, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	man := state.Manifest
-	man.Format = dirFormat
-	man.Sessions = recs.Len()
-	man.Models, man.Refs = nil, nil
-
 	// A unique temp dir per call keeps concurrent Saves into one root (e.g.
 	// a periodic checkpoint racing a shutdown checkpoint) from trampling
 	// each other's half-written files.
@@ -305,57 +282,19 @@ func save(root string, state *FleetState, recs *Records) (string, error) {
 		}
 	}()
 
-	// Model payloads, in sorted key order for stable file naming.
-	keys := make([]string, 0, len(state.Models))
-	for k := range state.Models {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, key := range keys {
-		var payload bytes.Buffer
-		if err := models.Save(&payload, state.Models[key]); err != nil {
-			return "", fmt.Errorf("checkpoint: model %q: %w", key, err)
-		}
-		name := fmt.Sprintf("model-%d.bin", i)
-		if err := writeRecordFile(filepath.Join(tmp, name), KindModel, func(fw *fileWriter) error {
-			return fw.writeRecord(RecModel, payload.Bytes())
-		}); err != nil {
-			return "", err
-		}
-		man.Models = append(man.Models, ModelEntry{Key: key, File: name, MACs: state.ModelMACs[key]})
-	}
-
-	// Session records.
-	if err := writeRecordFile(filepath.Join(tmp, sessionsFile), KindSessions, func(fw *fileWriter) error {
-		for i := 0; i < recs.Len(); i++ {
-			if err := fw.writeSession(i, recs.At(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return "", err
-	}
-
-	// Manifest last (it indexes everything above), inside the publish loop:
-	// a concurrent Save may claim our sequence number first, in which case
-	// only the small manifest is rewritten with the next one and the rename
-	// retried. Renaming onto an existing non-empty directory fails, which is
-	// exactly the collision signal.
+	// The sequence number rides in the view, so the fleet file is written
+	// inside the publish loop: a concurrent Save may claim our sequence
+	// number first, in which case the file is rewritten with the next one and
+	// the rename retried. Renaming onto an existing non-empty directory
+	// fails, which is exactly the collision signal.
 	var final string
 	for attempt := 0; ; attempt++ {
 		seq := uint64(1)
 		if entries, err := listCheckpoints(root); err == nil && len(entries) > 0 {
 			seq = entries[len(entries)-1].seq + 1
 		}
-		man.Seq = seq
-		var mbuf bytes.Buffer
-		if err := gob.NewEncoder(&mbuf).Encode(&man); err != nil {
-			return "", fmt.Errorf("checkpoint: manifest: %w", err)
-		}
-		if err := writeRecordFile(filepath.Join(tmp, manifestFile), KindManifest, func(fw *fileWriter) error {
-			return fw.writeRecord(RecManifest, mbuf.Bytes())
-		}); err != nil {
+		d.Manifest.Seq = seq
+		if err := writeFleetFile(filepath.Join(tmp, fleetFile), d); err != nil {
 			return "", err
 		}
 		final = filepath.Join(root, dirName(seq))
@@ -373,16 +312,35 @@ func save(root string, state *FleetState, recs *Records) (string, error) {
 	return final, nil
 }
 
+// writeFleetFile writes d as the fleet file at path and fsyncs it.
+func writeFleetFile(path string, d *Delta) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	err = WriteFleet(f, d)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: write %s: %w", fleetFile, err)
+	}
+	return nil
+}
+
 // isDirNotEmpty reports the rename-onto-occupied-directory failure
 // (ENOTEMPTY on Linux, reported distinctly from os.ErrExist).
 func isDirNotEmpty(err error) bool {
 	return errors.Is(err, syscall.ENOTEMPTY)
 }
 
-// Load reads one checkpoint directory strictly: every file must parse, every
-// CRC must hold, and the session count must match the manifest. It opens
-// MANIFEST, the model files the manifest names and sessions.bin inside dir,
-// and no other path. Errors wrap ErrCorrupt or ErrVersion where applicable.
+// Load reads one checkpoint directory strictly: its fleet file must pass
+// every ReadFleet check and end exactly at the body's seal. It opens that one
+// file inside dir and no other path. Errors wrap ErrCorrupt or ErrVersion
+// where applicable.
 func Load(dir string) (*FleetState, error) {
 	state, err := load(dir)
 	if err != nil {
@@ -396,60 +354,42 @@ func Load(dir string) (*FleetState, error) {
 
 // load is Load minus telemetry.
 func load(dir string) (*FleetState, error) {
-	man, err := readManifest(filepath.Join(dir, manifestFile))
+	f, err := openFleet(dir)
 	if err != nil {
 		return nil, err
 	}
-	state := &FleetState{
-		Manifest:  *man,
-		Models:    make(map[string]models.Classifier, len(man.Models)),
-		ModelMACs: make(map[string]int64, len(man.Models)),
-	}
-	for _, me := range man.Models {
-		payloads, err := readRecordFile(filepath.Join(dir, me.File), KindModel, RecModel)
-		if err != nil {
-			return nil, fmt.Errorf("model %q: %w", me.Key, err)
-		}
-		if len(payloads) != 1 {
-			return nil, fmt.Errorf("%w: model file %q holds %d records, want 1", ErrCorrupt, me.File, len(payloads))
-		}
-		clf, err := models.Load(bytes.NewReader(payloads[0]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: model %q: %v", ErrCorrupt, me.Key, err)
-		}
-		state.Models[me.Key] = clf
-		state.ModelMACs[me.Key] = me.MACs
-	}
-	state.Sessions, err = readSessionRecords(filepath.Join(dir, sessionsFile))
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(state.Sessions) != man.Sessions {
-		return nil, fmt.Errorf("%w: %d session records, manifest promises %d", ErrCorrupt, len(state.Sessions), man.Sessions)
-	}
-	for i := range state.Sessions {
-		rec := &state.Sessions[i]
-		if _, ok := state.Models[rec.ModelKey]; !ok {
-			return nil, fmt.Errorf("%w: session %d references unknown model %q", ErrCorrupt, rec.ID, rec.ModelKey)
-		}
-	}
-	return state, nil
+	return readFleetFile(bufio.NewReaderSize(f, 64<<10), int(info.Size()))
 }
 
-// readSessionRecords reads and decodes every session record of one framed
-// sessions file.
-func readSessionRecords(path string) ([]SessionRecord, error) {
-	payloads, err := readRecordFile(path, KindSessions, RecSession)
+// openFleet opens dir's fleet file. A checkpoint directory without one was
+// written by an older release, and is refused whole.
+func openFleet(dir string) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, fleetFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: no %s file, not a checkpoint of this release", ErrVersion, fleetFile)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return f, nil
+}
+
+// readFleetFile is ReadFleet over a whole file of size bytes: nothing may
+// follow the body.
+func readFleetFile(r io.Reader, size int) (*FleetState, error) {
+	state, err := readFleet(r, size)
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]SessionRecord, len(payloads))
-	for i, p := range payloads {
-		if err := DecodeSessionRecord(p, &recs[i]); err != nil {
-			return nil, fmt.Errorf("%s: session record %d: %w", filepath.Base(path), i, err)
-		}
+	if n, _ := io.ReadFull(r, make([]byte, 1)); n != 0 {
+		return nil, fmt.Errorf("%w: bytes past the body's seal", ErrCorrupt)
 	}
-	return recs, nil
+	return state, nil
 }
 
 // dirName renders the directory name of checkpoint seq.
@@ -491,10 +431,11 @@ func Latest(root string) (string, bool) {
 	return filepath.Join(root, entries[len(entries)-1].name), true
 }
 
-// LatestManifest reads the newest valid manifest under root without loading
-// models or session records — the cheap view /statusz reports. Like
-// LoadLatest it walks backward past checkpoints whose manifest is damaged; it
-// returns ErrNoCheckpoint when root holds no checkpoint.
+// LatestManifest reads the newest valid manifest under root — the view batch
+// at the head of its fleet file, without reading models or session records:
+// the cheap view /statusz reports. Like LoadLatest it walks backward past
+// checkpoints whose view is damaged; it returns ErrNoCheckpoint when root
+// holds no checkpoint.
 func LatestManifest(root string) (*Manifest, error) {
 	entries, err := listCheckpoints(root)
 	if err != nil || len(entries) == 0 {
@@ -502,7 +443,7 @@ func LatestManifest(root string) (*Manifest, error) {
 	}
 	var firstErr error
 	for i := len(entries) - 1; i >= 0; i-- {
-		man, err := readManifest(filepath.Join(root, entries[i].name, manifestFile))
+		man, err := loadManifest(filepath.Join(root, entries[i].name))
 		if err == nil {
 			return man, nil
 		}
@@ -569,83 +510,21 @@ func prune(root string, keep int) {
 // debris from a crashed Save rather than a concurrent in-flight one.
 const staleTmpAge = 10 * time.Minute
 
-// writeRecordFile writes one framed file — header, then whatever records
-// write frames — and fsyncs it.
-func writeRecordFile(path string, kind uint16, write func(*fileWriter) error) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	fw, err := newFileWriter(f, kind)
-	if err == nil {
-		err = write(fw)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("checkpoint: write %s: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// readRecordFile reads and CRC-verifies every record of one framed file.
-func readRecordFile(path string, kind uint16, wantTyp byte) ([][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	fr, err := newFileReader(f, kind)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	var out [][]byte
-	for {
-		typ, payload, err := fr.readRecord()
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) {
-				return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-			}
-			break // clean EOF
-		}
-		if typ != wantTyp {
-			return nil, fmt.Errorf("%s: %w: record type %d, want %d", filepath.Base(path), ErrCorrupt, typ, wantTyp)
-		}
-		out = append(out, payload)
-	}
-	return out, nil
-}
-
-// readManifest reads the single manifest record.
-func readManifest(path string) (*Manifest, error) {
-	payloads, err := readRecordFile(path, KindManifest, RecManifest)
+// loadManifest reads the view batch of dir's fleet file, and nothing past
+// it: the manifest.
+func loadManifest(dir string) (*Manifest, error) {
+	f, err := openFleet(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(payloads) != 1 {
-		return nil, fmt.Errorf("%w: manifest holds %d records, want 1", ErrCorrupt, len(payloads))
+	defer f.Close()
+	_, view, err := readView(f)
+	if err != nil {
+		return nil, err
 	}
-	var man Manifest
-	if err := gob.NewDecoder(bytes.NewReader(payloads[0])).Decode(&man); err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
-	}
-	if man.Format != dirFormat {
-		return nil, fmt.Errorf("%w: directory format %d, reader supports %d", ErrVersion, man.Format, dirFormat)
-	}
-	if man.Hub.Shards < 1 || man.Hub.MaxSessionsPerShard < 1 || man.Hub.TickHz <= 0 {
-		return nil, fmt.Errorf("%w: manifest hub config %+v", ErrCorrupt, man.Hub)
-	}
-	if len(man.Shards) != man.Hub.Shards {
-		return nil, fmt.Errorf("%w: manifest has %d shard baselines for %d shards", ErrCorrupt, len(man.Shards), man.Hub.Shards)
-	}
-	for _, me := range man.Models {
-		if me.File == "" || me.File == "." || me.File == ".." || me.File != filepath.Base(me.File) {
-			return nil, fmt.Errorf("%w: manifest references path %q", ErrCorrupt, me.File)
-		}
+	man, err := decodeRefs(view.Data)
+	if err != nil {
+		return nil, err
 	}
 	return &man, nil
 }

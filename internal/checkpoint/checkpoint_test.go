@@ -1,11 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,12 +18,13 @@ import (
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/rf"
 	"cognitivearm/internal/tensor"
+	"cognitivearm/internal/wal"
 )
 
 // testState builds a small but fully populated fleet state: one random-weight
 // CNN (untrained weights serialise the same as trained ones), one tiny
 // forest, and two sessions with mid-stream signal state.
-func testState(t *testing.T) *FleetState {
+func testState(t testing.TB) *FleetState {
 	t.Helper()
 	spec := models.Spec{Family: models.FamilyCNN, WindowSize: 40, Optimizer: "adam", LR: 1e-3,
 		ConvLayers: 1, Filters: 4, Kernel: 5, Stride: 2, Pool: "none"}
@@ -83,12 +87,15 @@ func testState(t *testing.T) *FleetState {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	state := testState(t)
-	// A state that came out of a WAL fold carries the refs view; the
-	// directory manifest must not (sessions.bin is the fleet).
+	// A state that came out of a WAL fold carries a refs view; the writer
+	// derives the fleet file's view from the records instead.
 	state.Manifest.Refs = []SessionRef{{ID: 3, Ver: 1}, {ID: 7}}
 	dir, err := Save(root, state)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if des, err := os.ReadDir(dir); err != nil || len(des) != 1 || des[0].Name() != fleetFile {
+		t.Fatalf("checkpoint directory holds %v (err %v), want the fleet file alone", des, err)
 	}
 	loaded, err := Load(dir)
 	if err != nil {
@@ -97,9 +104,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Manifest.Seq != 1 {
 		t.Fatalf("seq = %d, want 1", loaded.Manifest.Seq)
 	}
-	if m := loaded.Manifest; m.Format != dirFormat || m.Refs != nil || m.Sessions != len(state.Sessions) {
-		t.Fatalf("manifest format %d, %d refs, %d sessions; want format %d, no refs, %d sessions",
-			m.Format, len(m.Refs), m.Sessions, dirFormat, len(state.Sessions))
+	wantRefs := []SessionRef{{ID: 3, SampleAcc: 0.333, IdleTicks: 1}, {ID: 7}}
+	if m := loaded.Manifest; !reflect.DeepEqual(m.Refs, wantRefs) || m.Sessions != len(state.Sessions) {
+		t.Fatalf("manifest refs %+v, %d sessions; want %+v, %d", m.Refs, m.Sessions, wantRefs, len(state.Sessions))
 	}
 	if loaded.Manifest.Hub != state.Manifest.Hub {
 		t.Fatalf("hub config mangled: %+v vs %+v", loaded.Manifest.Hub, state.Manifest.Hub)
@@ -146,7 +153,7 @@ func TestLoadLatestFallsBackPastCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(second, sessionsFile), -10)
+	flipByte(t, filepath.Join(second, fleetFile), -10)
 
 	loaded, dir, err := LoadLatest(root)
 	if err != nil {
@@ -160,69 +167,134 @@ func TestLoadLatestFallsBackPastCorruption(t *testing.T) {
 	}
 }
 
+// TestCorruptFilesAreRejected: a flipped byte in any frame of the fleet file
+// — the view, its seal, a model, a record, the body's seal — is ErrCorrupt.
 func TestCorruptFilesAreRejected(t *testing.T) {
-	for _, file := range []string{manifestFile, "model-0.bin", sessionsFile} {
-		root := t.TempDir()
-		dir, err := Save(root, testState(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		flipByte(t, filepath.Join(dir, file), -3)
+	dir, err := Save(t.TempDir(), testState(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fleetFile)
+	good := readFile(t, path)
+	offs := frameOffsets(good)
+	if len(offs) != 7 { // refs, seal; two models, two records, seal
+		t.Fatalf("fleet file has %d frames, want 7", len(offs))
+	}
+	for i, off := range offs {
+		flipByte(t, path, off+6)
 		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: corrupted load returned %v, want ErrCorrupt", file, err)
+			t.Fatalf("frame %d: corrupted load returned %v, want ErrCorrupt", i, err)
+		}
+		writeFile(t, path, good)
+	}
+}
+
+// TestTruncatedFilesAreRejected: a fleet file cut anywhere — inside a frame,
+// at a frame boundary inside a batch, or cleanly after the view with the body
+// missing — is ErrCorrupt, and so is one with a byte past the body's seal.
+func TestTruncatedFilesAreRejected(t *testing.T) {
+	dir, err := Save(t.TempDir(), testState(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fleetFile)
+	good := readFile(t, path)
+	offs := frameOffsets(good)
+	for _, cut := range []int{len(good) - 7, offs[6], offs[5], offs[2], offs[1], 3} {
+		writeFile(t, path, good[:cut])
+		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at %d of %d: %v, want ErrCorrupt", cut, len(good), err)
 		}
 	}
-}
-
-func TestTruncatedFilesAreRejected(t *testing.T) {
-	// Mid-record truncation tears the framing; record-boundary truncation of
-	// sessions.bin leaves valid records whose count contradicts the manifest.
-	root := t.TempDir()
-	dir, err := Save(root, testState(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, sessionsFile)
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-7); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, append(good, 0))
 	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mid-record truncation returned %v, want ErrCorrupt", err)
-	}
-
-	root2 := t.TempDir()
-	dir2, err := Save(root2, testState(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncateLastRecord(t, filepath.Join(dir2, sessionsFile))
-	if _, err := Load(dir2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing session record returned %v, want ErrCorrupt (manifest count mismatch)", err)
+		t.Fatalf("trailing byte: %v, want ErrCorrupt", err)
 	}
 }
 
+// TestVersionMismatchIsRejected: a fleet file of another stream version, and
+// a checkpoint directory with no fleet file at all (what every earlier
+// release wrote), are ErrVersion.
 func TestVersionMismatchIsRejected(t *testing.T) {
-	root := t.TempDir()
-	dir, err := Save(root, testState(t))
+	dir, err := Save(t.TempDir(), testState(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, manifestFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint16(raw[4:], FormatVersion+1)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, fleetFile)
+	raw := readFile(t, path)
+	binary.LittleEndian.PutUint16(raw[4:], binary.LittleEndian.Uint16(raw[4:])+1)
+	writeFile(t, path, raw)
 	if _, err := Load(dir); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future-version load returned %v, want ErrVersion", err)
 	}
+	if err := os.Rename(path, filepath.Join(dir, "sessions")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); !errors.Is(err, ErrVersion) {
+		t.Fatalf("directory without a fleet file returned %v, want ErrVersion", err)
+	}
+}
+
+// TestReadFleetRefusals: payloads whose frames and seals are all sound but
+// whose batches do not hold a fleet are refused whole, each for its reason.
+func TestReadFleetRefusals(t *testing.T) {
+	d := testState(t).encode()
+	for i := 0; i < d.Records.Len(); i++ {
+		ref, _ := PeekSessionRecord(d.Records.At(i))
+		d.Manifest.Refs = append(d.Manifest.Refs, ref)
+	}
+	short := *d
+	short.Manifest.Refs = d.Manifest.Refs[:1]
+	for _, tc := range []struct {
+		name  string
+		write func(*streamBuilder)
+		want  string // "" for a payload that must load
+	}{
+		{"sound", func(b *streamBuilder) { b.refs(d).seal().body(d).seal() }, ""},
+		{"view of two entries", func(b *streamBuilder) { b.refs(d).refs(d).seal().body(d).seal() }, "view batch of 2 entries"},
+		{"one-batch delta", func(b *streamBuilder) { b.body(d).refs(d).seal() }, "view batch of 5 entries"},
+		{"refs entry in the body", func(b *streamBuilder) { b.refs(d).seal().body(d).refs(d).seal() }, "kind-2 entry in the body"},
+		{"record the view does not name", func(b *streamBuilder) { b.refs(&short).seal().body(d).seal() }, "body holds 2 records, view names 1"},
+		{"model not shipped", func(b *streamBuilder) { b.refs(d).seal().body(&Delta{Records: d.Records}).seal() }, "unknown model"},
+	} {
+		b := &streamBuilder{t: t}
+		b.sw = wal.NewStreamWriter(&b.buf)
+		tc.write(b)
+		_, err := readFleetFile(&b.buf, b.buf.Len())
+		if tc.want == "" && err != nil || tc.want != "" && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: %v, want ErrCorrupt containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// streamBuilder hand-assembles fleet payloads, including ones the writer
+// would never produce.
+type streamBuilder struct {
+	t   *testing.T
+	buf bytes.Buffer
+	sw  *wal.StreamWriter
+}
+
+func (b *streamBuilder) check(err error) *streamBuilder {
+	b.t.Helper()
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return b
+}
+
+func (b *streamBuilder) refs(d *Delta) *streamBuilder {
+	return b.check(new(DeltaEncoder).AppendRefs(b.sw, d))
+}
+
+func (b *streamBuilder) body(d *Delta) *streamBuilder {
+	b.check(new(DeltaEncoder).AppendModels(b.sw, d))
+	return b.check(appendRecords(b.sw, &d.Records))
+}
+
+func (b *streamBuilder) seal() *streamBuilder {
+	_, err := b.sw.Seal()
+	return b.check(err)
 }
 
 // TestCheckpointSelfContained: every directory is a full snapshot, so
@@ -273,27 +345,32 @@ func TestCheckpointSelfContained(t *testing.T) {
 // TestParentChainRefused: testdata/parent_chain is a root the commit before
 // directory format 3 wrote — one full and one incremental checkpoint, the
 // second referencing two of its three sessions and its model from the first
-// (see testdata/README.md). gob would decode either manifest without the
-// fields this reader no longer declares, so the format number is the only
-// thing standing between an old root and a partial fleet: both must be
-// refused, and LoadLatest must report that, not fall back to a fleet.
+// — and testdata/parent_dir3 one the last release before the fleet file
+// wrote (see testdata/README.md). Neither holds a fleet file: every
+// directory must be refused with ErrVersion, and LoadLatest and
+// LatestManifest must report that, not fall back to a fleet.
 func TestParentChainRefused(t *testing.T) {
-	const root = "testdata/parent_chain"
-	for _, name := range []string{"ckpt-00000001", "ckpt-00000002"} {
-		if state, err := Load(filepath.Join(root, name)); !errors.Is(err, ErrVersion) || state != nil {
-			t.Fatalf("%s: Load returned (%v, %v), want ErrVersion and no state", name, state, err)
+	for root, dirs := range map[string][]string{
+		"testdata/parent_chain": {"ckpt-00000001", "ckpt-00000002"},
+		"testdata/parent_dir3":  {"ckpt-00000001"},
+	} {
+		for _, name := range dirs {
+			if state, err := Load(filepath.Join(root, name)); !errors.Is(err, ErrVersion) || state != nil {
+				t.Fatalf("%s/%s: Load returned (%v, %v), want ErrVersion and no state", root, name, state, err)
+			}
 		}
-	}
-	if state, dir, err := LoadLatest(root); !errors.Is(err, ErrVersion) || state != nil || dir != "" {
-		t.Fatalf("LoadLatest returned (%v, %q, %v), want ErrVersion and no state", state, dir, err)
-	}
-	if man, err := LatestManifest(root); !errors.Is(err, ErrVersion) || man != nil {
-		t.Fatalf("LatestManifest returned (%v, %v), want ErrVersion", man, err)
+		if state, dir, err := LoadLatest(root); !errors.Is(err, ErrVersion) || state != nil || dir != "" {
+			t.Fatalf("%s: LoadLatest returned (%v, %q, %v), want ErrVersion and no state", root, state, dir, err)
+		}
+		if man, err := LatestManifest(root); !errors.Is(err, ErrVersion) || man != nil {
+			t.Fatalf("%s: LatestManifest returned (%v, %v), want ErrVersion", root, man, err)
+		}
 	}
 }
 
 // TestLatestManifestSkipsDamaged: LatestManifest must fall back past a
-// checkpoint whose manifest is unreadable, mirroring LoadLatest.
+// checkpoint whose view is unreadable, mirroring LoadLatest — and it reads
+// the view alone, so a body cut off behind the view's seal does not touch it.
 func TestLatestManifestSkipsDamaged(t *testing.T) {
 	root := t.TempDir()
 	state := testState(t)
@@ -304,7 +381,13 @@ func TestLatestManifestSkipsDamaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(dir2, manifestFile), 3); err != nil {
+	path := filepath.Join(dir2, fleetFile)
+	raw := readFile(t, path)
+	writeFile(t, path, raw[:frameOffsets(raw)[2]])
+	if man, err := LatestManifest(root); err != nil || man.Seq != 2 || len(man.Refs) != 2 {
+		t.Fatalf("view of a checkpoint cut behind its view: %+v, %v; want seq 2 naming 2 sessions", man, err)
+	}
+	if err := os.Truncate(path, 3); err != nil {
 		t.Fatal(err)
 	}
 	man, err := LatestManifest(root)
@@ -352,80 +435,87 @@ func TestNoCheckpoint(t *testing.T) {
 	}
 }
 
-// flipByte flips one bit of the byte at offset (negative = from the end).
-func flipByte(t *testing.T, path string, offset int) {
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offset < 0 {
-		offset += len(raw)
-	}
-	raw[offset] ^= 0x40
+	return raw
+}
+
+func writeFile(t *testing.T, path string, raw []byte) {
+	t.Helper()
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// truncateLastRecord removes the final complete record from a framed file,
-// leaving everything before it intact.
-func truncateLastRecord(t *testing.T, path string) {
+// flipByte flips one bit of the byte at offset (negative = from the end).
+func flipByte(t *testing.T, path string, offset int) {
 	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	raw := readFile(t, path)
+	if offset < 0 {
+		offset += len(raw)
 	}
-	// Walk the records to find the start of the last one.
-	off := headerLen
-	last := off
-	for off < len(raw) {
-		last = off
-		n := int(binary.LittleEndian.Uint32(raw[off+1:]))
-		off += 5 + n + 4
-	}
-	if err := os.Truncate(path, int64(last)); err != nil {
-		t.Fatal(err)
-	}
+	raw[offset] ^= 0x40
+	writeFile(t, path, raw)
 }
 
-// FuzzReadManifest fuzzes the manifest's gob payload — framed here with a
-// valid CRC, which a mutated file would almost never carry — through
-// readManifest and load: no input panics, every refusal is ErrCorrupt or
-// ErrVersion, an accepted manifest is the current format and names only plain
-// files inside its own directory, and its session count is compared against
-// what sessions.bin held, never allocated from.
-func FuzzReadManifest(f *testing.F) {
-	dir := f.TempDir()
-	if err := writeRecordFile(filepath.Join(dir, sessionsFile), KindSessions, func(*fileWriter) error { return nil }); err != nil {
+// frameOffsets returns the offset of every frame of a well-formed stream —
+// type u8 | length u32le | payload | crc u32le, behind an 8-byte header.
+func frameOffsets(raw []byte) []int {
+	var offs []int
+	for off := 8; off+5 <= len(raw); off += 5 + int(binary.LittleEndian.Uint32(raw[off+1:])) + 4 {
+		offs = append(offs, off)
+	}
+	return offs
+}
+
+// FuzzReadFleet fuzzes the one checkpoint and migration reader over whole
+// files (testdata/fuzz/FuzzReadFleet; see testdata/README.md): no input
+// panics it or makes it allocate far past the bytes that arrived, every
+// refusal is ErrCorrupt or ErrVersion, and a fleet it accepts round-trips
+// through the writer — written out, it reads back and writes out to the very
+// same bytes.
+func FuzzReadFleet(f *testing.F) {
+	// gob builds its per-type codecs on a process's first decode of each
+	// type; read one fleet of every model family first, so the bound below
+	// measures what an input costs and not that one-off.
+	warm := fleetBytes(f, testState(f))
+	if _, err := readFleetFile(bytes.NewReader(warm), len(warm)); err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		path := filepath.Join(dir, manifestFile)
-		if err := writeRecordFile(path, KindManifest, func(fw *fileWriter) error {
-			return fw.writeRecord(RecManifest, payload)
-		}); err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		state, err := readFleetFile(bytes.NewReader(b), len(b))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(b))+256<<10 {
+			t.Fatalf("reader allocated %d bytes for a %d-byte input", grew, len(b))
 		}
-		man, err := readManifest(path)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("refusal %v wraps neither ErrCorrupt nor ErrVersion", err)
 			}
 			return
 		}
-		if man.Format != dirFormat {
-			t.Fatalf("accepted directory format %d", man.Format)
+		once := fleetBytes(t, state)
+		again, err := readFleetFile(bytes.NewReader(once), len(once))
+		if err != nil {
+			t.Fatalf("the writer's own output is refused: %v", err)
 		}
-		for _, me := range man.Models {
-			if filepath.Dir(filepath.Join(dir, me.File)) != dir || filepath.Join(dir, me.File) == dir {
-				t.Fatalf("accepted model file %q outside its directory", me.File)
-			}
-		}
-		// sessions.bin here is empty, so only a manifest promising no
-		// sessions (and naming no model file, none exist) may load.
-		if state, err := load(dir); err == nil && (man.Sessions != 0 || len(state.Sessions) != 0) {
-			t.Fatalf("loaded %d sessions from an empty sessions.bin, manifest promised %d", len(state.Sessions), man.Sessions)
+		if twice := fleetBytes(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("an accepted fleet does not round-trip: %d bytes, then %d", len(once), len(twice))
 		}
 	})
+}
+
+func fleetBytes(t testing.TB, state *FleetState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFleet(&buf, state.encode()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

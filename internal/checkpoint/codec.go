@@ -7,8 +7,8 @@ import (
 )
 
 // The session-record codec: the one byte layout every SessionRecord travels
-// in — sessions.bin (kind 3) and WAL KindSession entries, in a segment or on
-// a socket stream between nodes. The normative table is in ARCHITECTURE.md
+// in — WAL KindSession entries, in a segment, in a checkpoint's fleet file or
+// on a socket stream between nodes. The normative table is in ARCHITECTURE.md
 // ("Session record layout"). Summary, all little-endian:
 //
 //	off  0  ID u64 | Ver u64 | SampleAcc f64 | IdleTicks i64      ← peekable
@@ -22,8 +22,8 @@ import (
 // Every string and slice is a u32 element count followed by its elements;
 // floats travel as their IEEE-754 bit pattern, so NaN payloads, ±Inf and −0
 // survive. A zero count decodes as nil, which makes the encoding canonical:
-// encode(decode(b)) == b byte for byte. The framing around a record (checkpoint
-// record CRC, WAL frame CRC) supplies integrity; the decoder supplies
+// encode(decode(b)) == b byte for byte. The framing around a record (its WAL
+// frame's CRC and its batch's Merkle root) supplies integrity; the decoder supplies
 // structure — it checks every count against the bytes that remain before it
 // allocates, so a corrupt length costs an error, never memory.
 
@@ -104,7 +104,7 @@ func appendFloats(dst []byte, v []float64) []byte {
 
 // Records is an arena of encoded session records, back to back in one
 // buffer: what a live capture produces, and what the WAL, a socket stream and
-// sessions.bin take as they are. An arena reused capture after capture stops
+// a fleet file take as they are. An arena reused capture after capture stops
 // allocating once it has held its largest fleet. The zero value is empty.
 type Records struct {
 	buf  []byte

@@ -13,19 +13,18 @@ import (
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/serve"
-	"cognitivearm/internal/wal"
 )
 
 // Protocol verbs. Every inter-node connection carries exactly one request:
 // a verb byte, a body, and one framed ack back. Control bodies (join,
 // announce, leave) are gob-encoded memberMsg values framed by
-// stream.WriteMsg; a migrate body is one sealed batch of WAL entries on a
-// wal socket stream, self-delimiting via its seal.
+// stream.WriteMsg; a migrate body is a fleet payload (checkpoint.WriteFleet,
+// exactly a checkpoint's fleet file), self-delimiting via its seals.
 const (
 	verbJoin      = byte(1) // memberMsg → ack with full membership
 	verbAnnounce  = byte(2) // memberMsg → ack (add member + rebalance)
 	verbLeave     = byte(3) // memberMsg → ack (remove member)
-	verbMigrate   = byte(4) // one sealed wal-stream batch → ack with restored count
+	verbMigrate   = byte(4) // fleet payload → ack with restored count
 	verbPing      = byte(5) // memberMsg → ack (heartbeat; also beats the detector)
 	verbReplicate = byte(6) // memberMsg handshake, then a wal stream with one ack per batch
 	verbLocate    = byte(7) // locateMsg → ack with owner, owner addr, ingest addr
@@ -533,8 +532,8 @@ func (n *Node) rebalance() error {
 	return nil
 }
 
-// migrateTo extracts the given sessions and streams them to owner as one
-// sealed batch of WAL entries. Extraction is atomic per session (capture-and-remove
+// migrateTo extracts the given sessions and streams them to owner as a
+// fleet payload. Extraction is atomic per session (capture-and-remove
 // under the shard lock), so the receiving node resumes each session exactly
 // at the tick boundary it left this one. On failure the extracted sessions
 // are restored locally so none is lost.
@@ -555,9 +554,9 @@ func (n *Node) migrateTo(owner string, ids []serve.SessionID) error {
 		return nil
 	}
 	handled := 0
-	state, err := n.migrationState(recs)
+	d, err := n.migrationDelta(recs)
 	if err == nil {
-		handled, err = n.sendMigration(addr, state)
+		handled, err = n.sendMigration(addr, d)
 	}
 	if err != nil {
 		// Restore only what the receiver did not consume. Sessions it
@@ -581,12 +580,13 @@ func (n *Node) migrateTo(owner string, ids []serve.SessionID) error {
 	return nil
 }
 
-// migrationState wraps session records and the models they reference into a delta: the shape Hub.CaptureDelta gives a replication
-// batch, with the records' own refs as the live view.
-func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.FleetState, error) {
+// migrationDelta encodes session records, and the models they reference,
+// as the fleet a migration ships; the payload's view is built from the
+// records themselves.
+func (n *Node) migrationDelta(recs []checkpoint.SessionRecord) (*checkpoint.Delta, error) {
 	cfg := n.hub.Config()
 	clfs, macs := n.hub.Registry().Resolved()
-	state := &checkpoint.FleetState{
+	d := &checkpoint.Delta{
 		Manifest: checkpoint.Manifest{
 			Hub: checkpoint.HubConfig{
 				Shards:              cfg.Shards,
@@ -598,32 +598,28 @@ func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.Flee
 		},
 		Models:    map[string]models.Classifier{},
 		ModelMACs: map[string]int64{},
-		Sessions:  recs,
 	}
 	for i := range recs {
-		rec := &recs[i]
-		state.Manifest.Refs = append(state.Manifest.Refs, checkpoint.SessionRef{
-			ID: rec.ID, Ver: rec.Ver, SampleAcc: rec.SampleAcc, IdleTicks: rec.IdleTicks,
-		})
-		key := rec.ModelKey
-		if _, done := state.Models[key]; done {
+		d.Records.Append(&recs[i])
+		key := recs[i].ModelKey
+		if _, done := d.Models[key]; done {
 			continue
 		}
 		clf, ok := clfs[key]
 		if !ok {
 			return nil, fmt.Errorf("session %d references unresolved model %q", recs[i].ID, key)
 		}
-		state.Models[key] = clf
-		state.ModelMACs[key] = macs[key]
+		d.Models[key] = clf
+		d.ModelMACs[key] = macs[key]
 	}
-	return state, nil
+	return d, nil
 }
 
-// sendMigration performs one migrate exchange: verb, one sealed batch, ack.
+// sendMigration performs one migrate exchange: verb, fleet payload, ack.
 // It returns how many of the streamed sessions the receiver consumed, which
 // on failure (ack carrying an error) tells the caller where to resume local
 // restoration; without an ack at all it returns 0.
-func (n *Node) sendMigration(addr string, state *checkpoint.FleetState) (int, error) {
+func (n *Node) sendMigration(addr string, d *checkpoint.Delta) (int, error) {
 	conn, err := n.dial("tcp", addr, ioTimeout)
 	if err != nil {
 		return 0, err
@@ -633,11 +629,7 @@ func (n *Node) sendMigration(addr string, state *checkpoint.FleetState) (int, er
 	if _, err := conn.Write([]byte{verbMigrate}); err != nil {
 		return 0, err
 	}
-	sw := wal.NewStreamWriter(conn)
-	if err := new(serve.DeltaEncoder).Append(sw, state); err != nil {
-		return 0, err
-	}
-	if _, err := sw.Seal(); err != nil {
+	if err := checkpoint.WriteFleet(conn, d); err != nil {
 		return 0, err
 	}
 	ack, _, err := readAck(conn, nil)
@@ -799,49 +791,25 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-// receiveMigration reads one sealed batch, folds it from nothing (serve.Fold,
-// as WAL replay would) and resumes its sessions on the local hub. Models the
-// registry has not resolved yet are registered from the batch; a key the registry already holds keeps the local
-// instance — in a fleet, one model key names identical weights everywhere
-// (the registry trains deterministically or loads the same artifact), so the
-// shared local copy serves migrated sessions bitwise-identically.
+// receiveMigration reads one fleet payload with the reader a checkpoint load
+// uses (checkpoint.ReadFleet: a payload holding a session whose model it does
+// not carry is refused whole) and resumes its sessions on the local hub.
+// Models the registry has not resolved yet are registered from the payload; a
+// key the registry already holds keeps the local instance — in a fleet, one
+// model key names identical weights everywhere (the registry trains
+// deterministically or loads the same artifact), so the shared local copy
+// serves migrated sessions bitwise-identically.
 //
 // The returned count is how many sessions were fully consumed (restored or
 // deliberately dropped by the rebind factory), in session-ID order — valid even
 // alongside an error, so the sender can restore exactly the remainder.
 func (n *Node) receiveMigration(conn net.Conn) (int, error) {
-	sr, err := wal.NewStreamReader(conn)
-	if err != nil {
-		return 0, err
-	}
-	entries, _, err := sr.ReadBatch()
-	if err != nil {
-		return 0, err
-	}
-	fold := serve.NewFold()
-	for _, e := range entries {
-		if err := fold.Add(e); err != nil {
-			return 0, err
-		}
-	}
-	if fold.Applied() == 0 {
-		return 0, fmt.Errorf("cluster: batch of %d entries carries no refs entry", len(entries))
-	}
-	state, err := fold.Resolve(nil)
+	state, err := checkpoint.ReadFleet(conn)
 	if err != nil {
 		return 0, err
 	}
 	if err := n.registerModels(state); err != nil {
 		return 0, err
-	}
-	reg := n.hub.Registry()
-	// Refuse the whole batch up front if any session's model is unknown, as a
-	// checkpoint load would: nothing is restored from a batch that cannot be.
-	for i := range state.Sessions {
-		if _, _, ok := reg.Get(state.Sessions[i].ModelKey); !ok {
-			return 0, fmt.Errorf("%w: session %d references unknown model %q",
-				checkpoint.ErrCorrupt, state.Sessions[i].ID, state.Sessions[i].ModelKey)
-		}
 	}
 	restored, handled := 0, 0
 	for i := range state.Sessions {

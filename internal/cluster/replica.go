@@ -30,7 +30,7 @@ type replicaSet struct {
 	// fold holds the promotable sessions: every live session's latest
 	// record as the bytes the primary shipped, verified as each batch was
 	// applied, and the newest refs view. resolve decodes them.
-	fold *serve.Fold
+	fold *checkpoint.Fold
 	// base holds every model shipped so far, loaded (Fold.Apply adds them).
 	base *checkpoint.FleetState
 	// live is how many sessions the last applied view names.
@@ -67,7 +67,7 @@ func newReplicaStore() *replicaStore {
 // (immutable), sessions do not: the new tail's first batch is a full resync,
 // and stale records must not outlive the connection that shipped them.
 func (s *replicaStore) beginTail(src string) *replicaSet {
-	rs := &replicaSet{fold: serve.NewFold(), base: &checkpoint.FleetState{
+	rs := &replicaSet{fold: checkpoint.NewFold(), base: &checkpoint.FleetState{
 		Models:    map[string]models.Classifier{},
 		ModelMACs: map[string]int64{},
 	}}
@@ -147,8 +147,8 @@ type replLink struct {
 	target   string
 	conn     net.Conn
 	sw       *wal.StreamWriter
-	enc      serve.DeltaEncoder // models shipped on this connection
-	delta    serve.Delta        // the capture arena, reused batch after batch
+	enc      checkpoint.DeltaEncoder // models shipped on this connection
+	delta    serve.Delta             // the capture arena, reused batch after batch
 	lastRefs map[uint64]checkpoint.SessionRef
 	ackBuf   []byte
 }
@@ -299,7 +299,7 @@ func (n *Node) shipBatch(link *replLink) error {
 	delta := &link.delta
 	n.hub.CaptureDeltaInto(link.lastRefs, delta)
 	link.conn.SetDeadline(time.Now().Add(ioTimeout))
-	if err := link.enc.AppendDelta(link.sw, delta); err != nil {
+	if err := link.enc.AppendDelta(link.sw, &delta.Delta); err != nil {
 		return err
 	}
 	if _, err := link.sw.Seal(); err != nil {

@@ -3,8 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +44,7 @@ func batchOf(t *testing.T, delta *checkpoint.FleetState) ([]wal.Entry, [wal.Hash
 	t.Helper()
 	var buf bytes.Buffer
 	sw := wal.NewStreamWriter(&buf)
-	if err := new(serve.DeltaEncoder).Append(sw, delta); err != nil {
+	if err := new(checkpoint.DeltaEncoder).Append(sw, delta); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Seal(); err != nil {
@@ -132,13 +136,17 @@ func TestReplicaSupersededTailRefused(t *testing.T) {
 	}
 }
 
-// TestMigrationRefusesUnknownModel: a migration batch holding a session whose
-// ModelKey neither a model entry of the batch nor the receiver's registry
-// resolves is refused whole — nothing restored, Handled 0 — like a checkpoint
-// whose session references a missing model.
+// TestMigrationRefusesUnknownModel: a migration payload holding a session
+// whose ModelKey no model of the payload resolves is refused whole — nothing
+// restored, Handled 0 — exactly as a checkpoint whose session references a
+// missing model is: the receiver reads it with the checkpoint reader.
 func TestMigrationRefusesUnknownModel(t *testing.T) {
-	delta := replicaFleet(t).CaptureDelta(nil)
-	delta.Sessions[1].ModelKey = "ghost"
+	state := replicaFleet(t).CaptureDelta(nil)
+	state.Sessions[1].ModelKey = "ghost"
+	delta := &checkpoint.Delta{Manifest: state.Manifest, Models: state.Models, ModelMACs: state.ModelMACs}
+	for i := range state.Sessions {
+		delta.Records.Append(&state.Sessions[i])
+	}
 
 	clf, _ := sharedModel(t)
 	hubB := newHub(t, registryWith(clf))
@@ -160,11 +168,7 @@ func TestMigrationRefusesUnknownModel(t *testing.T) {
 	if _, err := conn.Write([]byte{verbMigrate}); err != nil {
 		t.Fatal(err)
 	}
-	sw := wal.NewStreamWriter(conn)
-	if err := new(serve.DeltaEncoder).Append(sw, delta); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Seal(); err != nil {
+	if err := checkpoint.WriteFleet(conn, delta); err != nil {
 		t.Fatal(err)
 	}
 	ack, _, err := readAck(conn, nil)
@@ -176,6 +180,89 @@ func TestMigrationRefusesUnknownModel(t *testing.T) {
 	}
 	if n := hubB.Sessions(); n != 0 {
 		t.Fatalf("receiver restored %d sessions from a refused batch, want 0", n)
+	}
+}
+
+// TestFleetFileIsMigrationPayload: the bytes sendMigration puts on the wire,
+// saved as a checkpoint's fleet file, load through checkpoint.Load into
+// exactly the records a checkpoint of the same sessions loads to — one
+// writer, one reader, one format.
+func TestFleetFileIsMigrationPayload(t *testing.T) {
+	hub := replicaFleet(t)
+	node, err := NewNode(Config{ID: "sender", Rebind: dropRebind}, hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	var recs []checkpoint.SessionRecord
+	for id := range hub.SessionKeys() {
+		rec, ok := hub.ExtractSession(id)
+		if !ok {
+			t.Fatalf("extract %d failed", id)
+		}
+		recs = append(recs, *rec)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	delta, err := node.migrationDelta(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	wire := make(chan []byte, 1)
+	go func() { // the receiving end of the exchange, keeping what arrived
+		var got bytes.Buffer
+		defer func() { wire <- got.Bytes() }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var verb [1]byte
+		if _, err := io.ReadFull(conn, verb[:]); err != nil {
+			return
+		}
+		state, err := checkpoint.ReadFleet(io.TeeReader(conn, &got))
+		if err != nil {
+			writeAck(conn, ackMsg{Err: err.Error()})
+			return
+		}
+		writeAck(conn, ackMsg{Handled: len(state.Sessions)})
+	}()
+	if handled, err := node.sendMigration(ln.Addr().String(), delta); err != nil || handled != len(recs) {
+		t.Fatalf("sendMigration: %d of %d handled, err %v", handled, len(recs), err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt-00000001")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "fleet"), <-wire, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromWire, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatalf("the migration payload does not load as a checkpoint: %v", err)
+	}
+	saved, err := checkpoint.Save(t.TempDir(), &checkpoint.FleetState{
+		Manifest: delta.Manifest, Models: delta.Models, ModelMACs: delta.ModelMACs, Sessions: recs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCkpt, err := checkpoint.Load(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromWire.Sessions, fromCkpt.Sessions) || !reflect.DeepEqual(fromWire.Sessions, recs) {
+		t.Fatalf("migration payload and checkpoint load different records:\n wire %+v\n ckpt %+v", fromWire.Sessions, fromCkpt.Sessions)
+	}
+	if !reflect.DeepEqual(fromWire.Manifest.Refs, fromCkpt.Manifest.Refs) || len(fromWire.Models) != 1 || len(fromCkpt.Models) != 1 {
+		t.Fatalf("views %+v / %+v with %d / %d models, want equal views and the one model",
+			fromWire.Manifest.Refs, fromCkpt.Manifest.Refs, len(fromWire.Models), len(fromCkpt.Models))
 	}
 }
 

@@ -35,7 +35,7 @@ func foldFleet(t *testing.T) *Hub {
 // one end of buf, a stream reader on the other.
 type deltaWire struct {
 	buf bytes.Buffer
-	enc DeltaEncoder
+	enc checkpoint.DeltaEncoder
 	sw  *wal.StreamWriter
 	sr  *wal.StreamReader
 }
@@ -71,7 +71,7 @@ func (w *deltaWire) ship(t *testing.T, delta *checkpoint.FleetState) []wal.Entry
 
 func foldOver(t *testing.T, entries []wal.Entry, base *checkpoint.FleetState) (*checkpoint.FleetState, error) {
 	t.Helper()
-	fold := NewFold()
+	fold := checkpoint.NewFold()
 	for _, e := range entries {
 		if err := fold.Add(e); err != nil {
 			return nil, err
@@ -160,7 +160,7 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 	hub := foldFleet(t)
 	delta1 := hub.CaptureDelta(nil)
-	var enc DeltaEncoder
+	var enc checkpoint.DeltaEncoder
 	log := &entryLog{}
 	if err := enc.Append(log, delta1); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 	hub := foldFleet(t)
 	var wire deltaWire
-	fold := NewFold()
+	fold := checkpoint.NewFold()
 	base := &checkpoint.FleetState{Models: map[string]models.Classifier{}, ModelMACs: map[string]int64{}}
 	resolve := func() []checkpoint.SessionRecord {
 		t.Helper()
@@ -235,8 +235,8 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 		if got := resolve(); live != len(want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d live, image diverged from a full capture:\n got %+v\nwant %+v", stage, live, got, want)
 		}
-		if len(fold.recs) != len(want) {
-			t.Fatalf("%s: fold keeps %d records for %d live sessions", stage, len(fold.recs), len(want))
+		if fold.Len() != len(want) {
+			t.Fatalf("%s: fold keeps %d records for %d live sessions", stage, fold.Len(), len(want))
 		}
 	}
 
@@ -295,7 +295,7 @@ func TestFoldRejectsImpossibleHub(t *testing.T) {
 	delta := foldFleet(t).CaptureDelta(nil)
 	delta.Manifest.Hub.Shards = 0
 	log := &entryLog{}
-	if err := new(DeltaEncoder).Append(log, delta); err != nil {
+	if err := new(checkpoint.DeltaEncoder).Append(log, delta); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := foldOver(t, log.entries, nil); !errors.Is(err, checkpoint.ErrCorrupt) {
@@ -308,7 +308,7 @@ func TestFoldRejectsImpossibleHub(t *testing.T) {
 func TestReplayRefusesStreamInWalDir(t *testing.T) {
 	var buf bytes.Buffer
 	sw := wal.NewStreamWriter(&buf)
-	if err := new(DeltaEncoder).Append(sw, foldFleet(t).CaptureDelta(nil)); err != nil {
+	if err := new(checkpoint.DeltaEncoder).Append(sw, foldFleet(t).CaptureDelta(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Seal(); err != nil {

@@ -20,11 +20,12 @@ import (
 // loaded state, so a daemon killed between checkpoints loses at most one
 // flush interval instead of one checkpoint interval.
 //
-// Layering: the journal lives in serve because it converts hub state to WAL
-// entries, exactly as persist.go converts hub state to checkpoint files.
-// internal/wal stays ignorant of sessions; internal/checkpoint stays ignorant
-// of the log. The one shared artifact is Manifest.WalSeq — the fence that
-// keeps replay from applying entries a newer checkpoint already contains.
+// Layering: the journal lives in serve because it captures hub state, exactly
+// as persist.go does for checkpoints; internal/checkpoint owns the entries
+// both are written as, and internal/wal stays ignorant of sessions. The one
+// artifact the journal and a checkpoint share is Manifest.WalSeq — the fence
+// that keeps replay from applying entries a newer checkpoint already
+// contains.
 
 // Journal couples a Hub to a wal.Log. All methods are safe for concurrent
 // use; Flush and Checkpoint serialize on the journal's own mutex, never on a
@@ -35,11 +36,11 @@ type Journal struct {
 
 	mu        sync.Mutex
 	lastRefs  map[uint64]checkpoint.SessionRef
-	delta     Delta        // the flush's capture arena, reused flush after flush
-	enc       DeltaEncoder // remembers the models journaled this process
-	lastAudit uint64       // last event-ring seq drained
-	events    []obs.Event  // reusable snapshot buffer
-	buf       []byte       // reusable decision/audit encoding buffer
+	delta     Delta                   // the flush's capture arena, reused flush after flush
+	enc       checkpoint.DeltaEncoder // remembers the models journaled this process
+	lastAudit uint64                  // last event-ring seq drained
+	events    []obs.Event             // reusable snapshot buffer
+	buf       []byte                  // reusable decision/audit encoding buffer
 }
 
 // NewJournal opens (and, after a crash, recovers) the WAL in opts.Dir and
@@ -95,9 +96,9 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		return root, j.log.LastSealed(), nil
 	}
 
-	// The delta's own entries (DeltaEncoder.AppendDelta's sequence), with a
-	// decision summary behind each session record.
-	if err := j.enc.models(j.log, delta); err != nil {
+	// The delta's own entries (the sequence of DeltaEncoder.AppendDelta), with
+	// a decision summary behind each session record.
+	if err := j.enc.AppendModels(j.log, &delta.Delta); err != nil {
 		return root, 0, err
 	}
 	for i := 0; i < delta.Records.Len(); i++ {
@@ -115,7 +116,7 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 			return root, 0, err
 		}
 	}
-	if err := j.enc.refs(j.log, delta); err != nil {
+	if err := j.enc.AppendRefs(j.log, &delta.Delta); err != nil {
 		return root, 0, err
 	}
 	maxEv := j.lastAudit
@@ -207,14 +208,14 @@ func (j *Journal) Close() error {
 // state (base itself when the WAL adds nothing), and how many entries were
 // applied: those past the fence up to and including the last refs entry.
 // The fold itself — which entries commit, what the final refs view prunes,
-// checks and overlays — is Fold's, shared with the standby image and the
-// migration receiver.
+// checks and overlays — is checkpoint.Fold's, shared with the standby image,
+// checkpoint loads and the migration receiver.
 func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState, int, error) {
 	var fence uint64
 	if base != nil {
 		fence = base.Manifest.WalSeq
 	}
-	fold := NewFold()
+	fold := checkpoint.NewFold()
 	err := wal.Dump(dir, func(e wal.Entry) error {
 		if !e.Sealed || e.Seq <= fence {
 			return nil
@@ -241,7 +242,8 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 // directory used ("" when the restore was WAL-only), and the number of WAL
 // entries applied. When neither a checkpoint nor a replayable WAL exists,
 // the checkpoint load error comes back: checkpoint.ErrNoCheckpoint for an
-// empty root, else why the newest checkpoint was refused.
+// empty root, else why the newest checkpoint was refused — joined with the
+// replay error when a WAL tail needed that refused checkpoint as its base.
 func RestoreHubWal(ckptRoot, walDir string, newSource SourceFactory) (*Hub, string, int, error) {
 	base, dir, err := checkpoint.LoadLatest(ckptRoot)
 	if err != nil {
@@ -251,6 +253,9 @@ func RestoreHubWal(ckptRoot, walDir string, newSource SourceFactory) (*Hub, stri
 	if walDir != "" {
 		var rerr error
 		if state, applied, rerr = ReplayWAL(walDir, base); rerr != nil {
+			if err != nil && !errors.Is(err, checkpoint.ErrNoCheckpoint) {
+				rerr = errors.Join(err, rerr)
+			}
 			return nil, "", 0, rerr
 		}
 	}

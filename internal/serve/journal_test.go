@@ -595,17 +595,22 @@ func TestPreCodecFilesAreRefused(t *testing.T) {
 
 // TestParentChainRootIsRefused: ../checkpoint/testdata/parent_chain is a root
 // the commit before directory format 3 wrote, its newest checkpoint an
-// incremental one holding one of the fleet's three session records. A restore
-// over it must come back with the format error, or with the fleet of a WAL
-// that is complete on its own — never with a hub built from that root.
+// incremental one holding one of the fleet's three session records, and
+// parent_dir3 one the last release before the fleet file wrote. A restore
+// over either must come back with the format error, or with the fleet of a
+// WAL that is complete on its own — never with a hub built from that root. A
+// WAL tail that needs the refused root as its base must report the format
+// error too, not only the tail's missing records.
 func TestParentChainRootIsRefused(t *testing.T) {
 	const oldRoot = "../checkpoint/testdata/parent_chain"
 	factory := func(RestoredSession) (Source, error) { return &scriptSource{}, nil }
-	if hub, _, _, err := RestoreHubWal(oldRoot, "", factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
-		t.Fatalf("RestoreHubWal over a format-2 root and no WAL: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
-	}
-	if hub, _, _, err := RestoreHubWal(oldRoot, t.TempDir(), factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
-		t.Fatalf("RestoreHubWal over a format-2 root and an empty WAL: hub %v, err %v; want checkpoint.ErrVersion", hub, err)
+	for _, root := range []string{oldRoot, "../checkpoint/testdata/parent_dir3"} {
+		if hub, _, _, err := RestoreHubWal(root, "", factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
+			t.Fatalf("RestoreHubWal over %s and no WAL: hub %v, err %v; want checkpoint.ErrVersion", root, hub, err)
+		}
+		if hub, _, _, err := RestoreHubWal(root, t.TempDir(), factory); !errors.Is(err, checkpoint.ErrVersion) || hub != nil {
+			t.Fatalf("RestoreHubWal over %s and an empty WAL: hub %v, err %v; want checkpoint.ErrVersion", root, hub, err)
+		}
 	}
 
 	reg, p := testFleet(t)
@@ -648,7 +653,7 @@ func TestParentChainRootIsRefused(t *testing.T) {
 	if _, _, err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _, err := RestoreHubWal(oldRoot, walDir, factory); err == nil || got != nil {
-		t.Fatalf("a WAL tail over a refused root restored a hub (%v, err %v)", got, err)
+	if got, _, _, err := RestoreHubWal(oldRoot, walDir, factory); !errors.Is(err, checkpoint.ErrVersion) || got != nil {
+		t.Fatalf("a WAL tail over a refused root: hub %v, err %v; want checkpoint.ErrVersion", got, err)
 	}
 }

@@ -69,18 +69,16 @@ func (h *Hub) CaptureState() *checkpoint.FleetState {
 	return state
 }
 
-// Delta is one capture in encoded form: the hub's manifest header with the
-// complete live view in Manifest.Refs, every resolved model, and the records
-// of the captured sessions — encoded straight from live state, shard by
-// shard and in ID order within a shard — in Records. Its owner (a journal, a
-// replication link, the checkpoint path) reuses it capture after capture, so
-// its buffers stop growing once they have held the fleet; Records and Refs
-// are overwritten by the next capture. The zero value is ready.
+// Delta is one capture's arena: a checkpoint.Delta — the hub's manifest
+// header with the complete live view in Manifest.Refs, every resolved model,
+// and the records of the captured sessions, encoded straight from live
+// state, shard by shard and in ID order within a shard — plus the capture's
+// scratch. Its owner (a journal, a replication link, the checkpoint path)
+// reuses it capture after capture, so its buffers stop growing once they have
+// held the fleet; Records and Refs are overwritten by the next capture. The
+// zero value is ready.
 type Delta struct {
-	Manifest  checkpoint.Manifest
-	Models    map[string]models.Classifier
-	ModelMACs map[string]int64
-	Records   checkpoint.Records
+	checkpoint.Delta
 
 	order []*session               // one shard's sessions in ID order
 	view  checkpoint.SessionRecord // the record being encoded, aliasing a live session
@@ -92,8 +90,8 @@ type Delta struct {
 // path advanced since prev (or that prev does not know), the complete live
 // view in Manifest.Refs (so the reader prunes departures and overlays the
 // volatile scheduler fields), and every resolved model in Models — a
-// DeltaEncoder ships each model once per sink, so resending the map costs
-// nothing after the first delta. A nil prev marks everything dirty: the
+// checkpoint.DeltaEncoder ships each model once per sink, so resending the
+// map costs nothing after the first delta. A nil prev marks everything dirty: the
 // full-capture first flush of a journal or a fresh replication connection.
 //
 // Shard counter baselines deliberately stay home, exactly as in migration:

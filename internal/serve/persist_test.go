@@ -388,12 +388,12 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	}
 	hub.Stop()
 
-	raw, err := os.ReadFile(filepath.Join(ckpt, "sessions.bin"))
+	raw, err := os.ReadFile(filepath.Join(ckpt, "fleet"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)-5] ^= 0x10
-	if err := os.WriteFile(filepath.Join(ckpt, "sessions.bin"), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckpt, "fleet"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := RestoreHubWal(dir, "", func(RestoredSession) (Source, error) {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 )
 
 // appendHeader appends the 8-byte header of a segment or a socket stream.
@@ -85,9 +84,9 @@ func (b *batch) appendSeal(dst []byte) (out []byte, root [HashSize]byte, first, 
 	return appendFrame(dst, recSeal, pay[:]), root, first, last
 }
 
-// readStep bounds how far a frame's payload buffer grows ahead of the bytes
-// that have actually arrived.
-const readStep = 1 << 20
+// readStep is the most a frame's payload buffer reserves ahead of the bytes
+// that have actually arrived: the largest first step of an empty buffer.
+const readStep = 64 << 10
 
 // frameReader reads CRC-checked frames off r with reads of exactly the
 // frame's length, so nothing past a frame is ever consumed.
@@ -98,9 +97,11 @@ type frameReader struct {
 
 // next reads one frame and appends its payload to dst. It returns io.EOF when
 // r ends cleanly at a frame boundary and an errTorn-wrapping error for a
-// short frame, an implausible length or a CRC mismatch. dst grows readStep at
-// a time as payload bytes arrive, so a length prefix alone cannot reserve
-// memory its sender never fills.
+// short frame, an implausible length or a CRC mismatch. dst grows only when
+// arrived bytes have filled it, to twice its capacity (an empty one to at
+// most readStep), so a length prefix alone cannot reserve memory its sender
+// never fills, and a batch read frame by frame into one buffer costs about
+// twice its size in allocations rather than append's sum of 1.25× steps.
 func (fr *frameReader) next(dst []byte) (typ byte, out []byte, err error) {
 	if _, err := io.ReadFull(fr.r, fr.pre[:]); err != nil {
 		if err == io.EOF {
@@ -114,8 +115,11 @@ func (fr *frameReader) next(dst []byte) (typ byte, out []byte, err error) {
 	}
 	at := len(dst)
 	for want := int(n) + 4; want > 0; {
-		step := min(want, readStep)
-		dst = slices.Grow(dst, step)[:len(dst)+step]
+		if len(dst) == cap(dst) {
+			dst = append(make([]byte, 0, max(2*cap(dst), min(want, readStep))), dst...)
+		}
+		step := min(want, cap(dst)-len(dst))
+		dst = dst[:len(dst)+step]
 		if _, err := io.ReadFull(fr.r, dst[len(dst)-step:]); err != nil {
 			return 0, dst[:at], fmt.Errorf("%w: short payload: %v", errTorn, err)
 		}

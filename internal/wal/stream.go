@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // StreamWriter is the sending half: Append frames entries into the open
@@ -84,6 +85,11 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	}
 	return &StreamReader{fr: frameReader{r: r}, scan: batchScan{next: 1}}, nil
 }
+
+// Reserve makes room for n bytes of frames ahead of the next batch, for a
+// caller that knows how many are coming — a file of known size — so the
+// batch arrives without its buffer growing, copying and zeroing on the way.
+func (sr *StreamReader) Reserve(n int) { sr.buf = slices.Grow(sr.buf[:0], n) }
 
 // ReadBatch reads exactly one batch — entry frames up to and including their
 // seal, never a byte past it — and returns its entries and Merkle root only

@@ -185,8 +185,8 @@ func TestStreamRefusals(t *testing.T) {
 		{"segment header on a socket", func(w []byte) []byte {
 			return append(appendHeader(nil, kindSeg), w[headerLen:]...)
 		}, 0, ErrCorrupt, "kind 1"},
-		{"checkpoint file on a socket", func(w []byte) []byte {
-			copy(w, "CACK")
+		{"foreign bytes on a socket", func(w []byte) []byte {
+			copy(w, "GET ")
 			return w
 		}, 0, ErrCorrupt, "bad magic"},
 		{"other format version", func(w []byte) []byte {
@@ -281,6 +281,50 @@ func TestStreamLengthPrefixBound(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("reader allocated %d bytes for a %d-byte input", grew, len(wire))
+	}
+}
+
+// TestStreamGrowsWithArrivals: a frame head claiming the full 256 MiB a
+// record may hold, followed by a few bytes and EOF, costs about what arrived
+// — the payload buffer reserves at most readStep ahead of the bytes in it —
+// and a batch the size of a 100-session fleet, read in full, costs about
+// twice its size: the buffer doubles as it fills, instead of growing by
+// append's 1.25× steps frame after frame.
+func TestStreamGrowsWithArrivals(t *testing.T) {
+	allocated := func(read func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	wire := appendHeader(nil, kindStream)
+	wire = append(wire, recEntry, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(wire[headerLen+1:], maxRecordLen)
+	wire = append(wire, "a few bytes"...)
+	if grew := allocated(func() {
+		if _, _, err := readStream(bytes.NewReader(wire)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("256 MiB prefix then EOF: %v, want ErrCorrupt", err)
+		}
+	}); grew > 2*readStep {
+		t.Fatalf("reader allocated %d bytes for %d that arrived", grew, len(wire))
+	}
+
+	var fleet []streamEntry
+	for i := 0; i < 110; i++ {
+		fleet = append(fleet, streamEntry{KindSession, strings.Repeat("r", 16<<10)})
+	}
+	wire, _, _ = writeStream(t, fleet)
+	sr, err := NewStreamReader(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := allocated(func() {
+		if _, _, err := sr.ReadBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}); grew > 3*uint64(len(wire)) {
+		t.Fatalf("reading a %d-byte batch allocated %d bytes", len(wire), grew)
 	}
 }
 
