@@ -338,9 +338,11 @@ func resumeOrColdStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.H
 	if cfg.ckptDir == "" && cfg.walDir == "" {
 		return coldStart(cfg, stopStreaming)
 	}
+	start := time.Now()
 	hub, dir, applied, err := serve.RestoreHubWal(cfg.ckptDir, cfg.walDir, func(rec serve.RestoredSession) (serve.Source, error) {
 		return rebindSource(rec, cfg, stopStreaming)
 	})
+	took := time.Since(start)
 	switch {
 	case err == nil:
 		if dir == "" {
@@ -349,7 +351,8 @@ func resumeOrColdStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.H
 		if cfg.walDir != "" {
 			dir = fmt.Sprintf("%s + %d WAL entries", dir, applied)
 		}
-		log.Printf("cogarmd: resumed %d sessions from %s (no retraining)", hub.Sessions(), dir)
+		log.Printf("cogarmd: resumed %d sessions from %s (no retraining) in %.1f ms",
+			hub.Sessions(), dir, float64(took.Microseconds())/1e3)
 		return hub
 	case errors.Is(err, checkpoint.ErrNoCheckpoint):
 		log.Printf("cogarmd: no checkpoint or WAL state, cold start")

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"cognitivearm/internal/board"
@@ -227,4 +228,85 @@ func BenchmarkJournalFlush(b *testing.B) {
 		b.StartTimer()
 		flush()
 	}
+}
+
+// recoveryTail writes the recovery the repo benchmark's epilogue times: a
+// 100-session fleet checkpointed, then seven flushed 30-tick intervals in the
+// WAL past the checkpoint. As in the epilogue, each timed recovery starts from
+// a collected heap: a restarted process has no garbage of an earlier one.
+func recoveryTail(b *testing.B) (ckptRoot, walDir string) {
+	reg, p := testFleet(b)
+	hub, err := NewHub(Config{Shards: 2, MaxSessionsPerShard: 50, TickHz: 15, LatencyWindow: 32}, reg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer hub.Stop()
+	for i := 0; i < 100; i++ {
+		if _, err := hub.Admit(boardSession(b, p, 0, uint64(i)*7+3)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ckptRoot, walDir = b.TempDir(), b.TempDir()
+	j, _, err := NewJournal(hub, wal.Options{Dir: walDir, NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	interval := func() {
+		for i := 0; i < 30; i++ {
+			hub.TickAll()
+		}
+		if _, _, err := j.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	interval() // the full base
+	if _, err := j.Checkpoint(ckptRoot); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		interval()
+	}
+	return ckptRoot, walDir
+}
+
+// BenchmarkReplayWAL times the WAL half of a recovery: scanning, verifying
+// and folding the tail of recoveryTail over its freshly loaded checkpoint.
+func BenchmarkReplayWAL(b *testing.B) {
+	ckptRoot, walDir := recoveryTail(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		base, _, err := checkpoint.LoadLatest(ckptRoot)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.StartTimer()
+		if state, applied, err := ReplayWAL(walDir, base); err != nil || applied == 0 || len(state.Sessions) != 100 {
+			b.Fatalf("replay: %d entries, err %v", applied, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+}
+
+// BenchmarkRestoreHubWal times a whole recovery of recoveryTail: checkpoint
+// load and WAL scan side by side, the fold, and the restored hub.
+func BenchmarkRestoreHubWal(b *testing.B) {
+	ckptRoot, walDir := recoveryTail(b)
+	source := func(RestoredSession) (Source, error) { return RingSource{Ring: stream.NewRing(8)}, nil }
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		hub, _, applied, err := RestoreHubWal(ckptRoot, walDir, source)
+		if err != nil || applied == 0 || hub.Sessions() != 100 {
+			b.Fatalf("restore: %d entries, err %v", applied, err)
+		}
+		b.StopTimer()
+		hub.Stop()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
 }

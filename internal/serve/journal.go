@@ -211,22 +211,48 @@ func (j *Journal) Close() error {
 // checks and overlays — is checkpoint.Fold's, shared with the standby image,
 // checkpoint loads and the migration receiver.
 func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState, int, error) {
+	entries, err := scanWAL(dir)
+	return foldWAL(entries, err, base)
+}
+
+// scanWAL is the half of a replay that needs no base: it reads and verifies
+// every segment in dir and returns its sealed entries, their Data aliasing
+// the segments' bytes. A missing dir holds no entries. On a scan error it
+// returns the entries of the segments before the damaged one with it, which
+// is what a replay folds before it meets the damage.
+func scanWAL(dir string) ([]wal.Entry, error) {
+	var entries []wal.Entry
+	err := wal.Dump(dir, func(e wal.Entry) error {
+		if e.Sealed {
+			entries = append(entries, e)
+		}
+		return nil
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil // no WAL directory yet: nothing to fold
+	}
+	return entries, err
+}
+
+// foldWAL is the other half: it folds the entries past base's fence over
+// base, then reports scanErr, the damage the scan stopped at, if the fold
+// itself met none first.
+func foldWAL(entries []wal.Entry, scanErr error, base *checkpoint.FleetState) (*checkpoint.FleetState, int, error) {
 	var fence uint64
 	if base != nil {
 		fence = base.Manifest.WalSeq
 	}
 	fold := checkpoint.NewFold()
-	err := wal.Dump(dir, func(e wal.Entry) error {
-		if !e.Sealed || e.Seq <= fence {
-			return nil
+	for _, e := range entries {
+		if e.Seq <= fence {
+			continue
 		}
-		return fold.Add(e)
-	})
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return base, 0, nil // no WAL directory yet: nothing to fold
+		if err := fold.Add(e); err != nil {
+			return nil, 0, err
 		}
-		return nil, 0, err
+	}
+	if scanErr != nil {
+		return nil, 0, scanErr
 	}
 	state, err := fold.Resolve(base)
 	if err != nil {
@@ -238,21 +264,41 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 // RestoreHubWal is the one resume path for daemons: load the newest valid
 // checkpoint under ckptRoot (tolerating its absence), replay the WAL tail in
 // walDir over it, and restore a hub from the result. An empty walDir means
-// no log — the checkpoint alone. It returns the hub, the checkpoint
-// directory used ("" when the restore was WAL-only), and the number of WAL
-// entries applied. When neither a checkpoint nor a replayable WAL exists,
-// the checkpoint load error comes back: checkpoint.ErrNoCheckpoint for an
-// empty root, else why the newest checkpoint was refused — joined with the
-// replay error when a WAL tail needed that refused checkpoint as its base.
+// no log — the checkpoint alone. The checkpoint loads while the WAL is read
+// and verified, since neither needs the other until the fold. It returns
+// the hub, the checkpoint directory used ("" when the restore was WAL-only),
+// and the number of WAL entries applied. When neither a checkpoint nor a
+// replayable WAL exists, the checkpoint load error comes back:
+// checkpoint.ErrNoCheckpoint for an empty root, else why the newest
+// checkpoint was refused — joined with the replay error when a WAL tail
+// needed that refused checkpoint as its base.
 func RestoreHubWal(ckptRoot, walDir string, newSource SourceFactory) (*Hub, string, int, error) {
-	base, dir, err := checkpoint.LoadLatest(ckptRoot)
+	type loaded struct {
+		base *checkpoint.FleetState
+		dir  string
+		err  error
+	}
+	done := make(chan loaded, 1)
+	go func() {
+		base, dir, err := checkpoint.LoadLatest(ckptRoot)
+		done <- loaded{base, dir, err}
+	}()
+	var (
+		entries []wal.Entry
+		scanErr error
+	)
+	if walDir != "" {
+		entries, scanErr = scanWAL(walDir)
+	}
+	ld := <-done
+	base, dir, err := ld.base, ld.dir, ld.err
 	if err != nil {
 		base, dir = nil, ""
 	}
 	state, applied := base, 0
 	if walDir != "" {
 		var rerr error
-		if state, applied, rerr = ReplayWAL(walDir, base); rerr != nil {
+		if state, applied, rerr = foldWAL(entries, scanErr, base); rerr != nil {
 			if err != nil && !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 				rerr = errors.Join(err, rerr)
 			}

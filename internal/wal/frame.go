@@ -1,7 +1,9 @@
 // The frame layer a segment file and a socket stream share: building entry
 // and seal frames over a pending batch of Merkle leaves (batch), reading
-// CRC-checked frames back (frameReader), and checking what the frames claim
-// (batchScan). Nothing here knows where the bytes go to or come from.
+// CRC-checked frames back — off a stream as they arrive (frameReader) or in
+// place from bytes already in memory (frameAt) — and checking what the
+// frames claim (batchScan). Nothing here knows where the bytes go to or come
+// from.
 package wal
 
 import (
@@ -133,19 +135,72 @@ func (fr *frameReader) next(dst []byte) (typ byte, out []byte, err error) {
 	return fr.pre[0], dst[:end], nil
 }
 
+// frameAt parses the frame at the start of b in place and returns its type,
+// its payload (a sub-slice of b) and its length in b. It returns io.EOF for
+// an empty b and classifies damage exactly as frameReader.next does: a short
+// head, an implausible length, a short payload or a CRC mismatch is an
+// errTorn-wrapping error.
+func frameAt(b []byte) (typ byte, payload []byte, n int, err error) {
+	if len(b) == 0 {
+		return 0, nil, 0, io.EOF
+	}
+	if len(b) < 5 {
+		return 0, nil, 0, fmt.Errorf("%w: short frame head: %v", errTorn, io.ErrUnexpectedEOF)
+	}
+	size := binary.LittleEndian.Uint32(b[1:5])
+	if size > maxRecordLen {
+		return 0, nil, 0, fmt.Errorf("%w: implausible record length %d", errTorn, size)
+	}
+	end := 5 + int(size)
+	if len(b) < end+4 {
+		return 0, nil, 0, fmt.Errorf("%w: short payload: %v", errTorn, io.ErrUnexpectedEOF)
+	}
+	if crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
+		return 0, nil, 0, fmt.Errorf("%w: crc mismatch", errTorn)
+	}
+	return b[0], b[5:end], end + 4, nil
+}
+
 // batchScan is the reader's mirror of batch: it checks entry-sequence
 // continuity, and each seal's range, count and Merkle root against the
 // entries read since the previous seal. Its errors wrap ErrCorrupt — no
 // crash tears a frame into a sequence gap or a wrong root.
+//
+// Where the leaves are hashed follows from where the batch is. A socket
+// reader's batch arrives a frame at a time, so entry hashes each leaf while
+// the rest of the batch is still in flight. A segment is read whole, so
+// hold only keeps each payload and the seal hashes the batch on every core
+// at once (hashLeaves).
 type batchScan struct {
-	leaves [][HashSize]byte
-	first  uint64 // first entry seq of the pending batch
+	leaves [][HashSize]byte // leaves of the pending batch hashed by entry
+	held   [][]byte         // payloads of the pending batch kept by hold
+	first  uint64           // first entry seq of the pending batch
 	// next is the only entry seq acceptable next. Zero accepts any: a segment
 	// may begin anywhere in the log, a socket stream begins at 1.
 	next uint64
 }
 
+// entry checks one entry and hashes its leaf now.
 func (bs *batchScan) entry(payload []byte) (seq uint64, err error) {
+	if seq, err = bs.check(payload); err == nil {
+		bs.leaves = append(bs.leaves, HashLeaf(payload))
+	}
+	return seq, err
+}
+
+// hold checks one entry and keeps payload, which must not change before the
+// seal, to hash there with the rest of its batch.
+func (bs *batchScan) hold(payload []byte) (seq uint64, err error) {
+	if seq, err = bs.check(payload); err == nil {
+		bs.held = append(bs.held, payload)
+	}
+	return seq, err
+}
+
+// pending counts the entries since the previous seal.
+func (bs *batchScan) pending() int { return len(bs.leaves) + len(bs.held) }
+
+func (bs *batchScan) check(payload []byte) (seq uint64, err error) {
 	if len(payload) < entryHdrLen {
 		return 0, fmt.Errorf("%w: entry too short", ErrCorrupt)
 	}
@@ -154,10 +209,9 @@ func (bs *batchScan) entry(payload []byte) (seq uint64, err error) {
 		return 0, fmt.Errorf("%w: entry seq %d after %d", ErrCorrupt, seq, bs.next-1)
 	}
 	bs.next = seq + 1
-	if len(bs.leaves) == 0 {
+	if bs.pending() == 0 {
 		bs.first = seq
 	}
-	bs.leaves = append(bs.leaves, HashLeaf(payload))
 	return seq, nil
 }
 
@@ -168,15 +222,17 @@ func (bs *batchScan) seal(payload []byte) (first, last uint64, root [HashSize]by
 	first = binary.LittleEndian.Uint64(payload[0:8])
 	last = binary.LittleEndian.Uint64(payload[8:16])
 	count := binary.LittleEndian.Uint32(payload[16:20])
-	if int(count) != len(bs.leaves) || len(bs.leaves) == 0 || first != bs.first || last != bs.next-1 {
+	n := bs.pending()
+	if int(count) != n || n == 0 || first != bs.first || last != bs.next-1 {
 		return 0, 0, root, fmt.Errorf("%w: seal [%d,%d]x%d does not match pending entries [%d,%d]x%d",
-			ErrCorrupt, first, last, count, bs.first, bs.next-1, len(bs.leaves))
+			ErrCorrupt, first, last, count, bs.first, bs.next-1, n)
 	}
 	copy(root[:], payload[20:])
+	bs.leaves = hashLeaves(bs.leaves, bs.held)
 	if want := Root(bs.leaves); root != want {
 		return 0, 0, root, fmt.Errorf("%w: merkle root mismatch for batch [%d,%d] (stored %s, computed %s)",
 			ErrCorrupt, first, last, hexRoot(root), hexRoot(want))
 	}
-	bs.leaves, bs.first = bs.leaves[:0], 0
+	bs.leaves, bs.held, bs.first = bs.leaves[:0], bs.held[:0], 0
 	return first, last, root, nil
 }

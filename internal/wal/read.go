@@ -5,11 +5,9 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,10 +34,15 @@ type Entry struct {
 
 // segScan is the result of one sequential segment scan.
 type segScan struct {
-	size      int64 // bytes scanned from the start (== file size when clean)
+	size      int64 // the segment's length in bytes
 	sealedEnd int64 // offset just past the last seal or footer (or header)
 	headerOK  bool
 	footer    bool
+	// footerAtEnd reports, for a torn scan, whether the bytes still end in a
+	// CRC-valid footer frame. A crash tears the end of a segment, so a tear
+	// with a footer in place behind it is mid-file damage to a finalized
+	// segment — data corruption, never recoverable truncation.
+	footerAtEnd bool
 
 	firstSealed     uint64
 	sealedLast      uint64
@@ -54,53 +57,51 @@ func scanSegment(path string) (*segScan, error) {
 	return scanSegmentFull(path, false)
 }
 
-// scanSegmentFull reads one segment front to back: framing and CRCs by
-// frameReader, entry-sequence continuity, seal counts and Merkle roots by
-// batchScan (the checks a socket stream runs too), footer consistency here. With keep it also retains decoded entries. On errTorn the
-// returned scan is still valid up to the tear.
+// scanSegmentFull reads one segment whole and scans it (scanSegmentBytes).
 func scanSegmentFull(path string, keep bool) (*segScan, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return &segScan{}, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	defer f.Close()
-	sc := &segScan{}
-	if fi, err := f.Stat(); err == nil {
-		sc.size = fi.Size()
-	}
-	name := filepath.Base(path)
-	fr := frameReader{r: bufio.NewReaderSize(f, 64<<10)}
+	return scanSegmentBytes(filepath.Base(path), data, keep)
+}
 
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+// scanSegmentBytes scans one segment's bytes front to back, parsing each
+// frame in place: framing and CRCs by frameAt, entry-sequence continuity,
+// seal counts and Merkle roots by batchScan (the checks a socket stream runs
+// too; each batch is hashed at its seal, on every core), footer consistency
+// here. With keep it also retains decoded entries, their Data aliasing data.
+// On errTorn the returned scan is still valid up to the tear.
+func scanSegmentBytes(name string, data []byte, keep bool) (*segScan, error) {
+	sc := &segScan{size: int64(len(data))}
+	if len(data) < headerLen {
 		return sc, fmt.Errorf("%w: %s: short header", errTorn, name)
 	}
-	if err := checkHeader(hdr[:], kindSeg); err != nil {
+	if err := checkHeader(data[:headerLen], kindSeg); err != nil {
 		return sc, fmt.Errorf("%s: %w", name, err)
 	}
 	sc.headerOK = true
-	off := int64(headerLen)
-	sc.sealedEnd = off
+	off := headerLen
+	sc.sealedEnd = int64(off)
 
 	var bs batchScan
 	for {
-		// Each frame gets its own payload allocation, so a kept entry can
-		// hold a view of it.
-		typ, payload, err := fr.next(nil)
+		typ, payload, n, err := frameAt(data[off:])
 		if err == io.EOF {
 			break // clean end at a frame boundary
 		}
 		if err != nil {
 			// A recoverable tear: the pending entry count rides along so
 			// recovery can report exactly what it drops.
-			sc.unsealedEntries = len(bs.leaves)
+			sc.unsealedEntries = bs.pending()
+			sc.footerAtEnd = endsInFooter(data)
 			return sc, fmt.Errorf("%s at %d: %w", name, off, err)
 		}
-		frameEnd := off + frameOverhead + int64(len(payload))
+		frameEnd := off + n
 
 		switch typ {
 		case recEntry:
-			seq, err := bs.entry(payload)
+			seq, err := bs.hold(payload)
 			if err != nil {
 				return sc, fmt.Errorf("%s at %d: %w", name, off, err)
 			}
@@ -120,12 +121,12 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 			}
 			sc.sealedLast = last
 			sc.sealedEntries += int(last - first + 1)
-			sc.sealedEnd = frameEnd
+			sc.sealedEnd = int64(frameEnd)
 		case recFooter:
 			if len(payload) != footerPayLen {
 				return sc, fmt.Errorf("%w: %s at %d: footer size %d", ErrCorrupt, name, off, len(payload))
 			}
-			if len(bs.leaves) != 0 {
+			if bs.pending() != 0 {
 				return sc, fmt.Errorf("%w: %s at %d: footer over unsealed entries", ErrCorrupt, name, off)
 			}
 			batches := binary.LittleEndian.Uint32(payload[0:4])
@@ -142,8 +143,8 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 					ErrCorrupt, name, off, hexRoot(got), hexRoot(want))
 			}
 			sc.footer = true
-			sc.sealedEnd = frameEnd
-			if _, _, err := fr.next(nil); err != io.EOF {
+			sc.sealedEnd = int64(frameEnd)
+			if frameEnd != len(data) {
 				return sc, fmt.Errorf("%w: %s: data after footer", ErrCorrupt, name)
 			}
 			return sc, nil
@@ -152,43 +153,26 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 		}
 		off = frameEnd
 	}
-	sc.unsealedEntries = len(bs.leaves)
+	sc.unsealedEntries = bs.pending()
 	return sc, nil
 }
 
-// hasTrailingFooter reports whether the file ends in a CRC-valid footer
-// frame. A crash tears the end of a segment, so a tear with a valid footer
-// still in place behind it is mid-file damage to a finalized segment — data
-// corruption, never recoverable truncation.
-func hasTrailingFooter(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return false
-	}
+// endsInFooter reports whether data ends in a CRC-valid footer frame.
+func endsInFooter(data []byte) bool {
 	const flen = frameOverhead + footerPayLen
-	if fi.Size() < headerLen+flen {
+	if len(data) < headerLen+flen {
 		return false
 	}
-	var buf [flen]byte
-	if _, err := f.ReadAt(buf[:], fi.Size()-flen); err != nil {
-		return false
-	}
-	if buf[0] != recFooter || binary.LittleEndian.Uint32(buf[1:5]) != footerPayLen {
-		return false
-	}
-	crc := crc32.Checksum(buf[:flen-4], castagnoli)
-	return crc == binary.LittleEndian.Uint32(buf[flen-4:])
+	typ, _, n, err := frameAt(data[len(data)-flen:])
+	return err == nil && typ == recFooter && n == flen
 }
 
 // Dump replays every decodable entry in dir, in sequence order, through fn.
 // Unsealed tail entries (possible only when the WAL was not reopened after
 // a crash) are delivered with Sealed=false; a torn tail ends the dump
 // cleanly. Structural corruption anywhere else, or an error from fn, aborts.
+// An entry's Data aliases its segment's bytes, read whole, so holding it
+// holds that segment in memory.
 func Dump(dir string, fn func(Entry) error) error {
 	names, err := segmentFiles(dir)
 	if err != nil {
@@ -259,8 +243,7 @@ func Verify(dir string) ([]SegmentReport, error) {
 		}
 		switch {
 		case scanErr == nil:
-		case errors.Is(scanErr, errTorn) && i == len(names)-1 &&
-			!hasTrailingFooter(filepath.Join(dir, name)):
+		case errors.Is(scanErr, errTorn) && i == len(names)-1 && !sc.footerAtEnd:
 			r.Torn = true
 		default:
 			r.Err = scanErr.Error()

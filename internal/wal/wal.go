@@ -280,7 +280,7 @@ func Open(opts Options) (*Log, RecoveryInfo, error) {
 		// file still ends in a valid footer was finalized; a parse failure
 		// inside it is mid-file corruption, and truncating would silently
 		// discard sealed batches.
-		if scanErr != nil && hasTrailingFooter(path) {
+		if scanErr != nil && sc.footerAtEnd {
 			return nil, info, fmt.Errorf("%w: %s has a finalized footer but does not parse cleanly (%v)", ErrCorrupt, name, scanErr)
 		}
 		// A tail torn inside the 8-byte header holds nothing recoverable, so
