@@ -180,7 +180,7 @@ func BenchmarkRealWorldValidation(b *testing.B) {
 			for j := range intents {
 				intents[j] = eeg.Action(rng.Intn(3))
 			}
-			res, err := control.RunValidationSession(sys.Controller, intents, 40)
+			res, err := core.RunValidationSession(sys.Controller, intents, 40)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -601,7 +601,7 @@ func BenchmarkNNForwardBatch(b *testing.B) {
 			b.Run(spec.Family.String()+"-b"+itoa(batch)+"-batched", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					clf.PredictBatch(xs)
+					clf.PredictBatchWS(tensor.NewWorkspace(), xs, nil)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/window")
 			})

@@ -15,7 +15,7 @@ import (
 
 	"cognitivearm"
 	"cognitivearm/internal/asr"
-	"cognitivearm/internal/control"
+	"cognitivearm/internal/core"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/evo"
 	"cognitivearm/internal/experiments"
@@ -208,7 +208,7 @@ func runValidation() {
 		for i := range intents {
 			intents[i] = eeg.Action(rng.Intn(3))
 		}
-		res, err := control.RunValidationSession(sys.Controller, intents, 40)
+		res, err := core.RunValidationSession(sys.Controller, intents, 40)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"cognitivearm"
 	"cognitivearm/internal/control"
+	"cognitivearm/internal/core"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/tensor"
 )
@@ -29,7 +30,7 @@ func main() {
 		for i := range intents {
 			intents[i] = eeg.Action(rng.Intn(3))
 		}
-		res, err := control.RunValidationSession(sys.Controller, intents, 40)
+		res, err := core.RunValidationSession(sys.Controller, intents, 40)
 		if err != nil {
 			log.Fatal(err)
 		}

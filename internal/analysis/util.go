@@ -149,13 +149,3 @@ func NamedBase(t types.Type) *types.Named {
 	n, _ := t.(*types.Named)
 	return n
 }
-
-// TypeIs reports whether t (after unwrapping pointers/aliases) is the
-// named type pkgPath.name.
-func TypeIs(t types.Type, pkgPath, name string) bool {
-	n := NamedBase(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
-}

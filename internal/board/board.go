@@ -155,8 +155,8 @@ func (b *SyntheticCyton) produce(n int) {
 	}
 }
 
-// ReadInto is the allocation-free variant of Read used by the serving shard
-// (serve.ReaderInto): samples are appended to dst, and in on-demand mode the
+// ReadInto is the allocation-free variant of Read and the serving shard's
+// drain (serve.Source): samples are appended to dst, and in on-demand mode the
 // synthesiser recycles the Values buffers sitting in dst's spare capacity
 // from the previous call. The returned samples — including their Values —
 // are therefore valid only until the next ReadInto with the same dst; the

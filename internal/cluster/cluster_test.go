@@ -77,14 +77,14 @@ type scriptSource struct {
 	pos     int
 }
 
-func (s *scriptSource) Read(max int) []stream.Sample {
+func (s *scriptSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	n := len(s.samples) - s.pos
 	if max > 0 && max < n {
 		n = max
 	}
-	out := s.samples[s.pos : s.pos+n : s.pos+n]
+	dst = append(dst, s.samples[s.pos:s.pos+n]...)
 	s.pos += n
-	return out
+	return dst
 }
 
 func scriptedEEG(subject int, seed uint64, n int) []stream.Sample {

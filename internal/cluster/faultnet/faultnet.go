@@ -1,8 +1,8 @@
 // Package faultnet is the cluster's deterministic fault-injection harness:
 // wrapped net.Conn/net.Listener/dialer seams that inject connection refusals,
 // hard cuts after an exact byte count (mid-frame truncation), one-way
-// partitions (blackholed writes) and fixed delays — as repeatable test
-// inputs, not as timing races.
+// partitions (blackholed writes) — as repeatable test inputs, not as timing
+// races.
 //
 // Every fault is budgeted in bytes or dial counts, never in wall-clock time,
 // so a test that cuts a migration stream after 1000 bytes cuts it at byte
@@ -36,7 +36,6 @@ type Plan struct {
 	refuseDials   bool
 	allowDials    int64 // -1 = unlimited; >=0: dials allowed before refusing
 	failDials     int64 // dials to fail before allowing again
-	delay         time.Duration
 
 	written int64
 	read    int64
@@ -73,11 +72,6 @@ func (p *Plan) AllowDials(n int64) { p.set(func() { p.allowDials = n }) }
 // FailNextDials fails the next n dials, then allows again — a transient
 // outage with an exact, deterministic width.
 func (p *Plan) FailNextDials(n int64) { p.set(func() { p.failDials = n }) }
-
-// Delay sleeps each read and write for d before performing it. This is the
-// one wall-clock fault; tests that must stay sleep-free use the byte-budget
-// faults instead.
-func (p *Plan) Delay(d time.Duration) { p.set(func() { p.delay = d }) }
 
 // Written returns total bytes written through this plan (blackholed bytes
 // included), for computing cut offsets from observed traffic.
@@ -130,7 +124,6 @@ func Wrap(conn net.Conn, plan *Plan) net.Conn {
 func (c *Conn) Write(b []byte) (int, error) {
 	p := c.plan
 	p.mu.Lock()
-	delay := p.delay
 	if p.blackhole {
 		p.written += int64(len(b))
 		p.mu.Unlock()
@@ -148,9 +141,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 	}
 	p.written += allowed
 	p.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	n := 0
 	var err error
 	if allowed > 0 {
@@ -167,14 +157,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 func (c *Conn) Read(b []byte) (int, error) {
 	p := c.plan
 	p.mu.Lock()
-	delay := p.delay
 	budget := int64(len(b))
 	cutAt := p.cutReadAfter
 	already := p.read
 	p.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if cutAt >= 0 {
 		if remain := cutAt - already; remain < budget {
 			if remain <= 0 {

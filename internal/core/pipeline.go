@@ -12,7 +12,6 @@ import (
 	"cognitivearm/internal/audio"
 	"cognitivearm/internal/board"
 	"cognitivearm/internal/compress"
-	"cognitivearm/internal/control"
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/edge"
 	"cognitivearm/internal/eeg"
@@ -181,7 +180,7 @@ func (p *Pipeline) TrainModel(spec models.Spec) (models.Classifier, models.Resul
 // closed-loop controller for one subject.
 type System struct {
 	Classifier models.Classifier
-	Controller *control.Controller
+	Controller *Controller
 	Spotter    *asr.Spotter
 	VAD        *audio.VAD
 	Board      board.Board
@@ -197,7 +196,7 @@ func (p *Pipeline) Deploy(clf models.Classifier, macs int64, subjectID int) (*Sy
 	if err := b.Start(); err != nil {
 		return nil, err
 	}
-	ctrl, err := control.New(control.Config{
+	ctrl, err := NewController(ControllerConfig{
 		Board:         b,
 		Classifier:    clf,
 		Norm:          st,

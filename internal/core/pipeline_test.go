@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cognitivearm/internal/audio"
-	"cognitivearm/internal/control"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
 )
@@ -103,7 +102,7 @@ func TestEndToEndDeployAndControl(t *testing.T) {
 	if word != audio.WordFingers {
 		t.Fatalf("voice path recognised %v", word)
 	}
-	if sys.Controller.Mode() != control.ModeFingers {
+	if sys.Controller.Mode() != ModeFingers {
 		t.Fatal("mode not switched")
 	}
 	// Silence must not change the mode.
@@ -112,7 +111,7 @@ func TestEndToEndDeployAndControl(t *testing.T) {
 	}
 
 	// EEG: run one validation session.
-	resSess, err := control.RunValidationSession(sys.Controller,
+	resSess, err := RunValidationSession(sys.Controller,
 		[]eeg.Action{eeg.Right, eeg.Idle}, 40)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package models
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cognitivearm/internal/eeg"
@@ -46,21 +48,25 @@ func randBatch(b, rows int, rng *tensor.RNG) []*tensor.Matrix {
 // the serving batch, which is past the kernel pool's crossover for the CNNs.
 var batchSizes = []int{1, 3, 4, 5, 50}
 
-// batchWorkspaces are the three ways a caller runs a batch: no workspace, a
-// workspace reused (with Reset) across every batch size as a serving shard
-// does across ticks — stale-scratch leaks between cycles would surface as
-// mismatches — and one with a kernel pool attached.
+// batchWorkspaces are the three ways a caller runs a batch: a fresh
+// workspace per batch, whose buffers are all newly zeroed, a warm one reused
+// (with Reset) across every batch size as a serving shard does across ticks —
+// stale-scratch leaks between cycles would surface as mismatches — and one
+// with a kernel pool attached.
 func batchWorkspaces(t *testing.T) []namedWorkspace {
 	pool := tensor.NewPool(3)
 	t.Cleanup(pool.Close)
-	pooled := tensor.NewWorkspace()
+	warm, pooled := tensor.NewWorkspace(), tensor.NewWorkspace()
 	pooled.SetPool(pool)
-	return []namedWorkspace{{"unpooled", nil}, {"workspace", tensor.NewWorkspace()}, {"kernel-pool", pooled}}
+	reuse := func(ws *tensor.Workspace) func() *tensor.Workspace {
+		return func() *tensor.Workspace { ws.Reset(); return ws }
+	}
+	return []namedWorkspace{{"fresh", tensor.NewWorkspace}, {"warm", reuse(warm)}, {"kernel-pool", reuse(pooled)}}
 }
 
 type namedWorkspace struct {
 	path string
-	ws   *tensor.Workspace
+	next func() *tensor.Workspace // the workspace for the next batch
 }
 
 // TestNNPredictBatchMatchesPredict is the serving-path equivalence guarantee:
@@ -79,10 +85,10 @@ func TestNNPredictBatchMatchesPredict(t *testing.T) {
 			clf := &NNClassifier{Net: net, Spec: spec}
 			labelBuf := make([]int, 0, 64)
 			for _, w := range batchWorkspaces(t) {
-				path, ws := w.path, w.ws
+				path := w.path
 				for _, B := range batchSizes {
 					xs := randBatch(B, spec.WindowSize, rng)
-					ws.Reset()
+					ws := w.next()
 					labels := clf.PredictBatchWS(ws, xs, labelBuf)
 					outs := net.ForwardBatch(ws, xs, false)
 					for i, x := range xs {
@@ -114,14 +120,13 @@ func TestRFPredictBatchWSMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range batchWorkspaces(t) {
-		path, ws := w.path, w.ws
+		path := w.path
 		for _, B := range batchSizes {
 			xs := make([]*tensor.Matrix, B)
 			for i := range xs {
 				xs[i] = val[i%len(val)].Data
 			}
-			ws.Reset()
-			for i, got := range PredictBatchWS(clf, ws, xs, nil) {
+			for i, got := range PredictBatchWS(clf, w.next(), xs, nil) {
 				if want := clf.Predict(xs[i]); got != want {
 					t.Fatalf("%s B=%d window %d: batched label %d != sequential %d", path, B, i, got, want)
 				}
@@ -130,9 +135,9 @@ func TestRFPredictBatchWSMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestNNPredictBatchMixedShapesFallsBack: a batch mixing window lengths (two
-// models' sessions misrouted into one call) must degrade to the per-window
-// path, not panic.
+// TestNNPredictBatchMixedShapes: a shard's batch always has one shape, so a
+// batch mixing window lengths (two models' sessions misrouted into one call)
+// is a bug, and must panic naming both shapes rather than be classified.
 func TestNNPredictBatchMixedShapes(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	spec := Spec{Family: FamilyLSTM, WindowSize: 32, Optimizer: "adam", LR: 1e-3,
@@ -143,10 +148,12 @@ func TestNNPredictBatchMixedShapes(t *testing.T) {
 	}
 	clf := &NNClassifier{Net: net, Spec: spec}
 	xs := append(randBatch(2, 32, rng), randBatch(2, 40, rng)...)
-	labels := clf.PredictBatch(xs)
-	for i, x := range xs {
-		if want := clf.Predict(x); labels[i] != want {
-			t.Fatalf("window %d: mixed-shape batch label %d != sequential %d", i, labels[i], want)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		want32, want40 := fmt.Sprintf("32x%d", eeg.NumChannels), fmt.Sprintf("40x%d", eeg.NumChannels)
+		if !strings.Contains(msg, want32) || !strings.Contains(msg, want40) {
+			t.Fatalf("mixed-shape batch must panic naming %s and %s, got %q", want32, want40, msg)
 		}
-	}
+	}()
+	clf.PredictBatchWS(tensor.NewWorkspace(), xs, nil)
 }

@@ -10,7 +10,7 @@ import (
 
 // TestConcurrentSharedNNInference is the serving-hub contract test: one NN
 // classifier deserialised from the serialize.go format is shared read-only
-// by many goroutines mixing Predict, Probs and PredictBatch. Run under
+// by many goroutines mixing Predict, Probs and PredictBatchWS. Run under
 // `go test -race`, this fails if any layer's inference path writes receiver
 // state (the original Forward implementations cached activations
 // unconditionally, so sharing a model across sessions raced).
@@ -71,10 +71,10 @@ func TestConcurrentSharedNNInference(t *testing.T) {
 							}
 						}
 					case 2:
-						got := PredictBatch(shared, windows)
+						got := PredictBatchWS(shared, tensor.NewWorkspace(), windows, nil)
 						for i := range got {
 							if got[i] != want[i] {
-								t.Errorf("%s: concurrent PredictBatch[%d] = %d, want %d", spec.ID(), i, got[i], want[i])
+								t.Errorf("%s: concurrent PredictBatchWS[%d] = %d, want %d", spec.ID(), i, got[i], want[i])
 								return
 							}
 						}
@@ -108,10 +108,10 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := PredictBatch(clf, windows)
+			got := PredictBatchWS(clf, tensor.NewWorkspace(), windows, nil)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("PredictBatch[%d] = %d, want %d", i, got[i], want[i])
+					t.Errorf("PredictBatchWS[%d] = %d, want %d", i, got[i], want[i])
 					return
 				}
 			}
@@ -121,14 +121,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 	// The generic helper must also serve classifiers without a batch path.
 	plain := plainClassifier{Classifier: clf}
-	got := PredictBatch(plain, windows)
+	got := PredictBatchWS(plain, tensor.NewWorkspace(), windows, nil)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("fallback PredictBatch[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("fallback PredictBatchWS[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }
 
-// plainClassifier hides the BatchPredictor implementation to force the
+// plainClassifier hides the BatchPredictorWS implementation to force the
 // helper's per-window fallback.
 type plainClassifier struct{ Classifier }

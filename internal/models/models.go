@@ -3,6 +3,12 @@
 // on internal/rf, all behind one Classifier interface so the evolutionary
 // search, ensembling, compression and the control loop can treat them
 // uniformly.
+//
+// Serving classifies through one entry point, PredictBatchWS: the NN, forest
+// and quantized classifiers batch a shard's windows on the caller's
+// tensor.Workspace (BatchPredictorWS, which requires one), and classifiers
+// with no batched form (ensembles, compress.ActivationQuantized) are
+// classified a window at a time.
 package models
 
 import (
@@ -173,55 +179,34 @@ type Classifier interface {
 	Name() string
 }
 
-// BatchPredictor is the optional batched-inference extension of Classifier.
-// The serving hub coalesces ready windows from many concurrent sessions into
-// one call per shard tick; implementations exploit the batch for cache
-// locality (the forest walks tree-major) or simply amortise dispatch.
-type BatchPredictor interface {
-	// PredictBatch classifies many windows in one call, returning one class
-	// index per window in order.
-	PredictBatch(xs []*tensor.Matrix) []int
-}
-
-// BatchPredictorWS is the workspace-aware extension of BatchPredictor: the
-// serving shard passes its per-shard tensor.Workspace and a reused label
-// buffer so the steady-state classify call allocates nothing. Implementations
-// must produce labels identical to PredictBatch; ws and dst may be nil.
+// BatchPredictorWS is the optional batched-inference extension of
+// Classifier. The serving hub coalesces ready windows from many concurrent
+// sessions into one call per shard tick and passes its per-shard
+// tensor.Workspace and a reused label buffer, so the steady-state classify
+// call allocates nothing. Implementations exploit the batch for cache
+// locality (the forest walks tree-major) or fuse it into batch×feature GEMMs
+// (NN families), and must produce the labels per-window Predict would.
 type BatchPredictorWS interface {
-	// PredictBatchWS classifies many windows drawing every temporary from ws
-	// and writing labels into dst when it has capacity.
+	// PredictBatchWS classifies many windows drawing every temporary from
+	// ws, which is required, and writing labels into dst when it has
+	// capacity (dst may be nil).
 	//
 	//cogarm:zeroalloc
 	PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int
 }
 
-// PredictBatch classifies a batch of windows through c's batched path when
-// it implements BatchPredictor, falling back to per-window Predict calls
-// otherwise. It is safe for concurrent use with other inference calls.
-func PredictBatch(c Classifier, xs []*tensor.Matrix) []int {
-	return PredictBatchWS(c, nil, xs, nil)
-}
-
-// PredictBatchWS classifies a batch through c's most capable batched path:
-// BatchPredictorWS when implemented (allocation-free with a warm ws),
-// BatchPredictor next, per-window Predict last. Labels land in dst when it
-// has capacity. It is safe for concurrent use with other inference calls
-// provided ws is not shared across concurrent callers.
+// PredictBatchWS classifies a batch through c's batched path when it
+// implements BatchPredictorWS (allocation-free with a warm ws), and through
+// per-window Predict otherwise. The per-window path carries real traffic:
+// ensembles and compress.ActivationQuantized have no batched form, and a hub
+// can serve an ensemble. Labels land in dst when it has capacity. It is safe
+// for concurrent use with other inference calls provided ws is not shared
+// across concurrent callers.
 //
 //cogarm:zeroalloc
 func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	if bp, ok := c.(BatchPredictorWS); ok {
 		return bp.PredictBatchWS(ws, xs, dst)
-	}
-	if bp, ok := c.(BatchPredictor); ok {
-		//cogarm:allow zeroalloc -- legacy batch path for classifiers without workspace support; WS-capable classifiers never reach it
-		out := bp.PredictBatch(xs)
-		if cap(dst) >= len(out) {
-			dst = dst[:len(out)]
-			copy(dst, out)
-			return dst
-		}
-		return out
 	}
 	if cap(dst) < len(xs) {
 		//cogarm:allow zeroalloc -- label-buffer warm-up; a reused dst never grows past its high-water mark
@@ -229,7 +214,7 @@ func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst
 	}
 	dst = dst[:len(xs)]
 	for i, x := range xs {
-		//cogarm:allow zeroalloc -- per-window compat path for classifiers with no batched entry point at all
+		//cogarm:allow zeroalloc -- per-window path for classifiers with no batched form (ensembles, activation-quantized wrappers)
 		dst[i] = c.Predict(x)
 	}
 	return dst
@@ -256,40 +241,16 @@ func (c *NNClassifier) WindowSize() int { return c.Spec.WindowSize }
 // Name implements Classifier.
 func (c *NNClassifier) Name() string { return c.Spec.ID() }
 
-// PredictBatch implements BatchPredictor. Same-shape windows — the serving
-// case, since a shard batches sessions sharing one model and hence one
-// window size — run through nn's fused ForwardBatch, where Dense/Conv1D/
-// attention collapse the B per-window matmuls into single batch×feature
-// GEMMs and the LSTM steps all windows together. Mixed shapes fall back to
-// per-window Predict. Batched forwards write no layer state, so the calls
-// are safe alongside concurrent Predict traffic.
-func (c *NNClassifier) PredictBatch(xs []*tensor.Matrix) []int {
-	return c.PredictBatchWS(nil, xs, nil)
-}
-
-// PredictBatchWS implements BatchPredictorWS: the fused forward pass draws
-// every temporary from ws (nil = plain allocation, bitwise-identical labels).
+// PredictBatchWS implements BatchPredictorWS through nn's fused
+// ForwardBatch, where Dense/Conv1D/attention collapse the B per-window
+// matmuls into single batch×feature GEMMs and the LSTM steps all windows
+// together. Batched forwards write no layer state, so the calls are safe
+// alongside concurrent Predict traffic. A shard batches sessions sharing one
+// model and hence one window size, so the windows share one shape; a mixed
+// batch panics, naming both shapes.
 //
 //cogarm:zeroalloc
 func (c *NNClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
-	if len(xs) == 0 {
-		return dst[:0]
-	}
-	rows, cols := xs[0].Rows, xs[0].Cols
-	for _, x := range xs[1:] {
-		if x.Rows != rows || x.Cols != cols {
-			if cap(dst) < len(xs) {
-				//cogarm:allow zeroalloc -- mixed-shape fallback; the shard's per-tick batches are always same-shape
-				dst = make([]int, len(xs))
-			}
-			dst = dst[:len(xs)]
-			for i, w := range xs {
-				//cogarm:allow zeroalloc -- per-window fallback for the mixed-shape case above
-				dst[i] = c.Net.Predict(w)
-			}
-			return dst
-		}
-	}
 	return c.Net.PredictBatch(ws, xs, dst)
 }
 
@@ -319,15 +280,10 @@ func (c *RFClassifier) WindowSize() int { return c.Spec.WindowSize }
 // Name implements Classifier.
 func (c *RFClassifier) Name() string { return c.Spec.ID() }
 
-// PredictBatch implements BatchPredictor: features are extracted per window,
-// then the forest routes the whole batch tree-major (see rf.ProbsBatch) so
-// each tree's nodes are walked while still cache-hot.
-func (c *RFClassifier) PredictBatch(xs []*tensor.Matrix) []int {
-	return c.PredictBatchWS(nil, xs, nil)
-}
-
-// PredictBatchWS implements BatchPredictorWS: feature rows and the forest's
-// vote accumulators come from ws (nil = plain allocation, identical labels).
+// PredictBatchWS implements BatchPredictorWS: features are extracted per
+// window into rows from ws, then the forest routes the whole batch tree-major
+// (see rf.Forest.ProbsBatchWS) so each tree's nodes are walked while still
+// cache-hot; the vote accumulators come from ws too.
 //
 //cogarm:zeroalloc
 func (c *RFClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {

@@ -112,8 +112,9 @@ func (q *QuantizedClassifier) Validate(calib []*tensor.Matrix, minAgreement floa
 	if len(calib) == 0 {
 		return errors.New("models: quantization gate needs calibration windows")
 	}
-	base := PredictBatch(q.Base, calib)
-	quant := PredictBatch(q.Quant, calib)
+	ws := tensor.NewWorkspace()
+	base := PredictBatchWS(q.Base, ws, calib, nil)
+	quant := PredictBatchWS(q.Quant, ws, calib, nil)
 	agree := 0
 	for i := range base {
 		if base[i] == quant[i] {
@@ -144,11 +145,6 @@ func (q *QuantizedClassifier) WindowSize() int { return q.Base.WindowSize() }
 // keys and checkpoint manifests are unchanged by quantization.
 func (q *QuantizedClassifier) Name() string { return q.Base.Name() }
 
-// PredictBatch implements BatchPredictor through the quantized twin.
-func (q *QuantizedClassifier) PredictBatch(xs []*tensor.Matrix) []int {
-	return PredictBatch(q.Quant, xs)
-}
-
 // PredictBatchWS implements BatchPredictorWS through the quantized twin.
 //
 //cogarm:zeroalloc
@@ -167,13 +163,13 @@ type qrfClassifier struct {
 // Predict implements Classifier.
 func (c *qrfClassifier) Predict(x *tensor.Matrix) int {
 	fv := dataset.FeatureVector(dataset.Window{Data: x})
-	return c.qf.PredictBatchWS(nil, [][]float64{fv}, nil)[0]
+	return c.qf.PredictBatchWS(tensor.NewWorkspace(), [][]float64{fv}, nil)[0]
 }
 
 // Probs implements Classifier.
 func (c *qrfClassifier) Probs(x *tensor.Matrix) []float64 {
 	fv := dataset.FeatureVector(dataset.Window{Data: x})
-	return c.qf.ProbsBatchWS(nil, [][]float64{fv})[0]
+	return c.qf.ProbsBatchWS(tensor.NewWorkspace(), [][]float64{fv})[0]
 }
 
 // NumParams implements Classifier (total node count, like RFClassifier).
@@ -184,11 +180,6 @@ func (c *qrfClassifier) WindowSize() int { return c.spec.WindowSize }
 
 // Name implements Classifier.
 func (c *qrfClassifier) Name() string { return c.spec.ID() + "-int16" }
-
-// PredictBatch implements BatchPredictor.
-func (c *qrfClassifier) PredictBatch(xs []*tensor.Matrix) []int {
-	return c.PredictBatchWS(nil, xs, nil)
-}
 
 // PredictBatchWS implements BatchPredictorWS, mirroring RFClassifier.
 //

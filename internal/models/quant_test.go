@@ -113,7 +113,8 @@ type misscaledDense struct {
 }
 
 func (m misscaledDense) Predict(x *tensor.Matrix) int {
-	y := tensor.MatMulQ(nil, nil, x, m.q, tensor.Epilogue{Bias: m.bias})
+	ws := tensor.NewWorkspace()
+	y := tensor.MatMulQ(ws, ws.Uninit(x.Rows, m.out), x, m.q, tensor.Epilogue{Bias: m.bias})
 	return tensor.Argmax(y.Data)
 }
 func (m misscaledDense) Probs(x *tensor.Matrix) []float64 { return nil }
@@ -170,7 +171,8 @@ type linearClassifier struct {
 }
 
 func (c *linearClassifier) Predict(x *tensor.Matrix) int {
-	y := tensor.GEMM(nil, nil, x, c.w, tensor.Epilogue{Bias: c.bias})
+	ws := tensor.NewWorkspace()
+	y := tensor.GEMM(ws, ws.Uninit(x.Rows, c.w.Cols), x, c.w, tensor.Epilogue{Bias: c.bias})
 	return tensor.Argmax(y.Data)
 }
 func (c *linearClassifier) Probs(*tensor.Matrix) []float64 { return nil }

@@ -72,7 +72,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: row-wise normalisation writes all
+// ForwardBatch implements Layer: row-wise normalisation writes all
 // B windows into one (B·T)×D output, one scratch buffer for the batch.
 //
 //cogarm:zeroalloc
@@ -164,7 +164,7 @@ func (pe *PositionalEncoding) Forward(x *tensor.Matrix, train bool) *tensor.Matr
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: the sinusoid table depends only on
+// ForwardBatch implements Layer: the sinusoid table depends only on
 // the window length, so it is materialised once and added to every window —
 // B−1 fewer trips through math.Sin/Cos/Pow than per-window Forward.
 //
@@ -298,7 +298,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 	return tensor.MatMul(nil, concat, m.Wo.W)
 }
 
-// ForwardBatch implements BatchForwarder: the Q/K/V input projections and the
+// ForwardBatch implements Layer: the Q/K/V input projections and the
 // output projection each run as one (B·T)×D GEMM over the whole batch — the
 // inputs read from the windows in place, 4 GEMMs total instead of 4·B — while
 // the T×T attention itself stays per-window (scores never mix windows).
@@ -423,13 +423,13 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return tensor.Add(nil, x, r.Inner.Forward(x, train))
 }
 
-// ForwardBatch implements BatchForwarder: the inner layer runs batched, the
+// ForwardBatch implements Layer: the inner layer runs batched, the
 // skip additions stay per window.
 //
 //cogarm:zeroalloc
 func (r *Residual) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
-	inner := forwardBatch(r.Inner, ws, xs, false)
+	inner := r.Inner.ForwardBatch(ws, xs, false)
 	out := ws.Matrices(len(xs))
 	for i, x := range xs {
 		out[i] = tensor.Add(ws.Uninit(x.Rows, x.Cols), x, inner[i])
@@ -462,14 +462,14 @@ func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return x
 }
 
-// ForwardBatch implements BatchForwarder: the batch threads through every
+// ForwardBatch implements Layer: the batch threads through every
 // inner layer's batched path.
 //
 //cogarm:zeroalloc
 func (s *Sequential) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	for _, l := range s.Inner {
-		xs = forwardBatch(l, ws, xs, false)
+		xs = l.ForwardBatch(ws, xs, false)
 	}
 	return xs
 }

@@ -6,35 +6,6 @@ import (
 	"cognitivearm/internal/tensor"
 )
 
-// BatchForwarder is the optional fused batched-inference extension of Layer.
-// ForwardBatch consumes B same-shape windows and returns B outputs, exactly
-// matching B independent Forward(x, false) calls element-for-element. Every
-// temporary — GEMM destinations, stacked activations, output views — is drawn from
-// ws, so a caller that resets one workspace per tick runs the whole forward
-// pass without heap allocations at steady state. ws may be nil, selecting
-// plain heap allocation (the unpooled path, bitwise-identical by contract).
-//
-// Contract:
-//   - Inference only: train must be false. The batched kernels write no layer
-//     state (there is nothing for Backward to consume), so implementations
-//     panic on train=true rather than silently corrupting training caches.
-//   - Goroutine safety mirrors Forward(x, false): a trained layer may serve
-//     concurrent ForwardBatch / Forward calls from many goroutines because
-//     neither path writes the receiver — provided each call uses its own
-//     Workspace (or nil). Workspaces are single-owner and must not be shared
-//     across concurrent calls.
-//   - Returned matrices may be views into one shared backing array
-//     (tensor.SplitRowsWS) and, with a non-nil ws, are valid only until the
-//     workspace's next Reset; callers must copy anything that outlives the
-//     cycle.
-//   - All windows in one call must share the same shape. Network.ForwardBatch
-//     and the GEMM-backed layers (Dense, Conv1D, attention) panic on a mixed
-//     batch; the other layers leave mixed shapes as the caller's problem.
-type BatchForwarder interface {
-	//cogarm:zeroalloc
-	ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix
-}
-
 // batchInferenceOnly is the shared train-guard for every fused kernel.
 func batchInferenceOnly(train bool) {
 	if train {
@@ -66,30 +37,12 @@ type epilogueFuser interface {
 	forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix
 }
 
-// forwardBatch routes one layer: through its fused kernel when it implements
-// BatchForwarder, else through the generic per-window fallback. The fallback
-// keeps ForwardBatch total over arbitrary Layer implementations (external
-// layers, future additions) at per-window cost.
-func forwardBatch(l Layer, ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	if bf, ok := l.(BatchForwarder); ok {
-		return bf.ForwardBatch(ws, xs, train)
-	}
-	batchInferenceOnly(train)
-	out := ws.Matrices(len(xs))
-	for i, x := range xs {
-		//cogarm:allow zeroalloc -- generic per-window fallback for layers outside the fused set; every built-in layer implements BatchForwarder
-		out[i] = l.Forward(x, false)
-	}
-	return out
-}
-
 // ForwardBatch runs inference on B same-shape windows through every layer's
 // batched path, returning one output per window in order. Dense, Conv1D and
 // attention projections collapse their B small matmuls into one batch×feature
 // GEMM; the LSTM steps all B windows together (one B×4H GEMM per timestep);
 // row-wise layers process one stacked matrix. Results are bitwise identical
-// to per-window Forward(x, false), with or without a workspace. See
-// BatchForwarder for the contract (ws may be nil = unpooled).
+// to per-window Forward(x, false). See Layer for the contract.
 //
 //cogarm:zeroalloc
 func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
@@ -109,7 +62,7 @@ func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train 
 				continue
 			}
 		}
-		xs = forwardBatch(l, ws, xs, false)
+		xs = l.ForwardBatch(ws, xs, false)
 	}
 	return xs
 }

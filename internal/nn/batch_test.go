@@ -23,23 +23,20 @@ func randWindows(b, rows, cols int, rng *tensor.RNG) []*tensor.Matrix {
 }
 
 // assertBatchMatchesForward demands that l.ForwardBatch equals B independent
-// Forward(x, false) calls bitwise — on the unpooled (nil workspace) path and
-// on a workspace that has already served (and Reset after) a previous batch,
-// so stale scratch contents leaking into results would be caught.
+// Forward(x, false) calls bitwise — on a fresh workspace, whose buffers are
+// all newly zeroed, and on one that has already served (and Reset after) a
+// previous batch, so stale scratch contents leaking into results would be
+// caught.
 func assertBatchMatchesForward(t *testing.T, name string, l Layer, xs []*tensor.Matrix) {
 	t.Helper()
-	bf, ok := l.(BatchForwarder)
-	if !ok {
-		t.Fatalf("%s: layer does not implement BatchForwarder", name)
-	}
-	ws := tensor.NewWorkspace()
-	bf.ForwardBatch(ws, xs, false) // warm the buckets with a prior cycle
-	ws.Reset()
+	warm := tensor.NewWorkspace()
+	l.ForwardBatch(warm, xs, false) // warm the buckets with a prior cycle
+	warm.Reset()
 	for _, tc := range []struct {
 		path string
 		ws   *tensor.Workspace
-	}{{"unpooled", nil}, {"workspace-reused", ws}} {
-		got := bf.ForwardBatch(tc.ws, xs, false)
+	}{{"fresh", tensor.NewWorkspace()}, {"workspace-reused", warm}} {
+		got := l.ForwardBatch(tc.ws, xs, false)
 		if len(got) != len(xs) {
 			t.Fatalf("%s[%s]: batch returned %d outputs for %d windows", name, tc.path, len(got), len(xs))
 		}
@@ -115,8 +112,8 @@ func TestNetworkForwardBatchMatchesPredict(t *testing.T) {
 		NewDense(6, 3, rng),
 	)
 	xs := randWindows(9, 16, 4, rng)
-	outs := net.ForwardBatch(nil, xs, false)
-	labels := net.PredictBatch(nil, xs, nil)
+	outs := net.ForwardBatch(tensor.NewWorkspace(), xs, false)
+	labels := net.PredictBatch(tensor.NewWorkspace(), xs, nil)
 	for i, x := range xs {
 		if want := net.Predict(x); labels[i] != want {
 			t.Fatalf("window %d: batched label %d != sequential %d", i, labels[i], want)
@@ -129,8 +126,8 @@ func TestNetworkForwardBatchMatchesPredict(t *testing.T) {
 // 101-sample window, where the conv emits 49 steps per window: the GEMM's
 // 4-row tiles then take rows from two windows at once, every batch size
 // leaves a different row tail, and B=50 is large enough for a kernel pool to
-// split. Logits must equal per-window Forward bit for bit without a
-// workspace, with one, and with a pool attached — inputs include exact zeros,
+// split. Logits must equal per-window Forward bit for bit on a fresh
+// workspace, a warm one, and with a pool attached — inputs include exact zeros,
 // which Forward's MatMul skips and the GEMM does not.
 func TestForwardBatchQuadsStraddleWindows(t *testing.T) {
 	rng := tensor.NewRNG(6)
@@ -145,6 +142,7 @@ func TestForwardBatchQuadsStraddleWindows(t *testing.T) {
 	defer pool.Close()
 	pooled := tensor.NewWorkspace()
 	pooled.SetPool(pool)
+	warm := tensor.NewWorkspace()
 	for _, B := range []int{1, 3, 4, 5, 50} {
 		xs := randWindows(B, 101, 16, rng)
 		for _, x := range xs {
@@ -155,7 +153,7 @@ func TestForwardBatchQuadsStraddleWindows(t *testing.T) {
 		for _, tc := range []struct {
 			path string
 			ws   *tensor.Workspace
-		}{{"unpooled", nil}, {"workspace", tensor.NewWorkspace()}, {"kernel-pool", pooled}} {
+		}{{"fresh", tensor.NewWorkspace()}, {"warm", warm}, {"kernel-pool", pooled}} {
 			tc.ws.Reset()
 			outs := net.ForwardBatch(tc.ws, xs, false)
 			for i, x := range xs {
@@ -174,7 +172,7 @@ func TestForwardBatchTrainPanics(t *testing.T) {
 			t.Fatal("ForwardBatch(train=true) must panic")
 		}
 	}()
-	net.ForwardBatch(nil, randWindows(2, 1, 3, rng), true)
+	net.ForwardBatch(tensor.NewWorkspace(), randWindows(2, 1, 3, rng), true)
 }
 
 // TestForwardBatchShapeMismatchPanics pins the same-shape requirement.
@@ -187,7 +185,7 @@ func TestForwardBatchShapeMismatchPanics(t *testing.T) {
 			t.Fatal("mixed window shapes must panic")
 		}
 	}()
-	net.ForwardBatch(nil, xs, false)
+	net.ForwardBatch(tensor.NewWorkspace(), xs, false)
 }
 
 // TestForwardBatchLayerShapeMismatchPanics: the GEMM-backed layers read every
@@ -199,7 +197,7 @@ func TestForwardBatchLayerShapeMismatchPanics(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	layers := []struct {
 		name  string
-		layer BatchForwarder
+		layer Layer
 	}{
 		{"Conv1D", NewConv1D(8, 4, 3, 1, rng)},
 		{"Dense", NewDense(8, 4, rng)},
@@ -215,7 +213,7 @@ func TestForwardBatchLayerShapeMismatchPanics(t *testing.T) {
 						t.Fatalf("mixed window shapes must panic naming both shapes, got %q", msg)
 					}
 				}()
-				l.layer.ForwardBatch(nil, xs, false)
+				l.layer.ForwardBatch(tensor.NewWorkspace(), xs, false)
 			})
 		}
 	}
@@ -225,10 +223,10 @@ func TestForwardBatchLayerShapeMismatchPanics(t *testing.T) {
 func TestForwardBatchEmpty(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	net := NewNetwork(NewDense(3, 2, rng))
-	if out := net.ForwardBatch(nil, nil, false); len(out) != 0 {
+	if out := net.ForwardBatch(tensor.NewWorkspace(), nil, false); len(out) != 0 {
 		t.Fatalf("empty batch returned %d outputs", len(out))
 	}
-	if out := net.PredictBatch(nil, nil, nil); len(out) != 0 {
+	if out := net.PredictBatch(tensor.NewWorkspace(), nil, nil); len(out) != 0 {
 		t.Fatalf("empty PredictBatch returned %d labels", len(out))
 	}
 }

@@ -72,7 +72,7 @@ func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: the whole batch convolves in a
+// ForwardBatch implements Layer: the whole batch convolves in a
 // single (B·T')×(K·Cin) GEMM against the kernel weight — the batched analogue
 // of Forward's im2col + matmul, with the weight streamed once instead of B
 // times and no im2col matrix at all (see forwardBatchFused).
@@ -220,7 +220,7 @@ func (p *Pool1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: the pooling loops run per window
+// ForwardBatch implements Layer: the pooling loops run per window
 // (no cross-window arithmetic to fuse) but write into one shared (B·T')×C
 // output, one scratch buffer for the batch.
 //

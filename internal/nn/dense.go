@@ -35,7 +35,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: the B small matmuls fuse into a
+// ForwardBatch implements Layer: the B small matmuls fuse into a
 // single (B·T)×In batch×feature GEMM, read from the windows in place, with
 // the bias add folded into its epilogue.
 //
@@ -117,7 +117,7 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder: one clamp pass over a single
+// ForwardBatch implements Layer: one clamp pass over a single
 // stacked matrix, so the batch costs one scratch buffer instead of B clones.
 //
 //cogarm:zeroalloc
@@ -194,7 +194,7 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// ForwardBatch implements BatchForwarder. Inference-mode dropout is the
+// ForwardBatch implements Layer. Inference-mode dropout is the
 // identity, so the batch passes through untouched.
 //
 //cogarm:zeroalloc
@@ -236,7 +236,7 @@ func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return tensor.FromSlice(1, x.Rows*x.Cols, append([]float64(nil), x.Data...))
 }
 
-// ForwardBatch implements BatchForwarder. Row-major windows flatten by
+// ForwardBatch implements Layer. Row-major windows flatten by
 // reinterpretation: one stacked copy serves all B flattened rows as views.
 //
 //cogarm:zeroalloc
@@ -279,7 +279,7 @@ func (m *MeanPool) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// ForwardBatch implements BatchForwarder: all B pooled rows land in one B×C
+// ForwardBatch implements Layer: all B pooled rows land in one B×C
 // matrix handed out as views.
 //
 //cogarm:zeroalloc

@@ -104,7 +104,7 @@ func (l *LSTM) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// ForwardBatch implements BatchForwarder: all B windows advance through the
+// ForwardBatch implements Layer: all B windows advance through the
 // recurrence together. Each timestep accumulates one B×4H gate matrix in
 // weight-row-major order — every row of W is streamed once per step for the
 // whole batch instead of once per window — with bias-first, k-ascending
@@ -272,7 +272,7 @@ func (s *LastStep) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return tensor.FromSlice(1, x.Cols, append([]float64(nil), x.Row(x.Rows-1)...))
 }
 
-// ForwardBatch implements BatchForwarder: the B final timesteps gather into
+// ForwardBatch implements Layer: the B final timesteps gather into
 // one B×C matrix handed out as views.
 //
 //cogarm:zeroalloc

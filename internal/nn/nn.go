@@ -11,15 +11,15 @@
 //
 // Inference additionally has a fused batched path: Network.ForwardBatch and
 // Network.PredictBatch run B same-shape windows through each layer's
-// BatchForwarder kernel, collapsing per-window matmuls (Dense, Conv1D,
-// attention projections) into single batch×feature GEMMs and stepping all B
-// LSTM recurrences together. The path is inference-only (train must be
-// false; no layer state is written, so batched calls are safe concurrently
-// with each other and with per-window Predict on a shared trained network)
-// and returns results bitwise identical to per-window Forward. Every
-// temporary is drawn from a caller-supplied tensor.Workspace — reset once
-// per serving tick, the whole forward pass is allocation-free at steady
-// state; a nil workspace selects plain allocation with identical results.
+// ForwardBatch kernel — every Layer has one — collapsing per-window matmuls
+// (Dense, Conv1D, attention projections) into single batch×feature GEMMs and
+// stepping all B LSTM recurrences together. The path is inference-only
+// (train must be false; no layer state is written, so batched calls are safe
+// concurrently with each other and with per-window Predict on a shared
+// trained network) and returns results bitwise identical to per-window
+// Forward. Every temporary is drawn from a caller-supplied tensor.Workspace,
+// which is required: reset once per serving tick, the whole forward pass is
+// allocation-free at steady state.
 // The serving hub (internal/serve) is the main consumer: one shard tick
 // coalesces every ready session window into one ForwardBatch per shared
 // model, passing its per-shard workspace.
@@ -57,8 +57,31 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // train=false never writes layer state: a trained Network may serve
 // concurrent Predict/Probs calls from many goroutines, which the serving hub
 // (internal/serve) relies on to share one model across sessions.
+//
+// ForwardBatch is the fused batched-inference path: it consumes B same-shape
+// windows and returns B outputs, matching B independent Forward(x, false)
+// calls element for element. Every temporary — GEMM destinations, stacked
+// activations, output views — is drawn from ws, so a caller that resets one
+// workspace per tick runs the whole forward pass without heap allocations at
+// steady state. Its contract:
+//   - Inference only: train must be false. The batched kernels write no layer
+//     state (there is nothing for Backward to consume), so implementations
+//     panic on train=true rather than silently corrupting training caches.
+//   - Goroutine safety mirrors Forward(x, false): a trained layer may serve
+//     concurrent ForwardBatch / Forward calls from many goroutines because
+//     neither path writes the receiver — provided each call uses its own
+//     Workspace. Workspaces are single-owner and must not be shared across
+//     concurrent calls.
+//   - Returned matrices may be views into one shared backing array
+//     (tensor.SplitRowsWS) and are valid only until the workspace's next
+//     Reset; callers must copy anything that outlives the cycle.
+//   - All windows in one call must share the same shape. Network.ForwardBatch
+//     and the GEMM-backed layers (Dense, Conv1D, attention) panic on a mixed
+//     batch; the other layers leave mixed shapes as the caller's problem.
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
+	//cogarm:zeroalloc
+	ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	Name() string

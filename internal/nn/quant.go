@@ -27,16 +27,14 @@ func QuantizeDense(d *Dense) *QDense {
 	return &QDense{src: d, w: tensor.QuantizeWeights(d.Weight.W)}
 }
 
-// Forward implements Layer (inference only).
+// Forward implements Layer (inference only): a batch of one on a fresh
+// workspace.
 func (q *QDense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	batchInferenceOnly(train)
-	if x.Cols != q.src.In {
-		panic(fmt.Sprintf("nn: QDense expects %d inputs, got %d", q.src.In, x.Cols))
-	}
-	return tensor.MatMulQ(nil, nil, x, q.w, tensor.Epilogue{Bias: q.src.Bias.W.Data})
+	return q.forwardBatchFused(tensor.NewWorkspace(), []*tensor.Matrix{x}, false)[0]
 }
 
-// ForwardBatch implements BatchForwarder.
+// ForwardBatch implements Layer.
 //
 //cogarm:zeroalloc
 func (q *QDense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
@@ -84,14 +82,14 @@ func QuantizeConv1D(c *Conv1D) *QConv1D {
 	return &QConv1D{src: c, w: tensor.QuantizeWeights(c.Weight.W)}
 }
 
-// Forward implements Layer (inference only).
+// Forward implements Layer (inference only): a batch of one on a fresh
+// workspace.
 func (q *QConv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	batchInferenceOnly(train)
-	outs := q.forwardBatchFused(nil, []*tensor.Matrix{x}, false)
-	return outs[0]
+	return q.forwardBatchFused(tensor.NewWorkspace(), []*tensor.Matrix{x}, false)[0]
 }
 
-// ForwardBatch implements BatchForwarder.
+// ForwardBatch implements Layer.
 //
 //cogarm:zeroalloc
 func (q *QConv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {

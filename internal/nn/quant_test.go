@@ -38,7 +38,7 @@ func TestFusedEpilogueBitwise(t *testing.T) {
 	net := testCNN(tensor.NewRNG(7))
 	rng := rand.New(rand.NewSource(7))
 	xs := qtRandWindows(rng, 9, 50, 5)
-	outs := net.ForwardBatch(nil, xs, false)
+	outs := net.ForwardBatch(tensor.NewWorkspace(), xs, false)
 	for i, x := range xs {
 		want := net.Forward(x, false)
 		got := outs[i]
@@ -72,7 +72,7 @@ func TestFusedDenseNoReLU(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	net := NewNetwork(NewDense(6, 3, rng))
 	xs := qtRandWindows(rand.New(rand.NewSource(8)), 5, 1, 6)
-	outs := net.ForwardBatch(nil, xs, false)
+	outs := net.ForwardBatch(tensor.NewWorkspace(), xs, false)
 	for i, x := range xs {
 		want := net.Forward(x, false)
 		for j := range want.Data {

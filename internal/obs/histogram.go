@@ -71,10 +71,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the bucket upper bounds (excluding the implicit +Inf).
-// Callers must not modify the returned slice.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts appends the per-bucket (non-cumulative) counts, one per bound
 // plus the +Inf overflow, to dst and returns it.
 func (h *Histogram) BucketCounts(dst []uint64) []uint64 {

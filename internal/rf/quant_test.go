@@ -51,11 +51,11 @@ func TestQForestAgreement(t *testing.T) {
 		t.Fatalf("int16 forest agreement %.3f < 0.98", frac)
 	}
 
-	// Unpooled path matches the workspace path exactly.
-	plain := q.PredictBatchWS(nil, Xt, nil)
+	// A warm workspace (reused after Reset) matches a fresh one exactly.
+	fresh := q.PredictBatchWS(tensor.NewWorkspace(), Xt, nil)
 	for i := range got {
-		if got[i] != plain[i] {
-			t.Fatalf("sample %d: ws %d != plain %d", i, got[i], plain[i])
+		if got[i] != fresh[i] {
+			t.Fatalf("sample %d: warm ws %d != fresh %d", i, got[i], fresh[i])
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestQForestProbsNormalised(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := f.Quantize()
-	probs := q.ProbsBatchWS(nil, X[:20])
+	probs := q.ProbsBatchWS(tensor.NewWorkspace(), X[:20])
 	for i, p := range probs {
 		var sum float64
 		for _, v := range p {
@@ -94,8 +94,9 @@ func TestQForestOutOfRangeValues(t *testing.T) {
 		{1e9, 1e9, 1e9, 1e9},
 		{-1e9, -1e9, -1e9, -1e9},
 	}
-	exact := f.PredictBatchWS(nil, extreme, nil)
-	quant := q.PredictBatchWS(nil, extreme, nil)
+	ws := tensor.NewWorkspace()
+	exact := f.PredictBatchWS(ws, extreme, nil)
+	quant := q.PredictBatchWS(ws, extreme, nil)
 	for i := range exact {
 		if exact[i] != quant[i] {
 			t.Fatalf("extreme sample %d: exact %d != quantized %d", i, exact[i], quant[i])

@@ -248,20 +248,15 @@ func (f *Forest) Predict(x []float64) int {
 	return tensor.Argmax(f.Probs(x))
 }
 
-// ProbsBatch computes soft-voting probabilities for a batch of feature
+// ProbsBatchWS computes soft-voting probabilities for a batch of feature
 // vectors in tree-major order: each tree routes every sample before the next
 // tree is touched, keeping that tree's nodes hot in cache across the whole
 // batch. Sample-major traversal (Probs in a loop) re-walks all ~NodeCount
 // nodes per sample; tree-major amortises those misses over the batch, which
-// is the locality win the serving hub's cross-session batching harvests.
-func (f *Forest) ProbsBatch(X [][]float64) [][]float64 {
-	return f.ProbsBatchWS(nil, X)
-}
-
-// ProbsBatchWS is ProbsBatch with the probability rows and their shared flat
-// backing drawn from ws, so a serving shard that resets one workspace per
-// tick pays no allocations here. A nil ws selects plain allocation; outputs
-// are identical either way and, with a workspace, valid until its next Reset.
+// is the locality win the serving hub's cross-session batching harvests. The
+// probability rows and their shared flat backing come from ws, so a serving
+// shard that resets one workspace per tick pays no allocations here; they
+// are valid until its next Reset.
 //
 //cogarm:zeroalloc
 func (f *Forest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {
@@ -286,14 +281,9 @@ func (f *Forest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {
 	return out
 }
 
-// PredictBatch returns the majority class for every sample via the
-// tree-major path.
-func (f *Forest) PredictBatch(X [][]float64) []int {
-	return f.PredictBatchWS(nil, X, nil)
-}
-
-// PredictBatchWS is PredictBatch drawing every temporary from ws and writing
-// labels into dst when it has capacity (dst may be nil). See ProbsBatchWS.
+// PredictBatchWS returns the majority class for every sample via the
+// tree-major path, drawing every temporary from ws and writing labels into
+// dst when it has capacity (dst may be nil). See ProbsBatchWS.
 //
 //cogarm:zeroalloc
 func (f *Forest) PredictBatchWS(ws *tensor.Workspace, X [][]float64, dst []int) []int {

@@ -43,7 +43,7 @@ func TestExportFromDataRoundTrip(t *testing.T) {
 		}
 	}
 	// Tree-major batch path agrees too.
-	b1, b2 := f.PredictBatch(X), g.PredictBatch(X)
+	b1, b2 := f.PredictBatchWS(tensor.NewWorkspace(), X, nil), g.PredictBatchWS(tensor.NewWorkspace(), X, nil)
 	if !reflect.DeepEqual(b1, b2) {
 		t.Fatal("batched predictions diverge after round trip")
 	}

@@ -16,14 +16,14 @@ import (
 	"cognitivearm/internal/tensor"
 )
 
-// stallSource stalls the drain stage: every Read sleeps long enough that the
+// stallSource stalls the drain stage: every ReadInto sleeps long enough that the
 // shard tick blows its budget, which is how we induce overload without a
 // trained model in the loop.
 type stallSource struct{ d time.Duration }
 
-func (s *stallSource) Read(int) []stream.Sample {
+func (s *stallSource) ReadInto(dst []stream.Sample, _ int) []stream.Sample {
 	time.Sleep(s.d)
-	return nil
+	return dst
 }
 
 // stubClassifier satisfies models.Classifier without training anything.

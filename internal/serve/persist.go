@@ -208,11 +208,8 @@ func decodeCaptured(raw []byte, rec *checkpoint.SessionRecord) {
 // sessionPending cheaply counts samples buffered in the session's source
 // without copying them. Callers hold the owning shard's lock.
 func sessionPending(sess *session) int {
-	if pl, ok := sess.cfg.Source.(interface{ PendingLen() int }); ok {
-		return pl.PendingLen()
-	}
 	if snap, ok := sess.cfg.Source.(PendingSnapshotter); ok {
-		return len(snap.SnapshotPending())
+		return snap.PendingLen()
 	}
 	return 0
 }
@@ -529,31 +526,10 @@ type pendingSource struct {
 	src     Source
 }
 
-// Read implements Source, preserving the Source contract exactly: max <= 0
-// drains pending AND the live source (as Ring.PopN would), a positive max is
-// split between the two. Any deviation here would group samples into
+// ReadInto implements Source, preserving its contract exactly: max <= 0
+// drains pending AND the live source (as Ring.PopNInto would), a positive max
+// is split between the two. Any deviation here would group samples into
 // different ticks than the pre-kill fleet and break bitwise-identical resume.
-func (p *pendingSource) Read(max int) []stream.Sample {
-	if len(p.pending) == 0 {
-		return p.src.Read(max)
-	}
-	n := len(p.pending)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := p.pending[:n:n]
-	p.pending = p.pending[n:]
-	if max > 0 && n == max {
-		return out
-	}
-	// max-n is negative when max <= 0: the drain-everything case passes
-	// through to the live source unchanged.
-	return append(out, p.src.Read(max-n)...)
-}
-
-// ReadInto implements ReaderInto so a restored session re-enters the
-// allocation-free tick path immediately, replaying pending samples with the
-// same split semantics as Read.
 func (p *pendingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	if len(p.pending) > 0 {
 		n := len(p.pending)
@@ -567,22 +543,16 @@ func (p *pendingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 		}
 		max -= n // negative when max <= 0: still the drain-everything case
 	}
-	if ri, ok := p.src.(ReaderInto); ok {
-		return ri.ReadInto(dst, max)
-	}
-	return append(dst, p.src.Read(max)...)
+	return p.src.ReadInto(dst, max)
 }
 
-// PendingLen counts replay samples plus whatever the wrapped source buffers,
-// without copying either.
+// PendingLen implements PendingSnapshotter: replay samples plus whatever the
+// wrapped source buffers, without copying either.
 func (p *pendingSource) PendingLen() int {
-	n := len(p.pending)
-	if pl, ok := p.src.(interface{ PendingLen() int }); ok {
-		n += pl.PendingLen()
-	} else if snap, ok := p.src.(PendingSnapshotter); ok {
-		n += len(snap.SnapshotPending())
+	if snap, ok := p.src.(PendingSnapshotter); ok {
+		return len(p.pending) + snap.PendingLen()
 	}
-	return n
+	return len(p.pending)
 }
 
 // SnapshotPending implements PendingSnapshotter, so re-checkpointing before

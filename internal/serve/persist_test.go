@@ -21,14 +21,14 @@ type scriptSource struct {
 	pos     int
 }
 
-func (s *scriptSource) Read(max int) []stream.Sample {
+func (s *scriptSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	n := len(s.samples) - s.pos
 	if max > 0 && max < n {
 		n = max
 	}
-	out := s.samples[s.pos : s.pos+n : s.pos+n]
+	dst = append(dst, s.samples[s.pos:s.pos+n]...)
 	s.pos += n
-	return out
+	return dst
 }
 
 // scriptedEEG pre-generates a deterministic multichannel stream whose intent
@@ -462,5 +462,55 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		return &scriptSource{}, nil
 	}); err != nil {
 		t.Fatalf("checkpoint taken under load does not restore: %v", err)
+	}
+}
+
+// TestPendingSourceSplit pins pendingSource's split of one ReadInto between
+// the replayed samples and the live source behind them: replay first, in
+// order, and the live source only for what the replay cannot cover. Seqs
+// 0–2 are the replay, 10–13 the live stream.
+func TestPendingSourceSplit(t *testing.T) {
+	seqs := func(from, to uint64) []stream.Sample {
+		var out []stream.Sample
+		for s := from; s < to; s++ {
+			out = append(out, stream.Sample{Seq: s})
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		max     int
+		want    []uint64
+		pending int // PendingLen after the read
+	}{
+		{"max below pending", 2, []uint64{0, 1}, 5},
+		{"max equals pending", 3, []uint64{0, 1, 2}, 4},
+		{"max spills into live", 5, []uint64{0, 1, 2, 10, 11}, 2},
+		{"max zero drains both", 0, []uint64{0, 1, 2, 10, 11, 12, 13}, 0},
+		{"max negative drains both", -1, []uint64{0, 1, 2, 10, 11, 12, 13}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := stream.NewRing(16)
+			for _, s := range seqs(10, 14) {
+				ring.Push(s)
+			}
+			p := &pendingSource{pending: seqs(0, 3), src: RingSource{Ring: ring}}
+			if got := p.PendingLen(); got != 7 {
+				t.Fatalf("PendingLen before read = %d, want 7", got)
+			}
+			dst := []stream.Sample{{Seq: 99}} // ReadInto appends after what dst holds
+			dst = p.ReadInto(dst, tc.max)
+			got := make([]uint64, 0, len(dst))
+			for _, s := range dst {
+				got = append(got, s.Seq)
+			}
+			if want := append([]uint64{99}, tc.want...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ReadInto(max=%d) seqs %v, want %v", tc.max, got, want)
+			}
+			if n := p.PendingLen(); n != tc.pending {
+				t.Fatalf("PendingLen after read = %d, want %d", n, tc.pending)
+			}
+		})
 	}
 }

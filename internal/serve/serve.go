@@ -21,7 +21,7 @@
 //     through its Windower (filter → normalise → rolling window), then
 //     coalesces every ready window into one batched classifier call per
 //     model — cross-session batching, which turns S per-session Predict
-//     dispatches into one PredictBatch whose tree-major forest traversal
+//     dispatches into one PredictBatchWS whose tree-major forest traversal
 //     amortises cache misses over the whole batch. The entire tick runs out
 //     of a per-shard arena (tickArena: sample pop buffers, ready tables,
 //     classifier groups, label slices, and the tensor.Workspace every
@@ -35,10 +35,10 @@
 //     internal/metrics percentiles, so capacity planning reads off one
 //     snapshot.
 //
-// Sessions ingest from any Source: a board.Board (synthetic subjects, used
-// by tests and cmd/loadgen's cluster drill), or a RingSource over an
-// internal/stream UDP/LSL inlet ring (networked subjects, used by
-// cmd/cogarmd).
+// Sessions ingest from any Source, whose one method is ReadInto: a
+// board.SyntheticCyton (synthetic subjects, used by tests and cmd/loadgen's
+// cluster drill), or a RingSource over an internal/stream UDP/LSL inlet ring
+// (networked subjects, used by cmd/cogarmd).
 //
 // Hubs run in two modes: Start launches paced shard loops for daemons, and
 // TickAll advances every shard once for caller-paced benchmarks and tests.

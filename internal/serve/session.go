@@ -10,23 +10,17 @@ import (
 	"cognitivearm/internal/stream"
 )
 
-// Source provides raw samples for one session. board.Board satisfies it
-// directly; network-fed sessions use RingSource over an inlet's ring.
+// Source provides raw samples for one session. The shard drains each session
+// with one ReadInto per tick into a per-shard sample buffer (reset between
+// sessions), so the steady-state drain allocates nothing. In-tree sources:
+// RingSource over a network inlet's ring, and board.SyntheticCyton for
+// synthetic subjects. Implementations may recycle the Values buffers found
+// in dst's spare capacity (board.SyntheticCyton does), so the returned
+// samples are valid only until the next ReadInto with the same dst — the
+// shard consumes them within the tick, which is the contract.
 type Source interface {
-	// Read drains up to max buffered samples (oldest first).
-	Read(max int) []stream.Sample
-}
-
-// ReaderInto is the optional Source extension of the allocation-free tick
-// path: the shard passes one per-shard sample buffer (reset between sessions)
-// and the source appends into it instead of allocating a fresh slice per
-// Read. Implementations may also recycle the Values buffers found in dst's
-// spare capacity (board.SyntheticCyton does), so the returned samples are
-// valid only until the next ReadInto with the same dst — the shard consumes
-// them within the tick, which is the contract.
-type ReaderInto interface {
 	// ReadInto drains up to max buffered samples (oldest first), appending
-	// them to dst.
+	// them to dst. max <= 0 drains everything buffered.
 	//
 	//cogarm:zeroalloc
 	ReadInto(dst []stream.Sample, max int) []stream.Sample
@@ -41,6 +35,9 @@ type PendingSnapshotter interface {
 	// SnapshotPending returns a copy of buffered-but-unread samples, oldest
 	// first, without consuming them.
 	SnapshotPending() []stream.Sample
+	// PendingLen reports how many samples SnapshotPending would return,
+	// without copying them — the cheap dirtiness probe of the delta capture.
+	PendingLen() int
 }
 
 // AddrSource is the optional Source extension of the cluster redirect
@@ -61,10 +58,7 @@ type RingSource struct {
 	Closer io.Closer
 }
 
-// Read implements Source.
-func (r RingSource) Read(max int) []stream.Sample { return r.Ring.PopN(max) }
-
-// ReadInto implements ReaderInto via the ring's buffer-reusing bulk pop.
+// ReadInto implements Source via the ring's buffer-reusing bulk pop.
 //
 //cogarm:zeroalloc
 func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
@@ -74,8 +68,7 @@ func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 // SnapshotPending implements PendingSnapshotter.
 func (r RingSource) SnapshotPending() []stream.Sample { return r.Ring.Snapshot() }
 
-// PendingLen reports buffered-but-unread samples without copying them — the
-// cheap dirtiness probe of the delta capture (Hub.CaptureDelta).
+// PendingLen implements PendingSnapshotter.
 func (r RingSource) PendingLen() int { return r.Ring.Len() }
 
 // SourceAddr implements AddrSource when the attached Closer is an inlet that

@@ -323,14 +323,8 @@ func (s *shard) tick() {
 		if tel != nil {
 			stamp = time.Now()
 		}
-		var samples []stream.Sample
-		if ri, ok := sess.cfg.Source.(ReaderInto); ok {
-			ar.popBuf = ri.ReadInto(ar.popBuf[:0], n)
-			samples = ar.popBuf
-		} else {
-			//cogarm:allow zeroalloc -- compat path for sources without ReadInto; in-tree sources all implement it
-			samples = sess.cfg.Source.Read(n)
-		}
+		ar.popBuf = sess.cfg.Source.ReadInto(ar.popBuf[:0], n)
+		samples := ar.popBuf
 		if tel != nil {
 			now := time.Now()
 			drainNs += now.Sub(stamp).Nanoseconds()
@@ -362,11 +356,11 @@ func (s *shard) tick() {
 		}
 	}
 
-	// Batch phase: one PredictBatch per distinct model. Fleets normally
+	// Batch phase: one PredictBatchWS per distinct model. Fleets normally
 	// share one classifier, so this is a single call for the whole shard;
 	// mixed fleets degrade to one call per model, never one per session.
 	// Both classifier kinds exploit the coalesced batch: the forest walks
-	// it tree-major (rf.Forest.PredictBatch) and NN families fuse it into
+	// it tree-major (rf.Forest.PredictBatchWS) and NN families fuse it into
 	// batch×feature GEMMs (nn.Network.ForwardBatch), so per-inference cost
 	// falls as fleet density rises.
 	if len(ar.readySess) > 0 {

@@ -138,10 +138,9 @@ func (c *rowCursor) next() []float64 {
 	return row
 }
 
-// GEMM computes dst = a·b, then applies ep. dst may be nil (heap-allocated)
-// and must not alias a or b. Products past the crossover split across ws's
-// kernel pool when one is attached (see Workspace.SetPool); output is
-// bitwise-identical either way.
+// GEMM computes dst = a·b, then applies ep. dst must not alias a or b.
+// Products past the crossover split across ws's kernel pool when one is
+// attached (see Workspace.SetPool); output is bitwise-identical either way.
 //
 //cogarm:zeroalloc
 func GEMM(ws *Workspace, dst, a, b *Matrix, ep Epilogue) *Matrix {
@@ -160,10 +159,7 @@ func GEMMBlocks(ws *Workspace, dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue)
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: gemm shape mismatch %dx%d · %dx%d", m, a.Cols, b.Rows, b.Cols))
 	}
-	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
-		dst = New(m, b.Cols)
-	} else if dst.Rows != m || dst.Cols != b.Cols {
+	if dst.Rows != m || dst.Cols != b.Cols {
 		panic("tensor: gemm dst shape mismatch")
 	}
 	if ep.Bias != nil && len(ep.Bias) != dst.Cols {

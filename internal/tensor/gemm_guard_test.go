@@ -48,7 +48,7 @@ func TestGEMMGuardPages(t *testing.T) {
 			for _, tr := range tiers {
 				tier = tr
 				dst.Fill(-1) // no ReLU output: a tile that skips an element shows
-				GEMMBlocks(nil, dst, a, b, ep)
+				GEMMBlocks(NewWorkspace(), dst, a, b, ep)
 				assertBitwise(t, want, dst,
 					fmt.Sprintf("%d blocks × %d rows × %d cols, stride %d, n %d, fence at end %v, tier %s",
 						tc.blocks, tc.rows, tc.cols, tc.stride, tc.n, atEnd, tierNames[tr]))

@@ -172,7 +172,7 @@ func TestGEMMBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pools := testPools(t)
 	tiers := hostTiers(t)
-	ws := NewWorkspace()
+	ws, serial := NewWorkspace(), NewWorkspace() // serial never gets a pool
 	turn := 0
 	for _, m := range []int{0, 1, 3, 4, 5, 7, 48, 49, 257} {
 		for _, k := range []int{0, 1, 5, 80, 300, 2325} {
@@ -190,7 +190,8 @@ func TestGEMMBitwiseEquivalence(t *testing.T) {
 					for _, tr := range tiers {
 						tier = tr
 						tl := label + " tier " + tierNames[tr]
-						assertBitwise(t, want, GEMM(nil, nil, a, b, ep), tl+" serial")
+						serial.Reset()
+						assertBitwise(t, want, GEMM(serial, serial.Uninit(m, n), a, b, ep), tl+" serial")
 
 						turn++
 						pool := pools[turn%len(pools)]
@@ -214,7 +215,7 @@ func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pools := testPools(t)
 	tiers := hostTiers(t)
-	ws := NewWorkspace()
+	ws, serial := NewWorkspace(), NewWorkspace() // serial never gets a pool
 	for _, tc := range []struct{ blocks, rows, cols, stride, n int }{
 		{50, 48, 80, 32, 32}, // the serving conv: 100×16 windows, k5 s2
 		{50, 49, 80, 32, 32}, // window 101: OutT 49
@@ -239,7 +240,8 @@ func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 				tier = tr
 				label := fmt.Sprintf("%d blocks × %d rows × %d cols, stride %d, n %d, %s, tier %s",
 					tc.blocks, tc.rows, tc.cols, tc.stride, tc.n, epLabel(ep), tierNames[tr])
-				assertBitwise(t, want, GEMMBlocks(nil, nil, a, b, ep), label+" serial")
+				serial.Reset()
+				assertBitwise(t, want, GEMMBlocks(serial, serial.Uninit(len(rows), tc.n), a, b, ep), label+" serial")
 				for _, pool := range pools {
 					ws.Reset()
 					ws.SetPool(pool)
@@ -267,7 +269,7 @@ func TestGEMMBlocksRefusesShortBlock(t *testing.T) {
 			}
 		}
 	}()
-	GEMMBlocks(nil, dst, a, New(16, 4), Epilogue{})
+	GEMMBlocks(NewWorkspace(), dst, a, New(16, 4), Epilogue{})
 }
 
 // TestPoolConcurrentCallers hammers one pool from more callers than it has
@@ -409,8 +411,9 @@ func BenchmarkGEMMBlocksServing(b *testing.B) {
 		a.Blocks[i] = randMatrix(rng, 100, 16)
 	}
 	dst := New(2400, 32)
+	ws := NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GEMMBlocks(nil, dst, a, w, ep)
+		GEMMBlocks(ws, dst, a, w, ep)
 	}
 }

@@ -56,18 +56,15 @@ func QuantizeWeights(w *Matrix) *QMatrix {
 // epilogue: each x row is quantized symmetrically on the fly (per-row scale
 // maxabs/127), dotted against every int8 weight row with int32 accumulation
 // (safe to In ≈ 130k), then dequantized as acc·xscale·wscale before bias and
-// ReLU apply. dst may be nil. The result approximates GEMM(x, W) — callers
-// gate it behind an agreement check against the exact f64 path.
+// ReLU apply. The result approximates GEMM(x, W) — callers gate it behind an
+// agreement check against the exact f64 path.
 //
 //cogarm:zeroalloc
 func MatMulQ(ws *Workspace, dst, x *Matrix, q *QMatrix, ep Epilogue) *Matrix {
 	if x.Cols != q.In {
 		panic(fmt.Sprintf("tensor: matmulQ shape mismatch %dx%d · (%dx%d)ᵀ", x.Rows, x.Cols, q.Out, q.In))
 	}
-	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
-		dst = New(x.Rows, q.Out)
-	} else if dst.Rows != x.Rows || dst.Cols != q.Out {
+	if dst.Rows != x.Rows || dst.Cols != q.Out {
 		panic("tensor: matmulQ dst shape mismatch")
 	}
 	if ep.Bias != nil && len(ep.Bias) != q.Out {

@@ -42,9 +42,10 @@ func TestMatMulQApproximatesGEMM(t *testing.T) {
 		bias[j] = rng.NormFloat64()
 	}
 	ep := Epilogue{Bias: bias, ReLU: true}
-	exact := GEMM(nil, nil, x, w, ep)
+	fresh := NewWorkspace()
+	exact := GEMM(fresh, fresh.Uninit(25, 8), x, w, ep)
 	q := QuantizeWeights(w)
-	got := MatMulQ(nil, nil, x, q, ep)
+	got := MatMulQ(fresh, fresh.Uninit(25, 8), x, q, ep)
 	// int8×int8 keeps ~2 decimal digits on unit-scale data; argmax agreement
 	// is what the serving gate checks, but here bound the raw error too.
 	for i := 0; i < exact.Rows; i++ {
@@ -57,10 +58,13 @@ func TestMatMulQApproximatesGEMM(t *testing.T) {
 			}
 		}
 	}
-	// Workspace path matches the unpooled path bitwise.
-	ws := NewWorkspace()
-	got2 := MatMulQ(ws, ws.Uninit(25, 8), x, q, ep)
-	assertBitwise(t, got, got2, "MatMulQ ws")
+	// A warm workspace, whose recycled activation scratch holds the previous
+	// cycle's codes, matches the fresh one bitwise.
+	warm := NewWorkspace()
+	MatMulQ(warm, warm.Uninit(25, 8), randMatrix(rng, 25, 40), q, ep)
+	warm.Reset()
+	got2 := MatMulQ(warm, warm.Uninit(25, 8), x, q, ep)
+	assertBitwise(t, got, got2, "MatMulQ warm ws")
 }
 
 func TestMatMulQZeroRow(t *testing.T) {
@@ -68,7 +72,8 @@ func TestMatMulQZeroRow(t *testing.T) {
 	w := randMatrix(rand.New(rand.NewSource(12)), 6, 3)
 	q := QuantizeWeights(w)
 	bias := []float64{1, -2, 3}
-	out := MatMulQ(nil, nil, x, q, Epilogue{Bias: bias})
+	ws := NewWorkspace()
+	out := MatMulQ(ws, ws.Uninit(2, 3), x, q, Epilogue{Bias: bias})
 	for i := 0; i < 2; i++ {
 		for j, b := range bias {
 			if out.At(i, j) != b {

@@ -76,9 +76,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
-
 // String implements fmt.Stringer with a compact shape-prefixed rendering.
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)

@@ -20,9 +20,9 @@ import "math/bits"
 // backing data, slices, SplitRowsWS views — is valid only until the next
 // Reset. Callers that need a value to outlive the cycle must copy it out.
 // Reset must only be called when no value from the previous cycle is still
-// referenced. A nil *Workspace is valid everywhere one is accepted and simply
-// falls back to plain heap allocation, so `nil` selects the unpooled path and
-// pooled-vs-unpooled outputs can be compared bitwise.
+// referenced. A workspace is required wherever one is accepted: a one-off
+// call (a single-window Forward, a calibration pass) takes a fresh
+// NewWorkspace, which simply keeps what the call allocates.
 type Workspace struct {
 	f64  wsPool[float64]
 	ints wsPool[int]
@@ -43,23 +43,13 @@ type Workspace struct {
 }
 
 // SetPool attaches the kernel pool GEMMs dispatched through this workspace
-// may use. Safe on a nil workspace (no-op: the unpooled path is serial).
+// may use.
 //
 //cogarm:zeroalloc
-func (ws *Workspace) SetPool(p *Pool) {
-	if ws != nil {
-		ws.pool = p
-	}
-}
+func (ws *Workspace) SetPool(p *Pool) { ws.pool = p }
 
-// Pool reports the attached kernel pool; nil workspace or no attachment means
-// nil, i.e. serial.
-func (ws *Workspace) Pool() *Pool {
-	if ws == nil {
-		return nil
-	}
-	return ws.pool
-}
+// Pool reports the attached kernel pool; nil, the default, means serial.
+func (ws *Workspace) Pool() *Pool { return ws.pool }
 
 // NewWorkspace returns an empty workspace. Buckets fill lazily as kernels
 // request scratch.
@@ -71,9 +61,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Reset() {
-	if ws == nil {
-		return
-	}
 	ws.f64.reset()
 	ws.ints.reset()
 	ws.i8.reset()
@@ -87,10 +74,6 @@ func (ws *Workspace) Reset() {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Floats(n int) []float64 {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([]float64, n)
-	}
 	s := ws.f64.get(n)
 	clear(s)
 	return s
@@ -100,10 +83,6 @@ func (ws *Workspace) Floats(n int) []float64 {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Ints(n int) []int {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([]int, n)
-	}
 	s := ws.ints.get(n)
 	clear(s)
 	return s
@@ -114,10 +93,6 @@ func (ws *Workspace) Ints(n int) []int {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Int8s(n int) []int8 {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([]int8, n)
-	}
 	s := ws.i8.get(n)
 	clear(s)
 	return s
@@ -128,10 +103,6 @@ func (ws *Workspace) Int8s(n int) []int8 {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Int16s(n int) []int16 {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([]int16, n)
-	}
 	s := ws.i16.get(n)
 	clear(s)
 	return s
@@ -142,10 +113,6 @@ func (ws *Workspace) Int16s(n int) []int16 {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) FloatRows(n int) [][]float64 {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([][]float64, n)
-	}
 	s := ws.rows.get(n)
 	clear(s)
 	return s
@@ -156,10 +123,6 @@ func (ws *Workspace) FloatRows(n int) [][]float64 {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Matrices(n int) []*Matrix {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return make([]*Matrix, n)
-	}
 	s := ws.mats.get(n)
 	clear(s)
 	return s
@@ -182,10 +145,6 @@ func (ws *Workspace) Zeros(rows, cols int) *Matrix {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) Uninit(rows, cols int) *Matrix {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return New(rows, cols)
-	}
 	h := ws.header()
 	h.Rows, h.Cols = rows, cols
 	h.Data = ws.f64.get(rows * cols)
@@ -197,10 +156,6 @@ func (ws *Workspace) Uninit(rows, cols int) *Matrix {
 //
 //cogarm:zeroalloc
 func (ws *Workspace) View(rows, cols int, data []float64) *Matrix {
-	if ws == nil {
-		//cogarm:allow zeroalloc -- nil workspace selects the unpooled heap path by contract
-		return FromSlice(rows, cols, data)
-	}
 	if len(data) != rows*cols {
 		panic("tensor: workspace View length mismatch")
 	}
@@ -225,7 +180,7 @@ func (ws *Workspace) header() *Matrix {
 	return h
 }
 
-// StackWS is Stack with the output drawn from ws (nil ws = Stack).
+// StackWS is Stack with the output drawn from ws.
 //
 //cogarm:zeroalloc
 func StackWS(ws *Workspace, xs []*Matrix) *Matrix {
@@ -244,7 +199,7 @@ func StackWS(ws *Workspace, xs []*Matrix) *Matrix {
 }
 
 // SplitRowsWS is SplitRows with the view headers and the view table drawn
-// from ws (nil ws = SplitRows). The views share m's storage either way.
+// from ws. The views share m's storage.
 //
 //cogarm:zeroalloc
 func SplitRowsWS(ws *Workspace, m *Matrix, rowsPer int) []*Matrix {

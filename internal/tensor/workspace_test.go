@@ -60,31 +60,6 @@ func TestWorkspaceZeroing(t *testing.T) {
 	}
 }
 
-// TestWorkspaceNilFallback: a nil workspace must behave exactly like plain
-// allocation everywhere it is accepted.
-func TestWorkspaceNilFallback(t *testing.T) {
-	var ws *Workspace
-	ws.Reset() // must not panic
-	if f := ws.Floats(3); len(f) != 3 {
-		t.Fatal("nil Floats")
-	}
-	if m := ws.Zeros(2, 2); m.Rows != 2 || m.Cols != 2 || m.Data[3] != 0 {
-		t.Fatal("nil Zeros")
-	}
-	if m := ws.Uninit(2, 2); m.Rows != 2 || len(m.Data) != 4 {
-		t.Fatal("nil Uninit")
-	}
-	if v := ws.View(1, 2, []float64{1, 2}); v.At(0, 1) != 2 {
-		t.Fatal("nil View")
-	}
-	if r := ws.FloatRows(2); len(r) != 2 {
-		t.Fatal("nil FloatRows")
-	}
-	if ms := ws.Matrices(2); len(ms) != 2 {
-		t.Fatal("nil Matrices")
-	}
-}
-
 // TestStackSplitWSMatchUnpooled: the WS variants must produce the exact
 // values and view structure of Stack/SplitRows.
 func TestStackSplitWSMatchUnpooled(t *testing.T) {

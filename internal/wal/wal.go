@@ -610,9 +610,6 @@ func (l *Log) LastSealed() uint64 {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.opts.Dir }
 
-// Recovered returns what Open found (stable after Open).
-func (l *Log) Recovered() RecoveryInfo { return l.recovered }
-
 // Close seals any pending batch, finalizes the active segment with its
 // footer, and closes the file. A cleanly closed WAL reopens with no
 // truncation.
