@@ -16,23 +16,20 @@
 //     the daemon from another process. Sessions that go silent are evicted
 //     after -idle-evict ticks.
 //
-// With -checkpoint-dir the daemon is durable: it persists the entire fleet —
-// decoder weights, every session's signal-path state, shard assignment and
-// counters — every -checkpoint-every interval and on shutdown, and a
-// restarted daemon resumes from the newest valid checkpoint instead of
-// retraining. Restored demo subjects get fresh streamers; restored inlet
-// sessions get fresh sockets whose new addresses are printed. See
-// OPERATIONS.md for the full operations guide and ARCHITECTURE.md for the
-// checkpoint format.
-//
-// With -wal-dir the daemon additionally journals every fleet mutation —
-// dirty session records, manifests, model payloads, audit events, prediction
-// decisions — to a Merkle-sealed write-ahead log flushed every -wal-every. A
-// kill -9 then loses at most one flush interval instead of one checkpoint
-// interval: restart replays the sealed WAL tail over the newest checkpoint
-// (or over nothing — the WAL alone can rebuild the fleet). Checkpoints taken
-// while journaling fence the log and truncate the segments they subsume.
-// Inspect a log offline with `cogarm wal verify|dump`.
+// With -checkpoint-dir the daemon is durable, and that directory is its one
+// durability root. It journals every fleet mutation — dirty session records,
+// manifests, model payloads, audit events, prediction decisions — to a
+// Merkle-sealed write-ahead log in <root>/wal, flushed every -wal-every, and
+// persists the entire fleet — decoder weights, every session's signal-path
+// state, shard assignment and counters — as a ckpt-* checkpoint every
+// -checkpoint-every interval and on shutdown. Each checkpoint fences the log
+// and truncates the segments it subsumes. A kill -9 loses at most one flush
+// interval: a restarted daemon replays the sealed WAL tail over the newest
+// valid checkpoint instead of retraining. Restored demo subjects get fresh
+// streamers; restored inlet sessions get fresh sockets whose new addresses
+// are printed. Inspect the log offline with `cogarm wal verify|dump
+// <root>/wal`. See OPERATIONS.md for the full operations guide and
+// ARCHITECTURE.md for the on-disk formats.
 //
 // With -cluster the daemon is one node of a multi-node fleet: it binds an
 // inter-node endpoint (the migration endpoint peers stream session
@@ -70,6 +67,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -99,10 +97,9 @@ var (
 	duration    = flag.Duration("duration", 0, "run time (0 = until SIGINT)")
 	report      = flag.Duration("report", 5*time.Second, "fleet snapshot interval")
 	seed        = flag.Uint64("seed", 1, "simulation seed")
-	ckptDir     = flag.String("checkpoint-dir", "", "fleet checkpoint directory (empty = no persistence)")
+	ckptDir     = flag.String("checkpoint-dir", "", "durability root: ckpt-* checkpoints and the write-ahead log in <root>/wal (empty = no persistence)")
 	ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (needs -checkpoint-dir)")
-	walDir      = flag.String("wal-dir", "", "write-ahead-log directory (empty = no journaling); with -checkpoint-dir, checkpoints fence and truncate the log")
-	walEvery    = flag.Duration("wal-every", 2*time.Second, "journal flush interval — the durability bound a kill -9 can lose (needs -wal-dir)")
+	walEvery    = flag.Duration("wal-every", 2*time.Second, "journal flush interval — the durability bound a kill -9 can lose (needs -checkpoint-dir)")
 	adminAddr   = flag.String("admin", "", "admin-plane HTTP endpoint (/metrics /statusz /healthz /events /debug/pprof); empty = disabled")
 	clusterAddr = flag.String("cluster", "", "inter-node endpoint to bind (e.g. 127.0.0.1:7946); empty = single-node")
 	nodeID      = flag.String("node-id", "", "ring identity of this node (defaults to the bound cluster address)")
@@ -131,7 +128,6 @@ func main() {
 		idleEvict:   *idleEvict,
 		seed:        *seed,
 		ckptDir:     *ckptDir,
-		walDir:      *walDir,
 	}
 	hub := resumeOrColdStart(rcfg, stopStreaming)
 
@@ -144,10 +140,10 @@ func main() {
 	// Journal: every mutation the fleet makes between checkpoints lands in
 	// the WAL at -wal-every granularity, sealed under a Merkle root, so a
 	// kill -9 loses at most one flush interval and `cogarm wal verify|dump`
-	// can audit exactly what the daemon did.
+	// can audit exactly what the daemon did. Checkpoints go through it too.
 	var journal *serve.Journal
-	if *walDir != "" {
-		j, rec, err := serve.NewJournal(hub, wal.Options{Dir: *walDir})
+	if *ckptDir != "" {
+		j, rec, err := serve.NewJournal(hub, wal.Options{Dir: walDirOf(*ckptDir)})
 		if err != nil {
 			log.Fatalf("cogarmd: wal: %v", err)
 		}
@@ -158,7 +154,7 @@ func main() {
 				rec.TruncatedBytes, rec.DroppedEntries, rec.TornSegment)
 		}
 		log.Printf("cogarmd: journaling to %s (%d sealed entries recovered, flush every %v)",
-			*walDir, rec.SealedEntries, *walEvery)
+			walDirOf(*ckptDir), rec.SealedEntries, *walEvery)
 	}
 
 	// Cluster mode: bind the inter-node endpoint (the migration endpoint
@@ -262,7 +258,7 @@ loop:
 				log.Printf("cogarmd: WAL flush failed: %v", err)
 			}
 		case <-ckptTick:
-			saveCheckpoint(hub, journal, *ckptDir)
+			saveCheckpoint(journal, *ckptDir)
 		case <-sig:
 			log.Printf("cogarmd: signal received, draining")
 			break loop
@@ -279,15 +275,9 @@ loop:
 		}
 	}
 	// Final checkpoint while the fleet is still live, so a clean shutdown
-	// resumes exactly where it stopped. Without a checkpoint directory a
-	// final sealed flush serves the same purpose: the WAL alone replays the
-	// whole fleet.
-	if *ckptDir != "" {
-		saveCheckpoint(hub, journal, *ckptDir)
-	} else if journal != nil {
-		if _, _, err := journal.Flush(); err != nil {
-			log.Printf("cogarmd: final WAL flush failed: %v", err)
-		}
+	// resumes exactly where it stopped.
+	if journal != nil {
+		saveCheckpoint(journal, *ckptDir)
 	}
 	close(stopStreaming)
 	// Snapshot before Stop so the final report shows the live fleet.
@@ -299,19 +289,17 @@ loop:
 	}
 }
 
-// saveCheckpoint persists the fleet and logs the outcome; a failed
-// checkpoint is an operational warning, never fatal to serving. When a
-// journal is live the checkpoint goes through it, so the manifest carries
-// the WAL fence and the log is truncated behind the new snapshot.
-func saveCheckpoint(hub *serve.Hub, j *serve.Journal, dir string) {
+// walDirOf is where the write-ahead log lives under a durability root,
+// beside the ckpt-* checkpoints.
+func walDirOf(root string) string { return filepath.Join(root, "wal") }
+
+// saveCheckpoint persists the fleet through the journal, so the manifest
+// carries the WAL fence and the log is truncated behind the new snapshot, and
+// logs the outcome; a failed checkpoint is an operational warning, never
+// fatal to serving.
+func saveCheckpoint(j *serve.Journal, dir string) {
 	start := time.Now()
-	var path string
-	var err error
-	if j != nil {
-		path, err = j.Checkpoint(dir)
-	} else {
-		path, err = hub.Checkpoint(dir)
-	}
+	path, err := j.Checkpoint(dir)
 	if err != nil {
 		log.Printf("cogarmd: checkpoint failed: %v", err)
 		return
@@ -327,19 +315,18 @@ type resumeConfig struct {
 	idleEvict           int
 	seed                uint64
 	ckptDir             string
-	walDir              string
 }
 
-// resumeOrColdStart restores the fleet from the newest valid checkpoint
-// (plus, with -wal-dir, every sealed WAL entry past the checkpoint's fence)
-// when one exists, and otherwise trains the shared decoder and admits the
-// configured sessions from scratch.
+// resumeOrColdStart restores the fleet from the newest valid checkpoint plus
+// every sealed WAL entry past its fence when the durability root holds
+// either, and otherwise trains the shared decoder and admits the configured
+// sessions from scratch.
 func resumeOrColdStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.Hub {
-	if cfg.ckptDir == "" && cfg.walDir == "" {
+	if cfg.ckptDir == "" {
 		return coldStart(cfg, stopStreaming)
 	}
 	start := time.Now()
-	hub, dir, applied, err := serve.RestoreHubWal(cfg.ckptDir, cfg.walDir, func(rec serve.RestoredSession) (serve.Source, error) {
+	hub, dir, applied, err := serve.RestoreHubWal(cfg.ckptDir, walDirOf(cfg.ckptDir), func(rec serve.RestoredSession) (serve.Source, error) {
 		return rebindSource(rec, cfg, stopStreaming)
 	})
 	took := time.Since(start)
@@ -348,11 +335,8 @@ func resumeOrColdStart(cfg resumeConfig, stopStreaming <-chan struct{}) *serve.H
 		if dir == "" {
 			dir = "WAL only"
 		}
-		if cfg.walDir != "" {
-			dir = fmt.Sprintf("%s + %d WAL entries", dir, applied)
-		}
-		log.Printf("cogarmd: resumed %d sessions from %s (no retraining) in %.1f ms",
-			hub.Sessions(), dir, float64(took.Microseconds())/1e3)
+		log.Printf("cogarmd: resumed %d sessions from %s + %d WAL entries (no retraining) in %.1f ms",
+			hub.Sessions(), dir, applied, float64(took.Microseconds())/1e3)
 		return hub
 	case errors.Is(err, checkpoint.ErrNoCheckpoint):
 		log.Printf("cogarmd: no checkpoint or WAL state, cold start")

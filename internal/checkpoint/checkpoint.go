@@ -36,7 +36,7 @@
 //
 // The package deliberately knows nothing about serve.Hub: it moves FleetState
 // values to and from disk and the wire. internal/serve owns the conversion
-// between a live hub and a FleetState (Hub.Checkpoint / RestoreHub), keeping
+// between a live hub and a FleetState (Journal.Checkpoint / RestoreHub), keeping
 // the dependency one-directional.
 package checkpoint
 
@@ -131,7 +131,7 @@ type Manifest struct {
 	Shards []ShardCounters
 	// Increments is always zero: every checkpoint is a full snapshot. The
 	// field remains only because the frozen benchmark rig reads it (ROADMAP
-	// item 5 removes it).
+	// item 1(b) removes it).
 	Increments int
 	// WalSeq is the last sealed write-ahead-log entry sequence this
 	// checkpoint covers (0 = no WAL in play). WAL replay applies only
@@ -213,7 +213,7 @@ type PendingSample struct {
 	Values    []float64
 }
 
-// FleetState is the in-memory image of one checkpoint: what serve.Hub
+// FleetState is the in-memory image of one checkpoint: what serve.Journal
 // captures on Checkpoint, what Load and ReadFleet return and what RestoreHub
 // rebuilds from. A WAL delta (Hub.CaptureDelta) reuses the type with Sessions
 // holding only the dirty records and Manifest.Refs the live view.

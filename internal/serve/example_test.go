@@ -3,6 +3,7 @@ package serve_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/eeg"
@@ -11,6 +12,7 @@ import (
 	"cognitivearm/internal/serve"
 	"cognitivearm/internal/stream"
 	"cognitivearm/internal/tensor"
+	"cognitivearm/internal/wal"
 )
 
 // tinyForest trains a small shared decoder directly on synthetic feature
@@ -75,9 +77,11 @@ func Example() {
 	// decoded some labels: true
 }
 
-// ExampleHub_Checkpoint kills a serving hub and resumes it from disk: the
+// ExampleJournal_Checkpoint kills a serving hub and resumes it from disk: the
 // restored fleet keeps its sessions, models and counters, without retraining.
-func ExampleHub_Checkpoint() {
+// One root holds both halves of the durable state, as cogarmd lays it out:
+// the ckpt-* checkpoints and, in root/wal, the log they fence.
+func ExampleJournal_Checkpoint() {
 	reg := serve.NewRegistry()
 	reg.GetOrBuild("shared", func() (models.Classifier, int64, error) {
 		return tinyForest(100), 0, nil
@@ -99,13 +103,18 @@ func ExampleHub_Checkpoint() {
 		panic(err)
 	}
 	defer os.RemoveAll(root)
-	if _, err := hub.Checkpoint(root); err != nil {
+	walDir := filepath.Join(root, "wal")
+	j, _, err := serve.NewJournal(hub, wal.Options{Dir: walDir})
+	if err != nil {
+		panic(err)
+	}
+	if _, err := j.Checkpoint(root); err != nil {
 		panic(err)
 	}
 	hub.Stop() // the crash
 
 	// Restart: the factory rebinds a live source per session by its tag.
-	restored, _, _, err := serve.RestoreHubWal(root, "",
+	restored, _, _, err := serve.RestoreHubWal(root, walDir,
 		func(rec serve.RestoredSession) (serve.Source, error) {
 			return serve.RingSource{Ring: stream.NewRing(512)}, nil
 		})

@@ -20,12 +20,15 @@ import (
 // loaded state, so a daemon killed between checkpoints loses at most one
 // flush interval instead of one checkpoint interval.
 //
-// Layering: the journal lives in serve because it captures hub state, exactly
-// as persist.go does for checkpoints; internal/checkpoint owns the entries
-// both are written as, and internal/wal stays ignorant of sessions. The one
-// artifact the journal and a checkpoint share is Manifest.WalSeq — the fence
-// that keeps replay from applying entries a newer checkpoint already
-// contains.
+// The journal is also the hub's one checkpoint writer: Checkpoint seals a
+// flush, captures the whole fleet into the journal's arena and saves it
+// fenced at that seal, so every checkpoint carries Manifest.WalSeq — the
+// fence that keeps replay from applying entries the checkpoint already
+// contains — and the log is truncated behind it.
+//
+// Layering: the journal lives in serve because it captures hub state
+// (persist.go); internal/checkpoint owns the entries both the log and a
+// checkpoint are written as, and internal/wal stays ignorant of sessions.
 
 // Journal couples a Hub to a wal.Log. All methods are safe for concurrent
 // use; Flush and Checkpoint serialize on the journal's own mutex, never on a
@@ -36,7 +39,7 @@ type Journal struct {
 
 	mu        sync.Mutex
 	lastRefs  map[uint64]checkpoint.SessionRef
-	delta     Delta                   // the flush's capture arena, reused flush after flush
+	delta     Delta                   // every flush's and checkpoint's capture arena, unread past the call that filled it
 	enc       checkpoint.DeltaEncoder // remembers the models journaled this process
 	lastAudit uint64                  // last event-ring seq drained
 	events    []obs.Event             // reusable snapshot buffer
@@ -145,46 +148,60 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 }
 
 // refsUnchanged reports whether delta's live view matches the last journaled
-// one — if a session departed (or appeared with no dirty record, e.g. via
-// promotion), the refs manifest must still be journaled even when no session
-// record is.
+// one, scheduler fields included — if a session departed (or appeared with no
+// dirty record, e.g. via promotion), or only its idle clock or sample
+// accumulator moved (a silent fleet), the refs manifest must still be
+// journaled even when no session record is.
 func (j *Journal) refsUnchanged(delta *Delta) bool {
 	if len(delta.Manifest.Refs) != len(j.lastRefs) {
 		return false
 	}
 	for _, ref := range delta.Manifest.Refs {
-		prev, ok := j.lastRefs[ref.ID]
-		if !ok || prev.Ver != ref.Ver {
+		if prev, ok := j.lastRefs[ref.ID]; !ok || prev != ref {
 			return false
 		}
 	}
 	return true
 }
 
-// Checkpoint flushes, writes a checkpoint fenced at the WAL's sealed
-// frontier, and — only after the checkpoint is durable — rotates the active
-// segment and truncates every segment the checkpoint fully covers. A crash
-// at any point leaves a recoverable pair: before the checkpoint, the old
-// base plus a longer WAL; after it, the new base plus whatever the WAL still
-// holds (replay skips entries at or below the manifest's WalSeq).
+// Checkpoint flushes, writes a full checkpoint of the fleet under root fenced
+// at the WAL's sealed frontier, and — only after the checkpoint is durable —
+// rotates the active segment and truncates every segment the checkpoint
+// fully covers, returning the new checkpoint directory. A crash at any point
+// leaves a recoverable pair: before the checkpoint, the old base plus a
+// longer WAL; after it, the new base plus whatever the WAL still holds
+// (replay skips entries at or below the manifest's WalSeq). It is safe to
+// call while the hub serves: a session's tick and its capture are serialized
+// by the shard lock, so every persisted session is at a tick boundary.
+//
+// The flush comes first, so the fence is conservative: state journaled at or
+// below it is at least as new in the checkpoint, and replay's latest-record
+// fold makes reapplying anything newer harmless. Concurrent calls serialize
+// from flush through truncation, so checkpoint sequence order is capture
+// order and the newest directory always holds the newest state.
 func (j *Journal) Checkpoint(root string) (string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	//cogarm:allow nolockblock -- journal mutex exists to serialize flush/checkpoint I/O; no tick-path code takes it
+	return j.checkpointLocked(root)
+}
+
+func (j *Journal) checkpointLocked(root string) (string, error) {
 	if _, _, err := j.flushLocked(); err != nil {
 		return "", err
 	}
 	last := j.log.LastSealed()
-	//cogarm:allow nolockblock -- journal mutex exists to serialize flush/checkpoint I/O; no tick-path code takes it
-	dir, err := j.hub.CheckpointWithWal(root, last)
+	d := &j.delta
+	j.hub.capture(nil, d, true)
+	state := &checkpoint.FleetState{Manifest: d.Manifest, Models: d.Models, ModelMACs: d.ModelMACs}
+	state.Manifest.WalSeq = last
+	dir, err := checkpoint.SaveRecords(root, state, &d.Records)
 	if err != nil {
 		return "", err
 	}
-	//cogarm:allow nolockblock -- same journal-private lock; rotation is the compaction half of the checkpoint
 	if err := j.log.Rotate(); err != nil {
 		return dir, fmt.Errorf("serve: wal rotate after checkpoint: %w", err)
 	}
-	//cogarm:allow nolockblock -- same journal-private lock; truncation is the compaction half of the checkpoint
 	if _, err := j.log.TruncateBelow(last); err != nil {
 		return dir, fmt.Errorf("serve: wal truncate after checkpoint: %w", err)
 	}

@@ -133,6 +133,60 @@ func TestJournalWalOnlyRecoveryBitwise(t *testing.T) {
 				flushTick+i/len(ids), i%len(ids), got[i], want[flushTick*len(ids)+i])
 		}
 	}
+
+	// A fleet that has gone silent has no dirty record to journal, yet every
+	// tick still moves its sessions' sample accumulators and idle clocks. The
+	// flush must journal that view, or recovery rewinds the idle clocks by
+	// the whole silent period.
+	t.Run("silent fleet", func(t *testing.T) {
+		victim, err := NewHub(cfg, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journalFleet(t, victim, streamA[:160], nil)
+		walDir := t.TempDir()
+		j, _, err := NewJournal(victim, wal.Options{Dir: walDir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ { // the script runs dry at tick ~20
+			victim.TickAll()
+		}
+		if _, _, err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ { // silent ticks: no ingest, no ver bump
+			victim.TickAll()
+		}
+		if _, _, err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		killed := victim.CaptureState().Sessions
+		victim.Stop()
+
+		state, _, err := ReplayWAL(walDir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreHub(state, journalSource(t, streamA, len(streamA)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Stop()
+		got := restored.CaptureState().Sessions
+		if len(got) != len(killed) {
+			t.Fatalf("restored %d sessions, want %d", len(got), len(killed))
+		}
+		for i := range killed {
+			if killed[i].IdleTicks == 0 {
+				t.Fatalf("session %d is not idle at the kill; the case no longer covers a silent fleet", killed[i].ID)
+			}
+			if got[i].SampleAcc != killed[i].SampleAcc || got[i].IdleTicks != killed[i].IdleTicks {
+				t.Fatalf("session %d restored SampleAcc %v IdleTicks %d, the victim had %v and %d",
+					got[i].ID, got[i].SampleAcc, got[i].IdleTicks, killed[i].SampleAcc, killed[i].IdleTicks)
+			}
+		}
+	})
 }
 
 // TestJournalCheckpointFencesAndTruncates drives the full durability

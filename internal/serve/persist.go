@@ -13,54 +13,20 @@ import (
 	"cognitivearm/internal/stream"
 )
 
-// Fleet checkpointing: Hub.Checkpoint snapshots the entire hub — registry
+// Fleet capture and restore: capture snapshots the entire hub — registry
 // models, every session's signal-path state, shard assignment and metrics
-// baselines — into a checkpoint directory via internal/checkpoint, and
-// RestoreHub rebuilds a serving hub from one. The capture encodes under each
-// shard's lock, one shard at a time: every session's state goes straight from
-// live memory into the caller's reused record arena (Delta), with no
-// intermediate SessionRecord copy, and all disk I/O happens afterwards on the
-// caller's goroutine, so paced tick loops never stall behind a checkpoint.
-
-// Checkpoint atomically persists the hub's serving state as the next
-// checkpoint under root, returning the new checkpoint directory. It is
-// safe to call while the hub is serving (Start) or between TickAll calls; a
-// session's tick and its capture are serialized by the shard lock, so every
-// persisted session is at a tick boundary.
-//
-// Every checkpoint is a full, self-contained snapshot of the fleet; the
-// dirty-only path is the journal's (CaptureDelta), which ships the real
-// deltas far more often than a checkpoint comes round.
-//
-// Concurrent Checkpoint calls on one hub are serialized from capture through
-// publish, so checkpoint sequence order is capture order and the newest
-// directory always holds the newest state.
-func (h *Hub) Checkpoint(root string) (string, error) {
-	return h.CheckpointWithWal(root, 0)
-}
-
-// CheckpointWithWal is Checkpoint with the manifest fenced against a
-// write-ahead log: walSeq — the WAL's last sealed entry sequence as of this
-// capture — rides into Manifest.WalSeq, so a later recovery replays only the
-// WAL entries this checkpoint does not already contain. The serve Journal is
-// the intended caller; it flushes (seals) before capturing, keeping the fence
-// conservative: state journaled after walSeq is at least as new in the WAL
-// as in this checkpoint, and replay's latest-record fold makes reapplying it
-// harmless.
-func (h *Hub) CheckpointWithWal(root string, walSeq uint64) (string, error) {
-	h.ckptMu.Lock()
-	defer h.ckptMu.Unlock()
-	d := &h.ckpt
-	h.capture(nil, d, true)
-	state := &checkpoint.FleetState{Manifest: d.Manifest, Models: d.Models, ModelMACs: d.ModelMACs}
-	state.Manifest.WalSeq = walSeq
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	return checkpoint.SaveRecords(root, state, &d.Records)
-}
+// baselines — for the journal's flushes and checkpoints (journal.go) and for
+// each replication link, and RestoreHub rebuilds a serving hub from a loaded
+// FleetState. The capture encodes under each shard's lock, one shard at a
+// time: every session's state goes straight from live memory into the
+// caller's reused record arena (Delta), with no intermediate SessionRecord
+// copy, and all disk I/O happens afterwards on the caller's goroutine, so
+// paced tick loops never stall behind a checkpoint.
 
 // CaptureState snapshots the hub's complete state into a self-contained
 // checkpoint.FleetState without touching disk — the in-memory half of
-// Checkpoint, exposed for tests and for callers that inspect state in place.
+// Journal.Checkpoint, for callers that inspect state in place or save a
+// snapshot with checkpoint.Save.
 func (h *Hub) CaptureState() *checkpoint.FleetState {
 	var d Delta
 	h.capture(nil, &d, true)
@@ -73,7 +39,7 @@ func (h *Hub) CaptureState() *checkpoint.FleetState {
 // header with the complete live view in Manifest.Refs, every resolved model,
 // and the records of the captured sessions, encoded straight from live
 // state, shard by shard and in ID order within a shard — plus the capture's
-// scratch. Its owner (a journal, a replication link, the checkpoint path)
+// scratch. Its owner (a journal, a replication link)
 // reuses it capture after capture, so its buffers stop growing once they have
 // held the fleet; Records and Refs are overwritten by the next capture. The
 // zero value is ready.

@@ -11,6 +11,7 @@ import (
 	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/stream"
+	"cognitivearm/internal/wal"
 )
 
 // scriptSource replays a fixed pre-generated sample stream — the
@@ -41,6 +42,18 @@ func scriptedEEG(subject int, seed uint64, n int) []stream.Sample {
 		out[i] = stream.Sample{Seq: uint64(i), Values: append([]float64(nil), raw[:]...)}
 	}
 	return out
+}
+
+// testJournal binds a journal over a fresh WAL directory to hub — the hub's
+// one checkpoint writer — and closes it when the test ends.
+func testJournal(t *testing.T, hub *Hub) *Journal {
+	t.Helper()
+	j, _, err := NewJournal(hub, wal.Options{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
 }
 
 // tickStats advances the hub one tick and returns each session's stats.
@@ -122,7 +135,7 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 		got = append(got, tickStats(t, victim, ids)...)
 	}
 	dir := t.TempDir()
-	if _, err := victim.Checkpoint(dir); err != nil {
+	if _, err := testJournal(t, victim).Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	consumed := script.pos // what the dead process had already read
@@ -234,7 +247,7 @@ func TestCheckpointRestoresIdleClock(t *testing.T) {
 		}
 	}
 	root := t.TempDir()
-	if _, err := victim.Checkpoint(root); err != nil {
+	if _, err := testJournal(t, victim).Checkpoint(root); err != nil {
 		t.Fatal(err)
 	}
 	killed := victim.CaptureState().Sessions
@@ -382,7 +395,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ckpt, err := hub.Checkpoint(dir)
+	ckpt, err := checkpoint.Save(dir, hub.CaptureState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +436,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		}
 	}
 	hub.Start()
+	j := testJournal(t, hub)
 	dir := t.TempDir()
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -430,7 +444,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := hub.Checkpoint(dir); err != nil {
+				if _, err := j.Checkpoint(dir); err != nil {
 					t.Errorf("checkpoint %d/%d: %v", w, i, err)
 					return
 				}

@@ -45,20 +45,20 @@
 //
 // # Persistence
 //
-// The hub is durable serving infrastructure, not a cache: Hub.Checkpoint
-// (persist.go) snapshots the whole fleet — registry models, every session's
+// The hub is durable serving infrastructure, not a cache: Journal.Checkpoint
+// (journal.go) snapshots the whole fleet — registry models, every session's
 // rolling window, per-channel IIR filter delay state, debounce ring,
 // counters and shard assignment, plus samples still buffered in source
 // rings — into a versioned, CRC-checked checkpoint directory via
 // internal/checkpoint, and RestoreHub rebuilds a hub from one so a restarted
 // daemon resumes without retraining and emits bitwise-identical labels for
-// the same subsequent input. Capture encodes each session's state straight
-// into the caller's reused arena under its shard lock, and never holds one
-// across disk or network I/O, so paced tick loops do not stall. Every
-// checkpoint is a full, self-contained snapshot. The incremental path is the journal's
-// (journal.go): sessions carry a mutation counter, and a flush captures only
-// the sessions that ingested samples since the previous one, so what is
-// written between checkpoints scales with churn, not fleet size. See
+// the same subsequent input. Capture (persist.go) encodes each session's
+// state straight into the caller's reused arena under its shard lock, and
+// never holds one across disk or network I/O, so paced tick loops do not
+// stall. Every checkpoint is a full, self-contained snapshot. The incremental
+// path is the journal's flush: sessions carry a mutation counter, and a flush
+// captures only the sessions that ingested samples since the previous one, so
+// what is written between checkpoints scales with churn, not fleet size. See
 // ARCHITECTURE.md for the on-disk format specifications.
 package serve
 
@@ -200,12 +200,6 @@ type Hub struct {
 	// workspace (nil = serial kernels). Stop detaches it from the shards and
 	// closes it; Start recreates it, so a stopped hub ticks serially.
 	pool *tensor.Pool
-
-	// ckptMu serialises Checkpoint from capture through publish, so that
-	// checkpoint sequence order is capture order (see its doc comment).
-	ckptMu sync.Mutex
-	// ckpt is the checkpoint path's capture arena, guarded by ckptMu.
-	ckpt Delta
 
 	// idxMu guards index alone. It is a leaf lock (never held while taking
 	// another), so shards can remove idle-evicted sessions from the index
