@@ -142,90 +142,47 @@ func (b *SyntheticCyton) pace() {
 	}
 }
 
-// produce generates n samples into the ring under the current state.
+// produce generates n samples into the ring under the current state. Push
+// copies each sample's values, so the generator's array is pushed as is.
 func (b *SyntheticCyton) produce(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := 0; i < n; i++ {
 		raw := b.gen.Next(b.state)
-		vals := make([]float64, eeg.NumChannels)
-		copy(vals, raw[:])
-		b.ring.Push(stream.Sample{Seq: b.seq, Timestamp: b.clock.Now(), Values: vals})
+		b.ring.Push(stream.Sample{Seq: b.seq, Timestamp: b.clock.Now(), Values: raw[:]})
 		b.seq++
 	}
 }
 
 // ReadInto is the allocation-free variant of Read and the serving shard's
-// drain (serve.Source): samples are appended to dst, and in on-demand mode the
-// synthesiser recycles the Values buffers sitting in dst's spare capacity
-// from the previous call. The returned samples — including their Values —
-// are therefore valid only until the next ReadInto with the same dst; the
-// shard consumes them within the tick, which is the contract.
+// drain (serve.Source): in on-demand mode it synthesises max samples into the
+// ring, then drains up to max of them into dst through Ring.PopNInto. The
+// returned samples' Values live in the ring's drain arena, valid until the
+// next ReadInto; the shard consumes them within the tick, which is the
+// contract.
 //
 //cogarm:zeroalloc
 func (b *SyntheticCyton) ReadInto(dst []stream.Sample, max int) []stream.Sample {
-	b.mu.Lock()
-	if b.running && !b.realtime && max > 0 && b.ring.Len() == 0 {
-		// Fast path: synthesise straight into dst, bypassing the ring the
-		// samples would only transit within this call anyway. Value buffers
-		// are scavenged from dst[len:cap] — exactly the slots this append
-		// sequence is about to overwrite.
-		defer b.mu.Unlock()
-		spare := dst[:cap(dst)]
-		for i := 0; i < max; i++ {
-			var vals []float64
-			if len(dst) < len(spare) && cap(spare[len(dst)].Values) >= eeg.NumChannels {
-				vals = spare[len(dst)].Values[:eeg.NumChannels]
-			} else {
-				//cogarm:allow zeroalloc -- scavenge miss: first pass over a fresh dst warms the Values buffers that later calls recycle
-				vals = make([]float64, eeg.NumChannels)
-			}
-			raw := b.gen.Next(b.state)
-			copy(vals, raw[:])
-			dst = append(dst, stream.Sample{Seq: b.seq, Timestamp: b.clock.Now(), Values: vals})
-			b.seq++
-		}
-		return dst
-	}
-	b.mu.Unlock()
-	if max <= 0 {
-		//cogarm:allow zeroalloc -- max <= 0 is the drain-everything compat path, not the per-tick read
-		return append(dst, b.Read(max)...)
-	}
-	// Buffered leftovers (or realtime pacing): drain the ring re-using dst's
-	// slots; on-demand mode tops the ring up first, as Read would.
-	b.mu.Lock()
-	if b.running && !b.realtime {
-		b.mu.Unlock()
-		//cogarm:allow zeroalloc -- on-demand ring top-up allocates per-sample Values; the fast path above bypasses it
-		b.produce(max)
-	} else {
-		b.mu.Unlock()
-	}
+	b.topUp(max)
 	return b.ring.PopNInto(dst, max)
 }
 
 // Read implements Board. In non-realtime mode it synthesises max samples on
-// demand (max must then be positive).
+// demand (max must then be positive). The samples own their Values.
 func (b *SyntheticCyton) Read(max int) []stream.Sample {
+	b.topUp(max)
+	return b.ring.PopN(max)
+}
+
+// topUp synthesises max samples into the ring when the board runs on demand;
+// a realtime board's pacing goroutine fills the ring instead.
+func (b *SyntheticCyton) topUp(max int) {
 	b.mu.Lock()
-	running, realtime := b.running, b.realtime
+	onDemand := b.running && !b.realtime && max > 0
 	b.mu.Unlock()
-	if running && !realtime && max > 0 {
+	if onDemand {
 		b.produce(max)
 	}
-	if max <= 0 {
-		return b.ring.Drain()
-	}
-	out := make([]stream.Sample, 0, max)
-	for len(out) < max {
-		s, ok := b.ring.Pop()
-		if !ok {
-			break
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // registry implements BrainFlow's board-id lookup so callers stay

@@ -14,10 +14,12 @@ import (
 // with one ReadInto per tick into a per-shard sample buffer (reset between
 // sessions), so the steady-state drain allocates nothing. In-tree sources:
 // RingSource over a network inlet's ring, and board.SyntheticCyton for
-// synthetic subjects. Implementations may recycle the Values buffers found
-// in dst's spare capacity (board.SyntheticCyton does), so the returned
-// samples are valid only until the next ReadInto with the same dst — the
-// shard consumes them within the tick, which is the contract.
+// synthetic subjects. A source only appends to dst: it must not write into
+// the Values of samples in dst's spare capacity, which may still belong to
+// another source. The returned samples' Values may alias storage the source
+// owns and reuses (a ring's drain arena), so they are valid only until the
+// source's next ReadInto — the shard consumes them within the tick, which is
+// the contract.
 type Source interface {
 	// ReadInto drains up to max buffered samples (oldest first), appending
 	// them to dst. max <= 0 drains everything buffered.
@@ -58,7 +60,8 @@ type RingSource struct {
 	Closer io.Closer
 }
 
-// ReadInto implements Source via the ring's buffer-reusing bulk pop.
+// ReadInto implements Source via Ring.PopNInto: the samples' Values alias
+// the ring's drain arena until the next ReadInto.
 //
 //cogarm:zeroalloc
 func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {

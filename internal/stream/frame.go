@@ -79,14 +79,14 @@ func ReadMsgBuf(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // writeFrame sends a length-prefixed data frame (u16 length, the LSL-like
-// transport's wire format). Callers must serialise access.
+// transport's wire format) as one vectored write. The net package keeps one
+// write's bytes together, so the outlet's data pump and sync responder may
+// share the conn without splitting each other's frames.
 func writeFrame(conn net.Conn, frame []byte) error {
 	var hdr [2]byte
 	binary.LittleEndian.PutUint16(hdr[:], uint16(len(frame)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(frame)
+	bufs := net.Buffers{hdr[:], frame}
+	_, err := bufs.WriteTo(conn)
 	return err
 }
 

