@@ -198,6 +198,18 @@ func TestFailoverKillUnderLoad(t *testing.T) {
 		t.Fatalf("standby status %+v, want a 3-session replica of node-a", st)
 	}
 
+	// The ring-fed session must still hold buffered samples at the kill, or
+	// the promotion below no longer covers samples in flight.
+	pending := -1
+	for _, rec := range hubA.CaptureState().Sessions {
+		if rec.Tag == keyUDP {
+			pending = len(rec.Pending)
+		}
+	}
+	if pending <= 0 {
+		t.Fatalf("ring session %q holds %d pending samples at the kill, want some", keyUDP, pending)
+	}
+
 	// Kill node A: hard close, no drain, no leave notification. The hub stops
 	// too — its sessions die with the process.
 	nodeA.Close()

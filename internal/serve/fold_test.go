@@ -14,7 +14,8 @@ import (
 )
 
 // foldFleet is a two-session hub, six ticks in, whose deltas feed the fold
-// tests. Its 60-sample streams run dry three ticks later, after which the
+// tests. Both streams run dry three ticks later (the script's 60 samples at
+// the rate schedule, the ring's 150 at up to twice it), after which the
 // sessions are clean: only their idle clocks move.
 func foldFleet(t *testing.T) *Hub {
 	t.Helper()
@@ -24,7 +25,7 @@ func foldFleet(t *testing.T) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(hub.Stop)
-	journalFleet(t, hub, scriptedEEG(0, 41, 60), scriptedEEG(0, 97, 60))
+	journalFleet(t, hub, scriptedEEG(0, 41, 60), scriptedEEG(0, 97, 150))
 	for i := 0; i < 6; i++ {
 		hub.TickAll()
 	}

@@ -115,6 +115,7 @@ func TestJournalWalOnlyRecoveryBitwise(t *testing.T) {
 	if state == nil || applied == 0 {
 		t.Fatalf("replay applied %d entries, state=%v", applied, state)
 	}
+	requirePending(t, state, ids[1])
 	restored, err := RestoreHub(state, journalSource(t, streamA, consumed))
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 type serveObs struct {
 	ticks      *obs.Counter
 	samples    *obs.Counter
+	catchUp    *obs.Counter
 	inferences *obs.Counter
 	batches    *obs.Counter
 	admissions *obs.Counter
@@ -55,6 +56,8 @@ func newServeObs() *serveObs {
 			"Completed shard ticks across all shards."),
 		samples: reg.Counter("cogarm_serve_samples_total",
 			"Raw samples ingested across all sessions."),
+		catchUp: reg.Counter("cogarm_serve_catchup_samples_total",
+			"Samples buffered sessions drained beyond the rate schedule's due, catching up on a backlog."),
 		inferences: reg.Counter("cogarm_serve_inferences_total",
 			"Classified windows (one per ready session per tick)."),
 		batches: reg.Counter("cogarm_serve_batches_total",

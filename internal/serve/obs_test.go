@@ -179,8 +179,9 @@ func TestStatusDocRoundTrip(t *testing.T) {
 }
 
 // TestServeTelemetryExposed drives a real fleet briefly and asserts the
-// process-global registry exports nonzero serving series — the integration
-// seam between the shard instrumentation and the exposition format.
+// admin plane's /metrics exports nonzero serving series — the integration
+// seam between the shard instrumentation and the exposition format. A
+// ring-fed session starts with a backlog, so the catch-up counter moves.
 func TestServeTelemetryExposed(t *testing.T) {
 	reg, p := testFleet(t)
 	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 8, TickHz: 120, LatencyWindow: 32}, reg)
@@ -190,27 +191,43 @@ func TestServeTelemetryExposed(t *testing.T) {
 	if _, err := hub.Admit(boardSession(t, p, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
+	ring := stream.NewRing(200)
+	for _, smp := range scriptedEEG(0, 97, 200) {
+		ring.Push(smp)
+	}
+	if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: RingSource{Ring: ring}, Norm: p.NormFor(0)}); err != nil {
+		t.Fatal(err)
+	}
 	hub.Start()
 	time.Sleep(150 * time.Millisecond)
 	hub.Stop()
 
-	var sb strings.Builder
-	if err := obs.Default().WriteText(&sb); err != nil {
+	srv := httptest.NewServer(obs.AdminMux(obs.AdminOptions{}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(body)
 	for _, series := range []string{
 		"cogarm_serve_ticks_total",
 		"cogarm_serve_samples_total",
+		"cogarm_serve_catchup_samples_total",
 		`cogarm_serve_tick_stage_seconds_count{stage="drain"}`,
 		`cogarm_serve_tick_stage_seconds_count{stage="window"}`,
 		"cogarm_serve_tick_seconds_count",
 	} {
-		idx := strings.Index(out, series+" ")
+		// The sample line starts a line; "# HELP <series> ..." does not.
+		idx := strings.Index(out, "\n"+series+" ")
 		if idx < 0 {
 			t.Fatalf("series %q missing from exposition", series)
 		}
-		line := out[idx:]
+		line := out[idx+1:]
 		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
 			line = line[:nl]
 		}

@@ -174,8 +174,8 @@ func decodeCaptured(raw []byte, rec *checkpoint.SessionRecord) {
 // sessionPending cheaply counts samples buffered in the session's source
 // without copying them. Callers hold the owning shard's lock.
 func sessionPending(sess *session) int {
-	if snap, ok := sess.cfg.Source.(PendingSnapshotter); ok {
-		return snap.PendingLen()
+	if sess.buffered != nil {
+		return sess.buffered.PendingLen()
 	}
 	return 0
 }
@@ -206,8 +206,8 @@ func viewSessionLocked(shardID int, sess *session, v *checkpoint.SessionRecord) 
 	sess.win.StateView(&v.Windower)
 	sess.debounce.StateInto(&v.Debounce)
 	v.Pending = v.Pending[:0]
-	if snap, ok := sess.cfg.Source.(PendingSnapshotter); ok {
-		for _, smp := range snap.SnapshotPending() {
+	if sess.buffered != nil {
+		for _, smp := range sess.buffered.SnapshotPending() {
 			v.Pending = append(v.Pending, checkpoint.PendingSample{
 				Seq: smp.Seq, Timestamp: smp.Timestamp, Values: smp.Values,
 			})
@@ -513,7 +513,11 @@ func (p *pendingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 }
 
 // PendingLen implements PendingSnapshotter: replay samples plus whatever the
-// wrapped source buffers, without copying either.
+// wrapped source buffers, without copying either — the count the replaced
+// ring would have reported, so a restored session catches up on the ticks
+// the uninterrupted one does.
+//
+//cogarm:zeroalloc
 func (p *pendingSource) PendingLen() int {
 	if snap, ok := p.src.(PendingSnapshotter); ok {
 		return len(p.pending) + snap.PendingLen()

@@ -44,6 +44,23 @@ func scriptedEEG(subject int, seed uint64, n int) []stream.Sample {
 	return out
 }
 
+// requirePending fails unless session id's record in state still carries
+// buffered samples. The bitwise suites exist to cover a kill with samples in
+// flight; a drain rule that empties the ring before the kill would pass them
+// without testing that path.
+func requirePending(t *testing.T, state *checkpoint.FleetState, id SessionID) {
+	t.Helper()
+	for _, rec := range state.Sessions {
+		if SessionID(rec.ID) == id {
+			if len(rec.Pending) == 0 {
+				t.Fatalf("session %d holds no pending samples at the kill: the suite no longer covers in-flight samples", id)
+			}
+			return
+		}
+	}
+	t.Fatalf("session %d missing from the captured fleet", id)
+}
+
 // testJournal binds a journal over a fresh WAL directory to hub — the hub's
 // one checkpoint writer — and closes it when the test ends.
 func testJournal(t *testing.T, hub *Hub) *Journal {
@@ -139,7 +156,8 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	consumed := script.pos // what the dead process had already read
-	victim.Stop()          // the "kill"
+	requirePending(t, victim.CaptureState(), ids[1])
+	victim.Stop() // the "kill"
 
 	// Restore into a fresh hub. The script session resumes from the exact
 	// sample the dead hub stopped at; the ring session's buffered remainder

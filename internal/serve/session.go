@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"math"
 
 	"cognitivearm/internal/control"
 	"cognitivearm/internal/dataset"
@@ -12,7 +13,10 @@ import (
 
 // Source provides raw samples for one session. The shard drains each session
 // with one ReadInto per tick into a per-shard sample buffer (reset between
-// sessions), so the steady-state drain allocates nothing. In-tree sources:
+// sessions), so the steady-state drain allocates nothing. The tick asks for
+// the rate schedule's due samples; a source that also implements
+// PendingSnapshotter is asked for up to one tick's worth more while it holds
+// a backlog (see session.drain). In-tree sources:
 // RingSource over a network inlet's ring, and board.SyntheticCyton for
 // synthetic subjects. A source only appends to dst: it must not write into
 // the Values of samples in dst's spare capacity, which may still belong to
@@ -28,17 +32,22 @@ type Source interface {
 	ReadInto(dst []stream.Sample, max int) []stream.Sample
 }
 
-// PendingSnapshotter is the optional Source extension the checkpoint path
-// uses: sources that buffer samples the session has not consumed yet (ring-
-// backed network inlets) expose a non-destructive copy, so a fleet snapshot
-// loses no in-flight data. Sources that synthesise samples on demand (boards)
-// have nothing pending and simply do not implement it.
+// PendingSnapshotter is the optional Source extension of sources that buffer
+// samples the session has not consumed yet (ring-backed network inlets, and
+// the restore wrapper pendingSource). The checkpoint path copies the buffer
+// out, so a fleet snapshot loses no in-flight data, and the tick reads its
+// length to drain a backlog faster than real time. Sources that synthesise
+// samples on demand (boards) have nothing pending and simply do not
+// implement it; they keep the rate schedule exactly.
 type PendingSnapshotter interface {
 	// SnapshotPending returns a copy of buffered-but-unread samples, oldest
 	// first, without consuming them.
 	SnapshotPending() []stream.Sample
 	// PendingLen reports how many samples SnapshotPending would return,
-	// without copying them — the cheap dirtiness probe of the delta capture.
+	// without copying them. The delta capture probes it, and every shard
+	// tick calls it once per buffered session, so it must not allocate.
+	//
+	//cogarm:zeroalloc
 	PendingLen() int
 }
 
@@ -72,6 +81,8 @@ func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 func (r RingSource) SnapshotPending() []stream.Sample { return r.Ring.Snapshot() }
 
 // PendingLen implements PendingSnapshotter.
+//
+//cogarm:zeroalloc
 func (r RingSource) PendingLen() int { return r.Ring.Len() }
 
 // SourceAddr implements AddrSource when the attached Closer is an inlet that
@@ -141,6 +152,14 @@ type session struct {
 	// (e.g. 125 Hz / 15 Hz).
 	sampleAcc float64
 	debounce  control.Debouncer
+	// buffered is the source's PendingSnapshotter view, nil for a source
+	// that synthesises samples on demand; capture copies pending samples
+	// through it. While it holds more than a tick's due, the tick drains up
+	// to catchUp = ceil(SampleRateHz/TickHz) more samples, so the classified
+	// window ends at the newest arrival. Both are fixed when a shard takes
+	// the session (schedule), never probed per tick.
+	buffered PendingSnapshotter
+	catchUp  int
 	// ver counts signal-path mutations: it increments exactly when a tick
 	// ingests samples for this session (which is also the only way windows,
 	// filter delay lines, debounce state or decode counters change). Every
@@ -161,7 +180,14 @@ type session struct {
 	actions [eeg.NumActions]uint64
 }
 
-// due returns how many samples this tick should consume from the source.
+// schedule fixes the session's drain rule for a shard ticking at tickHz: a
+// buffered source may catch up by one tick's worth of samples per tick.
+func (s *session) schedule(tickHz float64) {
+	s.buffered, _ = s.cfg.Source.(PendingSnapshotter)
+	s.catchUp = int(math.Ceil(s.cfg.SampleRateHz / tickHz))
+}
+
+// due returns how many samples the rate schedule gives this tick.
 //
 //cogarm:zeroalloc
 func (s *session) due(tickHz float64) int {
@@ -169,6 +195,20 @@ func (s *session) due(tickHz float64) int {
 	n := int(s.sampleAcc)
 	s.sampleAcc -= float64(n)
 	return n
+}
+
+// drain returns how many samples this tick reads from the source: the due
+// samples, plus, for a buffered source, up to catchUp of the backlog beyond
+// them. The bound is the samples really pending, not what ReadInto could
+// return, so a pendingSource over an on-demand source catches up through
+// its replayed samples only and then keeps the rate schedule.
+//
+//cogarm:zeroalloc
+func (s *session) drain(due int) int {
+	if s.buffered == nil {
+		return due
+	}
+	return due + min(s.catchUp, max(0, s.buffered.PendingLen()-due))
 }
 
 // observe feeds one decoded label through the counters and the debounce.

@@ -159,7 +159,11 @@ func (s *shard) setPool(p *tensor.Pool) {
 	s.mu.Unlock()
 }
 
+// add places sess on this shard and fixes its drain schedule against the
+// shard's tick rate. Every way into a fleet (Admit, RestoreSession,
+// PromoteSession, RestoreHub) ends here.
 func (s *shard) add(sess *session) {
+	sess.schedule(s.cfg.TickHz)
 	s.mu.Lock()
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
@@ -285,7 +289,8 @@ func (s *shard) run() {
 }
 
 // tick advances every session one classification period: drain due samples
-// into each rolling window, coalesce all ready windows into one batched
+// (plus a buffered source's catch-up, session.drain) into each rolling
+// window, coalesce all ready windows into one batched
 // inference per shared model, then feed labels back through each session's
 // debounce. Sessions silent for MaxIdleTicks are queued for eviction.
 //
@@ -317,13 +322,13 @@ func (s *shard) tick() {
 	ar := &s.arena
 
 	// Ingest phase: windows become ready independently per session.
-	var samplesIn uint64
+	var samplesIn, caughtUp uint64
 	for id, sess := range s.sessions {
-		n := sess.due(s.cfg.TickHz)
+		due := sess.due(s.cfg.TickHz)
 		if tel != nil {
 			stamp = time.Now()
 		}
-		ar.popBuf = sess.cfg.Source.ReadInto(ar.popBuf[:0], n)
+		ar.popBuf = sess.cfg.Source.ReadInto(ar.popBuf[:0], sess.drain(due))
 		samples := ar.popBuf
 		if tel != nil {
 			now := time.Now()
@@ -344,6 +349,9 @@ func (s *shard) tick() {
 		sess.idleTicks = 0
 		sess.ver++ // signal-path state advances: the next delta carries this session
 		samplesIn += uint64(len(samples))
+		if len(samples) > due {
+			caughtUp += uint64(len(samples) - due)
+		}
 		for _, smp := range samples {
 			sess.win.Push(smp.Values)
 		}
@@ -401,6 +409,7 @@ func (s *shard) tick() {
 	if tel != nil {
 		tel.ticks.Inc()
 		tel.samples.Add(samplesIn)
+		tel.catchUp.Add(caughtUp)
 		tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
 		tel.stageDrain.ObserveDuration(drainNs)
 		tel.stageWindow.ObserveDuration(windowNs)

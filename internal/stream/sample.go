@@ -15,7 +15,8 @@ import (
 // Sample is one multichannel EEG frame with its source timestamp.
 type Sample struct {
 	// Seq is a monotonically increasing sequence number assigned by the
-	// outlet; inlets use gaps to count losses.
+	// outlet. Inlets and the serving path carry it but do not act on it:
+	// only the Fig4 link harness (metrics.go) reads gaps in it.
 	Seq uint64
 	// Timestamp is the sender-clock acquisition time in seconds.
 	Timestamp float64
