@@ -5,7 +5,6 @@ package suite
 
 import (
 	"cognitivearm/internal/analysis"
-	"cognitivearm/internal/analysis/atomicfield"
 	"cognitivearm/internal/analysis/nolockblock"
 	"cognitivearm/internal/analysis/obsguard"
 	"cognitivearm/internal/analysis/quantsafe"
@@ -16,7 +15,6 @@ import (
 // Analyzers is every invariant cogarmvet enforces, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	zeroalloc.Analyzer,
-	atomicfield.Analyzer,
 	nolockblock.Analyzer,
 	obsguard.Analyzer,
 	quantsafe.Analyzer,

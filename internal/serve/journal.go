@@ -75,9 +75,10 @@ func (j *Journal) Status() wal.Status { return j.log.Status() }
 // full record plus decision summary per dirty session, the refs manifest
 // (the authoritative live view replay prunes and overlays by), and the audit
 // events recorded since the previous flush — then seals the batch, which is
-// the durability point. An empty interval (nothing dirty, no events) appends
-// and seals nothing. Returns the batch's Merkle root and the last sealed
-// entry sequence.
+// the durability point. The log seals only when asked, so the whole flush is
+// one sealed batch in one segment, however many sessions it holds. An empty
+// interval (nothing dirty, no events) appends and seals nothing. Returns the
+// Merkle root over the whole flush and the last sealed entry sequence.
 func (j *Journal) Flush() (root [wal.HashSize]byte, last uint64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

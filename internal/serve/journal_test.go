@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -226,9 +227,9 @@ func TestJournalCheckpointFencesAndTruncates(t *testing.T) {
 	}
 	ids, script := journalFleet(t, victim, streamA, streamB)
 	walDir, ckptRoot := t.TempDir(), t.TempDir()
-	// Tiny segments force organic rotation between flushes, so truncation
-	// after the checkpoint has finalized segments to actually remove.
-	j, _, err := NewJournal(victim, wal.Options{Dir: walDir, SegmentBytes: 4 << 10, NoSync: true})
+	// The checkpoint's own Rotate finalizes the segment its flushes filled,
+	// so truncation behind the fence has a segment to actually remove.
+	j, _, err := NewJournal(victim, wal.Options{Dir: walDir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +456,99 @@ func TestJournalAuditAndDecisionTrail(t *testing.T) {
 	}
 }
 
+// TestJournalFlushIsOneBatch: a flush is one sealed batch however large —
+// here a 100-session board fleet whose 30-tick flushes each journal more than
+// a mebibyte — and its root is the log's last root. Flushes run until the
+// active segment rolls over, and every flush's entries and seal sit in one
+// segment.
+func TestJournalFlushIsOneBatch(t *testing.T) {
+	reg, p := testFleet(t)
+	hub, err := NewHub(Config{Shards: 2, MaxSessionsPerShard: 50, TickHz: 15, LatencyWindow: 32}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	for i := 0; i < 100; i++ {
+		if _, err := hub.Admit(boardSession(t, p, 0, uint64(i)*7+3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walDir := t.TempDir()
+	j, _, err := NewJournal(hub, wal.Options{Dir: walDir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	type flush struct{ first, last uint64 }
+	var flushes []flush
+	for rolled := false; !rolled; {
+		for i := 0; i < 30; i++ {
+			hub.TickAll()
+		}
+		before := j.Status()
+		root, last, err := j.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := j.Status()
+		flushes = append(flushes, flush{before.SealedSeq + 1, last})
+		if hex.EncodeToString(root[:]) != after.LastRoot {
+			t.Fatalf("flush %d returned root %x, the log's last root is %s", len(flushes), root, after.LastRoot)
+		}
+		// A seal that fills the segment rolls it over: the batch went into
+		// the segment just finalized, and the new one holds none yet.
+		rolled = after.Segments != before.Segments
+		if !rolled && after.Batches != before.Batches+1 ||
+			rolled && (after.Segments != before.Segments+1 || after.Batches != 0) {
+			t.Fatalf("flush %d took the log from %d batches in %d segments to %d in %d, want one batch",
+				len(flushes), before.Batches, before.Segments, after.Batches, after.Segments)
+		}
+		if len(flushes) > 20 {
+			t.Fatal("20 flushes never rolled the segment over")
+		}
+	}
+	if len(flushes) < 2 {
+		t.Fatalf("the first flush rolled the segment over; the fleet is too large to see a batch per flush")
+	}
+
+	segs := map[uint64]string{} // each flush's segment, by its first entry
+	sizes := make([]int, len(flushes))
+	f := 0
+	if err := wal.Dump(walDir, func(e wal.Entry) error {
+		for f < len(flushes) && e.Seq > flushes[f].last {
+			f++
+		}
+		if f == len(flushes) || e.Seq < flushes[f].first {
+			t.Fatalf("entry %d belongs to no flush", e.Seq)
+		}
+		if seg, ok := segs[flushes[f].first]; !ok {
+			segs[flushes[f].first] = e.Segment
+		} else if seg != e.Segment {
+			t.Fatalf("flush %d spans segments %s and %s", f+1, seg, e.Segment)
+		}
+		sizes[f] += len(e.Data)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range sizes[1:] {
+		if n <= 1<<20 {
+			t.Fatalf("flush %d journaled %d bytes, want more than 1 MiB", i+2, n)
+		}
+	}
+	reports, err := wal.Verify(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := 0
+	for _, r := range reports {
+		sealed += r.Batches
+	}
+	if sealed != len(flushes) {
+		t.Fatalf("%d flushes sealed %d batches, want one each", len(flushes), sealed)
+	}
+}
+
 // TestJournalEmptyFlushAppendsNothing: a quiet interval (no dirty sessions,
 // no departures) must not grow the WAL. Sessions are script-fed with nothing
 // buffered — a session with pending samples counts as dirty by design.
@@ -487,11 +581,12 @@ func TestJournalEmptyFlushAppendsNothing(t *testing.T) {
 }
 
 // TestJournalCrashMidFlushRecoversToPreviousFlush is the regression test for
-// the mid-flush crash: the log seals inline whenever a batch outgrows
-// BatchBytes, so a process killed part-way through a flush leaves sealed
-// session records of that flush with no refs entry behind them. Replay must
-// treat the refs entry — not the seal — as the commit point, drop the
-// orphaned records, and restore the fleet bitwise at the previous flush.
+// the mid-flush crash: the log once sealed inline whenever a batch outgrew a
+// size bound, so a process killed part-way through a flush left sealed
+// session records of that flush with no refs entry behind them — and WALs
+// written then still hold such split flushes. Replay must treat the refs
+// entry — not the seal — as the commit point, drop the orphaned records, and
+// restore the fleet bitwise at the previous flush.
 func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
 	reg, _ := testFleet(t)
 	cfg := Config{Shards: 2, MaxSessionsPerShard: 2, TickHz: 15, LatencyWindow: 32}
@@ -521,9 +616,7 @@ func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
 	}
 	ids, script := journalFleet(t, victim, streamA, streamB)
 	walDir := t.TempDir()
-	// A batch bound below one session record: every session append seals
-	// inline, as a 100-session flush does against the 1 MiB default.
-	j, _, err := NewJournal(victim, wal.Options{Dir: walDir, BatchBytes: 512, NoSync: true})
+	j, _, err := NewJournal(victim, wal.Options{Dir: walDir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,8 +634,9 @@ func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
 	for i := flushTick; i < killTick; i++ {
 		victim.TickAll()
 	}
-	// The next flush gets as far as its first session record, then the
-	// process dies: no decision entry, no refs, no final seal.
+	// The next flush gets as far as its first session record, sealed as an
+	// older log's size bound sealed it, then the process dies: no decision
+	// entry, no refs, no final seal.
 	delta := victim.CaptureDelta(j.lastRefs)
 	if len(delta.Sessions) == 0 {
 		t.Fatal("no dirty session to journal after the post-flush ticks")
@@ -551,8 +645,11 @@ func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
 	if _, err := j.log.Append(wal.KindSession, checkpoint.AppendSessionRecord(nil, &delta.Sessions[0])); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, _, err := j.log.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	if j.log.LastSealed() == sealedBefore {
-		t.Fatal("the orphaned session record was not sealed inline; the test no longer reproduces the crash")
+		t.Fatal("the orphaned session record was not sealed; the test no longer reproduces the crash")
 	}
 	victim.Stop()
 

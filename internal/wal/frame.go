@@ -50,7 +50,6 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 type batch struct {
 	leaves      [][HashSize]byte
 	first, last uint64 // entry seq range of the pending leaves
-	bytes       int64  // entry payload bytes pending
 }
 
 // appendEntry appends the recEntry frame of (kind, seq, data) to dst and adds
@@ -68,7 +67,6 @@ func (b *batch) appendEntry(dst []byte, kind Kind, seq uint64, data []byte) []by
 	}
 	b.last = seq
 	b.leaves = append(b.leaves, HashLeaf(payload))
-	b.bytes += int64(len(payload))
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[at:], castagnoli))
 }
 

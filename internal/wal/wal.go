@@ -3,8 +3,9 @@
 // proofs. Shard ticks journal dirty session records (and the audit stream of
 // admissions, refusals, migrations, reaps, failovers, and prediction
 // decisions) into it; a checkpoint is a full snapshot that fences and
-// truncates it; warm standbys tail it carrying batch roots so a follower can
-// detect divergence before promotion.
+// truncates it. Replication does not tail it: each link ships its own capture
+// as sealed batches on a socket stream (stream.go), whose roots let a
+// standby detect divergence before promotion.
 //
 // # On-disk format (normative; mirrored in ARCHITECTURE.md)
 //
@@ -53,10 +54,12 @@
 // an EvWalTruncate event). Damage anywhere except the active tail is not
 // recoverable garbage from a crash — it is corruption, and Open refuses it.
 //
-// Batches are size-bounded here (Options.BatchEntries/BatchBytes force an
-// inline seal) and time-bounded by the caller: the serve Journal seals on
-// its flush cadence (cogarmd -wal-every), so a seal never rides the tick
-// path.
+// The caller's Seal is the only batch boundary: the serve Journal seals
+// once per flush (cogarmd -wal-every), so one flush is one batch, and a seal
+// never rides the tick path. Segments roll over only between batches: the
+// first Seal that leaves the active segment at or past segmentBytes also
+// finalizes it and opens the next, so no batch spans or splits across
+// segments, and the pending batch is as large as the largest flush.
 package wal
 
 import (
@@ -137,27 +140,15 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Defaults for Options zero values.
-const (
-	DefaultSegmentBytes = 8 << 20
-	DefaultBatchEntries = 1024
-	DefaultBatchBytes   = 1 << 20
-)
+// segmentBytes is the size at which a Seal rolls the active segment over.
+// Segments are bounded per batch, not per record: the batch that crosses it
+// stays whole in the segment it started in.
+const segmentBytes = 8 << 20
 
 // Options configures Open.
 type Options struct {
 	// Dir is the WAL directory; created if absent.
 	Dir string
-	// SegmentBytes rotates the active segment when it would grow past this
-	// size (default 8 MiB). A single oversized entry still fits — segments
-	// are bounded per rotation decision, not per record.
-	SegmentBytes int64
-	// BatchEntries seals the pending batch when it reaches this many
-	// entries (default 1024).
-	BatchEntries int
-	// BatchBytes seals the pending batch when its payloads reach this many
-	// bytes (default 1 MiB).
-	BatchBytes int64
 	// NoSync skips fsync on seal. For tests and benchmarks only: a crash
 	// can then lose sealed batches, which production must never do.
 	NoSync bool
@@ -166,19 +157,9 @@ type Options struct {
 	// test seam for byte-budgeted torn writes. Each batch still goes down
 	// as a single Write call.
 	wrap func(io.Writer) io.Writer
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.BatchEntries <= 0 {
-		o.BatchEntries = DefaultBatchEntries
-	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = DefaultBatchBytes
-	}
-	return o
+	// segBytes, when positive, replaces segmentBytes — the test seam for
+	// rollover without megabytes of entries.
+	segBytes int64
 }
 
 // RecoveryInfo reports what Open found — and, for a torn tail, exactly what
@@ -225,13 +206,14 @@ type Log struct {
 	segFirst, segLast uint64           // entry seqs in the active segment
 	roots             [][HashSize]byte // sealed batch roots of the active segment
 
-	pend      batch     // pending (unsealed) entries
-	nextSeq   uint64    // next entry sequence number
-	sealedSeq uint64    // last sealed entry sequence number
-	sealed    []segMeta // finalized (footered) segments, oldest first
+	pend      batch          // pending (unsealed) entries
+	nextSeq   uint64         // next entry sequence number
+	sealedSeq uint64         // last sealed entry sequence number
+	lastRoot  [HashSize]byte // root of the last sealed batch, in any segment
+	sealed    []segMeta      // finalized (footered) segments, oldest first
 	// frame holds the pending batch's entry frames, written with their seal
-	// in one Write. Its capacity is reused, and BatchBytes/BatchEntries bound
-	// what it holds.
+	// in one Write. Its capacity is reused: it grows to the largest batch a
+	// caller seals.
 	frame     []byte
 	recovered RecoveryInfo
 	closed    bool
@@ -242,7 +224,9 @@ type Log struct {
 // tail to the last sealed batch boundary. The returned RecoveryInfo says
 // what was found and what, if anything, was dropped.
 func Open(opts Options) (*Log, RecoveryInfo, error) {
-	opts = opts.withDefaults()
+	if opts.segBytes <= 0 {
+		opts.segBytes = segmentBytes
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("wal: open: %w", err)
 	}
@@ -264,6 +248,9 @@ func Open(opts Options) (*Log, RecoveryInfo, error) {
 		info.SealedEntries += uint64(sc.sealedEntries)
 		if sc.sealedLast > info.LastSeq {
 			info.LastSeq = sc.sealedLast
+		}
+		if n := len(sc.roots); n > 0 {
+			l.lastRoot = sc.roots[n-1]
 		}
 		if !last {
 			if scanErr != nil || !sc.footer {
@@ -397,29 +384,17 @@ func (l *Log) openSegment(seq uint64) error {
 }
 
 // Append journals one entry and returns its sequence number. The entry's
-// frame joins the pending batch in memory; it reaches the segment with the
-// batch's seal, in the same single Write, and is durable from then on. Size
-// bounds may trigger that seal (and a segment rotation) inline.
+// frame joins the pending batch in memory and does no I/O; it reaches the
+// segment with the caller's next Seal, in the same single Write, and is
+// durable from then on.
 func (l *Log) Append(kind Kind, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//cogarm:allow nolockblock -- the WAL segment lock serializes file appends by design; a bound-triggered seal writes one bounded batch
-	return l.appendLocked(kind, data)
-}
-
-func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	if err := l.usable(); err != nil {
 		return 0, err
 	}
 	seq := l.nextSeq
 	frameLen := int64(frameOverhead + entryHdrLen + len(data))
-	// segSize counts the pending frames too, so rotation falls exactly where
-	// it would if every frame had been written as it was appended.
-	if l.segSize+frameLen > l.opts.SegmentBytes && l.segLast != 0 {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
 	l.frame = l.pend.appendEntry(l.frame, kind, seq, data)
 	l.segSize += frameLen
 	if l.segFirst == 0 {
@@ -432,12 +407,6 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	t.entries.Inc()
 	t.bytes.Add(uint64(frameLen))
 	t.activeBytes.Set(float64(l.activeBytesLocked()))
-
-	if len(l.pend.leaves) >= l.opts.BatchEntries || l.pend.bytes >= l.opts.BatchBytes {
-		if _, _, _, err := l.sealLocked(); err != nil {
-			return 0, err
-		}
-	}
 	return seq, nil
 }
 
@@ -465,15 +434,26 @@ func (l *Log) usable() error {
 // Seal closes the pending batch: writes its entry frames and its seal record
 // (Merkle root over the batch's entry payloads) in one Write and fsyncs the
 // segment, making everything up to and including the batch durable. With
-// nothing pending it is a no-op returning the zero root.
+// nothing pending it is a no-op returning the zero root. A seal that leaves
+// the active segment at or past its size bound then rolls it over, so the
+// next batch starts a fresh segment.
 func (l *Log) Seal() (root [HashSize]byte, first, last uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usable(); err != nil {
 		return root, 0, 0, err
 	}
-	//cogarm:allow nolockblock -- the WAL segment lock serializes the seal write + fsync by design
-	return l.sealLocked()
+	//cogarm:allow nolockblock -- the WAL segment lock serializes the seal write + fsync, and a rollover's footer and next segment, by design
+	return l.sealRollLocked()
+}
+
+// sealRollLocked seals the pending batch, then rolls the active segment over
+// if that left it at or past its bound: a segment ends only at a seal.
+func (l *Log) sealRollLocked() (root [HashSize]byte, first, last uint64, err error) {
+	if root, first, last, err = l.sealLocked(); err != nil || l.segSize < l.opts.segBytes {
+		return root, first, last, err
+	}
+	return root, first, last, l.rotateLocked()
 }
 
 func (l *Log) sealLocked() (root [HashSize]byte, first, last uint64, err error) {
@@ -494,6 +474,7 @@ func (l *Log) sealLocked() (root [HashSize]byte, first, last uint64, err error) 
 		return root, 0, 0, err
 	}
 	l.roots = append(l.roots, root)
+	l.lastRoot = root
 	l.sealedSeq = last
 
 	t := walTel()
@@ -672,8 +653,8 @@ func (l *Log) Status() Status {
 		TruncatedBytes: l.recovered.TruncatedBytes,
 		DroppedEntries: l.recovered.DroppedEntries,
 	}
-	if n := len(l.roots); n > 0 {
-		st.LastRoot = hexRoot(l.roots[n-1])
+	if l.sealedSeq > 0 {
+		st.LastRoot = hexRoot(l.lastRoot)
 	}
 	return st
 }

@@ -113,7 +113,7 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 	if _, _, _, err := l.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	// 200 × 4 KiB stays below both batch bounds: no inline seal in the window.
+	// 200 × 4 KiB stays within the frame buffer the warm-up grew.
 	if allocs := testing.AllocsPerRun(199, func() {
 		if _, err := l.Append(KindSession, data); err != nil {
 			t.Fatal(err)
@@ -134,18 +134,18 @@ func (ws writeSizes) Write(b []byte) (int, error) {
 	return ws.w.Write(b)
 }
 
-// TestBatchIsOneWrite: appended frames stay in memory until their batch
-// seals, then go down with the seal in a single Write — for an explicit Seal
-// and a bound-forced one alike — and the segment reads back every entry.
+// TestBatchIsOneWrite: appended frames stay in memory until the caller
+// seals, then go down with the seal in a single Write — a batch of any size,
+// past a mebibyte too — and the segment reads back every entry.
 func TestBatchIsOneWrite(t *testing.T) {
 	dir := t.TempDir()
 	var sizes []int
-	l, _, err := Open(Options{Dir: dir, NoSync: true, BatchEntries: 3,
+	l, _, err := Open(Options{Dir: dir, NoSync: true,
 		wrap: func(w io.Writer) io.Writer { return writeSizes{w, &sizes} }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entryFrame := func(data string) int { return frameOverhead + entryHdrLen + len(data) }
+	entryFrame := func(n int) int { return frameOverhead + entryHdrLen + n }
 	const sealFrame = frameOverhead + sealPayLen
 	for _, data := range []string{"a", "bb"} {
 		if _, err := l.Append(KindSession, []byte(data)); err != nil {
@@ -158,51 +158,38 @@ func TestBatchIsOneWrite(t *testing.T) {
 	if _, _, _, err := l.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	for _, data := range []string{"ccc", "dddd", "eeeee"} { // the third forces a seal
-		if _, err := l.Append(KindAudit, []byte(data)); err != nil {
+	// 2000 × 1 KiB: a batch past a mebibyte is still one Write.
+	big := bytes.Repeat([]byte{0x5a}, 1<<10)
+	for i := 0; i < 2000; i++ {
+		if _, err := l.Append(KindAudit, big); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []int{headerLen,
-		entryFrame("a") + entryFrame("bb") + sealFrame,
-		entryFrame("ccc") + entryFrame("dddd") + entryFrame("eeeee") + sealFrame}
+	if len(sizes) != 2 {
+		t.Fatalf("a large pending batch issued writes %v before its seal", sizes[2:])
+	}
+	if _, first, last, err := l.Seal(); err != nil || first != 3 || last != 2002 {
+		t.Fatalf("Seal = (%d, %d, %v), want the 2000 entries 3..2002 as one batch", first, last, err)
+	}
+	want := []int{headerLen, entryFrame(1) + entryFrame(2) + sealFrame, 2000*entryFrame(len(big)) + sealFrame}
 	if !reflect.DeepEqual(sizes, want) {
 		t.Fatalf("writes %v, want %v: one per batch", sizes, want)
+	}
+	if st := l.Status(); st.Batches != 2 {
+		t.Fatalf("Status = %+v, want 2 batches", st)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, dir); len(got) != 5 || string(got[4].Data) != "eeeee" {
+	if got := collect(t, dir); len(got) != 2002 || string(got[1].Data) != "bb" || !bytes.Equal(got[2001].Data, big) {
 		t.Fatalf("segment holds %d entries", len(got))
-	}
-}
-
-func TestBatchBoundsForceSeal(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir, BatchEntries: 3, NoSync: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer l.Close()
-	for i := 0; i < 7; i++ {
-		if _, err := l.Append(KindAudit, []byte{byte(i)}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	// 7 entries with BatchEntries=3: two auto-seals cover 6; the 7th pends.
-	if got := l.LastSealed(); got != 6 {
-		t.Fatalf("LastSealed = %d, want 6", got)
-	}
-	st := l.Status()
-	if st.PendingEntries != 1 || st.Batches != 2 {
-		t.Fatalf("Status = %+v", st)
 	}
 }
 
 func TestRotationAndTruncateBelow(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments so appends rotate organically.
-	l, _, err := Open(Options{Dir: dir, SegmentBytes: 256, BatchEntries: 4, NoSync: true})
+	// Tiny segments so seals roll them over organically.
+	l, _, err := Open(Options{Dir: dir, segBytes: 256, NoSync: true})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -211,19 +198,27 @@ func TestRotationAndTruncateBelow(t *testing.T) {
 		if _, err := l.Append(KindSession, payload); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-	}
-	if _, _, _, err := l.Seal(); err != nil {
-		t.Fatalf("Seal: %v", err)
+		if i%4 == 3 {
+			if _, _, _, err := l.Seal(); err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+		}
 	}
 	st := l.Status()
 	if st.Segments < 3 {
 		t.Fatalf("expected organic rotation, got %d segments", st.Segments)
 	}
 
-	// Entries survive rotation in order.
+	// Entries survive rotation in order, and every 4-entry batch sits whole
+	// in one segment.
 	got := collect(t, dir)
 	if len(got) != 20 || got[0].Seq != 1 || got[19].Seq != 20 {
 		t.Fatalf("dump across segments: %d entries", len(got))
+	}
+	for i, e := range got {
+		if b := got[i/4*4]; e.Segment != b.Segment {
+			t.Fatalf("entry %d is in %s, its batch began in %s", e.Seq, e.Segment, b.Segment)
+		}
 	}
 
 	// Truncating below a mid-log seq removes only fully covered segments.
@@ -252,7 +247,7 @@ func TestRotationAndTruncateBelow(t *testing.T) {
 	}
 
 	// Reopen continues after both rotation and truncation.
-	l2, info, err := Open(Options{Dir: dir, SegmentBytes: 256, NoSync: true})
+	l2, info, err := Open(Options{Dir: dir, segBytes: 256, NoSync: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -476,4 +471,124 @@ func TestStatusShape(t *testing.T) {
 		st.ActiveBytes <= headerLen || st.LastRoot == "" {
 		t.Fatalf("Status = %+v", st)
 	}
+}
+
+// FuzzLogOps drives a log on tiny segments with a random sequence of
+// appends, seals, rotations and close+reopens (one byte per op: the low
+// three bits pick it, the rest size an append) and checks it against a
+// model: every append gets the next seq, across reopens too; each non-empty
+// Seal, Rotate or Close seals exactly the entries appended since the last
+// one, as one batch that sits whole in one segment; a Seal leaves the
+// active segment under its bound; and Dump and Verify read back exactly
+// those entries and batches. Seeds: testdata/fuzz/FuzzLogOps.
+func FuzzLogOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		dir := t.TempDir()
+		opts := Options{Dir: dir, NoSync: true, segBytes: 192}
+		l, _, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			want    [][]byte    // every appended entry's data, by seq-1
+			batches [][2]uint64 // each sealed batch's first and last seq
+			pending int         // entries appended since the last seal
+		)
+		// pendingRange is what the next seal covers: [0,0] when nothing is
+		// pending.
+		pendingRange := func() (first, last uint64) {
+			if pending == 0 {
+				return 0, 0
+			}
+			return uint64(len(want) - pending + 1), uint64(len(want))
+		}
+		sealed := func() {
+			if first, last := pendingRange(); pending > 0 {
+				batches = append(batches, [2]uint64{first, last})
+				pending = 0
+			}
+		}
+		for _, op := range ops {
+			switch op & 7 {
+			case 0, 1, 2, 3:
+				data := payloadOf(len(want), int(op>>3)*5)
+				seq, err := l.Append(Kind(1+len(want)%5), data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, data)
+				pending++
+				if seq != uint64(len(want)) {
+					t.Fatalf("append got seq %d, want %d", seq, len(want))
+				}
+			case 4, 5:
+				root, first, last, err := l.Seal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wf, wl := pendingRange(); first != wf || last != wl {
+					t.Fatalf("Seal sealed [%d,%d], want [%d,%d]", first, last, wf, wl)
+				}
+				if pending > 0 && hexRoot(root) != l.Status().LastRoot {
+					t.Fatalf("Seal returned root %x, Status reports %s", root, l.Status().LastRoot)
+				}
+				if l.segSize >= opts.segBytes {
+					t.Fatalf("Seal left the active segment at %d bytes, past its %d-byte bound", l.segSize, opts.segBytes)
+				}
+				sealed()
+			case 6:
+				if err := l.Rotate(); err != nil {
+					t.Fatal(err)
+				}
+				sealed()
+			case 7:
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sealed()
+				var info RecoveryInfo
+				if l, info, err = Open(opts); err != nil {
+					t.Fatal(err)
+				}
+				if info.TruncatedBytes != 0 || info.LastSeq != uint64(len(want)) {
+					t.Fatalf("reopen after a clean close: %+v, want last seq %d", info, len(want))
+				}
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sealed()
+
+		got := collect(t, dir)
+		if len(got) != len(want) {
+			t.Fatalf("Dump read %d entries, want %d", len(got), len(want))
+		}
+		b := 0
+		for i, e := range got {
+			if e.Seq != uint64(i+1) || e.Kind != Kind(1+i%5) || !bytes.Equal(e.Data, want[i]) || !e.Sealed {
+				t.Fatalf("entry %d = seq %d kind %d, %d bytes, sealed %v", i+1, e.Seq, e.Kind, len(e.Data), e.Sealed)
+			}
+			for e.Seq > batches[b][1] {
+				b++
+			}
+			if first := got[int(batches[b][0])-1]; first.Segment != e.Segment {
+				t.Fatalf("batch [%d,%d] spans %s and %s", batches[b][0], batches[b][1], first.Segment, e.Segment)
+			}
+		}
+		reports, err := Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range reports {
+			n += r.Batches
+		}
+		if n != len(batches) {
+			t.Fatalf("Verify counts %d batches, want %d", n, len(batches))
+		}
+	})
 }
