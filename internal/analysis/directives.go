@@ -16,10 +16,6 @@ import (
 //	    declaration without a Go body (an assembly routine) it is the
 //	    author's claim, accepted only together with //go:noescape.
 //
-//	//cogarm:obsnonnil
-//	    On a function: it never returns a nil telemetry holder, so
-//	    obsguard treats handle uses reached through its result as guarded.
-//
 //	//cogarm:walseg
 //	    On a sync.Mutex/RWMutex struct field: it is a WAL segment lock,
 //	    and the walsafe analyzer forbids file reads, seeks, and history

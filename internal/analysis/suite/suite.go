@@ -6,7 +6,6 @@ package suite
 import (
 	"cognitivearm/internal/analysis"
 	"cognitivearm/internal/analysis/nolockblock"
-	"cognitivearm/internal/analysis/obsguard"
 	"cognitivearm/internal/analysis/quantsafe"
 	"cognitivearm/internal/analysis/walsafe"
 	"cognitivearm/internal/analysis/zeroalloc"
@@ -16,7 +15,6 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	zeroalloc.Analyzer,
 	nolockblock.Analyzer,
-	obsguard.Analyzer,
 	quantsafe.Analyzer,
 	walsafe.Analyzer,
 }

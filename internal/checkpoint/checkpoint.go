@@ -138,9 +138,9 @@ type Manifest struct {
 	// entries with seq > WalSeq, and WAL compaction may truncate segments
 	// whose entries are all <= WalSeq.
 	WalSeq uint64
-	// Refs is the live view: every live session (Hub.CaptureDelta fills it
-	// in ID order per shard, Fold.Resolve reads it). A fleet payload's view
-	// names exactly the records of its body.
+	// Refs is the live view: every live session (Hub.CaptureDeltaInto fills
+	// it in ID order per shard, Fold.Resolve reads it). A fleet payload's
+	// view names exactly the records of its body.
 	Refs []SessionRef
 }
 
@@ -215,8 +215,9 @@ type PendingSample struct {
 
 // FleetState is the in-memory image of one checkpoint: what serve.Journal
 // captures on Checkpoint, what Load and ReadFleet return and what RestoreHub
-// rebuilds from. A WAL delta (Hub.CaptureDelta) reuses the type with Sessions
-// holding only the dirty records and Manifest.Refs the live view.
+// rebuilds from. A decoded WAL delta reuses the type with Sessions holding
+// only the dirty records and Manifest.Refs the live view; the WAL writer,
+// Hub.CaptureDeltaInto, fills the encoded Delta instead.
 type FleetState struct {
 	Manifest Manifest
 	// Models maps registry keys to live classifiers (decoded on Load).

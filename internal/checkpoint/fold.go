@@ -260,9 +260,14 @@ func fleetErr(err error) error {
 // Resolve folds what was committed over an optional base. Apply is the
 // long-lived form a standby keeps its image in.
 //
-// A flush is committed by its KindRefs entry, not by a seal: a log seals
-// inline whenever a batch outgrows its size bound, so a crash mid-flush can
-// leave sealed session records newer than any refs view. Session and model
+// A flush is committed by its KindRefs entry, not by a seal. A log written
+// today seals each flush as one batch, so a crash mid-flush leaves only an
+// unsealed tail that recovery cuts off. Logs written before that sealed
+// inline whenever a batch outgrew its size bound, so a crash mid-flush could
+// leave sealed session records newer than any refs view; the refs-commit
+// rule still recovers those to their last whole flush. ReadFleet relies on
+// the rule as well: a fleet payload carries its view before its body, and
+// the view is added last so that it commits the body. Session and model
 // entries are therefore staged and enter the fold only when the refs entry
 // that closes their flush is added; what follows the last refs entry is an
 // incomplete flush and is dropped, uncounted. Session payloads are staged

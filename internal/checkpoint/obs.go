@@ -33,9 +33,7 @@ var (
 
 // ckptTel returns the lazily-built checkpoint telemetry holder. It never
 // returns nil and every handle field is populated from the default
-// registry, so derived uses need no guard.
-//
-//cogarm:obsnonnil
+// registry.
 func ckptTel() *ckptObs {
 	ckptTelOnce.Do(func() {
 		reg := obs.Default()

@@ -47,9 +47,7 @@ var (
 
 // clusterTel returns the lazily-built cluster telemetry holder. It never
 // returns nil and every handle field is populated from the default
-// registry, so derived uses need no guard.
-//
-//cogarm:obsnonnil
+// registry.
 func clusterTel() *clusterObs {
 	clusterTelOnce.Do(func() {
 		reg := obs.Default()

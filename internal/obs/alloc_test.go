@@ -35,6 +35,43 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestNilHandlesAreNoOps pins the no-op sink: every write method on a nil
+// handle returns without panicking and without allocating, so a component
+// whose telemetry is off calls its handles unconditionally.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var (
+		c    *Counter
+		g    *Gauge
+		h    *Histogram
+		ring *EventRing
+	)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Counter.Add", func() { c.Add(17) }},
+		{"Gauge.Set", func() { g.Set(3.5) }},
+		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Gauge.Inc", func() { g.Inc() }},
+		{"Gauge.Dec", func() { g.Dec() }},
+		{"Histogram.Observe", func() { h.Observe(2.5e-4) }},
+		{"Histogram.ObserveDuration", func() { h.ObserveDuration(1500) }},
+		{"EventRing.Record", func() { ring.Record(EvAdmit, 1, 2, 3, 4) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.fn()
+			if testing.CoverMode() != "" {
+				return // coverage instrumentation allocates
+			}
+			if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
+				t.Errorf("%v allocs/op on a nil handle, want 0", n)
+			}
+		})
+	}
+}
+
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")
 	b.ReportAllocs()

@@ -137,7 +137,8 @@ type eventStripe struct {
 // distributes writers across stripes by a global sequence counter, so
 // concurrent recorders rarely share a mutex; when a stripe wraps, its oldest
 // event is overwritten and counted in Overwritten — bounded loss, never a
-// blocked writer and never growth.
+// blocked writer and never growth. A nil handle is a no-op sink: Record on a
+// nil *EventRing returns at once.
 type EventRing struct {
 	stripes     []eventStripe
 	seq         atomic.Uint64
@@ -167,6 +168,9 @@ func NewEventRing(capacity, stripes int) *EventRing {
 //
 //cogarm:zeroalloc
 func (r *EventRing) Record(t EventType, shard int, session uint64, a, b int64) {
+	if r == nil {
+		return
+	}
 	seq := r.seq.Add(1)
 	st := &r.stripes[seq%uint64(len(r.stripes))]
 	now := time.Now().UnixNano()

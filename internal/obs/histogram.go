@@ -17,6 +17,9 @@ import (
 // individually consistent and monotone, which is exactly the guarantee
 // Prometheus counters need; cross-field skew of a few observations is
 // inherent to lock-free collection and irrelevant at scrape cadence.
+//
+// A nil handle is a no-op sink: Observe and ObserveDuration on a nil
+// *Histogram return at once.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds; +Inf bucket is implicit
 	buckets []atomic.Uint64
@@ -38,6 +41,9 @@ func newHistogram(bounds []float64) *Histogram {
 //
 //cogarm:zeroalloc
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	// Binary search for the first bound >= v; the final slot is +Inf.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {

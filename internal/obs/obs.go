@@ -55,7 +55,8 @@ type Label struct {
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
 // Counter is a monotonically increasing uint64. The zero value is usable but
-// unregistered; obtain registered counters from a Registry.
+// unregistered; obtain registered counters from a Registry. A nil handle is a
+// no-op sink: Inc and Add on a nil *Counter return at once.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -63,17 +64,29 @@ type Counter struct {
 // Inc adds one.
 //
 //cogarm:zeroalloc
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c == nil {
+		return
+	}
+	c.v.Add(1)
+}
 
 // Add adds n.
 //
 //cogarm:zeroalloc
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c == nil {
+		return
+	}
+	c.v.Add(n)
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 that can go up and down, stored as atomic bits.
+// Gauge is a float64 that can go up and down, stored as atomic bits. A nil
+// handle is a no-op sink: Set, Add, Inc and Dec on a nil *Gauge return at
+// once.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -81,12 +94,20 @@ type Gauge struct {
 // Set replaces the value.
 //
 //cogarm:zeroalloc
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g == nil {
+		return
+	}
+	g.bits.Store(math.Float64bits(v))
+}
 
 // Add increments by delta (CAS loop; lock-free).
 //
 //cogarm:zeroalloc
 func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + delta)
@@ -176,8 +197,6 @@ func initDefaults() {
 
 // Default returns the process-global registry the serving stack instruments
 // itself against. It never returns nil.
-//
-//cogarm:obsnonnil
 func Default() *Registry {
 	defaultOnce.Do(initDefaults)
 	return defaultReg
@@ -185,8 +204,6 @@ func Default() *Registry {
 
 // DefaultEvents returns the process-global lifecycle event ring. It never
 // returns nil.
-//
-//cogarm:obsnonnil
 func DefaultEvents() *EventRing {
 	defaultOnce.Do(initDefaults)
 	return defaultEvents

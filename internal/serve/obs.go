@@ -14,10 +14,10 @@ import (
 // the registry's idempotent registration makes that aggregation, not a
 // collision.
 //
-// A nil *serveObs disables telemetry entirely (Config.DisableTelemetry):
-// every instrumentation site is nil-guarded, including the stage clock
-// reads, so the disabled path measures the true uninstrumented cost —
-// that is the baseline benchtables' telemetry-off column records.
+// The hub's *serveObs is never nil. Config.DisableTelemetry gives it a zero
+// serveObs instead, whose handles are all nil; a nil obs handle is a no-op
+// sink, so the serving code has one path and a disabled hub records no
+// series and no events.
 type serveObs struct {
 	ticks      *obs.Counter
 	samples    *obs.Counter

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/cpu"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
@@ -234,5 +238,137 @@ func TestServeTelemetryExposed(t *testing.T) {
 		if strings.HasSuffix(line, " 0") {
 			t.Fatalf("series %q is zero after serving: %s", series, line)
 		}
+	}
+}
+
+// TestRestoredSessionsCountInGauge pins the live-sessions gauge across a
+// restore: RestoreHub places sessions without admitting them, and the gauge
+// must still rise by the restored count and return to its baseline when the
+// restored hub stops.
+func TestRestoredSessionsCountInGauge(t *testing.T) {
+	gauge := newServeObs().sessions
+	base := gauge.Value()
+	reg, p := testFleet(t)
+	hub, err := NewHub(Config{Shards: 2, MaxSessionsPerShard: 4, TickHz: 15, LatencyWindow: 16}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := hub.Admit(boardSession(t, p, 0, uint64(i)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := gauge.Value() - base; got != 3 {
+		t.Fatalf("gauge rose by %v after 3 admissions, want 3", got)
+	}
+	hub.TickAll()
+	state := hub.CaptureState()
+	hub.Stop()
+	if got := gauge.Value() - base; got != 0 {
+		t.Fatalf("gauge delta %v after Stop, want 0", got)
+	}
+
+	restored, err := RestoreHub(state, func(RestoredSession) (Source, error) {
+		return &scriptSource{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value() - base; got != float64(restored.Sessions()) || got != 3 {
+		t.Fatalf("gauge rose by %v after restoring %d sessions, want 3", got, restored.Sessions())
+	}
+	restored.Stop()
+	if got := gauge.Value() - base; got != 0 {
+		t.Fatalf("gauge delta %v after the restored hub's Stop, want 0", got)
+	}
+}
+
+// serveSeries returns every cogarm_serve_* sample line of the process-global
+// registry, in exposition order.
+func serveSeries(t *testing.T) []string {
+	t.Helper()
+	var buf strings.Builder
+	if err := obs.Default().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "cogarm_serve_") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestDisabledTelemetryServesIdentically drives a DisableTelemetry hub
+// through admit, a refusal at the static cap, ticks, idle eviction,
+// ExtractSession and Stop: it must record no cogarm_serve_* series and no
+// lifecycle event, and its sessions must decode exactly what a
+// telemetry-on hub decodes from the same scripted input. The two hubs run
+// one after the other because the registry is process-global.
+func TestDisabledTelemetryServesIdentically(t *testing.T) {
+	reg, p := testFleet(t)
+	newServeObs() // register the series, so "unchanged" compares real lines
+	streamA := scriptedEEG(0, 41, 600)
+	streamB := scriptedEEG(0, 97, 600)
+	burst := scriptedEEG(0, 13, 40)
+
+	run := func(disable bool) (trace [][]SessionStats, extracted []byte) {
+		t.Helper()
+		hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 3, TickHz: 15, MaxIdleTicks: 3,
+			LatencyWindow: 16, DisableTelemetry: disable}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := stream.NewRing(len(burst))
+		for _, smp := range burst {
+			ring.Push(smp)
+		}
+		var ids []SessionID
+		for _, src := range []Source{&scriptSource{samples: streamA}, &scriptSource{samples: streamB}, RingSource{Ring: ring}} {
+			id, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: &scriptSource{}, Norm: p.NormFor(0)}); !errors.Is(err, ErrFleetFull) {
+			t.Fatalf("fourth admission returned %v, want ErrFleetFull", err)
+		}
+		for i := 0; i < 30; i++ {
+			trace = append(trace, tickStats(t, hub, ids[:2]))
+		}
+		if _, ok := hub.Session(ids[2]); ok {
+			t.Fatal("the burst session was not idle-evicted")
+		}
+		rec, ok := hub.ExtractSession(ids[1])
+		if !ok {
+			t.Fatal("ExtractSession found no session")
+		}
+		hub.Stop()
+		if snap := hub.Snapshot(); snap.Evictions != 1 || snap.RefusedFull != 1 {
+			t.Fatalf("snapshot evictions=%d refusedFull=%d, want 1 and 1", snap.Evictions, snap.RefusedFull)
+		}
+		return trace, checkpoint.AppendSessionRecord(nil, rec)
+	}
+
+	series, events := serveSeries(t), obs.DefaultEvents().Recorded()
+	bare, bareRec := run(true)
+	if got := serveSeries(t); !reflect.DeepEqual(got, series) {
+		t.Fatalf("disabled hub moved serving series:\n got %q\nwant %q", got, series)
+	}
+	if got := obs.DefaultEvents().Recorded(); got != events {
+		t.Fatalf("disabled hub recorded %d events", got-events)
+	}
+
+	instrumented, instrumentedRec := run(false)
+	if reflect.DeepEqual(serveSeries(t), series) || obs.DefaultEvents().Recorded() == events {
+		t.Fatal("telemetry-on hub recorded nothing: the comparison above would be vacuous")
+	}
+	if !reflect.DeepEqual(bare, instrumented) {
+		t.Fatalf("disabled hub decoded differently:\n got %+v\nwant %+v", bare, instrumented)
+	}
+	if !bytes.Equal(bareRec, instrumentedRec) {
+		t.Fatal("disabled hub extracted a different session record")
 	}
 }

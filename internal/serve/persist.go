@@ -429,9 +429,7 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 	if s.onEvict != nil {
 		s.onEvict(id)
 	}
-	if s.tel != nil {
-		s.tel.sessions.Dec()
-	}
+	s.tel.sessions.Dec()
 	s.mu.Unlock()
 	// Source teardown can block on network close; do it off the lock.
 	closeSource(sess.cfg.Source)

@@ -103,11 +103,11 @@ type Config struct {
 	// LatencyWindow is how many recent tick latencies each shard retains for
 	// the percentile snapshot.
 	LatencyWindow int
-	// DisableTelemetry turns off the hub's process-global instrumentation
-	// (internal/obs counters, tick-stage histograms, lifecycle events) —
-	// including the stage clock reads — so benchmarks can measure the
-	// uninstrumented baseline. Serving behaviour is identical either way;
-	// leave it false in production, the telemetry path is allocation-free.
+	// DisableTelemetry gives the hub nil telemetry handles, which are no-op
+	// sinks: it records no internal/obs series and no lifecycle events. The
+	// serving path is the same either way (the stage clocks still run), and
+	// so is serving behaviour; leave it false in production, the telemetry
+	// path is allocation-free.
 	DisableTelemetry bool
 }
 
@@ -183,8 +183,9 @@ type SessionID uint64
 type Hub struct {
 	cfg Config
 	reg *Registry
-	// tel is the hub's process-global telemetry handle set (nil when
-	// Config.DisableTelemetry); shards share it for the tick-path series.
+	// tel is the hub's process-global telemetry handle set, never nil (a
+	// zero serveObs of no-op handles when Config.DisableTelemetry); shards
+	// share it for the tick-path series.
 	tel *serveObs
 
 	// refusedFull / refusedOverload count admissions refused at the static
@@ -228,7 +229,7 @@ func NewHub(cfg Config, reg *Registry) (*Hub, error) {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	h := &Hub{cfg: cfg, reg: reg, index: map[SessionID]*shard{}}
+	h := &Hub{cfg: cfg, reg: reg, index: map[SessionID]*shard{}, tel: &serveObs{}}
 	if !cfg.DisableTelemetry {
 		h.tel = newServeObs()
 	}
@@ -300,17 +301,13 @@ func (h *Hub) admitSession(sess *session, backpressure bool) (SessionID, error) 
 	switch err {
 	case ErrFleetFull:
 		h.refusedFull.Add(1)
-		if h.tel != nil {
-			h.tel.refusedFull.Inc()
-			h.tel.events.Record(obs.EvRefuseFull, -1, 0, 0, 0)
-		}
+		h.tel.refusedFull.Inc()
+		h.tel.events.Record(obs.EvRefuseFull, -1, 0, 0, 0)
 		return 0, err
 	case ErrFleetOverloaded:
 		h.refusedOverload.Add(1)
-		if h.tel != nil {
-			h.tel.refusedOverload.Inc()
-			h.tel.events.Record(obs.EvRefuseOverload, -1, 0, 0, 0)
-		}
+		h.tel.refusedOverload.Inc()
+		h.tel.events.Record(obs.EvRefuseOverload, -1, 0, 0, 0)
 		return 0, err
 	}
 	h.nextID++
@@ -321,11 +318,8 @@ func (h *Hub) admitSession(sess *session, backpressure bool) (SessionID, error) 
 	h.idxMu.Lock()
 	h.index[sess.id] = target
 	h.idxMu.Unlock()
-	if h.tel != nil {
-		h.tel.admissions.Inc()
-		h.tel.sessions.Inc()
-		h.tel.events.Record(obs.EvAdmit, idx, uint64(sess.id), 0, 0)
-	}
+	h.tel.admissions.Inc()
+	h.tel.events.Record(obs.EvAdmit, idx, uint64(sess.id), 0, 0)
 	return sess.id, nil
 }
 

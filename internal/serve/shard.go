@@ -22,10 +22,10 @@ type shard struct {
 	// or close), so the admission index stays in sync. It must only take
 	// leaf locks: it is invoked while the shard lock is held.
 	onEvict func(SessionID)
-	// tel is the hub's shared telemetry handle set (nil = telemetry
-	// disabled). Everything it reaches is lock-free and allocation-free, so
-	// it is safe to touch under the shard lock and on the zero-alloc tick
-	// path.
+	// tel is the hub's shared telemetry handle set, never nil (its handles
+	// are nil no-op sinks when telemetry is disabled). Everything it reaches
+	// is lock-free and allocation-free, so it is safe to touch under the
+	// shard lock and on the zero-alloc tick path.
 	tel *serveObs
 
 	mu       sync.Mutex
@@ -159,14 +159,16 @@ func (s *shard) setPool(p *tensor.Pool) {
 	s.mu.Unlock()
 }
 
-// add places sess on this shard and fixes its drain schedule against the
-// shard's tick rate. Every way into a fleet (Admit, RestoreSession,
-// PromoteSession, RestoreHub) ends here.
+// add places sess on this shard, fixes its drain schedule against the
+// shard's tick rate and counts it in the live-sessions gauge. Every way into
+// a fleet (Admit, RestoreSession, PromoteSession, RestoreHub) ends here, as
+// every way out (eviction, extraction, Stop) decrements the gauge.
 func (s *shard) add(sess *session) {
 	sess.schedule(s.cfg.TickHz)
 	s.mu.Lock()
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
+	s.tel.sessions.Inc()
 }
 
 // requestEvict queues a graceful removal; the session leaves at the next
@@ -208,11 +210,9 @@ func (s *shard) processEvictionsLocked(toClose []Source) []Source {
 			s.onEvict(id)
 		}
 		s.met.evict()
-		if s.tel != nil {
-			s.tel.evictions.Inc()
-			s.tel.sessions.Dec()
-			s.tel.events.Record(obs.EvEvict, s.id, uint64(id), 0, 0)
-		}
+		s.tel.evictions.Inc()
+		s.tel.sessions.Dec()
+		s.tel.events.Record(obs.EvEvict, s.id, uint64(id), 0, 0)
 	}
 	s.evictq = s.evictq[:0]
 	return toClose
@@ -237,9 +237,7 @@ func (s *shard) closeAll() {
 		if s.onEvict != nil {
 			s.onEvict(id)
 		}
-		if s.tel != nil {
-			s.tel.sessions.Dec()
-		}
+		s.tel.sessions.Dec()
 	}
 	s.evictq = s.evictq[:0]
 	s.mu.Unlock()
@@ -300,20 +298,18 @@ func (s *shard) run() {
 // further pushes), and the batched classifiers draw all scratch from the
 // shard workspace — at steady state a tick performs no heap allocations.
 //
-// With telemetry enabled (tel != nil) the tick additionally records a
-// per-stage wall-time breakdown — drain (source reads), window (filter +
-// normalise + push), infer (batched classification), decide (debounce +
-// counters) — into process-global lock-free histograms. The stage clocks
-// are monotonic time.Now reads accumulated into locals and observed once
-// per tick, so the instrumented tick stays zero-allocation; the whole
-// telemetry block is skipped when disabled so benchmarks can measure the
-// bare loop.
+// The tick also records a per-stage wall-time breakdown — drain (source
+// reads), window (filter + normalise + push), infer (batched
+// classification), decide (debounce + counters) — into process-global
+// lock-free histograms. The stage clocks are monotonic time.Now reads
+// accumulated into locals and observed once per tick, so the instrumented
+// tick stays zero-allocation. The clocks always run; with telemetry
+// disabled the handles are nil no-op sinks and the readings go nowhere.
 //
 //cogarm:zeroalloc
 func (s *shard) tick() {
 	tel := s.tel
 	var drainNs, windowNs, inferNs, decideNs int64
-	var stamp time.Time
 	var toClose []Source
 	start := time.Now()
 	s.mu.Lock()
@@ -325,16 +321,12 @@ func (s *shard) tick() {
 	var samplesIn, caughtUp uint64
 	for id, sess := range s.sessions {
 		due := sess.due(s.cfg.TickHz)
-		if tel != nil {
-			stamp = time.Now()
-		}
+		stamp := time.Now()
 		ar.popBuf = sess.cfg.Source.ReadInto(ar.popBuf[:0], sess.drain(due))
 		samples := ar.popBuf
-		if tel != nil {
-			now := time.Now()
-			drainNs += now.Sub(stamp).Nanoseconds()
-			stamp = now
-		}
+		now := time.Now()
+		drainNs += now.Sub(stamp).Nanoseconds()
+		stamp = now
 		if len(samples) == 0 {
 			sess.idleTicks++
 			// Idle eviction only applies to sessions that have streamed
@@ -359,9 +351,7 @@ func (s *shard) tick() {
 			ar.readySess = append(ar.readySess, sess)
 			ar.readyWin = append(ar.readyWin, sess.win.Window())
 		}
-		if tel != nil {
-			windowNs += time.Since(stamp).Nanoseconds()
-		}
+		windowNs += time.Since(stamp).Nanoseconds()
 	}
 
 	// Batch phase: one PredictBatchWS per distinct model. Fleets normally
@@ -379,25 +369,19 @@ func (s *shard) tick() {
 		}
 		for gi := range ar.groups {
 			g := &ar.groups[gi]
-			if tel != nil {
-				stamp = time.Now()
-			}
+			stamp := time.Now()
 			ar.labels = models.PredictBatchWS(g.clf, ar.ws, g.wins, ar.labels[:0])
-			if tel != nil {
-				now := time.Now()
-				inferNs += now.Sub(stamp).Nanoseconds()
-				stamp = now
-			}
+			now := time.Now()
+			inferNs += now.Sub(stamp).Nanoseconds()
+			stamp = now
 			for j, i := range g.idx {
 				ar.readySess[i].observe(eeg.Action(ar.labels[j]))
 			}
 			s.met.batch(len(g.wins))
-			if tel != nil {
-				decideNs += time.Since(stamp).Nanoseconds()
-				tel.batches.Inc()
-				tel.inferences.Add(uint64(len(g.wins)))
-				tel.batchSize.Observe(float64(len(g.wins)))
-			}
+			decideNs += time.Since(stamp).Nanoseconds()
+			tel.batches.Inc()
+			tel.inferences.Add(uint64(len(g.wins)))
+			tel.batchSize.Observe(float64(len(g.wins)))
 		}
 	}
 	toClose = s.processEvictionsLocked(toClose)
@@ -406,16 +390,14 @@ func (s *shard) tick() {
 	closeSources(toClose)
 
 	s.met.tick(time.Since(start).Seconds(), samplesIn)
-	if tel != nil {
-		tel.ticks.Inc()
-		tel.samples.Add(samplesIn)
-		tel.catchUp.Add(caughtUp)
-		tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
-		tel.stageDrain.ObserveDuration(drainNs)
-		tel.stageWindow.ObserveDuration(windowNs)
-		tel.stageInfer.ObserveDuration(inferNs)
-		tel.stageDecide.ObserveDuration(decideNs)
-	}
+	tel.ticks.Inc()
+	tel.samples.Add(samplesIn)
+	tel.catchUp.Add(caughtUp)
+	tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
+	tel.stageDrain.ObserveDuration(drainNs)
+	tel.stageWindow.ObserveDuration(windowNs)
+	tel.stageInfer.ObserveDuration(inferNs)
+	tel.stageDecide.ObserveDuration(decideNs)
 }
 
 // snapshot reports the shard's counters and appends its sorted recent tick

@@ -27,9 +27,7 @@ var (
 
 // streamTel returns the lazily-built stream telemetry holder. It never
 // returns nil and every handle field is populated from the default
-// registry, so derived uses need no guard.
-//
-//cogarm:obsnonnil
+// registry.
 func streamTel() *streamObs {
 	streamTelOnce.Do(func() {
 		reg := obs.Default()

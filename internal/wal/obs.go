@@ -31,10 +31,7 @@ var (
 )
 
 // walTel returns the lazily-built WAL telemetry holder. It never returns
-// nil and every handle field is populated from the default registry, so
-// derived uses need no guard.
-//
-//cogarm:obsnonnil
+// nil and every handle field is populated from the default registry.
 func walTel() *walObs {
 	walTelOnce.Do(func() {
 		reg := obs.Default()
