@@ -12,8 +12,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -138,8 +136,8 @@ func decodeDetail(e wal.Entry) any {
 			"model": rec.ModelKey, "tag": rec.Tag,
 		}
 	case wal.KindRefs:
-		var man checkpoint.Manifest
-		if gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&man) != nil {
+		man, err := checkpoint.DecodeRefs(e.Data)
+		if err != nil {
 			return nil
 		}
 		return map[string]any{

@@ -16,11 +16,6 @@ import (
 //	    declaration without a Go body (an assembly routine) it is the
 //	    author's claim, accepted only together with //go:noescape.
 //
-//	//cogarm:walseg
-//	    On a sync.Mutex/RWMutex struct field: it is a WAL segment lock,
-//	    and the walsafe analyzer forbids file reads, seeks, and history
-//	    rewrites while it is held (append-only discipline).
-//
 //	//cogarm:allow <analyzer> -- <reason>
 //	    On or immediately above an offending line: suppress that
 //	    analyzer's diagnostics for the line. The reason is mandatory —

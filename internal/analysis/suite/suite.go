@@ -7,7 +7,6 @@ import (
 	"cognitivearm/internal/analysis"
 	"cognitivearm/internal/analysis/nolockblock"
 	"cognitivearm/internal/analysis/quantsafe"
-	"cognitivearm/internal/analysis/walsafe"
 	"cognitivearm/internal/analysis/zeroalloc"
 )
 
@@ -16,5 +15,4 @@ var Analyzers = []*analysis.Analyzer{
 	zeroalloc.Analyzer,
 	nolockblock.Analyzer,
 	quantsafe.Analyzer,
-	walsafe.Analyzer,
 }

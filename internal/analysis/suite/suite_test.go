@@ -11,9 +11,9 @@ import (
 // TestModuleClean is the meta-test behind the CI gate: the whole module —
 // the annotated hot-path set included — must pass every analyzer with zero
 // diagnostics. A regression that slips an allocation into a
-// //cogarm:zeroalloc kernel, blocks under a shard lock, or reads a WAL
-// segment under its lock fails here (and in the vettool CI job) before any bench
-// notices.
+// //cogarm:zeroalloc kernel, blocks under a shard lock, or leaves a
+// quantized kernel's calibrated domain fails here (and in the vettool CI
+// job) before any bench notices.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes the whole module; skipped in -short runs")

@@ -523,7 +523,7 @@ func loadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	man, err := decodeRefs(view.Data)
+	man, err := DecodeRefs(view.Data)
 	if err != nil {
 		return nil, err
 	}

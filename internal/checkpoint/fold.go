@@ -337,10 +337,10 @@ func (f *Fold) Applied() int { return f.applied }
 // exactly the sessions the newest view names.
 func (f *Fold) Len() int { return len(f.recs) }
 
-// decodeRefs decodes a refs entry's manifest, refusing one that describes an
+// DecodeRefs decodes a refs entry's manifest, refusing one that describes an
 // impossible hub: from nothing, the manifest is the configuration a hub is
-// rebuilt under.
-func decodeRefs(b []byte) (Manifest, error) {
+// rebuilt under. It is the one decoder of the refs layout.
+func DecodeRefs(b []byte) (Manifest, error) {
 	var man Manifest
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&man); err != nil {
 		return man, fmt.Errorf("%w: refs manifest: %v", ErrCorrupt, err)
@@ -386,7 +386,7 @@ func (f *Fold) Resolve(base *FleetState) (*FleetState, error) {
 	if f.refs == nil {
 		return base, nil
 	}
-	man, err := decodeRefs(f.refs)
+	man, err := DecodeRefs(f.refs)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +474,7 @@ func (f *Fold) Apply(entries []wal.Entry, base *FleetState) (int, error) {
 	if b.refs == nil {
 		return 0, fmt.Errorf("%w: batch of %d entries carries no refs entry", ErrCorrupt, len(entries))
 	}
-	man, err := decodeRefs(b.refs)
+	man, err := DecodeRefs(b.refs)
 	if err != nil {
 		return 0, err
 	}

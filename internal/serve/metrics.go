@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"cognitivearm/internal/metrics"
 )
@@ -44,11 +43,13 @@ func newShardMetrics(window int) shardMetrics {
 	return shardMetrics{lat: make([]float64, window)}
 }
 
-func (m *shardMetrics) tick(latencySec float64, samplesIn uint64) {
+// tick records a completed tick: its end (UnixNano wall time), its latency
+// and the samples it drained.
+func (m *shardMetrics) tick(endNano int64, latencySec float64, samplesIn uint64) {
 	m.mu.Lock()
 	m.ticks++
 	m.samplesIn += samplesIn
-	m.lastTickNano = time.Now().UnixNano()
+	m.lastTickNano = endNano
 	m.lat[m.latIdx] = latencySec
 	m.latIdx++
 	if m.latIdx == len(m.lat) {

@@ -372,3 +372,48 @@ func TestDisabledTelemetryServesIdentically(t *testing.T) {
 		t.Fatal("disabled hub extracted a different session record")
 	}
 }
+
+// TestTickEndIsOneClockRead: a tick's end is one clock read, so each
+// latency the shard's ring records (the p99 behind /healthz and admission
+// backpressure) is exactly what cogarm_serve_tick_seconds observes for that
+// tick. The hub has one shard and no other hub ticks, so the histogram's sum
+// moves by that shard's ticks alone.
+func TestTickEndIsOneClockRead(t *testing.T) {
+	reg, p := testFleet(t)
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 2, TickHz: 15, LatencyWindow: 64}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	for seed := uint64(1); seed <= 2; seed++ {
+		src := &scriptSource{samples: scriptedEEG(0, seed, 600)}
+		if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ticks = 30
+	var observed [ticks]float64 // the histogram sum's rise in each tick
+	for i := range observed {
+		before := hub.tel.tick.Sum()
+		hub.TickAll()
+		observed[i] = hub.tel.tick.Sum() - before
+	}
+	m := &hub.shards[0].met
+	m.mu.Lock()
+	ring := append([]float64(nil), m.lat[:m.latIdx]...)
+	m.mu.Unlock()
+	if len(ring) != ticks {
+		t.Fatalf("latency ring holds %d ticks, want %d", len(ring), ticks)
+	}
+	var sumRing, sumObserved float64
+	for i, lat := range ring {
+		if d := observed[i] - lat; d > 1e-12 || d < -1e-12 {
+			t.Errorf("tick %d: histogram observed %.9fs, latency ring holds %.9fs", i, observed[i], lat)
+		}
+		sumRing += lat
+		sumObserved += observed[i]
+	}
+	if d := sumObserved - sumRing; d > 1e-12 || d < -1e-12 {
+		t.Fatalf("cogarm_serve_tick_seconds rose by %.12fs over %d ticks, the latency ring sums to %.12fs", sumObserved, ticks, sumRing)
+	}
+}

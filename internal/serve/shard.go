@@ -389,11 +389,15 @@ func (s *shard) tick() {
 	//cogarm:allow zeroalloc -- eviction teardown is off the steady-state path and runs off the lock
 	closeSources(toClose)
 
-	s.met.tick(time.Since(start).Seconds(), samplesIn)
+	// One clock read ends the tick: the latency ring behind p99, the health
+	// probe's last-tick time and the tick histogram all see the same end.
+	end := time.Now()
+	lat := end.Sub(start)
+	s.met.tick(end.UnixNano(), lat.Seconds(), samplesIn)
 	tel.ticks.Inc()
 	tel.samples.Add(samplesIn)
 	tel.catchUp.Add(caughtUp)
-	tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
+	tel.tick.ObserveDuration(lat.Nanoseconds())
 	tel.stageDrain.ObserveDuration(drainNs)
 	tel.stageWindow.ObserveDuration(windowNs)
 	tel.stageInfer.ObserveDuration(inferNs)

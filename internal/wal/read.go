@@ -1,7 +1,6 @@
 // Reading, recovery scanning, and integrity verification. Everything here
-// operates on closed files or sequential streams outside the segment write
-// lock — the walsafe analyzer enforces that no read or seek ever happens
-// under it.
+// reads whole files or sequential streams outside the segment write lock;
+// the writer's appendonly.File has no read method.
 package wal
 
 import (

@@ -40,6 +40,12 @@
 // sequence that tears at most the batch being written, and recovery can
 // classify the tear by the byte it lands on.
 //
+// Segments are append-only by type. The writer holds its active segment as
+// an appendonly.File, opened with O_APPEND (and O_EXCL when created), whose
+// only methods are Write, Sync and Close: nothing in a Log can read, seek or
+// rewrite a segment. The one cut, recovery's truncation of a torn tail,
+// runs in Open before the writer exists.
+//
 // The same entry and seal frames also travel between nodes as a socket
 // stream (header kind 2, no footer, read by the same checks; see stream.go).
 //
@@ -76,6 +82,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cognitivearm/internal/wal/appendonly"
 )
 
 // Sentinel errors, comparable with errors.Is.
@@ -190,15 +198,14 @@ type segMeta struct {
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent use;
-// the segment lock serializes every byte that reaches the active file, which
-// is also the invariant the walsafe analyzer enforces (append-only: no reads
-// or seeks under it).
+// the segment lock serializes every byte that reaches the active file, an
+// appendonly.File that the Log can append to, fsync and close, and nothing
+// else.
 type Log struct {
 	opts Options
 
-	//cogarm:walseg
 	mu                sync.Mutex
-	f                 *os.File
+	f                 *appendonly.File
 	w                 io.Writer // f, possibly wrapped by opts.wrap
 	segSeq            uint64    // active segment number
 	segPath           string
@@ -299,7 +306,7 @@ func Open(opts Options) (*Log, RecoveryInfo, error) {
 			continue
 		}
 		// Reopen the truncated tail for appending.
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := appendonly.Open(path)
 		if err != nil {
 			return nil, info, fmt.Errorf("wal: reopen tail: %w", err)
 		}
@@ -361,7 +368,7 @@ func segSeqOf(name string) uint64 {
 // l.mu or is Open (single-threaded).
 func (l *Log) openSegment(seq uint64) error {
 	path := filepath.Join(l.opts.Dir, segName(seq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	f, err := appendonly.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}

@@ -479,8 +479,10 @@ func TestStatusShape(t *testing.T) {
 // model: every append gets the next seq, across reopens too; each non-empty
 // Seal, Rotate or Close seals exactly the entries appended since the last
 // one, as one batch that sits whole in one segment; a Seal leaves the
-// active segment under its bound; and Dump and Verify read back exactly
-// those entries and batches. Seeds: testdata/fuzz/FuzzLogOps.
+// active segment under its bound; no op changes a byte already in a
+// segment file or removes one (each file's previous bytes stay a prefix of
+// its current bytes); and Dump and Verify read back exactly those entries
+// and batches. Seeds: testdata/fuzz/FuzzLogOps.
 func FuzzLogOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
@@ -492,6 +494,8 @@ func FuzzLogOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		files := map[string][]byte{} // every segment file's bytes after the last op
+		appendOnly(t, dir, files)
 		var (
 			want    [][]byte    // every appended entry's data, by seq-1
 			batches [][2]uint64 // each sealed batch's first and last seq
@@ -557,11 +561,13 @@ func FuzzLogOps(f *testing.F) {
 					t.Fatalf("reopen after a clean close: %+v, want last seq %d", info, len(want))
 				}
 			}
+			appendOnly(t, dir, files)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 		sealed()
+		appendOnly(t, dir, files)
 
 		got := collect(t, dir)
 		if len(got) != len(want) {
@@ -591,4 +597,33 @@ func FuzzLogOps(f *testing.F) {
 			t.Fatalf("Verify counts %d batches, want %d", n, len(batches))
 		}
 	})
+}
+
+// appendOnly fails t unless every segment file seen in dir is still there
+// and still begins with the bytes files recorded for it, then records each
+// file's current bytes.
+func appendOnly(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	names, err := segmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, had := 0, len(files)
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, ok := files[name]
+		if !bytes.HasPrefix(b, prev) {
+			t.Fatalf("%s was rewritten: its first %d bytes changed (now %d bytes long)", name, len(prev), len(b))
+		}
+		if ok {
+			kept++
+		}
+		files[name] = b
+	}
+	if kept != had {
+		t.Fatalf("%d of %d segment files disappeared", had-kept, had)
+	}
 }
