@@ -2,8 +2,8 @@
 // golang.org/x/tools/go/analysis, sized to what cogarmvet (cmd/cogarmvet)
 // needs: named Analyzer passes over one type-checked package at a time,
 // position-carrying diagnostics, and serializable per-object facts that
-// flow between packages so properties like "this function is verified
-// allocation-free" compose across import boundaries.
+// flow between packages so properties like "this function may block"
+// compose across import boundaries.
 //
 // # Why not golang.org/x/tools itself
 //
@@ -70,20 +70,7 @@ type Pass struct {
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 
-	// allowed reports whether a //cogarm:allow directive for this analyzer
-	// covers pos. The driver wires it up; Report already filters through it,
-	// but analyzers with flow-on behavior (zeroalloc pulling callees into
-	// its transitive closure) consult it directly via IsAllowed to stop the
-	// propagation, not just the message.
-	allowed func(pos token.Pos) bool
-
 	store *FactStore
-}
-
-// IsAllowed reports whether a suppression directive covers pos for this
-// pass's analyzer.
-func (p *Pass) IsAllowed(pos token.Pos) bool {
-	return p.allowed != nil && p.allowed(pos)
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -9,13 +9,6 @@ import (
 // The repo's annotation grammar (normative; ARCHITECTURE.md "Static
 // invariants" documents it for humans):
 //
-//	//cogarm:zeroalloc
-//	    On a function, method, or interface method declaration: the
-//	    function must perform no steady-state heap allocation, checked by
-//	    the zeroalloc analyzer (transitively through its callees). On a
-//	    declaration without a Go body (an assembly routine) it is the
-//	    author's claim, accepted only together with //go:noescape.
-//
 //	//cogarm:allow <analyzer> -- <reason>
 //	    On or immediately above an offending line: suppress that
 //	    analyzer's diagnostics for the line. The reason is mandatory —
@@ -24,21 +17,6 @@ import (
 // Directives are ordinary line comments beginning exactly "//cogarm:".
 
 const directivePrefix = "//cogarm:"
-
-// HasDirective reports whether doc carries the named //cogarm: directive.
-func HasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if text, ok := strings.CutPrefix(c.Text, directivePrefix); ok {
-			if field := strings.Fields(text); len(field) > 0 && field[0] == name {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // Suppressions records, per file line, which analyzers the source has
 // explicitly waived via //cogarm:allow.

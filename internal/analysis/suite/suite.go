@@ -7,12 +7,10 @@ import (
 	"cognitivearm/internal/analysis"
 	"cognitivearm/internal/analysis/nolockblock"
 	"cognitivearm/internal/analysis/quantsafe"
-	"cognitivearm/internal/analysis/zeroalloc"
 )
 
 // Analyzers is every invariant cogarmvet enforces, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	zeroalloc.Analyzer,
 	nolockblock.Analyzer,
 	quantsafe.Analyzer,
 }

@@ -68,7 +68,6 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagnosti
 	var diags []Diagnostic
 	supp := FileSuppressions(u.Fset, u.Files, func(d Diagnostic) { diags = append(diags, d) })
 	for _, a := range analyzers {
-		a := a
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      u.Fset,
@@ -77,7 +76,6 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagnosti
 			TypesInfo: u.Info,
 			store:     store,
 		}
-		pass.allowed = func(pos token.Pos) bool { return supp.Allowed(a.Name, pos) }
 		pass.Report = func(d Diagnostic) {
 			if supp.Allowed(a.Name, d.Pos) {
 				return

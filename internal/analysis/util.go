@@ -8,44 +8,6 @@ import (
 
 // Shared AST/type helpers for the cogarmvet analyzers.
 
-// WalkStack traverses every node of f in depth-first order, calling fn
-// with the node and the stack of its ancestors (outermost first, not
-// including the node itself). If fn returns false the node's children are
-// skipped. It is the stack-carrying walk the analyzers use in place of
-// x/tools' inspector.WithStack.
-func WalkStack(f ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	var visit func(n ast.Node)
-	visit = func(n ast.Node) {
-		if !fn(n, stack) {
-			return
-		}
-		stack = append(stack, n)
-		for _, c := range childrenOf(n) {
-			visit(c)
-		}
-		stack = stack[:len(stack)-1]
-	}
-	visit(f)
-}
-
-// childrenOf returns n's direct child nodes in source order.
-func childrenOf(n ast.Node) []ast.Node {
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			out = append(out, c)
-		}
-		return false
-	})
-	return out
-}
-
 // Callee resolves the statically-known object a call invokes: a function,
 // a concrete method, or an interface method. It returns nil for calls of
 // function values, builtins, and type conversions.
@@ -121,20 +83,6 @@ func SameChain(info *types.Info, a, b ast.Expr) bool {
 		}
 		oa, ob := info.ObjectOf(ea.Sel), info.ObjectOf(sb.Sel)
 		return oa != nil && oa == ob && SameChain(info, ea.X, sb.X)
-	}
-	return false
-}
-
-// IsPointerLike reports whether values of t are pointer-shaped — storing
-// one in an interface does not heap-allocate.
-func IsPointerLike(t types.Type) bool {
-	switch t := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Slice:
-		// Slices are three words and do allocate when boxed; exclude.
-		_, isSlice := t.(*types.Slice)
-		return !isSlice
-	case *types.Basic:
-		return t.Kind() == types.UnsafePointer
 	}
 	return false
 }

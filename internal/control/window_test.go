@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cognitivearm/internal/dataset"
+	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/signal"
 	"cognitivearm/internal/tensor"
 )
@@ -379,3 +380,36 @@ func BenchmarkWindowerPush(b *testing.B) {
 		}
 	})
 }
+
+// TestDecideAllocs: the rest of a session's per-tick signal path, the
+// readiness check, the window header and the debounce vote, allocates nothing.
+func TestDecideAllocs(t *testing.T) {
+	w := mustWindower(t, 16, 100, testNorms(16)["norm"])
+	next := sampleStream(7, 16)
+	for !w.Ready() {
+		w.Push(next())
+	}
+	var d Debouncer
+	var a eeg.Action
+	for range SmoothingWindow { // fill the history, so every measured call votes
+		d.Observe(a)
+	}
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Windower.Ready", func() { readySink = w.Ready() }},
+		{"Windower.Window", func() { windowSink = w.Window() }},
+		{"Debouncer.Observe", func() { a = (a + 1) % eeg.NumActions; readySink = d.Observe(a) }},
+	}
+	for _, tc := range cases {
+		if n := testing.AllocsPerRun(500, tc.fn); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", tc.name, n)
+		}
+	}
+}
+
+var (
+	readySink  bool
+	windowSink *tensor.Matrix
+)

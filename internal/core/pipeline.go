@@ -11,7 +11,6 @@ import (
 	"cognitivearm/internal/asr"
 	"cognitivearm/internal/audio"
 	"cognitivearm/internal/board"
-	"cognitivearm/internal/compress"
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/edge"
 	"cognitivearm/internal/eeg"
@@ -254,17 +253,4 @@ func (p *Pipeline) TrainPaperEnsemble() (*ensemble.Ensemble, []models.Classifier
 		return nil, nil, err
 	}
 	return ens, pool, nil
-}
-
-// CompressBest applies the paper's §III-E recipe to an NN classifier:
-// 70 % global pruning (the selected operating point) and reports before/after
-// accuracy on val.
-func (p *Pipeline) CompressBest(clf *models.NNClassifier, val []dataset.Window) (pruned *models.NNClassifier, baseAcc, prunedAcc float64, err error) {
-	baseAcc = models.Accuracy(clf, val)
-	pruned, _, err = compress.Prune(clf, 0.7)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	prunedAcc = models.Accuracy(pruned, val)
-	return pruned, baseAcc, prunedAcc, nil
 }

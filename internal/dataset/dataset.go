@@ -45,11 +45,6 @@ type Protocol struct {
 	Order []eeg.Action
 }
 
-// PaperProtocol returns the collection structure from §III-B1.
-func PaperProtocol() Protocol {
-	return Protocol{TaskSec: 10, RestSec: 10, TotalSec: 300, Order: []eeg.Action{eeg.Left, eeg.Right}}
-}
-
 // ShortProtocol is a scaled-down variant for tests and quick experiments.
 func ShortProtocol(totalSec float64) Protocol {
 	return Protocol{TaskSec: 4, RestSec: 4, TotalSec: totalSec, Order: []eeg.Action{eeg.Left, eeg.Right}}
@@ -245,8 +240,6 @@ func ComputeStats(windows []Window) Stats {
 // Both the training-side Normalize and the live ingest path
 // (control.Windower.Push) divide through this helper, keeping train and
 // serve numerically identical.
-//
-//cogarm:zeroalloc
 func (s Stats) StdFor(ch int) float64 {
 	if ch >= len(s.Std) {
 		return 1
@@ -383,13 +376,10 @@ func FeatureVector(w Window) []float64 {
 // AVX2. Each channel accumulates its own column in ascending t with the same
 // unfused operations either way, so which one ran changes no bit of any
 // feature.
-//
-//cogarm:zeroalloc
 func FeatureVectorInto(dst []float64, w Window) []float64 {
 	nch := w.Data.Cols
 	out := dst[:0]
 	if cap(out) < 5*nch {
-		//cogarm:allow zeroalloc -- feature-buffer warm-up when dst lacks capacity; steady state reuses it
 		out = make([]float64, 0, 5*nch)
 	}
 	data := w.Data.Data[:w.Data.Rows*nch]
@@ -400,8 +390,6 @@ func FeatureVectorInto(dst []float64, w Window) []float64 {
 // featuresPortable appends the features of channels c..nch-1. Channels are
 // taken four at a time, one pass over the rows per group (see featureBlock),
 // then singly.
-//
-//cogarm:zeroalloc
 func featuresPortable(out, data []float64, rows, nch, c int) []float64 {
 	n := float64(rows)
 	var b featureBlock
@@ -432,8 +420,6 @@ func featuresPortable(out, data []float64, rows, nch, c int) []float64 {
 
 // appendFeatures appends one channel's five features, derived from its sum,
 // sum of squares and extremes over n rows.
-//
-//cogarm:zeroalloc
 func appendFeatures(out []float64, sum, sq, n, lo, hi float64) []float64 {
 	mean := sum / n
 	variance := sq/n - mean*mean
@@ -446,8 +432,6 @@ func appendFeatures(out []float64, sum, sq, n, lo, hi float64) []float64 {
 // columnMinMax defines the min and max features of channel c of a row-major
 // window: the first smallest and first largest value under <, starting from
 // ±Inf — so a NaN is never selected and of −0 and +0 the earlier one stays.
-//
-//cogarm:zeroalloc
 func columnMinMax(data []float64, c, cols int) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := c; i < len(data); i += cols {
@@ -467,14 +451,11 @@ func columnMinMax(data []float64, c, cols int) (lo, hi float64) {
 // one. Integer compares of keys compile to conditional moves where float
 // compares compile to branches — and a running minimum over a fresh window
 // mispredicts on every new extreme. keyFloat is the inverse.
-//
-//cogarm:zeroalloc
 func orderKey(v float64) int64 {
 	b := int64(math.Float64bits(v))
 	return b ^ int64(uint64(b>>63)>>1)
 }
 
-//cogarm:zeroalloc
 func keyFloat(k int64) float64 {
 	return math.Float64frombits(uint64(k ^ int64(uint64(k>>63)>>1)))
 }
@@ -493,8 +474,6 @@ type featureBlock struct {
 // cache lines where a per-channel loop reads one value per stride, and four
 // independent add chains overlap where one waits on itself. It is its own
 // function so the loop has the register file to itself.
-//
-//cogarm:zeroalloc
 func (b *featureBlock) accumulate(data []float64, c, cols int) {
 	var sum0, sum1, sum2, sum3, sq0, sq1, sq2, sq3 float64
 	lo0, lo1, lo2, lo3 := keyPosInf, keyPosInf, keyPosInf, keyPosInf

@@ -18,7 +18,6 @@ type featureBlock8 struct {
 // other byte.
 //
 //go:noescape
-//cogarm:zeroalloc
 func accumulate8AVX2(data *float64, rows, cols int, acc *featureBlock8)
 
 // features8 appends the features of the leading nch&^7 channels, eight per
@@ -26,8 +25,6 @@ func accumulate8AVX2(data *float64, rows, cols int, acc *featureBlock8)
 // for the portable kernels: 0 without AVX2 or for an empty window. The
 // pointer passed down is element 0 of a slice Go has bounds-checked to
 // exactly the extent accumulate8AVX2 touches.
-//
-//cogarm:zeroalloc
 func features8(out, data []float64, rows, nch int) ([]float64, int) {
 	if !cpu.HasAVX2 || rows == 0 {
 		return out, 0

@@ -193,3 +193,13 @@ func BenchmarkFeatureVectorInto(b *testing.B) {
 		}
 	}
 }
+
+func TestStatsStdForAllocs(t *testing.T) {
+	s := Stats{Mean: make([]float64, 16), Std: make([]float64, 16)}
+	s.Std[3] = 2
+	if n := testing.AllocsPerRun(200, func() { stdSink = s.StdFor(3) + s.StdFor(4) + s.StdFor(99) }); n != 0 {
+		t.Fatalf("StdFor allocates %v times per call, want 0", n)
+	}
+}
+
+var stdSink float64

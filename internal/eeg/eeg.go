@@ -188,8 +188,6 @@ func (g *Generator) muGain(a Action) (c3, c4 float64) {
 
 // Next generates one 16-channel sample (microvolts) for the current mental
 // state and advances the internal clock.
-//
-//cogarm:zeroalloc
 func (g *Generator) Next(a Action) [NumChannels]float64 {
 	s := g.Subject
 	dt := 1 / g.fs

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -29,14 +28,7 @@ func TestConcurrentSharedNNInference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := SaveNN(&buf, trained.(*NNClassifier)); err != nil {
-			t.Fatal(err)
-		}
-		shared, err := LoadNN(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shared := roundTripNN(t, trained.(*NNClassifier))
 
 		windows := make([]*tensor.Matrix, 0, 8)
 		for _, w := range val[:8] {

@@ -190,8 +190,6 @@ type BatchPredictorWS interface {
 	// PredictBatchWS classifies many windows drawing every temporary from
 	// ws, which is required, and writing labels into dst when it has
 	// capacity (dst may be nil).
-	//
-	//cogarm:zeroalloc
 	PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int
 }
 
@@ -202,19 +200,15 @@ type BatchPredictorWS interface {
 // can serve an ensemble. Labels land in dst when it has capacity. It is safe
 // for concurrent use with other inference calls provided ws is not shared
 // across concurrent callers.
-//
-//cogarm:zeroalloc
 func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	if bp, ok := c.(BatchPredictorWS); ok {
 		return bp.PredictBatchWS(ws, xs, dst)
 	}
 	if cap(dst) < len(xs) {
-		//cogarm:allow zeroalloc -- label-buffer warm-up; a reused dst never grows past its high-water mark
 		dst = make([]int, len(xs))
 	}
 	dst = dst[:len(xs)]
 	for i, x := range xs {
-		//cogarm:allow zeroalloc -- per-window path for classifiers with no batched form (ensembles, activation-quantized wrappers)
 		dst[i] = c.Predict(x)
 	}
 	return dst
@@ -248,8 +242,6 @@ func (c *NNClassifier) Name() string { return c.Spec.ID() }
 // alongside concurrent Predict traffic. A shard batches sessions sharing one
 // model and hence one window size, so the windows share one shape; a mixed
 // batch panics, naming both shapes.
-//
-//cogarm:zeroalloc
 func (c *NNClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	return c.Net.PredictBatch(ws, xs, dst)
 }
@@ -284,8 +276,6 @@ func (c *RFClassifier) Name() string { return c.Spec.ID() }
 // window into rows from ws, then the forest routes the whole batch tree-major
 // (see rf.Forest.ProbsBatchWS) so each tree's nodes are walked while still
 // cache-hot; the vote accumulators come from ws too.
-//
-//cogarm:zeroalloc
 func (c *RFClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	X := ws.FloatRows(len(xs))
 	for i, x := range xs {

@@ -146,8 +146,6 @@ func (q *QuantizedClassifier) WindowSize() int { return q.Base.WindowSize() }
 func (q *QuantizedClassifier) Name() string { return q.Base.Name() }
 
 // PredictBatchWS implements BatchPredictorWS through the quantized twin.
-//
-//cogarm:zeroalloc
 func (q *QuantizedClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	return PredictBatchWS(q.Quant, ws, xs, dst)
 }
@@ -182,8 +180,6 @@ func (c *qrfClassifier) WindowSize() int { return c.spec.WindowSize }
 func (c *qrfClassifier) Name() string { return c.spec.ID() + "-int16" }
 
 // PredictBatchWS implements BatchPredictorWS, mirroring RFClassifier.
-//
-//cogarm:zeroalloc
 func (c *qrfClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	X := ws.FloatRows(len(xs))
 	for i, x := range xs {

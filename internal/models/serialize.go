@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"cognitivearm/internal/nn"
 	"cognitivearm/internal/rf"
 )
 
@@ -166,25 +165,3 @@ func restoreNN(spec Spec, weights [][]float64) (*NNClassifier, error) {
 	}
 	return &NNClassifier{Net: net, Spec: spec}, nil
 }
-
-// SaveNN writes an NN classifier in the generic Save format. It is the
-// NN-typed convenience wrapper kept for existing callers.
-func SaveNN(w io.Writer, c *NNClassifier) error { return Save(w, c) }
-
-// LoadNN reads an NN classifier saved by SaveNN or Save, accepting both the
-// generic container and the legacy NN-only payload (handled inside Load).
-func LoadNN(r io.Reader) (*NNClassifier, error) {
-	c, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	nnClf, ok := c.(*NNClassifier)
-	if !ok {
-		return nil, fmt.Errorf("models: load: saved classifier is %T, not an NN", c)
-	}
-	return nnClf, nil
-}
-
-// ensure nn is referenced for documentation clarity (Params ordering is the
-// contract both sides rely on).
-var _ = func() *nn.Network { return nil }

@@ -16,14 +16,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	orig := clf.(*NNClassifier)
 
-	var buf bytes.Buffer
-	if err := SaveNN(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadNN(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTripNN(t, orig)
 	if loaded.Spec != orig.Spec {
 		t.Fatalf("spec mangled: %+v vs %+v", loaded.Spec, orig.Spec)
 	}
@@ -45,12 +38,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadGarbage(t *testing.T) {
-	if _, err := LoadNN(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("garbage input should error")
+// roundTripNN saves an NN classifier with Save and loads it back with Load.
+func roundTripNN(t *testing.T, c *NNClassifier) *NNClassifier {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, c); err != nil {
+		t.Fatalf("%s: %v", c.Spec.ID(), err)
 	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Spec.ID(), err)
+	}
+	nnc, ok := loaded.(*NNClassifier)
+	if !ok {
+		t.Fatalf("%s: loaded %T, want *NNClassifier", c.Spec.ID(), loaded)
+	}
+	return nnc
+}
+
+func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("garbage input should error via generic Load too")
+		t.Fatal("garbage input should error")
 	}
 }
 
@@ -126,14 +134,7 @@ func TestSaveLoadAllNNFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := SaveNN(&buf, clf.(*NNClassifier)); err != nil {
-			t.Fatalf("%s: %v", spec.ID(), err)
-		}
-		loaded, err := LoadNN(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.ID(), err)
-		}
+		loaded := roundTripNN(t, clf.(*NNClassifier))
 		for _, w := range val[:3] {
 			if clf.Predict(w.Data) != loaded.Predict(w.Data) {
 				t.Fatalf("%s: divergent predictions after round trip", spec.ID())

@@ -28,6 +28,17 @@ func TestForwardBatchAllocFree(t *testing.T) {
 			NewMeanPool(), NewDense(8, 3, rng),
 		),
 	}
+	// Unfused Conv1D, Flatten, and the int8 layers in both their fused and
+	// plain forms, from their own generator so the windows below stay as they were.
+	qrng := tensor.NewRNG(10)
+	nets["conv-flatten"] = NewNetwork(NewConv1D(C, 8, 5, 2, qrng), NewFlatten(), NewDense(10*8, 3, qrng))
+	for _, name := range []string{"cnn", "conv-flatten"} {
+		q, err := nets[name].Quantize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[name+"-int8"] = q
+	}
 	xs := make([]*tensor.Matrix, B)
 	for i := range xs {
 		xs[i] = tensor.New(T, C)

@@ -74,8 +74,6 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: row-wise normalisation writes all
 // B windows into one (B·T)×D output, one scratch buffer for the batch.
-//
-//cogarm:zeroalloc
 func (ln *LayerNorm) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {
@@ -167,8 +165,6 @@ func (pe *PositionalEncoding) Forward(x *tensor.Matrix, train bool) *tensor.Matr
 // ForwardBatch implements Layer: the sinusoid table depends only on
 // the window length, so it is materialised once and added to every window —
 // B−1 fewer trips through math.Sin/Cos/Pow than per-window Forward.
-//
-//cogarm:zeroalloc
 func (pe *PositionalEncoding) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {
@@ -302,8 +298,6 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 // output projection each run as one (B·T)×D GEMM over the whole batch — the
 // inputs read from the windows in place, 4 GEMMs total instead of 4·B — while
 // the T×T attention itself stays per-window (scores never mix windows).
-//
-//cogarm:zeroalloc
 func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	B := len(xs)
@@ -318,11 +312,9 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 	x := tensor.RowBlocks{Blocks: xs, Rows: T, Cols: m.Dim, Stride: m.Dim}
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
-	//cogarm:allow zeroalloc -- proj never escapes: defined and called three times in this frame, so it stays on the stack (AllocsPerRun bench holds this path at zero)
 	proj := func(w *Param) []*tensor.Matrix {
 		return tensor.SplitRowsWS(ws, tensor.GEMMBlocks(ws, ws.Uninit(B*T, m.Dim), x, w.W, tensor.Epilogue{}), T)
 	}
-	//cogarm:allow zeroalloc -- calls to the non-escaping proj closure above; the body is verified through its tensor callees
 	qs, ks, vs := proj(m.Wq), proj(m.Wk), proj(m.Wv)
 	concat := ws.Uninit(B*T, m.Dim)
 	// One set of per-head scratch, reused across every (window, head) pair —
@@ -425,8 +417,6 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: the inner layer runs batched, the
 // skip additions stay per window.
-//
-//cogarm:zeroalloc
 func (r *Residual) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	inner := r.Inner.ForwardBatch(ws, xs, false)
@@ -464,8 +454,6 @@ func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: the batch threads through every
 // inner layer's batched path.
-//
-//cogarm:zeroalloc
 func (s *Sequential) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	for _, l := range s.Inner {

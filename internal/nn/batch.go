@@ -33,7 +33,6 @@ func sameShape(xs []*tensor.Matrix) {
 // still fused). Outputs must be bitwise-identical to the unfused
 // ForwardBatch-then-ReLU composition.
 type epilogueFuser interface {
-	//cogarm:zeroalloc
 	forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix
 }
 
@@ -43,8 +42,6 @@ type epilogueFuser interface {
 // GEMM; the LSTM steps all B windows together (one B×4H GEMM per timestep);
 // row-wise layers process one stacked matrix. Results are bitwise identical
 // to per-window Forward(x, false). See Layer for the contract.
-//
-//cogarm:zeroalloc
 func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {
@@ -71,12 +68,9 @@ func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train 
 // one class index per window, identical to calling Predict on each. The
 // labels are written into dst when it has capacity (pass a reused buffer for
 // an allocation-free call); dst may be nil.
-//
-//cogarm:zeroalloc
 func (n *Network) PredictBatch(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	outs := n.ForwardBatch(ws, xs, false)
 	if cap(dst) < len(outs) {
-		//cogarm:allow zeroalloc -- label-buffer warm-up; a reused dst never grows past its high-water mark
 		dst = make([]int, len(outs))
 	}
 	dst = dst[:len(outs)]

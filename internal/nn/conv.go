@@ -76,8 +76,6 @@ func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // single (B·T')×(K·Cin) GEMM against the kernel weight — the batched analogue
 // of Forward's im2col + matmul, with the weight streamed once instead of B
 // times and no im2col matrix at all (see forwardBatchFused).
-//
-//cogarm:zeroalloc
 func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return c.forwardBatchFused(ws, xs, false)
@@ -89,8 +87,6 @@ func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train b
 // so the GEMM reads the B windows themselves as T' overlapping rows each and
 // nothing is unfolded or copied. Bias (and the following ReLU, when fused)
 // apply in the GEMM's epilogue.
-//
-//cogarm:zeroalloc
 func (c *Conv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix {
 	if len(xs) == 0 {
 		return nil
@@ -223,8 +219,6 @@ func (p *Pool1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // ForwardBatch implements Layer: the pooling loops run per window
 // (no cross-window arithmetic to fuse) but write into one shared (B·T')×C
 // output, one scratch buffer for the batch.
-//
-//cogarm:zeroalloc
 func (p *Pool1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {

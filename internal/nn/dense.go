@@ -38,8 +38,6 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // ForwardBatch implements Layer: the B small matmuls fuse into a
 // single (B·T)×In batch×feature GEMM, read from the windows in place, with
 // the bias add folded into its epilogue.
-//
-//cogarm:zeroalloc
 func (d *Dense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return d.forwardBatchFused(ws, xs, false)
@@ -49,8 +47,6 @@ func (d *Dense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bo
 // the bias and, when a ReLU layer follows in the network, the clamp too —
 // saving the separate write-read pass over the activations. Bitwise-identical
 // to the unfused ForwardBatch + ReLU composition by the tensor.GEMM contract.
-//
-//cogarm:zeroalloc
 func (d *Dense) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix {
 	if len(xs) == 0 {
 		return nil
@@ -119,8 +115,6 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: one clamp pass over a single
 // stacked matrix, so the batch costs one scratch buffer instead of B clones.
-//
-//cogarm:zeroalloc
 func (r *ReLU) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {
@@ -196,8 +190,6 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer. Inference-mode dropout is the
 // identity, so the batch passes through untouched.
-//
-//cogarm:zeroalloc
 func (d *Dropout) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return xs
@@ -238,8 +230,6 @@ func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer. Row-major windows flatten by
 // reinterpretation: one stacked copy serves all B flattened rows as views.
-//
-//cogarm:zeroalloc
 func (f *Flatten) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {
@@ -281,8 +271,6 @@ func (m *MeanPool) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: all B pooled rows land in one B×C
 // matrix handed out as views.
-//
-//cogarm:zeroalloc
 func (m *MeanPool) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {

@@ -109,8 +109,6 @@ func (l *LSTM) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // weight-row-major order — every row of W is streamed once per step for the
 // whole batch instead of once per window — with bias-first, k-ascending
 // accumulation so every gate value matches Forward bitwise.
-//
-//cogarm:zeroalloc
 func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	B := len(xs)
@@ -130,7 +128,6 @@ func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 	// Per-element accumulation order stays bias-first and k-ascending,
 	// matching Forward bitwise — which is why this is not a tensor.GEMM,
 	// whose sums start at +0 and take the bias last.
-	//cogarm:allow zeroalloc -- accumulate never escapes this frame; its tensor reads go through the annotated At/Row kernels
 	accumulate := func(wrow []float64, in func(i int) float64) {
 		i := 0
 		for ; i+4 <= B; i += 4 {
@@ -163,12 +160,10 @@ func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 		}
 		for k := 0; k < l.In; k++ {
 			wrow := l.Weight.W.Row(k)
-			//cogarm:allow zeroalloc -- non-escaping closure call; the stack-allocated in() thunk reads one matrix cell
 			accumulate(wrow, func(i int) float64 { return xs[i].At(t, k) })
 		}
 		for k := 0; k < H; k++ {
 			wrow := l.Weight.W.Row(l.In + k)
-			//cogarm:allow zeroalloc -- non-escaping closure call; the stack-allocated in() thunk reads one matrix cell
 			accumulate(wrow, func(i int) float64 { return h.At(i, k) })
 		}
 		for i := 0; i < B; i++ {
@@ -274,8 +269,6 @@ func (s *LastStep) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // ForwardBatch implements Layer: the B final timesteps gather into
 // one B×C matrix handed out as views.
-//
-//cogarm:zeroalloc
 func (s *LastStep) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	if len(xs) == 0 {

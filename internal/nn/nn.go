@@ -80,7 +80,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 //     batch; the other layers leave mixed shapes as the caller's problem.
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	//cogarm:zeroalloc
 	ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param

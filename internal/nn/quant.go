@@ -35,16 +35,12 @@ func (q *QDense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // ForwardBatch implements Layer.
-//
-//cogarm:zeroalloc
 func (q *QDense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
 // forwardBatchFused implements epilogueFuser over the int8 kernel.
-//
-//cogarm:zeroalloc
 func (q *QDense) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix {
 	if len(xs) == 0 {
 		return nil
@@ -90,16 +86,12 @@ func (q *QConv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // ForwardBatch implements Layer.
-//
-//cogarm:zeroalloc
 func (q *QConv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
 // forwardBatchFused implements epilogueFuser over the int8 kernel.
-//
-//cogarm:zeroalloc
 func (q *QConv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix {
 	if len(xs) == 0 {
 		return nil
@@ -122,8 +114,6 @@ func (q *QConv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, r
 // im2colWS unfolds the batch into one (B·T')×(K·Cin) matrix drawn from ws.
 // Only the int8 kernel still needs it: tensor.MatMulQ takes a matrix, while
 // the f64 GEMM reads the windows in place.
-//
-//cogarm:zeroalloc
 func (c *Conv1D) im2colWS(ws *tensor.Workspace, xs []*tensor.Matrix, outT int) *tensor.Matrix {
 	col := ws.Uninit(len(xs)*outT, c.Kernel*c.InChannels)
 	for i, x := range xs {

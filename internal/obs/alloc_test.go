@@ -24,6 +24,8 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"Counter.Add", func() { c.Add(17) }},
 		{"Gauge.Set", func() { g.Set(3.5) }},
 		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Gauge.Inc", func() { g.Inc() }},
+		{"Gauge.Dec", func() { g.Dec() }},
 		{"Histogram.Observe", func() { h.Observe(2.5e-4) }},
 		{"Histogram.ObserveDuration", func() { h.ObserveDuration(1500) }},
 		{"EventRing.Record", func() { ring.Record(EvAdmit, 1, 2, 3, 4) }},

@@ -165,8 +165,6 @@ func NewEventRing(capacity, stripes int) *EventRing {
 // Record appends one event. It is safe for concurrent use and performs no
 // heap allocations; cost is one atomic add plus one uncontended (striped)
 // mutex acquisition.
-//
-//cogarm:zeroalloc
 func (r *EventRing) Record(t EventType, shard int, session uint64, a, b int64) {
 	if r == nil {
 		return

@@ -38,8 +38,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//cogarm:zeroalloc
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -67,8 +65,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration given in nanoseconds as seconds — the
 // convention every *_seconds histogram in the stack uses.
-//
-//cogarm:zeroalloc
 func (h *Histogram) ObserveDuration(ns int64) { h.Observe(float64(ns) / 1e9) }
 
 // Count returns the total number of observations.

@@ -62,8 +62,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//cogarm:zeroalloc
 func (c *Counter) Inc() {
 	if c == nil {
 		return
@@ -72,8 +70,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
-//
-//cogarm:zeroalloc
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -92,8 +88,6 @@ type Gauge struct {
 }
 
 // Set replaces the value.
-//
-//cogarm:zeroalloc
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -102,8 +96,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add increments by delta (CAS loop; lock-free).
-//
-//cogarm:zeroalloc
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -118,13 +110,9 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Inc adds one.
-//
-//cogarm:zeroalloc
 func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
-//
-//cogarm:zeroalloc
 func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.

@@ -107,8 +107,6 @@ func flattenQTree(t *Tree, maps []tensor.I16Map, classes int) qTree {
 // ProbsBatchWS computes soft-voting probabilities for a batch over the
 // quantized trees, tree-major like Forest.ProbsBatchWS. Every temporary —
 // the int16 feature rows and the vote accumulators — comes from ws.
-//
-//cogarm:zeroalloc
 func (q *QForest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {
 	out := ws.FloatRows(len(X))
 	flat := ws.Floats(len(X) * q.Classes)
@@ -147,12 +145,9 @@ func (q *QForest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 
 
 // PredictBatchWS returns the majority class per sample via the quantized
 // tree-major path, writing into dst when it has capacity.
-//
-//cogarm:zeroalloc
 func (q *QForest) PredictBatchWS(ws *tensor.Workspace, X [][]float64, dst []int) []int {
 	probs := q.ProbsBatchWS(ws, X)
 	if cap(dst) < len(X) {
-		//cogarm:allow zeroalloc -- label-buffer warm-up; a reused dst never grows past its high-water mark
 		dst = make([]int, len(X))
 	}
 	dst = dst[:len(X)]

@@ -257,8 +257,6 @@ func (f *Forest) Predict(x []float64) int {
 // probability rows and their shared flat backing come from ws, so a serving
 // shard that resets one workspace per tick pays no allocations here; they
 // are valid until its next Reset.
-//
-//cogarm:zeroalloc
 func (f *Forest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {
 	out := ws.FloatRows(len(X))
 	flat := ws.Floats(len(X) * f.Classes) // zeroed: accumulates votes below
@@ -284,12 +282,9 @@ func (f *Forest) ProbsBatchWS(ws *tensor.Workspace, X [][]float64) [][]float64 {
 // PredictBatchWS returns the majority class for every sample via the
 // tree-major path, drawing every temporary from ws and writing labels into
 // dst when it has capacity (dst may be nil). See ProbsBatchWS.
-//
-//cogarm:zeroalloc
 func (f *Forest) PredictBatchWS(ws *tensor.Workspace, X [][]float64, dst []int) []int {
 	probs := f.ProbsBatchWS(ws, X)
 	if cap(dst) < len(X) {
-		//cogarm:allow zeroalloc -- label-buffer warm-up; a reused dst never grows past its high-water mark
 		dst = make([]int, len(X))
 	}
 	dst = dst[:len(X)]

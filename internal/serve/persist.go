@@ -514,8 +514,6 @@ func (p *pendingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 // wrapped source buffers, without copying either — the count the replaced
 // ring would have reported, so a restored session catches up on the ticks
 // the uninterrupted one does.
-//
-//cogarm:zeroalloc
 func (p *pendingSource) PendingLen() int {
 	if snap, ok := p.src.(PendingSnapshotter); ok {
 		return len(p.pending) + snap.PendingLen()

@@ -27,8 +27,6 @@ import (
 type Source interface {
 	// ReadInto drains up to max buffered samples (oldest first), appending
 	// them to dst. max <= 0 drains everything buffered.
-	//
-	//cogarm:zeroalloc
 	ReadInto(dst []stream.Sample, max int) []stream.Sample
 }
 
@@ -46,8 +44,6 @@ type PendingSnapshotter interface {
 	// PendingLen reports how many samples SnapshotPending would return,
 	// without copying them. The delta capture probes it, and every shard
 	// tick calls it once per buffered session, so it must not allocate.
-	//
-	//cogarm:zeroalloc
 	PendingLen() int
 }
 
@@ -71,8 +67,6 @@ type RingSource struct {
 
 // ReadInto implements Source via Ring.PopNInto: the samples' Values alias
 // the ring's drain arena until the next ReadInto.
-//
-//cogarm:zeroalloc
 func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	return r.Ring.PopNInto(dst, max)
 }
@@ -81,8 +75,6 @@ func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 func (r RingSource) SnapshotPending() []stream.Sample { return r.Ring.Snapshot() }
 
 // PendingLen implements PendingSnapshotter.
-//
-//cogarm:zeroalloc
 func (r RingSource) PendingLen() int { return r.Ring.Len() }
 
 // SourceAddr implements AddrSource when the attached Closer is an inlet that
@@ -188,8 +180,6 @@ func (s *session) schedule(tickHz float64) {
 }
 
 // due returns how many samples the rate schedule gives this tick.
-//
-//cogarm:zeroalloc
 func (s *session) due(tickHz float64) int {
 	s.sampleAcc += s.cfg.SampleRateHz / tickHz
 	n := int(s.sampleAcc)
@@ -202,8 +192,6 @@ func (s *session) due(tickHz float64) int {
 // them. The bound is the samples really pending, not what ReadInto could
 // return, so a pendingSource over an on-demand source catches up through
 // its replayed samples only and then keeps the rate schedule.
-//
-//cogarm:zeroalloc
 func (s *session) drain(due int) int {
 	if s.buffered == nil {
 		return due
@@ -212,8 +200,6 @@ func (s *session) drain(due int) int {
 }
 
 // observe feeds one decoded label through the counters and the debounce.
-//
-//cogarm:zeroalloc
 func (s *session) observe(a eeg.Action) {
 	s.decoded++
 	if int(a) >= 0 && int(a) < len(s.actions) {

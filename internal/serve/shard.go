@@ -81,7 +81,6 @@ type clfGroup struct {
 // effect at the next tick boundary.
 func (a *tickArena) reset(pool *tensor.Pool) {
 	if a.ws == nil {
-		//cogarm:allow zeroalloc -- lazy arena init on the first tick; every later tick reuses it
 		a.ws = tensor.NewWorkspace()
 	}
 	a.ws.SetPool(pool)
@@ -206,7 +205,6 @@ func (s *shard) processEvictionsLocked(toClose []Source) []Source {
 		delete(s.sessions, id)
 		toClose = append(toClose, sess.cfg.Source)
 		if s.onEvict != nil {
-			//cogarm:allow zeroalloc -- eviction is off the steady-state path; the hub callback only prunes its admission index
 			s.onEvict(id)
 		}
 		s.met.evict()
@@ -305,8 +303,6 @@ func (s *shard) run() {
 // accumulated into locals and observed once per tick, so the instrumented
 // tick stays zero-allocation. The clocks always run; with telemetry
 // disabled the handles are nil no-op sinks and the readings go nowhere.
-//
-//cogarm:zeroalloc
 func (s *shard) tick() {
 	tel := s.tel
 	var drainNs, windowNs, inferNs, decideNs int64
@@ -386,7 +382,6 @@ func (s *shard) tick() {
 	}
 	toClose = s.processEvictionsLocked(toClose)
 	s.mu.Unlock()
-	//cogarm:allow zeroalloc -- eviction teardown is off the steady-state path and runs off the lock
 	closeSources(toClose)
 
 	// One clock read ends the tick: the latency ring behind p99, the health

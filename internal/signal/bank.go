@@ -42,8 +42,6 @@ func NewBank(channels int, chain ...*Cascade) *Bank {
 // every column on other architectures, under -tags purego and on CPUs without
 // AVX2. Both compute Biquad.Process's expressions in its order, unfused, so
 // which one ran changes no bit.
-//
-//cogarm:zeroalloc
 func (b *Bank) Process(x []float64) {
 	x = x[:b.channels]
 	if from := b.processAVX2(x); from < len(x) {
@@ -52,8 +50,6 @@ func (b *Bank) Process(x []float64) {
 }
 
 // processPortable advances channels from..channels-1 by one sample.
-//
-//cogarm:zeroalloc
 func (b *Bank) processPortable(x []float64, from int) {
 	n := b.channels
 	x = x[from:n]

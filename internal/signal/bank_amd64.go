@@ -11,15 +11,12 @@ import "cognitivearm/internal/cpu"
 // and z1, z2[s·n : s·n+w] for s < sections, and touches no other byte.
 //
 //go:noescape
-//cogarm:zeroalloc
 func bankAVX2(coef *Biquad, sections int, x, z1, z2 *float64, n, w int)
 
 // processAVX2 runs the leading channels&^3 columns of one sample through the
 // assembly routine and returns the first column it left for processPortable:
 // 0 without AVX2. Every pointer passed down is element 0 of a slice Go has
 // bounds-checked to exactly the extent bankAVX2 touches.
-//
-//cogarm:zeroalloc
 func (b *Bank) processAVX2(x []float64) int {
 	n, sections := b.channels, len(b.coef)
 	w := n &^ 3

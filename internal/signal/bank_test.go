@@ -145,6 +145,20 @@ func TestBankAllocs(t *testing.T) {
 	}
 }
 
+// TestPreprocessorAllocs: the per-channel preprocessor, its cascade and each
+// biquad step allocate nothing per sample.
+func TestPreprocessorAllocs(t *testing.T) {
+	p, err := NewEEGPreprocessor(125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := 0.0
+	step := func() { x = p.Process(x + 1) }
+	if n := testing.AllocsPerRun(500, step); n != 0 {
+		t.Fatalf("EEGPreprocessor.Process allocates %v times per sample, want 0", n)
+	}
+}
+
 // specials are the values a kernel most easily treats differently from the
 // scalar code: both zeros, the smallest denormals, the largest finite values
 // (their products overflow), the infinities and two NaNs.

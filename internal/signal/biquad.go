@@ -19,8 +19,6 @@ type Biquad struct {
 }
 
 // Process filters a single sample through the section.
-//
-//cogarm:zeroalloc
 func (q *Biquad) Process(x float64) float64 {
 	y := q.B0*x + q.z1
 	q.z1 = q.B1*x - q.A1*y + q.z2
@@ -51,8 +49,6 @@ func NewCascade(sections ...Biquad) *Cascade {
 }
 
 // Process filters one sample through all sections in order.
-//
-//cogarm:zeroalloc
 func (c *Cascade) Process(x float64) float64 {
 	for i := range c.Sections {
 		x = c.Sections[i].Process(x)

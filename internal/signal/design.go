@@ -176,8 +176,6 @@ func NewEEGPreprocessor(fsHz float64) (*EEGPreprocessor, error) {
 
 // Process filters one streaming sample (causal path used in the real-time
 // control loop).
-//
-//cogarm:zeroalloc
 func (p *EEGPreprocessor) Process(x float64) float64 {
 	return p.Notch.Process(p.Bandpass.Process(x))
 }

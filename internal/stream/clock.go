@@ -25,8 +25,6 @@ func NewVirtualClock(offset, drift float64) *VirtualClock {
 }
 
 // Now returns the current virtual time in seconds.
-//
-//cogarm:zeroalloc
 func (c *VirtualClock) Now() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

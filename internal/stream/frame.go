@@ -13,17 +13,20 @@ import (
 //   - the 2-byte-length data framing of the LSL-like transport (writeFrame /
 //     readFrame), sized for EEG sample frames and sync probes;
 //
-//   - the exported 4-byte-length message framing (WriteMsg / ReadMsg) used by
-//     the cluster's inter-node links, whose payloads — control messages and
-//     streamed checkpoint state including whole models — outgrow a u16
-//     length. The length is bounded by MaxMsgLen so a corrupted or hostile
-//     prefix cannot ask the reader to allocate gigabytes, mirroring the
-//     record bound of internal/checkpoint.
+//   - the exported 4-byte-length message framing (WriteMsg / ReadMsgBuf) of
+//     the cluster's control verbs: membership, locate and the replication
+//     ack. Session state does not ride it; replication and migration ship
+//     WAL batches on their own socket stream (internal/wal). The length is
+//     bounded by MaxMsgLen, and the reader allocates as the payload arrives,
+//     not as the prefix declares, so a corrupted or hostile prefix cannot
+//     make it reserve memory its sender never fills.
 
-// MaxMsgLen bounds one framed inter-node message. It matches the checkpoint
-// record bound: model payloads dominate, and 256 MiB is orders of magnitude
-// above any classifier in the zoo.
+// MaxMsgLen bounds one framed inter-node message.
 const MaxMsgLen = 256 << 20
+
+// msgReadStep is the most ReadMsgBuf reserves ahead of the bytes that have
+// arrived: the largest first step of a buffer too small for the message.
+const msgReadStep = 64 << 10
 
 // WriteMsg writes one length-prefixed message: [len u32le][payload].
 func WriteMsg(w io.Writer, payload []byte) error {
@@ -39,15 +42,12 @@ func WriteMsg(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadMsg reads one length-prefixed message, enforcing MaxMsgLen.
-func ReadMsg(r io.Reader) ([]byte, error) {
-	return ReadMsgBuf(r, nil)
-}
-
-// ReadMsgBuf is ReadMsg reading the payload into buf when its capacity
-// suffices, allocating (and growing the caller's buffer for next time) only
-// when it does not. Connection loops pass one per-connection buffer so every
-// inbound frame after the largest-yet stops allocating its payload:
+// ReadMsgBuf reads one length-prefixed message, enforcing MaxMsgLen, into
+// buf when its capacity suffices: one read in place. Otherwise the payload
+// grows as its bytes arrive, doubling from at most msgReadStep, so what it
+// allocates is bounded by what the sender really sent. Connection loops pass
+// one per-connection buffer so every inbound frame after the largest-yet
+// stops allocating its payload:
 //
 //	buf := []byte(nil)
 //	for {
@@ -63,17 +63,20 @@ func ReadMsgBuf(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > MaxMsgLen {
 		return nil, fmt.Errorf("stream: message length %d exceeds limit", n)
 	}
-	payload := buf
-	if cap(payload) < int(n) {
-		payload = make([]byte, n)
-	}
-	payload = payload[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("stream: torn message: %w", err)
+	payload := buf[:0]
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(n, max(2*cap(payload), msgReadStep))), payload...)
+		}
+		step := min(n, cap(payload)) - len(payload)
+		payload = payload[:len(payload)+step]
+		if _, err := io.ReadFull(r, payload[len(payload)-step:]); err != nil {
+			return nil, fmt.Errorf("stream: torn message: %w", err)
+		}
 	}
 	return payload, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -18,7 +19,7 @@ func TestMsgRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range payloads {
-		got, err := ReadMsg(&buf)
+		got, err := ReadMsgBuf(&buf, nil)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -31,7 +32,7 @@ func TestMsgRoundTrip(t *testing.T) {
 func TestMsgRejectsOversizedLength(t *testing.T) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], MaxMsgLen+1)
-	if _, err := ReadMsg(bytes.NewReader(hdr[:])); err == nil {
+	if _, err := ReadMsgBuf(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("oversized length accepted")
 	}
 	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MaxMsgLen+1)); err == nil {
@@ -45,9 +46,70 @@ func TestMsgRejectsTornPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadMsg(bytes.NewReader(torn)); err == nil {
+	if _, err := ReadMsgBuf(bytes.NewReader(torn), nil); err == nil {
 		t.Fatal("torn message accepted")
 	}
+}
+
+// TestReadMsgBufGrowsWithArrivals: a header declaring MaxMsgLen followed by
+// EOF costs about what arrived, not the 256 MiB it declared; a buffer with
+// room for the message is read into in place.
+func TestReadMsgBufGrowsWithArrivals(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxMsgLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMsgBuf(bytes.NewReader(hdr[:]), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header without its payload was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*msgReadStep {
+		t.Fatalf("reader allocated %d bytes for a 4-byte input", grew)
+	}
+
+	var wire bytes.Buffer
+	if err := WriteMsg(&wire, []byte("ack")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 16)
+	msg, err := ReadMsgBuf(&wire, buf)
+	if err != nil || string(msg) != "ack" || &msg[0] != &buf[:1][0] {
+		t.Fatalf("message %q (err %v) was not read in place", msg, err)
+	}
+}
+
+// FuzzReadMsgBuf: whatever a peer sends on the cluster port, the control
+// frame reader never panics and allocates no more than a small multiple of
+// the bytes that arrived, and every message it accepts re-encodes through
+// WriteMsg to exactly the bytes it consumed. Each input is read to its first
+// error, reusing one buffer as a connection loop does.
+func FuzzReadMsgBuf(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		var buf []byte
+		for {
+			at := len(b) - r.Len()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			msg, err := ReadMsgBuf(r, buf)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*(len(b)-at))+4*msgReadStep {
+				t.Fatalf("reader allocated %d bytes for %d that arrived", grew, len(b)-at)
+			}
+			if err != nil {
+				return
+			}
+			var again bytes.Buffer
+			if err := WriteMsg(&again, msg); err != nil {
+				t.Fatal(err)
+			}
+			if consumed := b[at : len(b)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(consumed), again.Len())
+			}
+			buf = msg[:0]
+		}
+	})
 }
 
 // TestUDPInletDropsMalformed feeds an inlet garbage alongside valid samples

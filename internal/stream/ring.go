@@ -46,15 +46,12 @@ func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	//cogarm:allow zeroalloc -- amortized growth to the backlog high-water mark, bounded by capacity
 	return make([]T, n)
 }
 
 // Push appends a copy of s, overwriting the oldest sample if the ring holds
 // capacity of them. It reports whether an old sample was overwritten. The
 // ring keeps nothing of s.Values: the caller may reuse it at once.
-//
-//cogarm:zeroalloc
 func (r *Ring) Push(s Sample) (overwrote bool) {
 	r.mu.Lock()
 	if r.size == len(r.buf) && len(r.buf) < r.capacity {
@@ -117,8 +114,6 @@ func (r *Ring) PopN(max int) []Sample {
 // serve.Source lifetime, which the shard honours by consuming them within
 // the tick. PopNInto only appends to dst: it never writes into the Values of
 // samples in dst's spare capacity, which may belong to another source.
-//
-//cogarm:zeroalloc
 func (r *Ring) PopNInto(dst []Sample, max int) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -192,8 +187,6 @@ func (r *Ring) discardLocked(n int) {
 }
 
 // Len returns the number of buffered samples.
-//
-//cogarm:zeroalloc
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

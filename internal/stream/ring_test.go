@@ -215,6 +215,22 @@ func TestRingWarmPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestRingLenAndClockAllocFree: the backlog probe a tick reads per buffered
+// session, and the virtual clock a stream stamps samples with, allocate nothing.
+func TestRingLenAndClockAllocFree(t *testing.T) {
+	r := NewRing(64)
+	r.Push(Sample{Values: make([]float64, 4)})
+	c := NewVirtualClock(0.5, 20e-6)
+	var n int
+	var now float64
+	if allocs := testing.AllocsPerRun(100, func() { n = r.Len(); now = c.Now() }); allocs != 0 {
+		t.Fatalf("Ring.Len + VirtualClock.Now allocate %.1f times per call, want 0", allocs)
+	}
+	if n != 1 || now < 0.5 {
+		t.Fatalf("Len %d, Now %v", n, now)
+	}
+}
+
 // FuzzRingOps drives a ring with a random sequence of pushes and reads and
 // checks every result against a plain slice FIFO: the same samples, values
 // and counts, and no panic. The first byte picks the capacity, so small and

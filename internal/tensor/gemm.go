@@ -141,8 +141,6 @@ func (c *rowCursor) next() []float64 {
 // GEMM computes dst = a·b, then applies ep. dst must not alias a or b.
 // Products past the crossover split across ws's kernel pool when one is
 // attached (see Workspace.SetPool); output is bitwise-identical either way.
-//
-//cogarm:zeroalloc
 func GEMM(ws *Workspace, dst, a, b *Matrix, ep Epilogue) *Matrix {
 	blocks := ws.Matrices(1)
 	blocks[0] = a
@@ -151,8 +149,6 @@ func GEMM(ws *Workspace, dst, a, b *Matrix, ep Epilogue) *Matrix {
 
 // GEMMBlocks is GEMM with the left operand read in place through a (see
 // RowBlocks): dst is (len(a.Blocks)·a.Rows)×b.Cols.
-//
-//cogarm:zeroalloc
 func GEMMBlocks(ws *Workspace, dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue) *Matrix {
 	a.check()
 	m := len(a.Blocks) * a.Rows
@@ -201,8 +197,6 @@ func panelCount(m, k, n, threads int) int {
 // leading full assembly tiles when it can, tile2 the columns it leaves — then
 // the <4-row tail in pairs, a last odd row paired with itself. i0 is always
 // quad-aligned; only the last panel owns the tail.
-//
-//cogarm:zeroalloc
 func gemmRows(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, i0, i1 int) {
 	n := b.Cols
 	cur := a.cursor(i0)
@@ -228,8 +222,6 @@ func gemmRows(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, i0, i1 int) {
 // (rows a0, a1 of the left operand against the k×n row-major b), 2×4 blocks
 // with the eight sums in registers, then single columns. gc keeps 15 XMM
 // registers, which is what bounds the block: 4×4 spills.
-//
-//cogarm:zeroalloc
 func tile2(a0, a1, b []float64, n, j0 int, d0, d1 []float64, ep Epilogue) {
 	a1 = a1[:len(a0)]
 	j := j0
@@ -342,8 +334,6 @@ func (p *Pool) worker() {
 // gemm dispatches one product across panels row panels (panels >= 2).
 // The caller runs panel 0, helps drain the queue, then waits out whatever is
 // still in flight.
-//
-//cogarm:zeroalloc
 func (p *Pool) gemm(dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue, panels int) {
 	c := p.getCall()
 	c.dst, c.a, c.b, c.ep = dst, a, b, ep
@@ -371,8 +361,6 @@ help:
 }
 
 // run executes one panel of the call.
-//
-//cogarm:zeroalloc
 func (c *gemmCall) run(panel int32) {
 	i0, i1 := c.panelRange(panel)
 	gemmRows(c.dst, c.a, c.b, c.ep, i0, i1)
@@ -401,8 +389,6 @@ func (c *gemmCall) panelRange(panel int32) (int, int) {
 }
 
 // getCall pops a pooled rendezvous (or warms one up).
-//
-//cogarm:zeroalloc
 func (p *Pool) getCall() *gemmCall {
 	p.mu.Lock()
 	if l := len(p.free); l > 0 {
@@ -412,19 +398,15 @@ func (p *Pool) getCall() *gemmCall {
 		return c
 	}
 	p.mu.Unlock()
-	//cogarm:allow zeroalloc -- free-list warm-up; putCall retains every call object, so steady state always pops
 	return &gemmCall{}
 }
 
 // putCall returns a finished rendezvous to the free list, dropping its matrix
 // and workspace references so pooled call objects never pin a shard's arena
 // across ticks.
-//
-//cogarm:zeroalloc
 func (p *Pool) putCall(c *gemmCall) {
 	c.dst, c.a, c.b, c.ep = nil, RowBlocks{}, nil, Epilogue{}
 	p.mu.Lock()
-	//cogarm:allow zeroalloc -- free-list growth is retained at its high-water mark; steady state appends into existing capacity
 	p.free = append(p.free, c)
 	p.mu.Unlock()
 }

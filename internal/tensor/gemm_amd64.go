@@ -11,13 +11,11 @@ import "cognitivearm/internal/cpu"
 // byte.
 //
 //go:noescape
-//cogarm:zeroalloc
 func tile4x16(a0, a1, a2, a3, b *float64, k, ldb int, d *float64, ldd int, bias *float64, relu bool)
 
 // tile4x8 is tile4x16 for a 4×8 tile, in AVX2 without FMA.
 //
 //go:noescape
-//cogarm:zeroalloc
 func tile4x8(a0, a1, a2, a3, b *float64, k, ldb int, d *float64, ldd int, bias *float64, relu bool)
 
 // hostTier is the widest tier the cpu gate allows.
@@ -37,8 +35,6 @@ func hostTier() int {
 // the first column it left for the portable tile: 0 at tierPortable. Every
 // pointer passed down is element 0 of a slice Go has bounds-checked to exactly
 // the extent the tile touches.
-//
-//cogarm:zeroalloc
 func quadTiles(r0, r1, r2, r3, b []float64, n int, d []float64, ep Epilogue) int {
 	k := len(r0)
 	if tier == tierPortable || k == 0 {

@@ -58,8 +58,6 @@ func QuantizeWeights(w *Matrix) *QMatrix {
 // (safe to In ≈ 130k), then dequantized as acc·xscale·wscale before bias and
 // ReLU apply. The result approximates GEMM(x, W) — callers gate it behind an
 // agreement check against the exact f64 path.
-//
-//cogarm:zeroalloc
 func MatMulQ(ws *Workspace, dst, x *Matrix, q *QMatrix, ep Epilogue) *Matrix {
 	if x.Cols != q.In {
 		panic(fmt.Sprintf("tensor: matmulQ shape mismatch %dx%d · (%dx%d)ᵀ", x.Rows, x.Cols, q.Out, q.In))
@@ -131,8 +129,6 @@ func NewI16Map(lo, hi float64) I16Map {
 }
 
 // Quantize maps a float64 value onto the int16 grid: floor, then clamp.
-//
-//cogarm:zeroalloc
 func (m I16Map) Quantize(v float64) int16 {
 	if m.Scale == 0 {
 		return 0
@@ -149,8 +145,6 @@ func (m I16Map) Quantize(v float64) int16 {
 }
 
 // QuantizeRow quantizes src into dst (same length) through per-column maps.
-//
-//cogarm:zeroalloc
 func QuantizeRowI16(dst []int16, src []float64, maps []I16Map) {
 	if len(dst) != len(src) || len(src) != len(maps) {
 		panic("tensor: QuantizeRowI16 length mismatch")

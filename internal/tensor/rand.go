@@ -18,8 +18,6 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // Uint64 returns the next raw 64-bit value.
-//
-//cogarm:zeroalloc
 func (r *RNG) Uint64() uint64 {
 	x := r.state
 	x ^= x >> 12
@@ -30,15 +28,11 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-//
-//cogarm:zeroalloc
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
-//
-//cogarm:zeroalloc
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("tensor: Intn with non-positive n")
@@ -47,8 +41,6 @@ func (r *RNG) Intn(n int) int {
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller).
-//
-//cogarm:zeroalloc
 func (r *RNG) NormFloat64() float64 {
 	for {
 		u1 := r.Float64()

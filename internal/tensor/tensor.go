@@ -37,18 +37,12 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // At returns the element at row i, column j.
-//
-//cogarm:zeroalloc
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-//
-//cogarm:zeroalloc
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns the i-th row as a sub-slice (shared storage).
-//
-//cogarm:zeroalloc
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of the matrix.
@@ -59,8 +53,6 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero sets every element to zero in place.
-//
-//cogarm:zeroalloc
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
@@ -68,8 +60,6 @@ func (m *Matrix) Zero() {
 }
 
 // Fill sets every element to v in place.
-//
-//cogarm:zeroalloc
 func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
 		m.Data[i] = v
@@ -83,14 +73,11 @@ func (m *Matrix) String() string {
 
 // MatMul computes dst = a·b. dst may be nil, in which case a fresh matrix is
 // allocated. dst must not alias a or b.
-//
-//cogarm:zeroalloc
 func MatMul(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Rows, b.Cols)
 	} else {
 		if dst.Rows != a.Rows || dst.Cols != b.Cols {
@@ -117,14 +104,11 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 }
 
 // MatMulTransB computes dst = a·bᵀ without materialising the transpose.
-//
-//cogarm:zeroalloc
 func MatMulTransB(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Rows, b.Rows)
 	} else {
 		if dst.Rows != a.Rows || dst.Cols != b.Rows {
@@ -147,14 +131,11 @@ func MatMulTransB(dst, a, b *Matrix) *Matrix {
 }
 
 // MatMulTransA computes dst = aᵀ·b without materialising the transpose.
-//
-//cogarm:zeroalloc
 func MatMulTransA(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Cols, b.Cols)
 	} else {
 		if dst.Rows != a.Cols || dst.Cols != b.Cols {
@@ -225,12 +206,9 @@ func Transpose(m *Matrix) *Matrix {
 }
 
 // Add computes dst = a + b element-wise. dst may alias a or b or be nil.
-//
-//cogarm:zeroalloc
 func Add(dst, a, b *Matrix) *Matrix {
 	checkSameShape("Add", a, b)
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Rows, a.Cols)
 	}
 	checkSameShape("Add dst", dst, a)
@@ -241,12 +219,9 @@ func Add(dst, a, b *Matrix) *Matrix {
 }
 
 // Sub computes dst = a − b element-wise. dst may alias a or b or be nil.
-//
-//cogarm:zeroalloc
 func Sub(dst, a, b *Matrix) *Matrix {
 	checkSameShape("Sub", a, b)
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Rows, a.Cols)
 	}
 	checkSameShape("Sub dst", dst, a)
@@ -257,12 +232,9 @@ func Sub(dst, a, b *Matrix) *Matrix {
 }
 
 // Mul computes dst = a ⊙ b (Hadamard product). dst may alias a or b or be nil.
-//
-//cogarm:zeroalloc
 func Mul(dst, a, b *Matrix) *Matrix {
 	checkSameShape("Mul", a, b)
 	if dst == nil {
-		//cogarm:allow zeroalloc -- nil dst selects the unpooled heap path by contract
 		dst = New(a.Rows, a.Cols)
 	}
 	checkSameShape("Mul dst", dst, a)
@@ -273,8 +245,6 @@ func Mul(dst, a, b *Matrix) *Matrix {
 }
 
 // Scale multiplies every element of m by s in place and returns m.
-//
-//cogarm:zeroalloc
 func Scale(m *Matrix, s float64) *Matrix {
 	for i := range m.Data {
 		m.Data[i] *= s
@@ -283,8 +253,6 @@ func Scale(m *Matrix, s float64) *Matrix {
 }
 
 // AddRowVector adds vector v (length Cols) to every row of m in place.
-//
-//cogarm:zeroalloc
 func AddRowVector(m *Matrix, v []float64) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
@@ -298,8 +266,6 @@ func AddRowVector(m *Matrix, v []float64) {
 }
 
 // ColSums accumulates the column sums of m into dst (length Cols).
-//
-//cogarm:zeroalloc
 func ColSums(dst []float64, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic("tensor: ColSums dst length mismatch")
@@ -316,8 +282,6 @@ func ColSums(dst []float64, m *Matrix) {
 }
 
 // Dot returns the inner product of two equal-length vectors.
-//
-//cogarm:zeroalloc
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
@@ -330,8 +294,6 @@ func Dot(a, b []float64) float64 {
 }
 
 // Norm2 returns the Euclidean norm of v.
-//
-//cogarm:zeroalloc
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
@@ -342,8 +304,6 @@ func Norm2(v []float64) float64 {
 
 // Softmax writes the softmax of src into dst (same length). It is numerically
 // stabilised by subtracting the maximum.
-//
-//cogarm:zeroalloc
 func Softmax(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("tensor: Softmax length mismatch")
@@ -374,8 +334,6 @@ func Softmax(dst, src []float64) {
 }
 
 // SoftmaxRows applies Softmax to each row of m in place.
-//
-//cogarm:zeroalloc
 func SoftmaxRows(m *Matrix) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -385,8 +343,6 @@ func SoftmaxRows(m *Matrix) {
 
 // Argmax returns the index of the maximum element of v (first on ties), or -1
 // for an empty slice.
-//
-//cogarm:zeroalloc
 func Argmax(v []float64) int {
 	if len(v) == 0 {
 		return -1
@@ -401,8 +357,6 @@ func Argmax(v []float64) int {
 }
 
 // Mean returns the arithmetic mean of v (0 for empty input).
-//
-//cogarm:zeroalloc
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
 		return 0

@@ -44,8 +44,6 @@ type Workspace struct {
 
 // SetPool attaches the kernel pool GEMMs dispatched through this workspace
 // may use.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) SetPool(p *Pool) { ws.pool = p }
 
 // Pool reports the attached kernel pool; nil, the default, means serial.
@@ -58,8 +56,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // Reset recycles every outstanding slice and header for the next cycle. It
 // never frees memory: the high-water footprint of one cycle is retained so
 // the next identical cycle allocates nothing.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Reset() {
 	ws.f64.reset()
 	ws.ints.reset()
@@ -71,8 +67,6 @@ func (ws *Workspace) Reset() {
 }
 
 // Floats returns a zeroed float64 slice of length n, valid until Reset.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Floats(n int) []float64 {
 	s := ws.f64.get(n)
 	clear(s)
@@ -80,8 +74,6 @@ func (ws *Workspace) Floats(n int) []float64 {
 }
 
 // Ints returns a zeroed int slice of length n, valid until Reset.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Ints(n int) []int {
 	s := ws.ints.get(n)
 	clear(s)
@@ -90,8 +82,6 @@ func (ws *Workspace) Ints(n int) []int {
 
 // Int8s returns a zeroed int8 slice of length n, valid until Reset — the
 // quantized kernels' activation scratch.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Int8s(n int) []int8 {
 	s := ws.i8.get(n)
 	clear(s)
@@ -100,8 +90,6 @@ func (ws *Workspace) Int8s(n int) []int8 {
 
 // Int16s returns a zeroed int16 slice of length n, valid until Reset — the
 // quantized forest's feature scratch.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Int16s(n int) []int16 {
 	s := ws.i16.get(n)
 	clear(s)
@@ -110,8 +98,6 @@ func (ws *Workspace) Int16s(n int) []int16 {
 
 // FloatRows returns a nil-initialised [][]float64 of length n, valid until
 // Reset — the row-pointer table batched feature extraction fills in.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) FloatRows(n int) [][]float64 {
 	s := ws.rows.get(n)
 	clear(s)
@@ -120,8 +106,6 @@ func (ws *Workspace) FloatRows(n int) [][]float64 {
 
 // Matrices returns a nil-initialised []*Matrix of length n, valid until
 // Reset — the per-window output table of a batched kernel.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Matrices(n int) []*Matrix {
 	s := ws.mats.get(n)
 	clear(s)
@@ -131,8 +115,6 @@ func (ws *Workspace) Matrices(n int) []*Matrix {
 // Zeros returns a zero-filled rows×cols matrix valid until Reset — the
 // workspace analogue of New, for accumulators that rely on zero initial
 // contents (e.g. LSTM hidden/cell state).
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Zeros(rows, cols int) *Matrix {
 	m := ws.Uninit(rows, cols)
 	clear(m.Data)
@@ -142,8 +124,6 @@ func (ws *Workspace) Zeros(rows, cols int) *Matrix {
 // Uninit returns a rows×cols matrix with unspecified contents, valid until
 // Reset. Callers must overwrite every element (or hand it to a kernel that
 // does, like MatMul's dst path, which zeroes before accumulating).
-//
-//cogarm:zeroalloc
 func (ws *Workspace) Uninit(rows, cols int) *Matrix {
 	h := ws.header()
 	h.Rows, h.Cols = rows, cols
@@ -153,8 +133,6 @@ func (ws *Workspace) Uninit(rows, cols int) *Matrix {
 
 // View wraps data (length must equal rows*cols) in a workspace-owned header
 // without copying — the pooled analogue of FromSlice.
-//
-//cogarm:zeroalloc
 func (ws *Workspace) View(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic("tensor: workspace View length mismatch")
@@ -169,7 +147,6 @@ func (ws *Workspace) View(rows, cols int, data []float64) *Matrix {
 // chunks so steady state touches only the bump cursor.
 func (ws *Workspace) header() *Matrix {
 	if ws.hoff == len(ws.hdrs) {
-		//cogarm:allow zeroalloc -- chunked header growth is retained at high-water mark; steady state only bumps the cursor
 		chunk := make([]Matrix, 32)
 		for i := range chunk {
 			ws.hdrs = append(ws.hdrs, &chunk[i])
@@ -181,8 +158,6 @@ func (ws *Workspace) header() *Matrix {
 }
 
 // StackWS is Stack with the output drawn from ws.
-//
-//cogarm:zeroalloc
 func StackWS(ws *Workspace, xs []*Matrix) *Matrix {
 	if len(xs) == 0 {
 		panic("tensor: Stack of empty batch")
@@ -200,8 +175,6 @@ func StackWS(ws *Workspace, xs []*Matrix) *Matrix {
 
 // SplitRowsWS is SplitRows with the view headers and the view table drawn
 // from ws. The views share m's storage.
-//
-//cogarm:zeroalloc
 func SplitRowsWS(ws *Workspace, m *Matrix, rowsPer int) []*Matrix {
 	if rowsPer < 1 || m.Rows%rowsPer != 0 {
 		panic("tensor: SplitRows does not divide rows")
@@ -234,7 +207,6 @@ func (p *wsPool[T]) get(n int) []T {
 		s = p.free[c][l-1][:n]
 		p.free[c] = p.free[c][:l-1]
 	} else {
-		//cogarm:allow zeroalloc -- bucket warm-up: the pool keeps this slice, so a warm cycle never reaches here
 		s = make([]T, n, 1<<c)
 	}
 	p.used = append(p.used, s)
@@ -244,7 +216,6 @@ func (p *wsPool[T]) get(n int) []T {
 func (p *wsPool[T]) reset() {
 	for i, s := range p.used {
 		c := bits.TrailingZeros(uint(cap(s))) // cap is exactly 1<<c
-		//cogarm:allow zeroalloc -- returns the slice to its free-list bucket; bucket capacity amortises to the cycle's demand
 		p.free[c] = append(p.free[c], s[:0])
 		p.used[i] = nil
 	}
