@@ -214,6 +214,32 @@ func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst
 	return dst
 }
 
+// StreamPredictorWS is the optional streaming extension of
+// BatchPredictorWS, for classifiers that keep per-session state between
+// classifications of one sliding window (nn.ConvStream). The serving hub
+// makes one stream per session when a shard takes the session, and passes
+// each window's stream beside it; the labels are PredictBatchWS's.
+type StreamPredictorWS interface {
+	// NewStream returns an empty stream for one session, or nil when the
+	// classifier has nothing to stream.
+	NewStream() *nn.ConvStream
+	// PredictStreamWS classifies xs[i] with streams[i], which must have
+	// followed that session's window since NewStream, drawing every
+	// temporary from ws and writing labels into dst when it has capacity.
+	PredictStreamWS(ws *tensor.Workspace, xs []*tensor.Matrix, streams []*nn.ConvStream, dst []int) []int
+}
+
+// PredictStreamWS classifies a batch through c's streaming path when c has
+// one and the windows carry its streams, and through PredictBatchWS
+// otherwise (streams may then be nil or hold nils). The labels are the same
+// either way.
+func PredictStreamWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, streams []*nn.ConvStream, dst []int) []int {
+	if sp, ok := c.(StreamPredictorWS); ok && len(xs) > 0 && len(streams) == len(xs) && streams[0] != nil {
+		return sp.PredictStreamWS(ws, xs, streams, dst)
+	}
+	return PredictBatchWS(c, ws, xs, dst)
+}
+
 // NNClassifier wraps an nn.Network with its spec.
 type NNClassifier struct {
 	Net  *nn.Network
@@ -244,6 +270,16 @@ func (c *NNClassifier) Name() string { return c.Spec.ID() }
 // batch panics, naming both shapes.
 func (c *NNClassifier) PredictBatchWS(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
 	return c.Net.PredictBatch(ws, xs, dst)
+}
+
+// NewStream implements StreamPredictorWS: a network whose first layer is a
+// Conv1D streams it (nn.Network.NewConvStream); the others return nil.
+func (c *NNClassifier) NewStream() *nn.ConvStream { return c.Net.NewConvStream(c.Spec.WindowSize) }
+
+// PredictStreamWS implements StreamPredictorWS through
+// nn.Network.PredictStream.
+func (c *NNClassifier) PredictStreamWS(ws *tensor.Workspace, xs []*tensor.Matrix, streams []*nn.ConvStream, dst []int) []int {
+	return c.Net.PredictStream(ws, xs, streams, dst)
 }
 
 // RFClassifier wraps a trained forest plus the feature extraction step.

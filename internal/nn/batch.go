@@ -48,7 +48,13 @@ func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train 
 		return nil
 	}
 	sameShape(xs)
-	for li := 0; li < len(n.Layers); li++ {
+	return n.forwardFrom(ws, xs, 0)
+}
+
+// forwardFrom runs layers [first, len) of ForwardBatch over xs, the
+// previous layer's outputs.
+func (n *Network) forwardFrom(ws *tensor.Workspace, xs []*tensor.Matrix, first int) []*tensor.Matrix {
+	for li := first; li < len(n.Layers); li++ {
 		l := n.Layers[li]
 		// Dense→ReLU and Conv1D→ReLU sequences collapse into one GEMM with a
 		// bias+ReLU epilogue; the ReLU layer itself is skipped.
@@ -69,7 +75,12 @@ func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train 
 // labels are written into dst when it has capacity (pass a reused buffer for
 // an allocation-free call); dst may be nil.
 func (n *Network) PredictBatch(ws *tensor.Workspace, xs []*tensor.Matrix, dst []int) []int {
-	outs := n.ForwardBatch(ws, xs, false)
+	return argmaxRows(n.ForwardBatch(ws, xs, false), dst)
+}
+
+// argmaxRows returns the class index of each output's single row, written
+// into dst when it has capacity.
+func argmaxRows(outs []*tensor.Matrix, dst []int) []int {
 	if cap(dst) < len(outs) {
 		dst = make([]int, len(outs))
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -93,21 +94,30 @@ func tickStats(t *testing.T, hub *Hub, ids []SessionID) []SessionStats {
 // samples still buffered in a source ring) and restored from disk must emit
 // exactly the per-tick decode sequence the uninterrupted hub emits for the
 // same subsequent input stream — no retraining, no re-warmup, no divergence.
+// Each model serves one scripted and one ring-fed session: the forest, and
+// the CNN, whose restored sessions rebuild their conv streams (never
+// captured) on their first tick.
 func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	reg, p := testFleet(t)
+	addCNN(t, reg, p)
 	const (
 		totalSamples = 700
 		totalTicks   = 70
 		killTick     = 23 // mid-window, fractional sample accumulator in play
 	)
-	// Session 0 replays a script; session 1 is ring-fed with the entire
+	// Sessions 0 and 2 replay a script; 1 and 3 are ring-fed with the entire
 	// stream buffered upfront, so the kill point leaves most of it pending.
 	streamA := scriptedEEG(0, 41, totalSamples)
 	streamB := scriptedEEG(0, 97, totalSamples)
+	streamC := scriptedEEG(0, 53, totalSamples)
 
 	admit := func(hub *Hub, src Source, tag string) SessionID {
 		t.Helper()
-		id, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0), Tag: tag})
+		model := "rf"
+		if strings.HasPrefix(tag, "cnn-") {
+			model = "cnn"
+		}
+		id, err := hub.Admit(SessionConfig{ModelKey: model, Source: src, Norm: p.NormFor(0), Tag: tag})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +141,8 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	refIDs := []SessionID{
 		admit(ref, &scriptSource{samples: streamA}, "script"),
 		admit(ref, RingSource{Ring: newRing(streamB)}, "ring"),
+		admit(ref, &scriptSource{samples: streamC}, "cnn-script"),
+		admit(ref, RingSource{Ring: newRing(streamB)}, "cnn-ring"),
 	}
 	var want []SessionStats
 	for i := 0; i < totalTicks; i++ {
@@ -142,10 +154,12 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	script := &scriptSource{samples: streamA}
+	script, cnnScript := &scriptSource{samples: streamA}, &scriptSource{samples: streamC}
 	ids := []SessionID{
 		admit(victim, script, "script"),
 		admit(victim, RingSource{Ring: newRing(streamB)}, "ring"),
+		admit(victim, cnnScript, "cnn-script"),
+		admit(victim, RingSource{Ring: newRing(streamB)}, "cnn-ring"),
 	}
 	var got []SessionStats
 	for i := 0; i < killTick; i++ {
@@ -155,8 +169,9 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	if _, err := testJournal(t, victim).Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	consumed := script.pos // what the dead process had already read
+	consumed, cnnConsumed := script.pos, cnnScript.pos // what the dead process had already read
 	requirePending(t, victim.CaptureState(), ids[1])
+	requirePending(t, victim.CaptureState(), ids[3])
 	victim.Stop() // the "kill"
 
 	// Restore into a fresh hub. The script session resumes from the exact
@@ -166,7 +181,9 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 		switch rec.Tag {
 		case "script":
 			return &scriptSource{samples: streamA[consumed:]}, nil
-		case "ring":
+		case "cnn-script":
+			return &scriptSource{samples: streamC[cnnConsumed:]}, nil
+		case "ring", "cnn-ring":
 			return RingSource{Ring: stream.NewRing(8)}, nil
 		default:
 			t.Fatalf("unexpected tag %q", rec.Tag)
@@ -180,8 +197,8 @@ func TestKillAndRestoreBitwiseIdentical(t *testing.T) {
 	if filepath.Base(rdir) != "ckpt-00000001" {
 		t.Fatalf("restored from %s", rdir)
 	}
-	if restored.Sessions() != 2 {
-		t.Fatalf("restored %d sessions, want 2", restored.Sessions())
+	if restored.Sessions() != len(ids) {
+		t.Fatalf("restored %d sessions, want %d", restored.Sessions(), len(ids))
 	}
 	for i := killTick; i < totalTicks; i++ {
 		got = append(got, tickStats(t, restored, ids)...)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"cognitivearm/internal/core"
 )
 
 // TestBackpressureRefusesOverloadedShards: a fleet whose shards still have
@@ -70,9 +72,17 @@ func TestFleetFullRefusalCounted(t *testing.T) {
 // TestExtractRestoreSessionBitwise is the single-session migration
 // primitive's contract: ExtractSession on one hub + RestoreSession on
 // another resumes mid-window state so exactly that the continued decode
-// stream matches an uninterrupted reference tick for tick.
+// stream matches an uninterrupted reference tick for tick — for a forest
+// session, and for a CNN session, whose conv stream the new hub rebuilds.
 func TestExtractRestoreSessionBitwise(t *testing.T) {
 	reg, p := testFleet(t)
+	addCNN(t, reg, p)
+	for _, model := range []string{"rf", "cnn"} {
+		t.Run(model, func(t *testing.T) { extractRestoreBitwise(t, reg, p, model) })
+	}
+}
+
+func extractRestoreBitwise(t *testing.T, reg *Registry, p *core.Pipeline, model string) {
 	const totalSamples, totalTicks, moveTick = 700, 70, 23
 	streamA := scriptedEEG(0, 41, totalSamples)
 	cfg := Config{Shards: 2, MaxSessionsPerShard: 4, TickHz: 15, LatencyWindow: 32}
@@ -82,7 +92,7 @@ func TestExtractRestoreSessionBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Stop()
-	refID, err := ref.Admit(SessionConfig{ModelKey: "rf", Source: &scriptSource{samples: streamA}, Norm: p.NormFor(0), Tag: "mover"})
+	refID, err := ref.Admit(SessionConfig{ModelKey: model, Source: &scriptSource{samples: streamA}, Norm: p.NormFor(0), Tag: "mover"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestExtractRestoreSessionBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hubA.Stop()
-	id, err := hubA.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0), Tag: "mover"})
+	id, err := hubA.Admit(SessionConfig{ModelKey: model, Source: src, Norm: p.NormFor(0), Tag: "mover"})
 	if err != nil {
 		t.Fatal(err)
 	}

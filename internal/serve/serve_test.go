@@ -35,6 +35,26 @@ func testFleet(t testing.TB) (*Registry, *core.Pipeline) {
 	return reg, p
 }
 
+// addCNN registers an untrained CNN decoder as "cnn" beside testFleet's
+// forest: the serving CNN's shape (one conv layer with a fused ReLU, mean
+// pool, dense head) at the fleet's window size, so its sessions stream their
+// first convolution. Untrained weights serve identically to trained ones and
+// build in microseconds.
+func addCNN(t testing.TB, reg *Registry, p *core.Pipeline) {
+	t.Helper()
+	spec := models.Spec{Family: models.FamilyCNN, WindowSize: p.Config.WindowSize,
+		Optimizer: "adam", LR: 1e-3, Dropout: 0.2, ConvLayers: 1, Filters: 8, Kernel: 5, Stride: 2, Pool: "none"}
+	if _, _, err := reg.GetOrBuild("cnn", func() (models.Classifier, int64, error) {
+		net, err := models.BuildNet(spec, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		return &models.NNClassifier{Net: net, Spec: spec}, models.OpsPerInference(spec), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // boardSession returns a SessionConfig backed by an on-demand synthetic
 // board for the given subject.
 func boardSession(t testing.TB, p *core.Pipeline, subject int, seed uint64) SessionConfig {

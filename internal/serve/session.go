@@ -8,6 +8,7 @@ import (
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
+	"cognitivearm/internal/nn"
 	"cognitivearm/internal/stream"
 )
 
@@ -139,6 +140,10 @@ type session struct {
 	cfg SessionConfig
 	clf models.Classifier
 	win *control.Windower
+	// conv is the classifier's stream over win (StreamPredictorWS), nil
+	// for a classifier without one. It is derived from win, so it is never
+	// captured: shard.add makes it empty, and inferences fill it.
+	conv *nn.ConvStream
 
 	// sampleAcc implements the fractional samples-per-tick schedule
 	// (e.g. 125 Hz / 15 Hz).
@@ -173,10 +178,14 @@ type session struct {
 }
 
 // schedule fixes the session's drain rule for a shard ticking at tickHz: a
-// buffered source may catch up by one tick's worth of samples per tick.
+// buffered source may catch up by one tick's worth of samples per tick. It
+// also makes the session's empty classifier stream.
 func (s *session) schedule(tickHz float64) {
 	s.buffered, _ = s.cfg.Source.(PendingSnapshotter)
 	s.catchUp = int(math.Ceil(s.cfg.SampleRateHz / tickHz))
+	if sp, ok := s.clf.(models.StreamPredictorWS); ok {
+		s.conv = sp.NewStream()
+	}
 }
 
 // due returns how many samples the rate schedule gives this tick.

@@ -7,6 +7,7 @@ import (
 
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
+	"cognitivearm/internal/nn"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/stream"
 	"cognitivearm/internal/tensor"
@@ -71,9 +72,10 @@ type tickArena struct {
 // reused entry and the linear scan in groupFor is one pointer compare; mixed
 // fleets stay a handful of entries, never a per-tick map allocation.
 type clfGroup struct {
-	clf  models.Classifier
-	idx  []int
-	wins []*tensor.Matrix
+	clf     models.Classifier
+	idx     []int
+	wins    []*tensor.Matrix
+	streams []*nn.ConvStream // each window's session stream, nil entries for a model without one
 }
 
 // reset prepares the arena for the next tick, keeping every backing array.
@@ -91,6 +93,7 @@ func (a *tickArena) reset(pool *tensor.Pool) {
 		a.groups[i].clf = nil
 		a.groups[i].idx = a.groups[i].idx[:0]
 		a.groups[i].wins = a.groups[i].wins[:0]
+		a.groups[i].streams = a.groups[i].streams[:0]
 	}
 	a.groups = a.groups[:0]
 }
@@ -340,8 +343,14 @@ func (s *shard) tick() {
 		if len(samples) > due {
 			caughtUp += uint64(len(samples) - due)
 		}
+		pushed := 0
 		for _, smp := range samples {
-			sess.win.Push(smp.Values)
+			if sess.win.Push(smp.Values) {
+				pushed++
+			}
+		}
+		if sess.conv != nil {
+			sess.conv.Advance(pushed)
 		}
 		if sess.win.Ready() {
 			ar.readySess = append(ar.readySess, sess)
@@ -362,11 +371,12 @@ func (s *shard) tick() {
 			g := ar.groupFor(sess.clf)
 			g.idx = append(g.idx, i)
 			g.wins = append(g.wins, ar.readyWin[i])
+			g.streams = append(g.streams, sess.conv)
 		}
 		for gi := range ar.groups {
 			g := &ar.groups[gi]
 			stamp := time.Now()
-			ar.labels = models.PredictBatchWS(g.clf, ar.ws, g.wins, ar.labels[:0])
+			ar.labels = models.PredictStreamWS(g.clf, ar.ws, g.wins, g.streams, ar.labels[:0])
 			now := time.Now()
 			inferNs += now.Sub(stamp).Nanoseconds()
 			stamp = now

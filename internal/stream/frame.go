@@ -57,13 +57,18 @@ func WriteMsg(w io.Writer, payload []byte) error {
 //	}
 //
 // The returned slice aliases buf; it is valid only until the next
-// ReadMsgBuf call that reuses it.
+// ReadMsgBuf call that reuses it. The length prefix is read into buf too
+// (a header array of its own would escape through r), so a warm read
+// allocates nothing.
 func ReadMsgBuf(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > MaxMsgLen {
 		return nil, fmt.Errorf("stream: message length %d exceeds limit", n)
 	}
@@ -93,17 +98,22 @@ func writeFrame(conn net.Conn, frame []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed data frame.
-func readFrame(conn net.Conn, buf []byte) ([]byte, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+// readFrame reads one length-prefixed data frame into buf, growing it only
+// when a frame (or its 2-byte prefix, read into buf first) does not fit, so
+// a warm read allocates nothing.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 2 {
+		buf = make([]byte, 2)
+	}
+	hdr := buf[:2]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint16(hdr[:]))
+	n := int(binary.LittleEndian.Uint16(hdr))
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	_, err := io.ReadFull(conn, buf)
+	_, err := io.ReadFull(r, buf)
 	return buf, err
 }

@@ -79,6 +79,76 @@ func TestReadMsgBufGrowsWithArrivals(t *testing.T) {
 	}
 }
 
+// mallocs counts the heap allocations of n calls of f exactly and returns
+// the least of up to five such counts, stopping at a 0. testing.AllocsPerRun divides and
+// truncates, so a closure that allocates on some runs only can read 0
+// there; an exact count cannot. Mallocs also counts the runtime's own
+// allocations, though — an OS thread the scheduler starts when it preempts
+// f, a GC cycle's sudogs and timers — and those land in a count now and
+// then, where an allocation of f's recurs in every one. Each count starts
+// from a finished collection.
+func mallocs(n int, f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 5 && least > 0; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestFrameReadsAllocFree: once its buffer has room, reading a cluster
+// control message (ReadMsgBuf) or an LSL data frame (readFrame) allocates
+// nothing, its length prefix included, counted exactly over 200 reads.
+func TestFrameReadsAllocFree(t *testing.T) {
+	const reads = 200
+	var msgs, frames bytes.Buffer
+	for i := 0; i < reads; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 1+i%40)
+		if err := WriteMsg(&msgs, payload); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [2]byte
+		binary.LittleEndian.PutUint16(hdr[:], uint16(len(payload)))
+		frames.Write(hdr[:])
+		frames.Write(payload)
+	}
+	mr, fr := bytes.NewReader(msgs.Bytes()), bytes.NewReader(frames.Bytes())
+	var mbuf, fbuf []byte
+	var err error
+	// Each closure rewinds its reader when it runs dry, so every count reads
+	// the same wire.
+	readMsg := func() {
+		if mr.Len() == 0 {
+			mr.Reset(msgs.Bytes())
+		}
+		var msg []byte
+		if msg, err = ReadMsgBuf(mr, mbuf); err == nil {
+			mbuf = msg[:0]
+		}
+	}
+	readFrm := func() {
+		if fr.Len() == 0 {
+			fr.Reset(frames.Bytes())
+		}
+		var frame []byte
+		if frame, err = readFrame(fr, fbuf); err == nil {
+			fbuf = frame
+		}
+	}
+	mbuf, fbuf = make([]byte, 0, 64), make([]byte, 0, 64)
+	for name, read := range map[string]func(){"ReadMsgBuf": readMsg, "readFrame": readFrm} {
+		if n := mallocs(reads, read); n != 0 || err != nil {
+			t.Fatalf("%d warm %s calls allocated %d times (err %v), want 0", reads, name, n, err)
+		}
+	}
+}
+
 // FuzzReadMsgBuf: whatever a peer sends on the cluster port, the control
 // frame reader never panics and allocates no more than a small multiple of
 // the bytes that arrived, and every message it accepts re-encodes through

@@ -181,6 +181,61 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 	}
 }
 
+// TestColSumsBitwiseNaive holds ColSums' register accumulation to the naive
+// row-by-row loop bit for bit: widths around the eight-column block and its
+// tail, signed zeros (a sum of −0s must stay the +0 it starts at), large
+// magnitudes whose order of addition decides the rounding and the overflow,
+// and no rows at all.
+func TestColSumsBitwiseNaive(t *testing.T) {
+	naive := func(dst []float64, m *Matrix) {
+		for j := range dst {
+			dst[j] = 0
+		}
+		for i := 0; i < m.Rows; i++ {
+			for j, v := range m.Row(i) {
+				dst[j] += v
+			}
+		}
+	}
+	rng := NewRNG(17)
+	specials := []float64{0, math.Copysign(0, -1), 1e308, -1e308, 1e-300, 3, math.MaxFloat64, math.NaN()}
+	for _, cols := range []int{1, 3, 4, 7, 8, 9, 13, 16, 17, 32, 33} {
+		for _, rows := range []int{0, 1, 2, 5, 48} {
+			m := New(rows, cols)
+			for i := range m.Data {
+				if rng.Intn(3) == 0 {
+					m.Data[i] = specials[rng.Intn(len(specials))]
+				} else {
+					m.Data[i] = 1e15 * rng.NormFloat64()
+				}
+			}
+			got, want := make([]float64, cols), make([]float64, cols)
+			for j := range got {
+				got[j] = 7 // ColSums overwrites, it does not add to dst
+			}
+			ColSums(got, m)
+			naive(want, m)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%dx%d column %d: %v (%#x), naive %v (%#x)", rows, cols, j,
+						got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				}
+			}
+		}
+	}
+	negZero := FromSlice(3, 9, make([]float64, 27))
+	for i := range negZero.Data {
+		negZero.Data[i] = math.Copysign(0, -1)
+	}
+	sums := make([]float64, 9)
+	ColSums(sums, negZero)
+	for j, v := range sums {
+		if math.Signbit(v) {
+			t.Fatalf("column %d of −0s summed to −0; the naive loop gives +0", j)
+		}
+	}
+}
+
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
