@@ -29,17 +29,18 @@ import (
 
 const escapeGolden = "testdata/escape.golden"
 
-// goldenFunc is one function under contract: the escape messages it may
-// produce (a message listed twice may occur twice) and their reasons.
+// goldenFunc is one function a golden lists: the messages it may produce (a
+// message listed twice may occur twice), each written with its reason.
 type goldenFunc struct {
 	pkg, name string
-	escapes   []string
+	listed    []string
 }
 
-// parseEscapeGolden reads the golden's grammar: a function line is
-// "<package dir>.<func>" (methods as "(*T).M" or "T.M"); each indented line
-// below it is "<-m message> -- <reason>"; '#' starts a comment line.
-func parseEscapeGolden(t *testing.T, path string) []*goldenFunc {
+// parseGolden reads the grammar testdata/escape.golden and
+// testdata/locks.golden share: a function line is "<package dir>.<func>"
+// (methods as "(*T).M" or "T.M"); each indented line below it is
+// "<message> -- <reason>"; '#' starts a comment line.
+func parseGolden(t *testing.T, path string) []*goldenFunc {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -58,7 +59,7 @@ func parseEscapeGolden(t *testing.T, path string) []*goldenFunc {
 				t.Fatalf("%s:%d: want an indented \"<message> -- <reason>\" under a function", path, i+1)
 			}
 			f := funcs[len(funcs)-1]
-			f.escapes = append(f.escapes, msg)
+			f.listed = append(f.listed, msg)
 			continue
 		}
 		slash := strings.LastIndex(line, "/")
@@ -73,6 +74,29 @@ func parseEscapeGolden(t *testing.T, path string) []*goldenFunc {
 		funcs = append(funcs, &goldenFunc{pkg: line[:slash+1+dot], name: line[slash+2+dot:]})
 	}
 	return funcs
+}
+
+// unmatched pairs what was observed with what is listed, by key and
+// counting multiplicity, and returns the observations left over and the
+// listed keys that did not occur.
+func unmatched[T any](listed []string, observed []T, key func(T) string) (extra []T, stale []string) {
+	left := map[string]int{}
+	for _, msg := range listed {
+		left[msg]++
+	}
+	for _, o := range observed {
+		k := key(o)
+		if left[k]--; left[k] < 0 {
+			extra = append(extra, o)
+		}
+	}
+	for _, msg := range listed {
+		if left[msg] > 0 {
+			left[msg]--
+			stale = append(stale, msg)
+		}
+	}
+	return extra, stale
 }
 
 // span is a half-open source range, compared as (line, column).
@@ -178,7 +202,7 @@ func TestEscapeGolden(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("the escape golden holds for linux/amd64; this is %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
-	golden := parseEscapeGolden(t, escapeGolden)
+	golden := parseGolden(t, escapeGolden)
 
 	var pkgs []string
 	decls := map[string]map[string]*funcDecl{}
@@ -228,22 +252,12 @@ func TestEscapeGolden(t *testing.T) {
 			t.Errorf("%s is listed in %s but no longer exists", key, escapeGolden)
 			continue
 		}
-		left := map[string]int{}
-		for _, msg := range f.escapes {
-			left[msg]++
-		}
-		for _, s := range observed[key] {
-			if left[s.msg] > 0 {
-				left[s.msg]--
-				continue
-			}
+		extra, stale := unmatched(f.listed, observed[key], func(s site) string { return s.msg })
+		for _, s := range extra {
 			t.Errorf("%s: %s, in %s, is not listed in %s", s.pos, s.msg, key, escapeGolden)
 		}
-		for _, msg := range f.escapes {
-			if left[msg] > 0 {
-				left[msg]--
-				t.Errorf("%s: listed escape %q no longer occurs; delete it from %s", key, msg, escapeGolden)
-			}
+		for _, msg := range stale {
+			t.Errorf("%s: listed escape %q no longer occurs; delete it from %s", key, msg, escapeGolden)
 		}
 	}
 }

@@ -284,7 +284,6 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	n.replMu.Lock()
 	for id, link := range n.links {
-		//cogarm:allow nolockblock -- final teardown: loops are joined, nothing else can want replMu
 		link.conn.Close()
 		delete(n.links, id)
 	}

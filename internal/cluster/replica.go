@@ -192,7 +192,6 @@ func (n *Node) ReplicateAt(now time.Time) error {
 	}
 	for id, link := range n.links {
 		if _, still := want[id]; !still {
-			//cogarm:allow nolockblock -- replMu is the sweep's private lock (see above); Close here cannot stall serving
 			link.conn.Close()
 			delete(n.links, id)
 			n.backoff.forget(id)
@@ -219,7 +218,6 @@ func (n *Node) ReplicateAt(now time.Time) error {
 				continue
 			}
 			var err error
-			//cogarm:allow nolockblock -- dialing under replMu serializes sweeps by design; no serving path waits on it
 			if link, err = n.linkTo(target); err != nil {
 				pause := n.backoff.failure(target, now)
 				t.replFails.Inc()
@@ -231,9 +229,7 @@ func (n *Node) ReplicateAt(now time.Time) error {
 			}
 			n.links[target] = link
 		}
-		//cogarm:allow nolockblock -- shipping under replMu serializes sweeps by design; no serving path waits on it
 		if err := n.shipBatch(link); err != nil {
-			//cogarm:allow nolockblock -- tearing down the failed link, same private-lock argument
 			link.conn.Close()
 			delete(n.links, target)
 			pause := n.backoff.failure(target, now)

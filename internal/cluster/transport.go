@@ -21,13 +21,17 @@ import (
 // frames stop allocating their payloads after the largest-yet. Each helper
 // returns the (possibly grown) buffer for the caller's next read.
 
-func writeMemberMsg(w io.Writer, msg memberMsg) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
+// writeGob encodes v behind a reserved length prefix and writes it as one
+// message, in one Write.
+func writeGob(w io.Writer, v any) error {
+	buf := bytes.NewBuffer(make([]byte, stream.MsgHeaderLen, 64))
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return err
 	}
 	return stream.WriteMsg(w, buf.Bytes())
 }
+
+func writeMemberMsg(w io.Writer, msg memberMsg) error { return writeGob(w, &msg) }
 
 func readMemberMsg(r io.Reader, buf []byte) (memberMsg, []byte, error) {
 	payload, err := stream.ReadMsgBuf(r, buf)
@@ -44,13 +48,7 @@ func readMemberMsg(r io.Reader, buf []byte) (memberMsg, []byte, error) {
 	return msg, payload, nil
 }
 
-func writeLocateMsg(w io.Writer, msg locateMsg) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		return err
-	}
-	return stream.WriteMsg(w, buf.Bytes())
-}
+func writeLocateMsg(w io.Writer, msg locateMsg) error { return writeGob(w, &msg) }
 
 func readLocateMsg(r io.Reader, buf []byte) (locateMsg, []byte, error) {
 	payload, err := stream.ReadMsgBuf(r, buf)
@@ -67,13 +65,7 @@ func readLocateMsg(r io.Reader, buf []byte) (locateMsg, []byte, error) {
 	return msg, payload, nil
 }
 
-func writeAck(w io.Writer, ack ackMsg) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&ack); err != nil {
-		return err
-	}
-	return stream.WriteMsg(w, buf.Bytes())
-}
+func writeAck(w io.Writer, ack ackMsg) error { return writeGob(w, &ack) }
 
 func readAck(r io.Reader, buf []byte) (*ackMsg, []byte, error) {
 	payload, err := stream.ReadMsgBuf(r, buf)

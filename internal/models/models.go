@@ -4,11 +4,12 @@
 // search, ensembling, compression and the control loop can treat them
 // uniformly.
 //
-// Serving classifies through one entry point, PredictBatchWS: the NN, forest
-// and quantized classifiers batch a shard's windows on the caller's
-// tensor.Workspace (BatchPredictorWS, which requires one), and classifiers
-// with no batched form (ensembles, compress.ActivationQuantized) are
-// classified a window at a time.
+// Serving resolves each session's path once, when a shard takes it: the NN,
+// forest and quantized classifiers batch a shard's windows on the caller's
+// tensor.Workspace (BatchPredictorWS, which requires one), a CNN also
+// streams its first convolution (StreamPredictorWS), and classifiers with no
+// batched form (ensembles, compress.ActivationQuantized) are classified a
+// window at a time (PredictEach). PredictBatchWS makes that choice per call.
 package models
 
 import (
@@ -204,6 +205,13 @@ func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst
 	if bp, ok := c.(BatchPredictorWS); ok {
 		return bp.PredictBatchWS(ws, xs, dst)
 	}
+	return PredictEach(c, xs, dst)
+}
+
+// PredictEach classifies a batch one window at a time through Predict, the
+// path of a classifier with no batched form. Labels land in dst when it has
+// capacity.
+func PredictEach(c Classifier, xs []*tensor.Matrix, dst []int) []int {
 	if cap(dst) < len(xs) {
 		dst = make([]int, len(xs))
 	}
@@ -218,7 +226,8 @@ func PredictBatchWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, dst
 // BatchPredictorWS, for classifiers that keep per-session state between
 // classifications of one sliding window (nn.ConvStream). The serving hub
 // makes one stream per session when a shard takes the session, and passes
-// each window's stream beside it; the labels are PredictBatchWS's.
+// each window's stream beside it; the labels are PredictBatchWS's. The hub
+// resolves this interface once per session, never per tick.
 type StreamPredictorWS interface {
 	// NewStream returns an empty stream for one session, or nil when the
 	// classifier has nothing to stream.
@@ -227,17 +236,6 @@ type StreamPredictorWS interface {
 	// followed that session's window since NewStream, drawing every
 	// temporary from ws and writing labels into dst when it has capacity.
 	PredictStreamWS(ws *tensor.Workspace, xs []*tensor.Matrix, streams []*nn.ConvStream, dst []int) []int
-}
-
-// PredictStreamWS classifies a batch through c's streaming path when c has
-// one and the windows carry its streams, and through PredictBatchWS
-// otherwise (streams may then be nil or hold nils). The labels are the same
-// either way.
-func PredictStreamWS(c Classifier, ws *tensor.Workspace, xs []*tensor.Matrix, streams []*nn.ConvStream, dst []int) []int {
-	if sp, ok := c.(StreamPredictorWS); ok && len(xs) > 0 && len(streams) == len(xs) && streams[0] != nil {
-		return sp.PredictStreamWS(ws, xs, streams, dst)
-	}
-	return PredictBatchWS(c, ws, xs, dst)
 }
 
 // NNClassifier wraps an nn.Network with its spec.

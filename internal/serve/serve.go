@@ -314,7 +314,6 @@ func (h *Hub) admitSession(sess *session, backpressure bool) (SessionID, error) 
 	sess.id = h.nextID
 	target := h.shards[idx]
 	target.add(sess)
-	//cogarm:allow nolockblock -- idxMu is a documented leaf lock (see field comment); hub.mu→idxMu is the one fixed order and idxMu is never held across a call
 	h.idxMu.Lock()
 	h.index[sess.id] = target
 	h.idxMu.Unlock()

@@ -25,6 +25,11 @@ import (
 // owns and reuses (a ring's drain arena), so they are valid only until the
 // source's next ReadInto — the shard consumes them within the tick, which is
 // the contract.
+//
+// ReadInto runs with the shard lock held, so it must not block: it returns
+// what is buffered now, never waiting for more. The module's lock rule
+// cannot see behind this interface call (invariants_test.go), so the
+// contract is the only thing that holds it.
 type Source interface {
 	// ReadInto drains up to max buffered samples (oldest first), appending
 	// them to dst. max <= 0 drains everything buffered.
@@ -144,6 +149,11 @@ type session struct {
 	// for a classifier without one. It is derived from win, so it is never
 	// captured: shard.add makes it empty, and inferences fill it.
 	conv *nn.ConvStream
+	// stream and batch are clf's serving paths, resolved by schedule so a
+	// tick asserts no interface: stream when conv is set, batch when clf
+	// has a batched form, neither for a per-window classifier.
+	stream models.StreamPredictorWS
+	batch  models.BatchPredictorWS
 
 	// sampleAcc implements the fractional samples-per-tick schedule
 	// (e.g. 125 Hz / 15 Hz).
@@ -179,12 +189,16 @@ type session struct {
 
 // schedule fixes the session's drain rule for a shard ticking at tickHz: a
 // buffered source may catch up by one tick's worth of samples per tick. It
-// also makes the session's empty classifier stream.
+// also resolves the classifier's serving path and makes the session's empty
+// classifier stream.
 func (s *session) schedule(tickHz float64) {
 	s.buffered, _ = s.cfg.Source.(PendingSnapshotter)
 	s.catchUp = int(math.Ceil(s.cfg.SampleRateHz / tickHz))
+	s.batch, _ = s.clf.(models.BatchPredictorWS)
 	if sp, ok := s.clf.(models.StreamPredictorWS); ok {
-		s.conv = sp.NewStream()
+		if s.conv = sp.NewStream(); s.conv != nil {
+			s.stream = sp
+		}
 	}
 }
 

@@ -73,6 +73,8 @@ type tickArena struct {
 // fleets stay a handful of entries, never a per-tick map allocation.
 type clfGroup struct {
 	clf     models.Classifier
+	stream  models.StreamPredictorWS // the sessions' resolved paths (session.schedule)
+	batch   models.BatchPredictorWS
 	idx     []int
 	wins    []*tensor.Matrix
 	streams []*nn.ConvStream // each window's session stream, nil entries for a model without one
@@ -90,7 +92,7 @@ func (a *tickArena) reset(pool *tensor.Pool) {
 	a.readySess = a.readySess[:0]
 	a.readyWin = a.readyWin[:0]
 	for i := range a.groups {
-		a.groups[i].clf = nil
+		a.groups[i].clf, a.groups[i].stream, a.groups[i].batch = nil, nil, nil
 		a.groups[i].idx = a.groups[i].idx[:0]
 		a.groups[i].wins = a.groups[i].wins[:0]
 		a.groups[i].streams = a.groups[i].streams[:0]
@@ -98,11 +100,12 @@ func (a *tickArena) reset(pool *tensor.Pool) {
 	a.groups = a.groups[:0]
 }
 
-// groupFor returns the group accumulating windows for clf, reusing a
-// truncated slot when one is free.
-func (a *tickArena) groupFor(clf models.Classifier) *clfGroup {
+// groupFor returns the group accumulating windows for sess's classifier,
+// reusing a truncated slot when one is free. Sessions sharing a classifier
+// share its resolved paths, so the first one's stand for the group.
+func (a *tickArena) groupFor(sess *session) *clfGroup {
 	for i := range a.groups {
-		if a.groups[i].clf == clf {
+		if a.groups[i].clf == sess.clf {
 			return &a.groups[i]
 		}
 	}
@@ -112,7 +115,7 @@ func (a *tickArena) groupFor(clf models.Classifier) *clfGroup {
 		a.groups = append(a.groups, clfGroup{})
 	}
 	g := &a.groups[len(a.groups)-1]
-	g.clf = clf
+	g.clf, g.stream, g.batch = sess.clf, sess.stream, sess.batch
 	return g
 }
 
@@ -359,7 +362,8 @@ func (s *shard) tick() {
 		windowNs += time.Since(stamp).Nanoseconds()
 	}
 
-	// Batch phase: one PredictBatchWS per distinct model. Fleets normally
+	// Batch phase: one batched call per distinct model, through the path
+	// schedule resolved (streamed, batched, or per window). Fleets normally
 	// share one classifier, so this is a single call for the whole shard;
 	// mixed fleets degrade to one call per model, never one per session.
 	// Both classifier kinds exploit the coalesced batch: the forest walks
@@ -368,7 +372,7 @@ func (s *shard) tick() {
 	// falls as fleet density rises.
 	if len(ar.readySess) > 0 {
 		for i, sess := range ar.readySess {
-			g := ar.groupFor(sess.clf)
+			g := ar.groupFor(sess)
 			g.idx = append(g.idx, i)
 			g.wins = append(g.wins, ar.readyWin[i])
 			g.streams = append(g.streams, sess.conv)
@@ -376,7 +380,14 @@ func (s *shard) tick() {
 		for gi := range ar.groups {
 			g := &ar.groups[gi]
 			stamp := time.Now()
-			ar.labels = models.PredictStreamWS(g.clf, ar.ws, g.wins, g.streams, ar.labels[:0])
+			switch {
+			case g.stream != nil:
+				ar.labels = g.stream.PredictStreamWS(ar.ws, g.wins, g.streams, ar.labels[:0])
+			case g.batch != nil:
+				ar.labels = g.batch.PredictBatchWS(ar.ws, g.wins, ar.labels[:0])
+			default:
+				ar.labels = models.PredictEach(g.clf, g.wins, ar.labels[:0])
+			}
 			now := time.Now()
 			inferNs += now.Sub(stamp).Nanoseconds()
 			stamp = now

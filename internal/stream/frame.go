@@ -28,17 +28,24 @@ const MaxMsgLen = 256 << 20
 // arrived: the largest first step of a buffer too small for the message.
 const msgReadStep = 64 << 10
 
-// WriteMsg writes one length-prefixed message: [len u32le][payload].
-func WriteMsg(w io.Writer, payload []byte) error {
-	if len(payload) > MaxMsgLen {
-		return fmt.Errorf("stream: message of %d bytes exceeds limit", len(payload))
+// MsgHeaderLen is the length prefix of a message. A writer encodes its
+// payload after MsgHeaderLen reserved bytes, and WriteMsg fills them in.
+const MsgHeaderLen = 4
+
+// WriteMsg writes one length-prefixed message, [len u32le][payload], in one
+// Write: frame is MsgHeaderLen reserved bytes followed by the payload, and
+// WriteMsg fills in the prefix. One Write is one TCP segment on a no-delay
+// socket, and nothing is allocated.
+func WriteMsg(w io.Writer, frame []byte) error {
+	if len(frame) < MsgHeaderLen {
+		return fmt.Errorf("stream: frame of %d bytes has no room for its length prefix", len(frame))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := len(frame) - MsgHeaderLen
+	if n > MaxMsgLen {
+		return fmt.Errorf("stream: message of %d bytes exceeds limit", n)
 	}
-	_, err := w.Write(payload)
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 

@@ -10,11 +10,17 @@ import (
 	"time"
 )
 
+// frame reserves a message's length prefix ahead of payload, as the
+// cluster's writers do.
+func frame(payload []byte) []byte {
+	return append(make([]byte, MsgHeaderLen, MsgHeaderLen+len(payload)), payload...)
+}
+
 func TestMsgRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{}, []byte("x"), bytes.Repeat([]byte{0xAB}, 70000)}
 	for _, p := range payloads {
-		if err := WriteMsg(&buf, p); err != nil {
+		if err := WriteMsg(&buf, frame(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,14 +41,17 @@ func TestMsgRejectsOversizedLength(t *testing.T) {
 	if _, err := ReadMsgBuf(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("oversized length accepted")
 	}
-	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MaxMsgLen+1)); err == nil {
+	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MsgHeaderLen+MaxMsgLen+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MsgHeaderLen-1)); err == nil {
+		t.Fatal("a frame without room for its prefix was accepted")
 	}
 }
 
 func TestMsgRejectsTornPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMsg(&buf, []byte("complete message")); err != nil {
+	if err := WriteMsg(&buf, frame([]byte("complete message"))); err != nil {
 		t.Fatal(err)
 	}
 	torn := buf.Bytes()[:buf.Len()-4]
@@ -69,7 +78,7 @@ func TestReadMsgBufGrowsWithArrivals(t *testing.T) {
 	}
 
 	var wire bytes.Buffer
-	if err := WriteMsg(&wire, []byte("ack")); err != nil {
+	if err := WriteMsg(&wire, frame([]byte("ack"))); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 0, 16)
@@ -110,7 +119,7 @@ func TestFrameReadsAllocFree(t *testing.T) {
 	var msgs, frames bytes.Buffer
 	for i := 0; i < reads; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 1+i%40)
-		if err := WriteMsg(&msgs, payload); err != nil {
+		if err := WriteMsg(&msgs, frame(payload)); err != nil {
 			t.Fatal(err)
 		}
 		var hdr [2]byte
@@ -149,6 +158,27 @@ func TestFrameReadsAllocFree(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls that reach it and their bytes.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes, w.bytes = w.writes+1, w.bytes+len(p)
+	return len(p), nil
+}
+
+// TestWriteMsgOneWrite: a message leaves in exactly one Write, its prefix
+// included, and writing one allocates nothing, counted exactly over 200.
+func TestWriteMsgOneWrite(t *testing.T) {
+	f := frame([]byte("membership, locate or ack"))
+	var w writeCounter
+	if err := WriteMsg(&w, f); err != nil || w.writes != 1 || w.bytes != len(f) {
+		t.Fatalf("one message took %d Writes of %d bytes in all (err %v), want 1 of %d", w.writes, w.bytes, err, len(f))
+	}
+	if n := mallocs(200, func() { WriteMsg(&w, f) }); n != 0 {
+		t.Fatalf("200 messages allocated %d times, want 0", n)
+	}
+}
+
 // FuzzReadMsgBuf: whatever a peer sends on the cluster port, the control
 // frame reader never panics and allocates no more than a small multiple of
 // the bytes that arrived, and every message it accepts re-encodes through
@@ -171,7 +201,7 @@ func FuzzReadMsgBuf(f *testing.F) {
 				return
 			}
 			var again bytes.Buffer
-			if err := WriteMsg(&again, msg); err != nil {
+			if err := WriteMsg(&again, frame(msg)); err != nil {
 				t.Fatal(err)
 			}
 			if consumed := b[at : len(b)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {

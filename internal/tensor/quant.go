@@ -6,10 +6,12 @@ import (
 )
 
 // This file holds every float↔int8/int16 conversion kernel in the module.
-// The quantsafe analyzer (cmd/cogarmvet) enforces that boundary: quantized
-// consumers in internal/nn and internal/rf traffic exclusively in already-
-// quantized values plus the helpers below, so scale handling — the part that
-// silently corrupts accuracy when it drifts — is reviewable in one place.
+// The module's conversion rule (TestInvariants, in the root package) holds
+// that boundary: a float↔int8/int16 conversion anywhere else is a finding,
+// and testdata/locks.golden lists none. Quantized consumers in internal/nn
+// and internal/rf traffic exclusively in already-quantized values plus the
+// helpers below, so scale handling — the part that silently corrupts
+// accuracy when it drifts — is reviewable in one place.
 
 // QMatrix is an int8-quantized weight matrix for y = x·W products, stored
 // transposed (Out rows of In weights each) so the integer dot product streams

@@ -450,7 +450,6 @@ func (l *Log) Seal() (root [HashSize]byte, first, last uint64, err error) {
 	if err := l.usable(); err != nil {
 		return root, 0, 0, err
 	}
-	//cogarm:allow nolockblock -- the WAL segment lock serializes the seal write + fsync, and a rollover's footer and next segment, by design
 	return l.sealRollLocked()
 }
 
@@ -514,7 +513,6 @@ func (l *Log) Rotate() error {
 	if err := l.usable(); err != nil {
 		return err
 	}
-	//cogarm:allow nolockblock -- the WAL segment lock serializes rotation I/O (footer write, fsync, close, create) by design
 	return l.rotateLocked()
 }
 
@@ -577,7 +575,6 @@ func (l *Log) TruncateBelow(seq uint64) (int, error) {
 		if m.last == 0 || m.last > seq {
 			break
 		}
-		//cogarm:allow nolockblock -- the WAL segment lock serializes segment removal by design (compaction is rare and bounded)
 		if err := os.Remove(filepath.Join(l.opts.Dir, m.name)); err != nil {
 			return removed, fmt.Errorf("wal: truncate: %w", err)
 		}
@@ -607,7 +604,6 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	//cogarm:allow nolockblock -- the WAL segment lock serializes shutdown I/O by design
 	err := l.closeLocked()
 	l.closed = true
 	return err

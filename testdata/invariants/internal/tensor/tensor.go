@@ -1,6 +1,6 @@
 // Stub of cognitivearm/internal/tensor at the real import path: the one
-// package exempt from quantsafe. It converts in both directions and must
-// produce no diagnostics.
+// package the conversion rule exempts. It converts in both directions and
+// must produce no findings.
 package tensor
 
 // Q is a stand-in for the kernel-owned quantization entry point.

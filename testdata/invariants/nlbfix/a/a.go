@@ -1,6 +1,6 @@
-// Fixture for nolockblock: blocking operations and nested lock
+// Fixture for the lock rule: blocking operations and nested lock
 // acquisitions inside mutex critical sections, including transitive
-// in-package chains, cross-package facts, defer-held spans, and waivers.
+// in-package chains, chains into another package, and defer-held spans.
 package a
 
 import (
@@ -21,9 +21,9 @@ type guarded struct {
 
 func direct(g *guarded) {
 	g.mu.Lock()
-	g.ch <- 1                    // want `nolockblock: sends on a channel while g\.mu is held`
-	<-g.ch                       // want `nolockblock: receives from a channel while g\.mu is held`
-	time.Sleep(time.Millisecond) // want `nolockblock: sleeps while g\.mu is held`
+	g.ch <- 1                    // want `sends on a channel while g\.mu is held`
+	<-g.ch                       // want `receives from a channel while g\.mu is held`
+	time.Sleep(time.Millisecond) // want `sleeps while g\.mu is held`
 	g.mu.Unlock()
 	<-g.ch // lock released: fine
 }
@@ -31,15 +31,15 @@ func direct(g *guarded) {
 func deferred(g *guarded) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	<-g.ch // want `nolockblock: receives from a channel while g\.mu is held`
+	<-g.ch // want `receives from a channel while g\.mu is held`
 	return g.n
 }
 
 func nested(g *guarded) {
 	g.mu.Lock()
-	g.other.Lock() // want `nolockblock: acquires g\.other while g\.mu is held`
+	g.other.Lock() // want `acquires g\.other while g\.mu is held`
 	g.other.Unlock()
-	g.mu.Lock() // want `nolockblock: re-acquires g\.mu, already held .* self-deadlock`
+	g.mu.Lock() // want `re-acquires g\.mu, already held .* self-deadlock`
 	g.mu.Unlock()
 }
 
@@ -58,14 +58,14 @@ func sleepy() { time.Sleep(time.Second) }
 
 func transitive(g *guarded) {
 	g.mu.Lock()
-	sleepy() // want `nolockblock: calls sleepy, which sleeps while g\.mu is held`
+	sleepy() // want `calls sleepy, which sleeps while g\.mu is held`
 	g.mu.Unlock()
 }
 
 func crossPackage(g *guarded) {
 	g.mu.Lock()
 	_ = b.Fast(1) // verified non-blocking: fine
-	b.Slow()      // want `nolockblock: calls cognitivearm/nlbfix/b\.Slow, which calls nap, which sleeps while g\.mu is held`
+	b.Slow()      // want `calls cognitivearm/nlbfix/b\.Slow, which calls nap, which sleeps while g\.mu is held`
 	g.mu.Unlock()
 }
 
@@ -73,13 +73,6 @@ func goroutineBody(g *guarded) {
 	g.mu.Lock()
 	// The goroutine runs outside this critical section.
 	go func() { <-g.ch }()
-	g.mu.Unlock()
-}
-
-func waived(g *guarded) {
-	g.mu.Lock()
-	//cogarm:allow nolockblock -- fixture: documented single-waiter handoff
-	<-g.ch
 	g.mu.Unlock()
 }
 
@@ -94,7 +87,7 @@ type links struct {
 func shipUnderLock(l *links, buf []byte) {
 	l.mu.Lock()
 	for _, c := range l.conns {
-		c.Write(buf) // want `nolockblock: performs I/O .* while l\.mu is held`
+		c.Write(buf) // want `performs I/O .* while l\.mu is held`
 	}
 	l.mu.Unlock()
 }
@@ -117,7 +110,7 @@ func selectDefault(g *guarded) {
 		g.n = v
 	default:
 	}
-	select { // want `nolockblock: waits in a select with no default while g\.mu is held`
+	select { // want `waits in a select with no default while g\.mu is held`
 	case v := <-g.ch:
 		g.n = v
 	}

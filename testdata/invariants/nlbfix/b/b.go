@@ -1,5 +1,5 @@
-// Package b exercises nolockblock's cross-package BlocksFact: Slow blocks
-// (transitively, through nap), Fast does not.
+// Package b is a dependency of package a: Slow blocks (transitively,
+// through nap), Fast does not, and a's lock sites must tell them apart.
 package b
 
 import "time"
