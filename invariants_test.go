@@ -633,15 +633,29 @@ func TestInvariants(t *testing.T) {
 	}
 }
 
-// TestInvariantFixtures runs both rules over the fixture packages under
+// TestInvariantFixtures runs each rule over its fixture packages under
 // testdata/invariants, whose import paths are their directories under
 // cognitivearm/, and matches every finding with a `// want` comment on its
 // line, and every want with a finding. The tensor stub sits at the real
 // tensor path and converts freely: the exemption must hold.
 func TestInvariantFixtures(t *testing.T) {
+	for _, set := range []struct {
+		name  string
+		paths []string
+	}{
+		{"nolockblock", []string{"cognitivearm/nlbfix/b", "cognitivearm/nlbfix/a"}},
+		{"quantsafe", []string{quantPath, "cognitivearm/qsfix"}},
+	} {
+		t.Run(set.name, func(t *testing.T) { checkFixtures(t, set.paths) })
+	}
+}
+
+// checkFixtures checks the fixture packages at paths, dependencies first,
+// in one checker and matches their findings with their wants.
+func checkFixtures(t *testing.T, paths []string) {
 	c := newChecker(t)
 	want := map[string][]*regexp.Regexp{}
-	for _, path := range []string{"cognitivearm/nlbfix/b", "cognitivearm/nlbfix/a", quantPath, "cognitivearm/qsfix"} {
+	for _, path := range paths {
 		dir := filepath.Join("testdata/invariants", pkgDir(path))
 		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(names) == 0 {
