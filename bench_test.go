@@ -1,5 +1,5 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation, plus the ablations DESIGN.md calls out. Each bench
+// paper's evaluation, plus ablations of its design choices. Each bench
 // runs the corresponding experiment at Quick scale and reports the headline
 // quantity via b.ReportMetric so `go test -bench` output doubles as the
 // reproduction log. cmd/benchtables prints the same results as tables.
@@ -132,10 +132,11 @@ func BenchmarkFig11Ensembles(b *testing.B) {
 	sc := experiments.Quick()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1
-		entries, err := experiments.Fig11(sc)
+		z, err := experiments.TrainZoo(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
+		entries := experiments.Fig11(z)
 		b.ReportMetric(entries[0].Accuracy, "best-acc")
 		b.ReportMetric(entries[0].InferenceSec, "best-latency-s")
 	}
@@ -147,7 +148,11 @@ func BenchmarkFig12Compression(b *testing.B) {
 	sc := experiments.Quick()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1
-		entries, err := experiments.Fig12(sc)
+		z, err := experiments.TrainZoo(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries, err := experiments.Fig12(z)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +203,11 @@ func BenchmarkHeadline(b *testing.B) {
 	sc := experiments.Quick()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i) + 1
-		r, err := experiments.Headline(sc)
+		z, err := experiments.TrainZoo(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := experiments.Headline(z)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +219,7 @@ func BenchmarkHeadline(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) -------------------------------------------
+// --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationWindowSize sweeps the window axis for the RF model.
 func BenchmarkAblationWindowSize(b *testing.B) {
@@ -276,7 +285,7 @@ func BenchmarkAblationNormalization(b *testing.B) {
 	sc := experiments.Quick()
 	for i := 0; i < b.N; i++ {
 		for _, normalize := range []bool{true, false} {
-			bySubject, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), 100, sc.Seed)
+			bySubject, _, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), 100, sc.Seed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -669,7 +678,7 @@ func vadDuty(seed uint64) (active, total float64) {
 }
 
 func pooled(sc experiments.Scale, window int) (train, val []dataset.Window, err error) {
-	bySubject, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
+	bySubject, _, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

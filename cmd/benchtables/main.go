@@ -37,6 +37,19 @@ func main() {
 		sc = experiments.Full()
 	}
 
+	// The zoo is trained on first use, so one run trains it at most once.
+	var zoo *experiments.Zoo
+	trained := func() *experiments.Zoo {
+		if zoo == nil {
+			z, err := experiments.TrainZoo(sc)
+			if err != nil {
+				log.Fatal(err)
+			}
+			zoo = z
+		}
+		return zoo
+	}
+
 	ran := false
 	if *all || *table == 1 {
 		printTable1()
@@ -65,15 +78,15 @@ func main() {
 		ran = true
 	}
 	if *all || *fig == 11 {
-		runFig11(sc)
+		runFig11(trained())
 		ran = true
 	}
 	if *all || *fig == 12 {
-		runFig12(sc)
+		runFig12(trained())
 		ran = true
 	}
 	if *all || *headline || *table == 2 {
-		runHeadline(sc, *all || *table == 2)
+		runHeadline(trained(), *all || *table == 2)
 		ran = true
 	}
 	if *all || *validate {
@@ -150,12 +163,9 @@ func runSearchFigures(sc experiments.Scale, fig int, all bool) {
 	}
 }
 
-func runFig11(sc experiments.Scale) {
+func runFig11(z *experiments.Zoo) {
 	fmt.Println("== Figure 11: ensemble combinations (accuracy vs latency) ==")
-	entries, err := experiments.Fig11(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
+	entries := experiments.Fig11(z)
 	fmt.Printf("%-64s %8s %10s\n", "ensemble", "acc", "latency-s")
 	for _, e := range entries {
 		fmt.Printf("%-64s %8.3f %10.3f\n", e.Name, e.Accuracy, e.InferenceSec)
@@ -163,9 +173,9 @@ func runFig11(sc experiments.Scale) {
 	fmt.Println()
 }
 
-func runFig12(sc experiments.Scale) {
+func runFig12(z *experiments.Zoo) {
 	fmt.Println("== Figure 12: compression sweep (accuracy vs latency) ==")
-	entries, err := experiments.Fig12(sc)
+	entries, err := experiments.Fig12(z)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -176,9 +186,9 @@ func runFig12(sc experiments.Scale) {
 	fmt.Println()
 }
 
-func runHeadline(sc experiments.Scale, withTable2 bool) {
+func runHeadline(z *experiments.Zoo, withTable2 bool) {
 	fmt.Println("== §V headline reproduction ==")
-	r, err := experiments.Headline(sc)
+	r, err := experiments.Headline(z)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	for i := range ids {
 		ids[i] = i
 	}
-	bySubject, err := dataset.Build(ids, 1, dataset.ShortProtocol(*seconds), *window, *seed)
+	bySubject, _, err := dataset.Build(ids, 1, dataset.ShortProtocol(*seconds), *window, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	fmt.Println("CognitiveArm evolutionary search (CNN family, quick scale)")
 
 	data := func(window int) ([]dataset.Window, []dataset.Window, error) {
-		bySubject, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
+		bySubject, _, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
 		if err != nil {
 			return nil, nil, err
 		}

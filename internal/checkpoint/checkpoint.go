@@ -56,9 +56,6 @@ import (
 	"cognitivearm/internal/control"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
-
-	// Register the ensemble codec so checkpoints holding ensembles load.
-	_ "cognitivearm/internal/ensemble"
 )
 
 // DefaultKeep is how many complete checkpoints Save retains. Two generations
@@ -144,14 +141,10 @@ type Manifest struct {
 	Refs []SessionRef
 }
 
-// RefIndex returns the manifest's session references keyed by ID — the view
-// the next delta capture compares live sessions against.
-func (m *Manifest) RefIndex() map[uint64]SessionRef {
-	return m.RefIndexInto(nil)
-}
-
-// RefIndexInto is RefIndex into dst, which is cleared first and allocated
-// only when nil, so a capture loop can keep one index for its lifetime.
+// RefIndexInto returns the manifest's session references keyed by ID — the
+// view the next delta capture compares live sessions against — in dst, which
+// is cleared first and allocated only when nil, so a capture loop can keep
+// one index for its lifetime.
 func (m *Manifest) RefIndexInto(dst map[uint64]SessionRef) map[uint64]SessionRef {
 	if dst == nil {
 		dst = make(map[uint64]SessionRef, len(m.Refs))
@@ -420,16 +413,6 @@ func LoadLatest(root string) (*FleetState, string, error) {
 		}
 	}
 	return nil, "", firstErr
-}
-
-// Latest returns the newest checkpoint directory under root, without
-// validating it.
-func Latest(root string) (string, bool) {
-	entries, err := listCheckpoints(root)
-	if err != nil || len(entries) == 0 {
-		return "", false
-	}
-	return filepath.Join(root, entries[len(entries)-1].name), true
 }
 
 // LatestManifest reads the newest valid manifest under root — the view batch

@@ -324,8 +324,8 @@ func TestCheckpointSelfContained(t *testing.T) {
 	if last, err = Save(root, state); err != nil {
 		t.Fatal(err)
 	}
-	if dir, ok := Latest(root); !ok || dir != last || filepath.Base(dir) != "ckpt-00000007" {
-		t.Fatalf("latest = %q, want ckpt-00000007", dir)
+	if _, dir, err := LoadLatest(root); err != nil || dir != last || filepath.Base(dir) != "ckpt-00000007" {
+		t.Fatalf("latest = %q (%v), want ckpt-00000007", dir, err)
 	}
 	for _, e := range entries {
 		if err := os.RemoveAll(filepath.Join(root, e.name)); err != nil {

@@ -20,6 +20,23 @@ import (
 	"cognitivearm/internal/wal"
 )
 
+// captureDelta is hub.CaptureDeltaInto a fresh arena, its dirty records
+// decoded into SessionRecords that share no memory with the hub.
+func captureDelta(t *testing.T, hub *serve.Hub, prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
+	t.Helper()
+	var d serve.Delta
+	hub.CaptureDeltaInto(prev, &d)
+	state := &checkpoint.FleetState{Manifest: d.Manifest, Models: d.Models, ModelMACs: d.ModelMACs}
+	for i := 0; i < d.Records.Len(); i++ {
+		var rec checkpoint.SessionRecord
+		if err := checkpoint.DecodeSessionRecord(d.Records.At(i), &rec); err != nil {
+			t.Fatal(err)
+		}
+		state.Sessions = append(state.Sessions, rec)
+	}
+	return state
+}
+
 // replicaFleet is a primary's hub with two ticking sessions.
 func replicaFleet(t *testing.T) *serve.Hub {
 	t.Helper()
@@ -71,17 +88,17 @@ func TestReplicaRefusedBatchLeavesImage(t *testing.T) {
 	store := newReplicaStore()
 	rs := store.beginTail("primary")
 
-	delta1 := hub.CaptureDelta(nil)
+	delta1 := captureDelta(t, hub, nil)
 	entries, root1 := batchOf(t, delta1)
 	if live, err := store.apply("primary", rs, entries, root1); err != nil || live != 2 {
 		t.Fatalf("good batch: live=%d err=%v", live, err)
 	}
-	want := hub.CaptureDelta(nil).Sessions // an independent copy of the applied state
+	want := captureDelta(t, hub, nil).Sessions // an independent copy of the applied state
 
 	for i := 0; i < 3; i++ {
 		hub.TickAll()
 	}
-	bad := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	bad := captureDelta(t, hub, delta1.Manifest.RefIndexInto(nil))
 	if len(bad.Sessions) != 2 {
 		t.Fatalf("setup: %d dirty sessions, want 2", len(bad.Sessions))
 	}
@@ -119,7 +136,7 @@ func TestReplicaSupersededTailRefused(t *testing.T) {
 	hub := replicaFleet(t)
 	store := newReplicaStore()
 	stale := store.beginTail("primary")
-	entries, root := batchOf(t, hub.CaptureDelta(nil))
+	entries, root := batchOf(t, captureDelta(t, hub, nil))
 	if _, err := store.apply("primary", stale, entries, root); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +158,7 @@ func TestReplicaSupersededTailRefused(t *testing.T) {
 // restored, Handled 0 — exactly as a checkpoint whose session references a
 // missing model is: the receiver reads it with the checkpoint reader.
 func TestMigrationRefusesUnknownModel(t *testing.T) {
-	state := replicaFleet(t).CaptureDelta(nil)
+	state := captureDelta(t, replicaFleet(t), nil)
 	state.Sessions[1].ModelKey = "ghost"
 	delta := &checkpoint.Delta{Manifest: state.Manifest, Models: state.Models, ModelMACs: state.ModelMACs}
 	for i := range state.Sessions {
@@ -275,14 +292,14 @@ func TestReplicaApplyAllocs(t *testing.T) {
 	hub := replicaFleet(t)
 	store := newReplicaStore()
 	rs := store.beginTail("primary")
-	entries, root := batchOf(t, hub.CaptureDelta(nil))
+	entries, root := batchOf(t, captureDelta(t, hub, nil))
 	if _, err := store.apply("primary", rs, entries, root); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		hub.TickAll()
 	}
-	entries, root = batchOf(t, hub.CaptureDelta(nil))
+	entries, root = batchOf(t, captureDelta(t, hub, nil))
 	var steady []wal.Entry
 	for _, e := range entries {
 		if e.Kind != wal.KindModel {

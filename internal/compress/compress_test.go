@@ -12,7 +12,7 @@ import (
 // trainedCNN returns a small trained CNN plus held-out windows.
 func trainedCNN(t *testing.T) (*models.NNClassifier, []dataset.Window) {
 	t.Helper()
-	bySubject, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(40), 100, 7)
+	bySubject, _, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(40), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

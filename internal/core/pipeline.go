@@ -1,6 +1,5 @@
 // Package core assembles the full CognitiveArm system of Figure 2: dataset
-// generation over the synthetic participant pool, model training (single
-// models or the paper's CNN+Transformer ensemble), compression, and the
+// generation over the synthetic participant pool, model training, and the
 // deployment of a closed-loop controller with voice-command mode switching —
 // one façade over every substrate package.
 package core
@@ -14,7 +13,6 @@ import (
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/edge"
 	"cognitivearm/internal/eeg"
-	"cognitivearm/internal/ensemble"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/tensor"
 )
@@ -79,30 +77,12 @@ func New(cfg Config) (*Pipeline, error) {
 	if len(cfg.SubjectIDs) == 0 || cfg.Sessions < 1 {
 		return nil, fmt.Errorf("core: need at least one subject and session")
 	}
-	proto := dataset.ShortProtocol(cfg.SessionSeconds)
-	p := &Pipeline{Config: cfg, BySubject: map[int][]dataset.Window{}, Stats: map[int]dataset.Stats{}}
-	rng := tensor.NewRNG(cfg.Seed)
-	for _, id := range cfg.SubjectIDs {
-		subj := eeg.NewSubject(id)
-		var all []dataset.Window
-		for s := 0; s < cfg.Sessions; s++ {
-			rec := dataset.Collect(subj, s, proto, cfg.Seed+uint64(id)*101+uint64(s))
-			clean, err := dataset.Preprocess(rec)
-			if err != nil {
-				return nil, fmt.Errorf("core: preprocess subject %d: %w", id, err)
-			}
-			ws, err := dataset.Segment(clean, dataset.DefaultSegment(cfg.WindowSize))
-			if err != nil {
-				return nil, fmt.Errorf("core: segment subject %d: %w", id, err)
-			}
-			all = append(all, ws...)
-		}
-		st := dataset.ComputeStats(all)
-		dataset.Normalize(all, st)
-		p.Stats[id] = st
-		p.BySubject[id] = dataset.Balance(all, rng.Fork())
+	bySubject, stats, err := dataset.Build(cfg.SubjectIDs, cfg.Sessions,
+		dataset.ShortProtocol(cfg.SessionSeconds), cfg.WindowSize, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return p, nil
+	return &Pipeline{Config: cfg, BySubject: bySubject, Stats: stats}, nil
 }
 
 // GlobalStats returns normalisation constants averaged across every trained
@@ -228,29 +208,4 @@ func (s *System) HearCommand(wave []float64) audio.Word {
 	word, _ := s.Spotter.Recognize(wave)
 	s.Controller.HandleVoice(word)
 	return word
-}
-
-// TrainPaperEnsemble trains the scaled equivalents of the paper's four
-// Pareto-optimal models on the pooled split and returns the CNN+Transformer
-// soft-voting ensemble of §V plus all four members. Specs are re-windowed to
-// the pipeline's window size.
-func (p *Pipeline) TrainPaperEnsemble() (*ensemble.Ensemble, []models.Classifier, error) {
-	var pool []models.Classifier
-	var cnnTF []models.Classifier
-	for _, spec := range models.ScaledPaperSpecs() {
-		spec.WindowSize = p.Config.WindowSize
-		clf, _, err := p.TrainModel(spec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: train %s: %w", spec.ID(), err)
-		}
-		pool = append(pool, clf)
-		if spec.Family == models.FamilyCNN || spec.Family == models.FamilyTransformer {
-			cnnTF = append(cnnTF, clf)
-		}
-	}
-	ens, err := ensemble.New(cnnTF...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ens, pool, nil
 }

@@ -135,30 +135,3 @@ func TestDeployUnknownSubject(t *testing.T) {
 		t.Fatal("unknown subject should error")
 	}
 }
-
-func TestTrainPaperEnsemble(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains four models")
-	}
-	cfg := smallConfig()
-	cfg.SessionSeconds = 48
-	cfg.Train.Epochs = 10
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens, pool, err := p.TrainPaperEnsemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pool) != 4 {
-		t.Fatalf("pool %d", len(pool))
-	}
-	if len(ens.Members) != 2 {
-		t.Fatalf("ensemble members %d (want CNN+Transformer)", len(ens.Members))
-	}
-	_, val := p.Pooled()
-	if acc := models.Accuracy(ens, val); acc < 0.4 {
-		t.Fatalf("ensemble accuracy %v below sanity floor", acc)
-	}
-}

@@ -523,10 +523,12 @@ func (b *featureBlock) accumulate(data []float64, c, cols int) {
 
 // Build runs the full pipeline for a set of subjects: collect sessions,
 // preprocess, segment, normalise per subject, and balance. It returns windows
-// grouped by subject, ready for LOSO.
-func Build(subjectIDs []int, sessions int, proto Protocol, windowSize int, seed uint64) (map[int][]Window, error) {
+// grouped by subject, ready for LOSO, and each subject's normalisation stats,
+// which live control needs to normalise its own stream the same way.
+func Build(subjectIDs []int, sessions int, proto Protocol, windowSize int, seed uint64) (map[int][]Window, map[int]Stats, error) {
 	rng := tensor.NewRNG(seed)
 	bySubject := make(map[int][]Window, len(subjectIDs))
+	stats := make(map[int]Stats, len(subjectIDs))
 	for _, id := range subjectIDs {
 		subj := eeg.NewSubject(id)
 		var all []Window
@@ -534,16 +536,18 @@ func Build(subjectIDs []int, sessions int, proto Protocol, windowSize int, seed 
 			rec := Collect(subj, s, proto, seed+uint64(id)*101+uint64(s))
 			clean, err := Preprocess(rec)
 			if err != nil {
-				return nil, err
+				return nil, nil, fmt.Errorf("subject %d: %w", id, err)
 			}
 			ws, err := Segment(clean, DefaultSegment(windowSize))
 			if err != nil {
-				return nil, err
+				return nil, nil, fmt.Errorf("subject %d: %w", id, err)
 			}
 			all = append(all, ws...)
 		}
-		Normalize(all, ComputeStats(all))
+		st := ComputeStats(all)
+		Normalize(all, st)
+		stats[id] = st
 		bySubject[id] = Balance(all, rng.Fork())
 	}
-	return bySubject, nil
+	return bySubject, stats, nil
 }

@@ -247,16 +247,19 @@ func TestFeatureVector(t *testing.T) {
 }
 
 func TestBuildPipeline(t *testing.T) {
-	bySubject, err := Build([]int{0, 1}, 1, ShortProtocol(16), 100, 9)
+	bySubject, stats, err := Build([]int{0, 1}, 1, ShortProtocol(16), 100, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bySubject) != 2 {
-		t.Fatalf("subjects %d", len(bySubject))
+	if len(bySubject) != 2 || len(stats) != 2 {
+		t.Fatalf("subjects %d, stats %d", len(bySubject), len(stats))
 	}
 	for id, ws := range bySubject {
 		if len(ws) == 0 {
 			t.Fatalf("subject %d empty", id)
+		}
+		if st := stats[id]; len(st.Mean) != eeg.NumChannels || len(st.Std) != eeg.NumChannels {
+			t.Fatalf("subject %d stats %+v", id, st)
 		}
 		counts := ClassCounts(ws)
 		if counts[eeg.Left] != counts[eeg.Right] || counts[eeg.Left] != counts[eeg.Idle] {

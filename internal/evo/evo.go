@@ -91,8 +91,8 @@ type SearchSpace struct {
 	MaxDepths []int
 }
 
-// PaperSearchSpace reproduces Table III. Widths are the paper's; note the
-// compute caveat in DESIGN.md (pure-Go training favours the smaller end).
+// PaperSearchSpace reproduces Table III. Widths are the paper's; pure-Go
+// training on a CPU favours the smaller end of each axis.
 func PaperSearchSpace() SearchSpace {
 	return SearchSpace{
 		WindowSizes:    []int{100, 130, 160, 190, 200},

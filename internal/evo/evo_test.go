@@ -149,12 +149,12 @@ func TestSearchEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evolutionary search is expensive")
 	}
-	bySubject, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(32), 100, 7)
+	bySubject, _, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(32), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := func(windowSize int) ([]dataset.Window, []dataset.Window, error) {
-		by, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(32), windowSize, 7)
+		by, _, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(32), windowSize, 7)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each ExpN function runs the corresponding workload end-to-end
-// on the synthetic substrates and returns a printable result whose *shape*
-// (orderings, ratios, crossovers) is asserted against the paper in
-// EXPERIMENTS.md; cmd/benchtables and the root bench suite are thin callers.
+// evaluation. Each TableN/FigN function runs the corresponding workload
+// end-to-end on the synthetic substrates and returns a printable result
+// whose *shape* (orderings, ratios, crossovers) the package's tests assert
+// against the paper; cmd/benchtables and the root bench suite are thin
+// callers. Figures 11 and 12 and the §V headline read one trained Zoo.
 package experiments
 
 import (
@@ -15,7 +16,6 @@ import (
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/edge"
 	"cognitivearm/internal/eeg"
-	"cognitivearm/internal/ensemble"
 	"cognitivearm/internal/evo"
 	"cognitivearm/internal/metrics"
 	"cognitivearm/internal/models"
@@ -25,7 +25,7 @@ import (
 )
 
 // Scale sizes an experiment run: Quick for tests/benches, Full for the
-// reproduction runs recorded in EXPERIMENTS.md.
+// reproduction runs (benchtables -scale full).
 type Scale struct {
 	SubjectIDs     []int
 	SessionSeconds float64
@@ -41,17 +41,18 @@ func Quick() Scale {
 		EvoPopulation: 6, EvoGenerations: 2, Seed: 1}
 }
 
-// Full returns the reproduction scale used for EXPERIMENTS.md.
+// Full returns the reproduction scale (benchtables -scale full).
 func Full() Scale {
 	return Scale{SubjectIDs: []int{0, 1, 2, 3, 4}, SessionSeconds: 96, Epochs: 12,
 		EvoPopulation: 12, EvoGenerations: 4, Seed: 1}
 }
 
-// buildPooled constructs a pooled train/val split at the given window size.
-func buildPooled(sc Scale, window int) (train, val []dataset.Window, err error) {
-	bySubject, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
+// buildPooled constructs a pooled train/val split at the given window size,
+// and returns the per-subject windows it was pooled from.
+func buildPooled(sc Scale, window int) (train, val []dataset.Window, bySubject map[int][]dataset.Window, err error) {
+	bySubject, _, err = dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var all []dataset.Window
 	for _, id := range sc.SubjectIDs {
@@ -59,7 +60,7 @@ func buildPooled(sc Scale, window int) (train, val []dataset.Window, err error) 
 	}
 	dataset.Shuffle(all, tensor.NewRNG(sc.Seed+3))
 	cut := len(all) * 8 / 10
-	return all[:cut], all[cut:], nil
+	return all[:cut], all[cut:], bySubject, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +244,8 @@ func FamilySearch(sc Scale, fam models.Family) (*evo.Result, error) {
 	cfg.Train = models.TrainOptions{Epochs: epochs, BatchSize: 32, Patience: 2}
 	cfg.Seed = sc.Seed + uint64(fam)*17
 	data := func(window int) ([]dataset.Window, []dataset.Window, error) {
-		return buildPooled(sc, window)
+		train, val, _, err := buildPooled(sc, window)
+		return train, val, err
 	}
 	return evo.Search(cfg, data)
 }
@@ -275,6 +277,82 @@ func GlobalFront(results map[models.Family]*evo.Result) []evo.Candidate {
 }
 
 // ---------------------------------------------------------------------------
+// The zoo — what Figures 11 and 12 and the §V headline share.
+
+// zooWindow is the input length every §V model is trained at.
+const zooWindow = 100
+
+// Zoo is everything the §V figures share, trained once per scale from the
+// pooled split: the four scaled paper models (Figure 11's pool, whose
+// CNN+Transformer pair is the headline ensemble) and the compression CNN
+// that Figure 12 prunes and quantizes.
+type Zoo struct {
+	Scale      Scale
+	Train, Val []dataset.Window
+	// BySubject holds the per-subject windows the split was pooled from,
+	// for the headline's LOSO folds.
+	BySubject map[int][]dataset.Window
+	// Specs, Pool and Results are parallel: models.ScaledPaperSpecs at the
+	// zoo's window, each trained model, and its training result.
+	Specs   []models.Spec
+	Pool    []models.Classifier
+	Results []models.Result
+	// Compression is the trained CompressionSpec network.
+	Compression *models.NNClassifier
+}
+
+// TrainZoo builds the pooled split at sc and trains the zoo on it.
+func TrainZoo(sc Scale) (*Zoo, error) {
+	train, val, bySubject, err := buildPooled(sc, zooWindow)
+	if err != nil {
+		return nil, err
+	}
+	z := &Zoo{Scale: sc, Train: train, Val: val, BySubject: bySubject}
+	for _, spec := range models.ScaledPaperSpecs() {
+		spec.WindowSize = zooWindow
+		clf, r, err := models.Train(spec, train, val, poolOptions(sc))
+		if err != nil {
+			return nil, err
+		}
+		z.Specs = append(z.Specs, spec)
+		z.Pool = append(z.Pool, clf)
+		z.Results = append(z.Results, r)
+	}
+	clf, _, err := models.Train(CompressionSpec(zooWindow), train, val, models.TrainOptions{
+		Epochs: sc.Epochs + 4, BatchSize: 32, Patience: 5, Seed: sc.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	z.Compression = clf.(*models.NNClassifier)
+	return z, nil
+}
+
+// poolOptions is the training budget of the four paper models, in the zoo
+// and in each LOSO fold.
+func poolOptions(sc Scale) models.TrainOptions {
+	return models.TrainOptions{Epochs: sc.Epochs, BatchSize: 32, Patience: 3, Seed: sc.Seed}
+}
+
+// isEnsembleFamily reports whether fam is one of the deployed ensemble's
+// two families, CNN and Transformer.
+func isEnsembleFamily(fam models.Family) bool {
+	return fam == models.FamilyCNN || fam == models.FamilyTransformer
+}
+
+// Ensemble returns the deployed CNN+Transformer soft-voting ensemble of the
+// zoo's pool.
+func (z *Zoo) Ensemble() *models.Ensemble {
+	var members []models.Classifier
+	for i, spec := range z.Specs {
+		if isEnsembleFamily(spec.Family) {
+			members = append(members, z.Pool[i])
+		}
+	}
+	return &models.Ensemble{Members: members}
+}
+
+// ---------------------------------------------------------------------------
 // Figure 11 — ensemble combinations.
 
 // Fig11Entry is one ensemble's measured point.
@@ -285,43 +363,29 @@ type Fig11Entry struct {
 	Params       int
 }
 
-// Fig11 trains scaled versions of the four paper models and evaluates every
-// ensemble combination's accuracy and modelled Jetson latency.
-func Fig11(sc Scale) ([]Fig11Entry, error) {
-	window := 100
-	train, val, err := buildPooled(sc, window)
-	if err != nil {
-		return nil, err
-	}
+// Fig11 evaluates every ensemble combination of the zoo's four models:
+// accuracy and modelled Jetson latency.
+func Fig11(z *Zoo) []Fig11Entry {
 	device := edge.JetsonOrinNano()
-	var pool []models.Classifier
 	macs := map[string]int64{}
-	for _, spec := range models.ScaledPaperSpecs() {
-		spec.WindowSize = window
-		clf, _, err := models.Train(spec, train, val, models.TrainOptions{
-			Epochs: sc.Epochs, BatchSize: 32, Patience: 3, Seed: sc.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, clf)
-		macs[clf.Name()] = models.OpsPerInference(spec)
+	for i, spec := range z.Specs {
+		macs[z.Pool[i].Name()] = models.OpsPerInference(spec)
 	}
 	var out []Fig11Entry
-	for _, ens := range ensemble.Combinations(pool) {
+	for _, ens := range models.Combinations(z.Pool) {
 		var totalMACs int64
 		for _, m := range ens.Members {
 			totalMACs += macs[m.Name()]
 		}
 		out = append(out, Fig11Entry{
 			Name:         ens.Name(),
-			Accuracy:     models.Accuracy(ens, val),
+			Accuracy:     models.Accuracy(ens, z.Val),
 			InferenceSec: device.Latency(edge.Workload{MACs: totalMACs}).Seconds(),
 			Params:       ens.NumParams(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Accuracy > out[j].Accuracy })
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -345,62 +409,76 @@ func CompressionSpec(window int) models.Spec {
 		Dropout: 0.2, ConvLayers: 1, Filters: 128, Kernel: 5, Stride: 2, Pool: "none"}
 }
 
-// Fig12 trains the compression CNN, sweeps the paper's pruning levels (with
-// the standard prune→fine-tune recipe) and both int8 calibration modes, and
-// reports accuracy vs modelled latency.
-func Fig12(sc Scale) ([]Fig12Entry, error) {
-	window := 100
-	train, val, err := buildPooled(sc, window)
-	if err != nil {
-		return nil, err
-	}
-	spec := CompressionSpec(window)
-	clf, _, err := models.Train(spec, train, val, models.TrainOptions{
-		Epochs: sc.Epochs + 4, BatchSize: 32, Patience: 5, Seed: sc.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	nn := clf.(*models.NNClassifier)
-	device := edge.JetsonOrinNano()
-	macs := models.OpsPerInference(spec)
+// int8Modes are Figure 12's two int8 calibration modes, in row order.
+var int8Modes = []struct {
+	mode compress.QuantMode
+	name string
+}{
+	{compress.PerTensor, "int8-per-tensor"},
+	{compress.GlobalNaive, "int8-global-naive"},
+}
+
+// Fig12 sweeps the paper's pruning levels over the zoo's compression CNN
+// (with the standard prune→fine-tune recipe) and both int8 calibration
+// modes, and reports accuracy vs modelled latency.
+func Fig12(z *Zoo) ([]Fig12Entry, error) {
 	var out []Fig12Entry
 	for _, ratio := range compress.PaperPruneLevels() {
-		pruned, rep, err := compress.Prune(nn, ratio)
+		e, err := z.prunePoint(ratio)
 		if err != nil {
 			return nil, err
 		}
-		if ratio > 0 {
-			compress.FineTunePruned(pruned, train, val, 10, sc.Seed+uint64(100*ratio))
-		}
-		out = append(out, Fig12Entry{
-			Name:         fmt.Sprintf("prune-%.0f%%", 100*ratio),
-			Accuracy:     models.Accuracy(pruned, val),
-			InferenceSec: device.Latency(edge.Workload{MACs: macs, Sparsity: rep.AchievedSparsity}).Seconds(),
-			Params:       pruned.NumParams(),
-			Sparsity:     rep.AchievedSparsity,
-		})
+		out = append(out, e)
 	}
-	calib := val
+	for _, m := range int8Modes {
+		e, err := z.quantPoint(m.mode, m.name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// prunePoint prunes the compression CNN to ratio, fine-tunes the survivors
+// (§III-E1) and measures the result.
+func (z *Zoo) prunePoint(ratio float64) (Fig12Entry, error) {
+	pruned, rep, err := compress.Prune(z.Compression, ratio)
+	if err != nil {
+		return Fig12Entry{}, err
+	}
+	if ratio > 0 {
+		compress.FineTunePruned(pruned, z.Train, z.Val, 10, z.Scale.Seed+uint64(100*ratio))
+	}
+	macs := models.OpsPerInference(z.Compression.Spec)
+	return Fig12Entry{
+		Name:         fmt.Sprintf("prune-%.0f%%", 100*ratio),
+		Accuracy:     models.Accuracy(pruned, z.Val),
+		InferenceSec: edge.JetsonOrinNano().Latency(edge.Workload{MACs: macs, Sparsity: rep.AchievedSparsity}).Seconds(),
+		Params:       pruned.NumParams(),
+		Sparsity:     rep.AchievedSparsity,
+	}, nil
+}
+
+// quantPoint quantizes the compression CNN to int8 with activation
+// quantization (§III-E2), calibrated on the first 20 validation windows, and
+// measures the result.
+func (z *Zoo) quantPoint(mode compress.QuantMode, name string) (Fig12Entry, error) {
+	calib := z.Val
 	if len(calib) > 20 {
 		calib = calib[:20]
 	}
-	for mode, name := range map[compress.QuantMode]string{
-		compress.PerTensor:   "int8-per-tensor",
-		compress.GlobalNaive: "int8-global-naive",
-	} {
-		q, err := compress.QuantizeWithActivations(nn, mode, calib)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig12Entry{
-			Name:         name,
-			Accuracy:     models.Accuracy(q, val),
-			InferenceSec: device.Latency(edge.Workload{MACs: macs, Precision: edge.INT8}).Seconds(),
-			Params:       q.NumParams(),
-		})
+	q, err := compress.QuantizeWithActivations(z.Compression, mode, calib)
+	if err != nil {
+		return Fig12Entry{}, err
 	}
-	return out, nil
+	macs := models.OpsPerInference(z.Compression.Spec)
+	return Fig12Entry{
+		Name:         name,
+		Accuracy:     models.Accuracy(q, z.Val),
+		InferenceSec: edge.JetsonOrinNano().Latency(edge.Workload{MACs: macs, Precision: edge.INT8}).Seconds(),
+		Params:       q.NumParams(),
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -422,43 +500,27 @@ type HeadlineResult struct {
 	// LOSO statistics across held-out subjects for the ensemble.
 	LOSOMean, LOSOStd float64
 	CI91Lo, CI91Hi    float64
-	WallTime          time.Duration
+	// WallTime is Headline's own time: the zoo's training is not in it.
+	WallTime time.Duration
 }
 
-// Headline reproduces the §V numbers at the given scale.
-func Headline(sc Scale) (*HeadlineResult, error) {
+// Headline reproduces the §V numbers from the zoo: its models and
+// ensemble, the 70 %-pruned and naive-int8 compression points, and the
+// ensemble's LOSO statistics, retrained per fold.
+func Headline(z *Zoo) (*HeadlineResult, error) {
 	start := time.Now()
-	window := 100
-	train, val, err := buildPooled(sc, window)
-	if err != nil {
-		return nil, err
-	}
 	res := &HeadlineResult{PerModel: map[string]evo.Candidate{}}
-	opts := models.TrainOptions{Epochs: sc.Epochs, BatchSize: 32, Patience: 3, Seed: sc.Seed}
-
-	var members []models.Classifier
-	for _, spec := range models.ScaledPaperSpecs() {
-		spec.WindowSize = window
-		clf, r, err := models.Train(spec, train, val, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.PerModel[spec.ID()] = evo.Candidate{Spec: spec, Accuracy: r.ValAcc, Params: clf.NumParams(), Clf: clf}
-		if spec.Family == models.FamilyCNN || spec.Family == models.FamilyTransformer {
-			members = append(members, clf)
-		}
+	for i, spec := range z.Specs {
+		clf := z.Pool[i]
+		res.PerModel[spec.ID()] = evo.Candidate{Spec: spec, Accuracy: z.Results[i].ValAcc, Params: clf.NumParams(), Clf: clf}
 	}
-	ens, err := ensemble.New(members...)
-	if err != nil {
-		return nil, err
-	}
-	res.EnsembleAcc = models.Accuracy(ens, val)
+	res.EnsembleAcc = models.Accuracy(z.Ensemble(), z.Val)
 
 	// Latency anchors use the PAPER-size CNN+Transformer MACs (the models the
 	// Jetson actually ran), per the edge-model calibration.
 	var paperMACs int64
 	for _, s := range models.PaperSpecs() {
-		if s.Family == models.FamilyCNN || s.Family == models.FamilyTransformer {
+		if isEnsembleFamily(s.Family) {
 			paperMACs += models.OpsPerInference(s)
 		}
 	}
@@ -467,56 +529,33 @@ func Headline(sc Scale) (*HeadlineResult, error) {
 	res.PrunedLatencySec = device.Latency(edge.Workload{MACs: paperMACs, Sparsity: 0.7}).Seconds()
 	res.QuantLatencySec = device.Latency(edge.Workload{MACs: paperMACs, Precision: edge.INT8}).Seconds()
 
-	// Compression accuracy on the wide compression CNN (prune → fine-tune,
-	// §III-E1; naive int8 with activation quantization, §III-E2).
-	cSpec := CompressionSpec(window)
-	cClf, _, err := models.Train(cSpec, train, val, models.TrainOptions{
-		Epochs: sc.Epochs + 4, BatchSize: 32, Patience: 5, Seed: sc.Seed,
-	})
+	// Compression accuracy is Figure 12's, on the wide compression CNN.
+	pruned, err := z.prunePoint(0.7)
 	if err != nil {
 		return nil, err
 	}
-	cNN := cClf.(*models.NNClassifier)
-	pruned, _, err := compress.Prune(cNN, 0.7)
+	res.PrunedAcc = pruned.Accuracy
+	quant, err := z.quantPoint(compress.GlobalNaive, "int8-global-naive")
 	if err != nil {
 		return nil, err
 	}
-	compress.FineTunePruned(pruned, train, val, 10, sc.Seed+70)
-	res.PrunedAcc = models.Accuracy(pruned, val)
-	calib := val
-	if len(calib) > 20 {
-		calib = calib[:20]
-	}
-	quant, err := compress.QuantizeWithActivations(cNN, compress.GlobalNaive, calib)
-	if err != nil {
-		return nil, err
-	}
-	res.QuantAcc = models.Accuracy(quant, val)
+	res.QuantAcc = quant.Accuracy
 
 	// LOSO cross-subject statistics (ensemble retrained per fold).
-	bySubject, err := dataset.Build(sc.SubjectIDs, 1, dataset.ShortProtocol(sc.SessionSeconds), window, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
 	var accs []float64
-	for _, fold := range dataset.LOSO(bySubject, tensor.NewRNG(sc.Seed+5)) {
-		var foldMembers []models.Classifier
-		for _, spec := range models.ScaledPaperSpecs() {
-			if spec.Family != models.FamilyCNN && spec.Family != models.FamilyTransformer {
+	for _, fold := range dataset.LOSO(z.BySubject, tensor.NewRNG(z.Scale.Seed+5)) {
+		var foldEns models.Ensemble
+		for _, spec := range z.Specs {
+			if !isEnsembleFamily(spec.Family) {
 				continue
 			}
-			spec.WindowSize = window
-			clf, _, err := models.Train(spec, fold.Train, fold.Val, opts)
+			clf, _, err := models.Train(spec, fold.Train, fold.Val, poolOptions(z.Scale))
 			if err != nil {
 				return nil, err
 			}
-			foldMembers = append(foldMembers, clf)
+			foldEns.Members = append(foldEns.Members, clf)
 		}
-		foldEns, err := ensemble.New(foldMembers...)
-		if err != nil {
-			return nil, err
-		}
-		accs = append(accs, models.Accuracy(foldEns, fold.Test))
+		accs = append(accs, models.Accuracy(&foldEns, fold.Test))
 	}
 	res.LOSOMean = metrics.Mean(accs)
 	res.LOSOStd = metrics.SampleStd(accs)

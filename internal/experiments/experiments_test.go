@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cognitivearm/internal/evo"
@@ -81,15 +82,49 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
-func TestFig11Shape(t *testing.T) {
+// quickZoo trains the Quick-scale zoo once for every test that reads it.
+var quickZoo = sync.OnceValues(func() (*Zoo, error) { return TrainZoo(Quick()) })
+
+// zoo returns the shared Quick-scale zoo, skipping under -short.
+func zoo(t *testing.T) *Zoo {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("trains four models")
+		t.Skip("trains the paper's four models and the compression CNN")
 	}
-	sc := Quick()
-	entries, err := Fig11(sc)
+	z, err := quickZoo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return z
+}
+
+func TestZooPaperEnsemble(t *testing.T) {
+	z := zoo(t)
+	if len(z.Pool) != 4 || len(z.Specs) != 4 || len(z.Results) != 4 {
+		t.Fatalf("pool %d, specs %d, results %d; want 4", len(z.Pool), len(z.Specs), len(z.Results))
+	}
+	ens := z.Ensemble()
+	if len(ens.Members) != 2 {
+		t.Fatalf("ensemble members %d (want CNN+Transformer)", len(ens.Members))
+	}
+	var fams []models.Family
+	for i, clf := range z.Pool {
+		for _, m := range ens.Members {
+			if m == clf {
+				fams = append(fams, z.Specs[i].Family)
+			}
+		}
+	}
+	if len(fams) != 2 || fams[0] != models.FamilyCNN || fams[1] != models.FamilyTransformer {
+		t.Fatalf("ensemble families %v, want CNN then Transformer", fams)
+	}
+	if acc := models.Accuracy(ens, z.Val); acc < 0.4 {
+		t.Fatalf("ensemble accuracy %v below sanity floor", acc)
+	}
+}
+
+func TestFig11Shape(t *testing.T) {
+	entries := Fig11(zoo(t))
 	if len(entries) != 11 {
 		t.Fatalf("ensemble combinations %d want 11", len(entries))
 	}
@@ -105,17 +140,19 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains the CNN")
-	}
-	sc := Quick()
-	entries, err := Fig12(sc)
+	entries, err := Fig12(zoo(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
 	byName := map[string]Fig12Entry{}
 	for _, e := range entries {
+		names = append(names, e.Name)
 		byName[e.Name] = e
+	}
+	want := "prune-0% prune-30% prune-50% prune-70% prune-90% int8-per-tensor int8-global-naive"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("rows %q, want %q", got, want)
 	}
 	dense := byName["prune-0%"]
 	p70 := byName["prune-70%"]

@@ -146,9 +146,8 @@ func PaperSpecs() []Spec {
 }
 
 // ScaledPaperSpecs returns compute-scaled versions of the paper configs for
-// pure-Go training runs: same shapes and relative ordering, smaller widths.
-// DESIGN.md documents this substitution (an RTX A6000 trains the originals;
-// this library trains on one CPU).
+// pure-Go training runs: same shapes and relative ordering, smaller widths
+// (an RTX A6000 trains the originals; this library trains on one CPU).
 func ScaledPaperSpecs() []Spec {
 	return []Spec{
 		{Family: FamilyCNN, WindowSize: 190, Optimizer: "adam", LR: 1e-3, Dropout: 0.2,
@@ -392,11 +391,6 @@ type TrainOptions struct {
 	Seed      uint64
 	Verbose   bool
 	Logf      func(string, ...any)
-}
-
-// DefaultTrainOptions returns a sensible CPU-scale configuration.
-func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Epochs: 8, BatchSize: 32, Patience: 3, Seed: 1}
 }
 
 // Result reports a training run.

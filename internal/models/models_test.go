@@ -12,7 +12,7 @@ import (
 // smallData builds a quick 2-subject dataset for training tests.
 func smallData(t *testing.T, window int) (train, val []dataset.Window) {
 	t.Helper()
-	bySubject, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(40), window, 7)
+	bySubject, _, err := dataset.Build([]int{0, 1}, 1, dataset.ShortProtocol(40), window, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestTrainRFOnSyntheticEEG(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, _, err := Train(Spec{Family: FamilyCNN, WindowSize: 5}, nil, nil, DefaultTrainOptions()); err == nil {
+	if _, _, err := Train(Spec{Family: FamilyCNN, WindowSize: 5}, nil, nil, TrainOptions{Epochs: 8, BatchSize: 32, Patience: 3, Seed: 1}); err == nil {
 		t.Fatal("invalid spec should error")
 	}
 	s := Spec{Family: FamilyRF, WindowSize: 100, Trees: 5}
-	if _, _, err := Train(s, nil, nil, DefaultTrainOptions()); err == nil {
+	if _, _, err := Train(s, nil, nil, TrainOptions{Epochs: 8, BatchSize: 32, Patience: 3, Seed: 1}); err == nil {
 		t.Fatal("empty training set should error")
 	}
 	badOpt := Spec{Family: FamilyCNN, WindowSize: 50, ConvLayers: 1, Filters: 2, Kernel: 3, Stride: 2,

@@ -12,7 +12,7 @@ import (
 // Classifier serialization covers the whole zoo: NN families persist their
 // spec plus flat weight tensors in parameter order, random forests persist
 // the flat node encoding of rf.ForestData, and ensembles persist their
-// members recursively (via the codec internal/ensemble registers at init).
+// members recursively.
 // Every payload round-trips float64 values exactly, so a deserialised model
 // emits bitwise-identical predictions — the property the serving fleet's
 // checkpoint/restore path (internal/checkpoint) is built on.
@@ -38,24 +38,8 @@ type savedClassifier struct {
 	Members [][]byte
 }
 
-// EnsembleCodec lets internal/ensemble plug its type into Save/Load without
-// an import cycle (models cannot import ensemble, which imports models).
-// Members reports the member classifiers of an ensemble (ok=false for any
-// other Classifier); Build reassembles one from deserialised members.
-type EnsembleCodec struct {
-	Members func(Classifier) ([]Classifier, bool)
-	Build   func([]Classifier) (Classifier, error)
-}
-
-var ensembleCodec *EnsembleCodec
-
-// RegisterEnsembleCodec installs the ensemble hooks. internal/ensemble calls
-// it from init(); importing that package (directly or blank) is what enables
-// ensemble persistence.
-func RegisterEnsembleCodec(c EnsembleCodec) { ensembleCodec = &c }
-
 // Save writes any supported classifier to w in gob format: *NNClassifier,
-// *RFClassifier, or a registered ensemble of them.
+// *RFClassifier, or an *Ensemble of them.
 func Save(w io.Writer, c Classifier) error {
 	sc, err := toSaved(c)
 	if err != nil {
@@ -77,19 +61,16 @@ func toSaved(c Classifier) (*savedClassifier, error) {
 		return sc, nil
 	case *RFClassifier:
 		return &savedClassifier{Kind: savedKindRF, Spec: v.Spec, Forest: v.Forest.Export()}, nil
-	}
-	if ensembleCodec != nil {
-		if members, ok := ensembleCodec.Members(c); ok {
-			sc := &savedClassifier{Kind: savedKindEnsemble}
-			for i, m := range members {
-				var buf bytes.Buffer
-				if err := Save(&buf, m); err != nil {
-					return nil, fmt.Errorf("models: save ensemble member %d: %w", i, err)
-				}
-				sc.Members = append(sc.Members, buf.Bytes())
+	case *Ensemble:
+		sc := &savedClassifier{Kind: savedKindEnsemble}
+		for i, m := range v.Members {
+			var buf bytes.Buffer
+			if err := Save(&buf, m); err != nil {
+				return nil, fmt.Errorf("models: save ensemble member %d: %w", i, err)
 			}
-			return sc, nil
+			sc.Members = append(sc.Members, buf.Bytes())
 		}
+		return sc, nil
 	}
 	return nil, fmt.Errorf("models: cannot serialise classifier type %T", c)
 }
@@ -125,9 +106,6 @@ func fromSaved(sc *savedClassifier) (Classifier, error) {
 		}
 		return &RFClassifier{Forest: forest, Spec: sc.Spec}, nil
 	case savedKindEnsemble:
-		if ensembleCodec == nil {
-			return nil, fmt.Errorf("models: load: no ensemble codec registered (import internal/ensemble)")
-		}
 		if len(sc.Members) == 0 {
 			return nil, fmt.Errorf("models: load: ensemble with no members")
 		}
@@ -139,7 +117,7 @@ func fromSaved(sc *savedClassifier) (Classifier, error) {
 			}
 			members[i] = m
 		}
-		return ensembleCodec.Build(members)
+		return NewEnsemble(members...)
 	default:
 		return nil, fmt.Errorf("models: load: unknown classifier kind %q", sc.Kind)
 	}

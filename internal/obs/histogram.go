@@ -73,15 +73,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// BucketCounts appends the per-bucket (non-cumulative) counts, one per bound
-// plus the +Inf overflow, to dst and returns it.
-func (h *Histogram) BucketCounts(dst []uint64) []uint64 {
-	for i := range h.buckets {
-		dst = append(dst, h.buckets[i].Load())
-	}
-	return dst
-}
-
 // ExponentialBounds returns n upper bounds starting at start and multiplying
 // by factor — the log-scale ladders the stack's histograms use.
 func ExponentialBounds(start, factor float64, n int) []float64 {

@@ -1,17 +1,38 @@
 package obs
 
 import (
+	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 func TestHistogramBucketPlacement(t *testing.T) {
-	h := newHistogram([]float64{0.1, 1, 10})
+	reg := NewRegistry()
+	h := reg.Histogram("h", "placement", []float64{0.1, 1, 10})
 	// le semantics: a value equal to a bound lands in that bound's bucket.
 	for _, v := range []float64{0.05, 0.1, 0.5, 1, 2, 10, 11, 1e9} {
 		h.Observe(v)
 	}
-	got := h.BucketCounts(nil)
+	// The exposition's buckets are cumulative; difference them back.
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	var cum uint64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "h_bucket{") {
+			continue
+		}
+		v, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		got = append(got, v-cum)
+		cum = v
+	}
 	want := []uint64{2, 2, 2, 2} // ≤0.1: {0.05, 0.1}; ≤1: {0.5, 1}; ≤10: {2, 10}; +Inf: {11, 1e9}
 	if len(got) != len(want) {
 		t.Fatalf("bucket count = %d, want %d", len(got), len(want))

@@ -210,20 +210,6 @@ func (t *Tree) predict(x []float64) []float64 {
 	return n.counts
 }
 
-// Depth returns the maximum depth of the tree.
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.isLeaf() {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Nodes returns the node count of the tree.
 func (t *Tree) Nodes() int { return t.nodes }
 

@@ -54,12 +54,21 @@ func TestProbsSumToOne(t *testing.T) {
 	}
 }
 
+// treeDepth is the depth of the exported tree below node i: the number of
+// splits on its longest root-to-leaf path.
+func treeDepth(td TreeData, i int32) int {
+	if td.Left[i] < 0 {
+		return 0
+	}
+	return 1 + max(treeDepth(td, td.Left[i]), treeDepth(td, td.Right[i]))
+}
+
 func TestDepthLimitRespected(t *testing.T) {
 	X, y := gaussianBlobs(300, 6)
 	for _, depth := range []int{1, 3, 5} {
 		f, _ := Fit(X, y, 3, Config{Trees: 5, MaxDepth: depth, Seed: 7})
-		for i := range f.Trees {
-			if d := f.Trees[i].Depth(); d > depth {
+		for _, td := range f.Export().Trees {
+			if d := treeDepth(td, 0); d > depth {
 				t.Fatalf("tree depth %d exceeds limit %d", d, depth)
 			}
 		}

@@ -13,6 +13,14 @@ import (
 	"cognitivearm/internal/wal"
 )
 
+// captureDelta is h.CaptureDeltaInto a fresh arena, decoded: its dirty
+// records as SessionRecords that share no memory with the hub.
+func captureDelta(h *Hub, prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
+	var d Delta
+	h.CaptureDeltaInto(prev, &d)
+	return d.decode()
+}
+
 // foldFleet is a two-session hub, six ticks in, whose deltas feed the fold
 // tests. Both streams run dry three ticks later (the script's 60 samples at
 // the rate schedule, the ring's 150 at up to twice it), after which the
@@ -99,7 +107,7 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 	hub := foldFleet(t)
 	var wire deltaWire
 
-	delta1 := hub.CaptureDelta(nil)
+	delta1 := captureDelta(hub, nil)
 	entries := wire.ship(t, delta1)
 	if m, s := countKind(entries, wal.KindModel), countKind(entries, wal.KindSession); m != 1 || s != 2 {
 		t.Fatalf("first batch carries %d models / %d sessions, want 1 / 2", m, s)
@@ -123,7 +131,7 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 	if _, ok := hub.ExtractSession(SessionID(delta1.Sessions[0].ID)); !ok {
 		t.Fatal("extract failed")
 	}
-	delta2 := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	delta2 := captureDelta(hub, delta1.Manifest.RefIndexInto(nil))
 	entries = wire.ship(t, delta2)
 	if m, s := countKind(entries, wal.KindModel), countKind(entries, wal.KindSession); m != 0 || s != 1 {
 		t.Fatalf("second batch carries %d models / %d sessions, want 0 / 1 (model shipped once)", m, s)
@@ -134,14 +142,14 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 	if _, err = foldOver(t, entries, image); err != nil {
 		t.Fatal(err)
 	}
-	if want := hub.CaptureDelta(nil).Sessions; !reflect.DeepEqual(image.Sessions, want) {
+	if want := captureDelta(hub, nil).Sessions; !reflect.DeepEqual(image.Sessions, want) {
 		t.Fatalf("folded image diverged from a full capture:\n got %+v\nwant %+v", image.Sessions, want)
 	}
 
 	// Third interval: the stream has run dry, so the batch is refs alone —
 	// the clean record comes from the image, the idle clock from the refs.
 	hub.TickAll()
-	delta3 := hub.CaptureDelta(delta2.Manifest.RefIndex())
+	delta3 := captureDelta(hub, delta2.Manifest.RefIndexInto(nil))
 	entries = wire.ship(t, delta3)
 	if len(entries) != 1 || entries[0].Kind != wal.KindRefs {
 		t.Fatalf("idle interval shipped %d entries, want the refs entry alone", len(entries))
@@ -149,7 +157,7 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 	if _, err = foldOver(t, entries, image); err != nil {
 		t.Fatal(err)
 	}
-	if want := hub.CaptureDelta(nil).Sessions; !reflect.DeepEqual(image.Sessions, want) {
+	if want := captureDelta(hub, nil).Sessions; !reflect.DeepEqual(image.Sessions, want) {
 		t.Fatalf("overlay-only batch diverged from a full capture:\n got %+v\nwant %+v", image.Sessions, want)
 	}
 }
@@ -160,7 +168,7 @@ func TestDeltaStreamRoundTrip(t *testing.T) {
 // batch enters an image at its refs commit or not at all.
 func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 	hub := foldFleet(t)
-	delta1 := hub.CaptureDelta(nil)
+	delta1 := captureDelta(hub, nil)
 	var enc checkpoint.DeltaEncoder
 	log := &entryLog{}
 	if err := enc.Append(log, delta1); err != nil {
@@ -170,7 +178,7 @@ func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := hub.CaptureDelta(nil) // an independent deep copy of the same state
+	before := captureDelta(hub, nil) // an independent deep copy of the same state
 	if !reflect.DeepEqual(image.Sessions, before.Sessions) {
 		t.Fatal("setup: image does not match the capture")
 	}
@@ -188,7 +196,7 @@ func TestFoldRefusalLeavesBaseUntouched(t *testing.T) {
 			d.Manifest.Refs = append(d.Manifest.Refs, checkpoint.SessionRef{ID: 999, Ver: 1})
 		},
 	} {
-		bad := hub.CaptureDelta(delta1.Manifest.RefIndex())
+		bad := captureDelta(hub, delta1.Manifest.RefIndexInto(nil))
 		if len(bad.Sessions) != 2 {
 			t.Fatalf("setup: %d dirty sessions, want 2", len(bad.Sessions))
 		}
@@ -232,7 +240,7 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		want := hub.CaptureDelta(nil).Sessions
+		want := captureDelta(hub, nil).Sessions
 		if got := resolve(); live != len(want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d live, image diverged from a full capture:\n got %+v\nwant %+v", stage, live, got, want)
 		}
@@ -241,7 +249,7 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 		}
 	}
 
-	delta1 := hub.CaptureDelta(nil)
+	delta1 := captureDelta(hub, nil)
 	applyGood("full base", delta1)
 	if len(base.Models) != 1 {
 		t.Fatalf("base holds %d models after the full base, want 1", len(base.Models))
@@ -249,7 +257,7 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 	before := resolve()
 
 	hub.TickAll()
-	entries := wire.ship(t, hub.CaptureDelta(delta1.Manifest.RefIndex()))
+	entries := wire.ship(t, captureDelta(hub, delta1.Manifest.RefIndexInto(nil)))
 	for i, e := range entries {
 		if e.Kind == wal.KindSession {
 			entries[i].Data = append(append([]byte(nil), e.Data...), 0) // one trailing byte
@@ -259,7 +267,7 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 	if _, err := fold.Apply(entries, base); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("record with a trailing byte: %v, want ErrCorrupt", err)
 	}
-	bad := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	bad := captureDelta(hub, delta1.Manifest.RefIndexInto(nil))
 	bad.Manifest.Refs[1].Ver += 1000
 	if _, err := fold.Apply(wire.ship(t, bad), base); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("view naming a version no record carries: %v, want ErrCorrupt", err)
@@ -272,12 +280,12 @@ func TestFoldApplyKeepsVerifiedBytes(t *testing.T) {
 	if _, ok := hub.ExtractSession(SessionID(delta1.Sessions[0].ID)); !ok {
 		t.Fatal("extract failed")
 	}
-	delta2 := hub.CaptureDelta(delta1.Manifest.RefIndex())
+	delta2 := captureDelta(hub, delta1.Manifest.RefIndexInto(nil))
 	applyGood("departure", delta2)
 	for i := 0; i < 3; i++ {
 		hub.TickAll()
 	}
-	applyGood("idle overlay", hub.CaptureDelta(delta2.Manifest.RefIndex()))
+	applyGood("idle overlay", captureDelta(hub, delta2.Manifest.RefIndexInto(nil)))
 }
 
 // entryLog is an EntrySink that keeps what it is given.
@@ -293,7 +301,7 @@ func (l *entryLog) Append(kind wal.Kind, data []byte) (uint64, error) {
 // fold from nothing takes its hub configuration from the refs manifest, and
 // one describing an impossible hub is refused rather than rebuilt.
 func TestFoldRejectsImpossibleHub(t *testing.T) {
-	delta := foldFleet(t).CaptureDelta(nil)
+	delta := captureDelta(foldFleet(t), nil)
 	delta.Manifest.Hub.Shards = 0
 	log := &entryLog{}
 	if err := new(checkpoint.DeltaEncoder).Append(log, delta); err != nil {
@@ -309,7 +317,7 @@ func TestFoldRejectsImpossibleHub(t *testing.T) {
 func TestReplayRefusesStreamInWalDir(t *testing.T) {
 	var buf bytes.Buffer
 	sw := wal.NewStreamWriter(&buf)
-	if err := new(checkpoint.DeltaEncoder).Append(sw, foldFleet(t).CaptureDelta(nil)); err != nil {
+	if err := new(checkpoint.DeltaEncoder).Append(sw, captureDelta(foldFleet(t), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Seal(); err != nil {

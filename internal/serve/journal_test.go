@@ -637,7 +637,7 @@ func TestJournalCrashMidFlushRecoversToPreviousFlush(t *testing.T) {
 	// The next flush gets as far as its first session record, sealed as an
 	// older log's size bound sealed it, then the process dies: no decision
 	// entry, no refs, no final seal.
-	delta := victim.CaptureDelta(j.lastRefs)
+	delta := captureDelta(victim, j.lastRefs)
 	if len(delta.Sessions) == 0 {
 		t.Fatal("no dirty session to journal after the post-flush ticks")
 	}

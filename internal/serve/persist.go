@@ -66,15 +66,6 @@ func (h *Hub) CaptureDeltaInto(prev map[uint64]checkpoint.SessionRef, d *Delta) 
 	h.capture(prev, d, false)
 }
 
-// CaptureDelta is CaptureDeltaInto a fresh Delta, decoded: the same capture
-// with its dirty records as SessionRecords that share no memory with the hub,
-// for callers that inspect a delta rather than ship it.
-func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
-	var d Delta
-	h.capture(prev, &d, false)
-	return d.decode()
-}
-
 // capture sweeps every shard into d (see CaptureDeltaInto); counters adds
 // each shard's counter baseline to the manifest, as a checkpoint needs.
 func (h *Hub) capture(prev map[uint64]checkpoint.SessionRef, d *Delta, counters bool) {

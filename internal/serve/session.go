@@ -170,7 +170,7 @@ type session struct {
 	// ver counts signal-path mutations: it increments exactly when a tick
 	// ingests samples for this session (which is also the only way windows,
 	// filter delay lines, debounce state or decode counters change). Every
-	// record persists it, and a WAL delta (CaptureDelta) carries a session's
+	// record persists it, and a WAL delta (CaptureDeltaInto) carries a session's
 	// record only when ver moved — same ID + same ver ⇒ bitwise-identical
 	// heavy state. Scheduler-only fields that drift every tick regardless
 	// (sampleAcc, idleTicks) ride in the delta's refs view instead, so an

@@ -41,8 +41,9 @@ func TestMsgRejectsOversizedLength(t *testing.T) {
 	if _, err := ReadMsgBuf(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("oversized length accepted")
 	}
-	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MsgHeaderLen+MaxMsgLen+1)); err == nil {
-		t.Fatal("oversized payload accepted")
+	var w writeCounter
+	if err := WriteMsg(&w, oversizedFrame(t, MsgHeaderLen+MaxMsgLen+1)); err == nil || w.writes != 0 {
+		t.Fatalf("oversized payload accepted (%d Writes, err %v)", w.writes, err)
 	}
 	if err := WriteMsg(&bytes.Buffer{}, make([]byte, MsgHeaderLen-1)); err == nil {
 		t.Fatal("a frame without room for its prefix was accepted")

@@ -83,16 +83,6 @@ func (r *Ring) Push(s Sample) (overwrote bool) {
 	return overwrote
 }
 
-// Pop removes and returns the oldest sample, or ok=false when empty. The
-// sample owns its Values.
-func (r *Ring) Pop() (s Sample, ok bool) {
-	out := r.PopN(1)
-	if len(out) == 0 {
-		return Sample{}, false
-	}
-	return out[0], true
-}
-
 // PopN removes and returns up to max buffered samples, oldest first. max <= 0
 // drains everything (like Drain). The samples own their Values.
 func (r *Ring) PopN(max int) []Sample {

@@ -50,16 +50,21 @@ func TestRingSnapshotEmpty(t *testing.T) {
 	}
 }
 
+// popOne is PopN(1) as a single sample: the oldest, or ok=false when empty.
+func popOne(r *Ring) (Sample, bool) {
+	out := r.PopN(1)
+	if len(out) == 0 {
+		return Sample{}, false
+	}
+	return out[0], true
+}
+
 // TestRingReleasesConsumedSlots: the ring shares no Values slice with its
 // callers. Mutating a slice after pushing it, or a sample's values after any
 // read hands them out, changes nothing the ring later returns.
 func TestRingReleasesConsumedSlots(t *testing.T) {
 	for name, consume := range map[string]func(*Ring) []Sample{
-		"Pop": func(r *Ring) []Sample {
-			a, _ := r.Pop()
-			b, _ := r.Pop()
-			return []Sample{a, b}
-		},
+		"PopN(1)":  func(r *Ring) []Sample { return append(r.PopN(1), r.PopN(1)...) },
 		"PopNInto": func(r *Ring) []Sample { return r.PopNInto(nil, 2) },
 		"PopN":     func(r *Ring) []Sample { return r.PopN(2) },
 		"Snapshot": func(r *Ring) []Sample { return r.Snapshot() },
@@ -131,8 +136,8 @@ func TestRingGrowsOnDemand(t *testing.T) {
 					dropped++
 				}
 			}
-			for i := 0; i < drain; i++ { // one Pop at a time: PopN(0) would drain all
-				s, ok := r.Pop()
+			for i := 0; i < drain; i++ { // one sample at a time: PopN(0) would drain all
+				s, ok := popOne(r)
 				if !ok {
 					break
 				}
@@ -305,7 +310,7 @@ func FuzzRingOps(f *testing.F) {
 					vals[j] = -2
 				}
 			case 1:
-				s, ok := r.Pop()
+				s, ok := popOne(r)
 				if ok != (len(model) > 0) {
 					t.Fatalf("pop: ok = %v with %d buffered", ok, len(model))
 				}

@@ -87,12 +87,12 @@ func TestRingFIFO(t *testing.T) {
 		r.Push(Sample{Seq: uint64(i)})
 	}
 	for i := 0; i < 3; i++ {
-		s, ok := r.Pop()
+		s, ok := popOne(r)
 		if !ok || s.Seq != uint64(i) {
 			t.Fatalf("pop %d: got %+v ok=%v", i, s, ok)
 		}
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := popOne(r); ok {
 		t.Fatal("empty ring should report !ok")
 	}
 }
@@ -118,7 +118,7 @@ func TestRingFIFOProperty(t *testing.T) {
 		next := uint64(0)
 		for _, op := range ops {
 			if op%3 == 0 && len(model) > 0 {
-				s, ok := r.Pop()
+				s, ok := popOne(r)
 				if !ok || s.Seq != model[0] {
 					return false
 				}

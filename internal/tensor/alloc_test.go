@@ -59,7 +59,6 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"AddRowVector", func() { AddRowVector(elem, sums) }},
 		{"ColSums", func() { ColSums(sums, a) }},
 		{"Dot", func() { sinkF = Dot(a.Row(0), a2.Row(0)) }},
-		{"Norm2", func() { sinkF = Norm2(a.Row(1)) }},
 		{"Softmax", func() { Softmax(probs, a.Row(2)) }},
 		{"SoftmaxRows", func() { SoftmaxRows(elem) }},
 		{"Argmax", func() { sinkI = Argmax(a.Row(3)) }},

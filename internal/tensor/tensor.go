@@ -193,18 +193,6 @@ func SplitRows(m *Matrix, rowsPer int) []*Matrix {
 	return out
 }
 
-// Transpose returns a new matrix that is the transpose of m.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
-		}
-	}
-	return out
-}
-
 // Add computes dst = a + b element-wise. dst may alias a or b or be nil.
 func Add(dst, a, b *Matrix) *Matrix {
 	checkSameShape("Add", a, b)
@@ -313,15 +301,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Softmax writes the softmax of src into dst (same length). It is numerically

@@ -25,7 +25,6 @@ import "math/bits"
 // NewWorkspace, which simply keeps what the call allocates.
 type Workspace struct {
 	f64  wsPool[float64]
-	ints wsPool[int]
 	i8   wsPool[int8]
 	i16  wsPool[int16]
 	rows wsPool[[]float64]
@@ -58,7 +57,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // the next identical cycle allocates nothing.
 func (ws *Workspace) Reset() {
 	ws.f64.reset()
-	ws.ints.reset()
 	ws.i8.reset()
 	ws.i16.reset()
 	ws.rows.reset()
@@ -69,13 +67,6 @@ func (ws *Workspace) Reset() {
 // Floats returns a zeroed float64 slice of length n, valid until Reset.
 func (ws *Workspace) Floats(n int) []float64 {
 	s := ws.f64.get(n)
-	clear(s)
-	return s
-}
-
-// Ints returns a zeroed int slice of length n, valid until Reset.
-func (ws *Workspace) Ints(n int) []int {
-	s := ws.ints.get(n)
 	clear(s)
 	return s
 }

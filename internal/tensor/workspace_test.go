@@ -9,11 +9,9 @@ func TestWorkspaceRecyclesBuckets(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Floats(100)
 	m := ws.Uninit(7, 9)
-	is := ws.Ints(33)
 	ws.Reset()
 	b := ws.Floats(100)
 	m2 := ws.Uninit(7, 9)
-	is2 := ws.Ints(33)
 	if &a[0] != &b[0] {
 		t.Fatal("float slice not recycled across Reset")
 	}
@@ -23,12 +21,9 @@ func TestWorkspaceRecyclesBuckets(t *testing.T) {
 	if m != m2 {
 		t.Fatal("matrix header not recycled across Reset")
 	}
-	if &is[0] != &is2[0] {
-		t.Fatal("int slice not recycled across Reset")
-	}
 }
 
-// TestWorkspaceZeroing: Floats/Ints/Zeros must be zero even when the bucket
+// TestWorkspaceZeroing: Floats/Zeros must be zero even when the bucket
 // hands back dirty memory from the previous cycle.
 func TestWorkspaceZeroing(t *testing.T) {
 	ws := NewWorkspace()
@@ -38,10 +33,6 @@ func TestWorkspaceZeroing(t *testing.T) {
 	}
 	z := ws.Zeros(2, 4)
 	z.Fill(7)
-	i := ws.Ints(5)
-	for j := range i {
-		i[j] = -1
-	}
 	ws.Reset()
 	for _, v := range ws.Floats(16) {
 		if v != 0 {
@@ -51,11 +42,6 @@ func TestWorkspaceZeroing(t *testing.T) {
 	for _, v := range ws.Zeros(2, 4).Data {
 		if v != 0 {
 			t.Fatal("Zeros returned dirty memory")
-		}
-	}
-	for _, v := range ws.Ints(5) {
-		if v != 0 {
-			t.Fatal("Ints returned dirty memory")
 		}
 	}
 }
@@ -113,7 +99,6 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	cycle := func() {
 		ws.Reset()
 		ws.Floats(100)
-		ws.Ints(17)
 		ws.FloatRows(9)
 		ws.Matrices(5)
 		ws.Zeros(6, 6)

@@ -14,7 +14,10 @@ package cognitivearm
 //     float32/float64 and int8/int16, either way, named types included.
 //
 // Every finding must be listed in testdata/locks.golden, by function, lock
-// and finding, never by line, with the reason it is safe. The golden is
+// and finding, never by line, with the reason it is safe. A finding reached
+// through calls is listed by the call made under the lock and the blocking
+// operation its chain ends in, so an edit deeper in the chain does not
+// re-key it; its failure message still prints the whole chain. The golden is
 // written by hand; there is no -update. An unlisted finding fails, and so
 // do a listed finding that no longer occurs and a listed function that no
 // longer exists.
@@ -520,7 +523,21 @@ func (c *checker) checkHeld(held []heldLock, nodes ...ast.Node) {
 func (c *checker) reportHeld(pos token.Pos, why string, held []heldLock) {
 	h := held[len(held)-1]
 	lock := types.ExprString(h.expr)
-	c.report(pos, lock+": "+why, fmt.Sprintf("%s while %s is held (locked at %s)", why, lock, c.fset.Position(h.pos)))
+	c.report(pos, lock+": "+chainKey(why), fmt.Sprintf("%s while %s is held (locked at %s)", why, lock, c.fset.Position(h.pos)))
+}
+
+// chainKey is how the golden lists a reason: a chain of calls by its first
+// link and its last, "calls a, which calls b, which sleeps" as
+// "calls a … sleeps"; any other reason as it is.
+func chainKey(why string) string {
+	first, rest, ok := strings.Cut(why, ", which ")
+	if !ok {
+		return why
+	}
+	if i := strings.LastIndex(rest, ", which "); i >= 0 {
+		rest = rest[i+len(", which "):]
+	}
+	return first + " … " + rest
 }
 
 // reportNested reports taking a lock while another is held.
@@ -690,6 +707,20 @@ func checkFixtures(t *testing.T, paths []string) {
 	for line, res := range want {
 		for _, re := range res {
 			t.Errorf("%s: no finding matches %q", line, re)
+		}
+	}
+}
+
+// TestChainKey: a chain keys by its first link and its last, however long.
+func TestChainKey(t *testing.T) {
+	for why, want := range map[string]string{
+		"sleeps":                   "sleeps",
+		"performs I/O (os.Remove)": "performs I/O (os.Remove)",
+		"calls a, which sleeps":    "calls a … sleeps",
+		"calls a, which calls b, which calls c, which performs I/O (io.(Writer).Write)": "calls a … performs I/O (io.(Writer).Write)",
+	} {
+		if got := chainKey(why); got != want {
+			t.Errorf("chainKey(%q) = %q, want %q", why, got, want)
 		}
 	}
 }
