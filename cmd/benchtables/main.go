@@ -5,6 +5,9 @@
 //	benchtables -fig 4|5|7|8|9|10|11|12
 //	benchtables -headline -validate
 //	benchtables -scale full   (reproduction scale; slower)
+//
+// Stdout holds only the artefacts; each section's wall time, the zoo's
+// training included as its own line, goes to stderr.
 package main
 
 import (
@@ -12,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"cognitivearm"
 	"cognitivearm/internal/asr"
@@ -37,61 +41,63 @@ func main() {
 		sc = experiments.Full()
 	}
 
+	ran := false
+	section := func(name string, run func()) {
+		start := time.Now()
+		run()
+		fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, time.Since(start).Round(time.Millisecond))
+		ran = true
+	}
+
 	// The zoo is trained on first use, so one run trains it at most once.
 	var zoo *experiments.Zoo
 	trained := func() *experiments.Zoo {
 		if zoo == nil {
-			z, err := experiments.TrainZoo(sc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			zoo = z
+			section("zoo training", func() {
+				z, err := experiments.TrainZoo(sc)
+				if err != nil {
+					log.Fatal(err)
+				}
+				zoo = z
+			})
 		}
 		return zoo
 	}
 
-	ran := false
 	if *all || *table == 1 {
-		printTable1()
-		ran = true
+		section("Table I", printTable1)
 	}
 	if *all || *table == 3 {
-		fmt.Println("== Table III: hyperparameter search space ==")
-		fmt.Println(experiments.TableIII())
-		ran = true
+		section("Table III", func() { fmt.Printf("== Table III: hyperparameter search space ==\n%s\n", experiments.TableIII()) })
 	}
 	if *all || *fig == 4 {
-		runFig4(sc)
-		ran = true
+		section("Figure 4", func() { runFig4(sc) })
 	}
 	if *all || *fig == 5 {
-		fmt.Println("== Figure 5: raw vs filtered EEG (channel C3) ==")
-		fmt.Println(experiments.Fig5(sc.Seed).String())
-		ran = true
+		section("Figure 5", func() {
+			fmt.Printf("== Figure 5: raw vs filtered EEG (channel C3) ==\n%s\n", experiments.Fig5(sc.Seed))
+		})
 	}
 	if *all || *fig == 7 {
-		runFig7(sc)
-		ran = true
+		section("Figure 7", func() { runFig7(sc) })
 	}
 	if *all || *fig == 8 || *fig == 9 || *fig == 10 {
-		runSearchFigures(sc, *fig, *all)
-		ran = true
+		section("Figures 8-10", func() { runSearchFigures(sc, *fig, *all) })
 	}
 	if *all || *fig == 11 {
-		runFig11(trained())
-		ran = true
+		z := trained()
+		section("Figure 11", func() { runFig11(z) })
 	}
 	if *all || *fig == 12 {
-		runFig12(trained())
-		ran = true
+		z := trained()
+		section("Figure 12", func() { runFig12(z) })
 	}
 	if *all || *headline || *table == 2 {
-		runHeadline(trained(), *all || *table == 2)
-		ran = true
+		z := trained()
+		section("headline", func() { runHeadline(z, *all || *table == 2) })
 	}
 	if *all || *validate {
-		runValidation()
-		ran = true
+		section("validation", runValidation)
 	}
 	if !ran {
 		flag.Usage()

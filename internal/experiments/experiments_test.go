@@ -173,6 +173,36 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
+func TestHeadline(t *testing.T) {
+	z := zoo(t)
+	r, err := Headline(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.PerModel) != 4 {
+		t.Fatalf("per-model rows %d, want the zoo's four models", len(r.PerModel))
+	}
+	for i, spec := range z.Specs {
+		c, ok := r.PerModel[spec.ID()]
+		if !ok || c.Accuracy != z.Results[i].ValAcc || c.Clf != z.Pool[i] {
+			t.Fatalf("per-model row for %s is %+v, want the zoo's model and accuracy %v", spec.ID(), c, z.Results[i].ValAcc)
+		}
+	}
+	if want := models.Accuracy(z.Ensemble(), z.Val); r.EnsembleAcc != want {
+		t.Fatalf("ensemble accuracy %v, want the zoo ensemble's %v", r.EnsembleAcc, want)
+	}
+	if !(r.CI91Lo <= r.LOSOMean && r.LOSOMean <= r.CI91Hi) {
+		t.Fatalf("LOSO mean %v outside its 91%% CI [%v, %v]", r.LOSOMean, r.CI91Lo, r.CI91Hi)
+	}
+	if !(r.QuantLatencySec < r.PrunedLatencySec && r.PrunedLatencySec < r.EnsembleLatencySec) {
+		t.Fatalf("latencies int8 %v, pruned %v, ensemble %v: want int8 < pruned < ensemble",
+			r.QuantLatencySec, r.PrunedLatencySec, r.EnsembleLatencySec)
+	}
+	if s := r.String(); !strings.Contains(s, "CNN+Transformer ensemble: acc") {
+		t.Fatalf("render lacks the ensemble line:\n%s", s)
+	}
+}
+
 func TestFamilySearchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evolutionary search")

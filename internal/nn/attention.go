@@ -249,6 +249,16 @@ func headCopy(dst, m *tensor.Matrix, h, dk int) {
 	}
 }
 
+// headCopyT extracts head h of m transposed into dst (dk×T): the right
+// operand of a product with the head's transpose, such as q·kᵀ.
+func headCopyT(dst, m *tensor.Matrix, h, dk int) {
+	for t := 0; t < m.Rows; t++ {
+		for c, v := range m.Row(t)[h*dk : (h+1)*dk] {
+			dst.Data[c*m.Rows+t] = v
+		}
+	}
+}
+
 // headAdd accumulates src (T×dk) into dst's head-h columns.
 func headAdd(dst *tensor.Matrix, src *tensor.Matrix, h, dk int) {
 	for t := 0; t < src.Rows; t++ {
@@ -265,22 +275,19 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 	if x.Cols != m.Dim {
 		panic(fmt.Sprintf("nn: attention expects dim %d, got %d", m.Dim, x.Cols))
 	}
-	q := tensor.MatMul(nil, x, m.Wq.W)
-	k := tensor.MatMul(nil, x, m.Wk.W)
-	v := tensor.MatMul(nil, x, m.Wv.W)
+	q := matMul(x, m.Wq.W, nil)
+	k := matMul(x, m.Wk.W, nil)
+	v := matMul(x, m.Wv.W, nil)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	attn := make([]*tensor.Matrix, m.Heads)
 	concat := tensor.New(x.Rows, m.Dim)
 	for h := 0; h < m.Heads; h++ {
-		qh := headView(q, h, dk)
-		kh := headView(k, h, dk)
-		vh := headView(v, h, dk)
-		scores := tensor.MatMulTransB(nil, qh, kh)
+		scores := matMul(headView(q, h, dk), transpose(headView(k, h, dk)), nil)
 		tensor.Scale(scores, scale)
 		tensor.SoftmaxRows(scores)
 		attn[h] = scores
-		oh := tensor.MatMul(nil, scores, vh)
+		oh := matMul(scores, headView(v, h, dk), nil)
 		for t := 0; t < x.Rows; t++ {
 			copy(concat.Row(t)[h*dk:(h+1)*dk], oh.Row(t))
 		}
@@ -291,7 +298,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 		m.attn = attn
 		m.concat = concat
 	}
-	return tensor.MatMul(nil, concat, m.Wo.W)
+	return matMul(concat, m.Wo.W, nil)
 }
 
 // ForwardBatch implements Layer: the Q/K/V input projections and the
@@ -320,18 +327,18 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 	// One set of per-head scratch, reused across every (window, head) pair —
 	// shapes are loop-invariant, so the workspace footprint stays one head's
 	// worth instead of B·H of them.
-	qh, kh, vh := ws.Uninit(T, dk), ws.Uninit(T, dk), ws.Uninit(T, dk)
+	qh, khT, vh := ws.Uninit(T, dk), ws.Uninit(dk, T), ws.Uninit(T, dk)
 	scores := ws.Uninit(T, T)
 	oh := ws.Uninit(T, dk)
 	for i := 0; i < B; i++ {
 		for h := 0; h < m.Heads; h++ {
 			headCopy(qh, qs[i], h, dk)
-			headCopy(kh, ks[i], h, dk)
+			headCopyT(khT, ks[i], h, dk)
 			headCopy(vh, vs[i], h, dk)
-			tensor.MatMulTransB(scores, qh, kh)
+			tensor.GEMM(ws, scores, qh, khT, tensor.Epilogue{})
 			tensor.Scale(scores, scale)
 			tensor.SoftmaxRows(scores)
-			tensor.MatMul(oh, scores, vh)
+			tensor.GEMM(ws, oh, scores, vh, tensor.Epilogue{})
 			for t := 0; t < T; t++ {
 				copy(concat.Row(i*T + t)[h*dk:(h+1)*dk], oh.Row(t))
 			}
@@ -343,9 +350,8 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 // Backward implements Layer.
 func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	// Output projection.
-	dWo := tensor.MatMulTransA(nil, m.concat, gradOut)
-	tensor.Add(m.Wo.Grad, m.Wo.Grad, dWo)
-	dConcat := tensor.MatMulTransB(nil, gradOut, m.Wo.W)
+	tensor.Add(m.Wo.Grad, m.Wo.Grad, matMul(transpose(m.concat), gradOut, nil))
+	dConcat := matMul(gradOut, transpose(m.Wo.W), nil)
 
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
@@ -354,13 +360,10 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	dv := tensor.New(m.v.Rows, m.Dim)
 	for h := 0; h < m.Heads; h++ {
 		dOh := headView(dConcat, h, dk)
-		qh := headView(m.q, h, dk)
-		kh := headView(m.k, h, dk)
-		vh := headView(m.v, h, dk)
 		A := m.attn[h]
 		// dA = dO·Vᵀ ; dV = Aᵀ·dO
-		dA := tensor.MatMulTransB(nil, dOh, vh)
-		dVh := tensor.MatMulTransA(nil, A, dOh)
+		dA := matMul(dOh, transpose(headView(m.v, h, dk)), nil)
+		dVh := matMul(transpose(A), dOh, nil)
 		// softmax backward per row: dS = A ⊙ (dA − Σ(dA⊙A))
 		dS := tensor.New(A.Rows, A.Cols)
 		for i := 0; i < A.Rows; i++ {
@@ -374,23 +377,23 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 		tensor.Scale(dS, scale)
-		dQh := tensor.MatMul(nil, dS, kh)
-		dKh := tensor.MatMulTransA(nil, dS, qh)
+		dQh := matMul(dS, headView(m.k, h, dk), nil)
+		dKh := matMul(transpose(dS), headView(m.q, h, dk), nil)
 		headAdd(dq, dQh, h, dk)
 		headAdd(dkM, dKh, h, dk)
 		headAdd(dv, dVh, h, dk)
 	}
 	// Through the input projections.
+	xT := transpose(m.lastX)
 	acc := func(p *Param, d *tensor.Matrix) {
-		g := tensor.MatMulTransA(nil, m.lastX, d)
-		tensor.Add(p.Grad, p.Grad, g)
+		tensor.Add(p.Grad, p.Grad, matMul(xT, d, nil))
 	}
 	acc(m.Wq, dq)
 	acc(m.Wk, dkM)
 	acc(m.Wv, dv)
-	dx := tensor.MatMulTransB(nil, dq, m.Wq.W)
-	tensor.Add(dx, dx, tensor.MatMulTransB(nil, dkM, m.Wk.W))
-	tensor.Add(dx, dx, tensor.MatMulTransB(nil, dv, m.Wv.W))
+	dx := matMul(dq, transpose(m.Wq.W), nil)
+	tensor.Add(dx, dx, matMul(dkM, transpose(m.Wk.W), nil))
+	tensor.Add(dx, dx, matMul(dv, transpose(m.Wv.W), nil))
 	return dx
 }
 

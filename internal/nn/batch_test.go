@@ -60,7 +60,7 @@ func assertSameBits(t *testing.T, label string, got, want []float64) {
 	}
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("%s element %d: batched %v (%#x) != sequential %v (%#x) (must be bitwise identical)",
+			t.Fatalf("%s element %d: got %v (%#x), want %v (%#x) (must be bitwise identical)",
 				label, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 		}
 	}
@@ -127,8 +127,7 @@ func TestNetworkForwardBatchMatchesPredict(t *testing.T) {
 // 4-row tiles then take rows from two windows at once, every batch size
 // leaves a different row tail, and B=50 is large enough for a kernel pool to
 // split. Logits must equal per-window Forward bit for bit on a fresh
-// workspace, a warm one, and with a pool attached — inputs include exact zeros,
-// which Forward's MatMul skips and the GEMM does not.
+// workspace, a warm one, and with a pool attached — inputs include exact zeros.
 func TestForwardBatchQuadsStraddleWindows(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	net := NewNetwork(

@@ -17,9 +17,8 @@ type Conv1D struct {
 	Weight                  *Param
 	Bias                    *Param
 
-	lastX   *tensor.Matrix
-	lastCol *tensor.Matrix
-	outT    int
+	lastX *tensor.Matrix
+	outT  int
 }
 
 // NewConv1D builds a temporal convolution with He initialisation.
@@ -53,29 +52,24 @@ func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if outT <= 0 {
 		panic(fmt.Sprintf("nn: Conv1D input length %d shorter than kernel %d", x.Rows, c.Kernel))
 	}
-	// im2col: each output step's receptive field becomes one row.
-	col := tensor.New(outT, c.Kernel*c.InChannels)
-	for t := 0; t < outT; t++ {
-		dst := col.Row(t)
-		src := t * c.Stride
-		for k := 0; k < c.Kernel; k++ {
-			copy(dst[k*c.InChannels:(k+1)*c.InChannels], x.Row(src+k))
-		}
-	}
 	if train {
 		c.lastX = x
 		c.outT = outT
-		c.lastCol = col
 	}
-	y := tensor.MatMul(nil, col, c.Weight.W)
-	tensor.AddRowVector(y, c.Bias.W.Data)
-	return y
+	return tensor.GEMMBlocks(nil, tensor.New(outT, c.OutChannels), c.im2colView([]*tensor.Matrix{x}, outT),
+		c.Weight.W, tensor.Epilogue{Bias: c.Bias.W.Data})
+}
+
+// im2colView views each window of xs as its outT im2col rows: output step t's
+// receptive field is the K·Cin values from input row t·S on.
+func (c *Conv1D) im2colView(xs []*tensor.Matrix, outT int) tensor.RowBlocks {
+	return tensor.RowBlocks{Blocks: xs, Rows: outT, Cols: c.Kernel * c.InChannels, Stride: c.Stride * c.InChannels}
 }
 
 // ForwardBatch implements Layer: the whole batch convolves in a
 // single (B·T')×(K·Cin) GEMM against the kernel weight — the batched analogue
-// of Forward's im2col + matmul, with the weight streamed once instead of B
-// times and no im2col matrix at all (see forwardBatchFused).
+// of Forward's, with the weight streamed once instead of B times (see
+// forwardBatchFused).
 func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
 	batchInferenceOnly(train)
 	return c.forwardBatchFused(ws, xs, false)
@@ -100,24 +94,30 @@ func (c *Conv1D) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, re
 		panic(fmt.Sprintf("nn: Conv1D input length %d shorter than kernel %d", x0.Rows, c.Kernel))
 	}
 	sameShape(xs)
-	y := tensor.GEMMBlocks(ws, ws.Uninit(len(xs)*outT, c.OutChannels),
-		tensor.RowBlocks{Blocks: xs, Rows: outT, Cols: c.Kernel * c.InChannels, Stride: c.Stride * c.InChannels},
+	y := tensor.GEMMBlocks(ws, ws.Uninit(len(xs)*outT, c.OutChannels), c.im2colView(xs, outT),
 		c.Weight.W, tensor.Epilogue{Bias: c.Bias.W.Data, ReLU: relu})
 	return tensor.SplitRowsWS(ws, y, outT)
 }
 
 // Backward implements Layer.
 func (c *Conv1D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	// dW += colᵀ·dY ; db += colsums(dY)
-	dw := tensor.MatMulTransA(nil, c.lastCol, gradOut)
-	tensor.Add(c.Weight.Grad, c.Weight.Grad, dw)
+	// dW += colᵀ·dY, colᵀ gathered from the input: row k·Cin+ch, column t
+	// is x[t·S+k][ch]. db += colsums(dY).
+	n := c.Kernel * c.InChannels
+	colT := tensor.New(n, c.outT)
+	for t := 0; t < c.outT; t++ {
+		for r, v := range c.lastX.Data[t*c.Stride*c.InChannels:][:n] {
+			colT.Data[r*c.outT+t] = v
+		}
+	}
+	tensor.Add(c.Weight.Grad, c.Weight.Grad, matMul(colT, gradOut, nil))
 	sums := make([]float64, c.OutChannels)
 	tensor.ColSums(sums, gradOut)
 	for j := range sums {
 		c.Bias.Grad.Data[j] += sums[j]
 	}
 	// dCol = dY·Wᵀ, then scatter back through the im2col mapping.
-	dcol := tensor.MatMulTransB(nil, gradOut, c.Weight.W)
+	dcol := matMul(gradOut, transpose(c.Weight.W), nil)
 	dx := tensor.New(c.lastX.Rows, c.lastX.Cols)
 	for t := 0; t < c.outT; t++ {
 		src := dcol.Row(t)

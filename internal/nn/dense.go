@@ -30,9 +30,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.lastX = x
 	}
-	y := tensor.MatMul(nil, x, d.Weight.W)
-	tensor.AddRowVector(y, d.Bias.W.Data)
-	return y
+	return matMul(x, d.Weight.W, d.Bias.W.Data)
 }
 
 // ForwardBatch implements Layer: the B small matmuls fuse into a
@@ -65,14 +63,13 @@ func (d *Dense) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, rel
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	// dW += xᵀ·dY, db += colsum(dY), dX = dY·Wᵀ
-	dw := tensor.MatMulTransA(nil, d.lastX, gradOut)
-	tensor.Add(d.Weight.Grad, d.Weight.Grad, dw)
+	tensor.Add(d.Weight.Grad, d.Weight.Grad, matMul(transpose(d.lastX), gradOut, nil))
 	sums := make([]float64, d.Out)
 	tensor.ColSums(sums, gradOut)
 	for j := range sums {
 		d.Bias.Grad.Data[j] += sums[j]
 	}
-	return tensor.MatMulTransB(nil, gradOut, d.Weight.W)
+	return matMul(gradOut, transpose(d.Weight.W), nil)
 }
 
 // Params implements Layer.

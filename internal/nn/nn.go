@@ -49,6 +49,25 @@ func (p *Param) Size() int { return len(p.W.Data) }
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
+// matMul returns a·b (+ bias if non-nil) in a fresh matrix, serially on the
+// GEMM tile. Weight gradients are added to Param.Grad after the product:
+// accumulating inside it would change the rounding.
+func matMul(a, b *tensor.Matrix, bias []float64) *tensor.Matrix {
+	return tensor.GEMM(nil, tensor.New(a.Rows, b.Cols), a, b, tensor.Epilogue{Bias: bias})
+}
+
+// transpose returns mᵀ in a fresh matrix: the operand of a transposed
+// product, such as xᵀ in dW = xᵀ·dY or Wᵀ in dX = dY·Wᵀ.
+func transpose(m *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.Rows+i] = v
+		}
+	}
+	return out
+}
+
 // Layer is one differentiable stage. Forward consumes the previous
 // activation; Backward consumes dL/d(output) and returns dL/d(input),
 // accumulating parameter gradients internally. Layers are stateful between

@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// This file is the GEMM behind nn's fused inference. Every product is computed
-// by one tile contract, implemented three times:
+// This file is the repo's one float64 multiply: nn's training (every Dense,
+// Conv1D and attention product of Forward and Backward, transposed operands
+// copied transposed by the caller) and its fused inference both run it. Every
+// product is computed by one tile contract, implemented three times:
 //
 //	dst[r][j] = Σₖ a_r[k]·b[k][j]   for a 4-row tile, the whole sum held in
 //	registers, k ascending, multiply and add each rounded on its own;
@@ -24,15 +26,17 @@ import (
 //
 // Bitwise contract: per output element every tile performs exactly the
 // operations of the naive loop `s += a*b` (s starting at +0), in the same
-// order, so they agree with each other, with MatMul + AddRowVector + a ReLU
+// order, so they agree with each other, with a separate bias add and ReLU
 // clamp, and with per-window Forward, bit for bit. That is why the assembly
 // issues separate VMULPD and VADDPD: gc does not fuse `s += a*b` on amd64, and
 // an FMA (one rounding instead of two) or a split-k accumulator would round
 // differently and eventually flip an argmax. Inputs equal to zero are not
-// skipped, unlike MatMul: with finite weights a skipped term is ±0, and adding
-// ±0 to an accumulator that started at +0 (and so can never be −0) changes no
-// bit. Row panels split on global 4-row boundaries, so which tile computes an
-// element never depends on the thread count — and would not matter if it did.
+// skipped: with finite operands a skipped term is ±0, and adding ±0 to an
+// accumulator that started at +0 (and so can never be −0) changes no bit.
+// That is also why training kept its bits when it moved here from naive
+// loops that skipped zero inputs. Row panels split on global 4-row
+// boundaries, so which tile computes an element never depends on the thread
+// count — and would not matter if it did.
 
 // gemmParallelMinOps is the crossover below which GEMM stays on the calling
 // goroutine: M·K·N multiply-accumulates must amortise one pool rendezvous
@@ -62,8 +66,8 @@ var tier = hostTier()
 // Epilogue is the fused post-op a GEMM applies to each output element as its
 // tile leaves the registers: v += Bias[j] (when Bias is non-nil), then a ReLU
 // clamp (v <= 0 → +0, NaN kept) when ReLU is set. Element-wise it is exactly
-// AddRowVector followed by nn's inference ReLU, so fused and unfused paths
-// are bitwise-identical.
+// a row-vector add followed by nn's inference ReLU, so fused and unfused
+// paths are bitwise-identical.
 type Epilogue struct {
 	Bias []float64
 	ReLU bool
@@ -141,14 +145,20 @@ func (c *rowCursor) next() []float64 {
 // GEMM computes dst = a·b, then applies ep. dst must not alias a or b.
 // Products past the crossover split across ws's kernel pool when one is
 // attached (see Workspace.SetPool); output is bitwise-identical either way.
+// ws may be nil: a one-off serial product, such as a training step's.
 func GEMM(ws *Workspace, dst, a, b *Matrix, ep Epilogue) *Matrix {
-	blocks := ws.Matrices(1)
-	blocks[0] = a
+	var blocks []*Matrix
+	if ws == nil {
+		blocks = []*Matrix{a}
+	} else {
+		blocks = ws.Matrices(1)
+		blocks[0] = a
+	}
 	return GEMMBlocks(ws, dst, RowBlocks{Blocks: blocks, Rows: a.Rows, Cols: a.Cols, Stride: a.Cols}, b, ep)
 }
 
 // GEMMBlocks is GEMM with the left operand read in place through a (see
-// RowBlocks): dst is (len(a.Blocks)·a.Rows)×b.Cols.
+// RowBlocks): dst is (len(a.Blocks)·a.Rows)×b.Cols. As in GEMM, ws may be nil.
 func GEMMBlocks(ws *Workspace, dst *Matrix, a RowBlocks, b *Matrix, ep Epilogue) *Matrix {
 	a.check()
 	m := len(a.Blocks) * a.Rows

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// randMatrix fills a matrix with a mix of normal values, exact zeros (the
-// inputs MatMul skips and GEMM does not) and negatives (to exercise the ReLU
+// randMatrix fills a matrix with a mix of normal values, exact zeros (which
+// GEMM multiplies rather than skips) and negatives (to exercise the ReLU
 // clamp).
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
@@ -26,7 +26,7 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 
 // specials are the values salted into left operands: they propagate (NaN,
 // Inf), cancel into NaN (Inf − Inf), overflow to Inf mid-sum (MaxFloat64),
-// underflow to ±0 (±5e-324) or carry a sign the zero skip used to hide (−0).
+// underflow to ±0 (±5e-324) or carry a sign a zero skip would hide (−0).
 var specials = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 	5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64,
@@ -192,6 +192,7 @@ func TestGEMMBitwiseEquivalence(t *testing.T) {
 						tl := label + " tier " + tierNames[tr]
 						serial.Reset()
 						assertBitwise(t, want, GEMM(serial, serial.Uninit(m, n), a, b, ep), tl+" serial")
+						assertBitwise(t, want, GEMM(nil, New(m, n), a, b, ep), tl+" no workspace")
 
 						turn++
 						pool := pools[turn%len(pools)]
@@ -249,6 +250,62 @@ func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 						fmt.Sprintf("%s pool=%d", label, pool.Threads()))
 				}
 			}
+		}
+	}
+}
+
+// TestGEMMKnown checks one product by hand, independently of naive: every
+// element of a dst full of stale values is overwritten, with or without a
+// workspace, and the bias is added after the sum.
+func TestGEMMKnown(t *testing.T) {
+	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
+	for _, ws := range []*Workspace{nil, NewWorkspace()} {
+		dst := New(2, 2)
+		dst.Fill(99)
+		GEMM(ws, dst, a, b, Epilogue{})
+		for i, w := range []float64{58, 64, 139, 154} {
+			if dst.Data[i] != w {
+				t.Fatalf("workspace %v: dst[%d] = %v, want %v", ws != nil, i, dst.Data[i], w)
+			}
+		}
+		GEMM(ws, dst, a, b, Epilogue{Bias: []float64{10, -200}, ReLU: true})
+		for i, w := range []float64{68, 0, 149, 0} {
+			if dst.Data[i] != w {
+				t.Fatalf("workspace %v, bias and ReLU: dst[%d] = %v, want %v", ws != nil, i, dst.Data[i], w)
+			}
+		}
+	}
+}
+
+// TestGEMMShapePanics: a mismatched inner dimension, destination or bias
+// panics before anything is written.
+func TestGEMMShapePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		a, b, dst *Matrix
+		bias      []float64
+	}{
+		{"inner", New(2, 3), New(2, 3), New(2, 3), nil},
+		{"dst rows", New(2, 3), New(3, 4), New(3, 4), nil},
+		{"dst cols", New(2, 3), New(3, 4), New(2, 3), nil},
+		{"bias", New(2, 3), New(3, 4), New(2, 4), make([]float64, 3)},
+	} {
+		for _, ws := range []*Workspace{nil, NewWorkspace()} {
+			tc.dst.Fill(7)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s mismatch (workspace %v) must panic", tc.name, ws != nil)
+					}
+					for i, v := range tc.dst.Data {
+						if v != 7 {
+							t.Fatalf("%s: dst[%d] written before the panic", tc.name, i)
+						}
+					}
+				}()
+				GEMM(ws, tc.dst, tc.a, tc.b, Epilogue{Bias: tc.bias})
+			}()
 		}
 	}
 }

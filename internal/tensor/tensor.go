@@ -1,12 +1,13 @@
 // Package tensor provides the minimal dense linear-algebra substrate used by
 // the CognitiveArm deep-learning stack. It implements row-major float64
-// matrices with the handful of kernels (matmul, transpose, broadcast ops,
-// im2col-style unfolding) required by the Dense, Conv1D, LSTM and attention
-// layers in internal/nn.
+// matrices with the handful of kernels (element-wise and row-wise ops,
+// softmax, and one float64 multiply, the GEMM tile of gemm.go) required by
+// the Dense, Conv1D, LSTM and attention layers in internal/nn. Training and
+// inference multiply through the same GEMM; only the int8 MatMulQ is apart.
 //
 // The package is deliberately small and allocation-conscious: all hot kernels
-// accept destination buffers so the training loop can reuse memory across
-// steps.
+// accept destination buffers so the serving path can reuse memory across
+// ticks.
 package tensor
 
 import (
@@ -69,94 +70,6 @@ func (m *Matrix) Fill(v float64) {
 // String implements fmt.Stringer with a compact shape-prefixed rendering.
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-}
-
-// MatMul computes dst = a·b. dst may be nil, in which case a fresh matrix is
-// allocated. dst must not alias a or b.
-func MatMul(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		dst = New(a.Rows, b.Cols)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Cols {
-			panic("tensor: matmul dst shape mismatch")
-		}
-		dst.Zero()
-	}
-	// ikj loop order: stream through b rows for cache locality.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
-			}
-		}
-	}
-	return dst
-}
-
-// MatMulTransB computes dst = a·bᵀ without materialising the transpose.
-func MatMulTransB(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		dst = New(a.Rows, b.Rows)
-	} else {
-		if dst.Rows != a.Rows || dst.Cols != b.Rows {
-			panic("tensor: matmulTransB dst shape mismatch")
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			drow[j] = s
-		}
-	}
-	return dst
-}
-
-// MatMulTransA computes dst = aᵀ·b without materialising the transpose.
-func MatMulTransA(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst == nil {
-		dst = New(a.Cols, b.Cols)
-	} else {
-		if dst.Rows != a.Cols || dst.Cols != b.Cols {
-			panic("tensor: matmulTransA dst shape mismatch")
-		}
-		dst.Zero()
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, aki := range arow {
-			if aki == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
-			}
-		}
-	}
-	return dst
 }
 
 // Stack concatenates same-shape matrices row-wise into one (len(xs)·Rows)×Cols
@@ -238,19 +151,6 @@ func Scale(m *Matrix, s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// AddRowVector adds vector v (length Cols) to every row of m in place.
-func AddRowVector(m *Matrix, v []float64) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
 }
 
 // ColSums accumulates the column sums of m into dst (length Cols). Each sum

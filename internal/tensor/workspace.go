@@ -20,9 +20,10 @@ import "math/bits"
 // backing data, slices, SplitRowsWS views — is valid only until the next
 // Reset. Callers that need a value to outlive the cycle must copy it out.
 // Reset must only be called when no value from the previous cycle is still
-// referenced. A workspace is required wherever one is accepted: a one-off
-// call (a single-window Forward, a calibration pass) takes a fresh
-// NewWorkspace, which simply keeps what the call allocates.
+// referenced. A workspace is required wherever one is accepted, except by
+// GEMM and GEMMBlocks, where nil means a serial one-off product: another
+// one-off call (a calibration pass, an int8 single-window Forward) takes a
+// fresh NewWorkspace, which simply keeps what the call allocates.
 type Workspace struct {
 	f64  wsPool[float64]
 	i8   wsPool[int8]
@@ -45,8 +46,14 @@ type Workspace struct {
 // may use.
 func (ws *Workspace) SetPool(p *Pool) { ws.pool = p }
 
-// Pool reports the attached kernel pool; nil, the default, means serial.
-func (ws *Workspace) Pool() *Pool { return ws.pool }
+// Pool reports the attached kernel pool; nil, the default and a nil
+// workspace's, means serial.
+func (ws *Workspace) Pool() *Pool {
+	if ws == nil {
+		return nil
+	}
+	return ws.pool
+}
 
 // NewWorkspace returns an empty workspace. Buckets fill lazily as kernels
 // request scratch.
@@ -114,7 +121,7 @@ func (ws *Workspace) Zeros(rows, cols int) *Matrix {
 
 // Uninit returns a rows×cols matrix with unspecified contents, valid until
 // Reset. Callers must overwrite every element (or hand it to a kernel that
-// does, like MatMul's dst path, which zeroes before accumulating).
+// does, like GEMM's dst).
 func (ws *Workspace) Uninit(rows, cols int) *Matrix {
 	h := ws.header()
 	h.Rows, h.Cols = rows, cols
