@@ -254,10 +254,10 @@ func TestGEMMBlocksBitwiseEquivalence(t *testing.T) {
 	}
 }
 
-// TestGEMMKnown checks one product by hand, independently of naive: every
-// element of a dst full of stale values is overwritten, with or without a
-// workspace, and the bias is added after the sum.
-func TestGEMMKnown(t *testing.T) {
+// TestMatMulKnown checks one GEMM product by hand, independently of naive:
+// every element of a dst full of stale values is overwritten, with or without
+// a workspace, and the bias is added after the sum.
+func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	for _, ws := range []*Workspace{nil, NewWorkspace()} {
@@ -273,6 +273,25 @@ func TestGEMMKnown(t *testing.T) {
 		for i, w := range []float64{68, 0, 149, 0} {
 			if dst.Data[i] != w {
 				t.Fatalf("workspace %v, bias and ReLU: dst[%d] = %v, want %v", ws != nil, i, dst.Data[i], w)
+			}
+		}
+	}
+}
+
+// TestMatMulReuseDst: GEMM into a reused square dst full of stale values
+// writes the product, not the product plus what was there.
+func TestMatMulReuseDst(t *testing.T) {
+	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
+	for _, ws := range []*Workspace{nil, NewWorkspace()} {
+		dst := New(2, 2)
+		for round := 0; round < 2; round++ {
+			dst.Fill(99)
+			GEMM(ws, dst, a, b, Epilogue{})
+			for i, w := range []float64{19, 22, 43, 50} {
+				if dst.Data[i] != w {
+					t.Fatalf("workspace %v, round %d: dst[%d] = %v, want %v", ws != nil, round, i, dst.Data[i], w)
+				}
 			}
 		}
 	}
