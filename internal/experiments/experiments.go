@@ -497,7 +497,9 @@ type HeadlineResult struct {
 	PrunedLatencySec   float64
 	QuantAcc           float64
 	QuantLatencySec    float64
-	// LOSO statistics across held-out subjects for the ensemble.
+	// LOSO statistics across held-out subjects for the ensemble: each
+	// fold's test accuracy, in fold order, and their summary.
+	LOSOFolds         []float64
 	LOSOMean, LOSOStd float64
 	CI91Lo, CI91Hi    float64
 	// WallTime is Headline's own time: the zoo's training is not in it.
@@ -557,6 +559,7 @@ func Headline(z *Zoo) (*HeadlineResult, error) {
 		}
 		accs = append(accs, models.Accuracy(&foldEns, fold.Test))
 	}
+	res.LOSOFolds = accs
 	res.LOSOMean = metrics.Mean(accs)
 	res.LOSOStd = metrics.SampleStd(accs)
 	res.CI91Lo, res.CI91Hi = metrics.ConfidenceInterval(accs, 0.91)

@@ -98,6 +98,27 @@ func zoo(t *testing.T) *Zoo {
 	return z
 }
 
+// quickHeadline computes the Quick zoo's headline once, LOSO folds and
+// all, for TestHeadline and TestQuickGolden.
+var quickHeadline = sync.OnceValues(func() (*HeadlineResult, error) {
+	z, err := quickZoo()
+	if err != nil {
+		return nil, err
+	}
+	return Headline(z)
+})
+
+// headline returns the shared Quick-scale headline, skipping under -short.
+func headline(t *testing.T) *HeadlineResult {
+	t.Helper()
+	zoo(t)
+	r, err := quickHeadline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestZooPaperEnsemble(t *testing.T) {
 	z := zoo(t)
 	if len(z.Pool) != 4 || len(z.Specs) != 4 || len(z.Results) != 4 {
@@ -174,11 +195,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
-	z := zoo(t)
-	r, err := Headline(z)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z, r := zoo(t), headline(t)
 	if len(r.PerModel) != 4 {
 		t.Fatalf("per-model rows %d, want the zoo's four models", len(r.PerModel))
 	}
@@ -190,6 +207,9 @@ func TestHeadline(t *testing.T) {
 	}
 	if want := models.Accuracy(z.Ensemble(), z.Val); r.EnsembleAcc != want {
 		t.Fatalf("ensemble accuracy %v, want the zoo ensemble's %v", r.EnsembleAcc, want)
+	}
+	if len(r.LOSOFolds) != len(z.Scale.SubjectIDs) {
+		t.Fatalf("LOSO folds %d, want one per subject (%d)", len(r.LOSOFolds), len(z.Scale.SubjectIDs))
 	}
 	if !(r.CI91Lo <= r.LOSOMean && r.LOSOMean <= r.CI91Hi) {
 		t.Fatalf("LOSO mean %v outside its 91%% CI [%v, %v]", r.LOSOMean, r.CI91Lo, r.CI91Hi)
