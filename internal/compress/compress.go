@@ -302,11 +302,15 @@ func QuantizeWithActivations(c *models.NNClassifier, mode QuantMode, calib []dat
 	maxAbs := make([]float64, len(layers))
 	var globalSum float64
 	var globalN int
+	// Each layer runs on its own, unfused, so every layer's output is a
+	// calibration point (and, in Probs, a fake-quant point).
+	ws := tensor.NewWorkspace()
 	for _, w := range calib {
-		x := w.Data
+		ws.Reset()
+		xs := []*tensor.Matrix{w.Data}
 		for li, l := range layers {
-			x = l.Forward(x, false)
-			for _, v := range x.Data {
+			xs = l.ForwardBatch(ws, xs, false)
+			for _, v := range xs[0].Data {
 				a := math.Abs(v)
 				if a > maxAbs[li] {
 					maxAbs[li] = a
@@ -359,16 +363,18 @@ func fakeQuant(m *tensor.Matrix, scale float64) {
 	}
 }
 
-// Probs implements models.Classifier.
+// Probs implements models.Classifier: each layer runs unfused on a fresh
+// workspace, its output snapped to the layer's grid.
 func (a *ActivationQuantized) Probs(x *tensor.Matrix) []float64 {
-	cur := x.Clone()
-	fakeQuant(cur, a.Scales[0])
+	ws := tensor.NewWorkspace()
+	cur := []*tensor.Matrix{x.Clone()}
+	fakeQuant(cur[0], a.Scales[0])
 	for li, l := range a.Base.Net.Layers {
-		cur = l.Forward(cur, false)
-		fakeQuant(cur, a.Scales[li])
+		cur = l.ForwardBatch(ws, cur, false)
+		fakeQuant(cur[0], a.Scales[li])
 	}
-	probs := make([]float64, cur.Cols)
-	tensor.Softmax(probs, cur.Row(0))
+	probs := make([]float64, cur[0].Cols)
+	tensor.Softmax(probs, cur[0].Row(0))
 	return probs
 }
 

@@ -11,8 +11,8 @@ import (
 // classifier deserialised from the serialize.go format is shared read-only
 // by many goroutines mixing Predict, Probs and PredictBatchWS. Run under
 // `go test -race`, this fails if any layer's inference path writes receiver
-// state (the original Forward implementations cached activations
-// unconditionally, so sharing a model across sessions raced).
+// state (a train-mode forward saves activations in its layers, so an
+// inference path that did the same would race across sessions).
 func TestConcurrentSharedNNInference(t *testing.T) {
 	train, val := smallData(t, 50)
 	// CNN + transformer cover every inference-path layer family: conv,

@@ -26,56 +26,11 @@ func NewLayerNorm(dim int) *LayerNorm {
 	return ln
 }
 
-// Forward implements Layer.
-func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != ln.Dim {
-		panic(fmt.Sprintf("nn: LayerNorm expects dim %d, got %d", ln.Dim, x.Cols))
-	}
-	y := tensor.New(x.Rows, x.Cols)
-	// x̂ and 1/σ are backward-pass caches; skip them on the inference hot
-	// path, where every serving-hub session would otherwise allocate and
-	// fill a full matrix per LayerNorm per window.
-	var norm *tensor.Matrix
-	var invStd []float64
-	if train {
-		norm = tensor.New(x.Rows, x.Cols)
-		invStd = make([]float64, x.Rows)
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mu := tensor.Mean(row)
-		var v float64
-		for _, xv := range row {
-			d := xv - mu
-			v += d * d
-		}
-		v /= float64(len(row))
-		inv := 1 / math.Sqrt(v+ln.Eps)
-		yrow := y.Row(i)
-		if train {
-			invStd[i] = inv
-			nrow := norm.Row(i)
-			for j, xv := range row {
-				nrow[j] = (xv - mu) * inv
-				yrow[j] = nrow[j]*ln.Gamma.W.Data[j] + ln.Beta.W.Data[j]
-			}
-		} else {
-			for j, xv := range row {
-				yrow[j] = (xv-mu)*inv*ln.Gamma.W.Data[j] + ln.Beta.W.Data[j]
-			}
-		}
-	}
-	if train {
-		ln.lastNorm = norm
-		ln.invStd = invStd
-	}
-	return y
-}
-
 // ForwardBatch implements Layer: row-wise normalisation writes all
 // B windows into one (B·T)×D output, one scratch buffer for the batch.
+// Train mode saves x̂ and 1/σ for Backward.
 func (ln *LayerNorm) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
 	}
@@ -84,6 +39,9 @@ func (ln *LayerNorm) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, tra
 	}
 	T := xs[0].Rows
 	y := ws.Uninit(len(xs)*T, ln.Dim)
+	if train {
+		ln.lastNorm, ln.invStd = ws.Uninit(T, ln.Dim), ws.Uninit(1, T).Data
+	}
 	for i, x := range xs {
 		for t := 0; t < T; t++ {
 			row := x.Row(t)
@@ -98,6 +56,12 @@ func (ln *LayerNorm) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, tra
 			yrow := y.Row(i*T + t)
 			for j, xv := range row {
 				yrow[j] = (xv-mu)*inv*ln.Gamma.W.Data[j] + ln.Beta.W.Data[j]
+			}
+			if train {
+				ln.invStd[t] = inv
+				for j, xv := range row {
+					ln.lastNorm.Data[t*ln.Dim+j] = (xv - mu) * inv
+				}
 			}
 		}
 	}
@@ -146,27 +110,11 @@ type PositionalEncoding struct{ Dim int }
 // NewPositionalEncoding creates the layer.
 func NewPositionalEncoding(dim int) *PositionalEncoding { return &PositionalEncoding{Dim: dim} }
 
-// Forward implements Layer.
-func (pe *PositionalEncoding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	y := x.Clone()
-	for t := 0; t < y.Rows; t++ {
-		row := y.Row(t)
-		for j := 0; j < pe.Dim; j += 2 {
-			angle := float64(t) / math.Pow(10000, float64(j)/float64(pe.Dim))
-			row[j] += math.Sin(angle)
-			if j+1 < pe.Dim {
-				row[j+1] += math.Cos(angle)
-			}
-		}
-	}
-	return y
-}
-
 // ForwardBatch implements Layer: the sinusoid table depends only on
-// the window length, so it is materialised once and added to every window —
-// B−1 fewer trips through math.Sin/Cos/Pow than per-window Forward.
+// the window length, so it is materialised once and added to every window:
+// B−1 fewer trips through math.Sin/Cos/Pow than one window at a time.
 func (pe *PositionalEncoding) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
 	}
@@ -270,43 +218,14 @@ func headAdd(dst *tensor.Matrix, src *tensor.Matrix, h, dk int) {
 	}
 }
 
-// Forward implements Layer.
-func (m *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != m.Dim {
-		panic(fmt.Sprintf("nn: attention expects dim %d, got %d", m.Dim, x.Cols))
-	}
-	q := matMul(x, m.Wq.W, nil)
-	k := matMul(x, m.Wk.W, nil)
-	v := matMul(x, m.Wv.W, nil)
-	dk := m.Dim / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
-	attn := make([]*tensor.Matrix, m.Heads)
-	concat := tensor.New(x.Rows, m.Dim)
-	for h := 0; h < m.Heads; h++ {
-		scores := matMul(headView(q, h, dk), transpose(headView(k, h, dk)), nil)
-		tensor.Scale(scores, scale)
-		tensor.SoftmaxRows(scores)
-		attn[h] = scores
-		oh := matMul(scores, headView(v, h, dk), nil)
-		for t := 0; t < x.Rows; t++ {
-			copy(concat.Row(t)[h*dk:(h+1)*dk], oh.Row(t))
-		}
-	}
-	if train {
-		m.lastX = x
-		m.q, m.k, m.v = q, k, v
-		m.attn = attn
-		m.concat = concat
-	}
-	return matMul(concat, m.Wo.W, nil)
-}
-
 // ForwardBatch implements Layer: the Q/K/V input projections and the
 // output projection each run as one (B·T)×D GEMM over the whole batch — the
 // inputs read from the windows in place, 4 GEMMs total instead of 4·B — while
 // the T×T attention itself stays per-window (scores never mix windows).
+// Train mode saves the input, Q, K, V, each head's softmax weights and the
+// concatenated heads for Backward.
 func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	B := len(xs)
 	if B == 0 {
 		return nil
@@ -330,8 +249,16 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 	qh, khT, vh := ws.Uninit(T, dk), ws.Uninit(dk, T), ws.Uninit(T, dk)
 	scores := ws.Uninit(T, T)
 	oh := ws.Uninit(T, dk)
+	if train {
+		m.lastX, m.q, m.k, m.v, m.concat = xs[0], qs[0], ks[0], vs[0], concat
+		m.attn = ws.Matrices(m.Heads)
+	}
 	for i := 0; i < B; i++ {
 		for h := 0; h < m.Heads; h++ {
+			if train {
+				scores = ws.Uninit(T, T)
+				m.attn[h] = scores
+			}
 			headCopy(qh, qs[i], h, dk)
 			headCopyT(khT, ks[i], h, dk)
 			headCopy(vh, vs[i], h, dk)
@@ -350,8 +277,8 @@ func (m *MultiHeadAttention) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Mat
 // Backward implements Layer.
 func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	// Output projection.
-	tensor.Add(m.Wo.Grad, m.Wo.Grad, matMul(transpose(m.concat), gradOut, nil))
-	dConcat := matMul(gradOut, transpose(m.Wo.W), nil)
+	tensor.Add(m.Wo.Grad, m.Wo.Grad, matMul(transpose(m.concat), gradOut))
+	dConcat := matMul(gradOut, transpose(m.Wo.W))
 
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
@@ -362,8 +289,8 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		dOh := headView(dConcat, h, dk)
 		A := m.attn[h]
 		// dA = dO·Vᵀ ; dV = Aᵀ·dO
-		dA := matMul(dOh, transpose(headView(m.v, h, dk)), nil)
-		dVh := matMul(transpose(A), dOh, nil)
+		dA := matMul(dOh, transpose(headView(m.v, h, dk)))
+		dVh := matMul(transpose(A), dOh)
 		// softmax backward per row: dS = A ⊙ (dA − Σ(dA⊙A))
 		dS := tensor.New(A.Rows, A.Cols)
 		for i := 0; i < A.Rows; i++ {
@@ -377,8 +304,8 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 		tensor.Scale(dS, scale)
-		dQh := matMul(dS, headView(m.k, h, dk), nil)
-		dKh := matMul(transpose(dS), headView(m.q, h, dk), nil)
+		dQh := matMul(dS, headView(m.k, h, dk))
+		dKh := matMul(transpose(dS), headView(m.q, h, dk))
 		headAdd(dq, dQh, h, dk)
 		headAdd(dkM, dKh, h, dk)
 		headAdd(dv, dVh, h, dk)
@@ -386,14 +313,14 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	// Through the input projections.
 	xT := transpose(m.lastX)
 	acc := func(p *Param, d *tensor.Matrix) {
-		tensor.Add(p.Grad, p.Grad, matMul(xT, d, nil))
+		tensor.Add(p.Grad, p.Grad, matMul(xT, d))
 	}
 	acc(m.Wq, dq)
 	acc(m.Wk, dkM)
 	acc(m.Wv, dv)
-	dx := matMul(dq, transpose(m.Wq.W), nil)
-	tensor.Add(dx, dx, matMul(dkM, transpose(m.Wk.W), nil))
-	tensor.Add(dx, dx, matMul(dv, transpose(m.Wv.W), nil))
+	dx := matMul(dq, transpose(m.Wq.W))
+	tensor.Add(dx, dx, matMul(dkM, transpose(m.Wk.W)))
+	tensor.Add(dx, dx, matMul(dv, transpose(m.Wv.W)))
 	return dx
 }
 
@@ -413,16 +340,11 @@ type Residual struct{ Inner Layer }
 // NewResidual wraps inner in a skip connection.
 func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
-// Forward implements Layer.
-func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	return tensor.Add(nil, x, r.Inner.Forward(x, train))
-}
-
 // ForwardBatch implements Layer: the inner layer runs batched, the
 // skip additions stay per window.
 func (r *Residual) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
-	inner := r.Inner.ForwardBatch(ws, xs, false)
+	trainOnOne(xs, train)
+	inner := r.Inner.ForwardBatch(ws, xs, train)
 	out := ws.Matrices(len(xs))
 	for i, x := range xs {
 		out[i] = tensor.Add(ws.Uninit(x.Rows, x.Cols), x, inner[i])
@@ -447,20 +369,12 @@ type Sequential struct{ Inner []Layer }
 // NewSequential groups the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Inner: layers} }
 
-// Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range s.Inner {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
 // ForwardBatch implements Layer: the batch threads through every
 // inner layer's batched path.
 func (s *Sequential) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	for _, l := range s.Inner {
-		xs = l.ForwardBatch(ws, xs, false)
+		xs = l.ForwardBatch(ws, xs, train)
 	}
 	return xs
 }

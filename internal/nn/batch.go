@@ -6,13 +6,6 @@ import (
 	"cognitivearm/internal/tensor"
 )
 
-// batchInferenceOnly is the shared train-guard for every fused kernel.
-func batchInferenceOnly(train bool) {
-	if train {
-		panic("nn: ForwardBatch is inference-only (train must be false)")
-	}
-}
-
 // sameShape panics unless every window of a batch has the shape of the first.
 // The GEMM-backed kernels read all B windows in place through one
 // tensor.RowBlocks view sized from xs[0], so a longer window would be silently
@@ -28,44 +21,45 @@ func sameShape(xs []*tensor.Matrix) {
 
 // epilogueFuser is the internal extension a GEMM-backed layer implements so
 // Network.ForwardBatch can fold a directly following ReLU layer into the
-// GEMM's epilogue (tensor.Epilogue), skipping one full write-read pass over
-// the activations. relu=false is the layer's plain batched forward (bias
-// still fused). Outputs must be bitwise-identical to the unfused
-// ForwardBatch-then-ReLU composition.
+// GEMM's epilogue (tensor.Epilogue) at inference, skipping one full
+// write-read pass over the activations. relu=false is the layer's plain
+// inference forward (bias still fused). Outputs must be bitwise-identical to
+// the unfused ForwardBatch-then-ReLU composition.
 type epilogueFuser interface {
 	forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, relu bool) []*tensor.Matrix
 }
 
-// ForwardBatch runs inference on B same-shape windows through every layer's
-// batched path, returning one output per window in order. Dense, Conv1D and
+// ForwardBatch runs B same-shape windows through every layer's
+// ForwardBatch, returning one output per window in order. Dense, Conv1D and
 // attention projections collapse their B small matmuls into one batch×feature
-// GEMM; the LSTM steps all B windows together (one B×4H GEMM per timestep);
-// row-wise layers process one stacked matrix. Results are bitwise identical
-// to per-window Forward(x, false). See Layer for the contract.
+// GEMM; the LSTM steps all B windows together; row-wise layers process one
+// stacked matrix. A window's result does not depend on its batch, bit for
+// bit. Train mode takes exactly one window. See Layer for the contract.
 func (n *Network) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
 	}
 	sameShape(xs)
-	return n.forwardFrom(ws, xs, 0)
+	return n.forwardFrom(ws, xs, 0, train)
 }
 
 // forwardFrom runs layers [first, len) of ForwardBatch over xs, the
 // previous layer's outputs.
-func (n *Network) forwardFrom(ws *tensor.Workspace, xs []*tensor.Matrix, first int) []*tensor.Matrix {
+func (n *Network) forwardFrom(ws *tensor.Workspace, xs []*tensor.Matrix, first int, train bool) []*tensor.Matrix {
 	for li := first; li < len(n.Layers); li++ {
 		l := n.Layers[li]
-		// Dense→ReLU and Conv1D→ReLU sequences collapse into one GEMM with a
-		// bias+ReLU epilogue; the ReLU layer itself is skipped.
-		if ef, ok := l.(epilogueFuser); ok && li+1 < len(n.Layers) {
+		// At inference, Dense→ReLU and Conv1D→ReLU sequences collapse into one
+		// GEMM with a bias+ReLU epilogue; the ReLU layer itself is skipped.
+		// Training runs the ReLU, which saves its output for Backward.
+		if ef, ok := l.(epilogueFuser); ok && !train && li+1 < len(n.Layers) {
 			if _, nextIsReLU := n.Layers[li+1].(*ReLU); nextIsReLU {
 				xs = ef.forwardBatchFused(ws, xs, true)
 				li++
 				continue
 			}
 		}
-		xs = l.ForwardBatch(ws, xs, false)
+		xs = l.ForwardBatch(ws, xs, train)
 	}
 	return xs
 }

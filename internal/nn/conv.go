@@ -43,36 +43,23 @@ func (c *Conv1D) OutLen(t int) int {
 	return (t-c.Kernel)/c.Stride + 1
 }
 
-// Forward implements Layer.
-func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv1D expects %d channels, got %d", c.InChannels, x.Cols))
-	}
-	outT := c.OutLen(x.Rows)
-	if outT <= 0 {
-		panic(fmt.Sprintf("nn: Conv1D input length %d shorter than kernel %d", x.Rows, c.Kernel))
-	}
-	if train {
-		c.lastX = x
-		c.outT = outT
-	}
-	return tensor.GEMMBlocks(nil, tensor.New(outT, c.OutChannels), c.im2colView([]*tensor.Matrix{x}, outT),
-		c.Weight.W, tensor.Epilogue{Bias: c.Bias.W.Data})
-}
-
 // im2colView views each window of xs as its outT im2col rows: output step t's
 // receptive field is the K·Cin values from input row t·S on.
 func (c *Conv1D) im2colView(xs []*tensor.Matrix, outT int) tensor.RowBlocks {
 	return tensor.RowBlocks{Blocks: xs, Rows: outT, Cols: c.Kernel * c.InChannels, Stride: c.Stride * c.InChannels}
 }
 
-// ForwardBatch implements Layer: the whole batch convolves in a
-// single (B·T')×(K·Cin) GEMM against the kernel weight — the batched analogue
-// of Forward's, with the weight streamed once instead of B times (see
-// forwardBatchFused).
+// ForwardBatch implements Layer: the whole batch convolves in a single
+// (B·T')×(K·Cin) GEMM against the kernel weight, with the weight streamed
+// once instead of B times (see forwardBatchFused). Train mode saves the
+// input.
 func (c *Conv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
-	return c.forwardBatchFused(ws, xs, false)
+	trainOnOne(xs, train)
+	y := c.forwardBatchFused(ws, xs, false)
+	if train {
+		c.lastX, c.outT = xs[0], y[0].Rows
+	}
+	return y
 }
 
 // forwardBatchFused implements epilogueFuser. Output step t of a window reads
@@ -110,14 +97,14 @@ func (c *Conv1D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			colT.Data[r*c.outT+t] = v
 		}
 	}
-	tensor.Add(c.Weight.Grad, c.Weight.Grad, matMul(colT, gradOut, nil))
+	tensor.Add(c.Weight.Grad, c.Weight.Grad, matMul(colT, gradOut))
 	sums := make([]float64, c.OutChannels)
 	tensor.ColSums(sums, gradOut)
 	for j := range sums {
 		c.Bias.Grad.Data[j] += sums[j]
 	}
 	// dCol = dY·Wᵀ, then scatter back through the im2col mapping.
-	dcol := matMul(gradOut, transpose(c.Weight.W), nil)
+	dcol := matMul(gradOut, transpose(c.Weight.W))
 	dx := tensor.New(c.lastX.Rows, c.lastX.Cols)
 	for t := 0; t < c.outT; t++ {
 		src := dcol.Row(t)
@@ -155,9 +142,8 @@ type Pool1D struct {
 	Kind   PoolKind
 	Window int
 
-	lastX  *tensor.Matrix
-	argmax []int // flat index per output element (max pooling)
-	outT   int
+	lastX *tensor.Matrix
+	outT  int
 }
 
 // NewPool1D creates a temporal pooling layer.
@@ -168,86 +154,31 @@ func NewPool1D(kind PoolKind, window int) *Pool1D {
 	return &Pool1D{Kind: kind, Window: window}
 }
 
-// Forward implements Layer.
-func (p *Pool1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	outT := x.Rows / p.Window
-	if outT == 0 {
-		outT = 1 // degenerate input shorter than window: pool everything
-	}
-	var argmax []int
-	if train && p.Kind == MaxPoolKind {
-		argmax = make([]int, outT*x.Cols)
-	}
-	y := tensor.New(outT, x.Cols)
-	for t := 0; t < outT; t++ {
-		start := t * p.Window
-		end := start + p.Window
-		if end > x.Rows {
-			end = x.Rows
-		}
-		for j := 0; j < x.Cols; j++ {
-			switch p.Kind {
-			case MaxPoolKind:
-				best := math.Inf(-1)
-				bi := start
-				for r := start; r < end; r++ {
-					if v := x.At(r, j); v > best {
-						best, bi = v, r
-					}
-				}
-				y.Set(t, j, best)
-				if argmax != nil {
-					argmax[t*x.Cols+j] = bi
-				}
-			case AvgPoolKind:
-				var s float64
-				for r := start; r < end; r++ {
-					s += x.At(r, j)
-				}
-				y.Set(t, j, s/float64(end-start))
-			}
-		}
-	}
-	if train {
-		p.lastX = x
-		p.outT = outT
-		p.argmax = argmax
-	}
-	return y
-}
-
 // ForwardBatch implements Layer: the pooling loops run per window
 // (no cross-window arithmetic to fuse) but write into one shared (B·T')×C
-// output, one scratch buffer for the batch.
+// output, one scratch buffer for the batch. Train mode saves the input.
 func (p *Pool1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
 	}
 	x0 := xs[0]
 	outT := x0.Rows / p.Window
 	if outT == 0 {
-		outT = 1
+		outT = 1 // degenerate input shorter than window: pool everything
+	}
+	if train {
+		p.lastX, p.outT = x0, outT
 	}
 	y := ws.Uninit(len(xs)*outT, x0.Cols)
 	for i, x := range xs {
 		for t := 0; t < outT; t++ {
-			start := t * p.Window
-			end := start + p.Window
-			if end > x.Rows {
-				end = x.Rows
-			}
+			start, end := p.span(t, x.Rows)
 			row := y.Row(i*outT + t)
 			for j := 0; j < x.Cols; j++ {
 				switch p.Kind {
 				case MaxPoolKind:
-					best := math.Inf(-1)
-					for r := start; r < end; r++ {
-						if v := x.At(r, j); v > best {
-							best = v
-						}
-					}
-					row[j] = best
+					row[j], _ = maxRow(x, start, end, j)
 				case AvgPoolKind:
 					var s float64
 					for r := start; r < end; r++ {
@@ -261,20 +192,37 @@ func (p *Pool1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train b
 	return tensor.SplitRowsWS(ws, y, outT)
 }
 
-// Backward implements Layer.
+// span returns the input rows [start, end) output step t pools.
+func (p *Pool1D) span(t, rows int) (start, end int) {
+	start = t * p.Window
+	return start, min(start+p.Window, rows)
+}
+
+// maxRow returns column j's maximum over rows [start, end), −Inf when no
+// value exceeds it, and the row of its first occurrence (start when none):
+// the forward's value and, rescanned, Backward's argmax.
+func maxRow(x *tensor.Matrix, start, end, j int) (best float64, row int) {
+	best, row = math.Inf(-1), start
+	for r := start; r < end; r++ {
+		if v := x.At(r, j); v > best {
+			best, row = v, r
+		}
+	}
+	return best, row
+}
+
+// Backward implements Layer: max pooling routes each gradient to the row
+// maxRow finds again in the saved input.
 func (p *Pool1D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	dx := tensor.New(p.lastX.Rows, p.lastX.Cols)
 	for t := 0; t < p.outT; t++ {
-		start := t * p.Window
-		end := start + p.Window
-		if end > p.lastX.Rows {
-			end = p.lastX.Rows
-		}
+		start, end := p.span(t, p.lastX.Rows)
 		for j := 0; j < dx.Cols; j++ {
 			g := gradOut.At(t, j)
 			switch p.Kind {
 			case MaxPoolKind:
-				dx.Data[p.argmax[t*dx.Cols+j]*dx.Cols+j] += g
+				_, r := maxRow(p.lastX, start, end, j)
+				dx.Data[r*dx.Cols+j] += g
 			case AvgPoolKind:
 				share := g / float64(end-start)
 				for r := start; r < end; r++ {

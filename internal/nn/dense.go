@@ -22,23 +22,16 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != d.In {
-		panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", d.In, x.Cols))
-	}
-	if train {
-		d.lastX = x
-	}
-	return matMul(x, d.Weight.W, d.Bias.W.Data)
-}
-
 // ForwardBatch implements Layer: the B small matmuls fuse into a
 // single (B·T)×In batch×feature GEMM, read from the windows in place, with
-// the bias add folded into its epilogue.
+// the bias add folded into its epilogue. Train mode saves the input.
 func (d *Dense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
-	return d.forwardBatchFused(ws, xs, false)
+	trainOnOne(xs, train)
+	y := d.forwardBatchFused(ws, xs, false)
+	if train {
+		d.lastX = xs[0]
+	}
+	return y
 }
 
 // forwardBatchFused implements epilogueFuser: one GEMM whose epilogue applies
@@ -63,13 +56,13 @@ func (d *Dense) forwardBatchFused(ws *tensor.Workspace, xs []*tensor.Matrix, rel
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	// dW += xᵀ·dY, db += colsum(dY), dX = dY·Wᵀ
-	tensor.Add(d.Weight.Grad, d.Weight.Grad, matMul(transpose(d.lastX), gradOut, nil))
+	tensor.Add(d.Weight.Grad, d.Weight.Grad, matMul(transpose(d.lastX), gradOut))
 	sums := make([]float64, d.Out)
 	tensor.ColSums(sums, gradOut)
 	for j := range sums {
 		d.Bias.Grad.Data[j] += sums[j]
 	}
-	return matMul(gradOut, transpose(d.Weight.W), nil)
+	return matMul(gradOut, transpose(d.Weight.W))
 }
 
 // Params implements Layer.
@@ -78,42 +71,18 @@ func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 // Name implements Layer.
 func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.In, d.Out) }
 
-// ReLU is the rectified linear activation.
-type ReLU struct{ mask []bool }
+// ReLU is the rectified linear activation, with the GEMM epilogue's rule:
+// v <= 0 → +0, so −0 becomes +0 and NaN passes through.
+type ReLU struct{ lastY *tensor.Matrix }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	y := x.Clone()
-	if !train {
-		for i, v := range y.Data {
-			if v <= 0 {
-				y.Data[i] = 0
-			}
-		}
-		return y
-	}
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
-	for i, v := range y.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			y.Data[i] = 0
-		}
-	}
-	return y
-}
-
 // ForwardBatch implements Layer: one clamp pass over a single
 // stacked matrix, so the batch costs one scratch buffer instead of B clones.
+// Train mode saves the output, which is Backward's mask.
 func (r *ReLU) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
 	}
@@ -123,14 +92,18 @@ func (r *ReLU) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 			y.Data[i] = 0
 		}
 	}
+	if train {
+		r.lastY = y
+	}
 	return tensor.SplitRowsWS(ws, y, xs[0].Rows)
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient passes where the output is
+// positive. A NaN output passes none.
 func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := gradOut.Clone()
-	for i := range g.Data {
-		if !r.mask[i] {
+	for i, y := range r.lastY.Data {
+		if !(y > 0) {
 			g.Data[i] = 0
 		}
 	}
@@ -159,37 +132,36 @@ func NewDropout(p float64, rng *tensor.RNG) *Dropout {
 	return &Dropout{P: p, rng: rng}
 }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train || d.P == 0 {
-		// No receiver writes on the inference path: a trained network must be
-		// shareable read-only across goroutines.
-		return x
+// ForwardBatch implements Layer. Inference-mode dropout is the identity,
+// so the batch passes through untouched, and nothing is written to the
+// layer: a trained network must be shareable read-only across goroutines.
+// Train mode draws the window's mask in element order.
+func (d *Dropout) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
+	trainOnOne(xs, train)
+	if !train {
+		return xs
 	}
-	y := x.Clone()
-	if cap(d.mask) < len(y.Data) {
-		d.mask = make([]float64, len(y.Data))
+	d.mask = nil
+	if d.P == 0 {
+		return xs
 	}
-	d.mask = d.mask[:len(y.Data)]
+	x := xs[0]
+	y := ws.Uninit(x.Rows, x.Cols)
+	d.mask = ws.Uninit(x.Rows, x.Cols).Data
 	keep := 1 - d.P
 	scale := 1 / keep
-	for i := range y.Data {
+	for i, v := range x.Data {
 		if d.rng.Float64() < keep {
 			d.mask[i] = scale
-			y.Data[i] *= scale
+			y.Data[i] = v * scale
 		} else {
 			d.mask[i] = 0
 			y.Data[i] = 0
 		}
 	}
-	return y
-}
-
-// ForwardBatch implements Layer. Inference-mode dropout is the
-// identity, so the batch passes through untouched.
-func (d *Dropout) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
-	return xs
+	out := ws.Matrices(1)
+	out[0] = y
+	return out
 }
 
 // Backward implements Layer.
@@ -210,44 +182,6 @@ func (d *Dropout) Params() []*Param { return nil }
 // Name implements Layer.
 func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2g)", d.P) }
 
-// Flatten reshapes T×C into 1×(T·C) for the transition from temporal layers
-// to a classifier head.
-type Flatten struct{ rows, cols int }
-
-// NewFlatten returns a flattening layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if train {
-		f.rows, f.cols = x.Rows, x.Cols
-	}
-	return tensor.FromSlice(1, x.Rows*x.Cols, append([]float64(nil), x.Data...))
-}
-
-// ForwardBatch implements Layer. Row-major windows flatten by
-// reinterpretation: one stacked copy serves all B flattened rows as views.
-func (f *Flatten) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
-	if len(xs) == 0 {
-		return nil
-	}
-	y := tensor.StackWS(ws, xs)
-	flat := ws.View(len(xs), xs[0].Rows*xs[0].Cols, y.Data)
-	return tensor.SplitRowsWS(ws, flat, 1)
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	return tensor.FromSlice(f.rows, f.cols, append([]float64(nil), gradOut.Data...))
-}
-
-// Params implements Layer.
-func (f *Flatten) Params() []*Param { return nil }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return "Flatten" }
-
 // MeanPool averages over time (rows), producing a 1×C summary — the readout
 // used by the transformer classifier.
 type MeanPool struct{ rows int }
@@ -255,23 +189,15 @@ type MeanPool struct{ rows int }
 // NewMeanPool returns a temporal mean-pooling layer.
 func NewMeanPool() *MeanPool { return &MeanPool{} }
 
-// Forward implements Layer.
-func (m *MeanPool) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if train {
-		m.rows = x.Rows
-	}
-	out := tensor.New(1, x.Cols)
-	tensor.ColSums(out.Data, x)
-	tensor.Scale(out, 1/float64(x.Rows))
-	return out
-}
-
 // ForwardBatch implements Layer: all B pooled rows land in one B×C
 // matrix handed out as views.
 func (m *MeanPool) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
+	}
+	if train {
+		m.rows = xs[0].Rows
 	}
 	out := ws.Uninit(len(xs), xs[0].Cols)
 	for i, x := range xs {

@@ -7,11 +7,12 @@ import (
 	"cognitivearm/internal/tensor"
 )
 
-// lossOf runs a full forward pass and returns the cross-entropy loss. Used
-// by the finite-difference checks; train=true so cached state matches the
-// analytic backward pass (dropout is kept at 0 in these nets).
+// lossOf runs a full one-window train-mode forward pass and returns the
+// cross-entropy loss. Used by the finite-difference checks; train=true so
+// cached state matches the analytic backward pass (dropout is kept at 0 in
+// these nets).
 func lossOf(net *Network, x *tensor.Matrix, label int) float64 {
-	out := net.Forward(x, true)
+	out := net.ForwardBatch(tensor.NewWorkspace(), []*tensor.Matrix{x}, true)[0]
 	loss, _ := CrossEntropy(out, label)
 	return loss
 }
@@ -23,7 +24,7 @@ func checkGradients(t *testing.T, net *Network, x *tensor.Matrix, label int, str
 	t.Helper()
 	const eps = 1e-5
 	net.ZeroGrad()
-	out := net.Forward(x, true)
+	out := net.ForwardBatch(tensor.NewWorkspace(), []*tensor.Matrix{x}, true)[0]
 	_, grad := CrossEntropy(out, label)
 	dx := net.Backward(grad)
 
@@ -77,8 +78,8 @@ func TestGradConv(t *testing.T) {
 	net := NewNetwork(
 		NewConv1D(4, 5, 3, 2, rng),
 		NewReLU(),
-		NewFlatten(),
-		NewDense(5*4, 3, rng),
+		NewMeanPool(),
+		NewDense(5, 3, rng),
 	)
 	checkGradients(t, net, randInput(9, 4, 4), 2, 1, 1e-4)
 }
@@ -90,8 +91,8 @@ func TestGradConvWithPooling(t *testing.T) {
 			NewConv1D(3, 4, 3, 1, rng),
 			NewReLU(),
 			NewPool1D(kind, 2),
-			NewFlatten(),
-			NewDense(4*4, 3, rng),
+			NewMeanPool(),
+			NewDense(4, 3, rng),
 		)
 		checkGradients(t, net, randInput(10, 3, 6), 0, 1, 1e-4)
 	}

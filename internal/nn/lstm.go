@@ -16,7 +16,7 @@ type LSTM struct {
 	Weight     *Param // (In+Hidden) × 4·Hidden
 	Bias       *Param // 1 × 4·Hidden
 
-	// per-step caches for BPTT
+	// per-step caches for BPTT, saved by a train-mode ForwardBatch
 	steps int
 	xs    *tensor.Matrix
 	hs    *tensor.Matrix // (T+1)×H, row 0 = h_0 = 0
@@ -45,72 +45,14 @@ func NewLSTM(in, hidden int, rng *tensor.RNG) *LSTM {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Forward implements Layer.
-func (l *LSTM) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: LSTM expects %d inputs, got %d", l.In, x.Cols))
-	}
-	T, H := x.Rows, l.Hidden
-	hs := tensor.New(T+1, H)
-	cs := tensor.New(T+1, H)
-	gateI := tensor.New(T, H)
-	gateF := tensor.New(T, H)
-	gateG := tensor.New(T, H)
-	gateO := tensor.New(T, H)
-	tcM := tensor.New(T, H)
-
-	z := make([]float64, l.In+H)
-	gates := make([]float64, 4*H)
-	for t := 0; t < T; t++ {
-		copy(z[:l.In], x.Row(t))
-		copy(z[l.In:], hs.Row(t))
-		// gates = z·W + b
-		for j := range gates {
-			gates[j] = l.Bias.W.Data[j]
-		}
-		for k, zk := range z {
-			if zk == 0 {
-				continue
-			}
-			wrow := l.Weight.W.Row(k)
-			for j := range gates {
-				gates[j] += zk * wrow[j]
-			}
-		}
-		hi, hf, hg, ho := gateI.Row(t), gateF.Row(t), gateG.Row(t), gateO.Row(t)
-		cPrev := cs.Row(t)
-		cNext := cs.Row(t + 1)
-		hNext := hs.Row(t + 1)
-		tc := tcM.Row(t)
-		for j := 0; j < H; j++ {
-			hi[j] = sigmoid(gates[j])
-			hf[j] = sigmoid(gates[H+j])
-			hg[j] = math.Tanh(gates[2*H+j])
-			ho[j] = sigmoid(gates[3*H+j])
-			cNext[j] = hf[j]*cPrev[j] + hi[j]*hg[j]
-			tc[j] = math.Tanh(cNext[j])
-			hNext[j] = ho[j] * tc[j]
-		}
-	}
-	if train {
-		l.steps = T
-		l.xs = x
-		l.hs, l.cs = hs, cs
-		l.gateI, l.gateF, l.gateG, l.gateO = gateI, gateF, gateG, gateO
-		l.tc = tcM
-	}
-	out := tensor.New(T, H)
-	copy(out.Data, hs.Data[H:]) // rows 1..T
-	return out
-}
-
 // ForwardBatch implements Layer: all B windows advance through the
 // recurrence together. Each timestep accumulates one B×4H gate matrix in
 // weight-row-major order — every row of W is streamed once per step for the
 // whole batch instead of once per window — with bias-first, k-ascending
-// accumulation so every gate value matches Forward bitwise.
+// accumulation per gate value. Train mode saves every step's gates, states
+// and tanh(c) for Backward.
 func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	B := len(xs)
 	if B == 0 {
 		return nil
@@ -123,11 +65,17 @@ func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 	c := ws.Zeros(B, H)
 	gates := ws.Uninit(B, 4*H) // fully overwritten from the bias each step
 	out := ws.Uninit(B*T, H)
+	if train {
+		l.steps, l.xs = T, xs[0]
+		l.hs, l.cs = ws.Zeros(T+1, H), ws.Zeros(T+1, H)
+		l.gateI, l.gateF, l.gateG, l.gateO = ws.Uninit(T, H), ws.Uninit(T, H), ws.Uninit(T, H), ws.Uninit(T, H)
+		l.tc = ws.Uninit(T, H)
+	}
 	// accumulate adds in[i]·wrow into window i's gate row for the whole
 	// batch, four windows per pass so wrow loads and loop overhead amortise.
-	// Per-element accumulation order stays bias-first and k-ascending,
-	// matching Forward bitwise — which is why this is not a tensor.GEMM,
-	// whose sums start at +0 and take the bias last.
+	// Per-element accumulation order is bias-first and k-ascending, which
+	// is why this is not a tensor.GEMM, whose sums start at +0 and take the
+	// bias last. A window's sums do not depend on the others in the batch.
 	accumulate := func(wrow []float64, in func(i int) float64) {
 		i := 0
 		for ; i+4 <= B; i += 4 {
@@ -177,8 +125,17 @@ func (l *LSTM) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train boo
 				gv := math.Tanh(grow[2*H+j])
 				ov := sigmoid(grow[3*H+j])
 				crow[j] = fv*crow[j] + iv*gv
-				hrow[j] = ov * math.Tanh(crow[j])
+				tc := math.Tanh(crow[j])
+				hrow[j] = ov * tc
 				orow[j] = hrow[j]
+				if train {
+					l.gateI.Data[t*H+j], l.gateF.Data[t*H+j], l.gateG.Data[t*H+j], l.gateO.Data[t*H+j] = iv, fv, gv, ov
+					l.tc.Data[t*H+j] = tc
+				}
+			}
+			if train {
+				copy(l.hs.Row(t+1), hrow)
+				copy(l.cs.Row(t+1), crow)
 			}
 		}
 	}
@@ -259,20 +216,15 @@ type LastStep struct{ rows, cols int }
 // NewLastStep returns the readout layer.
 func NewLastStep() *LastStep { return &LastStep{} }
 
-// Forward implements Layer.
-func (s *LastStep) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if train {
-		s.rows, s.cols = x.Rows, x.Cols
-	}
-	return tensor.FromSlice(1, x.Cols, append([]float64(nil), x.Row(x.Rows-1)...))
-}
-
 // ForwardBatch implements Layer: the B final timesteps gather into
 // one B×C matrix handed out as views.
 func (s *LastStep) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	trainOnOne(xs, train)
 	if len(xs) == 0 {
 		return nil
+	}
+	if train {
+		s.rows, s.cols = xs[0].Rows, xs[0].Cols
 	}
 	out := ws.Uninit(len(xs), xs[0].Cols)
 	for i, x := range xs {

@@ -191,8 +191,8 @@ func saltTrain(rng *tensor.RNG, m *tensor.Matrix) {
 	}
 }
 
-// TestTrainingMatchesNaive holds the training path — Forward(x, true), then
-// Backward — of every layer that multiplies to the naive loops it ran on
+// TestTrainingMatchesNaive holds the training path — a one-window
+// ForwardBatch(ws, [x], true), then Backward — of every layer that multiplies to the naive loops it ran on
 // before, bit for bit: the output, each parameter gradient and dx. Inputs,
 // upstream gradients and weights are salted, and every gradient starts
 // nonzero, so a product accumulated into Param.Grad inside the GEMM, rather
@@ -232,7 +232,7 @@ func TestTrainingMatchesNaive(t *testing.T) {
 				saltTrain(rng, p.Grad)
 				grads[i] = p.Grad.Clone()
 			}
-			y := tc.layer.Forward(tc.x, true)
+			y := tc.layer.ForwardBatch(tensor.NewWorkspace(), []*tensor.Matrix{tc.x}, true)[0]
 			gradOut := tensor.New(y.Rows, y.Cols)
 			saltTrain(rng, gradOut)
 			dx := tc.layer.Backward(gradOut)

@@ -7,22 +7,18 @@
 // gradient accumulation across a mini-batch, which keeps every layer's code
 // two-dimensional and auditable.
 //
-// # Batched inference
+// # One forward
 //
-// Inference additionally has a fused batched path: Network.ForwardBatch and
-// Network.PredictBatch run B same-shape windows through each layer's
-// ForwardBatch kernel — every Layer has one — collapsing per-window matmuls
-// (Dense, Conv1D, attention projections) into single batch×feature GEMMs and
-// stepping all B LSTM recurrences together. The path is inference-only
-// (train must be false; no layer state is written, so batched calls are safe
-// concurrently with each other and with per-window Predict on a shared
-// trained network) and returns results bitwise identical to per-window
-// Forward. Every temporary is drawn from a caller-supplied tensor.Workspace,
-// which is required: reset once per serving tick, the whole forward pass is
-// allocation-free at steady state.
-// The serving hub (internal/serve) is the main consumer: one shard tick
-// coalesces every ready session window into one ForwardBatch per shared
-// model, passing its per-shard workspace.
+// Every layer has one forward, ForwardBatch, which runs B same-shape windows
+// at once: Dense, Conv1D and the attention projections collapse their B
+// per-window matmuls into single batch×feature GEMMs, and the LSTM steps all
+// B recurrences together. Training runs it on one window in train mode;
+// Network.Forward, Predict, Logits and Probs are one-window calls of it, and
+// the serving hub (internal/serve) runs it on every ready session window of
+// a shard tick, passing its per-shard workspace. Every temporary — and every
+// train-mode cache Backward reads — is drawn from a caller-supplied
+// tensor.Workspace, so a workspace reset once per tick (or once per training
+// example) makes the forward pass allocation-free at steady state.
 package nn
 
 import (
@@ -49,11 +45,11 @@ func (p *Param) Size() int { return len(p.W.Data) }
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// matMul returns a·b (+ bias if non-nil) in a fresh matrix, serially on the
-// GEMM tile. Weight gradients are added to Param.Grad after the product:
-// accumulating inside it would change the rounding.
-func matMul(a, b *tensor.Matrix, bias []float64) *tensor.Matrix {
-	return tensor.GEMM(nil, tensor.New(a.Rows, b.Cols), a, b, tensor.Epilogue{Bias: bias})
+// matMul returns a·b in a fresh matrix, serially on the GEMM tile: the
+// products of Backward. Weight gradients are added to Param.Grad after the
+// product: accumulating inside it would change the rounding.
+func matMul(a, b *tensor.Matrix) *tensor.Matrix {
+	return tensor.GEMM(nil, tensor.New(a.Rows, b.Cols), a, b, tensor.Epilogue{})
 }
 
 // transpose returns mᵀ in a fresh matrix: the operand of a transposed
@@ -68,41 +64,41 @@ func transpose(m *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Layer is one differentiable stage. Forward consumes the previous
-// activation; Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating parameter gradients internally. Layers are stateful between
-// Forward(train=true) and Backward (they cache what they need), so a Network
-// must not be shared across goroutines during training. Forward with
-// train=false never writes layer state: a trained Network may serve
-// concurrent Predict/Probs calls from many goroutines, which the serving hub
-// (internal/serve) relies on to share one model across sessions.
-//
-// ForwardBatch is the fused batched-inference path: it consumes B same-shape
-// windows and returns B outputs, matching B independent Forward(x, false)
-// calls element for element. Every temporary — GEMM destinations, stacked
-// activations, output views — is drawn from ws, so a caller that resets one
-// workspace per tick runs the whole forward pass without heap allocations at
-// steady state. Its contract:
-//   - Inference only: train must be false. The batched kernels write no layer
-//     state (there is nothing for Backward to consume), so implementations
-//     panic on train=true rather than silently corrupting training caches.
-//   - Goroutine safety mirrors Forward(x, false): a trained layer may serve
-//     concurrent ForwardBatch / Forward calls from many goroutines because
-//     neither path writes the receiver — provided each call uses its own
-//     Workspace. Workspaces are single-owner and must not be shared across
-//     concurrent calls.
-//   - Returned matrices may be views into one shared backing array
+// Layer is one differentiable stage. ForwardBatch consumes B same-shape
+// windows and returns B outputs; Backward consumes dL/d(output) and returns
+// dL/d(input), accumulating parameter gradients internally. The contract:
+//   - Train mode runs on exactly one window (it panics otherwise) and saves
+//     what Backward reads in the layer, so a Network must not be shared
+//     across goroutines during training. The saved matrices come from ws:
+//     Backward must run before ws's next Reset.
+//   - Inference (train=false) never writes layer state: a trained layer may
+//     serve concurrent ForwardBatch calls from many goroutines, which the
+//     serving hub relies on to share one model across sessions — provided
+//     each call uses its own Workspace. Workspaces are single-owner.
+//   - Every temporary — GEMM destinations, stacked activations, output
+//     views — is drawn from ws, so a caller that resets one workspace per
+//     tick runs the whole forward pass without heap allocations at steady
+//     state. Returned matrices may be views into one shared backing array
 //     (tensor.SplitRowsWS) and are valid only until the workspace's next
 //     Reset; callers must copy anything that outlives the cycle.
+//   - A window's output does not depend on the other windows of its batch,
+//     bit for bit.
 //   - All windows in one call must share the same shape. Network.ForwardBatch
 //     and the GEMM-backed layers (Dense, Conv1D, attention) panic on a mixed
 //     batch; the other layers leave mixed shapes as the caller's problem.
 type Layer interface {
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 	Name() string
+}
+
+// trainOnOne panics on a train-mode call that is not exactly one window:
+// what a layer saves for Backward is one window's.
+func trainOnOne(xs []*tensor.Matrix, train bool) {
+	if train && len(xs) != 1 {
+		panic("nn: train mode runs on exactly one window")
+	}
 }
 
 // Network is a simple sequential container.
@@ -113,12 +109,12 @@ type Network struct {
 // NewNetwork builds a sequential network.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
-// Forward runs all layers.
-func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
+// Forward runs one window through ForwardBatch. In train mode the layers
+// save what Backward reads, drawn from ws: call Backward before ws.Reset.
+func (n *Network) Forward(ws *tensor.Workspace, x *tensor.Matrix, train bool) *tensor.Matrix {
+	xs := ws.Matrices(1)
+	xs[0] = x
+	return n.ForwardBatch(ws, xs, train)[0]
 }
 
 // Backward propagates the loss gradient through all layers in reverse.
@@ -158,14 +154,14 @@ func (n *Network) ZeroGrad() {
 // Predict runs inference and returns the class index of the single output
 // row. The final layer must produce a 1×K logit row.
 func (n *Network) Predict(x *tensor.Matrix) int {
-	out := n.Forward(x, false)
-	return tensor.Argmax(out.Row(0))
+	return tensor.Argmax(n.Forward(tensor.NewWorkspace(), x, false).Row(0))
 }
 
-// Logits runs inference and returns a copy of the raw 1×K output.
+// Logits runs inference and returns a copy of the raw 1×K output. Like
+// Predict and Probs it takes a fresh workspace, so a trained network stays
+// shareable read-only across goroutines.
 func (n *Network) Logits(x *tensor.Matrix) []float64 {
-	out := n.Forward(x, false)
-	return append([]float64(nil), out.Row(0)...)
+	return append([]float64(nil), n.Forward(tensor.NewWorkspace(), x, false).Row(0)...)
 }
 
 // Probs runs inference and returns softmax class probabilities.

@@ -69,7 +69,7 @@ func TestDenseShapePanic(t *testing.T) {
 			t.Fatal("expected panic on wrong input width")
 		}
 	}()
-	d.Forward(tensor.New(1, 5), false)
+	forward1(d, tensor.New(1, 5), false)
 }
 
 func TestConvOutLen(t *testing.T) {
@@ -91,12 +91,12 @@ func TestPoolForwardValues(t *testing.T) {
 		4, 0,
 	})
 	maxP := NewPool1D(MaxPoolKind, 2)
-	y := maxP.Forward(x, false)
+	y := forward1(maxP, x, false)
 	if y.Rows != 2 || y.At(0, 0) != 3 || y.At(0, 1) != 20 || y.At(1, 0) != 4 {
 		t.Fatalf("max pool wrong: %+v", y.Data)
 	}
 	avgP := NewPool1D(AvgPoolKind, 2)
-	y2 := avgP.Forward(x, false)
+	y2 := forward1(avgP, x, false)
 	if y2.At(0, 0) != 2 || y2.At(0, 1) != 15 {
 		t.Fatalf("avg pool wrong: %+v", y2.Data)
 	}
@@ -108,14 +108,14 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	x := tensor.New(1, 1000)
 	x.Fill(1)
 	// Eval: identity.
-	y := d.Forward(x, false)
+	y := forward1(d, x, false)
 	for _, v := range y.Data {
 		if v != 1 {
 			t.Fatal("eval-mode dropout must be identity")
 		}
 	}
 	// Train: ~half zeroed, survivors scaled by 2.
-	y = d.Forward(x, true)
+	y = forward1(d, x, true)
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -145,7 +145,7 @@ func TestDropoutBadP(t *testing.T) {
 func TestLSTMForwardShape(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	l := NewLSTM(4, 8, rng)
-	y := l.Forward(randInput(10, 4, 3), false)
+	y := forward1(l, randInput(10, 4, 3), false)
 	if y.Rows != 10 || y.Cols != 8 {
 		t.Fatalf("LSTM output %dx%d", y.Rows, y.Cols)
 	}
@@ -160,7 +160,11 @@ func TestLSTMForwardShape(t *testing.T) {
 func TestAttentionRowsSumToOne(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	m := NewMultiHeadAttention(8, 2, rng)
-	m.Forward(randInput(6, 8, 5), false)
+	// Train mode keeps each head's softmax weights.
+	forward1(m, randInput(6, 8, 5), true)
+	if len(m.attn) != m.Heads {
+		t.Fatalf("%d heads' weights kept, want %d", len(m.attn), m.Heads)
+	}
 	for h, a := range m.attn {
 		for i := 0; i < a.Rows; i++ {
 			var s float64
@@ -188,7 +192,7 @@ func TestAttentionHeadDivisibility(t *testing.T) {
 
 func TestLayerNormOutput(t *testing.T) {
 	ln := NewLayerNorm(8)
-	y := ln.Forward(randInput(3, 8, 6), false)
+	y := forward1(ln, randInput(3, 8, 6), false)
 	for i := 0; i < y.Rows; i++ {
 		row := y.Row(i)
 		if math.Abs(tensor.Mean(row)) > 1e-9 {
@@ -205,7 +209,7 @@ func TestFitLearnsDenseToy(t *testing.T) {
 	_ = rng
 	train := toyProblem(200, 1, 6, 3, 11)
 	val := toyProblem(60, 1, 6, 3, 12)
-	net := NewNetwork(NewFlatten(), NewDense(6, 16, tensor.NewRNG(13)), NewReLU(), NewDense(16, 3, tensor.NewRNG(14)))
+	net := NewNetwork(NewDense(6, 16, tensor.NewRNG(13)), NewReLU(), NewDense(16, 3, tensor.NewRNG(14)))
 	hist := Fit(net, train, val, TrainConfig{Epochs: 30, BatchSize: 16, Optimizer: NewAdam(0.01), Seed: 15})
 	finalAcc := hist.ValAcc[len(hist.ValAcc)-1]
 	if finalAcc < 0.9 {
@@ -223,8 +227,8 @@ func TestFitLearnsConvToy(t *testing.T) {
 	net := NewNetwork(
 		NewConv1D(4, 8, 3, 2, rng),
 		NewReLU(),
-		NewFlatten(),
-		NewDense(8*5, 3, rng),
+		NewMeanPool(),
+		NewDense(8, 3, rng),
 	)
 	hist := Fit(net, train, val, TrainConfig{Epochs: 25, BatchSize: 16, Optimizer: NewAdam(0.005), Seed: 24})
 	if acc := hist.ValAcc[len(hist.ValAcc)-1]; acc < 0.85 {
@@ -264,7 +268,7 @@ func TestEarlyStopping(t *testing.T) {
 	train := toyProblem(60, 1, 4, 3, 51)
 	val := toyProblem(20, 1, 4, 3, 52)
 	rng := tensor.NewRNG(53)
-	net := NewNetwork(NewFlatten(), NewDense(4, 8, rng), NewReLU(), NewDense(8, 3, rng))
+	net := NewNetwork(NewDense(4, 8, rng), NewReLU(), NewDense(8, 3, rng))
 	hist := Fit(net, train, val, TrainConfig{Epochs: 200, BatchSize: 16, Optimizer: NewAdam(0.01), Patience: 5, Seed: 54})
 	if !hist.StoppedEarly {
 		t.Skip("patience never triggered (acceptable but unusual)")
@@ -283,7 +287,7 @@ func TestOptimizersAllLearn(t *testing.T) {
 		train := toyProblem(150, 1, 5, 3, 61)
 		val := toyProblem(50, 1, 5, 3, 62)
 		rng := tensor.NewRNG(63)
-		net := NewNetwork(NewFlatten(), NewDense(5, 12, rng), NewReLU(), NewDense(12, 3, rng))
+		net := NewNetwork(NewDense(5, 12, rng), NewReLU(), NewDense(12, 3, rng))
 		hist := Fit(net, train, val, TrainConfig{Epochs: 40, BatchSize: 16, Optimizer: opt, Seed: 64})
 		if acc := hist.ValAcc[len(hist.ValAcc)-1]; acc < 0.8 {
 			t.Fatalf("%s failed to learn: acc %v", name, acc)
@@ -324,7 +328,7 @@ func TestEvaluateEmpty(t *testing.T) {
 
 func TestPredictAndProbs(t *testing.T) {
 	rng := tensor.NewRNG(80)
-	net := NewNetwork(NewFlatten(), NewDense(4, 3, rng))
+	net := NewNetwork(NewDense(4, 3, rng))
 	x := randInput(1, 4, 81)
 	probs := net.Probs(x)
 	var sum float64

@@ -12,6 +12,13 @@ import (
 // "serve the f64 model" rather than a hard failure.
 var ErrQuantUnsupported = errors.New("nn: network has no quantized form")
 
+// inferenceOnly refuses train mode: the int8 layers have no Backward.
+func inferenceOnly(train bool) {
+	if train {
+		panic("nn: quantized layers are inference-only")
+	}
+}
+
 // QDense is the int8 inference twin of Dense: weights quantized once into a
 // transposed tensor.QMatrix, activations quantized per row on the fly, int32
 // accumulation, f64 out (see tensor.MatMulQ). Inference-only — Backward
@@ -27,16 +34,9 @@ func QuantizeDense(d *Dense) *QDense {
 	return &QDense{src: d, w: tensor.QuantizeWeights(d.Weight.W)}
 }
 
-// Forward implements Layer (inference only): a batch of one on a fresh
-// workspace.
-func (q *QDense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	batchInferenceOnly(train)
-	return q.forwardBatchFused(tensor.NewWorkspace(), []*tensor.Matrix{x}, false)[0]
-}
-
-// ForwardBatch implements Layer.
+// ForwardBatch implements Layer (inference only).
 func (q *QDense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	inferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
@@ -78,16 +78,9 @@ func QuantizeConv1D(c *Conv1D) *QConv1D {
 	return &QConv1D{src: c, w: tensor.QuantizeWeights(c.Weight.W)}
 }
 
-// Forward implements Layer (inference only): a batch of one on a fresh
-// workspace.
-func (q *QConv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	batchInferenceOnly(train)
-	return q.forwardBatchFused(tensor.NewWorkspace(), []*tensor.Matrix{x}, false)[0]
-}
-
-// ForwardBatch implements Layer.
+// ForwardBatch implements Layer (inference only).
 func (q *QConv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	batchInferenceOnly(train)
+	inferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
@@ -143,7 +136,7 @@ func (q *QConv1D) Name() string {
 
 // Quantize returns an inference-only int8 twin of the network: Dense and
 // Conv1D layers swap for their quantized forms, stateless layers (ReLU,
-// Dropout, pooling, Flatten) are shared, and anything with an f64-only kernel
+// Dropout, pooling) are shared, and anything with an f64-only kernel
 // (LSTM, attention, LayerNorm) yields ErrQuantUnsupported. The original
 // network is untouched and remains the exact path for checkpoints and
 // replication.
@@ -155,7 +148,7 @@ func (n *Network) Quantize() (*Network, error) {
 			layers = append(layers, QuantizeDense(v))
 		case *Conv1D:
 			layers = append(layers, QuantizeConv1D(v))
-		case *ReLU, *Dropout, *Flatten, *MeanPool, *Pool1D, *LastStep:
+		case *ReLU, *Dropout, *MeanPool, *Pool1D, *LastStep:
 			layers = append(layers, l)
 		default:
 			return nil, fmt.Errorf("%w: layer %s", ErrQuantUnsupported, l.Name())

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,16 +32,28 @@ func testCNN(rng *tensor.RNG) *Network {
 	)
 }
 
+// unfused runs xs through net's layers one ForwardBatch at a time, so no
+// Dense or Conv1D folds the following ReLU into its epilogue.
+func unfused(net *Network, xs []*tensor.Matrix) []*tensor.Matrix {
+	ws := tensor.NewWorkspace()
+	for _, l := range net.Layers {
+		xs = l.ForwardBatch(ws, xs, false)
+	}
+	return xs
+}
+
 // TestFusedEpilogueBitwise checks that the Dense→ReLU / Conv1D→ReLU fusion in
 // Network.ForwardBatch is bitwise-identical to the per-layer composition it
-// replaces (per-window Forward, which never fuses).
+// replaces, and to one-window Forward.
 func TestFusedEpilogueBitwise(t *testing.T) {
 	net := testCNN(tensor.NewRNG(7))
 	rng := rand.New(rand.NewSource(7))
 	xs := qtRandWindows(rng, 9, 50, 5)
 	outs := net.ForwardBatch(tensor.NewWorkspace(), xs, false)
+	layered := unfused(net, xs)
 	for i, x := range xs {
-		want := net.Forward(x, false)
+		assertSameBits(t, fmt.Sprintf("window %d one-window", i), outs[i].Data, net.Forward(tensor.NewWorkspace(), x, false).Data)
+		want := layered[i]
 		got := outs[i]
 		if want.Rows != got.Rows || want.Cols != got.Cols {
 			t.Fatalf("window %d: shape mismatch", i)
@@ -73,8 +86,9 @@ func TestFusedDenseNoReLU(t *testing.T) {
 	net := NewNetwork(NewDense(6, 3, rng))
 	xs := qtRandWindows(rand.New(rand.NewSource(8)), 5, 1, 6)
 	outs := net.ForwardBatch(tensor.NewWorkspace(), xs, false)
-	for i, x := range xs {
-		want := net.Forward(x, false)
+	layered := unfused(net, xs)
+	for i := range xs {
+		want := layered[i]
 		for j := range want.Data {
 			if want.Data[j] != outs[i].Data[j] {
 				t.Fatalf("window %d elem %d differs", i, j)
@@ -108,7 +122,7 @@ func TestNetworkQuantizeAgreement(t *testing.T) {
 	if frac := float64(agree) / float64(len(wantCopy)); frac < 0.95 {
 		t.Fatalf("int8 agreement %.3f too low for a well-scaled net", frac)
 	}
-	// Single-window Forward must agree with the batched quantized path.
+	// Single-window Predict must agree with the batched quantized path.
 	ws.Reset()
 	one := qnet.PredictBatch(ws, xs[:1], nil)
 	if p := qnet.Predict(xs[0]); p != one[0] {

@@ -140,7 +140,7 @@ func (n *Network) ForwardStream(ws *tensor.Workspace, xs []*tensor.Matrix, strea
 	if relu {
 		next = 2
 	}
-	return n.forwardFrom(ws, tensor.SplitRowsWS(ws, out, outT), next)
+	return n.forwardFrom(ws, tensor.SplitRowsWS(ws, out, outT), next, false)
 }
 
 // PredictStream is PredictBatch over ForwardStream: one class index per

@@ -75,6 +75,9 @@ func Fit(net *Network, train, val []Example, cfg TrainConfig) History {
 		logf = func(string, ...any) {}
 	}
 	rng := tensor.NewRNG(cfg.Seed + 1)
+	// One workspace holds an example's activations and the caches its
+	// Backward reads; it is reset after each Backward.
+	ws := tensor.NewWorkspace()
 	var hist History
 	bestVal := math.Inf(1)
 	bad := 0
@@ -89,10 +92,11 @@ func Fit(net *Network, train, val []Example, cfg TrainConfig) History {
 			net.ZeroGrad()
 			for _, idx := range perm[start:end] {
 				ex := train[idx]
-				out := net.Forward(ex.X, true)
+				out := net.Forward(ws, ex.X, true)
 				loss, grad := CrossEntropy(out, ex.Label)
 				totalLoss += loss
 				net.Backward(grad)
+				ws.Reset()
 			}
 			scaleGrads(net, 1/float64(end-start))
 			if cfg.MaxGradNorm > 0 {
@@ -134,8 +138,10 @@ func Evaluate(net *Network, examples []Example) (loss, acc float64) {
 		return 0, 0
 	}
 	var correct int
+	ws := tensor.NewWorkspace()
 	for _, ex := range examples {
-		out := net.Forward(ex.X, false)
+		ws.Reset()
+		out := net.Forward(ws, ex.X, false)
 		l, _ := CrossEntropy(out, ex.Label)
 		loss += l
 		if tensor.Argmax(out.Row(0)) == ex.Label {

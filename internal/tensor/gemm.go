@@ -7,9 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// This file is the repo's one float64 multiply: nn's training (every Dense,
-// Conv1D and attention product of Forward and Backward, transposed operands
-// copied transposed by the caller) and its fused inference both run it. Every
+// This file is the repo's one float64 multiply: every Dense, Conv1D and
+// attention product of nn's one forward (training, single-window Predict and
+// serving alike) and of Backward, transposed operands copied transposed by
+// the caller. Every
 // product is computed by one tile contract, implemented three times:
 //
 //	dst[r][j] = Σₖ a_r[k]·b[k][j]   for a 4-row tile, the whole sum held in
@@ -27,7 +28,7 @@ import (
 // Bitwise contract: per output element every tile performs exactly the
 // operations of the naive loop `s += a*b` (s starting at +0), in the same
 // order, so they agree with each other, with a separate bias add and ReLU
-// clamp, and with per-window Forward, bit for bit. That is why the assembly
+// clamp, and across batch sizes, bit for bit. That is why the assembly
 // issues separate VMULPD and VADDPD: gc does not fuse `s += a*b` on amd64, and
 // an FMA (one rounding instead of two) or a split-k accumulator would round
 // differently and eventually flip an argmax. Inputs equal to zero are not

@@ -22,8 +22,8 @@ import "math/bits"
 // Reset must only be called when no value from the previous cycle is still
 // referenced. A workspace is required wherever one is accepted, except by
 // GEMM and GEMMBlocks, where nil means a serial one-off product: another
-// one-off call (a calibration pass, an int8 single-window Forward) takes a
-// fresh NewWorkspace, which simply keeps what the call allocates.
+// one-off call (a calibration pass, a single-window Predict) takes a fresh
+// NewWorkspace, which simply keeps what the call allocates.
 type Workspace struct {
 	f64  wsPool[float64]
 	i8   wsPool[int8]
