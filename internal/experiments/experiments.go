@@ -8,8 +8,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cognitivearm/internal/compress"
@@ -301,31 +303,65 @@ type Zoo struct {
 	Compression *models.NNClassifier
 }
 
-// TrainZoo builds the pooled split at sc and trains the zoo on it.
+// TrainZoo builds the pooled split at sc and trains the zoo on it. The five
+// trainings are independent, so they run concurrently (see forEach); each
+// one's bits are those of training it alone.
 func TrainZoo(sc Scale) (*Zoo, error) {
 	train, val, bySubject, err := buildPooled(sc, zooWindow)
 	if err != nil {
 		return nil, err
 	}
-	z := &Zoo{Scale: sc, Train: train, Val: val, BySubject: bySubject}
-	for _, spec := range models.ScaledPaperSpecs() {
-		spec.WindowSize = zooWindow
-		clf, r, err := models.Train(spec, train, val, poolOptions(sc))
-		if err != nil {
-			return nil, err
-		}
-		z.Specs = append(z.Specs, spec)
-		z.Pool = append(z.Pool, clf)
-		z.Results = append(z.Results, r)
+	z := &Zoo{Scale: sc, Train: train, Val: val, BySubject: bySubject, Specs: models.ScaledPaperSpecs()}
+	for i := range z.Specs {
+		z.Specs[i].WindowSize = zooWindow
 	}
-	clf, _, err := models.Train(CompressionSpec(zooWindow), train, val, models.TrainOptions{
-		Epochs: sc.Epochs + 4, BatchSize: 32, Patience: 5, Seed: sc.Seed,
+	z.Pool = make([]models.Classifier, len(z.Specs))
+	z.Results = make([]models.Result, len(z.Specs))
+	err = forEach(len(z.Specs)+1, func(i int) error {
+		if i < len(z.Specs) {
+			var err error
+			z.Pool[i], z.Results[i], err = models.Train(z.Specs[i], train, val, poolOptions(sc))
+			return err
+		}
+		clf, _, err := models.Train(CompressionSpec(zooWindow), train, val, models.TrainOptions{
+			Epochs: sc.Epochs + 4, BatchSize: 32, Patience: 5, Seed: sc.Seed,
+		})
+		if err == nil {
+			z.Compression = clf.(*models.NNClassifier)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	z.Compression = clf.(*models.NNClassifier)
 	return z, nil
+}
+
+// forEach runs f(0) … f(n−1) on at most GOMAXPROCS goroutines and returns
+// the error of the lowest i that failed. Callers write results by index, so
+// the merge is in input order whatever order the calls finish in. Training
+// shares no mutable state between calls: nn.Fit owns its workspace, and
+// every kernel it runs is serial.
+func forEach(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // poolOptions is the training budget of the four paper models, in the zoo
@@ -543,20 +579,28 @@ func Headline(z *Zoo) (*HeadlineResult, error) {
 	}
 	res.QuantAcc = quant.Accuracy
 
-	// LOSO cross-subject statistics (ensemble retrained per fold).
-	var accs []float64
-	for _, fold := range dataset.LOSO(z.BySubject, tensor.NewRNG(z.Scale.Seed+5)) {
-		var foldEns models.Ensemble
-		for _, spec := range z.Specs {
-			if !isEnsembleFamily(spec.Family) {
-				continue
-			}
-			clf, _, err := models.Train(spec, fold.Train, fold.Val, poolOptions(z.Scale))
-			if err != nil {
-				return nil, err
-			}
-			foldEns.Members = append(foldEns.Members, clf)
+	// LOSO cross-subject statistics (ensemble retrained per fold). Every
+	// fold's members train concurrently, merged in fold and spec order.
+	var members []models.Spec
+	for _, spec := range z.Specs {
+		if isEnsembleFamily(spec.Family) {
+			members = append(members, spec)
 		}
+	}
+	folds := dataset.LOSO(z.BySubject, tensor.NewRNG(z.Scale.Seed+5))
+	trained := make([]models.Classifier, len(folds)*len(members))
+	err = forEach(len(trained), func(i int) error {
+		fold := folds[i/len(members)]
+		var err error
+		trained[i], _, err = models.Train(members[i%len(members)], fold.Train, fold.Val, poolOptions(z.Scale))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var accs []float64
+	for f, fold := range folds {
+		foldEns := models.Ensemble{Members: trained[f*len(members) : (f+1)*len(members)]}
 		accs = append(accs, models.Accuracy(&foldEns, fold.Test))
 	}
 	res.LOSOFolds = accs

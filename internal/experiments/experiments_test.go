@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cognitivearm/internal/evo"
 	"cognitivearm/internal/models"
@@ -242,5 +245,41 @@ func TestFamilySearchQuick(t *testing.T) {
 	global := GlobalFront(map[models.Family]*evo.Result{models.FamilyRF: res})
 	if len(global) == 0 {
 		t.Fatal("global front empty")
+	}
+}
+
+// TestForEach: every index runs once, at most GOMAXPROCS at a time, and
+// the error returned is the lowest failing index's, whatever order the
+// calls finish in.
+func TestForEach(t *testing.T) {
+	const n = 40
+	var mu sync.Mutex
+	ran := make([]int, n)
+	inFlight, most := 0, 0
+	err := forEach(n, func(i int) error {
+		mu.Lock()
+		ran[i]++
+		inFlight++
+		most = max(most, inFlight)
+		mu.Unlock()
+		time.Sleep(time.Duration(n-i) * 50 * time.Microsecond)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		if i%7 == 3 {
+			return fmt.Errorf("fail %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "fail 3" {
+		t.Fatalf("error %v, want the lowest failing index's (fail 3)", err)
+	}
+	for i, c := range ran {
+		if c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+	if limit := runtime.GOMAXPROCS(0); most > limit {
+		t.Fatalf("%d calls in flight, want at most GOMAXPROCS = %d", most, limit)
 	}
 }
