@@ -12,13 +12,6 @@ import (
 // "serve the f64 model" rather than a hard failure.
 var ErrQuantUnsupported = errors.New("nn: network has no quantized form")
 
-// inferenceOnly refuses train mode: the int8 layers have no Backward.
-func inferenceOnly(train bool) {
-	if train {
-		panic("nn: quantized layers are inference-only")
-	}
-}
-
 // QDense is the int8 inference twin of Dense: weights quantized once into a
 // transposed tensor.QMatrix, activations quantized per row on the fly, int32
 // accumulation, f64 out (see tensor.MatMulQ). Inference-only — Backward
@@ -34,9 +27,9 @@ func QuantizeDense(d *Dense) *QDense {
 	return &QDense{src: d, w: tensor.QuantizeWeights(d.Weight.W)}
 }
 
-// ForwardBatch implements Layer (inference only).
+// ForwardBatch implements Layer. It saves nothing in train mode: Backward
+// panics.
 func (q *QDense) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	inferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
@@ -78,9 +71,9 @@ func QuantizeConv1D(c *Conv1D) *QConv1D {
 	return &QConv1D{src: c, w: tensor.QuantizeWeights(c.Weight.W)}
 }
 
-// ForwardBatch implements Layer (inference only).
+// ForwardBatch implements Layer. It saves nothing in train mode: Backward
+// panics.
 func (q *QConv1D) ForwardBatch(ws *tensor.Workspace, xs []*tensor.Matrix, train bool) []*tensor.Matrix {
-	inferenceOnly(train)
 	return q.forwardBatchFused(ws, xs, false)
 }
 
