@@ -230,24 +230,19 @@ func TestReLUNaNRule(t *testing.T) {
 	want := []float64{nan, 0, 0, 5e-324, 0, 1, 0}
 	passes := []bool{false, false, false, true, false, true, false}
 	x := tensor.FromSlice(1, len(in), in)
-	for _, train := range []bool{false, true} {
-		r := NewReLU()
-		y := forward1(r, x, train)
-		assertSameBits(t, fmt.Sprintf("train=%v forward", train), y.Data, want)
-		if !train {
-			continue
+	r := NewReLU()
+	assertSameBits(t, "inference forward", forward1(r, x, false).Data, want)
+	assertSameBits(t, "train forward", forward1(r, x, true).Data, want)
+	g := tensor.New(1, len(in))
+	g.Fill(3)
+	dx := r.Backward(g)
+	for i, p := range passes {
+		w := 0.0
+		if p {
+			w = 3
 		}
-		g := tensor.New(1, len(in))
-		g.Fill(3)
-		dx := r.Backward(g)
-		for i, p := range passes {
-			w := 0.0
-			if p {
-				w = 3
-			}
-			if math.Float64bits(dx.Data[i]) != math.Float64bits(w) {
-				t.Fatalf("Backward element %d (input %v): got %v, want %v", i, in[i], dx.Data[i], w)
-			}
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("Backward element %d (input %v): got %v, want %v", i, in[i], dx.Data[i], w)
 		}
 	}
 	// The same values through a Dense(1→1, w=1, b=0)→ReLU network: at
