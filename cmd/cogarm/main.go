@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -25,16 +26,24 @@ func main() {
 	}
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	flag.Parse()
-
-	fmt.Println("cogarm: CognitiveArm end-to-end demo")
-	sys, err := cognitivearm.QuickStart(*seed)
-	if err != nil {
+	if err := run(os.Stdout, *seed); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
-	fmt.Printf("decoder: %s\n\n", sys.Classifier.Name())
+}
 
-	voice := audio.NewSynthesizer(*seed * 1000) // an enrolled speaker
+// run plays the scripted scenario for seed and writes the arm's state to w:
+// voice-mode switches, servo angles after each step, then the tick count,
+// the modelled latency and the label counts.
+func run(w io.Writer, seed uint64) error {
+	fmt.Fprintln(w, "cogarm: CognitiveArm end-to-end demo")
+	sys, err := cognitivearm.QuickStart(seed)
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	fmt.Fprintf(w, "decoder: %s\n\n", sys.Classifier.Name())
+
+	voice := audio.NewSynthesizer(seed * 1000) // an enrolled speaker
 	script := []struct {
 		say   audio.Word
 		think eeg.Action
@@ -51,23 +60,24 @@ func main() {
 	for _, step := range script {
 		if step.say != audio.Silence {
 			heard := sys.HearCommand(voice.Utter(step.say, 0.8))
-			fmt.Printf("[voice] %q → mode %s\n", heard, sys.Controller.Mode())
+			fmt.Fprintf(w, "[voice] %q → mode %s\n", heard, sys.Controller.Mode())
 		}
 		sys.Board.SetState(step.think)
 		ticks := int(step.secs * 15)
 		for i := 0; i < ticks; i++ {
 			if _, err := sys.Controller.Tick(); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		ard := sys.Controller.Arduino()
-		fmt.Printf("[think %-5v %.0fs] arm %5.1f° elbow %5.1f° fingers %5.1f°\n",
+		fmt.Fprintf(w, "[think %-5v %.0fs] arm %5.1f° elbow %5.1f° fingers %5.1f°\n",
 			step.think, step.secs,
 			ard.Angle(arm.ChanArm), ard.Angle(arm.ChanElbow), ard.Angle(arm.ChanIndex))
 	}
 
 	l := sys.Controller.Latency
-	fmt.Printf("\n%d ticks, mean modelled end-to-end latency %.1f ms (15 Hz budget: 66.7 ms)\n",
+	fmt.Fprintf(w, "\n%d ticks, mean modelled end-to-end latency %.1f ms (15 Hz budget: 66.7 ms)\n",
 		l.Ticks, 1e3*l.PerTick())
-	fmt.Printf("labels: %v\n", sys.Controller.Predictions)
+	fmt.Fprintf(w, "labels: %v\n", sys.Controller.Predictions)
+	return nil
 }
