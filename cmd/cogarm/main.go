@@ -65,9 +65,7 @@ func run(w io.Writer, seed uint64) error {
 		sys.Board.SetState(step.think)
 		ticks := int(step.secs * 15)
 		for i := 0; i < ticks; i++ {
-			if _, err := sys.Controller.Tick(); err != nil {
-				return err
-			}
+			sys.Controller.Tick()
 		}
 		ard := sys.Controller.Arduino()
 		fmt.Fprintf(w, "[think %-5v %.0fs] arm %5.1f° elbow %5.1f° fingers %5.1f°\n",
@@ -78,6 +76,6 @@ func run(w io.Writer, seed uint64) error {
 	l := sys.Controller.Latency
 	fmt.Fprintf(w, "\n%d ticks, mean modelled end-to-end latency %.1f ms (15 Hz budget: 66.7 ms)\n",
 		l.Ticks, 1e3*l.PerTick())
-	fmt.Fprintf(w, "labels: %v\n", sys.Controller.Predictions)
+	fmt.Fprintf(w, "labels: %v\n", sys.Controller.Predictions())
 	return nil
 }

@@ -24,7 +24,8 @@ type (
 	Config = core.Config
 	// Pipeline is the dataset+training stage of the system.
 	Pipeline = core.Pipeline
-	// System is a deployed closed-loop instance for one subject.
+	// System is a deployed closed-loop instance for one subject: a
+	// one-session Hub over its board, whose sink drives the arm.
 	System = core.System
 	// Action is a decoded mental command (idle / left / right).
 	Action = eeg.Action
@@ -84,9 +85,10 @@ func NewModelRegistry() *ModelRegistry { return serve.NewRegistry() }
 func NewHub(cfg HubConfig, reg *ModelRegistry) (*Hub, error) { return serve.NewHub(cfg, reg) }
 
 // QuickStart trains a fast Random-Forest decoder for one synthetic subject
-// and deploys the full closed loop (EEG board → filters → classifier →
-// mode mux → Arduino/servos), ready for Tick-driven control. It is the
-// five-line path from nothing to a moving arm.
+// and deploys the full closed loop, ready for Tick-driven control: a
+// one-session Hub runs EEG board → filters → classifier → debounce, and its
+// session's sink drives the mode mux → Arduino/servos. It is the five-line
+// path from nothing to a moving arm.
 func QuickStart(seed uint64) (*System, error) {
 	cfg := DefaultConfig()
 	cfg.SubjectIDs = []int{0}

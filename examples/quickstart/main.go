@@ -25,9 +25,7 @@ func main() {
 	sys.Board.SetState(eeg.Right)
 	start := sys.Controller.Arduino().Target(arm.ChanArm)
 	for i := 0; i < 60; i++ {
-		if _, err := sys.Controller.Tick(); err != nil {
-			log.Fatal(err)
-		}
+		sys.Controller.Tick()
 	}
 	end := sys.Controller.Arduino().Target(arm.ChanArm)
 	fmt.Printf("imagining RIGHT for 4 s: arm lift %.0f° → %.0f°\n", start, end)
@@ -38,5 +36,5 @@ func main() {
 		sys.Controller.Tick()
 	}
 	fmt.Printf("resting: arm holds at %.0f°\n", sys.Controller.Arduino().Target(arm.ChanArm))
-	fmt.Printf("labels emitted: %v\n", sys.Controller.Predictions)
+	fmt.Printf("labels emitted: %v\n", sys.Controller.Predictions())
 }

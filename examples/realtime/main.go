@@ -48,8 +48,7 @@ func main() {
 
 	l := sys.Controller.Latency
 	fmt.Printf("\nlatency over %d ticks at %d Hz:\n", l.Ticks, control.ClassifyRateHz)
-	fmt.Printf("  filtering (measured Go):   %.3f ms/tick\n", 1e3*l.FilterWallSec/float64(l.Ticks))
-	fmt.Printf("  inference (measured Go):   %.3f ms/tick\n", 1e3*l.InferenceWallSec/float64(l.Ticks))
+	fmt.Printf("  hub tick (measured Go):    %.3f ms/tick\n", 1e3*l.TickWallSec/float64(l.Ticks))
 	fmt.Printf("  inference (Jetson model):  %.3f ms/tick\n", 1e3*l.EdgeInferenceSec/float64(l.Ticks))
 	fmt.Printf("  actuation (modelled):      %.3f ms/tick\n", 1e3*l.ActuationSec/float64(l.Ticks))
 	fmt.Printf("  end-to-end (modelled):     %.3f ms/tick (budget %.1f ms)\n",

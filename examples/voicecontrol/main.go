@@ -30,9 +30,7 @@ func main() {
 	think := func(a eeg.Action, ticks int) {
 		sys.Board.SetState(a)
 		for i := 0; i < ticks; i++ {
-			if _, err := sys.Controller.Tick(); err != nil {
-				log.Fatal(err)
-			}
+			sys.Controller.Tick()
 		}
 		ard := sys.Controller.Arduino()
 		fmt.Printf("  thinking %-5v → arm %.0f° elbow %.0f° index %.0f°\n",

@@ -17,12 +17,10 @@ func TestQuickStartEndToEnd(t *testing.T) {
 	}
 	sys.Board.SetState(eeg.Right)
 	for i := 0; i < 40; i++ {
-		if _, err := sys.Controller.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		sys.Controller.Tick()
 	}
-	if sys.Controller.Predictions[Right] == 0 {
-		t.Fatalf("no right labels emitted: %v", sys.Controller.Predictions)
+	if sys.Controller.Predictions()[Right] == 0 {
+		t.Fatalf("no right labels emitted: %v", sys.Controller.Predictions())
 	}
 }
 

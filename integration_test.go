@@ -73,9 +73,9 @@ func TestEEGOverLSLPipeline(t *testing.T) {
 	defer b.Stop()
 	b.SetState(eeg.Right)
 	// Skip the ERD onset ramp, then stream 260 samples (~2 s).
-	b.Read(int(eeg.SampleRate))
+	b.ReadInto(nil, int(eeg.SampleRate))
 	const n = 260
-	for _, s := range b.Read(n) {
+	for _, s := range b.ReadInto(nil, n) {
 		out.Push(s.Values)
 	}
 	// The outlet sleeps ~1 ms per frame; beside a cold `go test ./...` build
@@ -201,7 +201,7 @@ func TestUDPAcquisitionDegradesGracefully(t *testing.T) {
 	b := board.NewSyntheticCyton(eeg.NewSubject(1), 5, false)
 	b.Start()
 	defer b.Stop()
-	for _, s := range b.Read(400) {
+	for _, s := range b.ReadInto(nil, 400) {
 		out.Push(s.Values)
 	}
 	out.Close()

@@ -8,7 +8,6 @@ package board
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -32,9 +31,11 @@ type Board interface {
 	Start() error
 	// Stop halts streaming. The board may be restarted.
 	Stop() error
-	// Read drains up to max buffered samples (oldest first). max <= 0 drains
-	// everything.
-	Read(max int) []stream.Sample
+	// ReadInto drains up to max buffered samples (oldest first), appending
+	// them to dst; max <= 0 drains everything. It is serve.Source's one
+	// method, so a hub session streams from any Board. The samples' Values
+	// are valid until the next ReadInto.
+	ReadInto(dst []stream.Sample, max int) []stream.Sample
 	// SetState tells simulated boards which mental task the "participant" is
 	// performing. Hardware boards would ignore this.
 	SetState(a eeg.Action)
@@ -42,7 +43,7 @@ type Board interface {
 
 // SyntheticCyton simulates the 16-channel Cyton+Daisy stack. Realtime mode
 // paces samples at 125 Hz wall-clock; otherwise samples are produced on
-// demand as fast as Read is called, which is what training-data generation
+// demand as fast as ReadInto is called, which is what training-data generation
 // and benchmarks want.
 type SyntheticCyton struct {
 	subject eeg.Subject
@@ -154,22 +155,15 @@ func (b *SyntheticCyton) produce(n int) {
 	}
 }
 
-// ReadInto is the allocation-free variant of Read and the serving shard's
-// drain (serve.Source): in on-demand mode it synthesises max samples into the
-// ring, then drains up to max of them into dst through Ring.PopNInto. The
-// returned samples' Values live in the ring's drain arena, valid until the
-// next ReadInto; the shard consumes them within the tick, which is the
-// contract.
+// ReadInto implements Board and is the serving shard's drain (serve.Source):
+// in on-demand mode it synthesises max samples into the ring (max must then
+// be positive), then drains up to max of them into dst through
+// Ring.PopNInto. The returned samples' Values live in the ring's drain
+// arena, valid until the next ReadInto; the shard consumes them within the
+// tick, which is the contract.
 func (b *SyntheticCyton) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	b.topUp(max)
 	return b.ring.PopNInto(dst, max)
-}
-
-// Read implements Board. In non-realtime mode it synthesises max samples on
-// demand (max must then be positive). The samples own their Values.
-func (b *SyntheticCyton) Read(max int) []stream.Sample {
-	b.topUp(max)
-	return b.ring.PopN(max)
 }
 
 // topUp synthesises max samples into the ring when the board runs on demand;
@@ -181,51 +175,4 @@ func (b *SyntheticCyton) topUp(max int) {
 	if onDemand {
 		b.produce(max)
 	}
-}
-
-// registry implements BrainFlow's board-id lookup so callers stay
-// board-agnostic.
-var (
-	regMu    sync.Mutex
-	registry = map[string]func(subject eeg.Subject, seed uint64, realtime bool) Board{}
-)
-
-// Register adds a board constructor under a name. It panics on duplicates,
-// which would indicate two drivers claiming the same board.
-func Register(name string, ctor func(subject eeg.Subject, seed uint64, realtime bool) Board) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("board: duplicate registration for " + name)
-	}
-	registry[name] = ctor
-}
-
-// New instantiates a registered board by name.
-func New(name string, subject eeg.Subject, seed uint64, realtime bool) (Board, error) {
-	regMu.Lock()
-	ctor, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("board: unknown board %q (have %v)", name, Names())
-	}
-	return ctor(subject, seed, realtime), nil
-}
-
-// Names lists the registered boards in sorted order.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("synthetic-cyton-daisy", func(subject eeg.Subject, seed uint64, realtime bool) Board {
-		return NewSyntheticCyton(subject, seed, realtime)
-	})
 }

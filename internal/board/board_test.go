@@ -25,7 +25,7 @@ func TestOnDemandRead(t *testing.T) {
 	}
 	defer b.Stop()
 	b.SetState(eeg.Left)
-	got := b.Read(250)
+	got := b.ReadInto(nil, 250)
 	if len(got) != 250 {
 		t.Fatalf("read %d samples, want 250", len(got))
 	}
@@ -68,7 +68,7 @@ func TestRealtimePacing(t *testing.T) {
 	if err := b.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Read(0)
+	got := b.ReadInto(nil, 0)
 	// 200 ms at 125 Hz ≈ 25 samples; allow generous scheduling slack.
 	if len(got) < 10 || len(got) > 60 {
 		t.Fatalf("realtime pacing produced %d samples in 200 ms", len(got))
@@ -83,36 +83,4 @@ func TestSetStateAffectsSignal(t *testing.T) {
 	if b.State() != eeg.Right {
 		t.Fatal("state not stored")
 	}
-}
-
-func TestRegistry(t *testing.T) {
-	names := Names()
-	found := false
-	for _, n := range names {
-		if n == "synthetic-cyton-daisy" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("builtin board missing from registry: %v", names)
-	}
-	b, err := New("synthetic-cyton-daisy", eeg.NewSubject(0), 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Info().Name != "synthetic-cyton-daisy" {
-		t.Fatal("wrong board constructed")
-	}
-	if _, err := New("no-such-board", eeg.NewSubject(0), 5, false); err == nil {
-		t.Fatal("unknown board should error")
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Register("synthetic-cyton-daisy", nil)
 }

@@ -2,10 +2,10 @@
 // Windower filters, normalises and windows a session's EEG samples, and the
 // Debouncer gates the classifier's labels before they move anything. Both
 // carry resumable state (WindowerState, DebouncerState) for fleet
-// checkpoints. The single-subject Controller that drives an arm with them
-// lives in internal/core; the serving hub (internal/serve) runs them per
-// session. The package imports no hardware model, so serving does not
-// depend on one.
+// checkpoints. One loop runs them: the serving hub's session tick
+// (internal/serve), which internal/core's single-subject Controller also
+// runs, as a one-session hub that drives an arm from the session's sink.
+// The package imports no hardware model, so serving does not depend on one.
 package control
 
 // ClassifyRateHz is the paper's action-label rate (§IV-A3).

@@ -1,9 +1,10 @@
 package control_test
 
-// The single-subject loop, core.Controller, is the first consumer of this
-// package's Windower and Debouncer: these tests drive them end to end, from
-// board samples to servo targets. They live in the external test package,
-// which may import core although core imports control.
+// The single-subject loop, core.Controller, is a one-session serving hub,
+// whose session runs this package's Windower and Debouncer: these tests
+// drive them end to end, from board samples to servo targets. They live in
+// the external test package, which may import core although core imports
+// control.
 
 import (
 	"testing"
@@ -93,10 +94,8 @@ func TestWindowFillsThenClassifies(t *testing.T) {
 	ctrl, b := buildController(t)
 	b.SetState(eeg.Right)
 	ticks := 0
-	for !ctrl.WindowReady() {
-		if _, err := ctrl.Tick(); err != nil {
-			t.Fatal(err)
-		}
+	for classified := false; !classified; {
+		_, classified = ctrl.Tick()
 		ticks++
 		if ticks > 100 {
 			t.Fatal("window never filled")
@@ -113,13 +112,11 @@ func TestRightImageryRaisesArm(t *testing.T) {
 	b.SetState(eeg.Right)
 	start := ctrl.Arduino().Target(arm.ChanArm)
 	for i := 0; i < 60; i++ {
-		if _, err := ctrl.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		ctrl.Tick()
 	}
 	if got := ctrl.Arduino().Target(arm.ChanArm); got <= start {
 		t.Fatalf("right imagery should raise the arm: %v -> %v (predictions %v)",
-			start, got, ctrl.Predictions)
+			start, got, ctrl.Predictions())
 	}
 }
 
@@ -134,9 +131,7 @@ func TestLeftImageryClosesVsOpensFingers(t *testing.T) {
 	}
 	brd.SetState(eeg.Left)
 	for i := 0; i < 60; i++ {
-		if _, err := ctrl.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		ctrl.Tick()
 	}
 	if got := ctrl.Arduino().Target(arm.ChanIndex); got >= 45 {
 		t.Fatalf("left imagery in fingers mode should open the hand: %v", got)

@@ -11,9 +11,9 @@ import (
 
 // Windower is the ingest stage of a closed loop: causal filtering of every
 // channel, training-stats normalisation, and a WindowSize×Channels rolling
-// buffer of the most recent samples. The single-subject core.Controller and
-// the fleet sessions of internal/serve run the identical signal path through
-// it, without the serving side carrying an actuator. A Windower is
+// buffer of the most recent samples. The one closed loop that runs it is
+// the session tick of internal/serve, which core.Controller's single-subject
+// loop runs too, so the arm and the fleet see the same signal path. A Windower is
 // single-session state and must not be shared across goroutines.
 //
 // The rolling buffer never shifts: buf holds 2·rows rows and every filtered
@@ -129,8 +129,8 @@ func (w *Windower) WindowInto(dst *tensor.Matrix) *tensor.Matrix {
 // Size returns the window length in samples.
 func (w *Windower) Size() int { return w.view.Rows }
 
-// Debouncer is the actuation debounce shared by the single-subject
-// core.Controller and the serving fleet's sessions: a label only counts as agreed
+// Debouncer is the actuation debounce of a serving session, and so of
+// core.Controller's one-session loop too: a label only counts as agreed
 // when it holds a SmoothingWindow−1 supermajority over the last
 // SmoothingWindow labels, absorbing the strays produced while the rolling
 // window straddles an intent transition. The history lives in a fixed-size

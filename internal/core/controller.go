@@ -12,6 +12,7 @@ import (
 	"cognitivearm/internal/edge"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
+	"cognitivearm/internal/serve"
 )
 
 // Mode is the voice-selected degree of freedom (§III-F1).
@@ -54,16 +55,12 @@ type ControllerConfig struct {
 	// InferenceMACs is the classifier's per-window workload for the device
 	// model.
 	InferenceMACs int64
-	// Sparsity/Precision describe the deployed model for latency accounting.
-	Sparsity  float64
-	Precision edge.Precision
 }
 
 // LatencyBreakdown aggregates modelled and measured per-stage latencies.
 type LatencyBreakdown struct {
 	Ticks            int
-	FilterWallSec    float64 // measured Go time in filtering
-	InferenceWallSec float64 // measured Go time in classification
+	TickWallSec      float64 // measured Go time in the hub's ticks, all stages
 	EdgeInferenceSec float64 // modelled Jetson inference time (per tick sum)
 	ActuationSec     float64 // modelled serial+servo command latency
 }
@@ -76,43 +73,53 @@ func (l LatencyBreakdown) PerTick() float64 {
 	return (l.EdgeInferenceSec + l.ActuationSec) / float64(l.Ticks)
 }
 
-// Controller runs the single-subject closed loop (§IV-A) in simulated time:
-// a board streams EEG through control's Windower, the classifier labels each
-// window at control.ClassifyRateHz, control's Debouncer gates actuation, a
-// voice-selected Mode multiplexes the three core actions onto the arm's
-// degrees of freedom (arm / elbow / fingers, Fig. 6), and serial frames
-// drive the Arduino's servos. RunValidationSession is the paper's
+// Controller runs the single-subject closed loop (§IV-A) in simulated time.
+// The loop is a one-session serve.Hub over the board: each tick the session
+// drains the board's due samples through its filters and rolling window,
+// classifies the window at control.ClassifyRateHz and debounces the label,
+// as every fleet session does. The session's sink, decide, is the hardware
+// side: a voice-selected Mode multiplexes the three core actions onto the
+// arm's degrees of freedom (arm / elbow / fingers, Fig. 6), and serial
+// frames drive the Arduino's servos. RunValidationSession is the paper's
 // real-world validation protocol (19/20 sessions, §IV-A5).
 type Controller struct {
 	cfg     ControllerConfig
 	arduino *arm.Arduino
-	win     *control.Windower // filter + normalise + rolling window ingest stage
+	hub     *serve.Hub
+	id      serve.SessionID
 	mode    Mode
-	// sampleAcc implements the 125/15 fractional samples-per-tick schedule.
-	sampleAcc float64
-	debounce  control.Debouncer
+	// label and classified are what decide received in the current tick.
+	label      eeg.Action
+	classified bool
 
-	// Predictions counts labels emitted per action.
-	Predictions map[eeg.Action]int
-	Latency     LatencyBreakdown
+	Latency LatencyBreakdown
 }
 
-// NewController builds a controller. The board must be started by the caller.
+// NewController builds a controller. The board must be started by the
+// caller; stopping the controller's hub (System.Close) stops it.
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.Board == nil || cfg.Classifier == nil {
 		return nil, fmt.Errorf("core: board and classifier are required")
 	}
-	info := cfg.Board.Info()
-	win, err := control.NewWindower(info.SampleRateHz, info.Channels, cfg.Classifier.WindowSize(), cfg.Norm)
+	const model = "controller" // the key of the hub's one classifier
+	hcfg := serve.DefaultConfig()
+	hcfg.Shards, hcfg.KernelThreads, hcfg.MaxSessionsPerShard = 1, 1, 1
+	hub, err := serve.NewHub(hcfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		cfg:         cfg,
-		arduino:     arm.NewArduino(),
-		win:         win,
-		Predictions: map[eeg.Action]int{},
-	}, nil
+	if _, _, err := hub.Registry().GetOrBuild(model, func() (models.Classifier, int64, error) {
+		return cfg.Classifier, cfg.InferenceMACs, nil
+	}); err != nil {
+		return nil, err
+	}
+	c := &Controller{cfg: cfg, arduino: arm.NewArduino(), hub: hub}
+	info := cfg.Board.Info()
+	if c.id, err = hub.Admit(serve.SessionConfig{ModelKey: model, Source: cfg.Board, Norm: cfg.Norm,
+		Channels: info.Channels, SampleRateHz: info.SampleRateHz, Sink: c.decide}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Arduino exposes the actuator for inspection.
@@ -120,6 +127,13 @@ func (c *Controller) Arduino() *arm.Arduino { return c.arduino }
 
 // Mode returns the active voice-selected mode.
 func (c *Controller) Mode() Mode { return c.mode }
+
+// Predictions counts the labels emitted per action; it is empty once the
+// system is closed, which ends the session.
+func (c *Controller) Predictions() map[eeg.Action]uint64 {
+	st, _ := c.hub.Session(c.id)
+	return st.Actions
+}
 
 // HandleVoice applies a recognised keyword to the mode multiplexer.
 func (c *Controller) HandleVoice(w audio.Word) {
@@ -133,45 +147,33 @@ func (c *Controller) HandleVoice(w audio.Word) {
 	}
 }
 
-// WindowReady reports whether enough samples have accumulated to classify.
-func (c *Controller) WindowReady() bool { return c.win.Ready() }
-
-// Tick advances one classification period: pull samples, filter, classify if
-// ready, actuate, and advance servo time. It returns the emitted action (or
-// Idle before the window fills).
-func (c *Controller) Tick() (eeg.Action, error) {
-	info := c.cfg.Board.Info()
-	c.sampleAcc += info.SampleRateHz / control.ClassifyRateHz
-	n := int(c.sampleAcc)
-	c.sampleAcc -= float64(n)
-
-	samples := c.cfg.Board.Read(n)
+// Tick advances one classification period: one hub tick, which hands a
+// label to decide once the window is full, then one period of servo time.
+// It returns the label (Idle before the window fills) and whether a window
+// was classified.
+func (c *Controller) Tick() (eeg.Action, bool) {
+	c.label, c.classified = eeg.Idle, false
 	t0 := time.Now()
-	for _, s := range samples {
-		c.win.Push(s.Values)
-	}
-	c.Latency.FilterWallSec += time.Since(t0).Seconds()
-
-	action := eeg.Idle
-	if c.WindowReady() {
-		t1 := time.Now()
-		action = eeg.Action(c.cfg.Classifier.Predict(c.win.Window()))
-		c.Latency.InferenceWallSec += time.Since(t1).Seconds()
-		if c.cfg.InferenceMACs > 0 {
-			c.Latency.EdgeInferenceSec += c.cfg.Device.Latency(edge.Workload{
-				MACs: c.cfg.InferenceMACs, Sparsity: c.cfg.Sparsity, Precision: c.cfg.Precision,
-			}).Seconds()
-		}
-		c.Predictions[action]++
-		if c.debounce.Observe(action) {
-			c.actuate(action)
-		}
-	}
+	c.hub.TickAll()
+	c.Latency.TickWallSec += time.Since(t0).Seconds()
 	// Servo time advances one tick; serial latency ~1 frame at 115200 baud.
 	c.arduino.Step(1.0 / control.ClassifyRateHz)
 	c.Latency.ActuationSec += 5.0*10/115200 + 1.0/control.ClassifyRateHz/2
 	c.Latency.Ticks++
-	return action, nil
+	return c.label, c.classified
+}
+
+// decide is the session's sink: it charges the edge model for the
+// classification and actuates an agreed label. The tick calls it under the
+// shard lock; it takes only the Arduino's own lock.
+func (c *Controller) decide(a eeg.Action, agreed bool) {
+	c.label, c.classified = a, true
+	if c.cfg.InferenceMACs > 0 {
+		c.Latency.EdgeInferenceSec += c.cfg.Device.Latency(edge.Workload{MACs: c.cfg.InferenceMACs}).Seconds()
+	}
+	if agreed {
+		c.actuate(a)
+	}
 }
 
 // actuate maps (mode, action) to servo deltas per Fig. 6.
@@ -226,20 +228,14 @@ func RunValidationSession(c *Controller, intents []eeg.Action, ticksPerIntent in
 		// Transition period (§III-B2): let the rolling window flush the
 		// previous intent before scoring, as the live protocol's cue-to-task
 		// margin does. One window plus the debounce depth suffices.
-		warmup := c.win.Size()/8 + control.SmoothingWindow
+		warmup := c.cfg.Classifier.WindowSize()/8 + control.SmoothingWindow
 		for t := 0; t < warmup; t++ {
-			if _, err := c.Tick(); err != nil {
-				return res, err
-			}
+			c.Tick()
 		}
 		before := c.dofPosition()
 		counts := map[eeg.Action]int{}
 		for t := 0; t < ticksPerIntent; t++ {
-			a, err := c.Tick()
-			if err != nil {
-				return res, err
-			}
-			if c.WindowReady() {
+			if a, classified := c.Tick(); classified {
 				counts[a]++
 			}
 		}

@@ -156,7 +156,9 @@ func (p *Pipeline) TrainModel(spec models.Spec) (models.Classifier, models.Resul
 }
 
 // System is a deployed CognitiveArm: trained classifier, voice channel and
-// closed-loop controller for one subject.
+// closed-loop controller for one subject. The controller's loop is the
+// serving hub's session tick over the subject's board (Controller), so the
+// demo, the examples and the §IV-A5 validation run the code a fleet runs.
 type System struct {
 	Classifier models.Classifier
 	Controller *Controller
@@ -195,8 +197,8 @@ func (p *Pipeline) Deploy(clf models.Classifier, macs int64, subjectID int) (*Sy
 	}, nil
 }
 
-// Close stops the system's acquisition stream.
-func (s *System) Close() error { return s.Board.Stop() }
+// Close stops the controller's hub, which stops the board it streams from.
+func (s *System) Close() { s.Controller.hub.Stop() }
 
 // HearCommand runs the voice path end-to-end: VAD gates the audio, and if
 // speech is present the spotter's keyword switches the controller mode. It

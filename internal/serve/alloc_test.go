@@ -20,25 +20,36 @@ import (
 // (PendingLen, the larger read) is covered too. The count over 100 ticks is
 // exact (mallocs), not testing.AllocsPerRun's truncated average, so a tick
 // that allocates now and then fails too; the cnn fleet's ticks run the
-// streamed first convolution (nn.ConvStream) throughout.
+// streamed first convolution (nn.ConvStream) throughout. The sink case
+// hands every board session's decisions to a SessionConfig.Sink, the call
+// core.Controller's loop runs on.
 func TestShardTickAllocFree(t *testing.T) {
 	reg, p := testFleet(t)
 	addCNN(t, reg, p)
 
-	for _, modelKey := range []string{"rf", "cnn"} {
-		t.Run(modelKey, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, modelKey string
+		sink           bool
+	}{{"rf", "rf", false}, {"cnn", "cnn", false}, {"sink", "rf", true}} {
+		modelKey := tc.modelKey
+		t.Run(tc.name, func(t *testing.T) {
 			const sessions = 8
 			hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: sessions + 1, TickHz: 15, LatencyWindow: 32}, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer hub.Stop()
+			var sunk int
+			var sink func(eeg.Action, bool)
+			if tc.sink {
+				sink = func(eeg.Action, bool) { sunk++ }
+			}
 			for i := 0; i < sessions; i++ {
 				b := board.NewSyntheticCyton(eeg.NewSubject(0), uint64(i)*7+3, false)
 				if err := b.Start(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := hub.Admit(SessionConfig{ModelKey: modelKey, Source: b, Norm: p.NormFor(0)}); err != nil {
+				if _, err := hub.Admit(SessionConfig{ModelKey: modelKey, Source: b, Norm: p.NormFor(0), Sink: sink}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,6 +78,9 @@ func TestShardTickAllocFree(t *testing.T) {
 			if drained := backlog - ring.Len(); ring.Len() == 0 || drained < ticks*17 {
 				t.Fatalf("ring session drained %d samples in %d ticks with %d left: it was not catching up throughout",
 					drained, ticks, ring.Len())
+			}
+			if tc.sink && sunk < sessions*measured {
+				t.Fatalf("sink saw %d decisions, want at least %d", sunk, sessions*measured)
 			}
 		})
 	}

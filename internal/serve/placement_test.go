@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"cognitivearm/internal/core"
 )
 
 // TestBackpressureRefusesOverloadedShards: a fleet whose shards still have
@@ -82,7 +80,7 @@ func TestExtractRestoreSessionBitwise(t *testing.T) {
 	}
 }
 
-func extractRestoreBitwise(t *testing.T, reg *Registry, p *core.Pipeline, model string) {
+func extractRestoreBitwise(t *testing.T, reg *Registry, p *fleetData, model string) {
 	const totalSamples, totalTicks, moveTick = 700, 70, 23
 	streamA := scriptedEEG(0, 41, totalSamples)
 	cfg := Config{Shards: 2, MaxSessionsPerShard: 4, TickHz: 15, LatencyWindow: 32}

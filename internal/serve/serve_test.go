@@ -1,33 +1,65 @@
 package serve
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cognitivearm/internal/board"
-	"cognitivearm/internal/core"
+	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/eeg"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/stream"
+	"cognitivearm/internal/tensor"
 )
 
+// fleetData is what testFleet trains on: core.New's dataset stage and
+// core.Pipeline.Pooled's split for one subject, at core.DefaultConfig's
+// window, seed and training budget with 24 s sessions. It builds them from
+// dataset and models directly because core imports serve.
+type fleetData struct {
+	window     int
+	norm       dataset.Stats
+	train, val []dataset.Window
+}
+
+func newFleetData() (*fleetData, error) {
+	const window, seed = 100, 1
+	bySubject, stats, err := dataset.Build([]int{0}, 1, dataset.ShortProtocol(24), window, seed)
+	if err != nil {
+		return nil, err
+	}
+	all := bySubject[0]
+	dataset.Shuffle(all, tensor.NewRNG(seed+7))
+	cut := len(all) * 8 / 10
+	return &fleetData{window: window, norm: stats[0], train: all[:cut], val: all[cut:]}, nil
+}
+
+// NormFor returns the normalisation of the fleet's one subject, which is
+// also core.Pipeline.NormFor's fallback for every other subject.
+func (d *fleetData) NormFor(int) dataset.Stats { return d.norm }
+
+// trainModel fits spec on the split with core.DefaultConfig's budget.
+func (d *fleetData) trainModel(spec models.Spec) (models.Classifier, error) {
+	clf, _, err := models.Train(spec, d.train, d.val,
+		models.TrainOptions{Epochs: 10, BatchSize: 32, Patience: 4, Seed: 1})
+	return clf, err
+}
+
 // testFleet builds a registry with one fast shared RF decoder plus the
-// pipeline that trained it.
-func testFleet(t testing.TB) (*Registry, *core.Pipeline) {
+// data that trained it.
+func testFleet(t testing.TB) (*Registry, *fleetData) {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.SubjectIDs = []int{0}
-	cfg.SessionSeconds = 24
-	p, err := core.New(cfg)
+	p, err := newFleetData()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	spec := models.Spec{Family: models.FamilyRF, WindowSize: cfg.WindowSize, Trees: 20, MaxDepth: 10}
+	spec := models.Spec{Family: models.FamilyRF, WindowSize: p.window, Trees: 20, MaxDepth: 10}
 	if _, _, err := reg.GetOrBuild("rf", func() (models.Classifier, int64, error) {
-		clf, _, err := p.TrainModel(spec)
+		clf, err := p.trainModel(spec)
 		return clf, models.OpsPerInference(spec), err
 	}); err != nil {
 		t.Fatal(err)
@@ -40,9 +72,9 @@ func testFleet(t testing.TB) (*Registry, *core.Pipeline) {
 // pool, dense head) at the fleet's window size, so its sessions stream their
 // first convolution. Untrained weights serve identically to trained ones and
 // build in microseconds.
-func addCNN(t testing.TB, reg *Registry, p *core.Pipeline) {
+func addCNN(t testing.TB, reg *Registry, p *fleetData) {
 	t.Helper()
-	spec := models.Spec{Family: models.FamilyCNN, WindowSize: p.Config.WindowSize,
+	spec := models.Spec{Family: models.FamilyCNN, WindowSize: p.window,
 		Optimizer: "adam", LR: 1e-3, Dropout: 0.2, ConvLayers: 1, Filters: 8, Kernel: 5, Stride: 2, Pool: "none"}
 	if _, _, err := reg.GetOrBuild("cnn", func() (models.Classifier, int64, error) {
 		net, err := models.BuildNet(spec, 1)
@@ -57,7 +89,7 @@ func addCNN(t testing.TB, reg *Registry, p *core.Pipeline) {
 
 // boardSession returns a SessionConfig backed by an on-demand synthetic
 // board for the given subject.
-func boardSession(t testing.TB, p *core.Pipeline, subject int, seed uint64) SessionConfig {
+func boardSession(t testing.TB, p *fleetData, subject int, seed uint64) SessionConfig {
 	t.Helper()
 	b := board.NewSyntheticCyton(eeg.NewSubject(subject), seed, false)
 	if err := b.Start(); err != nil {
@@ -77,15 +109,12 @@ func TestRegistryBuildsOnce(t *testing.T) {
 			defer wg.Done()
 			clf, _, err := reg.GetOrBuild("shared", func() (models.Classifier, int64, error) {
 				builds.Add(1)
-				cfg := core.DefaultConfig()
-				cfg.SubjectIDs = []int{0}
-				cfg.SessionSeconds = 24
-				p, err := core.New(cfg)
+				p, err := newFleetData()
 				if err != nil {
 					return nil, 0, err
 				}
-				spec := models.Spec{Family: models.FamilyRF, WindowSize: cfg.WindowSize, Trees: 5, MaxDepth: 6}
-				c, _, err := p.TrainModel(spec)
+				spec := models.Spec{Family: models.FamilyRF, WindowSize: p.window, Trees: 5, MaxDepth: 6}
+				c, err := p.trainModel(spec)
 				return c, 0, err
 			})
 			if err != nil {
@@ -108,6 +137,51 @@ func TestRegistryBuildsOnce(t *testing.T) {
 	}
 	if _, _, ok := reg.Get("missing"); ok {
 		t.Fatal("Get should miss unknown keys")
+	}
+}
+
+// TestSessionSinkSeesEveryDecision: a session's sink gets one call per
+// decoded label, after the debounce, so its calls add up to the session's
+// counters: one per Decoded, agreed ones to Agreed, and per action to
+// Actions.
+func TestSessionSinkSeesEveryDecision(t *testing.T) {
+	reg, p := testFleet(t)
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 1, TickHz: 15, LatencyWindow: 16}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	var calls, agreed uint64
+	actions := map[eeg.Action]uint64{}
+	sc := boardSession(t, p, 0, 5)
+	sc.Sink = func(a eeg.Action, ok bool) {
+		calls++
+		actions[a]++
+		if ok {
+			agreed++
+		}
+	}
+	sc.Source.(*board.SyntheticCyton).SetState(eeg.Right)
+	id, err := hub.Admit(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 60
+	for i := 0; i < ticks; i++ {
+		hub.TickAll()
+	}
+	st, ok := hub.Session(id)
+	if !ok {
+		t.Fatal("session gone")
+	}
+	if st.Decoded == 0 || st.Agreed == 0 {
+		t.Fatalf("%d ticks decoded %d labels and agreed %d: the sink was not exercised", ticks, st.Decoded, st.Agreed)
+	}
+	if calls != st.Decoded || agreed != st.Agreed {
+		t.Fatalf("sink saw %d calls, %d agreed; session decoded %d, agreed %d", calls, agreed, st.Decoded, st.Agreed)
+	}
+	if !reflect.DeepEqual(actions, st.Actions) {
+		t.Fatalf("sink counted %v per action, session %v", actions, st.Actions)
 	}
 }
 
@@ -447,7 +521,7 @@ func TestHubParallelEquivalence(t *testing.T) {
 	reg, p := testFleet(t)
 	// 64 filters: eight 48-step windows make a 2 M-MAC conv product, past the
 	// kernel pool's crossover even on a tick where only five are due.
-	cnnSpec := models.Spec{Family: models.FamilyCNN, WindowSize: p.Config.WindowSize,
+	cnnSpec := models.Spec{Family: models.FamilyCNN, WindowSize: p.window,
 		Optimizer: "adam", LR: 1e-3, ConvLayers: 1, Filters: 64, Kernel: 5, Stride: 2, Pool: "none"}
 	if _, _, err := reg.GetOrBuild("cnn", func() (models.Classifier, int64, error) {
 		net, err := models.BuildNet(cnnSpec, 1)

@@ -120,6 +120,14 @@ type SessionConfig struct {
 	// "demo:<subject>:<idx>" or "inlet:<i>"), and the cluster layer routes by
 	// it, so it should be unique per session.
 	Tag string
+	// Sink, when set, receives each decoded label after the debounce, with
+	// agreed reporting whether the debounce's supermajority fired (the
+	// label moves an arm). The tick calls it under the shard lock, so, like
+	// Source.ReadInto, it must not block, and it must not call back into
+	// the hub (Hub.Session takes the shard lock). It is not persisted: a
+	// restored, migrated or promoted session has no sink, just as its
+	// Source is rebound by the caller.
+	Sink func(a eeg.Action, agreed bool)
 }
 
 // SessionStats is a point-in-time view of one session's decode counters.
@@ -137,9 +145,9 @@ type SessionStats struct {
 }
 
 // session is the per-subject state a shard ticks: ingest stage, shared
-// classifier handle, and the actuation debounce of the single-subject
-// Controller, minus the arm itself (fleet serving emits labels; actuation is
-// the subscriber's concern).
+// classifier handle and the actuation debounce, minus the arm itself:
+// actuation is the concern of the session's Sink (core.Controller drives an
+// arm from it).
 type session struct {
 	id  SessionID
 	cfg SessionConfig
@@ -222,14 +230,19 @@ func (s *session) drain(due int) int {
 	return due + min(s.catchUp, max(0, s.buffered.PendingLen()-due))
 }
 
-// observe feeds one decoded label through the counters and the debounce.
+// observe feeds one decoded label through the counters and the debounce,
+// then hands it to the session's sink.
 func (s *session) observe(a eeg.Action) {
 	s.decoded++
 	if int(a) >= 0 && int(a) < len(s.actions) {
 		s.actions[a]++
 	}
-	if s.debounce.Observe(a) {
+	agreed := s.debounce.Observe(a)
+	if agreed {
 		s.agreed++
+	}
+	if s.cfg.Sink != nil {
+		s.cfg.Sink(a, agreed)
 	}
 }
 

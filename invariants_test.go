@@ -24,13 +24,16 @@ package cognitivearm
 //
 // What the rules do not see: _test.go files, and calls through an
 // interface or a function value, whose callee has no body to summarize.
-// shard.tick makes two such calls under s.mu: Source.ReadInto, which must
-// not block by contract, and the classifier's PredictStreamWS or
-// PredictBatchWS, behind which tensor.(*Pool).gemm sends panels on p.tasks
-// and waits on c.wg. That rendezvous is sanctioned: pool workers take only
-// the pool's leaf free-list lock, never a shard lock, and the caller runs
-// the first panel and steals queued ones itself, so nothing it waits for
-// waits on the shard.
+// shard.tick makes three such calls under s.mu: Source.ReadInto, which must
+// not block by contract; the session's SessionConfig.Sink (from
+// session.observe), which by the same contract must not block and must not
+// call back into the hub (core.Controller's sink takes only its Arduino's
+// leaf lock); and the classifier's PredictStreamWS or PredictBatchWS,
+// behind which tensor.(*Pool).gemm sends panels on p.tasks and waits on
+// c.wg. That rendezvous is sanctioned: pool workers take only the pool's
+// leaf free-list lock, never a shard lock, and the caller runs the first
+// panel and steals queued ones itself, so nothing it waits for waits on the
+// shard.
 
 import (
 	"bytes"
